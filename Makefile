@@ -49,9 +49,10 @@ bench-scale:
 bench-scale-smoke:
 	REPRO_BENCH_SCALE_TIERS=10000 python benchmarks/bench_scale.py
 
-# Pipelined-executor smoke: barrier vs component-streaming pipelined
-# execution of the same sharded configuration under a simulated crowd
-# latency model, asserting byte-identical candidate sets and final
+# Pipelined-executor smoke: barrier (full pruning join, then the
+# pre-pruned pipeline) vs component-streaming pipelined execution on the
+# same pool size under a simulated crowd latency model, asserting
+# byte-identical candidate sets and final
 # clusterings and reporting pipeline_makespan_speedup /
 # pipeline_overlap_efficiency.  Runs a reduced 20k tier for CI runners
 # (the committed BENCH_endtoend.json carries the full 100k tier);
@@ -63,23 +64,23 @@ bench-pipeline:
 
 # Fault-injection smoke: every pipeline family must terminate under the
 # default hostile crowd (abandonment, timeouts, spammers, early quorum),
-# the supervised worker pools must stay byte-identical under process
-# faults (kills, delays, poison chunks) for the sharded pruning join,
-# the sharded cluster-generation engine, the sharded refinement engine,
-# and the component-streaming pipelined executor (also checked against
-# barrier execution), and all three phase checkpoints (pruning /
-# generation / refinement) must kill-resume byte-identically.
+# the supervised worker pool must stay byte-identical under process
+# faults (kills, delays, poison chunks) for the sharded pruning join and
+# the component-streaming pipelined executor (whose generation
+# clustering is also checked against the global PC-Pivot, and whose
+# result against pruning-then-pipeline execution), and all three phase
+# checkpoints (pruning / generation / refinement) must kill-resume
+# byte-identically.
 # Regenerates CHAOS_smoke.json at the repo root.
 chaos-smoke:
 	python -m repro chaos --dataset restaurant --scale 0.1 --seeds 5 \
 		--output CHAOS_smoke.json
 
 # Runtime-focused chaos: the process-fault matrix (worker kills / task
-# delays / poison chunks on sharded 10k pruning, sharded cluster
-# generation, sharded refinement, and the pipelined executor) and the
-# checkpoint kill-resume
-# checks for all three phases, with the crowd-side sweep cut to a
-# single seed.  Writes CHAOS_runtime.json (not tracked).
+# delays / poison chunks on sharded 10k pruning and the pipelined
+# executor) and the checkpoint kill-resume checks for all three phases,
+# with the crowd-side sweep cut to a single seed.  Writes
+# CHAOS_runtime.json (not tracked).
 chaos-runtime:
 	python -m repro chaos --dataset restaurant --scale 0.1 --seeds 1 \
 		--runtime-records 10000 --output CHAOS_runtime.json

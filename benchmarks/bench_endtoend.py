@@ -38,9 +38,11 @@ Environment knobs:
                                     the pipeline exploits)
 
 The ``pipelined`` stage times the same 100k-tier largescale workload
-twice under an identical simulated crowd-latency model — barrier sharded
-execution (pruning, then sharded pivot, then sharded refine) vs the
-component-streaming pipeline — asserts the outputs byte-identical, and
+twice under an identical simulated crowd-latency model — barrier
+execution (the full pruning join, then the pre-pruned ``run_pipeline``
+on the same pool size) vs the component-streaming pipeline that starts
+pivot components while pruning still runs — asserts the outputs
+byte-identical, and
 emits ``pipeline_makespan_speedup`` (barrier / pipelined wall-clock) and
 ``pipeline_overlap_efficiency`` (the fraction of the shorter
 overlappable phase the pipeline actually hid).
@@ -127,7 +129,6 @@ def _in_fork(fn):
 
 def pipelined_stage(runs: dict) -> dict:
     """Barrier vs pipelined makespan under one crowd-latency model."""
-    from repro.core.acd import run_acd
     from repro.crowd.cache import AnswerFile
     from repro.crowd.latency import SimulatedLatencyAnswers
     from repro.crowd.worker import WorkerPool
@@ -158,12 +159,11 @@ def pipelined_stage(runs: dict) -> dict:
                 parallel=PIPELINE_WORKERS,
             )
         with side.stage("barrier_acd"):
-            barrier = run_acd(
-                dataset.record_ids, candidates, latency_answers(),
-                seed=SEED, pivot_shards=64,
-                pivot_processes=PIPELINE_WORKERS,
-                refine_shards=64, refine_processes=PIPELINE_WORKERS,
-            )
+            barrier = run_pipeline(
+                latency_answers(), record_ids=dataset.record_ids,
+                candidates=candidates, seed=SEED,
+                workers=PIPELINE_WORKERS,
+            ).result
         side.record_peak_rss("barrier_peak_rss_bytes")
         return side, (candidates.pairs, barrier.clustering.to_state(),
                       barrier.stats.snapshot(),

@@ -20,11 +20,12 @@ Pruning variants per tier (each capped by its env knob):
 Generation variants per tier (capped at ``REPRO_BENCH_GENERATION_CAP``,
 driven by the tier's vectorized candidate set):
 
-* ``pivot-classic`` — the classic single-process fast PC-Pivot engine.
-* ``pivot-sharded`` — per-component PC-Pivot over
-  ``REPRO_BENCH_PIVOT_SHARDS`` shard tasks in
-  ``REPRO_BENCH_PIVOT_PROCESSES`` supervised worker processes, plus the
-  cross-shard merge (:mod:`repro.core.pivot_shard`).  The clustering
+* ``pivot-classic`` — ``run_acd(refine=False)``: the classic
+  single-process fast PC-Pivot engine.
+* ``pivot-sharded`` — the pre-pruned ``run_pipeline(refine=False)``:
+  per-component PC-Pivot on a supervised pool of
+  ``REPRO_BENCH_PIVOT_PROCESSES`` worker processes, plus the merged-round
+  replay (:mod:`repro.core.pivot_shard`).  The clustering
   (cluster IDs included) must match the classic run exactly; the
   crowdsourced pair count may differ (component-local Equation-4 rounds
   waste different — usually fewer — pairs than the globally-coupled
@@ -44,11 +45,12 @@ gives the refine phase real over-/under-merge work; the clean default
 generator produces clusterings the phase barely touches):
 
 * ``refine-classic`` — the classic single-process fast PC-Refine engine.
-* ``refine-sharded`` — per-component PC-Refine over
-  ``REPRO_BENCH_REFINE_SHARDS`` shard tasks in
-  ``REPRO_BENCH_REFINE_PROCESSES`` supervised worker processes, plus the
-  cross-shard merged-round replay (:mod:`repro.core.refine_shard`).
-  Both variants refine the same generation-phase clustering.
+* ``refine-sharded`` — per-component PC-Refine inside the pre-pruned
+  ``run_pipeline``, resumed from the classic run's ``generation``
+  checkpoint, on a supervised pool of ``REPRO_BENCH_REFINE_PROCESSES``
+  worker processes, plus the merged-round replay
+  (:mod:`repro.core.refine_shard`).
+  Both variants refine the same classic generation-phase clustering.
   ``refine_iteration_speedup`` is the crowd-latency win (sharded
   iterations = the deepest component's round count);
   ``refine_classic_identical`` records whether the sharded partition
@@ -70,17 +72,15 @@ Environment knobs:
     REPRO_BENCH_REFERENCE_CAP  largest tier for reference (default 10000)
     REPRO_BENCH_GENERATION_CAP     largest tier for the generation stage
                                    (default 100000)
-    REPRO_BENCH_PIVOT_SHARDS       shard tasks for pivot-sharded (default 64)
-    REPRO_BENCH_PIVOT_PROCESSES    worker processes for pivot-sharded
+    REPRO_BENCH_PIVOT_PROCESSES    pool workers for pivot-sharded
                                    (default min(4, CPU count); <= 1 =
-                                   in-process — supervised workers only
+                                   inline — supervised workers only
                                    pay off with real cores, so a
                                    single-core host defaults to the
-                                   in-process shard loop)
+                                   inline pool)
     REPRO_BENCH_REFINE_CAP         largest tier for the refinement stage
                                    (default 100000)
-    REPRO_BENCH_REFINE_SHARDS      shard tasks for refine-sharded (default 64)
-    REPRO_BENCH_REFINE_PROCESSES   worker processes for refine-sharded
+    REPRO_BENCH_REFINE_PROCESSES   pool workers for refine-sharded
                                    (default min(4, CPU count), as above)
     REPRO_BENCH_REFINE_CONFUSION   confusion knob for the refine-stage
                                    dataset (default 0.25)
@@ -122,11 +122,9 @@ GENERATION_CAP = int(os.environ.get("REPRO_BENCH_GENERATION_CAP", "100000"))
 #: single-core host (common for CI containers) pays fork + IPC overhead
 #: for zero parallelism, so the default degrades to the in-process loop.
 _DEFAULT_PROCESSES = str(min(4, os.cpu_count() or 1))
-PIVOT_SHARDS = int(os.environ.get("REPRO_BENCH_PIVOT_SHARDS", "64"))
 PIVOT_PROCESSES = int(
     os.environ.get("REPRO_BENCH_PIVOT_PROCESSES", _DEFAULT_PROCESSES))
 REFINE_CAP = int(os.environ.get("REPRO_BENCH_REFINE_CAP", "100000"))
-REFINE_SHARDS = int(os.environ.get("REPRO_BENCH_REFINE_SHARDS", "64"))
 REFINE_PROCESSES = int(
     os.environ.get("REPRO_BENCH_REFINE_PROCESSES", _DEFAULT_PROCESSES))
 REFINE_CONFUSION = float(
@@ -151,37 +149,48 @@ def _measure(records, *, engine: str, kernel_backend: str, shards: int,
     return candidates, timings
 
 
-def _measure_generation(dataset, candidates, *, shards: int = 0,
-                        processes: int = 0):
-    """One cluster-generation run; returns (clustering, stats, timings)."""
-    from repro.core.pc_pivot import pc_pivot
+def _answers(dataset):
+    """A fresh pair-seeded answer file per variant: identical answers, no
+    cross-variant memo warming."""
     from repro.crowd.cache import AnswerFile
-    from repro.crowd.oracle import CrowdOracle
     from repro.crowd.worker import WorkerPool
     from repro.experiments.configs import difficulty_model
 
-    # A fresh pair-seeded answer file per variant: identical answers,
-    # no cross-variant memo warming.
-    answers = AnswerFile(
+    return AnswerFile(
         dataset.gold,
         WorkerPool(difficulty=difficulty_model("largescale"), num_workers=3),
     )
-    oracle = CrowdOracle(answers)
+
+
+def _measure_generation(dataset, candidates, *, processes=None):
+    """One cluster-generation run; returns (clustering, stats, timings).
+
+    ``processes=None`` runs the classic engine (``run_acd``); an integer
+    runs the pre-pruned ``run_pipeline`` on a pool of that many workers.
+    """
+    from repro.core.acd import run_acd
+    from repro.runtime.pipeline import run_pipeline
+
     timings = StageTimings()
     with timings.stage("generation"):
-        clustering = pc_pivot(
-            dataset.record_ids, candidates, oracle, seed=SEED,
-            shards=shards, processes=processes,
-        )
+        if processes is None:
+            result = run_acd(dataset.record_ids, candidates,
+                             _answers(dataset), seed=SEED, refine=False)
+        else:
+            result = run_pipeline(
+                _answers(dataset), record_ids=dataset.record_ids,
+                candidates=candidates, seed=SEED, refine=False,
+                workers=processes,
+            ).result
     timings.record_throughput("records_per_second", len(dataset.records))
     timings.record_throughput("pairs_per_second",
-                              int(oracle.stats.pairs_issued))
+                              int(result.stats.pairs_issued))
     timings.record_peak_rss()
-    return clustering, oracle.stats, timings
+    return result.clustering, result.stats, timings
 
 
 def _generation_stage(label, tier, dataset, candidates, runs, derived):
-    """The generation tier: classic vs sharded-parallel PC-Pivot.
+    """The generation tier: classic vs component-decomposed PC-Pivot.
 
     Returns False when the sharded run diverges from the classic one
     (the caller fails the benchmark).
@@ -201,13 +210,12 @@ def _generation_stage(label, tier, dataset, candidates, runs, derived):
           f"{classic_timings.meters['peak_rss_bytes'] / 2**20:.0f} MiB")
 
     sharded, sharded_stats, sharded_timings = _measure_generation(
-        dataset, candidates, shards=PIVOT_SHARDS, processes=PIVOT_PROCESSES)
+        dataset, candidates, processes=PIVOT_PROCESSES)
     runs[f"{label}/pivot-sharded"] = run_entry(
         sharded_timings, records=tier,
         pairs_issued=int(sharded_stats.pairs_issued),
         iterations=int(sharded_stats.iterations),
-        clusters=len(sharded),
-        shards=PIVOT_SHARDS, processes=PIVOT_PROCESSES,
+        clusters=len(sharded), processes=PIVOT_PROCESSES,
     )
     if sharded.to_state() != classic.to_state():
         print(f"FAIL: {label}: sharded generation clustering diverged",
@@ -238,56 +246,69 @@ def _generation_stage(label, tier, dataset, candidates, runs, derived):
     return True
 
 
-def _measure_refine(dataset, candidates, *, shards: int = 0,
-                    processes: int = 0):
-    """One refinement run from a freshly generated clustering.
+def _measure_refine(dataset, candidates, *, processes=None):
+    """One refinement run from the classic generation clustering.
 
     The generation phase (untimed, identical across variants: same seed,
     pair-deterministic answers) produces the starting clustering and the
-    shared phase-2 answer set; only ``pc_refine`` is measured.  Returns
-    (clustering, refine_iterations, refine_pairs, timings); the timings
-    carry the engine's own per-stage breakdown plus an explicit
-    ``total`` equal to the refine wall-clock.
+    shared phase-2 answer set.  ``processes=None`` times the classic
+    ``pc_refine``; an integer writes the generation phase as a
+    checkpoint and times the pre-pruned ``run_pipeline`` resuming from
+    it on a pool of that many workers.  Returns (clustering,
+    refine_iterations, refine_pairs, timings); the timings carry the
+    engine's own per-stage breakdown plus an explicit ``total`` equal to
+    the refine wall-clock.
     """
+    import tempfile
+
+    from repro.core.acd import run_acd
     from repro.core.pc_pivot import pc_pivot
     from repro.core.pc_refine import pc_refine
-    from repro.crowd.cache import AnswerFile
     from repro.crowd.oracle import CrowdOracle
-    from repro.crowd.worker import WorkerPool
-    from repro.experiments.configs import difficulty_model
-
-    answers = AnswerFile(
-        dataset.gold,
-        WorkerPool(difficulty=difficulty_model("largescale"), num_workers=3),
-    )
-    oracle = CrowdOracle(answers)
-    clustering = pc_pivot(dataset.record_ids, candidates, oracle, seed=SEED,
-                          shards=PIVOT_SHARDS)
-    generation_iterations = oracle.stats.iterations
-    generation_pairs = oracle.stats.pairs_issued
+    from repro.runtime.checkpoint import CheckpointStore
+    from repro.runtime.pipeline import run_pipeline
 
     timings = StageTimings()
-    with timings.stage("refine"):
-        clustering = pc_refine(
-            clustering, candidates, oracle,
-            num_records=len(dataset.records),
-            shards=shards, processes=processes, timings=timings,
-        )
-    # The engine's sub-stages (refine.free, refine.evaluate, ... or
-    # refine.partition, refine.workers, refine.replay) accumulated into
-    # the same StageTimings; pin the explicit total to the refine
-    # wall-clock so the breakdown does not double-count it.
+    if processes is None:
+        oracle = CrowdOracle(_answers(dataset))
+        clustering = pc_pivot(dataset.record_ids, candidates, oracle,
+                              seed=SEED)
+        generation = oracle.stats.snapshot()
+        with timings.stage("refine"):
+            clustering = pc_refine(
+                clustering, candidates, oracle,
+                num_records=len(dataset.records), timings=timings,
+            )
+        total = oracle.stats.snapshot()
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            store = CheckpointStore(tmp, config={"seed": SEED})
+            run_acd(dataset.record_ids, candidates, _answers(dataset),
+                    seed=SEED, refine=False, checkpoints=store)
+            with timings.stage("refine"):
+                result = run_pipeline(
+                    _answers(dataset), record_ids=dataset.record_ids,
+                    candidates=candidates, workers=processes,
+                    checkpoints=store, resume=True, timings=timings,
+                ).result
+        clustering = result.clustering
+        generation = result.generation_stats
+        total = result.stats.snapshot()
+    # The engine's sub-stages (refine.free, refine.evaluate, ...)
+    # accumulated into the same StageTimings; pin the explicit total to
+    # the refine wall-clock so the breakdown does not double-count it.
     timings.add("total", timings.seconds("refine"))
-    refine_pairs = int(oracle.stats.pairs_issued - generation_pairs)
+    refine_pairs = int(total["pairs_issued"] - generation["pairs_issued"])
     timings.record_throughput("pairs_per_second", refine_pairs,
                               stage="refine")
     timings.record_peak_rss()
-    return (clustering, int(oracle.stats.iterations - generation_iterations),
+    return (clustering,
+            int(total["iterations"] - generation["iterations"]),
             refine_pairs, timings)
 
 
 def _refine_stage(label, tier, runs, derived):
-    """The refinement tier: classic vs sharded-parallel PC-Refine.
+    """The refinement tier: classic vs component-decomposed PC-Refine.
 
     Regenerates the tier with the ``confusion`` knob (the clean dataset
     leaves the refine phase nothing to do) and prunes it, then refines
@@ -317,13 +338,11 @@ def _refine_stage(label, tier, runs, derived):
           f"{len(classic)} clusters")
 
     sharded, sharded_iters, sharded_pairs, sharded_timings = _measure_refine(
-        dataset, candidates, shards=REFINE_SHARDS,
-        processes=REFINE_PROCESSES)
+        dataset, candidates, processes=REFINE_PROCESSES)
     runs[f"{label}/refine-sharded"] = run_entry(
         sharded_timings, records=tier, candidate_pairs=len(candidates),
         pairs_issued=sharded_pairs, iterations=sharded_iters,
-        clusters=len(sharded),
-        shards=REFINE_SHARDS, processes=REFINE_PROCESSES,
+        clusters=len(sharded), processes=REFINE_PROCESSES,
     )
     identical = sharded.to_state() == classic.to_state()
     speedup = (classic_timings.seconds("refine")
@@ -436,10 +455,8 @@ def main() -> int:
             "parallel": PARALLEL, "threshold": PRUNING_THRESHOLD,
             "scalar_cap": SCALAR_CAP, "reference_cap": REFERENCE_CAP,
             "generation_cap": GENERATION_CAP,
-            "pivot_shards": PIVOT_SHARDS,
             "pivot_processes": PIVOT_PROCESSES,
             "refine_cap": REFINE_CAP,
-            "refine_shards": REFINE_SHARDS,
             "refine_processes": REFINE_PROCESSES,
             "refine_confusion": REFINE_CONFUSION,
             "dataset": "largescale", "metric": "jaccard",

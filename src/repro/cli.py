@@ -168,41 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cluster-generation engine: incremental 'fast' "
                           "(default) or per-round re-derivation "
                           "'reference'; outputs are byte-identical")
-    run.add_argument("--pivot-shards", type=_shards_value, default=0,
-                     metavar="N",
-                     help="shard cluster generation: split the candidate "
-                          "graph into connected components, pack them "
-                          "into N shard tasks, and merge per-shard "
-                          "PC-Pivot results (0 = classic single-graph "
-                          "loop; clustering is byte-identical for every "
-                          "N; requires the 'fast' engine)")
-    run.add_argument("--pivot-processes", type=int, default=0, metavar="N",
-                     help="worker processes for the pivot shard tasks "
-                          "(<= 1 runs them in-process; ignored without "
-                          "--pivot-shards)")
-    run.add_argument("--refine-shards", type=_shards_value, default=0,
-                     metavar="N",
-                     help="shard refinement: split the clustering into "
-                          "connected components, pack them into N shard "
-                          "tasks, and replay per-shard PC-Refine rounds "
-                          "under one global budget (0 = classic "
-                          "single-clustering loop; output is "
-                          "byte-identical for every N; requires the "
-                          "'fast' engine)")
-    run.add_argument("--refine-processes", type=int, default=0, metavar="N",
-                     help="worker processes for the refine shard tasks "
-                          "(<= 1 runs them in-process; ignored without "
-                          "--refine-shards)")
     run.add_argument("--pipeline", action="store_true",
-                     help="run ACD's crowd phases as a component-streaming "
-                          "DAG over one shared worker pool, overlapping "
-                          "the pruning/pivot/refine barriers (output is "
-                          "byte-identical to barrier execution; replaces "
-                          "--pivot-shards/--refine-shards)")
+                     help="run ACD's crowd phases decomposed by connected "
+                          "component over one supervised worker pool "
+                          "(same generation clustering as the global "
+                          "engine; crowd rounds count the deepest "
+                          "component; requires the 'fast' engines)")
     run.add_argument("--pipeline-workers", type=int, default=0, metavar="N",
-                     help="worker processes for the shared pipeline pool "
-                          "(<= 1 runs the DAG inline; ignored without "
-                          "--pipeline)")
+                     help="worker processes for the pipeline pool "
+                          "(<= 1 runs it inline; requires --pipeline)")
     _add_setting(run)
     _add_common(run)
 
@@ -307,12 +281,16 @@ def _cmd_sweep_threshold(args: argparse.Namespace) -> None:
 
 
 def _check_run_paths(args: argparse.Namespace) -> Optional[Path]:
-    """Fail fast on invalid --journal/--trace/--manifest/--output combos.
+    """Fail fast on invalid flag combinations before any work runs.
 
     Returns the resolved manifest path (``None`` when not tracing).  Every
     artifact must land in a distinct file — a journal silently overwritten
-    by the trace stream (or vice versa) is unrecoverable.
+    by the trace stream (or vice versa) is unrecoverable.  A worker count
+    without ``--pipeline`` would change nothing but the checkpoint and
+    journal fingerprints, so it is rejected too.
     """
+    if args.pipeline_workers and not args.pipeline:
+        raise SystemExit("--pipeline-workers requires --pipeline")
     if args.resume and not (args.journal or args.checkpoint_dir):
         raise SystemExit(
             "--resume requires --journal PATH and/or --checkpoint-dir DIR"
@@ -401,10 +379,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
         "method_seed": args.method_seed,
         "refine_engine": args.refine_engine,
         "pivot_engine": args.pivot_engine,
-        "pivot_shards": args.pivot_shards,
-        "pivot_processes": args.pivot_processes,
-        "refine_shards": args.refine_shards,
-        "refine_processes": args.refine_processes,
         "pipeline": args.pipeline,
         "pipeline_workers": args.pipeline_workers,
         "engine": args.engine,
@@ -482,10 +456,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
                             gcer_budget=gcer_budget, obs=obs,
                             refine_engine=args.refine_engine,
                             pivot_engine=args.pivot_engine,
-                            pivot_shards=args.pivot_shards,
-                            pivot_processes=args.pivot_processes,
-                            refine_shards=args.refine_shards,
-                            refine_processes=args.refine_processes,
                             checkpoints=checkpoints, resume=args.resume,
                             pipeline=args.pipeline,
                             pipeline_workers=args.pipeline_workers)

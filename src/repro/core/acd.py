@@ -78,10 +78,6 @@ def run_acd(
     obs: Optional[ObsContext] = None,
     refine_engine: str = "fast",
     pivot_engine: str = "fast",
-    pivot_shards: int = 0,
-    pivot_processes: int = 0,
-    refine_shards: int = 0,
-    refine_processes: int = 0,
     checkpoints: Optional[CheckpointStore] = None,
     resume: bool = False,
     pipeline: bool = False,
@@ -130,25 +126,6 @@ def run_acd(
             default) or "reference" (per-round re-derivation).  Outputs
             are byte-identical; see
             :data:`~repro.core.pivot_engine.PIVOT_ENGINES`.
-        pivot_shards: When >= 1, phase 2 runs the sharded engine of
-            :mod:`repro.core.pivot_shard` — connected components of the
-            candidate graph packed into this many shard tasks with a
-            cross-shard merge.  The clustering is byte-identical to the
-            unsharded engines; requires ``parallel=True``,
-            ``pivot_engine="fast"``, and a pair-deterministic answer
-            source.
-        pivot_processes: Worker processes for the shard tasks (``<= 1``
-            runs them in-process; ignored without ``pivot_shards``).
-        refine_shards: When >= 1, phase 3 runs the sharded engine of
-            :mod:`repro.core.refine_shard` — connected components of the
-            candidate + cluster graph refined independently with a
-            frozen global budget and a cross-shard merged-round replay.
-            Requires ``parallel=True``, ``refine_engine="fast"``, no
-            ``max_refinement_pairs``, and a pair-deterministic answer
-            source.
-        refine_processes: Worker processes for the refine shard tasks
-            (``<= 1`` runs them in-process; ignored without
-            ``refine_shards``).
         checkpoints: Optional
             :class:`~repro.runtime.checkpoint.CheckpointStore`.  When
             attached, the complete cluster-generation state (clustering,
@@ -156,16 +133,17 @@ def run_acd(
             snapshotted atomically after phase 2 — the ``generation``
             checkpoint — and the finished pipeline state after phase 3 —
             the ``refinement`` checkpoint.
-        pipeline: Run both crowd phases as a component-streaming DAG
-            over one shared worker pool
-            (:func:`repro.runtime.pipeline.run_pipeline`) instead of
-            barrier-synchronized phases.  Byte-identical output;
-            requires ``parallel=True``, the "fast" engines, no
-            ``max_refinement_pairs``, and no per-phase shard knobs (the
-            pipeline owns the component decomposition).
-        pipeline_workers: Worker processes for the shared pipeline pool
-            (``<= 1`` runs the DAG inline; ignored without
-            ``pipeline``).
+        pipeline: Run both crowd phases decomposed by connected
+            component over one supervised worker pool
+            (:func:`repro.runtime.pipeline.run_pipeline`).  The
+            generation clustering equals the global engine's; crowd
+            rounds follow the merged per-component accounting (the
+            deepest component's round count).  Requires
+            ``parallel=True``, the "fast" engines, no
+            ``max_refinement_pairs``, and a pair-deterministic answer
+            source.
+        pipeline_workers: Worker processes for the pipeline pool
+            (``<= 1`` runs it inline); requires ``pipeline``.
         resume: With ``checkpoints``, restore the deepest finished
             phase's checkpoint when one exists (and its recorded
             configuration matches the store's): a ``refinement``
@@ -177,6 +155,11 @@ def run_acd(
     Returns:
         The :class:`ACDResult`.
     """
+    if pipeline_workers and not pipeline:
+        raise ValueError(
+            "pipeline_workers requires pipeline=True: the global engines "
+            "run in-process"
+        )
     if pipeline:
         if not parallel:
             raise ValueError(
@@ -194,11 +177,6 @@ def run_acd(
                 "pipeline does not support max_refinement_pairs "
                 "(a global sequential pair cap cannot decompose across "
                 "components) — run with pipeline disabled"
-            )
-        if pivot_shards or refine_shards:
-            raise ValueError(
-                "pipeline owns the component decomposition: drop "
-                "pivot_shards/refine_shards when pipeline=True"
             )
         # Imported lazily: pipeline.py imports this module at its top.
         from repro.runtime.pipeline import run_pipeline
@@ -225,39 +203,10 @@ def run_acd(
                 max_refinement_pairs=max_refinement_pairs,
                 obs=obs, refine_engine=refine_engine,
                 pivot_engine=pivot_engine,
-                pivot_shards=pivot_shards,
-                pivot_processes=pivot_processes,
-                refine_shards=refine_shards,
-                refine_processes=refine_processes,
                 checkpoints=checkpoints, resume=resume,
             )
         finally:
             journaled.close()
-
-    if pivot_shards and not parallel:
-        raise ValueError(
-            "pivot_shards requires parallel=True: sequential Crowd-Pivot "
-            "has no sharded engine"
-        )
-    # Fail fast on sharded-refinement config errors *before* the (possibly
-    # expensive) generation phase runs, with the same messages pc_refine
-    # itself raises.
-    if refine_shards and not parallel:
-        raise ValueError(
-            "refine_shards requires parallel=True: sequential Crowd-Refine "
-            "has no sharded engine"
-        )
-    if refine_shards and refine_engine != "fast":
-        raise ValueError(
-            "sharded refinement requires the 'fast' engine, "
-            f"got {refine_engine!r}"
-        )
-    if refine_shards and max_refinement_pairs is not None:
-        raise ValueError(
-            "sharded refinement does not support max_refinement_pairs "
-            "(a global sequential pair cap cannot decompose across "
-            "shards) — run with refine shards disabled"
-        )
 
     ids = list(record_ids)
     restored_refinement = (checkpoints.load("refinement")
@@ -298,7 +247,6 @@ def run_acd(
                             permutation=permutation, seed=seed,
                             diagnostics=pivot_diagnostics,
                             obs=obs, engine=pivot_engine,
-                            shards=pivot_shards, processes=pivot_processes,
                         )
                     else:
                         clustering = crowd_pivot(
@@ -326,8 +274,6 @@ def run_acd(
                             ranking=ranking,
                             max_refinement_pairs=max_refinement_pairs,
                             obs=obs, engine=refine_engine,
-                            shards=refine_shards,
-                            processes=refine_processes,
                         )
                     else:
                         clustering = crowd_refine(
@@ -370,10 +316,6 @@ def run_acd(
                 "max_refinement_pairs": max_refinement_pairs,
                 "refine_engine": refine_engine,
                 "pivot_engine": pivot_engine,
-                "pivot_shards": pivot_shards,
-                "pivot_processes": pivot_processes,
-                "refine_shards": refine_shards,
-                "refine_processes": refine_processes,
             },
             seeds={"pivot_seed": seed},
         )

@@ -42,7 +42,7 @@ class HistogramEstimator:
         # since, keyed by pair so an overwrite of a *snapshotted* pair
         # can be detected and the snapshot discarded.  A rebuild then
         # merges the snapshot with the (few) fresh samples instead of
-        # re-sorting the full set — the sharded refine engine leans on
+        # re-sorting the full set — component refinement leans on
         # this, rebuilding per crowdsourcing component.
         self._sorted_obs: Optional[List[Tuple[float, float]]] = None
         self._fresh: Dict[Pair, Tuple[float, float]] = {}
@@ -112,7 +112,7 @@ class HistogramEstimator:
         reassign it, never mutate it), and the bucket arrays likewise.
         Cloning a clean estimator therefore costs a handful of pointer
         copies, and only clones that go on to ingest samples ever pay
-        for a private dict — the sharded refine engine clones the global
+        for a private dict — component refinement clones the global
         histogram once per component, of which few crowdsource.
         """
         clone = HistogramEstimator(self.num_buckets)

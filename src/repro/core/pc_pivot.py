@@ -120,10 +120,6 @@ def pc_pivot(
     diagnostics: Optional[PCPivotDiagnostics] = None,
     obs=None,
     engine: str = "fast",
-    shards: int = 0,
-    processes: int = 0,
-    supervisor_policy=None,
-    fault_plan=None,
 ) -> Clustering:
     """Run PC-Pivot over the candidate graph.
 
@@ -146,25 +142,6 @@ def pc_pivot(
             "fast" (incremental order + fused Equation-4 scan, default)
             or "reference" (per-round re-derivation); outputs are
             byte-identical.
-        shards: When >= 1, run the sharded engine of
-            :mod:`repro.core.pivot_shard`: the candidate graph splits
-            into connected components, components pack into this many
-            shard tasks, and a cross-shard merge reassembles the result.
-            The clustering (including cluster IDs) is byte-identical to
-            the unsharded engines; stats/diagnostics/events follow the
-            sharded engine's merged component-round accounting (round
-            ``r`` batches every component's local round ``r`` at once,
-            so the iteration count reports the parallel crowd latency),
-            identical for every shard count, process count, and fault
-            plan.
-            Requires ``engine="fast"`` and a pair-deterministic answer
-            source.  ``0`` (default) keeps the classic single-graph loop.
-        processes: Worker processes for the shard tasks (``<= 1`` runs
-            them in-process; ignored without ``shards``).
-        supervisor_policy: Fault-handling knobs forwarded to the
-            supervised worker pool (sharded mode only).
-        fault_plan: Deterministic process-fault injection for chaos
-            testing (sharded mode only).
 
     Returns:
         The clustering ``C`` (identical in distribution — in fact identical
@@ -172,37 +149,8 @@ def pc_pivot(
     """
     require_pivot_engine(engine)
     ids = list(record_ids)
-    if isinstance(shards, str):
-        from repro.runtime.autoshard import resolve_auto_shards
-
-        shards = resolve_auto_shards("pivot", records=len(ids),
-                                     requested=shards, obs=obs)
-        if engine != "fast":
-            # The heuristic never picks a config the sharded engine
-            # rejects; explicit shard counts still fail fast below.
-            shards = 0
-        if shards == 0:
-            processes = 0  # classic engine: no pool to feed
-    if shards < 0:
-        raise ValueError(f"shards must be >= 0, got {shards}")
-    if processes > 1 and shards == 0:
-        raise ValueError(
-            "pivot processes require pivot shards (pass shards >= 1)"
-        )
     if permutation is None:
         permutation = Permutation.random(ids, rng=rng, seed=seed)
-    if shards:
-        if engine != "fast":
-            raise ValueError(
-                f"sharded generation requires the 'fast' engine, "
-                f"got {engine!r}"
-            )
-        from repro.core.pivot_shard import pc_pivot_sharded
-        return pc_pivot_sharded(
-            ids, candidates, oracle, epsilon, permutation, diagnostics,
-            obs, shards=shards, processes=processes,
-            supervisor_policy=supervisor_policy, fault_plan=fault_plan,
-        )
     run = _pc_pivot_fast if engine == "fast" else _pc_pivot_reference
     return run(ids, candidates, oracle, epsilon, permutation, diagnostics,
                obs)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -34,16 +33,12 @@ from repro.core.refine import (
     enumerate_operations,
 )
 from repro.crowd.oracle import CrowdOracle
+from repro.perf.timing import maybe_stage
 from repro.pruning.candidate import CandidateSet
 
 DEFAULT_THRESHOLD_DIVISOR = 8.0
 
 Pair = Tuple[int, int]
-
-
-def _stage(timings, name: str):
-    """Accumulating stage timer; no-op without a ``StageTimings`` sink."""
-    return timings.stage(name) if timings is not None else nullcontext()
 
 
 @dataclass
@@ -123,7 +118,7 @@ def _pack_independent_operations(
     if ranking not in ("ratio", "benefit"):
         raise ValueError(f"ranking must be 'ratio' or 'benefit', got {ranking!r}")
     scored: List[Tuple[float, int, Operation]] = []
-    with _stage(timings, "refine.evaluate"):
+    with maybe_stage(timings, "refine.evaluate"):
         for operation in enumerate_operations(clustering, candidates):
             cost = evaluator.cost(operation)
             if cost <= 0:
@@ -132,7 +127,7 @@ def _pack_independent_operations(
             key = benefit / cost if ranking == "ratio" else benefit
             if key > 0.0:
                 scored.append((key, cost, operation))
-    with _stage(timings, "refine.pack"):
+    with maybe_stage(timings, "refine.pack"):
         # Deterministic order: ratio desc, then a stable textual tiebreak.
         scored.sort(key=lambda item: (-item[0], repr(item[2])))
 
@@ -173,7 +168,7 @@ def _pack_independent_operations_fast(
         raise ValueError(f"ranking must be 'ratio' or 'benefit', got {ranking!r}")
     by_ratio = ranking == "ratio"
     scored: List[Tuple[float, str, int, Operation]] = []
-    with _stage(timings, "refine.evaluate"):
+    with maybe_stage(timings, "refine.evaluate"):
         for operation in cache.operations():
             if by_ratio:
                 ratio, cost = evaluations.ratio_and_cost(operation)
@@ -187,7 +182,7 @@ def _pack_independent_operations_fast(
                 key = evaluations.estimated_benefit(operation)
             if key > 0.0:
                 scored.append((-key, repr(operation), cost, operation))
-    with _stage(timings, "refine.pack"):
+    with maybe_stage(timings, "refine.pack"):
         heapq.heapify(scored)
 
         packed: List[Operation] = []
@@ -235,7 +230,7 @@ def _pc_refine_reference(
 
     round_index = 0
     while True:
-        with _stage(timings, "refine.free"):
+        with maybe_stage(timings, "refine.free"):
             freed = apply_free_operations(clustering, candidates, oracle,
                                           estimator, evaluator=evaluator)
         if diagnostics is not None:
@@ -267,7 +262,7 @@ def _pc_refine_reference(
             return finish()
 
         # One crowd batch resolves every packed operation's unknown pairs.
-        with _stage(timings, "refine.crowd"):
+        with maybe_stage(timings, "refine.crowd"):
             needed: Set[Pair] = set()
             for operation in packed:
                 needed.update(evaluator.unknown_pairs(operation))
@@ -278,7 +273,7 @@ def _pc_refine_reference(
                         pair, candidates.machine_scores[pair], crowd_score
                     )
 
-        with _stage(timings, "refine.apply"):
+        with maybe_stage(timings, "refine.apply"):
             applied = 0
             for operation in packed:
                 benefit = evaluator.exact_benefit(operation)
@@ -351,7 +346,7 @@ def _pc_refine_fast(
 
     round_index = 0
     while True:
-        with _stage(timings, "refine.free"):
+        with maybe_stage(timings, "refine.free"):
             freed = apply_free_operations(clustering, candidates, oracle,
                                           estimator, cache=cache,
                                           evaluations=evaluations)
@@ -381,7 +376,7 @@ def _pc_refine_fast(
             return finish()
 
         # One crowd batch resolves every packed operation's unknown pairs.
-        with _stage(timings, "refine.crowd"):
+        with maybe_stage(timings, "refine.crowd"):
             needed: Set[Pair] = set()
             for operation in packed:
                 needed.update(evaluations.unknown_pairs(operation))
@@ -396,7 +391,7 @@ def _pc_refine_fast(
                         pair, candidates.machine_scores[pair], crowd_score
                     )
 
-        with _stage(timings, "refine.apply"):
+        with maybe_stage(timings, "refine.apply"):
             applied = 0
             for operation in packed:
                 benefit = evaluations.exact_benefit(operation)
@@ -440,10 +435,6 @@ def pc_refine(
     max_refinement_pairs: Optional[int] = None,
     obs=None,
     engine: str = "fast",
-    shards: int = 0,
-    processes: int = 0,
-    supervisor_policy=None,
-    fault_plan=None,
     timings=None,
 ) -> Clustering:
     """Run PC-Refine; refines ``clustering`` in place and returns it.
@@ -477,27 +468,6 @@ def pc_refine(
         engine: One of :data:`~repro.core.refine.REFINE_ENGINES` — "fast"
             (incremental, default) or "reference" (full re-evaluation);
             outputs are byte-identical.
-        shards: When >= 1, run the sharded engine of
-            :mod:`repro.core.refine_shard`: the clustering partitions
-            along connected components of the candidate graph (plus
-            within-cluster edges), components pack into this many shard
-            tasks, and a cross-shard coordinator replays per-component
-            rounds through the caller's oracle under one frozen global
-            budget ``T`` and one frozen global histogram.  The final
-            clustering (ids included), stats, diagnostics, and events
-            are byte-identical for every shard count, process count, and
-            fault plan; round accounting follows the merged
-            component-round schedule (round ``r`` batches every
-            component's local round ``r`` at once).  Requires
-            ``engine="fast"``, a pair-deterministic answer source, and
-            no ``max_refinement_pairs`` cap.  ``0`` (default) keeps the
-            classic single-clustering loop.
-        processes: Worker processes for the shard tasks (``<= 1`` runs
-            them in-process; ignored without ``shards``).
-        supervisor_policy: Fault-handling knobs forwarded to the
-            supervised worker pool (sharded mode only).
-        fault_plan: Deterministic process-fault injection for chaos
-            testing (sharded mode only).
         timings: Optional :class:`~repro.perf.timing.StageTimings`;
             accumulates per-stage wall time under ``refine.evaluate``
             (benefit/cost scoring), ``refine.pack`` (greedy packing),
@@ -511,45 +481,9 @@ def pc_refine(
         )
     if num_records is None:
         num_records = clustering.num_records
-    if isinstance(shards, str):
-        from repro.runtime.autoshard import resolve_auto_shards
-
-        shards = resolve_auto_shards("refine", records=num_records,
-                                     requested=shards, obs=obs)
-        if engine != "fast" or max_refinement_pairs is not None:
-            # The heuristic never picks a config the sharded engine
-            # rejects; explicit shard counts still fail fast below.
-            shards = 0
-        if shards == 0:
-            processes = 0  # classic engine: no pool to feed
-    if shards < 0:
-        raise ValueError(f"shards must be >= 0, got {shards}")
-    if processes > 1 and shards == 0:
-        raise ValueError(
-            "refine processes require refine shards (pass shards >= 1)"
-        )
     if max_refinement_pairs is not None and max_refinement_pairs < 0:
         raise ValueError(
             f"max_refinement_pairs must be >= 0, got {max_refinement_pairs}"
-        )
-    if shards:
-        if engine != "fast":
-            raise ValueError(
-                f"sharded refinement requires the 'fast' engine, "
-                f"got {engine!r}"
-            )
-        if max_refinement_pairs is not None:
-            raise ValueError(
-                "sharded refinement does not support max_refinement_pairs "
-                "(a global sequential pair cap cannot decompose across "
-                "shards) — run with refine shards disabled"
-            )
-        from repro.core.refine_shard import pc_refine_sharded
-        return pc_refine_sharded(
-            clustering, candidates, oracle, num_records, threshold_divisor,
-            num_buckets, diagnostics, ranking, obs, shards=shards,
-            processes=processes, supervisor_policy=supervisor_policy,
-            fault_plan=fault_plan, timings=timings,
         )
     refine = _pc_refine_fast if engine == "fast" else _pc_refine_reference
     return refine(clustering, candidates, oracle, num_records,

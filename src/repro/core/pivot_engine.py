@@ -70,7 +70,7 @@ class LiveVertexOrder:
         """Build from vertices already sorted by ascending permutation
         rank, skipping the O(n) permutation filter of the constructor.
 
-        The sharded engine runs thousands of component-sized loops
+        Component execution runs thousands of component-sized loops
         against one global permutation; filtering the full permutation
         per component would be quadratic in the record count, while the
         caller can rank-sort each component in O(c log c).

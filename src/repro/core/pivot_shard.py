@@ -1,53 +1,44 @@
-"""Sharded parallel PC-Pivot: per-component engines, cross-shard merge.
+"""Component-decomposed PC-Pivot: the per-component body and the merge.
 
 Cluster generation decomposes exactly along connected components of the
 candidate graph: every pair Crowd-Pivot issues is pivot-incident, so
 work in one component never touches another's vertices, and running
 PC-Pivot per component (with the global permutation restricted to the
 component) produces precisely the clusters the whole-graph run would —
-Lemma 2/4 applied component-wise.  This module exploits that:
+Lemma 2/4 applied component-wise.  The component-streaming executor of
+:mod:`repro.runtime.pipeline` exploits that with the two halves here:
 
-1. **Partition** — :func:`~repro.pruning.components.connected_components`
-   splits ``G = (V_R, E_S)``; multi-vertex components are packed into
-   shard tasks largest-first.
-2. **Fan out** — each shard runs in a worker process under the
-   supervised pool of :mod:`repro.runtime.supervisor`, executing the
-   fast engine per component over its own
-   :class:`~repro.pruning.graph.EagerCandidateGraph` against a forked
-   copy of the *pair-deterministic* answer source (every process
-   resolves a pair to the same confidence, so placement cannot change
-   any answer).  Workers return per-component round logs: chosen ``k``,
-   predicted waste, issued pairs, clusters, and the fresh confidences.
-3. **Merge** — the parent primes its answer source with the worker
-   confidences, then replays *merged rounds* through the caller's
-   oracle: round ``r`` of the sharded run is the union of every
+1. **Per component** — :func:`_run_component` runs the fast engine over
+   one component's own :class:`~repro.pruning.graph.EagerCandidateGraph`
+   against a forked copy of the *pair-deterministic* answer source
+   (every process resolves a pair to the same confidence, so placement
+   cannot change any answer).  It returns the component's round log:
+   chosen ``k``, predicted waste, issued pairs, clusters, and the fresh
+   confidences.
+2. **Merge** — :func:`_merge_component_runs` primes the parent's answer
+   source with the worker confidences, then replays *merged rounds*
+   through the caller's oracle: round ``r`` is the union of every
    component's local round ``r``, components ordered by their smallest
    permutation rank.  One crowd batch, one diagnostics entry, and one
    ``pivot.round`` event per merged round — so ``CrowdStats.iterations``
    reports the true parallel crowd latency (the deepest component's
    round count: every component crowdsources its round-``r`` batch
-   simultaneously), typically *far below* the unsharded engine's count.
-   A cluster's pivot is always its minimum-rank member and the classic
+   simultaneously), typically *far below* the global engine's count.
+   A cluster's pivot is always its minimum-rank member and the global
    engine emits clusters in strictly ascending pivot rank, so sorting
-   all clusters by pivot rank reproduces the single-process engine's
-   cluster IDs byte for byte.
+   all clusters by pivot rank reproduces the global engine's cluster
+   IDs byte for byte.
 
 Determinism contract: the **clustering (including cluster IDs) is
-byte-identical to the unsharded engines** for the same permutation and
-answers, and every sharded configuration ``{shards, processes,
-fault plan}`` produces byte-identical stats, diagnostics, and event
-streams.  Round *accounting* (``CrowdStats`` batch boundaries, per-round
-diagnostics) follows the merged component-local rounds, whereas the
-unsharded engine's Equation-4 rounds couple components through the
-global permutation prefix — the per-component ε waste bound still holds
-round by round, hence so does the global one (a sum of per-component
-bounds, every issued pair being fresh).
-
-Degradation mirrors the pruning shards: without ``fork`` (or with
-``processes <= 1``) the same shard function runs in-process, and the
-supervised pool's retry/degrade ladder recovers killed, delayed, or
-poisoned shard tasks — the merge consumes identical round logs either
-way.
+byte-identical to the global engines** for the same permutation and
+answers.  Round *accounting* (``CrowdStats`` batch boundaries, per-round
+diagnostics) follows the merged component-local rounds — the maximum
+and the sum over components of what a stand-alone PC-Pivot on each
+component would report — whereas the global engine's Equation-4 rounds
+couple components through the global permutation prefix.  The
+per-component ε waste bound still holds round by round, hence so does
+the global one (a sum of per-component bounds, every issued pair being
+fresh).
 """
 
 from __future__ import annotations
@@ -61,10 +52,7 @@ from repro.core.permutation import Permutation
 from repro.core.pivot_engine import LiveVertexOrder, choose_pivots
 from repro.crowd.oracle import CrowdOracle
 from repro.obs import maybe_span
-from repro.pruning.components import connected_components, pack_components
 from repro.pruning.graph import EagerCandidateGraph
-from repro.pruning.parallel import fork_available, notify_parallel_fallback
-from repro.runtime.supervisor import supervised_map
 
 Pair = Tuple[int, int]
 
@@ -75,25 +63,20 @@ _RoundLog = Tuple[int, int, Tuple[Pair, ...], int, int,
                   Tuple[Tuple[int, ...], ...],
                   Tuple[Tuple[int, int, float], ...]]
 
-#: Worker state captured at fork time (start method "fork" only) — the
-#: same pattern as ``repro.pruning.shard._SHARD_STATE``.
-_PIVOT_STATE: Dict[str, object] = {}
-
-
 def require_pair_deterministic(source) -> None:
-    """Reject answer sources the sharded engine cannot safely fork.
+    """Reject answer sources component execution cannot safely fork.
 
     Worker processes resolve pairs through forked copies of the source;
     unless every copy maps a pair to the same confidence regardless of
-    query order (``pair_deterministic``), sharding could change answers.
-    Stateful sources (fallback tracking, platform simulators with
-    cross-batch RNG) must use the single-process engines.
+    query order (``pair_deterministic``), component execution could
+    change answers.  Stateful sources (fallback tracking, platform
+    simulators with cross-batch RNG) must use the global engines.
     """
     if not getattr(source, "pair_deterministic", False):
         raise ValueError(
-            f"sharded generation requires a pair-deterministic answer "
+            f"component execution requires a pair-deterministic answer "
             f"source; {type(source).__name__} does not declare "
-            "pair_deterministic — run with pivot shards disabled"
+            "pair_deterministic — run with pipeline disabled"
         )
 
 
@@ -140,116 +123,6 @@ def _run_component(
     return rounds
 
 
-def _run_pivot_shard(shard_index: int) -> List[Tuple[int, List[_RoundLog]]]:
-    """Worker body: run every component packed into one shard.
-
-    Reads the parent's published :data:`_PIVOT_STATE` (carried by fork);
-    also the serial and degraded execution path, where the state is
-    simply still visible in-process.
-    """
-    components = _PIVOT_STATE["components"]  # type: ignore[assignment]
-    shards = _PIVOT_STATE["shards"]  # type: ignore[assignment]
-    permutation = _PIVOT_STATE["permutation"]  # type: ignore[assignment]
-    epsilon = _PIVOT_STATE["epsilon"]  # type: ignore[assignment]
-    answers = _PIVOT_STATE["answers"]
-    results = []
-    for multi_pos in shards[shard_index]:
-        vertices, edges = components[multi_pos]
-        results.append((multi_pos, _run_component(
-            vertices, edges, permutation, epsilon, answers)))
-    return results
-
-
-def pc_pivot_sharded(
-    ids: Sequence[int],
-    candidates,
-    oracle: CrowdOracle,
-    epsilon: float,
-    permutation: Permutation,
-    diagnostics=None,
-    obs=None,
-    *,
-    shards: int,
-    processes: int = 0,
-    supervisor_policy=None,
-    fault_plan=None,
-) -> Clustering:
-    """Sharded PC-Pivot over the candidate graph (see module docstring).
-
-    Called through :func:`repro.core.pc_pivot.pc_pivot` with
-    ``shards >= 1``; ``processes <= 1`` runs the shard tasks in-process
-    (still component-ordered, so the output is identical).
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if processes < 0:
-        raise ValueError(f"processes must be >= 0, got {processes}")
-    source = oracle.source
-    require_pair_deterministic(source)
-    # Workers must not fork a journaling wrapper (its file handle would
-    # be shared across processes); they fork the wrapped source and the
-    # parent's replay journals the batches.
-    fork_source = getattr(source, "fork_source", source)
-
-    ids = list(ids)
-    components = connected_components(ids, candidates.pairs)
-    multi = [index for index, members in enumerate(components)
-             if len(members) > 1]
-    # Every candidate pair lives inside a multi-vertex component (each
-    # endpoint has degree >= 1), so only those components need a vertex
-    # map, an edge bucket, or a worker run — singletons stay out of the
-    # shard state entirely.
-    comp_of: Dict[int, int] = {}
-    for index in multi:
-        for vertex in components[index]:
-            comp_of[vertex] = index
-    edges_of: Dict[int, List[Pair]] = {}
-    for pair in candidates.pairs:
-        edges_of.setdefault(comp_of[pair[0]], []).append(pair)
-
-    num_shards = max(1, min(shards, len(multi)))
-    multi_components = [(components[index], tuple(edges_of.get(index, ())))
-                        for index in multi]
-    # Bins hold positions into the multi list; the parent maps worker
-    # results back to global component indices.
-    packed = pack_components([members for members, _ in multi_components],
-                             num_shards)
-
-    want_parallel = processes > 1 and num_shards > 1
-    if want_parallel and not fork_available():
-        notify_parallel_fallback(obs, requested=processes,
-                                 context="pc_pivot_sharded")
-        want_parallel = False
-
-    _PIVOT_STATE["components"] = multi_components
-    _PIVOT_STATE["shards"] = packed
-    _PIVOT_STATE["permutation"] = permutation
-    _PIVOT_STATE["epsilon"] = epsilon
-    _PIVOT_STATE["answers"] = fork_source
-    try:
-        if want_parallel:
-            shard_results, _ = supervised_map(
-                _run_pivot_shard, list(range(num_shards)),
-                min(processes, num_shards), policy=supervisor_policy,
-                obs=obs, fault_plan=fault_plan, label="pivot.shard",
-            )
-        else:
-            shard_results = [_run_pivot_shard(index)
-                             for index in range(num_shards)]
-    finally:
-        _PIVOT_STATE.clear()
-
-    component_rounds: Dict[int, List[_RoundLog]] = {}
-    for shard_result in shard_results:
-        for multi_pos, rounds in shard_result:
-            component_rounds[multi[multi_pos]] = rounds
-
-    return _merge_component_runs(
-        ids, components, component_rounds, permutation, oracle, epsilon,
-        diagnostics, obs, source,
-    )
-
-
 def _merge_component_runs(
     ids: Sequence[int],
     components: Sequence[Tuple[int, ...]],
@@ -285,7 +158,7 @@ def _merge_component_runs(
         prime(fresh_map)
 
     # Components replay in ascending rank of their smallest-rank member —
-    # a canonical order no shard packing or fault schedule can perturb.
+    # a canonical order no task grouping or fault schedule can perturb.
     replay_order = sorted(component_rounds,
                           key=lambda index: min(map(rank,
                                                     components[index])))
@@ -335,11 +208,11 @@ def _merge_component_runs(
             if len(members) != 1:
                 raise RuntimeError(
                     f"component {index} ({len(members)} vertices) produced "
-                    "no shard result"
+                    "no component run"
                 )
             keyed_clusters.append((rank(members[0]), members))
 
-    # A cluster's pivot is its minimum-rank member, and the unsharded
+    # A cluster's pivot is its minimum-rank member, and the global
     # engine emits clusters in strictly ascending pivot rank — sorting by
     # pivot rank therefore reproduces its cluster IDs exactly.  Pivot
     # ranks are unique across the disjoint clusters, so the bare tuple
@@ -351,14 +224,14 @@ def _merge_component_runs(
         overlap = seen.intersection(members)
         if overlap:
             raise RuntimeError(
-                f"cross-shard merge produced overlapping clusters: "
+                f"component merge produced overlapping clusters: "
                 f"records {sorted(overlap)} appear twice"
             )
         seen.update(members)
         clustering.add_cluster(members)
     if len(seen) != len(set(ids)):
         raise RuntimeError(
-            f"cross-shard merge lost records: {len(seen)} clustered, "
+            f"component merge lost records: {len(seen)} clustered, "
             f"{len(set(ids))} expected"
         )
     return clustering

@@ -352,8 +352,8 @@ def apply_free_operations(
             (including destroyed cluster ids).
         on_apply: Optional callback invoked with each operation *about to
             be applied* (the clustering still in its pre-application
-            state) — lets the sharded engine journal applied operations
-            as id-independent record references for cross-shard replay.
+            state) — lets component refinement journal applied operations
+            as id-independent record references for the merged replay.
     """
     if evaluations is not None:
         exact_benefit = evaluations.exact_benefit

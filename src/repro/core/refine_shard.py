@@ -1,72 +1,63 @@
-"""Sharded parallel PC-Refine: per-component engines, coordinated budget.
+"""Component-decomposed PC-Refine: partition, per-component body, replay.
 
 Refinement decomposes along connected components of the graph whose edges
 are the candidate pairs *plus* the current clustering's within-cluster
 links: a split's relevant pairs stay inside its record's cluster, and a
 merge is only ever enumerated for clusters joined by a candidate edge
 (:func:`~repro.core.refine.enumerate_operations`), so no operation — and
-no pair any operation needs — crosses a component boundary.  This module
-exploits that:
+no pair any operation needs — crosses a component boundary.  The
+component-streaming executor of :mod:`repro.runtime.pipeline` runs
+refinement on that decomposition with the pieces here:
 
-1. **Partition** — :func:`~repro.pruning.components.connected_components`
-   splits the record set over candidate pairs + per-cluster chain edges;
-   each cluster therefore lands wholly inside one component.
-   Multi-vertex components pack into shard tasks largest-first
-   (:func:`~repro.pruning.components.pack_components`).
-2. **Coordinate** — the parent builds the global histogram estimator
-   *once* from the machine scores and the shared phase-2 answer set, and
-   computes the single global budget ``T = N_m / x`` once from the
-   entry-state record, cluster, and unknown-pair counts.  The budget is
-   frozen and shipped to every worker: all shards pack against the same
-   ``T``, so no shard's progress can skew another's packing room (and no
-   configuration of shards can skew the outcome).  Each worker seeds a
-   *private copy* of the global histogram and evolves it with its own
-   component's fresh answers — estimates sharpen round over round as in
-   the classic engine, but as a pure function of the component.  This
-   deliberately deviates from the classic engine, which re-derives ``T``
-   per round and grows one shared histogram across all components — the
-   classic coupling is inherently sequential.  In practice the
-   coordination converges to the same partition: confirmed benefits are
-   exact (estimates only order the packing), which the byte-identity
-   suites verify against the classic engines instance by instance.
-3. **Fan out** — each shard runs the fast incremental refine loop per
-   component in a worker process under the supervised pool of
-   :mod:`repro.runtime.supervisor`, against a forked copy of the
-   *pair-deterministic* answer source (as in
-   :mod:`repro.core.pivot_shard`).  Workers journal every applied
+1. **Partition** — :func:`build_refine_partition` splits the record set
+   over candidate pairs + per-cluster chain edges (each cluster therefore
+   lands wholly inside one component) and assembles each multi-vertex
+   component's worker payload in global order.
+2. **Coordinate** — the same prologue builds the global histogram
+   estimator *once* from the machine scores and the shared phase-2
+   answer set, and computes the single global budget ``T = N_m / x``
+   once from the entry-state record, cluster, and unknown-pair counts.
+   The budget is frozen and shipped to every worker: all components pack
+   against the same ``T``, so no component's progress can skew
+   another's packing room.  Each worker seeds a *private copy* of the
+   global histogram and evolves it with its own component's fresh
+   answers — estimates sharpen round over round as in the global
+   engine, but as a pure function of the component.  This deliberately
+   deviates from the global engine, which re-derives ``T`` per round and
+   grows one shared histogram across all components — that coupling is
+   inherently sequential.  On the paper's datasets the coordination
+   converges to the same partition (confirmed benefits are exact;
+   estimates only order the packing), which the parity suites check
+   instance by instance.
+3. **Per component** — :func:`_run_component` runs the fast incremental
+   refine loop over one component against a forked copy of the
+   *pair-deterministic* answer source.  It journals every applied
    operation as an id-independent record reference — ``("s", record)``
    for splits, ``("m", rep_a, rep_b)`` for merges, the representatives
    being each side's smallest member captured just before application —
-   and return plain-tuple round logs plus their final local partition.
-4. **Replay** — the parent primes its answer source with the worker
-   confidences, then replays *merged rounds* through the caller's
-   oracle and clustering: round ``r`` of the sharded run is the union
+   and returns plain-tuple round logs plus its final local partition.
+4. **Replay** — :func:`_replay_component_runs` primes the parent's answer
+   source with the worker confidences, then replays *merged rounds*
+   through the caller's oracle and clustering: round ``r`` is the union
    of every component's local round ``r``, components ordered by their
    smallest member.  One crowd batch, one diagnostics entry, and one
    ``refine.round`` event per merged round — ``CrowdStats.iterations``
    therefore reports the parallel crowd latency (the deepest
-   component's round count), typically far below the classic engine's
-   sequential round count.  A fidelity guard cross-checks the replayed
-   per-component partitions against what the workers computed.
+   component's round count).  A fidelity guard cross-checks the
+   replayed per-component partitions against what the workers computed.
 
-Determinism contract: every sharded configuration ``{shards, processes,
-fault plan}`` produces a byte-identical clustering (ids included, via
-the terminal :meth:`~repro.core.clustering.Clustering.canonicalize`
-shared with the classic engines), stats, diagnostics, and event stream.
-Identity *to the classic engines* holds at the partition level (hence,
-post-canonicalization, at the id level) and is property-tested rather
-than proven — see point 2.
-
-Degradation mirrors the pivot shards: without ``fork`` (or with
-``processes <= 1``) the same shard function runs in-process, and the
-supervised pool's retry/degrade ladder recovers killed, delayed, or
-poisoned shard tasks — the replay consumes identical round logs either
-way.
+Determinism contract: the replay consumes the round logs in canonical
+component order, so every worker count and fault schedule produces a
+byte-identical clustering (ids included, via the terminal
+:meth:`~repro.core.clustering.Clustering.canonicalize` shared with the
+global engines), stats, diagnostics, and event stream.  Identity *to the
+global engines* holds at the partition level on the paper's datasets and
+is tested rather than proven — see point 2.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.clustering import Clustering
 from repro.core.evaluation_cache import EvaluationCache
@@ -79,9 +70,7 @@ from repro.core.refine import (
 )
 from repro.crowd.oracle import CrowdOracle
 from repro.pruning.candidate import CandidateSet
-from repro.pruning.components import connected_components, pack_components
-from repro.pruning.parallel import fork_available, notify_parallel_fallback
-from repro.runtime.supervisor import supervised_map
+from repro.pruning.components import connected_components
 
 Pair = Tuple[int, int]
 
@@ -95,26 +84,6 @@ _OpRef = Tuple
 #: free pass.  Plain tuples so the pipe can pickle them cheaply.
 _RoundLog = Tuple[Tuple[_OpRef, ...], int, Tuple[Pair, ...],
                   Tuple[Tuple[int, int, float], ...], Tuple[_OpRef, ...]]
-
-#: Worker state captured at fork time (start method "fork" only) — the
-#: same pattern as ``repro.core.pivot_shard._PIVOT_STATE``.
-_REFINE_STATE: Dict[str, object] = {}
-
-
-def require_pair_deterministic(source) -> None:
-    """Reject answer sources the sharded engine cannot safely fork.
-
-    Worker processes resolve pairs through forked copies of the source;
-    unless every copy maps a pair to the same confidence regardless of
-    query order (``pair_deterministic``), sharding could change answers.
-    """
-    if not getattr(source, "pair_deterministic", False):
-        raise ValueError(
-            f"sharded refinement requires a pair-deterministic answer "
-            f"source; {type(source).__name__} does not declare "
-            "pair_deterministic — run with refine shards disabled"
-        )
-
 
 def _op_ref(clustering: Clustering, operation: Operation) -> _OpRef:
     """Reference an operation by records, not cluster ids.
@@ -156,7 +125,7 @@ def _run_component(
     """Run the fast PC-Refine loop over one connected component.
 
     The local clustering keeps the caller's global cluster ids (so
-    packing tie-breaks are reproducible for every shard layout), the
+    packing tie-breaks are reproducible for every task grouping), the
     local oracle is seeded with the global answer set restricted to the
     component, and the estimator + budget arrive frozen from the
     coordinator.  Returns the round logs, the final local partition
@@ -175,7 +144,7 @@ def _run_component(
     # Each worker evolves a private copy of the coordinator's histogram
     # with its own component's fresh answers — the component's estimates
     # sharpen round over round exactly as the classic engine's would,
-    # while staying a pure function of the component (so no shard layout
+    # while staying a pure function of the component (so no task grouping
     # or fault schedule can perturb them).  The coordinator pre-builds
     # the shared histogram, so this cheap clone starts clean and only a
     # component that actually crowdsources pays a rebuild.
@@ -230,32 +199,6 @@ def _run_component(
                            stats.evaluations)
 
 
-def _run_refine_shard(shard_index: int):
-    """Worker body: refine every component packed into one shard.
-
-    Reads the parent's published :data:`_REFINE_STATE` (carried by
-    fork); also the serial and degraded execution path, where the state
-    is simply still visible in-process.
-    """
-    components = _REFINE_STATE["components"]  # type: ignore[index]
-    shards = _REFINE_STATE["shards"]  # type: ignore[index]
-    results = []
-    for multi_pos in shards[shard_index]:
-        cluster_entries, pairs, scores, known = components[multi_pos]
-        results.append((multi_pos, _run_component(
-            cluster_entries, pairs, scores, known,
-            _REFINE_STATE["next_id"], _REFINE_STATE["threshold"],
-            _REFINE_STATE["budget"], _REFINE_STATE["ranking"],
-            _REFINE_STATE["estimator"], _REFINE_STATE["answers"],
-        )))
-    return results
-
-
-def _stage(timings, name: str):
-    from repro.core.pc_refine import _stage as stage
-    return stage(timings, name)
-
-
 def build_refine_partition(
     clustering: Clustering,
     candidates: CandidateSet,
@@ -266,8 +209,8 @@ def build_refine_partition(
 ):
     """Partition the refinement problem into per-component worker inputs.
 
-    The shared coordination prologue of the sharded engine and the
-    pipelined executor: splits the record set over candidate pairs plus
+    The coordination prologue of component refinement: splits the record
+    set over candidate pairs plus
     per-cluster chain edges, freezes the global histogram estimator and
     the single budget ``T``, and assembles each multi-vertex component's
     worker payload in global order.  Returns ``(components, multi,
@@ -390,95 +333,6 @@ def aggregate_refine_diagnostics(diagnostics, component_runs) -> None:
     }
 
 
-def pc_refine_sharded(
-    clustering: Clustering,
-    candidates: CandidateSet,
-    oracle: CrowdOracle,
-    num_records: int,
-    threshold_divisor: float,
-    num_buckets: int,
-    diagnostics,
-    ranking: str,
-    obs,
-    *,
-    shards: int,
-    processes: int = 0,
-    supervisor_policy=None,
-    fault_plan=None,
-    timings=None,
-) -> Clustering:
-    """Sharded PC-Refine over the merged clustering (see module docstring).
-
-    Called through :func:`repro.core.pc_refine.pc_refine` with
-    ``shards >= 1``; ``processes <= 1`` runs the shard tasks in-process
-    (still component-ordered, so the output is identical).  Refines
-    ``clustering`` in place and returns it, canonicalized.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if processes < 0:
-        raise ValueError(f"processes must be >= 0, got {processes}")
-    if ranking not in ("ratio", "benefit"):
-        raise ValueError(f"ranking must be 'ratio' or 'benefit', got {ranking!r}")
-    source = oracle.source
-    require_pair_deterministic(source)
-    # Workers must not fork a journaling wrapper (its file handle would
-    # be shared across processes); they fork the wrapped source and the
-    # parent's replay journals the batches.
-    fork_source = getattr(source, "fork_source", source)
-
-    with _stage(timings, "refine.partition"):
-        components, multi, multi_components, estimator, budget = (
-            build_refine_partition(
-                clustering, candidates, oracle, num_records,
-                threshold_divisor, num_buckets,
-            ))
-        num_shards = max(1, min(shards, len(multi)))
-        packed = pack_components([components[index] for index in multi],
-                                 num_shards)
-
-    want_parallel = processes > 1 and num_shards > 1
-    if want_parallel and not fork_available():
-        notify_parallel_fallback(obs, requested=processes,
-                                 context="pc_refine_sharded")
-        want_parallel = False
-
-    _REFINE_STATE["components"] = multi_components
-    _REFINE_STATE["shards"] = packed
-    _REFINE_STATE["next_id"] = clustering.next_id
-    _REFINE_STATE["threshold"] = candidates.threshold
-    _REFINE_STATE["budget"] = budget
-    _REFINE_STATE["ranking"] = ranking
-    _REFINE_STATE["estimator"] = estimator
-    _REFINE_STATE["answers"] = fork_source
-    try:
-        with _stage(timings, "refine.workers"):
-            if want_parallel:
-                shard_results, _ = supervised_map(
-                    _run_refine_shard, list(range(num_shards)),
-                    min(processes, num_shards), policy=supervisor_policy,
-                    obs=obs, fault_plan=fault_plan, label="refine.shard",
-                )
-            else:
-                shard_results = [_run_refine_shard(index)
-                                 for index in range(num_shards)]
-    finally:
-        _REFINE_STATE.clear()
-
-    component_runs: Dict[int, Tuple[List[_RoundLog], tuple, tuple]] = {}
-    for shard_result in shard_results:
-        for multi_pos, run in shard_result:
-            component_runs[multi[multi_pos]] = run
-
-    with _stage(timings, "refine.replay"):
-        _replay_component_runs(
-            clustering, components, component_runs, oracle, candidates,
-            estimator, budget, diagnostics, obs, source,
-        )
-    aggregate_refine_diagnostics(diagnostics, component_runs)
-    return clustering.canonicalize()
-
-
 def _replay_component_runs(
     clustering: Clustering,
     components: Sequence[Tuple[int, ...]],
@@ -513,7 +367,7 @@ def _replay_component_runs(
         prime(fresh_map)
 
     # Components replay in ascending order of their smallest member — a
-    # canonical order no shard packing or fault schedule can perturb.
+    # canonical order no task grouping or fault schedule can perturb.
     replay_order = sorted(component_runs,
                           key=lambda index: components[index][0])
     by_round: List[List[_RoundLog]] = []
@@ -587,7 +441,7 @@ def _replay_component_runs(
                           for members in by_cluster.values())
         if replayed != sorted(final):
             raise RuntimeError(
-                f"cross-shard replay diverged from worker result on "
+                f"component replay diverged from worker result on "
                 f"component with smallest member "
                 f"{components[comp_index][0]}"
             )

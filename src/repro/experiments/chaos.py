@@ -9,12 +9,10 @@ Two fault surfaces are exercised:
 - **Process-side** — the supervised worker pool
   (:mod:`repro.runtime.supervisor`) under deterministic worker kills,
   task delays, and poison chunks at the 10k-record tier, for sharded
-  pruning, the sharded generation pool (per-shard PC-Pivot with
-  cross-shard merge), the sharded refinement pool, and the
-  component-streaming pipelined executor
+  pruning and for the component-streaming pipelined executor
   (:mod:`repro.runtime.pipeline` — the full overlap DAG, compared
-  against barrier execution as well), plus phase-checkpoint
-  kill-resume checks
+  against the global PC-Pivot and against pruning-then-pipeline
+  execution as well), plus phase-checkpoint kill-resume checks
   (:mod:`repro.runtime.checkpoint`): a run killed after a completed
   phase must resume from the snapshot and finish byte-identical to an
   uninterrupted run.
@@ -199,212 +197,6 @@ def run_runtime_process_faults(
     return results
 
 
-def _generation_fingerprint(clustering, stats, diagnostics) -> tuple:
-    """The byte-identity key of one sharded generation run."""
-    return (
-        tuple(sorted((key, tuple(value) if isinstance(value, list) else value)
-                     for key, value in clustering.to_state().items())),
-        tuple(sorted(stats.snapshot().items())),
-        tuple(stats.batch_sizes),
-        tuple(diagnostics.ks),
-        tuple(diagnostics.predicted_waste),
-        tuple(diagnostics.issued_per_round),
-    )
-
-
-def run_generation_process_faults(
-    records: int = 10_000,
-    seed: int = 0,
-    shards: int = 8,
-    processes: int = 4,
-    faults_per_kind: int = 2,
-) -> List[Dict[str, object]]:
-    """The generation-pool fault matrix: sharded PC-Pivot under chaos.
-
-    Runs sharded cluster generation over a ``records``-sized *largescale*
-    population once fault-free (also once through the classic
-    single-process engine) and once per fault kind in
-    :data:`RUNTIME_PROCESS_FAULTS`, asserting every fault schedule leaves
-    the clustering, crowd stats, and per-round diagnostics byte-identical
-    to the fault-free sharded run — and the clustering itself identical
-    to the classic engine's.  Returns one record per fault kind with the
-    supervisor's fault counters.
-    """
-    from repro.core.pc_pivot import PCPivotDiagnostics, pc_pivot
-    from repro.crowd.cache import AnswerFile
-    from repro.crowd.worker import WorkerPool
-    from repro.datasets.largescale import BASE_RECORDS
-    from repro.obs import ObsContext
-    from repro.runtime.faults import ProcessFaultPlan
-    from repro.runtime.supervisor import SupervisorPolicy
-
-    dataset = generate("largescale", scale=records / BASE_RECORDS, seed=seed)
-    candidates = build_candidate_set(
-        dataset.records, jaccard_similarity_function(),
-        threshold=PRUNING_THRESHOLD,
-    )
-    workers = WorkerPool(difficulty=difficulty_model("largescale"),
-                         num_workers=3)
-    policy = SupervisorPolicy(backoff_base_s=0.01)
-    straggler_policy = SupervisorPolicy(backoff_base_s=0.01,
-                                        task_deadline_s=0.25)
-
-    def run(fault_plan=None, obs=None, run_policy=policy):
-        # AnswerFile resolves each pair from a pair-seeded RNG, so a
-        # fresh instance per run replays identical answers.
-        oracle = CrowdOracle(AnswerFile(dataset.gold, workers))
-        diagnostics = PCPivotDiagnostics()
-        clustering = pc_pivot(
-            dataset.record_ids, candidates, oracle, seed=seed,
-            shards=shards, processes=processes, diagnostics=diagnostics,
-            supervisor_policy=run_policy, fault_plan=fault_plan, obs=obs,
-        )
-        return _generation_fingerprint(clustering, oracle.stats,
-                                       diagnostics), clustering
-
-    classic_oracle = CrowdOracle(AnswerFile(dataset.gold, workers))
-    classic = pc_pivot(dataset.record_ids, candidates, classic_oracle,
-                       seed=seed)
-    reference, reference_clustering = run()
-    classic_identical = (reference_clustering.to_state()
-                         == classic.to_state())
-    plans = {
-        "kill": ProcessFaultPlan.sample(shards, seed=seed,
-                                        kills=faults_per_kind),
-        "delay": ProcessFaultPlan.sample(shards, seed=seed,
-                                         delays=faults_per_kind,
-                                         delay_seconds=0.6),
-        "poison": ProcessFaultPlan.sample(shards, seed=seed,
-                                          poisons=faults_per_kind),
-    }
-    results = []
-    for kind in RUNTIME_PROCESS_FAULTS:
-        obs = ObsContext()
-        fingerprint, _ = run(
-            fault_plan=plans[kind], obs=obs,
-            run_policy=straggler_policy if kind == "delay" else policy,
-        )
-        results.append({
-            "check": "generation-fault",
-            "fault": kind,
-            "records": records,
-            "shards": shards,
-            "processes": processes,
-            "byte_identical": fingerprint == reference,
-            "classic_identical": classic_identical,
-            "runtime_counters": _runtime_counters(obs),
-        })
-    return results
-
-
-def _refinement_fingerprint(clustering, stats, diagnostics) -> tuple:
-    """The byte-identity key of one sharded refinement run."""
-    return (
-        tuple(sorted((key, tuple(value) if isinstance(value, list) else value)
-                     for key, value in clustering.to_state().items())),
-        tuple(sorted(stats.snapshot().items())),
-        tuple(stats.batch_sizes),
-        tuple(diagnostics.batch_sizes),
-        tuple(diagnostics.operations_packed),
-        tuple(diagnostics.operations_applied),
-        diagnostics.free_operations_applied,
-        diagnostics.operation_evaluations,
-        tuple(sorted(diagnostics.evaluation_cache.items()))
-        if diagnostics.evaluation_cache is not None else None,
-    )
-
-
-def run_refine_process_faults(
-    records: int = 10_000,
-    seed: int = 0,
-    shards: int = 8,
-    processes: int = 4,
-    faults_per_kind: int = 2,
-) -> List[Dict[str, object]]:
-    """The refinement-pool fault matrix: sharded PC-Refine under chaos.
-
-    Runs sharded refinement over a *confused* ``records``-sized
-    largescale population (``confusion`` gives the refine phase real
-    over/under-merge work) once fault-free and once per fault kind in
-    :data:`RUNTIME_PROCESS_FAULTS`, asserting every fault schedule
-    leaves the clustering, crowd stats, and refine diagnostics
-    byte-identical to the fault-free sharded run.  The classic engine's
-    clustering is recorded as an advisory ``classic_identical`` flag —
-    classic parity is empirical for sharded refinement (see
-    ``repro/core/refine_shard.py``), so it is reported, not asserted.
-    """
-    from repro.core.pc_pivot import pc_pivot
-    from repro.core.pc_refine import PCRefineDiagnostics, pc_refine
-    from repro.crowd.cache import AnswerFile
-    from repro.crowd.worker import WorkerPool
-    from repro.datasets.largescale import BASE_RECORDS
-    from repro.obs import ObsContext
-    from repro.runtime.faults import ProcessFaultPlan
-    from repro.runtime.supervisor import SupervisorPolicy
-
-    dataset = generate("largescale", scale=records / BASE_RECORDS, seed=seed,
-                       confusion=0.25)
-    candidates = build_candidate_set(
-        dataset.records, jaccard_similarity_function(),
-        threshold=PRUNING_THRESHOLD,
-    )
-    workers = WorkerPool(difficulty=difficulty_model("largescale"),
-                         num_workers=3)
-    policy = SupervisorPolicy(backoff_base_s=0.01)
-    straggler_policy = SupervisorPolicy(backoff_base_s=0.01,
-                                        task_deadline_s=0.25)
-
-    def run(refine_shards=shards, fault_plan=None, obs=None,
-            run_policy=policy):
-        # AnswerFile resolves each pair from a pair-seeded RNG, so a
-        # fresh instance per run replays identical answers; generation
-        # runs classic so only the refinement phase varies.
-        oracle = CrowdOracle(AnswerFile(dataset.gold, workers))
-        clustering = pc_pivot(dataset.record_ids, candidates, oracle,
-                              seed=seed)
-        diagnostics = PCRefineDiagnostics()
-        clustering = pc_refine(
-            clustering, candidates, oracle,
-            num_records=len(dataset.records), diagnostics=diagnostics,
-            shards=refine_shards, processes=processes if refine_shards else 0,
-            supervisor_policy=run_policy, fault_plan=fault_plan, obs=obs,
-        )
-        return _refinement_fingerprint(clustering, oracle.stats,
-                                       diagnostics), clustering
-
-    _, classic_clustering = run(refine_shards=0)
-    reference, reference_clustering = run()
-    classic_identical = (reference_clustering.to_state()
-                         == classic_clustering.to_state())
-    plans = {
-        "kill": ProcessFaultPlan.sample(shards, seed=seed,
-                                        kills=faults_per_kind),
-        "delay": ProcessFaultPlan.sample(shards, seed=seed,
-                                         delays=faults_per_kind,
-                                         delay_seconds=0.6),
-        "poison": ProcessFaultPlan.sample(shards, seed=seed,
-                                          poisons=faults_per_kind),
-    }
-    results = []
-    for kind in RUNTIME_PROCESS_FAULTS:
-        obs = ObsContext()
-        fingerprint, _ = run(
-            fault_plan=plans[kind], obs=obs,
-            run_policy=straggler_policy if kind == "delay" else policy,
-        )
-        results.append({
-            "check": "refinement-fault",
-            "fault": kind,
-            "records": records,
-            "shards": shards,
-            "processes": processes,
-            "byte_identical": fingerprint == reference,
-            "classic_identical": classic_identical,
-            "runtime_counters": _runtime_counters(obs),
-        })
-    return results
-
-
 def _pipeline_result_fingerprint(result) -> tuple:
     """The byte-identity key of a pipelined ACD run (cluster ids
     included — the pipelined contract is id-exact, not just
@@ -434,16 +226,23 @@ def run_pipeline_process_faults(
     pruning, sealed-component pivot dispatch, shared-pool refinement —
     over a *confused* ``records``-sized largescale population once
     fault-free and once per fault kind in
-    :data:`RUNTIME_PROCESS_FAULTS`, asserting every fault schedule
-    leaves the final clustering (cluster ids included), crowd stats, and
-    phase stats byte-identical to the fault-free pipelined run, and that
-    the fault-free pipelined run is itself byte-identical to barrier
-    sharded execution of the same configuration.
+    :data:`RUNTIME_PROCESS_FAULTS`.  Each row records three checks:
+
+    - ``byte_identical`` — the final clustering (cluster ids included),
+      crowd stats, and phase stats equal the fault-free pipelined run's;
+    - ``classic_identical`` — the run's generation clustering (read back
+      from its ``generation`` checkpoint) equals the global PC-Pivot's;
+    - ``barrier_identical`` — the fault-free run equals the barrier
+      route: the full pruning join first, then the pre-pruned pipeline
+      run inline.
     """
+    from repro.core.clustering import Clustering
+    from repro.core.pc_pivot import pc_pivot
     from repro.crowd.cache import AnswerFile
     from repro.crowd.worker import WorkerPool
     from repro.datasets.largescale import BASE_RECORDS
     from repro.obs import ObsContext
+    from repro.runtime.checkpoint import CheckpointStore
     from repro.runtime.faults import ProcessFaultPlan
     from repro.runtime.pipeline import run_pipeline
     from repro.runtime.supervisor import SupervisorPolicy
@@ -458,35 +257,41 @@ def run_pipeline_process_faults(
     def run(fault_plan=None, obs=None):
         # AnswerFile resolves each pair from a pair-seeded RNG, so a
         # fresh instance per run replays identical answers.
-        out = run_pipeline(
-            AnswerFile(dataset.gold, crowd),
-            records=dataset.records, similarity=similarity,
-            threshold=PRUNING_THRESHOLD, pruning_shards=shards,
-            workers=workers, seed=seed,
-            supervisor_policy=policy, fault_plan=fault_plan, obs=obs,
-        )
-        return _pipeline_result_fingerprint(out.result), out
+        with tempfile.TemporaryDirectory() as tmp:
+            store = CheckpointStore(tmp, config={"seed": seed})
+            out = run_pipeline(
+                AnswerFile(dataset.gold, crowd),
+                records=dataset.records, similarity=similarity,
+                threshold=PRUNING_THRESHOLD, pruning_shards=shards,
+                workers=workers, seed=seed, checkpoints=store,
+                supervisor_policy=policy, fault_plan=fault_plan, obs=obs,
+            )
+            generation = Clustering.from_state(
+                store.load("generation")["clustering"])
+        return _pipeline_result_fingerprint(out.result), out, generation
 
-    reference, reference_out = run()
+    reference, reference_out, _ = run()
+    classic = pc_pivot(dataset.record_ids, reference_out.candidates,
+                       CrowdOracle(AnswerFile(dataset.gold, crowd)),
+                       seed=seed).to_state()
     barrier_candidates = build_candidate_set(
         dataset.records, similarity, threshold=PRUNING_THRESHOLD,
         shards=shards, parallel=workers,
     )
-    barrier = run_acd(dataset.record_ids, barrier_candidates,
-                      AnswerFile(dataset.gold, crowd), seed=seed,
-                      pivot_shards=shards, pivot_processes=workers,
-                      refine_shards=shards, refine_processes=workers)
+    barrier = run_pipeline(AnswerFile(dataset.gold, crowd),
+                           record_ids=dataset.record_ids,
+                           candidates=barrier_candidates, seed=seed)
     barrier_identical = (
-        _pipeline_result_fingerprint(barrier) == reference
+        _pipeline_result_fingerprint(barrier.result) == reference
         and _candidate_fingerprint(barrier_candidates)
         == _candidate_fingerprint(reference_out.candidates)
     )
     plans = {
         "kill": ProcessFaultPlan.sample(shards, seed=seed,
                                         kills=faults_per_kind),
-        # The pipeline has no straggler re-dispatch by design (pivot and
-        # refine tasks sleep on crowd latency), so the delay schedule is
-        # ridden out rather than raced.
+        # No straggler deadline: pivot and refine tasks sleep on crowd
+        # latency by design, so the delay schedule is ridden out rather
+        # than raced.
         "delay": ProcessFaultPlan.sample(shards, seed=seed,
                                          delays=faults_per_kind,
                                          delay_seconds=0.6),
@@ -496,7 +301,7 @@ def run_pipeline_process_faults(
     results = []
     for kind in RUNTIME_PROCESS_FAULTS:
         obs = ObsContext()
-        fingerprint, _ = run(fault_plan=plans[kind], obs=obs)
+        fingerprint, _, generation = run(fault_plan=plans[kind], obs=obs)
         results.append({
             "check": "pipeline-fault",
             "fault": kind,
@@ -504,6 +309,7 @@ def run_pipeline_process_faults(
             "shards": shards,
             "processes": workers,
             "byte_identical": fingerprint == reference,
+            "classic_identical": generation.to_state() == classic,
             "barrier_identical": barrier_identical,
             "runtime_counters": _runtime_counters(obs),
         })
@@ -674,15 +480,12 @@ def run_chaos_suite(
             :meth:`FaultModel.default`, the hostile-but-survivable AMT).
         pipelines: Which pipelines to drive.
         include_runtime: Also run the pruning process-fault matrix
-            (:func:`run_runtime_process_faults`), the generation-pool
-            fault matrix (:func:`run_generation_process_faults`), the
-            refinement-pool fault matrix
-            (:func:`run_refine_process_faults`), the pipelined-executor
+            (:func:`run_runtime_process_faults`), the pipelined-executor
             fault matrix (:func:`run_pipeline_process_faults`), and the
             checkpoint kill-resume checks
             (:func:`run_checkpoint_kill_resume`).
-        runtime_records: Record count of the sharded tier the pruning,
-            generation, refinement, and pipelined fault matrices run at.
+        runtime_records: Record count of the sharded tier the pruning
+            and pipelined fault matrices run at.
 
     Returns:
         A machine-readable summary: the fault knobs used, one record per
@@ -712,12 +515,6 @@ def run_chaos_suite(
         runtime_checks.extend(run_runtime_process_faults(
             records=runtime_records, seed=min(seeds, default=0),
         ))
-        runtime_checks.extend(run_generation_process_faults(
-            records=runtime_records, seed=min(seeds, default=0),
-        ))
-        runtime_checks.extend(run_refine_process_faults(
-            records=runtime_records, seed=min(seeds, default=0),
-        ))
         runtime_checks.extend(run_pipeline_process_faults(
             records=runtime_records, seed=min(seeds, default=0),
         ))
@@ -727,13 +524,8 @@ def run_chaos_suite(
         ))
     runtime_ok = all(
         check["byte_identical"]
-        # barrier parity is the pipelined executor's hard contract.
         and check.get("barrier_identical", True)
-        # classic_identical is advisory for refinement-fault checks —
-        # sharded refinement guarantees cross-config identity, while
-        # classic parity is empirical (see repro/core/refine_shard.py).
-        and (check.get("classic_identical", True)
-             or check["check"] == "refinement-fault")
+        and check.get("classic_identical", True)
         and not check.get("phase_reexecuted", False)
         for check in runtime_checks
     )

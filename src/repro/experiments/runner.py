@@ -180,10 +180,6 @@ def run_method(
     obs=None,
     refine_engine: str = "fast",
     pivot_engine: str = "fast",
-    pivot_shards: int = 0,
-    pivot_processes: int = 0,
-    refine_shards: int = 0,
-    refine_processes: int = 0,
     checkpoints=None,
     resume: bool = False,
     pipeline: bool = False,
@@ -208,28 +204,17 @@ def run_method(
         pivot_engine: Cluster-generation engine ("fast" or "reference";
             byte-identical outputs) for ACD / PC-Pivot / Crowd-Pivot —
             ignored by the other baselines.
-        pivot_shards: Shard tasks for sharded cluster generation (ACD /
-            PC-Pivot only; forwarded to :func:`~repro.core.acd.run_acd`).
-            0 keeps the classic single-graph loop.
-        pivot_processes: Worker processes for the shard tasks (<= 1 runs
-            them in-process; ignored without ``pivot_shards``).
-        refine_shards: Shard tasks for sharded refinement (ACD only;
-            forwarded to :func:`~repro.core.acd.run_acd`).  0 keeps the
-            classic single-clustering loop.
-        refine_processes: Worker processes for the refine shard tasks
-            (<= 1 runs them in-process; ignored without
-            ``refine_shards``).
         checkpoints: Optional
             :class:`~repro.runtime.checkpoint.CheckpointStore` for
             phase-level crash safety (ACD / PC-Pivot only; forwarded to
             :func:`~repro.core.acd.run_acd`).
         resume: With ``checkpoints``, restore the generation phase from
             its checkpoint instead of re-running it when one exists.
-        pipeline: Run ACD's crowd phases as the component-streaming
-            pipeline (ACD / PC-Pivot only; forwarded to
-            :func:`~repro.core.acd.run_acd`).  Byte-identical output.
-        pipeline_workers: Worker processes for the shared pipeline pool
-            (ignored without ``pipeline``).
+        pipeline: Run ACD's crowd phases decomposed by connected
+            component (ACD / PC-Pivot only; forwarded to
+            :func:`~repro.core.acd.run_acd`).
+        pipeline_workers: Worker processes for the pipeline pool
+            (requires ``pipeline``).
     """
     ids = instance.record_ids
 
@@ -241,10 +226,6 @@ def run_method(
             pairs_per_hit=instance.setting.pairs_per_hit,
             obs=obs, refine_engine=refine_engine,
             pivot_engine=pivot_engine,
-            pivot_shards=pivot_shards,
-            pivot_processes=pivot_processes,
-            refine_shards=refine_shards,
-            refine_processes=refine_processes,
             checkpoints=checkpoints, resume=resume,
             pipeline=pipeline, pipeline_workers=pipeline_workers,
         )

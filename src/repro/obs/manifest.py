@@ -37,14 +37,13 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
         "git_revision": {"type": ["string", "null"]},
         "config": {
             "type": "object",
-            # Shard-parallelism knobs, when the command records them.
-            # Extra config keys are always allowed; these just pin the
-            # types of the ones external tooling keys off.
+            # Execution knobs, when the command records them.  Extra
+            # config keys are always allowed; these just pin the types
+            # of the ones external tooling keys off.
             "properties": {
-                "pivot_shards": {"type": "integer"},
-                "pivot_processes": {"type": "integer"},
-                "refine_shards": {"type": "integer"},
-                "refine_processes": {"type": "integer"},
+                "shards": {"type": ["integer", "string"]},
+                "pipeline": {"type": "boolean"},
+                "pipeline_workers": {"type": "integer"},
             },
         },
         "seeds": {"type": "object"},

@@ -41,7 +41,7 @@ import json
 import resource
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Union
 
@@ -151,6 +151,24 @@ class StageTimings:
             f"{name}={seconds:.4f}s" for name, seconds in self._seconds.items()
         )
         return f"StageTimings({inner})"
+
+
+#: The shared no-op context of :func:`maybe_stage` (``nullcontext`` is
+#: reusable, so disabled sites allocate nothing).
+_NULL_STAGE = nullcontext()
+
+
+def maybe_stage(timings: Optional[StageTimings], name: str):
+    """A stage on ``timings`` — or the shared no-op context when it is None.
+
+    The timing twin of :func:`repro.obs.maybe_span`::
+
+        with maybe_stage(timings, "refine.pack"):
+            ...
+    """
+    if timings is None:
+        return _NULL_STAGE
+    return timings.stage(name)
 
 
 def bench_payload(

@@ -32,13 +32,12 @@ counts only move wall-clock and memory.
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.datasets.schema import Record, canonical_pair
 from repro.obs import maybe_span
-from repro.perf.timing import StageTimings
+from repro.perf.timing import StageTimings, maybe_stage
 from repro.pruning.blocking import all_pairs, token_blocking_pairs
 from repro.similarity.composite import SET_METRIC_FUNCTIONS, SimilarityFunction
 from repro.similarity.kernels import numpy_available, resolve_kernel_backend
@@ -255,16 +254,6 @@ def build_candidate_set(
                         threshold=threshold)
 
 
-@contextmanager
-def _stage(timings: Optional[StageTimings], name: str) -> Iterator[None]:
-    """Record a stage when a timer is attached; free otherwise."""
-    if timings is None:
-        yield
-    else:
-        with timings.stage(name):
-            yield
-
-
 def _run_prefix_join(
     records: Sequence[Record],
     similarity: SimilarityFunction,
@@ -350,9 +339,9 @@ def _run_reference(
     if parallel > 1 or timings is not None:
         # Materialize the pair stream so blocking and scoring time apart
         # (and so chunks can be fanned out to workers).
-        with _stage(timings, "blocking"):
+        with maybe_stage(timings, "blocking"):
             unique = _canonical_unique(candidate_pairs, needs_dedupe)
-        with _stage(timings, "scoring"):
+        with maybe_stage(timings, "scoring"):
             if parallel > 1:
                 from repro.pruning.parallel import score_pairs_parallel
 

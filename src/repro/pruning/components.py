@@ -1,24 +1,22 @@
-"""Connected components of the candidate graph, and shard packing.
+"""Connected components of the candidate graph.
 
 Cluster generation decomposes exactly along connected components of
 ``G = (V_R, E_S)``: Crowd-Pivot only ever issues pivot-incident edges,
 and removing a cluster in one component never changes the live
-neighborhood of another.  The sharded pivot engine therefore uses the
-component — not the record — as its unit of distribution: this module
-finds the components (a ``scipy.sparse.csgraph`` label pass when scipy
-is importable, a pure-Python union-find otherwise — identical canonical
-output either way) and packs them into shard tasks largest-first (LPT
-scheduling), so the biggest components land in different shards and
-worker wall-clock stays balanced.
+neighborhood of another.  The component-streaming executor of
+:mod:`repro.runtime.pipeline` therefore uses the component — not the
+record — as its unit of distribution: this module finds the components
+(a ``scipy.sparse.csgraph`` label pass when scipy is importable, a
+pure-Python union-find otherwise — identical canonical output either
+way), and :class:`IncrementalComponents` seals them one by one while
+pruning shards are still streaming edges in.
 
 Everything here is deterministic: components come out sorted by their
-smallest vertex (members ascending), and the packing breaks ties by
-component order and bin index.
+smallest vertex (members ascending).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 Pair = Tuple[int, int]
@@ -279,34 +277,3 @@ class IncrementalComponents:
         parent = self._parent
         return all(self._sealed.get(v)
                    for v in parent if parent[v] == v)
-
-
-def pack_components(
-    components: Iterable[Tuple[int, ...]],
-    num_shards: int,
-) -> List[List[int]]:
-    """Pack component indices into ``num_shards`` bins, largest first.
-
-    Classic LPT scheduling: components are taken in decreasing size and
-    each goes to the currently lightest bin (ties: the earlier component,
-    the lower bin index), bounding imbalance while staying deterministic.
-    A ``(load, bin)`` heap serves the lightest bin in O(log shards) per
-    component instead of a linear scan.  Returns one list of component
-    indices per shard; bins may be empty when there are fewer components
-    than shards.
-    """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    sized = sorted(
-        ((len(component), index) for index, component in
-         enumerate(components)),
-        key=lambda item: (-item[0], item[1]),
-    )
-    bins: List[List[int]] = [[] for _ in range(num_shards)]
-    # Already heap-ordered: loads all zero, bin indices ascending.
-    heap: List[Tuple[int, int]] = [(0, shard) for shard in range(num_shards)]
-    for size, index in sized:
-        load, target = heapq.heappop(heap)
-        bins[target].append(index)
-        heapq.heappush(heap, (load + size, target))
-    return bins

@@ -5,8 +5,8 @@ Three layers, each usable on its own:
 - :mod:`repro.runtime.atomic` — the one crash-durable file writer shared by
   the answer journal, the run manifest, and the phase checkpoints (temp
   file + fsync + ``os.replace`` + directory fsync).
-- :mod:`repro.runtime.supervisor` — a supervised fork pool replacing the
-  raw ``multiprocessing.Pool`` usage in the pruning layer: worker-death
+- :mod:`repro.runtime.supervisor` — the one supervised fork pool, shared
+  by the pruning layer and the pipelined executor: worker-death
   detection, per-task deadlines with straggler re-dispatch, bounded
   exponential-backoff retries, and a final degradation to in-process
   execution with byte-identical results.
@@ -31,6 +31,7 @@ from repro.runtime.checkpoint import (
 from repro.runtime.faults import FAULT_KINDS, FaultDirective, ProcessFaultPlan
 from repro.runtime.supervisor import (
     RuntimeReport,
+    SupervisedPool,
     SupervisorPolicy,
     supervised_map,
 )
@@ -40,5 +41,5 @@ __all__ = [
     "CHECKPOINT_VERSION", "CheckpointMismatch", "CheckpointStore",
     "candidate_state", "config_fingerprint", "restore_candidates",
     "FAULT_KINDS", "FaultDirective", "ProcessFaultPlan",
-    "RuntimeReport", "SupervisorPolicy", "supervised_map",
+    "RuntimeReport", "SupervisedPool", "SupervisorPolicy", "supervised_map",
 ]

@@ -1,37 +1,32 @@
-"""`shards="auto"`: pick sharding only where it pays for itself.
+"""`shards="auto"`: shard the pruning join only where it pays for itself.
 
 ``BENCH_scale.json`` shows the crossover clearly: at the 10k tier the
-8-shard pruning join and the 64-shard pivot engine are *slower* than the
-serial/classic paths — per-task dispatch (fork, pickle, replay
-bookkeeping) dominates the sliver of parallelizable work — while at 100k
-and above the sharded engines win comfortably.  Rather than make every
-caller re-derive that table, ``shards="auto"`` resolves to the bench-tier
-defaults above a record-count threshold and degrades to the serial
-(pruning) or classic (pivot/refine) path below it.
+8-shard pruning join is *slower* than the serial join — per-task
+dispatch (fork, pickle, merge bookkeeping) dominates the sliver of
+parallelizable work — while at 100k and above the sharded join wins
+comfortably.  Rather than make every caller re-derive that table,
+``shards="auto"`` resolves to the bench-tier shard count above a
+record-count threshold and degrades to the serial join below it.
 
 The decision is observable: each resolution emits a ``runtime.autoshard``
 event and bumps ``runtime_autoshard_total``, so a trace shows which
-engine actually ran and why.
+join actually ran and why.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 #: Records below which sharding loses to dispatch overhead (BENCH_scale:
 #: the 10k tier regresses, the 100k tier wins).
 AUTO_MIN_RECORDS = 50_000
 
-#: Bench-tier shard counts used above the threshold.
+#: Bench-tier shard count used above the threshold.
 AUTO_PRUNING_SHARDS = 8
-AUTO_PIVOT_SHARDS = 64
-AUTO_REFINE_SHARDS = 64
 
 _KINDS = {
-    # kind: (shards above threshold, shards below: serial/classic)
+    # kind: (shards above threshold, shards below: serial)
     "pruning": (AUTO_PRUNING_SHARDS, 1),
-    "pivot": (AUTO_PIVOT_SHARDS, 0),
-    "refine": (AUTO_REFINE_SHARDS, 0),
 }
 
 
@@ -41,14 +36,11 @@ def resolve_auto_shards(kind: str, *, records: int,
     """Resolve a ``shards`` knob that may be the string ``"auto"``.
 
     Integers pass through untouched (explicit configuration always
-    wins).  ``"auto"`` resolves by ``kind``: the bench-tier shard count
-    when ``records >= AUTO_MIN_RECORDS``, else ``1`` for pruning (serial
-    join) and ``0`` for pivot/refine (classic engines).  Callers must
-    treat an auto-resolved ``0`` as "classic": it also implies zero
-    worker processes.
+    wins).  ``"auto"`` resolves to the bench-tier shard count when
+    ``records >= AUTO_MIN_RECORDS``, else ``1`` (serial join).
 
     Args:
-        kind: ``"pruning"``, ``"pivot"``, or ``"refine"``.
+        kind: ``"pruning"`` — the only phase with a shard knob.
         records: Problem size the heuristic keys on.
         requested: The caller's knob — an int or ``"auto"``.
         obs: Optional :class:`~repro.obs.ObsContext`; auto resolutions

@@ -1,13 +1,13 @@
-"""Component-streaming pipelined executor: overlap the phase barriers.
+"""The component-decomposed executor: ACD over one supervised pool.
 
-The barrier engines run ACD as three strict phases — every pruning shard
-finishes before the first pivot component starts, and every pivot
-component finishes before refinement begins.  At scale that serializes
-crowd latency behind machine compute: the fast components sit idle while
-the deepest pruning shard or component finishes.  This module runs
-pruning, PC-Pivot, and PC-Refine as a DAG of ``(phase, component)``
-tasks over **one shared worker pool**, streaming work downstream as its
-inputs seal:
+PC-Pivot only ever asks pivot-incident pairs, so cluster generation
+splits exactly along the connected components of ``G = (V_R, E_S)``
+(Lemmas 2 and 4), and refinement splits along the components of the
+candidate graph plus the clusters' own links.  :func:`run_pipeline` is
+the one executor that exploits this: it runs pruning, PC-Pivot, and
+PC-Refine as ``(phase, component)`` tasks over **one**
+:class:`~repro.runtime.supervisor.SupervisedPool`, streaming work
+downstream as its inputs seal:
 
 - **Streamed pruning → pivot.**  Pruning shards are submitted first;
   each finished shard's surviving edges feed an incremental union-find
@@ -18,62 +18,50 @@ inputs seal:
   (:func:`~repro.pruning.shard.record_shard_touch_masks`); once every
   shard in a component's combined mask is done, the component is
   *sealed* — no future edge can reach it or merge it — and its
-  per-component fast PC-Pivot task (reusing
-  :func:`repro.core.pivot_shard._run_component`) dispatches immediately
-  while the remaining pruning shards still run.
-- **Pivot → refine is a true barrier — by data dependency, not by
-  implementation.**  Refine workers need the *global* frozen histogram
-  (built from all candidate pairs plus the complete phase-2 answer
-  set), the single budget ``T`` (global cluster and unknown-pair
-  counts), and the merged clustering's cluster ids (packing tie-breaks
-  depend on them) — all functions of every pivot component.  Starting
-  any refine component earlier would change its packing inputs and
-  break byte-identity with the barrier engines.  What the pipeline
-  *does* overlap is inside the phase: all refine components run
-  concurrently on the already-forked pool (no re-fork, no re-publish),
-  with the late coordination state shipped to live workers via
-  ``state`` messages.
+  per-component fast PC-Pivot task
+  (:func:`repro.core.pivot_shard._run_component`) dispatches immediately
+  while the remaining pruning shards still run.  With the
+  ``record_ids`` + ``candidates`` entry (pruning already done) every
+  component dispatches at once.
+- **Pivot → refine is a true barrier — by data dependency.**  Refine
+  workers need the *global* frozen histogram (built from all candidate
+  pairs plus the complete phase-2 answer set), the single budget ``T``
+  (global cluster and unknown-pair counts), and the merged clustering's
+  cluster ids (packing tie-breaks depend on them) — all functions of
+  every pivot component.  What the pipeline overlaps is inside the
+  phase: all refine components run concurrently on the already-forked
+  pool (no re-fork, no re-publish), with the late coordination state
+  shipped to live workers by ``state`` broadcasts.
 - **One oracle multiplexer.**  Workers resolve pairs against forked
   copies of the caller's pair-deterministic answer source and return
   plain round logs; the parent replays *merged rounds* through the
-  caller's oracle with the exact engines of the barrier path
-  (:func:`repro.core.pivot_shard._merge_component_runs`,
+  caller's oracle (:func:`repro.core.pivot_shard._merge_component_runs`,
   :func:`repro.core.refine_shard._replay_component_runs`).  The replay
   is the authoritative accounting — journal-compatible, stats-exact,
-  event-exact — so every crowd batch, checkpoint payload, and
-  diagnostics entry is byte-identical to barrier execution.
+  event-exact.
 
-Determinism contract: the final clustering (cluster ids included),
-stats, diagnostics, and non-runtime event stream are byte-identical to
-the barrier sharded engines for every ``{shards, workers, fault plan,
-pipeline on/off}`` configuration.  Per-component round logs are pure
-functions of ``(component, permutation, epsilon | frozen budget +
-estimator, answer source)`` — scheduling, sealing order, and faults
-cannot perturb them — and both merges consume the logs in canonical
-component order.
-
-The pool is a sibling of :func:`repro.runtime.supervisor.supervised_map`
-with the same crash/retry/degrade ladder and ``runtime.*`` telemetry,
-plus a third ``("state", key, value)`` worker message for late-bound
-coordination state.  Straggler re-dispatch is deliberately absent: pivot
-and refine tasks sleep on simulated crowd latency by design, so a
-deadline would duplicate honest work (``task_deadline_s`` is ignored).
-The three phase checkpoints of :mod:`repro.runtime.checkpoint` are
-written at the same boundaries with the same payloads as barrier runs.
+Determinism contract: the generation clustering (cluster ids included)
+equals the global :func:`~repro.core.pc_pivot.pc_pivot`'s for the same
+permutation; crowd rounds are the deepest component's and crowd pairs
+the sum over components.  The final clustering, stats, diagnostics, and
+non-runtime event stream are byte-identical for every ``{pruning
+shards, workers, fault plan}`` and for either entry shape.
+Per-component round logs are pure functions of ``(component,
+permutation, epsilon | frozen budget + estimator, answer source)`` —
+scheduling, sealing order, and faults cannot perturb them — and both
+merges consume the logs in canonical component order.  The three phase
+checkpoints of :mod:`repro.runtime.checkpoint` are written at the same
+boundaries with the same payloads as :func:`~repro.core.acd.run_acd`.
 """
 
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import os
-import pickle
-import time
 from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing import connection
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import pivot_shard, refine_shard
 from repro.core.acd import (
@@ -115,12 +103,9 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.faults import ProcessFaultPlan
 from repro.runtime.supervisor import (
-    CHAOS_KILL_EXIT,
     RuntimeReport,
+    SupervisedPool,
     SupervisorPolicy,
-    _Observer,
-    _shutdown,
-    _Worker,
 )
 from repro.similarity.composite import SET_METRIC_FUNCTIONS
 from repro.similarity.kernels import numpy_available, resolve_kernel_backend
@@ -128,10 +113,9 @@ from repro.similarity.kernels import numpy_available, resolve_kernel_backend
 Pair = Tuple[int, int]
 
 #: Worker state captured at fork time, extended at runtime by ``state``
-#: messages — the pipelined superset of ``_SHARD_STATE`` / ``_PIVOT_STATE``
-#: / ``_REFINE_STATE``.  Shared structures (join plan, permutation, forked
-#: answer source, frozen estimator) ship once; per-task payloads carry only
-#: the component-local slice.
+#: broadcasts.  Shared structures (join plan, permutation, forked answer
+#: source, frozen estimator) ship once; per-task payloads carry only the
+#: component-local slice.
 _PIPELINE_STATE: Dict[str, object] = {}
 
 
@@ -142,8 +126,7 @@ class PipelineResult:
     Attributes:
         candidates: The pruning phase's candidate set (computed by the
             streamed join, restored from a checkpoint, or passed in).
-        result: The :class:`~repro.core.acd.ACDResult`, byte-identical
-            to barrier execution.
+        result: The :class:`~repro.core.acd.ACDResult`.
         report: Aggregated fault-handling telemetry of the shared pool.
     """
 
@@ -191,326 +174,6 @@ def _execute_task(payload: Tuple) -> Any:
     raise ValueError(f"unknown pipeline task kind {kind!r}")
 
 
-def _pipeline_worker_main(conn, fault_plan: Optional[ProcessFaultPlan]) -> None:
-    """Worker process body: tasks, state broadcasts, chaos directives.
-
-    The ``("state", key, value)`` message extends the fork-time
-    :data:`_PIPELINE_STATE` snapshot with coordination values that only
-    exist after the worker forked (the refine phase's merged-clustering
-    id counter, frozen budget, and histogram).  Pipe FIFO ordering
-    guarantees a broadcast lands before any task submitted after it.
-    Chaos faults are applied here, per ``(task, attempt)``, exactly as
-    in :func:`repro.runtime.supervisor._worker_main` — the parent's
-    degraded path never enters this function and always runs clean.
-    """
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                return
-            if message[0] == "stop":
-                return
-            if message[0] == "state":
-                _PIPELINE_STATE[message[1]] = message[2]
-                continue
-            _, index, attempt, payload = message
-            payload = pickle.loads(payload)
-            directive = (fault_plan.directive(index, attempt)
-                         if fault_plan is not None else None)
-            if directive is not None:
-                if directive.kind == "kill":
-                    os._exit(CHAOS_KILL_EXIT)
-                elif directive.kind == "delay":
-                    time.sleep(directive.delay_seconds)
-                elif directive.kind == "poison":
-                    conn.send((index, attempt, "error",
-                               f"chaos poison (task {index}, "
-                               f"attempt {attempt})"))
-                    continue
-            try:
-                result = _execute_task(payload)
-            except BaseException as error:  # noqa: BLE001 - forwarded
-                outcome: Tuple = (index, attempt, "error", repr(error))
-            else:
-                outcome = (index, attempt, "ok", result)
-            try:
-                conn.send(outcome)
-            except (BrokenPipeError, OSError):
-                return
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-class _PipelinePool:
-    """A persistent supervised pool serving tasks from all three phases.
-
-    Unlike :func:`~repro.runtime.supervisor.supervised_map` (one map,
-    one barrier) the pipeline pool stays up across phases: tasks are
-    submitted as their inputs seal and collected in completion order via
-    :meth:`next_result`.  The fault ladder is the supervisor's — crash
-    detection via process sentinels, bounded retries with backoff,
-    capped respawns, in-parent degradation — reported through the same
-    ``runtime_*_total`` counters and ``runtime.*`` events (pool label
-    ``"pipeline"``).  With ``processes <= 1`` or no ``fork`` support the
-    pool runs *inline*: tasks execute synchronously in submission order
-    in the parent (fault plans do not apply, matching the barrier
-    engines' serial paths).
-    """
-
-    def __init__(self, processes: int,
-                 policy: Optional[SupervisorPolicy] = None,
-                 obs: Optional[ObsContext] = None,
-                 fault_plan: Optional[ProcessFaultPlan] = None,
-                 timings: Optional[StageTimings] = None):
-        if processes < 0:
-            raise ValueError(f"processes must be >= 0, got {processes}")
-        self._policy = policy if policy is not None else SupervisorPolicy()
-        self._observer = _Observer(obs, "pipeline")
-        self._fault_plan = fault_plan
-        self._timings = timings
-        self.report = RuntimeReport()
-        self.bytes_shipped = 0
-        self._processes = processes
-        self._payloads: Dict[int, Tuple] = {}
-        self._next_index = 0
-        #: Min-heap of (ready_at_monotonic, sequence, task_index).
-        self._pending: List[Tuple[float, int, int]] = []
-        self._sequence = 0
-        self._dispatches: Dict[int, int] = {}
-        self._failures: Dict[int, int] = {}
-        self._inflight: Dict[int, int] = {}
-        #: Tasks whose result is decided (queued in _ready or delivered).
-        self._resolved: Set[int] = set()
-        self._ready: List[Tuple[int, Any]] = []
-        self._outstanding = 0
-        self._workers: List[_Worker] = []
-        self._inline = (processes <= 1
-                        or "fork" not in
-                        multiprocessing.get_all_start_methods())
-        if not self._inline:
-            self._context = multiprocessing.get_context("fork")
-            self._workers = [self._spawn() for _ in range(processes)]
-
-    @property
-    def inline(self) -> bool:
-        return self._inline
-
-    @property
-    def outstanding(self) -> int:
-        """Submitted tasks whose results have not been delivered yet."""
-        return self._outstanding
-
-    def _spawn(self) -> _Worker:
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=_pipeline_worker_main,
-            args=(child_conn, self._fault_plan), daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _Worker(process=process, conn=parent_conn)
-
-    def broadcast(self, key: str, value: Any) -> None:
-        """Publish late-bound state to the parent and every live worker.
-
-        The parent global is set *first*: respawned workers fork from
-        parent memory after this point and inherit the value, and the
-        degraded/inline paths read it directly.  Live workers receive a
-        ``state`` message, which pipe FIFO ordering delivers before any
-        task submitted afterwards.
-        """
-        _PIPELINE_STATE[key] = value
-        for worker in self._workers:
-            try:
-                worker.conn.send(("state", key, value))
-            except (BrokenPipeError, OSError):
-                pass  # the crash handler reaps it on the next step
-
-    def submit(self, payload: Tuple) -> int:
-        """Queue a task; returns its index (also the fault-plan key)."""
-        index = self._next_index
-        self._next_index += 1
-        if self._inline:
-            self._payloads[index] = payload
-        else:
-            # Pickle once at submission: the blob is what every dispatch
-            # (including retries) ships, so the meter is exact and the
-            # parent never re-serializes a payload.
-            blob = pickle.dumps(payload)
-            self._payloads[index] = blob
-            self.bytes_shipped += len(blob)
-        self._dispatches[index] = 0
-        self._failures[index] = 0
-        self._inflight[index] = 0
-        self._outstanding += 1
-        self.report.tasks += 1
-        heapq.heappush(self._pending, (0.0, self._sequence, index))
-        self._sequence += 1
-        return index
-
-    def next_result(self) -> Tuple[int, Any]:
-        """Block until some submitted task completes; return (index, value)."""
-        if self._outstanding == 0:
-            raise RuntimeError("no outstanding pipeline tasks")
-        while True:
-            if self._ready:
-                index, value = self._ready.pop(0)
-                self._outstanding -= 1
-                return index, value
-            if self._inline:
-                _, _, index = heapq.heappop(self._pending)
-                self._resolved.add(index)
-                value = _execute_task(self._payloads[index])
-                self._outstanding -= 1
-                return index, value
-            self._step()
-
-    def _degrade(self, index: int) -> None:
-        """Bottom rung: run a task in-parent, fault-free, byte-identical."""
-        self._resolved.add(index)
-        self.report.degraded_serial += 1
-        self._observer.record(
-            "runtime_degraded_serial_total", "runtime.degraded_serial",
-            task=index, failures=self._failures[index],
-        )
-        payload = self._payloads[index]
-        if not self._inline:
-            payload = pickle.loads(payload)
-        self._ready.append((index, _execute_task(payload)))
-
-    def _handle_failure(self, worker: Optional[_Worker], index: int,
-                        attempt: int, reason: str) -> None:
-        if worker is not None:
-            worker.task = None
-        if index in self._resolved:
-            return
-        self._failures[index] += 1
-        if self._dispatches[index] < 1 + self._policy.max_task_retries:
-            delay = self._policy.backoff(self._failures[index])
-            self.report.task_retries += 1
-            self._observer.record(
-                "runtime_task_retries_total", "runtime.task_retry",
-                task=index, attempt=attempt, reason=reason,
-                backoff_s=round(delay, 4),
-            )
-            heapq.heappush(self._pending,
-                           (time.monotonic() + delay, self._sequence, index))
-            self._sequence += 1
-        elif self._inflight[index] == 0:
-            self._degrade(index)
-
-    def _respawn_if_short(self) -> None:
-        if len(self._workers) >= self._processes:
-            return
-        if self.report.worker_respawns >= self._policy.max_worker_respawns:
-            return
-        self.report.worker_respawns += 1
-        replacement = self._spawn()
-        self._workers.append(replacement)
-        self._observer.record(
-            "runtime_worker_respawns_total", "runtime.worker_respawn",
-            pid=replacement.process.pid,
-        )
-
-    def _step(self) -> None:
-        """One event-loop iteration: dispatch, wait, reap, recover."""
-        now = time.monotonic()
-        if not self._workers:
-            # The whole pool is gone and cannot be rebuilt: degrade every
-            # unresolved queued task (later submissions land here too).
-            while self._pending:
-                _, _, index = heapq.heappop(self._pending)
-                if index not in self._resolved:
-                    self._degrade(index)
-            return
-
-        idle = [worker for worker in self._workers if worker.task is None]
-        while idle and self._pending and self._pending[0][0] <= now:
-            _, _, index = heapq.heappop(self._pending)
-            if index in self._resolved:
-                continue
-            worker = idle.pop()
-            attempt = self._dispatches[index]
-            self._dispatches[index] += 1
-            self._inflight[index] += 1
-            worker.task = (index, attempt, None)
-            try:
-                worker.conn.send(("task", index, attempt,
-                                  self._payloads[index]))
-            except (BrokenPipeError, OSError):
-                # Died between dispatches; the sentinel handler below
-                # reaps the worker and recovers the task as a failure.
-                pass
-
-        busy = [worker for worker in self._workers
-                if worker.task is not None]
-        # Block until a result or crash wakes us.  A deadline applies
-        # only when an idle worker is waiting out a retry backoff: the
-        # dispatch loop above has already drained every ready task, so
-        # a non-empty queue with all workers busy must NOT set a zero
-        # timeout — that degenerates into a busy-spin that steals the
-        # CPU from the workers it is waiting on.
-        timeout = None
-        if self._pending and len(busy) < len(self._workers):
-            timeout = max(0.0, self._pending[0][0] - time.monotonic())
-        waitable = ([worker.conn for worker in busy]
-                    + [worker.process.sentinel for worker in self._workers])
-        ready = connection.wait(waitable, timeout)
-
-        conn_of = {worker.conn: worker for worker in busy}
-        sentinel_of = {worker.process.sentinel: worker
-                       for worker in self._workers}
-        crashed: List[_Worker] = []
-        for item in ready:
-            if item in conn_of:
-                worker = conn_of[item]
-                try:
-                    index, attempt, status, value = worker.conn.recv()
-                except (EOFError, OSError):
-                    crashed.append(worker)  # died mid-send
-                    continue
-                self._inflight[index] -= 1
-                if status == "ok":
-                    worker.task = None
-                    if index not in self._resolved:
-                        self._resolved.add(index)
-                        self._ready.append((index, value))
-                else:
-                    self._handle_failure(worker, index, attempt, value)
-            elif item in sentinel_of:
-                crashed.append(sentinel_of[item])
-
-        for worker in crashed:
-            if worker not in self._workers:
-                continue
-            self._workers.remove(worker)
-            self.report.worker_crashes += 1
-            self._observer.record(
-                "runtime_worker_crashes_total", "runtime.worker_crash",
-                exitcode=worker.process.exitcode, pid=worker.process.pid,
-            )
-            task = worker.task
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            worker.process.join()
-            if task is not None:
-                index, attempt, _ = task
-                self._inflight[index] -= 1
-                self._handle_failure(None, index, attempt, "worker-crash")
-            self._respawn_if_short()
-
-    def close(self) -> None:
-        """Stop, terminate, and reap every worker (idempotent)."""
-        _shutdown(self._workers)
-        self._workers = []
-
-
 def run_pipeline(
     answers,
     *,
@@ -546,9 +209,9 @@ def run_pipeline(
       stream candidate edges into the sealing accumulator and sealed
       components dispatch to pivot workers while pruning still runs.
       Requires a prefix-join-eligible similarity and numpy; otherwise
-      pruning degrades to the (byte-identical) barrier
-      :func:`~repro.pruning.candidate.build_candidate_set` and only the
-      crowd phases pipeline.
+      pruning runs the (byte-identical) full
+      :func:`~repro.pruning.candidate.build_candidate_set` first and only
+      the crowd phases pipeline.
     - ``record_ids`` + ``candidates`` — pruning already done (the
       :func:`~repro.core.acd.run_acd` ``pipeline=True`` path): every
       component dispatches immediately.
@@ -561,11 +224,12 @@ def run_pipeline(
     ``pipeline_bytes_shipped_total`` / ``pipeline_bytes_per_task``
     dispatch-overhead meters).  ``journal_path``, ``checkpoints`` /
     ``resume`` (all three phases), ``obs``, and chaos ``fault_plan``
-    compose exactly as in barrier mode.
+    compose exactly as in :func:`~repro.core.acd.run_acd`.
 
     Returns:
-        A :class:`PipelineResult`; its ``result`` is byte-identical to
-        barrier sharded execution of the same configuration.
+        A :class:`PipelineResult` (see the module docstring for what is
+        identical to the global engines and what follows component
+        accounting).
     """
     if journal_path is not None:
         from repro.crowd.persistence import JournalingAnswerFile
@@ -622,8 +286,8 @@ def run_pipeline(
 
     if restored_refinement is not None or restored is not None:
         # The crowd phases (or everything) restore from checkpoints:
-        # there is nothing to overlap.  Compute candidates the barrier
-        # way if the pruning phase was not checkpointed.
+        # there is nothing to overlap.  Compute candidates with the full
+        # join if the pruning phase was not checkpointed.
         if candidates is None:
             candidates = build_candidate_set(
                 records, similarity, threshold=threshold,
@@ -644,7 +308,7 @@ def run_pipeline(
             and restored_refinement is None and restored is None):
         # Streaming needs the vectorized token-blocked prefix join; for
         # other similarity/platform configurations only the crowd phases
-        # pipeline (pruning runs the byte-identical barrier engine).
+        # pipeline (pruning runs the byte-identical full join first).
         if obs is not None:
             obs.event("pipeline.serial_pruning",
                       reason=("no-numpy" if not numpy_available()
@@ -678,8 +342,10 @@ def run_pipeline(
     refine_diagnostics: Optional[PCRefineDiagnostics] = None
     need_tasks = restored_refinement is None and (
         restored is None or refine)
-    pool: Optional[_PipelinePool] = None
+    pool: Optional[SupervisedPool] = None
     component_logs: Dict[int, list] = {}
+    #: Pivot task index -> first member of each component it carries.
+    pivot_of: Dict[int, List[int]] = {}
 
     with maybe_span(obs, "pipeline", workers=workers,
                     pruning_shards=num_shards, records=len(ids)):
@@ -696,11 +362,13 @@ def run_pipeline(
                                if candidates is not None else threshold),
                 )
 
-            def pool_factory() -> _PipelinePool:
+            def pool_factory() -> SupervisedPool:
                 nonlocal pool
-                pool = _PipelinePool(workers, policy=supervisor_policy,
-                                     obs=obs, fault_plan=fault_plan,
-                                     timings=timings)
+                pool = SupervisedPool(_execute_task, workers,
+                                      policy=supervisor_policy, obs=obs,
+                                      fault_plan=fault_plan,
+                                      label="pipeline",
+                                      state=_PIPELINE_STATE)
                 return pool
 
             components: Optional[List[Tuple[int, ...]]] = None
@@ -708,13 +376,12 @@ def run_pipeline(
                 if candidates is None:
                     candidates, components = _streamed_pruning_phase(
                         pool_factory, records, similarity, threshold,
-                        num_shards, kernel_backend, ids, component_logs,
-                        obs, checkpoints,
+                        num_shards, kernel_backend, ids, pivot_of,
+                        component_logs, obs, checkpoints,
                     )
                 else:
                     components = _dispatch_all_components(
-                        pool_factory(), ids, candidates, component_logs,
-                        obs)
+                        pool_factory(), ids, candidates, pivot_of, obs)
             elif need_tasks:
                 pool_factory()
 
@@ -722,7 +389,7 @@ def run_pipeline(
                 pool, ids, candidates, oracle, answers, stats, permutation,
                 epsilon, threshold_divisor, num_buckets, refine, ranking,
                 obs, checkpoints, resume, restored, restored_refinement,
-                component_logs, components,
+                pivot_of, component_logs, components,
             )
         finally:
             if pool is not None:
@@ -785,13 +452,13 @@ class _PivotBatcher:
     components are two or three records, and the pickle + pipe round
     trip per task dwarfs their pivot work.  The batcher buffers sealed
     components and flushes a group task whenever the buffered vertex
-    count reaches ``budget`` — roughly the per-task granularity of the
-    barrier engines' 64-way shard packing — so early-sealed groups still
+    count reaches ``budget`` — about 64 tasks over the whole record
+    set — so early-sealed groups still
     dispatch while pruning runs, without drowning the pool in
     micro-tasks.
     """
 
-    def __init__(self, pool: _PipelinePool, budget: int,
+    def __init__(self, pool: SupervisedPool, budget: int,
                  pivot_of: Dict[int, List[int]]):
         self._pool = pool
         self._budget = max(1, budget)
@@ -818,7 +485,7 @@ class _PivotBatcher:
         self._vertices = 0
 
 
-def _collect_one(pool: _PipelinePool, prune_of: Dict[int, int],
+def _collect_one(pool: SupervisedPool, prune_of: Dict[int, int],
                  shard_queue: deque, batcher: _PivotBatcher,
                  pivot_of: Dict[int, List[int]],
                  merged: Dict[Pair, float],
@@ -865,11 +532,12 @@ def _collect_one(pool: _PipelinePool, prune_of: Dict[int, int],
 def _streamed_pruning_phase(
     pool_factory, records, similarity, threshold: float,
     num_shards: int, kernel_backend: str, ids: Sequence[int],
-    component_logs: Dict[int, list], obs, checkpoints,
+    pivot_of: Dict[int, List[int]], component_logs: Dict[int, list],
+    obs, checkpoints,
 ) -> Tuple[CandidateSet, List[Tuple[int, ...]]]:
     """Phase A: run pruning shards, streaming sealed components to pivot.
 
-    Byte-identical to the barrier
+    Byte-identical to the full
     :func:`~repro.pruning.candidate.build_candidate_set` prefix path:
     same join plan, same per-shard survivors, same sorted merge, same
     ``pruning`` span and gauges.  Pivot tasks dispatched here are
@@ -911,7 +579,6 @@ def _streamed_pruning_phase(
         for _ in range(min(wave, num_shards)):
             shard = shard_queue.popleft()
             prune_of[pool.submit(("prune", shard))] = shard
-        pivot_of: Dict[int, List[int]] = {}
         batcher = _PivotBatcher(pool, len(ids) // 64, pivot_of)
         sealed_components: List[Tuple[int, ...]] = []
         while prune_of:
@@ -947,15 +614,12 @@ def _streamed_pruning_phase(
             ).set(len(surviving))
     if checkpoints is not None:
         checkpoints.save("pruning", candidate_state(candidates))
-    # Drain any pivot results that landed while pruning finished; the
-    # rest are collected by the generation barrier.
-    pool.pivot_of = pivot_of  # type: ignore[attr-defined]
     return candidates, sealed_components
 
 
 def _dispatch_all_components(
-    pool: _PipelinePool, ids: Sequence[int], candidates: CandidateSet,
-    component_logs: Dict[int, list], obs,
+    pool: SupervisedPool, ids: Sequence[int], candidates: CandidateSet,
+    pivot_of: Dict[int, List[int]], obs,
 ) -> List[Tuple[int, ...]]:
     """Pre-pruned entry: every component is already sealed — dispatch all."""
     components = connected_components(ids, candidates.pairs)
@@ -968,7 +632,6 @@ def _dispatch_all_components(
             edges_of[index] = []
     for pair in candidates.pairs:
         edges_of[comp_of[pair[0]]].append(pair)
-    pivot_of: Dict[int, List[int]] = {}
     batcher = _PivotBatcher(pool, len(ids) // 64, pivot_of)
     for index, members in enumerate(components):
         if len(members) > 1:
@@ -978,17 +641,16 @@ def _dispatch_all_components(
         obs.event("pipeline.seal", shard=None, sealed=len(components),
                   dispatched=batcher.dispatched,
                   queue_depth=pool.outstanding)
-    pool.pivot_of = pivot_of  # type: ignore[attr-defined]
     return components
 
 
 def _crowd_phases(
-    pool: Optional[_PipelinePool], ids: Sequence[int],
+    pool: Optional[SupervisedPool], ids: Sequence[int],
     candidates: CandidateSet, oracle: CrowdOracle, answers,
     stats: CrowdStats, permutation: Permutation, epsilon: float,
     threshold_divisor: float, num_buckets: int, refine: bool, ranking: str,
     obs, checkpoints, resume: bool, restored, restored_refinement,
-    component_logs: Dict[int, list],
+    pivot_of: Dict[int, List[int]], component_logs: Dict[int, list],
     components: Optional[List[Tuple[int, ...]]] = None,
 ) -> ACDResult:
     """Phases B/C: generation merge barrier, refinement, result assembly.
@@ -1027,7 +689,6 @@ def _crowd_phases(
                 if refine:
                     prepared = refine_shard.prepare_refine_partition(
                         components, candidates)
-                pivot_of = getattr(pool, "pivot_of", {})
                 while pivot_of:
                     index, value = pool.next_result()
                     for key, logs in zip(pivot_of.pop(index), value):
@@ -1083,7 +744,7 @@ def _crowd_phases(
 
 
 def _refine_phase(
-    pool: _PipelinePool, clustering: Clustering, candidates: CandidateSet,
+    pool: SupervisedPool, clustering: Clustering, candidates: CandidateSet,
     oracle: CrowdOracle, num_records: int, threshold_divisor: float,
     num_buckets: int, diagnostics: PCRefineDiagnostics, ranking: str,
     obs, source, prepared=None,
@@ -1094,10 +755,8 @@ def _refine_phase(
     clustering's id counter, the frozen budget ``T``, and the global
     histogram — is broadcast to the live workers (fork carried
     everything else), then every multi-vertex component runs
-    concurrently and the parent replays the merged rounds.  Semantics
-    and output are exactly :func:`repro.core.refine_shard.pc_refine_sharded`'s.
+    concurrently and the parent replays the merged rounds.
     """
-    refine_shard.require_pair_deterministic(source)
     if prepared is None:
         # Restore paths arrive here without the pre-drain index pass.
         components, multi, multi_components, estimator, budget = (

@@ -1,15 +1,17 @@
-"""A supervised fork pool: worker death, stragglers, retries, degradation.
+"""The supervised fork pool: worker death, stragglers, retries, degradation.
 
 The raw ``multiprocessing.Pool`` the pruning layer used has a famous
 failure mode: an OOM-killed or segfaulted worker leaves ``Pool.map``
 hanging (or crashing) with no record of which chunk died.  This module is
-the drop-in replacement.  It manages worker processes directly — one
+the replacement, and the only place the package forks supervised
+workers.  :class:`SupervisedPool` manages worker processes directly — one
 duplex pipe each — and supervises every dispatched task:
 
 - **Crash detection.**  Worker process sentinels are part of the event
   loop; a dead worker (non-zero exitcode, broken pipe) is detected
   immediately, its in-flight task is recovered, and a replacement worker
-  is forked (bounded by ``max_worker_respawns``).
+  is forked (bounded by ``max_worker_respawns``, and never beyond the
+  number of unresolved tasks).
 - **Deadlines / stragglers.**  With ``task_deadline_s`` set, a task that
   outlives its deadline is re-dispatched to another worker; the first
   result wins.  Workers are pure functions, so duplicate execution is
@@ -24,6 +26,13 @@ duplex pipe each — and supervises every dispatched task:
   pure and fork-state is still published in the parent, so the degraded
   result is byte-identical — the run completes, slower, never wrong.
 
+The pool is long-lived: tasks are submitted as they become ready and
+collected in completion order, and a ``state`` broadcast extends the
+workers' fork-time globals — the component-streaming executor of
+:mod:`repro.runtime.pipeline` keeps one pool up across all three ACD
+phases this way.  :func:`supervised_map` is the one-shot wrapper the
+pruning layer uses.
+
 Every decision is observable: ``runtime.worker_crash`` /
 ``runtime.task_retry`` / ``runtime.straggler_redispatch`` /
 ``runtime.straggler_termination`` /
@@ -31,10 +40,10 @@ Every decision is observable: ``runtime.worker_crash`` /
 attached :class:`~repro.obs.ObsContext`, matching ``runtime_*_total``
 metrics counters, and a :class:`RuntimeReport` returned to the caller.
 
-Determinism contract: results are assembled by task index, workers and
-the degraded path compute the same pure function, so the output of
-:func:`supervised_map` is byte-identical to a serial loop over the tasks
-for every schedule of crashes, stragglers, and retries.
+Determinism contract: results are keyed by task index, workers and the
+degraded path compute the same pure function, so every result is
+byte-identical to calling the function in-process, for every schedule of
+crashes, stragglers, and retries.
 """
 
 from __future__ import annotations
@@ -42,10 +51,13 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import os
+import pickle
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from multiprocessing import connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.runtime.faults import ProcessFaultPlan
 
@@ -106,7 +118,7 @@ class SupervisorPolicy:
 
 @dataclass
 class RuntimeReport:
-    """What the supervisor had to do to finish one map.
+    """What the supervisor had to do to finish a pool's tasks.
 
     All zeros on a fault-free run.  The chaos suite and the runtime tests
     read these; the same counts land in the obs metrics registry as
@@ -134,9 +146,14 @@ class RuntimeReport:
 
 
 def _worker_main(worker_fn: Callable[[Any], Any], conn,
-                 fault_plan: Optional[ProcessFaultPlan]) -> None:
+                 fault_plan: Optional[ProcessFaultPlan],
+                 state: Optional[Dict[str, Any]]) -> None:
     """Worker process body: serve tasks off the pipe until told to stop.
 
+    Payloads arrive pickled (the parent serializes each one once, at
+    submission).  A ``("state", key, value)`` message extends the
+    fork-time ``state`` snapshot with values published after the fork;
+    pipe FIFO ordering delivers it before any task submitted afterwards.
     Chaos faults are applied *here*, per (task, attempt), so the parent's
     serial degradation path (which never enters this function) always
     runs clean — that is the bottom rung of the degradation ladder.
@@ -149,7 +166,10 @@ def _worker_main(worker_fn: Callable[[Any], Any], conn,
                 return
             if message[0] == "stop":
                 return
-            _, index, attempt, payload = message
+            if message[0] == "state":
+                state[message[1]] = message[2]
+                continue
+            _, index, attempt, blob = message
             directive = (fault_plan.directive(index, attempt)
                          if fault_plan is not None else None)
             if directive is not None:
@@ -163,7 +183,7 @@ def _worker_main(worker_fn: Callable[[Any], Any], conn,
                                f"attempt {attempt})"))
                     continue
             try:
-                result = worker_fn(payload)
+                result = worker_fn(pickle.loads(blob))
             except BaseException as error:  # noqa: BLE001 - forwarded
                 outcome: Tuple = (index, attempt, "error", repr(error))
             else:
@@ -205,6 +225,340 @@ class _Observer:
         self._obs.event(event, pool=self._label, **attrs)
 
 
+class SupervisedPool:
+    """A persistent supervised fork pool: submit tasks, collect results.
+
+    Tasks are submitted as they become ready (:meth:`submit`) and
+    collected in completion order (:meth:`next_result`); the pool stays
+    up until :meth:`close`, so one fork can serve several phases.  Every
+    task runs the fault ladder of the module docstring.  Late-bound
+    coordination state reaches live workers through :meth:`broadcast`.
+
+    With ``processes <= 1`` or no ``fork`` start method the pool runs
+    *inline*: tasks execute synchronously in submission order in the
+    parent, and fault plans do not apply.
+
+    Args:
+        worker_fn: A *pure* function of one payload.  It is carried to
+            workers by fork (closures are fine) and may read module
+            globals published before the pool is created.
+        processes: Worker processes, forked up front.
+        policy: Fault-handling knobs (default :class:`SupervisorPolicy`).
+        obs: Optional :class:`~repro.obs.ObsContext` receiving
+            ``runtime.*`` events and ``runtime_*_total`` counters.
+        fault_plan: Deterministic chaos injected inside workers, keyed
+            by task index (submission order).
+        label: Pool name recorded on every event.
+        state: The module-global dict ``worker_fn`` reads; required for
+            :meth:`broadcast`.
+    """
+
+    def __init__(self, worker_fn: Callable[[Any], Any], processes: int,
+                 policy: Optional[SupervisorPolicy] = None, obs=None,
+                 fault_plan: Optional[ProcessFaultPlan] = None,
+                 label: str = "runtime",
+                 state: Optional[Dict[str, Any]] = None):
+        if processes < 0:
+            raise ValueError(f"processes must be >= 0, got {processes}")
+        self._worker_fn = worker_fn
+        self._processes = processes
+        self._policy = policy if policy is not None else SupervisorPolicy()
+        self._observer = _Observer(obs, label)
+        self._fault_plan = fault_plan
+        self._state = state
+        self.report = RuntimeReport()
+        #: Pickled payload bytes handed to the pool (each task once).
+        self.bytes_shipped = 0
+        self._payloads: List[Any] = []
+        #: Min-heap of (ready_at_monotonic, sequence, task_index).
+        self._pending: List[Tuple[float, int, int]] = []
+        self._sequence = 0
+        self._dispatches: List[int] = []
+        self._inflight: List[int] = []
+        self._failures: List[int] = []
+        #: Tasks whose result is decided (queued in _ready or delivered).
+        self._resolved: Set[int] = set()
+        self._ready: Deque[Tuple[int, Any]] = deque()
+        self._outstanding = 0
+        self._workers: List[_Worker] = []
+        self._inline = processes <= 1 or not _fork_available()
+        if not self._inline:
+            self._context = multiprocessing.get_context("fork")
+            self._workers = [self._spawn() for _ in range(processes)]
+
+    @property
+    def outstanding(self) -> int:
+        """Submitted tasks whose results have not been delivered yet."""
+        return self._outstanding
+
+    def _spawn(self) -> _Worker:
+        parent_conn, child_conn = self._context.Pipe()
+        process = self._context.Process(
+            target=_worker_main,
+            args=(self._worker_fn, child_conn, self._fault_plan,
+                  self._state),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        return _Worker(process=process, conn=parent_conn)
+
+    def broadcast(self, key: str, value: Any) -> None:
+        """Publish late-bound state to the parent and every live worker.
+
+        The parent's ``state`` is set *first*: respawned workers fork
+        from parent memory after this point and inherit the value, and
+        the inline/degraded paths read it directly.  Live workers receive
+        a ``state`` message, which pipe FIFO ordering delivers before any
+        task submitted afterwards.
+        """
+        if self._state is None:
+            raise RuntimeError("broadcast needs a pool created with state=")
+        self._state[key] = value
+        for worker in self._workers:
+            try:
+                worker.conn.send(("state", key, value))
+            except (BrokenPipeError, OSError):
+                pass  # the crash handler reaps it on the next step
+
+    def submit(self, payload: Any) -> int:
+        """Queue a task; returns its index (also the fault-plan key)."""
+        index = len(self._payloads)
+        if self._inline:
+            self._payloads.append(payload)
+        else:
+            # Pickle once at submission: the blob is what every dispatch
+            # (retries and duplicates included) ships, so the meter is
+            # exact and the parent never re-serializes a payload.
+            blob = pickle.dumps(payload)
+            self._payloads.append(blob)
+            self.bytes_shipped += len(blob)
+        self._dispatches.append(0)
+        self._inflight.append(0)
+        self._failures.append(0)
+        self._outstanding += 1
+        self.report.tasks += 1
+        self._push(0.0, index)
+        return index
+
+    def next_result(self) -> Tuple[int, Any]:
+        """Block until some submitted task completes; return (index, value)."""
+        if self._outstanding == 0:
+            raise RuntimeError("no outstanding tasks")
+        while not self._ready:
+            if self._inline:
+                _, _, index = heapq.heappop(self._pending)
+                self._resolved.add(index)
+                self._ready.append(
+                    (index, self._worker_fn(self._payloads[index])))
+            else:
+                self._step()
+        self._outstanding -= 1
+        return self._ready.popleft()
+
+    def close(self) -> None:
+        """Stop, terminate, and reap every worker (idempotent)."""
+        _shutdown(self._workers)
+        self._workers = []
+
+    def _push(self, ready_at: float, index: int) -> None:
+        heapq.heappush(self._pending, (ready_at, self._sequence, index))
+        self._sequence += 1
+
+    def _degrade(self, index: int) -> None:
+        """Bottom rung: run a task in-parent, fault-free, byte-identical."""
+        self._resolved.add(index)
+        self.report.degraded_serial += 1
+        self._observer.record(
+            "runtime_degraded_serial_total", "runtime.degraded_serial",
+            task=index, failures=self._failures[index],
+        )
+        payload = pickle.loads(self._payloads[index])
+        self._ready.append((index, self._worker_fn(payload)))
+
+    def _handle_failure(self, worker: Optional[_Worker], index: int,
+                        attempt: int, reason: str) -> None:
+        if worker is not None:
+            worker.task = None
+            worker.deadline_fired = False
+        if index in self._resolved:
+            return
+        self._failures[index] += 1
+        if self._dispatches[index] < 1 + self._policy.max_task_retries:
+            delay = self._policy.backoff(self._failures[index])
+            self.report.task_retries += 1
+            self._observer.record(
+                "runtime_task_retries_total", "runtime.task_retry",
+                task=index, attempt=attempt, reason=reason,
+                backoff_s=round(delay, 4),
+            )
+            self._push(time.monotonic() + delay, index)
+        elif self._inflight[index] == 0:
+            self._degrade(index)
+
+    def _respawn_if_short(self) -> None:
+        """Replace lost workers, never beyond the unresolved task count."""
+        unresolved = len(self._payloads) - len(self._resolved)
+        while (len(self._workers) < min(self._processes, unresolved)
+               and self.report.worker_respawns
+               < self._policy.max_worker_respawns):
+            self.report.worker_respawns += 1
+            replacement = self._spawn()
+            self._workers.append(replacement)
+            self._observer.record(
+                "runtime_worker_respawns_total", "runtime.worker_respawn",
+                pid=replacement.process.pid,
+            )
+
+    def _remove(self, worker: _Worker) -> None:
+        self._workers.remove(worker)
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+
+    def _step(self) -> None:
+        """One event-loop iteration: dispatch, wait, reap, recover."""
+        self._respawn_if_short()
+        if not self._workers:
+            # The whole pool is gone and cannot be rebuilt: degrade every
+            # unresolved queued task (later submissions land here too).
+            while self._pending:
+                _, _, index = heapq.heappop(self._pending)
+                if index not in self._resolved:
+                    self._degrade(index)
+            return
+
+        now = time.monotonic()
+        deadline_s = self._policy.task_deadline_s
+        idle = [worker for worker in self._workers if worker.task is None]
+        while idle and self._pending and self._pending[0][0] <= now:
+            _, _, index = heapq.heappop(self._pending)
+            if index in self._resolved:
+                continue
+            worker = idle.pop()
+            attempt = self._dispatches[index]
+            self._dispatches[index] += 1
+            self._inflight[index] += 1
+            worker.task = (index, attempt,
+                           now + deadline_s if deadline_s is not None
+                           else None)
+            worker.deadline_fired = False
+            try:
+                worker.conn.send(("task", index, attempt,
+                                  self._payloads[index]))
+            except (BrokenPipeError, OSError):
+                # Died between dispatches; the sentinel handler below
+                # reaps the worker and recovers the task as a failure.
+                pass
+
+        # Block until a result, crash, deadline, or backoff wakes us.  A
+        # queued task is a wakeup only while some worker is idle to take
+        # it: the dispatch loop above already drained every ready task,
+        # so a non-empty queue with all workers busy must NOT set a zero
+        # timeout — that degenerates into a busy-spin that steals the CPU
+        # from the workers it is waiting on.
+        busy = [worker for worker in self._workers
+                if worker.task is not None]
+        if not busy and not self._pending:
+            raise RuntimeError("supervised pool has outstanding tasks "
+                               "but nothing running or queued")
+        wakeups = [worker.task[2] for worker in busy
+                   if worker.task[2] is not None
+                   and not worker.deadline_fired]
+        if self._pending and idle:
+            wakeups.append(self._pending[0][0])
+        timeout = (max(0.0, min(wakeups) - time.monotonic())
+                   if wakeups else None)
+        waitable = ([worker.conn for worker in busy]
+                    + [worker.process.sentinel for worker in self._workers])
+        ready = connection.wait(waitable, timeout)
+
+        conn_of = {worker.conn: worker for worker in busy}
+        sentinel_of = {worker.process.sentinel: worker
+                       for worker in self._workers}
+        crashed: List[_Worker] = []
+        for item in ready:
+            if item in conn_of:
+                worker = conn_of[item]
+                try:
+                    index, attempt, status, value = worker.conn.recv()
+                except (EOFError, OSError):
+                    crashed.append(worker)  # died mid-send
+                    continue
+                self._inflight[index] -= 1
+                if status == "ok":
+                    worker.task = None
+                    worker.deadline_fired = False
+                    if index not in self._resolved:
+                        self._resolved.add(index)
+                        self._ready.append((index, value))
+                else:
+                    self._handle_failure(worker, index, attempt, value)
+            elif item in sentinel_of:
+                crashed.append(sentinel_of[item])
+
+        for worker in crashed:
+            if worker not in self._workers:
+                continue
+            self._remove(worker)
+            worker.process.join()
+            self.report.worker_crashes += 1
+            self._observer.record(
+                "runtime_worker_crashes_total", "runtime.worker_crash",
+                exitcode=worker.process.exitcode, pid=worker.process.pid,
+            )
+            if worker.task is not None:
+                index, attempt, _ = worker.task
+                self._inflight[index] -= 1
+                self._handle_failure(None, index, attempt, "worker-crash")
+        self._reap_stragglers()
+
+    def _reap_stragglers(self) -> None:
+        """Expired deadlines queue a duplicate; hung workers are killed.
+
+        A straggler that cannot be re-dispatched (its task resolved by a
+        duplicate, or its retry budget spent) is terminated outright —
+        merely flagging it would leave the loop blocked in
+        ``connection.wait`` on a hung worker that never answers.
+        """
+        now = time.monotonic()
+        budget = 1 + self._policy.max_task_retries
+        hung: List[_Worker] = []
+        for worker in self._workers:
+            if (worker.task is None or worker.deadline_fired
+                    or worker.task[2] is None or worker.task[2] > now):
+                continue
+            index, attempt, _ = worker.task
+            worker.deadline_fired = True
+            if index in self._resolved or self._dispatches[index] >= budget:
+                hung.append(worker)
+                continue
+            self.report.straggler_redispatches += 1
+            self._observer.record(
+                "runtime_straggler_redispatches_total",
+                "runtime.straggler_redispatch",
+                task=index, attempt=attempt,
+                deadline_s=self._policy.task_deadline_s,
+            )
+            self._push(now, index)
+        for worker in hung:
+            index, attempt, _ = worker.task
+            self._remove(worker)
+            self.report.straggler_terminations += 1
+            self._observer.record(
+                "runtime_straggler_terminations_total",
+                "runtime.straggler_termination",
+                task=index, attempt=attempt, pid=worker.process.pid,
+                deadline_s=self._policy.task_deadline_s,
+            )
+            worker.process.terminate()
+            worker.process.join()
+            self._inflight[index] -= 1
+            if self._inflight[index] == 0 and index not in self._resolved:
+                self._degrade(index)
+
+
 def supervised_map(
     worker_fn: Callable[[Any], Any],
     payloads: Sequence[Any],
@@ -214,278 +568,39 @@ def supervised_map(
     fault_plan: Optional[ProcessFaultPlan] = None,
     label: str = "runtime",
 ) -> Tuple[List[Any], RuntimeReport]:
-    """Map ``worker_fn`` over ``payloads`` under supervision.
+    """Map ``worker_fn`` over ``payloads`` on a :class:`SupervisedPool`.
 
-    A drop-in replacement for ``Pool.map`` over pure functions, with the
-    fault handling described in the module docstring.  Requires the
-    ``fork`` start method (the callers' existing platform contract —
-    they fall back to their serial paths without it).
-
-    Args:
-        worker_fn: A *pure* picklable-result function of one payload.
-            It is carried to workers by fork (closures are fine) and may
-            read module globals published before the call.
-        payloads: The task payloads, one result each, order preserved.
-        processes: Worker process count (>= 1).
-        policy: Fault-handling knobs (default :class:`SupervisorPolicy`).
-        obs: Optional :class:`~repro.obs.ObsContext` receiving
-            ``runtime.*`` events and ``runtime_*_total`` counters.
-        fault_plan: Deterministic chaos injected inside workers.
-        label: Pool name recorded on every event.
+    A drop-in replacement for ``Pool.map`` over pure functions: submits
+    every payload, collects the results in payload order, and shuts the
+    pool down on every exit path.  ``processes`` is capped at the task
+    count, so a single task (or ``processes=1``) runs inline.
 
     Returns:
         ``(results, report)`` — results in payload order, byte-identical
         to ``[worker_fn(p) for p in payloads]``.
     """
-    policy = policy if policy is not None else SupervisorPolicy()
-    report = RuntimeReport(tasks=len(payloads))
+    payloads = list(payloads)
     if not payloads:
-        return [], report
+        return [], RuntimeReport()
     if processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes}")
-    if "fork" not in multiprocessing.get_all_start_methods():
-        raise RuntimeError(
-            "supervised_map requires the 'fork' start method; callers "
-            "must fall back to their serial path on this platform"
-        )
-    context = multiprocessing.get_context("fork")
-    observer = _Observer(obs, label)
-
-    total = len(payloads)
-    results: Dict[int, Any] = {}
-    #: Executions dispatched so far, per task (first run + retries + dups).
-    dispatches = [0] * total
-    #: Executions currently running in some worker, per task.
-    inflight = [0] * total
-    #: Executions that failed (crash or raise), per task.
-    failures = [0] * total
-    degraded: List[int] = []
-    #: Min-heap of (ready_at_monotonic, sequence, task_index).
-    pending: List[Tuple[float, int, int]] = [
-        (0.0, index, index) for index in range(total)
-    ]
-    heapq.heapify(pending)
-    sequence = total
-    attempt_budget = 1 + policy.max_task_retries
-
-    def spawn() -> _Worker:
-        parent_conn, child_conn = context.Pipe()
-        process = context.Process(
-            target=_worker_main, args=(worker_fn, child_conn, fault_plan),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _Worker(process=process, conn=parent_conn)
-
-    def mark_degraded(index: int) -> None:
-        if index not in degraded and index not in results:
-            degraded.append(index)
-
-    def handle_failure(worker: Optional[_Worker], index: int,
-                       attempt: int, reason: str) -> None:
-        nonlocal sequence
-        if worker is not None:
-            worker.task = None
-            worker.deadline_fired = False
-        if index in results or index in degraded:
-            return
-        failures[index] += 1
-        if dispatches[index] < attempt_budget:
-            delay = policy.backoff(failures[index])
-            report.task_retries += 1
-            observer.record(
-                "runtime_task_retries_total", "runtime.task_retry",
-                task=index, attempt=attempt, reason=reason,
-                backoff_s=round(delay, 4),
-            )
-            heapq.heappush(pending,
-                           (time.monotonic() + delay, sequence, index))
-            sequence += 1
-        elif inflight[index] == 0:
-            mark_degraded(index)
-
-    workers: List[_Worker] = [spawn()
-                              for _ in range(min(processes, total))]
+    pool = SupervisedPool(worker_fn, min(processes, len(payloads)),
+                          policy=policy, obs=obs, fault_plan=fault_plan,
+                          label=label)
     try:
-        while len(results) + len(degraded) < total:
-            now = time.monotonic()
-
-            # Dispatch ready pending tasks onto idle workers.
-            idle = [worker for worker in workers if worker.task is None]
-            while idle and pending and pending[0][0] <= now:
-                _, _, index = heapq.heappop(pending)
-                if index in results or index in degraded:
-                    continue
-                worker = idle.pop()
-                attempt = dispatches[index]
-                dispatches[index] += 1
-                inflight[index] += 1
-                deadline = (now + policy.task_deadline_s
-                            if policy.task_deadline_s is not None else None)
-                worker.task = (index, attempt, deadline)
-                worker.deadline_fired = False
-                try:
-                    worker.conn.send(("task", index, attempt,
-                                      payloads[index]))
-                except (BrokenPipeError, OSError):
-                    # The worker died between dispatches; leave the task
-                    # recorded on it — the sentinel handler below reaps
-                    # the worker and recovers the task as a failure.
-                    pass
-
-            if not workers:
-                # The whole pool is gone and cannot be rebuilt: degrade
-                # everything still unresolved.
-                for index in range(total):
-                    if index not in results:
-                        mark_degraded(index)
-                break
-
-            busy = [worker for worker in workers if worker.task is not None]
-            if not busy and not pending:
-                break  # everything resolved or queued for degradation
-
-            # Sleep until the next result, crash, deadline, or backoff.
-            wakeups = [worker.task[2] for worker in busy
-                       if worker.task[2] is not None
-                       and not worker.deadline_fired]
-            if pending:
-                wakeups.append(pending[0][0])
-            timeout = (max(0.0, min(wakeups) - time.monotonic())
-                       if wakeups else None)
-            waitable = ([worker.conn for worker in busy]
-                        + [worker.process.sentinel for worker in workers])
-            ready = connection.wait(waitable, timeout)
-
-            sentinel_of = {worker.process.sentinel: worker
-                           for worker in workers}
-            conn_of = {worker.conn: worker for worker in busy}
-            crashed: List[_Worker] = []
-            for item in ready:
-                if item in conn_of:
-                    worker = conn_of[item]
-                    try:
-                        index, attempt, status, value = worker.conn.recv()
-                    except (EOFError, OSError):
-                        crashed.append(worker)  # died mid-send
-                        continue
-                    inflight[index] -= 1
-                    if status == "ok":
-                        worker.task = None
-                        worker.deadline_fired = False
-                        if index not in results and index not in degraded:
-                            results[index] = value
-                    else:
-                        handle_failure(worker, index, attempt, value)
-                elif item in sentinel_of:
-                    crashed.append(sentinel_of[item])
-
-            for worker in crashed:
-                if worker not in workers:
-                    continue
-                workers.remove(worker)
-                report.worker_crashes += 1
-                observer.record(
-                    "runtime_worker_crashes_total", "runtime.worker_crash",
-                    exitcode=worker.process.exitcode,
-                    pid=worker.process.pid,
-                )
-                task = worker.task
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
-                worker.process.join()
-                if task is not None:
-                    index, attempt, _ = task
-                    inflight[index] -= 1
-                    handle_failure(None, index, attempt, "worker-crash")
-                remaining = total - len(results) - len(degraded)
-                if remaining > 0 and len(workers) < min(processes, remaining):
-                    if report.worker_respawns < policy.max_worker_respawns:
-                        report.worker_respawns += 1
-                        replacement = spawn()
-                        workers.append(replacement)
-                        observer.record(
-                            "runtime_worker_respawns_total",
-                            "runtime.worker_respawn",
-                            pid=replacement.process.pid,
-                        )
-
-            # Straggler re-dispatch: expired deadlines queue a duplicate.
-            # A straggler that cannot be re-dispatched (task resolved by a
-            # duplicate, or retry budget already spent) is terminated
-            # outright — merely flagging it used to leave the loop blocked
-            # in connection.wait with no timeout, waiting forever on a
-            # hung worker that would never answer.
-            now = time.monotonic()
-            hung: List[_Worker] = []
-            for worker in workers:
-                if (worker.task is None or worker.deadline_fired
-                        or worker.task[2] is None or worker.task[2] > now):
-                    continue
-                index, attempt, _ = worker.task
-                worker.deadline_fired = True
-                if (index in results or index in degraded
-                        or dispatches[index] >= attempt_budget):
-                    hung.append(worker)
-                    continue
-                report.straggler_redispatches += 1
-                observer.record(
-                    "runtime_straggler_redispatches_total",
-                    "runtime.straggler_redispatch",
-                    task=index, attempt=attempt,
-                    deadline_s=policy.task_deadline_s,
-                )
-                heapq.heappush(pending, (now, sequence, index))
-                sequence += 1
-            for worker in hung:
-                workers.remove(worker)
-                index, attempt, _ = worker.task
-                report.straggler_terminations += 1
-                observer.record(
-                    "runtime_straggler_terminations_total",
-                    "runtime.straggler_termination",
-                    task=index, attempt=attempt, pid=worker.process.pid,
-                    deadline_s=policy.task_deadline_s,
-                )
-                worker.process.terminate()
-                worker.process.join()
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
-                inflight[index] -= 1
-                if inflight[index] == 0:
-                    mark_degraded(index)
-                remaining = total - len(results) - len(degraded)
-                if remaining > 0 and len(workers) < min(processes, remaining):
-                    if report.worker_respawns < policy.max_worker_respawns:
-                        report.worker_respawns += 1
-                        replacement = spawn()
-                        workers.append(replacement)
-                        observer.record(
-                            "runtime_worker_respawns_total",
-                            "runtime.worker_respawn",
-                            pid=replacement.process.pid,
-                        )
+        for payload in payloads:
+            pool.submit(payload)
+        results: List[Any] = [None] * len(payloads)
+        for _ in payloads:
+            index, value = pool.next_result()
+            results[index] = value
     finally:
-        _shutdown(workers)
+        pool.close()
+    return results, pool.report
 
-    # Bottom rung of the degradation ladder: run what the pool could not
-    # finish in-process, in task order, fault-free and byte-identical.
-    for index in sorted(degraded):
-        if index in results:
-            continue
-        report.degraded_serial += 1
-        observer.record(
-            "runtime_degraded_serial_total", "runtime.degraded_serial",
-            task=index, failures=failures[index],
-        )
-        results[index] = worker_fn(payloads[index])
 
-    return [results[index] for index in range(total)], report
+def _fork_available() -> bool:
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _shutdown(workers: List[_Worker]) -> None:

@@ -23,16 +23,18 @@ from repro.core.pivot_engine import (
     LiveVertexOrder,
     choose_pivots,
 )
-from repro.crowd.cache import FallbackAnswers, ScriptedAnswers
+from repro.crowd.cache import AnswerFile, FallbackAnswers, ScriptedAnswers
 from repro.crowd.faults import FaultModel
 from repro.crowd.oracle import CrowdOracle
+from repro.crowd.worker import WorkerPool
 from repro.datasets.registry import generate
 from repro.datasets.schema import canonical_pair
 from repro.experiments.chaos import _platform_answers
-from repro.experiments.configs import PRUNING_THRESHOLD
+from repro.experiments.configs import PRUNING_THRESHOLD, difficulty_model
 from repro.obs import ObsContext
 from repro.pruning.candidate import build_candidate_set
 from repro.pruning.graph import CandidateGraph
+from repro.runtime.pipeline import run_pipeline
 from repro.similarity.composite import jaccard_similarity_function
 from tests.conftest import FIG2_IDS, fig2_candidates, fig2_oracle, \
     make_candidates
@@ -345,134 +347,179 @@ class TestLiveVertexOrder:
 
 
 # ---------------------------------------------------------------------------
-# Sharded generation: cross-shard merge byte-identity
+# Sharded generation: component execution through the pipeline
 # ---------------------------------------------------------------------------
 
+#: Streamed-pruning shard counts; each seals components in its own order
+#: and groups them into different pivot tasks.
 SHARD_COUNTS = (1, 2, 3, 5)
+
+
+def _pipeline_generation(ids, candidates, answers, seed, epsilon=0.1,
+                         workers=0):
+    """Pre-pruned component execution of the generation phase."""
+    return run_pipeline(answers, record_ids=ids, candidates=candidates,
+                        seed=seed, epsilon=epsilon, refine=False,
+                        workers=workers).result
+
+
+class RecordingAnswers:
+    """A pair-deterministic pass-through that records every pair asked."""
+
+    pair_deterministic = True
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.pairs = set()
+
+    @property
+    def num_workers(self):
+        return self._inner.num_workers
+
+    def confidence(self, a, b):
+        self.pairs.add(canonical_pair(a, b))
+        return self._inner.confidence(a, b)
+
+
+_LARGESCALE_CROWD = WorkerPool(difficulty=difficulty_model("largescale"),
+                               num_workers=3)
+
+
+def _streamed_generation(dataset, seed, epsilon, shards):
+    """Streamed-pruning generation, inline: the recorder sees every ask."""
+    obs = ObsContext()
+    answers = RecordingAnswers(AnswerFile(dataset.gold, _LARGESCALE_CROWD))
+    piped = run_pipeline(
+        answers, records=dataset.records,
+        similarity=jaccard_similarity_function(),
+        threshold=PRUNING_THRESHOLD, pruning_shards=shards, seed=seed,
+        epsilon=epsilon, refine=False, obs=obs,
+    )
+    return piped, obs, answers.pairs
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000), st.sampled_from(EPSILONS))
 def test_sharded_clustering_identical_to_classic(seed, epsilon):
-    """Sharded generation reproduces the classic engine's clustering —
-    including cluster IDs — for every shard count."""
+    """Component execution reproduces the classic engine's clustering —
+    including cluster IDs."""
     ids, candidates, fresh_oracle = random_pivot_state(seed)
     classic = pc_pivot(ids, candidates, fresh_oracle(), epsilon=epsilon,
                        seed=seed)
-    for shards in SHARD_COUNTS:
-        sharded = pc_pivot(ids, candidates, fresh_oracle(), epsilon=epsilon,
-                           seed=seed, shards=shards)
-        sharded.check_invariants()
-        assert sharded.to_state() == classic.to_state()
+    sharded = _pipeline_generation(ids, candidates,
+                                   fresh_oracle().source, seed, epsilon)
+    sharded.clustering.check_invariants()
+    assert sharded.clustering.to_state() == classic.to_state()
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 100_000), st.sampled_from(EPSILONS))
-def test_sharded_accounting_invariant_across_shard_counts(seed, epsilon):
-    """Stats, crowd batch sequence, diagnostics, and event streams are
-    byte-identical for every shard count (component-local accounting is
-    canonical, not packing-dependent)."""
-    ids, candidates, fresh_oracle = random_pivot_state(seed)
+def _accounting_invariant_across_shard_counts(seed, epsilon):
+    dataset = generate("largescale", scale=0.05, seed=seed, confusion=0.25)
     outcomes = []
     for shards in SHARD_COUNTS:
-        oracle = fresh_oracle()
-        diagnostics = PCPivotDiagnostics()
-        obs = ObsContext()
-        with obs.span("generation"):
-            clustering = pc_pivot(ids, candidates, oracle, epsilon=epsilon,
-                                  seed=seed, shards=shards,
-                                  diagnostics=diagnostics, obs=obs)
+        piped, obs, _ = _streamed_generation(dataset, seed, epsilon, shards)
+        result = piped.result
+        diagnostics = result.pivot_diagnostics
         outcomes.append((
-            clustering.to_state(),
-            oracle.stats.pairs_issued,
-            oracle.stats.iterations,
-            oracle.stats.hits,
-            oracle.batches,
+            result.clustering.to_state(),
+            result.stats.snapshot(),
+            list(result.stats.batch_sizes),
             diagnostics.ks,
             diagnostics.predicted_waste,
             diagnostics.issued_per_round,
-            _collected_events(obs),
+            [event for event in _collected_events(obs)
+             if not event[0].startswith(("runtime", "pipeline.",
+                                         "pruning"))],
         ))
     assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 100_000), st.sampled_from(EPSILONS))
-def test_sharded_pair_set_invariant_and_waste_bounded(seed, epsilon):
-    """The issued pair set is invariant across shard counts, stays within
-    the candidate set, and honors the per-component Equation-4 bound.
-    (The set may differ from the *classic* engine's: the global
-    permutation prefix couples components in classic Equation-4 rounds,
-    so the two round structures waste different pairs — only the
-    clustering is pinned across engines.)"""
-    ids, candidates, fresh_oracle = random_pivot_state(seed)
+def _pair_set_invariant_and_waste_bounded(seed, epsilon):
+    dataset = generate("largescale", scale=0.05, seed=seed, confusion=0.25)
     pair_sets = []
     for shards in (1, 3, 5):
-        oracle = fresh_oracle()
-        diagnostics = PCPivotDiagnostics()
-        pc_pivot(ids, candidates, oracle, epsilon=epsilon, seed=seed,
-                 shards=shards, diagnostics=diagnostics)
-        issued = set(oracle.known_pairs())
+        piped, _, issued = _streamed_generation(dataset, seed, epsilon,
+                                                shards)
         pair_sets.append(issued)
-        assert issued <= set(candidates.pairs)
+        assert len(issued) == piped.result.stats.pairs_issued
+        assert issued <= set(piped.candidates.pairs)
         # Equation 4, summed per round: predicted waste within ε of issued.
-        assert (diagnostics.total_predicted_waste
-                <= epsilon * oracle.stats.pairs_issued + 1e-9)
+        assert (piped.result.pivot_diagnostics.total_predicted_waste
+                <= epsilon * piped.result.stats.pairs_issued + 1e-9)
     assert pair_sets[0] == pair_sets[1] == pair_sets[2]
 
 
+def test_sharded_accounting_invariant_across_shard_counts():
+    """Stats, crowd batch sequence, diagnostics, and the crowd-phase event
+    stream are byte-identical for every pruning shard count (component
+    accounting is canonical, not sealing-order dependent)."""
+    for seed, epsilon in ((0, 0.1), (1, 0.0), (2, 0.3)):
+        _accounting_invariant_across_shard_counts(seed, epsilon)
+
+
+def test_sharded_pair_set_invariant_and_waste_bounded():
+    """The issued pair set is invariant across shard counts, stays within
+    the candidate set, and honors the per-component Equation-4 bound.
+    (The round structure differs from the *classic* engine's: the global
+    permutation prefix couples components in classic Equation-4 rounds,
+    so only the clustering is pinned across engines.)"""
+    for seed, epsilon in ((0, 0.1), (3, 0.05), (4, 1.0)):
+        _pair_set_invariant_and_waste_bounded(seed, epsilon)
+
+
 def test_run_acd_sharded_agrees(tiny_paper):
-    """End-to-end ACD: sharded generation yields the classic clustering,
-    and every shard count yields byte-identical stats.  (Refine's batch
-    composition follows A's arrival order, which sharded generation
-    canonicalizes per component — so classic-vs-sharded *stats* may
-    differ while every sharded config agrees exactly.)"""
+    """End-to-end generation through ``run_acd``: component execution
+    yields the classic clustering (ids included), and every worker count
+    yields byte-identical stats."""
     base = run_acd(tiny_paper.record_ids, tiny_paper.candidates,
-                   tiny_paper.answers, seed=2)
+                   tiny_paper.answers, seed=2, refine=False)
     sharded = {
-        shards: run_acd(tiny_paper.record_ids, tiny_paper.candidates,
-                        tiny_paper.answers, seed=2, pivot_shards=shards)
-        for shards in (1, 3, 8)
+        workers: run_acd(tiny_paper.record_ids, tiny_paper.candidates,
+                         tiny_paper.answers, seed=2, refine=False,
+                         pipeline=True, pipeline_workers=workers)
+        for workers in (0, 2, 3)
     }
+    first = sharded[0]
     for result in sharded.values():
-        assert result.clustering.as_sets() == base.clustering.as_sets()
-    first = sharded[1]
-    for result in sharded.values():
-        assert result.clustering.to_state() == first.clustering.to_state()
+        assert result.clustering.to_state() == base.clustering.to_state()
         assert result.stats == first.stats
 
 
 class TestShardedValidation:
-    def test_reference_engine_rejected(self):
-        ids, candidates, fresh_oracle = random_pivot_state(1)
+    def test_reference_engine_rejected(self, tiny_paper):
         with pytest.raises(ValueError, match="fast"):
-            pc_pivot(ids, candidates, fresh_oracle(), shards=2,
-                     engine="reference")
+            run_acd(tiny_paper.record_ids, tiny_paper.candidates,
+                    tiny_paper.answers, pipeline=True,
+                    pivot_engine="reference")
 
-    def test_negative_shards_rejected(self):
-        ids, candidates, fresh_oracle = random_pivot_state(1)
+    def test_negative_shards_rejected(self, tiny_paper):
         with pytest.raises(ValueError, match="shards"):
-            pc_pivot(ids, candidates, fresh_oracle(), shards=-1)
+            run_pipeline(tiny_paper.answers,
+                         records=tiny_paper.dataset.records,
+                         similarity=jaccard_similarity_function(),
+                         pruning_shards=-1)
 
-    def test_processes_without_shards_rejected(self):
-        ids, candidates, fresh_oracle = random_pivot_state(1)
-        with pytest.raises(ValueError, match="shards"):
-            pc_pivot(ids, candidates, fresh_oracle(), processes=2)
+    def test_processes_without_shards_rejected(self, tiny_paper):
+        """Pool workers without component execution would change nothing
+        but the run's fingerprint."""
+        with pytest.raises(ValueError, match="pipeline"):
+            run_acd(tiny_paper.record_ids, tiny_paper.candidates,
+                    tiny_paper.answers, pipeline_workers=2)
+
+    def test_run_acd_sequential_rejects_pivot_shards(self, tiny_paper):
+        """Sequential Crowd-Pivot has no component decomposition."""
+        with pytest.raises(ValueError, match="parallel"):
+            run_acd(tiny_paper.record_ids, tiny_paper.candidates,
+                    tiny_paper.answers, parallel=False, pipeline=True)
 
     def test_non_pair_deterministic_source_rejected(self):
         """FallbackAnswers tracks degraded pairs statefully — forking it
-        into workers could change answers, so sharding refuses it."""
+        into workers could change answers, so component execution
+        refuses it."""
         ids, candidates, _ = random_pivot_state(1)
         source = FallbackAnswers(ScriptedAnswers({}, num_workers=3),
                                  fallback=lambda pair: 0.0)
-        oracle = CrowdOracle(source)
         with pytest.raises(ValueError, match="pair-deterministic"):
-            pc_pivot(ids, candidates, oracle, shards=2)
-
-    def test_run_acd_sequential_rejects_pivot_shards(self, tiny_paper):
-        with pytest.raises(ValueError, match="parallel"):
-            run_acd(tiny_paper.record_ids, tiny_paper.candidates,
-                    tiny_paper.answers, parallel=False, pivot_shards=2)
+            _pipeline_generation(ids, candidates, source, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -498,18 +545,9 @@ class TestCLI:
                      "--pivot-engine", "reference"]) == 0
         assert "F1" in capsys.readouterr().out
 
-    def test_pivot_shard_flags_parsed(self):
-        args = build_parser().parse_args(
-            ["run", "restaurant", "--pivot-shards", "4",
-             "--pivot-processes", "2"]
-        )
-        assert args.pivot_shards == 4
-        assert args.pivot_processes == 2
-        defaults = build_parser().parse_args(["run", "restaurant"])
-        assert defaults.pivot_shards == 0
-        assert defaults.pivot_processes == 0
-
     def test_run_with_pivot_shards(self, capsys):
+        """Component-sharded generation runs through ``--pipeline``."""
         assert main(["run", "restaurant", "--scale", "0.05",
-                     "--method", "PC-Pivot", "--pivot-shards", "3"]) == 0
+                     "--method", "PC-Pivot", "--pipeline",
+                     "--pipeline-workers", "2"]) == 0
         assert "F1" in capsys.readouterr().out

@@ -1,11 +1,14 @@
-"""Sharded PC-Refine: cross-configuration byte-identity and wiring.
+"""Sharded PC-Refine: cross-configuration byte-identity, classic parity, wiring.
 
-The identity contract (see ``repro/core/refine_shard.py``): every
-``{shards, processes}`` configuration of the sharded engine produces a
-byte-identical clustering, crowd-stats, and diagnostics — the shard
-layout is a pure execution detail.  Parity with the *classic* fast
-engine is empirical, not guaranteed; it holds on the paper's three
-datasets and is asserted for them here.
+Component refinement runs inside :func:`~repro.runtime.pipeline.run_pipeline`
+(``run_acd(pipeline=True)``).  Its identity contract (see
+``repro/core/refine_shard.py``): every ``{pruning shards, workers}``
+configuration produces a byte-identical clustering, crowd stats, and
+diagnostics.  Parity with the *classic* fast engine is empirical, not
+guaranteed; it holds on the paper's three datasets and is asserted for
+them here through the checkpoint route — classic generation writes a
+``generation`` checkpoint, and the pipeline resumes from it, so only
+refinement runs component by component.
 """
 
 import tempfile
@@ -14,11 +17,15 @@ from pathlib import Path
 import pytest
 
 from repro.core.acd import run_acd
-from repro.core.pc_pivot import pc_pivot
-from repro.core.pc_refine import PCRefineDiagnostics, pc_refine
-from repro.crowd.oracle import CrowdOracle
-from repro.experiments.runner import prepare_instance
+from repro.crowd.cache import AnswerFile
+from repro.crowd.worker import WorkerPool
+from repro.datasets.registry import generate
+from repro.experiments.configs import PRUNING_THRESHOLD, difficulty_model
+from repro.experiments.runner import prepare_instance, run_method
+from repro.pruning.candidate import build_candidate_set
 from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.pipeline import run_pipeline
+from repro.similarity.composite import jaccard_similarity_function
 
 SEED = 3
 
@@ -27,20 +34,12 @@ def _instance(name="largescale", scale=0.2, seed=0, **kwargs):
     return prepare_instance(name, "3w", scale=scale, seed=seed, **kwargs)
 
 
-def _refined(instance, shards=0, processes=0, seed=SEED):
-    oracle = CrowdOracle(instance.answers)
-    clustering = pc_pivot(instance.record_ids, instance.candidates, oracle,
-                          seed=seed)
-    diagnostics = PCRefineDiagnostics()
-    clustering = pc_refine(
-        clustering, instance.candidates, oracle,
-        num_records=len(instance.record_ids), diagnostics=diagnostics,
-        shards=shards, processes=processes,
-    )
+def _outcome(result):
+    diagnostics = result.refine_diagnostics
     return {
-        "clustering": clustering.to_state(),
-        "stats": oracle.stats.snapshot(),
-        "batches": list(oracle.stats.batch_sizes),
+        "clustering": result.clustering.to_state(),
+        "stats": result.stats.snapshot(),
+        "batches": list(result.stats.batch_sizes),
         "rounds": diagnostics.rounds,
         "batch_sizes": diagnostics.batch_sizes,
         "packed": diagnostics.operations_packed,
@@ -51,55 +50,70 @@ def _refined(instance, shards=0, processes=0, seed=SEED):
     }
 
 
+def _classic(instance, seed=SEED):
+    return _outcome(run_acd(instance.record_ids, instance.candidates,
+                            instance.answers, seed=seed))
+
+
+def _classic_generation_then_sharded_refine(instance, seed=SEED, workers=0):
+    """Classic PC-Pivot, then component PC-Refine resumed from its
+    ``generation`` checkpoint (the pipeline adds a ``refinement`` one)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        store = CheckpointStore(Path(tmp), config={"seed": seed})
+        run_acd(instance.record_ids, instance.candidates, instance.answers,
+                seed=seed, refine=False, checkpoints=store)
+        result = run_pipeline(instance.answers,
+                              record_ids=instance.record_ids,
+                              candidates=instance.candidates,
+                              workers=workers, checkpoints=store,
+                              resume=True).result
+    return _outcome(result)
+
+
+def _streamed(dataset, answers, shards, workers):
+    return _outcome(run_pipeline(
+        answers, records=dataset.records,
+        similarity=jaccard_similarity_function(),
+        threshold=PRUNING_THRESHOLD, pruning_shards=shards,
+        workers=workers, seed=SEED,
+    ).result)
+
+
 class TestCrossConfigIdentity:
     def test_every_shard_count_is_byte_identical(self):
-        reference = _refined(_instance(), shards=1)
-        for shards in (2, 5, 9, 64):
-            assert _refined(_instance(), shards=shards) == reference, shards
+        instance = _instance()
+        reference = _streamed(instance.dataset, instance.answers, 1, 0)
+        for shards, workers in ((2, 0), (5, 2), (9, 3)):
+            assert (_streamed(instance.dataset, instance.answers, shards,
+                              workers) == reference), shards
 
     def test_identity_survives_a_confused_population(self):
         # The confusion knob gives refinement real over/under-merge work
         # (multi-round components), so this exercises packed rounds and
         # the histogram-evolution path, not just the free pass.
-        from repro.crowd.cache import AnswerFile
-        from repro.crowd.worker import WorkerPool
-        from repro.datasets.registry import generate
-        from repro.experiments.configs import (
-            PRUNING_THRESHOLD,
-            difficulty_model,
-        )
-        from repro.pruning.candidate import build_candidate_set
-        from repro.similarity.composite import jaccard_similarity_function
-
         dataset = generate("largescale", scale=0.3, seed=0, confusion=0.25)
         candidates = build_candidate_set(
             dataset.records, jaccard_similarity_function(),
             threshold=PRUNING_THRESHOLD,
         )
-        workers = WorkerPool(difficulty=difficulty_model("largescale"),
-                             num_workers=3)
+        crowd = WorkerPool(difficulty=difficulty_model("largescale"),
+                           num_workers=3)
 
-        def run(shards):
-            oracle = CrowdOracle(AnswerFile(dataset.gold, workers))
-            clustering = pc_pivot(dataset.record_ids, candidates, oracle,
-                                  seed=SEED)
-            diagnostics = PCRefineDiagnostics()
-            clustering = pc_refine(
-                clustering, candidates, oracle,
-                num_records=len(dataset.records), diagnostics=diagnostics,
-                shards=shards,
-            )
-            return (clustering.to_state(), oracle.stats.snapshot(),
-                    diagnostics.rounds, diagnostics.batch_sizes,
-                    diagnostics.operations_applied)
+        def run(workers):
+            return _outcome(run_pipeline(
+                AnswerFile(dataset.gold, crowd),
+                record_ids=dataset.record_ids, candidates=candidates,
+                workers=workers, seed=SEED,
+            ).result)
 
-        reference = run(1)
-        assert reference[2] >= 1
-        for shards in (3, 8):
-            assert run(shards) == reference, shards
+        reference = run(0)
+        assert reference["rounds"] >= 1
+        for workers in (2, 3):
+            assert run(workers) == reference, workers
 
     def test_sharded_ids_are_canonical(self):
-        state = _refined(_instance(), shards=4)["clustering"]
+        state = _classic_generation_then_sharded_refine(
+            _instance(), workers=2)["clustering"]
         clusters = sorted(state["clusters"], key=lambda entry: entry[0])
         ids = [cid for cid, _ in clusters]
         assert ids == list(range(len(ids)))
@@ -113,48 +127,43 @@ class TestClassicParity:
         ("paper", 0.3), ("restaurant", 0.5), ("product", 0.15),
     ])
     def test_sharded_matches_classic_on_paper_datasets(self, name, scale):
-        classic = _refined(_instance(name, scale=scale))
-        sharded = _refined(_instance(name, scale=scale), shards=4)
+        classic = _classic(_instance(name, scale=scale))
+        sharded = _classic_generation_then_sharded_refine(
+            _instance(name, scale=scale))
+        assert sharded["clustering"] == classic["clustering"]
+        assert sharded["stats"] == classic["stats"]
+
+    def test_sharded_matches_classic_at_largescale(self):
+        instance = _instance(scale=0.5)
+        classic = _classic(instance)
+        sharded = _classic_generation_then_sharded_refine(
+            _instance(scale=0.5), workers=2)
         assert sharded["clustering"] == classic["clustering"]
         assert sharded["stats"] == classic["stats"]
 
 
 class TestValidation:
-    def _setup(self, **kwargs):
-        instance = _instance(scale=0.05)
-        oracle = CrowdOracle(instance.answers)
-        clustering = pc_pivot(instance.record_ids, instance.candidates,
-                              oracle, seed=SEED)
-        return clustering, instance.candidates, oracle, instance
-
-    def test_negative_shards_rejected(self):
-        clustering, candidates, oracle, instance = self._setup()
-        with pytest.raises(ValueError, match="shards must be >= 0"):
-            pc_refine(clustering, candidates, oracle,
-                      num_records=len(instance.record_ids), shards=-1)
-
     def test_processes_without_shards_rejected(self):
-        clustering, candidates, oracle, instance = self._setup()
-        with pytest.raises(ValueError, match="require refine shards"):
-            pc_refine(clustering, candidates, oracle,
-                      num_records=len(instance.record_ids), processes=2)
+        """``run_method`` forwards the worker count, and pool workers
+        without component execution are rejected."""
+        with pytest.raises(ValueError, match="pipeline_workers"):
+            run_method("ACD", _instance(scale=0.05), seed=7,
+                       pipeline_workers=2)
 
     def test_reference_engine_rejected(self):
-        clustering, candidates, oracle, instance = self._setup()
-        with pytest.raises(ValueError, match="'fast' engine"):
-            pc_refine(clustering, candidates, oracle,
-                      num_records=len(instance.record_ids), shards=2,
-                      engine="reference")
+        with pytest.raises(ValueError, match="'fast' engines"):
+            run_method("ACD", _instance(scale=0.05), seed=7, pipeline=True,
+                       refine_engine="reference")
 
     def test_max_refinement_pairs_rejected(self):
-        clustering, candidates, oracle, instance = self._setup()
+        instance = _instance(scale=0.05)
         with pytest.raises(ValueError, match="max_refinement_pairs"):
-            pc_refine(clustering, candidates, oracle,
-                      num_records=len(instance.record_ids), shards=2,
-                      max_refinement_pairs=50)
+            run_acd(instance.record_ids, instance.candidates,
+                    instance.answers, seed=7, pipeline=True,
+                    max_refinement_pairs=50)
 
     def test_non_pair_deterministic_source_rejected(self):
-        clustering, candidates, oracle, instance = self._setup()
+        instance = _instance(scale=0.05)
 
         class Opaque:
             num_workers = 3
@@ -163,45 +172,44 @@ class TestValidation:
                 return 1.0
 
         with pytest.raises(ValueError, match="pair-deterministic"):
-            pc_refine(clustering, candidates, CrowdOracle(Opaque()),
-                      num_records=len(instance.record_ids), shards=2)
+            run_pipeline(Opaque(), record_ids=instance.record_ids,
+                         candidates=instance.candidates)
 
 
 class TestRunAcdWiring:
     def test_sharded_run_acd_matches_classic(self):
-        def acd(refine_shards=0):
-            instance = _instance(scale=0.1)
+        def acd(**kwargs):
+            instance = _instance("restaurant", scale=0.3)
             return run_acd(instance.record_ids, instance.candidates,
                            instance.answers, seed=7, parallel=True,
-                           refine_shards=refine_shards)
+                           **kwargs)
 
         classic = acd()
-        sharded = acd(refine_shards=4)
+        sharded = acd(pipeline=True, pipeline_workers=2)
         assert (sharded.clustering.to_state()
                 == classic.clustering.to_state())
-        assert sharded.stats.snapshot() == classic.stats.snapshot()
-        assert sharded.refinement_stats == classic.refinement_stats
+        assert sharded.stats.pairs_issued == classic.stats.pairs_issued
 
     def test_refine_shards_require_parallel(self):
         instance = _instance(scale=0.05)
         with pytest.raises(ValueError, match="parallel=True"):
             run_acd(instance.record_ids, instance.candidates,
                     instance.answers, seed=7, parallel=False,
-                    refine_shards=2)
+                    pipeline=True)
 
     def test_refine_shards_reject_reference_engine(self):
         instance = _instance(scale=0.05)
-        with pytest.raises(ValueError, match="'fast' engine"):
+        with pytest.raises(ValueError, match="'fast' engines"):
             run_acd(instance.record_ids, instance.candidates,
                     instance.answers, seed=7, parallel=True,
-                    refine_shards=2, refine_engine="reference")
+                    pipeline=True, refine_engine="reference")
 
     def test_refine_shards_reject_pair_cap(self):
         instance = _instance(scale=0.05)
         with pytest.raises(ValueError, match="max_refinement_pairs"):
             run_acd(instance.record_ids, instance.candidates,
-                    instance.answers, seed=7, parallel=True,
-                    refine_shards=2, max_refinement_pairs=10)
+                    instance.answers, seed=7, parallel=True, pipeline=True,
+                    pipeline_workers=2, max_refinement_pairs=10)
 
 
 class TestRefinementCheckpoint:
@@ -211,7 +219,7 @@ class TestRefinementCheckpoint:
         def acd(instance, checkpoints=None, resume=False):
             return run_acd(instance.record_ids, instance.candidates,
                            instance.answers, seed=7, parallel=True,
-                           refine_shards=3, checkpoints=checkpoints,
+                           pipeline=True, checkpoints=checkpoints,
                            resume=resume)
 
         uninterrupted = acd(_instance(scale=0.1))
@@ -244,18 +252,9 @@ class TestRefinementCheckpoint:
 
 
 class TestCliWiring:
-    def test_cli_exposes_refine_shard_flags(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["run", "restaurant", "--refine-shards", "4",
-             "--refine-processes", "2"])
-        assert args.refine_shards == 4
-        assert args.refine_processes == 2
-
     def test_cli_defaults_keep_classic_path(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["run", "restaurant"])
-        assert args.refine_shards == 0
-        assert args.refine_processes == 0
+        assert args.pipeline is False
+        assert args.pipeline_workers == 0

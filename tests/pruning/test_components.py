@@ -1,4 +1,4 @@
-"""Connected-component partitioning and largest-first shard packing."""
+"""Connected-component partitioning of the candidate graph."""
 
 import random as random_module
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.pruning.components import (
     _components_python,
     connected_components,
-    pack_components,
 )
 
 
@@ -62,33 +61,3 @@ class TestConnectedComponents:
                  for b in vertices[i + 1:] if rng.random() < 0.08]
         assert connected_components(vertices, pairs) == \
             _components_python(vertices, pairs)
-
-
-class TestPackComponents:
-    def test_largest_first_balances_loads(self):
-        components = [(0, 1, 2, 3), (4, 5, 6), (7, 8), (9,)]
-        # LPT: sizes 4,3,2,1 -> bins [4, then 1] and [3, then 2].
-        assert pack_components(components, 2) == [[0, 3], [1, 2]]
-
-    def test_more_shards_than_components_leaves_empty_bins(self):
-        assert pack_components([(0, 1)], 3) == [[0], [], []]
-
-    def test_zero_shards_rejected(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            pack_components([(0,)], 0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 100_000), st.integers(1, 6))
-    def test_every_component_packed_exactly_once(self, seed, num_shards):
-        rng = random_module.Random(seed)
-        components = [tuple(range(base, base + rng.randint(1, 9)))
-                      for base in range(0, 100, 10)]
-        packed = pack_components(components, num_shards)
-        assert len(packed) == num_shards
-        flat = sorted(index for shard in packed for index in shard)
-        assert flat == list(range(len(components)))
-        # No bin exceeds the optimum by more than the largest component.
-        loads = [sum(len(components[index]) for index in shard)
-                 for shard in packed]
-        largest = max(len(c) for c in components)
-        assert max(loads) - min(load for load in loads) <= largest

@@ -2,8 +2,9 @@
 
 1. A sharded pruning run at the 10k-record tier with injected worker
    kills completes byte-identical to the fault-free run.
-2. The chaos suite's process-fault matrix and checkpoint kill-resume
-   checks report byte-identity and no re-executed phases.
+2. The chaos suite's process-fault matrices (sharded pruning and the
+   pipelined executor) and checkpoint kill-resume checks report
+   byte-identity and no re-executed phases.
 """
 
 import multiprocessing
@@ -12,7 +13,7 @@ import pytest
 
 from repro.experiments.chaos import (
     run_checkpoint_kill_resume,
-    run_generation_process_faults,
+    run_pipeline_process_faults,
     run_runtime_process_faults,
 )
 from repro.similarity.kernels import numpy_available
@@ -73,13 +74,14 @@ class TestChaosSuiteChecks:
         assert by_kind["poison"]["runtime_counters"].get(
             "runtime_task_retries_total", 0) >= 1
 
-    def test_generation_fault_matrix(self):
-        checks = run_generation_process_faults(records=2_000,
-                                               faults_per_kind=1)
+    def test_pipeline_fault_matrix(self):
+        checks = run_pipeline_process_faults(records=2_000,
+                                             faults_per_kind=1)
         by_kind = {check["fault"]: check for check in checks}
         assert set(by_kind) == {"kill", "delay", "poison"}
         assert all(check["byte_identical"] for check in checks)
         assert all(check["classic_identical"] for check in checks)
+        assert all(check["barrier_identical"] for check in checks)
         assert by_kind["kill"]["runtime_counters"].get(
             "runtime_worker_crashes_total", 0) >= 1
         assert by_kind["poison"]["runtime_counters"].get(

@@ -5,7 +5,8 @@ checkpoint kill-resume, and journal composition.
 The pipelined executor's hard contract is that overlapping the
 pruning → pivot → refine phase barriers changes *when* work runs, never
 *what* it computes: the candidate set and the final clustering (cluster
-ids included) must be byte-identical to barrier execution for every
+ids included) must be byte-identical to barrier execution — the full
+pruning join first, then the pre-pruned pipeline run inline — for every
 ``{pruning shards, workers, fault plan}`` configuration.  The sealing
 accumulator that makes the overlap safe is property-tested here against
 :func:`~repro.pruning.components.connected_components` under arbitrary
@@ -128,12 +129,10 @@ def _identity_view(outcome):
 
 
 def _barrier_core():
-    result = run_acd(
-        _DATASET.record_ids, _CANDIDATES,
-        AnswerFile(_DATASET.gold, _WORKERS), seed=SEED,
-        pivot_shards=8, pivot_processes=2,
-        refine_shards=8, refine_processes=2,
-    )
+    result = run_pipeline(
+        AnswerFile(_DATASET.gold, _WORKERS), record_ids=_DATASET.record_ids,
+        candidates=_CANDIDATES, seed=SEED,
+    ).result
     return {
         "pairs": _CANDIDATES.pairs,
         "scores": tuple(sorted(_CANDIDATES.machine_scores.items())),
@@ -164,9 +163,15 @@ class TestBarrierParity:
 
     def test_pre_pruned_entry_matches_barrier(self):
         """The record_ids+candidates entry shape (pruning already done)
-        dispatches every component immediately and still matches."""
+        dispatches every component immediately and matches the inline
+        barrier run on the pool, and through ``run_acd(pipeline=True)``."""
         outcome = _pipeline_outcome(pre_pruned=True, workers=2)
         assert _core(outcome) == _barrier_core()
+        result = run_acd(_DATASET.record_ids, _CANDIDATES,
+                         AnswerFile(_DATASET.gold, _WORKERS), seed=SEED,
+                         pipeline=True, pipeline_workers=2)
+        assert result.clustering.to_state() == outcome["clustering"]
+        assert result.stats.snapshot() == outcome["stats"]
 
 
 class TestFaultByteIdentity:
@@ -286,17 +291,13 @@ class TestAutoshard:
             "pruning", records=AUTO_MIN_RECORDS, requested="auto") == 8
         assert resolve_auto_shards(
             "pruning", records=AUTO_MIN_RECORDS - 1, requested="auto") == 1
-        assert resolve_auto_shards(
-            "pivot", records=AUTO_MIN_RECORDS, requested="auto") == 64
-        assert resolve_auto_shards(
-            "pivot", records=100, requested="auto") == 0
-        assert resolve_auto_shards(
-            "refine", records=100, requested="auto") == 0
+        # Pruning is the only phase with a shard knob left.
+        for kind in ("pivot", "refine"):
+            with pytest.raises(ValueError, match="unknown autoshard kind"):
+                resolve_auto_shards(kind, records=100, requested="auto")
 
     def test_explicit_integers_pass_through(self):
-        for kind in ("pruning", "pivot", "refine"):
-            assert resolve_auto_shards(kind, records=1,
-                                       requested=5) == 5
+        assert resolve_auto_shards("pruning", records=1, requested=5) == 5
 
     def test_auto_resolution_is_observable(self):
         obs = ObsContext()

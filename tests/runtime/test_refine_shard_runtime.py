@@ -1,14 +1,17 @@
-"""Sharded parallel refinement: byte-identity under processes, fault
-schedules, fork fallback, and checkpoint kill-resume.
+"""Sharded refinement on the supervised pool: byte-identity under worker
+counts, fault schedules, fork fallback, and checkpoint kill-resume.
 
-The cross-shard coordinator replays worker round logs through the
-caller's oracle in min-rank merged-round order, so the clustering,
+Refinement runs component by component inside
+:func:`~repro.runtime.pipeline.run_pipeline`; here it resumes from a
+classic ``generation`` checkpoint, so only the refinement phase runs on
+the pool.  The coordinator replays worker round logs through the
+caller's oracle in canonical merged-round order, so the clustering,
 crowd stats, diagnostics, and event streams must be byte-identical for
-every ``{shards, processes, fault plan}`` configuration.  (Parity with
-the *classic* engine is empirical and covered for the paper's datasets
-in ``tests/core/test_refine_shard.py`` — the confused largescale
-population used here diverges from classic by design, which is exactly
-why it exercises the coordination paths.)
+every ``{workers, fault plan}`` configuration.  (Parity with the
+*classic* engine is empirical and covered for the paper's datasets in
+``tests/core/test_refine_shard.py`` — the confused largescale population
+used here diverges from classic by design, which is exactly why it
+exercises the coordination paths.)
 """
 
 import multiprocessing
@@ -17,9 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.acd import run_acd
-from repro.core.pc_pivot import pc_pivot
-from repro.core.pc_refine import PCRefineDiagnostics, pc_refine
+from repro.core.acd import _generation_state, run_acd
+from repro.core.pc_pivot import PCPivotDiagnostics, pc_pivot
 from repro.crowd.cache import AnswerFile
 from repro.crowd.oracle import CrowdOracle
 from repro.crowd.worker import WorkerPool
@@ -30,14 +32,16 @@ from repro.pruning.candidate import build_candidate_set
 from repro.pruning.parallel import ParallelFallbackWarning
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.faults import ProcessFaultPlan
+from repro.runtime.pipeline import run_pipeline
 from repro.runtime.supervisor import SupervisorPolicy
 from repro.similarity.composite import jaccard_similarity_function
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the sharded refinement pool requires the 'fork' start method",
+    reason="the supervised worker pool requires the 'fork' start method",
 )
 
+#: Fault plans target the first SHARDS refine tasks.
 SHARDS = 6
 SEED = 3
 POLICY = SupervisorPolicy(backoff_base_s=0.005)
@@ -51,23 +55,34 @@ _WORKERS = WorkerPool(difficulty=difficulty_model("largescale"),
                       num_workers=3)
 
 
-def _refine_outcome(shards=SHARDS, processes=0, fault_plan=None,
-                    policy=POLICY):
+def _generation_checkpoint():
+    """The classic generation phase's checkpoint payload (computed once)."""
+    answers = AnswerFile(_DATASET.gold, _WORKERS)
+    oracle = CrowdOracle(answers)
+    diagnostics = PCPivotDiagnostics()
+    clustering = pc_pivot(_DATASET.record_ids, _CANDIDATES, oracle,
+                          seed=SEED, diagnostics=diagnostics)
+    return _generation_state(clustering, oracle, answers, diagnostics)
+
+
+_GENERATION = _generation_checkpoint()
+
+
+def _refine_outcome(processes=0, fault_plan=None, policy=POLICY):
     # AnswerFile resolves each pair from a pair-seeded RNG, so a fresh
     # instance per run replays identical answers; the confused
     # population guarantees multi-round components (real packed work).
-    oracle = CrowdOracle(AnswerFile(_DATASET.gold, _WORKERS))
-    clustering = pc_pivot(_DATASET.record_ids, _CANDIDATES, oracle,
-                          seed=SEED)
-    diagnostics = PCRefineDiagnostics()
     obs = ObsContext()
-    with obs.span("refinement"):
-        clustering = pc_refine(
-            clustering, _CANDIDATES, oracle,
-            num_records=len(_DATASET.records), diagnostics=diagnostics,
-            shards=shards, processes=processes,
+    with tempfile.TemporaryDirectory() as tmp:
+        store = CheckpointStore(Path(tmp), config={"seed": SEED})
+        store.save("generation", _GENERATION)
+        result = run_pipeline(
+            AnswerFile(_DATASET.gold, _WORKERS),
+            record_ids=_DATASET.record_ids, candidates=_CANDIDATES,
+            workers=processes, checkpoints=store, resume=True,
             supervisor_policy=policy, fault_plan=fault_plan, obs=obs,
-        )
+        ).result
+    diagnostics = result.refine_diagnostics
     events = []
 
     def walk(span):
@@ -79,9 +94,9 @@ def _refine_outcome(shards=SHARDS, processes=0, fault_plan=None,
     for root in obs.tracer.roots:
         walk(root)
     return {
-        "clustering": clustering.to_state(),
-        "stats": oracle.stats.snapshot(),
-        "batches": list(oracle.stats.batch_sizes),
+        "clustering": result.clustering.to_state(),
+        "stats": result.stats.snapshot(),
+        "batches": list(result.stats.batch_sizes),
         "rounds": diagnostics.rounds,
         "batch_sizes": diagnostics.batch_sizes,
         "packed": diagnostics.operations_packed,
@@ -89,7 +104,9 @@ def _refine_outcome(shards=SHARDS, processes=0, fault_plan=None,
         "free": diagnostics.free_operations_applied,
         "evaluations": diagnostics.operation_evaluations,
         "cache": diagnostics.evaluation_cache,
-        "events": [e for e in events if not e[0].startswith("runtime")],
+        # Scheduling telemetry legitimately varies with the pool size.
+        "events": [e for e in events
+                   if not e[0].startswith(("runtime", "pipeline."))],
         "counters": obs.metrics.as_dict()["counters"],
     }
 
@@ -140,9 +157,11 @@ class TestFaultByteIdentity:
 
 class TestForkFallback:
     def test_fallback_warns_when_fork_unavailable(self, monkeypatch):
-        import repro.core.refine_shard as refine_shard
+        import repro.runtime.pipeline as pipeline
+        import repro.runtime.supervisor as supervisor
 
-        monkeypatch.setattr(refine_shard, "fork_available", lambda: False)
+        monkeypatch.setattr(pipeline, "fork_available", lambda: False)
+        monkeypatch.setattr(supervisor, "_fork_available", lambda: False)
         serial = _refine_outcome()
         with pytest.warns(ParallelFallbackWarning):
             fallen_back = _refine_outcome(processes=4)
@@ -167,7 +186,7 @@ class TestJournalComposition:
             return run_acd(
                 _DATASET.record_ids, _CANDIDATES,
                 AnswerFile(_DATASET.gold, _WORKERS), seed=7,
-                refine_shards=SHARDS, refine_processes=2,
+                pipeline=True, pipeline_workers=2,
                 journal_path=journal_path,
             )
 
@@ -191,12 +210,12 @@ class TestCheckpointKillResume:
         resumes in a fresh process and reports byte-identical to an
         uninterrupted sharded run — without touching the crowd at all."""
         config = {"dataset": "largescale", "scale": 0.2, "seed": 0,
-                  "refine_shards": SHARDS}
+                  "pipeline": True}
 
         def acd(answers, checkpoints=None, resume=False):
             return run_acd(
                 _DATASET.record_ids, _CANDIDATES, answers, seed=7,
-                refine_shards=SHARDS, refine_processes=2,
+                pipeline=True, pipeline_workers=2,
                 checkpoints=checkpoints, resume=resume,
             )
 

@@ -15,6 +15,7 @@ from repro.obs import ObsContext
 from repro.runtime.faults import ProcessFaultPlan
 from repro.runtime.supervisor import (
     RuntimeReport,
+    SupervisedPool,
     SupervisorPolicy,
     supervised_map,
 )
@@ -192,6 +193,88 @@ class TestInterruptHygiene:
         with pytest.raises(Exception):
             supervised_map(_square, payloads, processes=2)
         assert _no_new_children(before) == []
+
+
+#: Module-global state the pool tests publish and broadcast into.
+_STATE = {}
+
+
+def _offset_square(value):
+    return value * value + _STATE.get("offset", 0)
+
+
+def _sleep_then_square(value):
+    import time
+
+    time.sleep(0.3)
+    return value * value
+
+
+class TestSupervisedPool:
+    def _collect(self, pool, count):
+        return dict(pool.next_result() for _ in range(count))
+
+    def test_broadcast_reaches_live_workers(self):
+        pool = SupervisedPool(_offset_square, 2, state=_STATE)
+        try:
+            first = [pool.submit(value) for value in range(4)]
+            assert self._collect(pool, 4) == {
+                index: value * value for index, value in enumerate(range(4))}
+            pool.broadcast("offset", 100)
+            later = [pool.submit(value) for value in range(4)]
+            results = self._collect(pool, 4)
+        finally:
+            pool.close()
+            _STATE.clear()
+        assert first == [0, 1, 2, 3] and later == [4, 5, 6, 7]
+        assert results == {index: value * value + 100
+                           for index, value in zip(later, range(4))}
+        assert pool.report.tasks == 8
+        assert pool.bytes_shipped > 0
+
+    def test_one_process_runs_inline(self):
+        before = multiprocessing.active_children()
+        pool = SupervisedPool(_square, 1)
+        try:
+            for value in PAYLOADS:
+                pool.submit(value)
+            assert _no_new_children(before) == []
+            results = self._collect(pool, len(PAYLOADS))
+        finally:
+            pool.close()
+        assert [results[index] for index in range(len(PAYLOADS))] == EXPECTED
+
+    def test_task_deadline_redispatches_stragglers(self):
+        plan = ProcessFaultPlan(delay_tasks=frozenset({0}),
+                                delay_seconds=0.5)
+        policy = SupervisorPolicy(backoff_base_s=0.001,
+                                  task_deadline_s=0.05)
+        pool = SupervisedPool(_square, 2, policy=policy, fault_plan=plan)
+        try:
+            for value in PAYLOADS[:4]:
+                pool.submit(value)
+            results = self._collect(pool, 4)
+        finally:
+            pool.close()
+        assert [results[index] for index in range(4)] == EXPECTED[:4]
+        assert pool.report.straggler_redispatches >= 1
+
+    def test_waiting_on_busy_workers_does_not_spin(self):
+        """Regression: a queued task with every worker busy must block in
+        the wait, not poll it with a zero timeout."""
+        import time
+
+        pool = SupervisedPool(_sleep_then_square, 2)
+        try:
+            for value in range(4):
+                pool.submit(value)
+            cpu_before = time.process_time()
+            results = self._collect(pool, 4)
+            cpu_spent = time.process_time() - cpu_before
+        finally:
+            pool.close()
+        assert results == {value: value * value for value in range(4)}
+        assert cpu_spent < 0.2
 
 
 class TestPolicy:

@@ -175,6 +175,45 @@ class TestRunFlagValidation:
         assert f1 and f1[0] in second
 
 
+class TestExecutionKnobs:
+    def test_pipeline_workers_without_pipeline_rejected(self):
+        """Regression: a worker count without the pipeline computed the
+        same thing as no worker count, yet entered the checkpoint and
+        journal fingerprints — so two equivalent runs refused to resume
+        each other.  Both entry points now reject the combination."""
+        from repro.core.acd import run_acd
+        from repro.experiments.runner import prepare_instance
+
+        with pytest.raises(SystemExit,
+                           match="--pipeline-workers requires --pipeline"):
+            main(["run", "restaurant", "--scale", "0.05",
+                  "--pipeline-workers", "2"])
+        instance = prepare_instance("restaurant", "3w", scale=0.05)
+        with pytest.raises(ValueError, match="pipeline_workers"):
+            run_acd(instance.record_ids, instance.candidates,
+                    instance.answers, pipeline_workers=2)
+
+    def test_pipeline_workers_with_pipeline_runs(self, capsys):
+        assert main(["run", "restaurant", "--scale", "0.05", "--pipeline",
+                     "--pipeline-workers", "2"]) == 0
+        assert "F1" in capsys.readouterr().out
+
+    def test_auto_shards_trace_writes_a_valid_manifest(self, capsys,
+                                                       tmp_path):
+        """``--shards auto`` is the one string-valued knob left; the
+        manifest it records must pass ``repro trace validate``."""
+        import json
+
+        trace = tmp_path / "auto.trace.jsonl"
+        assert main(["run", "restaurant", "--scale", "0.1",
+                     "--shards", "auto", "--trace", str(trace)]) == 0
+        manifest = tmp_path / "auto.trace.manifest.json"
+        assert json.loads(manifest.read_text())["config"]["shards"] == "auto"
+        capsys.readouterr()
+        assert main(["trace", "validate", str(manifest)]) == 0
+        assert "valid" in capsys.readouterr().out
+
+
 class TestCheckpointCli:
     def test_checkpoint_dir_writes_phase_snapshots(self, capsys, tmp_path):
         checkpoint_dir = tmp_path / "ck"
