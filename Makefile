@@ -18,28 +18,29 @@ bench-smoke:
 	REPRO_BENCH_SCALE=0.3 python benchmarks/bench_pruning.py
 	REPRO_BENCH_SCALE=0.2 python benchmarks/bench_endtoend.py
 
-# Refinement-engine benchmark: fast (incremental, cached) vs reference
-# (full re-evaluation) PC-Refine on every dataset, asserting identical
-# outputs.  Regenerates BENCH_refine.json at the repo root.
+# Refinement benchmark: the incremental, cached PC-Refine vs its
+# full-re-evaluation oracle (repro.reference) on every dataset, asserting
+# identical outputs.  Regenerates BENCH_refine.json at the repo root.
 bench-refine:
 	REPRO_BENCH_SCALE=0.5 python benchmarks/bench_refine.py
 
-# Pivot-engine benchmark: fast (incremental live order, fused Equation-4
-# scan) vs reference (per-round re-derivation) PC-Pivot on every dataset,
-# asserting identical outputs.  Regenerates BENCH_pivot.json at the repo
-# root.
+# Pivot benchmark: the incremental PC-Pivot (live order, fused Equation-4
+# scan) vs its per-round re-derivation oracle (repro.reference) on every
+# dataset, asserting identical outputs.  Regenerates BENCH_pivot.json at
+# the repo root.
 bench-pivot:
 	REPRO_BENCH_SCALE=1.0 python benchmarks/bench_pivot.py
 
 # Scale benchmark: vectorized sharded pruning vs the scalar paths on the
 # synthetic largescale population (10k / 100k / 1M records), asserting
 # byte-identical candidate sets, plus the cluster-generation stage
-# (classic vs sharded-parallel PC-Pivot, identical clusterings, crowd-
-# iteration and wall-clock speedups) on tiers up to
-# REPRO_BENCH_GENERATION_CAP and the refinement stage (classic vs
-# sharded-parallel PC-Refine on a confused regeneration of the tier,
-# refine_speedup / refine_iteration_speedup, advisory classic-parity
-# flag) on tiers up to REPRO_BENCH_REFINE_CAP.  Regenerates
+# (classic PC-Pivot vs the component-decomposed run_pipeline, identical
+# clusterings, crowd-iteration and wall-clock speedups) on tiers up to
+# REPRO_BENCH_GENERATION_CAP and the refinement stage (classic PC-Refine
+# vs run_pipeline resumed from the classic generation checkpoint, on a
+# confused regeneration of the tier, refine_speedup /
+# refine_iteration_speedup, advisory classic-parity flag) on tiers up to
+# REPRO_BENCH_REFINE_CAP.  Regenerates
 # BENCH_scale.json at the repo root with records/sec, pairs/sec, and
 # peak-RSS meters.
 bench-scale:

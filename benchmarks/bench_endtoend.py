@@ -8,18 +8,15 @@ Standalone (no pytest)::
 
     REPRO_BENCH_SCALE=0.3 python benchmarks/bench_endtoend.py
 
+The ``acd_reference`` stage swaps PC-Refine for its full-re-evaluation
+oracle and ``acd_pivot_reference`` swaps PC-Pivot for its per-round
+re-derivation oracle (both from ``repro.reference``); each asserts the
+same pairs and F1 as the ``acd`` stage, and the deltas are the
+incremental loops' end-to-end wins.
+
 Environment knobs:
     REPRO_BENCH_SCALE          dataset scale (default 1.0)
-    REPRO_BENCH_ENGINE         pruning engine (default auto)
-    REPRO_BENCH_PARALLEL       reference-scoring worker processes (default 0)
-    REPRO_BENCH_REFINE_ENGINE  refinement engine for the ``acd`` stage
-                               (default fast; the ``acd_reference`` stage
-                               always runs the reference engine for the
-                               speedup comparison)
-    REPRO_BENCH_PIVOT_ENGINE   cluster-generation engine for the ``acd``
-                               stage (default fast; the
-                               ``acd_pivot_reference`` stage always runs
-                               the reference engine for the comparison)
+    REPRO_BENCH_PARALLEL       pruning worker processes (default 0)
     REPRO_BENCH_STAGES         comma list of stage groups to run:
                                ``classic`` (the per-dataset stages above),
                                ``pipelined`` (the makespan comparison
@@ -58,6 +55,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.core.pc_pivot import pc_pivot  # noqa: E402
+from repro.core.pc_refine import pc_refine  # noqa: E402
+from repro.eval.metrics import pairwise_scores  # noqa: E402
 from repro.experiments.runner import (  # noqa: E402
     ACD_METHOD,
     prepare_instance,
@@ -70,12 +70,10 @@ from repro.perf.timing import (  # noqa: E402
     run_entry,
     write_bench_json,
 )
+from repro.reference import run_acd as reference_acd  # noqa: E402
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-ENGINE = os.environ.get("REPRO_BENCH_ENGINE", "auto")
 PARALLEL = int(os.environ.get("REPRO_BENCH_PARALLEL", "0"))
-REFINE_ENGINE = os.environ.get("REPRO_BENCH_REFINE_ENGINE", "fast")
-PIVOT_ENGINE = os.environ.get("REPRO_BENCH_PIVOT_ENGINE", "fast")
 SEED = 1
 SETTING = "3w"
 DATASETS = ("paper", "restaurant", "product")
@@ -238,6 +236,16 @@ def pipelined_stage(runs: dict) -> dict:
     }
 
 
+def _acd_with_oracle(instance, **phase):
+    """ACD with one phase swapped for its ``repro.reference`` oracle;
+    returns ``(pairs_issued, f1)`` as ``run_method`` measures them."""
+    clustering, stats = reference_acd(
+        instance.record_ids, instance.candidates, instance.answers,
+        seed=SEED, pairs_per_hit=instance.setting.pairs_per_hit, **phase)
+    return (float(stats.pairs_issued),
+            pairwise_scores(clustering, instance.dataset.gold).f1)
+
+
 def main() -> int:
     runs = {}
     plain_total = 0.0
@@ -249,39 +257,32 @@ def main() -> int:
         with timings.stage("pruning"):
             instance = prepare_instance(
                 dataset_name, SETTING, scale=SCALE, seed=SEED,
-                engine=ENGINE, parallel=PARALLEL,
+                parallel=PARALLEL,
             )
         # Untimed warm-up: the first run populates the lazy answer file,
         # which would otherwise be billed to whichever stage runs first.
-        run_method(ACD_METHOD, instance, seed=SEED,
-                   refine_engine=REFINE_ENGINE, pivot_engine=PIVOT_ENGINE)
+        run_method(ACD_METHOD, instance, seed=SEED)
         with timings.stage("acd"):
-            result = run_method(ACD_METHOD, instance, seed=SEED,
-                                refine_engine=REFINE_ENGINE,
-                                pivot_engine=PIVOT_ENGINE)
-        # The same pipeline under the full-re-evaluation refinement engine:
-        # the delta is the incremental engine's end-to-end win.
+            result = run_method(ACD_METHOD, instance, seed=SEED)
+        # The same pipeline under the full-re-evaluation refinement oracle:
+        # the delta is the incremental PC-Refine's end-to-end win.
         with timings.stage("acd_reference"):
-            reference = run_method(ACD_METHOD, instance, seed=SEED,
-                                   refine_engine="reference",
-                                   pivot_engine=PIVOT_ENGINE)
-        assert reference.pairs_issued == result.pairs_issued, \
-            "refinement engines must agree"
-        # And under the per-round re-derivation pivot engine: the delta is
+            reference = _acd_with_oracle(instance, generation=pc_pivot)
+        assert reference == (result.pairs_issued, result.f1), \
+            "the refinement oracle must agree"
+        # And under the per-round re-derivation pivot oracle: the delta is
         # the incremental pivot order's end-to-end win.
         with timings.stage("acd_pivot_reference"):
-            pivot_reference = run_method(ACD_METHOD, instance, seed=SEED,
-                                         refine_engine=REFINE_ENGINE,
-                                         pivot_engine="reference")
-        assert pivot_reference.pairs_issued == result.pairs_issued, \
-            "pivot engines must agree"
+            pivot_reference = _acd_with_oracle(instance, refinement=pc_refine)
+        assert pivot_reference == (result.pairs_issued, result.f1), \
+            "the pivot oracle must agree"
         # Same run again under full observability (spans + metrics + JSONL
         # stream to disk) — the delta is the tracing overhead.
         with tempfile.TemporaryDirectory() as tmpdir:
             with timings.stage("acd_traced"):
                 with ObsContext.to_path(Path(tmpdir) / "bench.trace.jsonl") as obs:
                     traced = run_method(ACD_METHOD, instance, seed=SEED,
-                                        obs=obs, refine_engine=REFINE_ENGINE)
+                                        obs=obs)
         assert traced.pairs_issued == result.pairs_issued, \
             "tracing must not perturb the run"
         plain_total += timings.seconds("acd")
@@ -327,10 +328,8 @@ def main() -> int:
 
     payload = bench_payload(
         "endtoend",
-        config={"scale": SCALE, "seed": SEED, "engine": ENGINE,
+        config={"scale": SCALE, "seed": SEED,
                 "parallel": PARALLEL, "setting": SETTING,
-                "refine_engine": REFINE_ENGINE,
-                "pivot_engine": PIVOT_ENGINE,
                 "datasets": list(DATASETS),
                 "stages": list(STAGES),
                 "pipeline_records": PIPELINE_RECORDS,

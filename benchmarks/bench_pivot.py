@@ -1,4 +1,5 @@
-"""Pivot-phase benchmark: fast vs reference cluster-generation engine.
+"""Pivot-phase benchmark: the incremental PC-Pivot loop ("fast") vs the
+per-round re-derivation oracle in ``repro.reference`` ("reference").
 
 Runs the generation phase (PC-Pivot) on every dataset under both pivot
 engines and compares the machine-side work: wall-clock seconds, rounds,
@@ -30,7 +31,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.pc_pivot import PCPivotDiagnostics, pc_pivot  # noqa: E402
-from repro.core.pivot_engine import PIVOT_ENGINES  # noqa: E402
 from repro.crowd.oracle import CrowdOracle  # noqa: E402
 from repro.crowd.stats import CrowdStats  # noqa: E402
 from repro.experiments.runner import prepare_instance  # noqa: E402
@@ -40,6 +40,7 @@ from repro.perf.timing import (  # noqa: E402
     run_entry,
     write_bench_json,
 )
+from repro.reference import pc_pivot as reference_pc_pivot  # noqa: E402
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "1"))
@@ -47,6 +48,10 @@ REPS = int(os.environ.get("REPRO_BENCH_REPS", "3"))
 SETTING = "3w"
 DATASETS = ("paper", "restaurant", "product")
 OUTPUT = REPO_ROOT / "BENCH_pivot.json"
+
+#: The two PC-Pivot implementations under comparison: the production loop
+#: ("fast") and the per-round re-derivation oracle ("reference").
+ENGINES = {"fast": pc_pivot, "reference": reference_pc_pivot}
 
 
 def _run_engine(instance, engine: str, reps: int = 1):
@@ -62,9 +67,9 @@ def _run_engine(instance, engine: str, reps: int = 1):
         oracle = CrowdOracle(instance.answers, stats=stats)
         diagnostics = PCPivotDiagnostics()
         with timings.stage("pivot"):
-            clustering = pc_pivot(
+            clustering = ENGINES[engine](
                 instance.record_ids, instance.candidates, oracle,
-                seed=SEED, diagnostics=diagnostics, engine=engine,
+                seed=SEED, diagnostics=diagnostics,
             )
     return timings, diagnostics, clustering, stats.pairs_issued
 
@@ -81,7 +86,7 @@ def main() -> int:
         # is billed for first-ask worker-answer generation.
         _run_engine(instance, "reference")
         per_engine = {}
-        for engine in PIVOT_ENGINES:
+        for engine in ENGINES:
             timings, diagnostics, clustering, pairs = _run_engine(
                 instance, engine, reps=REPS
             )
@@ -122,7 +127,7 @@ def main() -> int:
         "pivot",
         config={"scale": SCALE, "seed": SEED, "reps": REPS,
                 "setting": SETTING, "datasets": list(DATASETS),
-                "engines": list(PIVOT_ENGINES)},
+                "engines": list(ENGINES)},
         runs=runs,
         derived={
             "pivot_speedup_overall": round(

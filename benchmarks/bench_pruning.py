@@ -1,6 +1,8 @@
 """Pruning-phase benchmark: reference scoring loop vs the prefix join.
 
-Runs the pruning phase on every dataset with both engines, checks the
+Runs the pruning phase on every dataset twice — through the
+enumerate-and-score oracle (``repro.reference.candidate_set``) and through
+the production path, which takes the prefix join for Jaccard — checks the
 outputs are byte-identical, and writes ``BENCH_pruning.json`` at the repo
 root in the shared BENCH schema (see :mod:`repro.perf.timing`).
 
@@ -31,7 +33,11 @@ from repro.perf.timing import (  # noqa: E402
     run_entry,
     write_bench_json,
 )
-from repro.pruning.candidate import build_candidate_set  # noqa: E402
+from repro.pruning.candidate import (  # noqa: E402
+    _prefix_join_eligible,
+    build_candidate_set,
+)
+from repro.reference import candidate_set  # noqa: E402
 from repro.similarity.composite import (  # noqa: E402
     SimilarityFunction,
     jaccard_similarity_function,
@@ -47,21 +53,24 @@ OUTPUT = REPO_ROOT / "BENCH_pruning.json"
 
 def reference_similarity() -> SimilarityFunction:
     """The seed's metric: plain token Jaccard, no view cache, no set
-    metadata — forces the reference engine's text-scoring loop."""
+    metadata — the text-scoring loop as the seed ran it."""
     return SimilarityFunction("jaccard", token_jaccard)
 
 
 def main() -> int:
     runs = {}
     derived = {}
+    if not _prefix_join_eligible(jaccard_similarity_function(), None, True):
+        print("FAIL: the production path would not take the prefix join",
+              file=sys.stderr)
+        return 1
     for dataset_name in DATASETS:
         dataset = generate(dataset_name, scale=SCALE, seed=SEED)
 
         ref_timings = StageTimings()
-        reference = build_candidate_set(
+        reference = candidate_set(
             dataset.records, reference_similarity(),
-            threshold=PRUNING_THRESHOLD, engine="reference",
-            timings=ref_timings,
+            threshold=PRUNING_THRESHOLD, timings=ref_timings,
         )
         ref_timings.record_throughput("records_per_second",
                                       len(dataset.records))
@@ -73,8 +82,7 @@ def main() -> int:
         join_timings = StageTimings()
         joined = build_candidate_set(
             dataset.records, jaccard_similarity_function(),
-            threshold=PRUNING_THRESHOLD, engine="prefix",
-            timings=join_timings,
+            threshold=PRUNING_THRESHOLD, timings=join_timings,
         )
         join_timings.record_throughput("records_per_second",
                                        len(dataset.records))
@@ -100,10 +108,10 @@ def main() -> int:
 
         if PARALLEL > 1:
             par_timings = StageTimings()
-            parallel = build_candidate_set(
+            parallel = candidate_set(
                 dataset.records, reference_similarity(),
-                threshold=PRUNING_THRESHOLD, engine="reference",
-                parallel=PARALLEL, timings=par_timings,
+                threshold=PRUNING_THRESHOLD, parallel=PARALLEL,
+                timings=par_timings,
             )
             if parallel.pairs != reference.pairs:
                 print(f"FAIL: {dataset_name}: parallel run disagrees",

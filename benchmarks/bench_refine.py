@@ -1,4 +1,5 @@
-"""Refine-phase benchmark: incremental engine vs reference engine.
+"""Refine-phase benchmark: the incremental PC-Refine loop ("fast") vs the
+full-re-evaluation oracle in ``repro.reference`` ("reference").
 
 Runs the generation phase once per dataset/engine (identical by
 construction — the engines only diverge inside PC-Refine), then times the
@@ -46,7 +47,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.pc_pivot import pc_pivot  # noqa: E402
 from repro.core.pc_refine import PCRefineDiagnostics, pc_refine  # noqa: E402
-from repro.core.refine import REFINE_ENGINES  # noqa: E402
 from repro.crowd.oracle import CrowdOracle  # noqa: E402
 from repro.crowd.stats import CrowdStats  # noqa: E402
 from repro.experiments.runner import prepare_instance  # noqa: E402
@@ -56,12 +56,17 @@ from repro.perf.timing import (  # noqa: E402
     run_entry,
     write_bench_json,
 )
+from repro.reference import pc_refine as reference_pc_refine  # noqa: E402
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "1"))
 SETTING = "3w"
 DATASETS = ("paper", "restaurant", "product")
 OUTPUT = REPO_ROOT / "BENCH_refine.json"
+
+#: The two PC-Refine implementations under comparison: the production
+#: loop ("fast") and the full-re-evaluation oracle ("reference").
+ENGINES = {"fast": pc_refine, "reference": reference_pc_refine}
 
 #: The engines' internal phases, in execution order (see
 #: ``repro.core.pc_refine``).  ``refine.free`` / ``refine.apply`` are
@@ -87,10 +92,9 @@ def _run_engine(instance, engine: str):
                               oracle, seed=SEED)
     diagnostics = PCRefineDiagnostics()
     with timings.stage("refine"):
-        pc_refine(clustering, instance.candidates, oracle,
-                  num_records=len(instance.record_ids),
-                  diagnostics=diagnostics, engine=engine,
-                  timings=timings)
+        ENGINES[engine](clustering, instance.candidates, oracle,
+                        num_records=len(instance.record_ids),
+                        diagnostics=diagnostics, timings=timings)
     # The refine.* sub-stages above accumulate inside the "refine" stage,
     # so the implicit sum-of-stages total would double-count them — pin
     # the total to the two top-level phases explicitly.
@@ -107,8 +111,8 @@ def main() -> int:
     total_ref_evals = 0
     total_fast_evals = 0
     stage_seconds = {engine: {stage: 0.0 for stage in REFINE_STAGES}
-                     for engine in REFINE_ENGINES}
-    refine_seconds = {engine: 0.0 for engine in REFINE_ENGINES}
+                     for engine in ENGINES}
+    refine_seconds = {engine: 0.0 for engine in ENGINES}
     for dataset_name in DATASETS:
         instance = prepare_instance(dataset_name, SETTING, scale=SCALE,
                                     seed=SEED)
@@ -116,7 +120,7 @@ def main() -> int:
         # is billed for first-ask worker-answer generation.
         _run_engine(instance, "reference")
         per_engine = {}
-        for engine in REFINE_ENGINES:
+        for engine in ENGINES:
             timings, diagnostics, clustering, pairs = _run_engine(
                 instance, engine
             )
@@ -180,7 +184,7 @@ def main() -> int:
     # stage_share_pack, so when another stage (typically refine.free,
     # which also carries the fast engine's cache maintenance) dominates,
     # wall clock barely moves no matter how many evaluations were saved.
-    for engine in REFINE_ENGINES:
+    for engine in ENGINES:
         total = max(1e-9, refine_seconds[engine])
         for stage in REFINE_STAGES:
             short = stage.split(".", 1)[1]
@@ -198,7 +202,7 @@ def main() -> int:
     payload = bench_payload(
         "refine",
         config={"scale": SCALE, "seed": SEED, "setting": SETTING,
-                "datasets": list(DATASETS), "engines": list(REFINE_ENGINES)},
+                "datasets": list(DATASETS), "engines": list(ENGINES)},
         runs=runs,
         derived=derived,
     )

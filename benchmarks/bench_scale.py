@@ -9,19 +9,19 @@ records/sec, pairs/sec, and peak-RSS meters per run.
 
 Pruning variants per tier (each capped by its env knob):
 
-* ``vectorized``  — prefix engine, vectorized kernel, sharded
+* ``vectorized``  — prefix join, vectorized kernel, sharded
   (:mod:`repro.pruning.shard`); runs at every tier.
-* ``scalar-join`` — prefix engine, scalar kernel (the scalar reference of
+* ``scalar-join`` — prefix join, scalar kernel (the scalar reference of
   the kernel registry); capped at ``REPRO_BENCH_SCALAR_CAP``.
-* ``reference``   — the seed engine (token blocking + per-pair scoring
-  loop, the original scalar reference of the pruning phase); capped at
+* ``reference``   — the seed's token blocking + per-pair scoring loop
+  (``repro.reference.candidate_set``); capped at
   ``REPRO_BENCH_REFERENCE_CAP``.
 
 Generation variants per tier (capped at ``REPRO_BENCH_GENERATION_CAP``,
 driven by the tier's vectorized candidate set):
 
 * ``pivot-classic`` — ``run_acd(refine=False)``: the classic
-  single-process fast PC-Pivot engine.
+  single-process PC-Pivot loop.
 * ``pivot-sharded`` — the pre-pruned ``run_pipeline(refine=False)``:
   per-component PC-Pivot on a supervised pool of
   ``REPRO_BENCH_PIVOT_PROCESSES`` worker processes, plus the merged-round
@@ -44,7 +44,7 @@ Refinement variants per tier (capped at ``REPRO_BENCH_REFINE_CAP``, on a
 gives the refine phase real over-/under-merge work; the clean default
 generator produces clusterings the phase barely touches):
 
-* ``refine-classic`` — the classic single-process fast PC-Refine engine.
+* ``refine-classic`` — the classic single-process PC-Refine loop.
 * ``refine-sharded`` — per-component PC-Refine inside the pre-pruned
   ``run_pipeline``, resumed from the classic run's ``generation``
   checkpoint, on a supervised pool of ``REPRO_BENCH_REFINE_PROCESSES``
@@ -103,7 +103,11 @@ from repro.perf.timing import (  # noqa: E402
     run_entry,
     write_bench_json,
 )
-from repro.pruning.candidate import build_candidate_set  # noqa: E402
+from repro.pruning.candidate import (  # noqa: E402
+    _prefix_join_eligible,
+    build_candidate_set,
+)
+from repro.reference import candidate_set  # noqa: E402
 from repro.similarity.composite import jaccard_similarity_function  # noqa: E402
 
 TIERS = tuple(
@@ -133,15 +137,14 @@ SEED = 1
 OUTPUT = REPO_ROOT / "BENCH_scale.json"
 
 
-def _measure(records, *, engine: str, kernel_backend: str, shards: int,
-             parallel: int = 0):
-    """One pruning run; returns (candidate_set, timings-with-meters)."""
+def _measure(records, build=build_candidate_set, **knobs):
+    """One pruning run — the production path (the prefix join, for
+    Jaccard) unless ``build`` names the reference oracle; returns
+    (candidate_set, timings-with-meters)."""
     timings = StageTimings()
-    candidates = build_candidate_set(
+    candidates = build(
         records, jaccard_similarity_function(),
-        threshold=PRUNING_THRESHOLD, engine=engine,
-        kernel_backend=kernel_backend, shards=shards, parallel=parallel,
-        timings=timings,
+        threshold=PRUNING_THRESHOLD, timings=timings, **knobs,
     )
     timings.record_throughput("records_per_second", len(records))
     timings.record_throughput("pairs_per_second", len(candidates))
@@ -321,7 +324,7 @@ def _refine_stage(label, tier, runs, derived):
     dataset = generate_largescale(scale=tier / BASE_RECORDS, seed=SEED,
                                   confusion=REFINE_CONFUSION)
     candidates, _ = _measure(
-        dataset.records, engine="prefix", kernel_backend="vectorized",
+        dataset.records, kernel_backend="vectorized",
         shards=SHARDS, parallel=PARALLEL,
     )
 
@@ -372,13 +375,17 @@ def _refine_stage(label, tier, runs, derived):
 def main() -> int:
     runs = {}
     derived = {}
+    if not _prefix_join_eligible(jaccard_similarity_function(), None, True):
+        print("FAIL: the production path would not take the prefix join",
+              file=sys.stderr)
+        return 1
     for tier in TIERS:
         label = f"{tier // 1000}k" if tier < 1_000_000 else f"{tier // 1_000_000}M"
         dataset = generate_largescale(scale=tier / BASE_RECORDS, seed=SEED)
         assert len(dataset.records) == tier
 
         vec, vec_timings = _measure(
-            dataset.records, engine="prefix", kernel_backend="vectorized",
+            dataset.records, kernel_backend="vectorized",
             shards=SHARDS, parallel=PARALLEL,
         )
         runs[f"{label}/vectorized"] = run_entry(
@@ -394,8 +401,7 @@ def main() -> int:
             # Unsharded single-shard vectorized run: shard-count invariance
             # at real scale (cheap — same kernel, no partitioning).
             one, one_timings = _measure(
-                dataset.records, engine="prefix",
-                kernel_backend="vectorized", shards=1,
+                dataset.records, kernel_backend="vectorized", shards=1,
             )
             runs[f"{label}/vectorized-1shard"] = run_entry(
                 one_timings, records=tier, pairs=len(one), shards=1,
@@ -405,8 +411,7 @@ def main() -> int:
                 return 1
 
             scalar, scalar_timings = _measure(
-                dataset.records, engine="prefix", kernel_backend="scalar",
-                shards=0,
+                dataset.records, kernel_backend="scalar", shards=0,
             )
             runs[f"{label}/scalar-join"] = run_entry(
                 scalar_timings, records=tier, pairs=len(scalar),
@@ -422,16 +427,14 @@ def main() -> int:
                   f"({speedup:.1f}x, identical)")
 
         if tier <= REFERENCE_CAP:
-            reference, ref_timings = _measure(
-                dataset.records, engine="reference", kernel_backend="auto",
-                shards=0,
-            )
+            reference, ref_timings = _measure(dataset.records,
+                                              build=candidate_set)
             runs[f"{label}/reference"] = run_entry(
                 ref_timings, records=tier, pairs=len(reference),
             )
             if (reference.pairs, reference.machine_scores) != (
                     vec.pairs, vec.machine_scores):
-                print(f"FAIL: {label}: reference engine disagrees",
+                print(f"FAIL: {label}: reference oracle disagrees",
                       file=sys.stderr)
                 return 1
             speedup = ref_timings.total / max(vec_timings.total, 1e-12)

@@ -10,10 +10,7 @@ Environment knobs:
     REPRO_BENCH_SCALE     dataset scale (default 1.0 = Table 3 sizes)
     REPRO_BENCH_REPS      repetitions for randomized methods (default 3;
                           the paper uses 5)
-    REPRO_BENCH_ENGINE    pruning engine: auto | reference | prefix
-                          (default auto)
-    REPRO_BENCH_PARALLEL  worker processes for reference pruning
-                          (default 0 = serial)
+    REPRO_BENCH_PARALLEL  pruning worker processes (default 0 = serial)
 
 Every benchmark prints its rows (visible with ``pytest -s``) and also
 writes them to ``benchmarks/results/<name>.txt``.
@@ -36,7 +33,6 @@ from repro.experiments.sweeps import EpsilonSweep, epsilon_sweep, threshold_swee
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 REPETITIONS = int(os.environ.get("REPRO_BENCH_REPS", "3"))
-ENGINE = os.environ.get("REPRO_BENCH_ENGINE", "auto")
 PARALLEL = int(os.environ.get("REPRO_BENCH_PARALLEL", "0"))
 SEED = 1
 
@@ -50,7 +46,7 @@ SETTINGS = ("3w", "5w")
 def instance(dataset: str, setting: str) -> Instance:
     """One prepared (dataset, crowd setting) instance, cached per process."""
     return prepare_instance(dataset, setting, scale=SCALE, seed=SEED,
-                            engine=ENGINE, parallel=PARALLEL)
+                            parallel=PARALLEL)
 
 
 @functools.lru_cache(maxsize=None)

@@ -32,14 +32,12 @@ from typing import List, Optional
 from repro.datasets.registry import dataset_names
 from repro.experiments.runner import (
     ALL_METHODS,
+    PIPELINE_METHODS,
     Instance,
     prepare_instance,
     run_comparison,
     run_method,
 )
-from repro.core.pivot_engine import PIVOT_ENGINES
-from repro.core.refine import REFINE_ENGINES
-from repro.pruning.candidate import ENGINES
 from repro.similarity.kernels import KERNEL_BACKENDS
 from repro.experiments.sweeps import epsilon_sweep, threshold_sweep
 from repro.experiments.tables import (
@@ -67,11 +65,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="dataset size multiplier (1.0 = paper size)")
     parser.add_argument("--seed", type=int, default=1,
                         help="dataset/crowd seed")
-    parser.add_argument("--engine", choices=ENGINES, default="auto",
-                        help="pruning engine (prefix join vs reference loop)")
     parser.add_argument("--parallel", type=int, default=0,
-                        help="worker processes for reference pruning or "
-                             "sharded prefix-join execution (<= 1 is serial)")
+                        help="worker processes for the pruning scoring loop "
+                             "or sharded prefix-join execution (<= 1 is "
+                             "serial)")
     parser.add_argument("--shards", type=_shards_value, default=0,
                         help="blocking-key shards for the prefix join "
                              "(0/1 = unsharded; identical output at any "
@@ -85,7 +82,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _prepare(args: argparse.Namespace, obs=None, candidates=None) -> Instance:
     return prepare_instance(
         args.dataset, args.setting, scale=args.scale, seed=args.seed,
-        engine=args.engine, parallel=args.parallel, shards=args.shards,
+        parallel=args.parallel, shards=args.shards,
         kernel_backend=args.kernel_backend, obs=obs, candidates=candidates,
     )
 
@@ -158,22 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "from --trace)")
     run.add_argument("--output", default=None, metavar="PATH",
                      help="also write the result metrics as JSON to PATH")
-    run.add_argument("--refine-engine", choices=REFINE_ENGINES,
-                     default="fast",
-                     help="refinement evaluation engine: incremental "
-                          "'fast' (default) or full-re-evaluation "
-                          "'reference'; outputs are byte-identical")
-    run.add_argument("--pivot-engine", choices=PIVOT_ENGINES,
-                     default="fast",
-                     help="cluster-generation engine: incremental 'fast' "
-                          "(default) or per-round re-derivation "
-                          "'reference'; outputs are byte-identical")
     run.add_argument("--pipeline", action="store_true",
                      help="run ACD's crowd phases decomposed by connected "
                           "component over one supervised worker pool "
                           "(same generation clustering as the global "
-                          "engine; crowd rounds count the deepest "
-                          "component; requires the 'fast' engines)")
+                          "run; crowd rounds count the deepest "
+                          "component; ACD and PC-Pivot only)")
     run.add_argument("--pipeline-workers", type=int, default=0, metavar="N",
                      help="worker processes for the pipeline pool "
                           "(<= 1 runs it inline; requires --pipeline)")
@@ -286,11 +273,17 @@ def _check_run_paths(args: argparse.Namespace) -> Optional[Path]:
     Returns the resolved manifest path (``None`` when not tracing).  Every
     artifact must land in a distinct file — a journal silently overwritten
     by the trace stream (or vice versa) is unrecoverable.  A worker count
-    without ``--pipeline`` would change nothing but the checkpoint and
-    journal fingerprints, so it is rejected too.
+    without ``--pipeline``, or ``--pipeline`` for a method ``run_acd``
+    does not run, would change nothing but the recorded config, so both
+    are rejected too.
     """
     if args.pipeline_workers and not args.pipeline:
         raise SystemExit("--pipeline-workers requires --pipeline")
+    if args.pipeline and args.method not in PIPELINE_METHODS:
+        raise SystemExit(
+            f"--pipeline applies only to --method "
+            f"{' or '.join(PIPELINE_METHODS)}, not {args.method!r}"
+        )
     if args.resume and not (args.journal or args.checkpoint_dir):
         raise SystemExit(
             "--resume requires --journal PATH and/or --checkpoint-dir DIR"
@@ -377,11 +370,8 @@ def _cmd_run(args: argparse.Namespace) -> None:
         "seed": args.seed,
         "method": args.method,
         "method_seed": args.method_seed,
-        "refine_engine": args.refine_engine,
-        "pivot_engine": args.pivot_engine,
         "pipeline": args.pipeline,
         "pipeline_workers": args.pipeline_workers,
-        "engine": args.engine,
         "parallel": args.parallel,
         "shards": args.shards,
         "kernel_backend": args.kernel_backend,
@@ -454,8 +444,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
     try:
         result = run_method(args.method, instance, seed=args.method_seed,
                             gcer_budget=gcer_budget, obs=obs,
-                            refine_engine=args.refine_engine,
-                            pivot_engine=args.pivot_engine,
                             checkpoints=checkpoints, resume=args.resume,
                             pipeline=args.pipeline,
                             pipeline_workers=args.pipeline_workers)

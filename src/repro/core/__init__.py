@@ -36,14 +36,9 @@ from repro.core.partial_pivot import (
 from repro.core.pc_pivot import (
     DEFAULT_EPSILON,
     PCPivotDiagnostics,
-    choose_k,
     pc_pivot,
 )
-from repro.core.pivot_engine import (
-    PIVOT_ENGINES,
-    LiveVertexOrder,
-    choose_pivots,
-)
+from repro.core.pivot_engine import LiveVertexOrder, choose_pivots
 from repro.core.pc_refine import (
     DEFAULT_THRESHOLD_DIVISOR,
     PCRefineDiagnostics,
@@ -54,7 +49,6 @@ from repro.core.permutation import Permutation
 from repro.core.pivot import crowd_pivot
 from repro.core.refine import (
     BENEFIT_TOLERANCE,
-    REFINE_ENGINES,
     build_estimator,
     crowd_refine,
     enumerate_operations,
@@ -76,14 +70,11 @@ __all__ = [
     "OperationEvaluator",
     "PCPivotDiagnostics",
     "PCRefineDiagnostics",
-    "PIVOT_ENGINES",
     "PartialPivotResult",
     "Permutation",
-    "REFINE_ENGINES",
     "Split",
     "apply_operation",
     "build_estimator",
-    "choose_k",
     "choose_pivots",
     "crowd_pivot",
     "crowd_refine",

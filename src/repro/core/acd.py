@@ -76,8 +76,6 @@ def run_acd(
     max_refinement_pairs: Optional[int] = None,
     journal_path: Optional[Union[str, Path]] = None,
     obs: Optional[ObsContext] = None,
-    refine_engine: str = "fast",
-    pivot_engine: str = "fast",
     checkpoints: Optional[CheckpointStore] = None,
     resume: bool = False,
     pipeline: bool = False,
@@ -117,15 +115,6 @@ def run_acd(
             is written atomically on completion.  ``None`` (the default)
             changes nothing: the result is byte-identical to an
             unobserved run.
-        refine_engine: Phase-3 evaluation engine — "fast" (incremental
-            caching, the default) or "reference" (full re-evaluation).
-            Outputs are byte-identical; see
-            :data:`~repro.core.refine.REFINE_ENGINES`.
-        pivot_engine: Phase-2 cluster-generation engine — "fast"
-            (incremental pivot order + fused Equation-4 scan, the
-            default) or "reference" (per-round re-derivation).  Outputs
-            are byte-identical; see
-            :data:`~repro.core.pivot_engine.PIVOT_ENGINES`.
         checkpoints: Optional
             :class:`~repro.runtime.checkpoint.CheckpointStore`.  When
             attached, the complete cluster-generation state (clustering,
@@ -139,9 +128,8 @@ def run_acd(
             generation clustering equals the global engine's; crowd
             rounds follow the merged per-component accounting (the
             deepest component's round count).  Requires
-            ``parallel=True``, the "fast" engines, no
-            ``max_refinement_pairs``, and a pair-deterministic answer
-            source.
+            ``parallel=True``, no ``max_refinement_pairs``, and a
+            pair-deterministic answer source.
         pipeline_workers: Worker processes for the pipeline pool
             (``<= 1`` runs it inline); requires ``pipeline``.
         resume: With ``checkpoints``, restore the deepest finished
@@ -165,12 +153,6 @@ def run_acd(
             raise ValueError(
                 "pipeline requires parallel=True: the sequential engines "
                 "have no component decomposition to stream"
-            )
-        if pivot_engine != "fast" or refine_engine != "fast":
-            raise ValueError(
-                "pipeline requires the 'fast' engines, got "
-                f"pivot_engine={pivot_engine!r}, "
-                f"refine_engine={refine_engine!r}"
             )
         if max_refinement_pairs is not None:
             raise ValueError(
@@ -201,9 +183,7 @@ def run_acd(
                 refine=refine, parallel=parallel,
                 pairs_per_hit=pairs_per_hit, ranking=ranking,
                 max_refinement_pairs=max_refinement_pairs,
-                obs=obs, refine_engine=refine_engine,
-                pivot_engine=pivot_engine,
-                checkpoints=checkpoints, resume=resume,
+                obs=obs, checkpoints=checkpoints, resume=resume,
             )
         finally:
             journaled.close()
@@ -245,13 +225,12 @@ def run_acd(
                         clustering = pc_pivot(
                             ids, candidates, oracle, epsilon=epsilon,
                             permutation=permutation, seed=seed,
-                            diagnostics=pivot_diagnostics,
-                            obs=obs, engine=pivot_engine,
+                            diagnostics=pivot_diagnostics, obs=obs,
                         )
                     else:
                         clustering = crowd_pivot(
                             ids, candidates, oracle, permutation=permutation,
-                            seed=seed, obs=obs, engine=pivot_engine,
+                            seed=seed, obs=obs,
                         )
             generation_stats = stats.snapshot()
             if checkpoints is not None and restored is None:
@@ -273,13 +252,12 @@ def run_acd(
                             diagnostics=refine_diagnostics,
                             ranking=ranking,
                             max_refinement_pairs=max_refinement_pairs,
-                            obs=obs, engine=refine_engine,
+                            obs=obs,
                         )
                     else:
                         clustering = crowd_refine(
                             clustering, candidates, oracle,
                             num_buckets=num_buckets, obs=obs,
-                            engine=refine_engine,
                         )
                 if checkpoints is not None:
                     checkpoints.save(
@@ -314,8 +292,6 @@ def run_acd(
                 "pairs_per_hit": pairs_per_hit,
                 "ranking": ranking,
                 "max_refinement_pairs": max_refinement_pairs,
-                "refine_engine": refine_engine,
-                "pivot_engine": pivot_engine,
             },
             seeds={"pivot_seed": seed},
         )
@@ -342,12 +318,8 @@ def _generation_state(clustering: Clustering, oracle: CrowdOracle,
                     for (a, b), confidence in oracle.known_in_order()],
         "journal_batches": (journal.num_batches
                             if journal is not None else None),
-        "pivot_diagnostics": (
-            {"ks": list(diagnostics.ks),
-             "predicted_waste": list(diagnostics.predicted_waste),
-             "issued_per_round": list(diagnostics.issued_per_round)}
-            if diagnostics is not None else None
-        ),
+        "pivot_diagnostics": (diagnostics.to_state()
+                              if diagnostics is not None else None),
     }
 
 
@@ -365,15 +337,8 @@ def _restore_generation(restored, answers, oracle: CrowdOracle, obs):
         ordered = {(int(a), int(b)): float(confidence)
                    for a, b, confidence in restored["answers"]}
         raw_diag = restored.get("pivot_diagnostics")
-        diagnostics = (
-            PCPivotDiagnostics(
-                ks=[int(k) for k in raw_diag["ks"]],
-                predicted_waste=[int(w) for w in raw_diag["predicted_waste"]],
-                issued_per_round=[int(p)
-                                  for p in raw_diag["issued_per_round"]],
-            )
-            if raw_diag is not None else None
-        )
+        diagnostics = (PCPivotDiagnostics.from_state(raw_diag)
+                       if raw_diag is not None else None)
         journal_batches = restored.get("journal_batches")
     except (KeyError, TypeError, ValueError) as error:
         raise ValueError(
@@ -416,43 +381,11 @@ def _refinement_state(clustering: Clustering, oracle: CrowdOracle, answers,
                     for (a, b), confidence in oracle.known_in_order()],
         "journal_batches": (journal.num_batches
                             if journal is not None else None),
-        "pivot_diagnostics": (
-            {"ks": list(pivot_diagnostics.ks),
-             "predicted_waste": list(pivot_diagnostics.predicted_waste),
-             "issued_per_round": list(pivot_diagnostics.issued_per_round)}
-            if pivot_diagnostics is not None else None
-        ),
-        "refine_diagnostics": (
-            {"batch_sizes": list(refine_diagnostics.batch_sizes),
-             "operations_packed": list(refine_diagnostics.operations_packed),
-             "operations_applied":
-                 list(refine_diagnostics.operations_applied),
-             "free_operations_applied":
-                 refine_diagnostics.free_operations_applied,
-             "operation_evaluations":
-                 refine_diagnostics.operation_evaluations,
-             "evaluation_cache": (
-                 dict(refine_diagnostics.evaluation_cache)
-                 if refine_diagnostics.evaluation_cache is not None
-                 else None)}
-            if refine_diagnostics is not None else None
-        ),
+        "pivot_diagnostics": (pivot_diagnostics.to_state()
+                              if pivot_diagnostics is not None else None),
+        "refine_diagnostics": (refine_diagnostics.to_state()
+                               if refine_diagnostics is not None else None),
     }
-
-
-def _cache_key_order(cache: Dict) -> Dict:
-    """Rebuild an evaluation-cache snapshot in its canonical key order.
-
-    Checkpoint JSON is written with sorted keys; restoring in
-    :meth:`~repro.core.evaluation_cache.EvaluationStats.as_dict` order
-    keeps the restored diagnostics byte-identical (repr included) to an
-    uninterrupted run's.
-    """
-    canonical = ("lookups", "hits", "refreshes", "evaluations", "hit_rate")
-    ordered = {key: cache[key] for key in canonical if key in cache}
-    ordered.update((key, value) for key, value in cache.items()
-                   if key not in ordered)
-    return ordered
 
 
 def _restore_refinement(restored, answers, oracle: CrowdOracle, obs):
@@ -472,34 +405,11 @@ def _restore_refinement(restored, answers, oracle: CrowdOracle, obs):
         ordered = {(int(a), int(b)): float(confidence)
                    for a, b, confidence in restored["answers"]}
         raw_pivot = restored.get("pivot_diagnostics")
-        pivot_diagnostics = (
-            PCPivotDiagnostics(
-                ks=[int(k) for k in raw_pivot["ks"]],
-                predicted_waste=[int(w)
-                                 for w in raw_pivot["predicted_waste"]],
-                issued_per_round=[int(p)
-                                  for p in raw_pivot["issued_per_round"]],
-            )
-            if raw_pivot is not None else None
-        )
+        pivot_diagnostics = (PCPivotDiagnostics.from_state(raw_pivot)
+                             if raw_pivot is not None else None)
         raw_refine = restored.get("refine_diagnostics")
-        refine_diagnostics = (
-            PCRefineDiagnostics(
-                batch_sizes=[int(b) for b in raw_refine["batch_sizes"]],
-                operations_packed=[int(p)
-                                   for p in raw_refine["operations_packed"]],
-                operations_applied=[
-                    int(a) for a in raw_refine["operations_applied"]],
-                free_operations_applied=int(
-                    raw_refine["free_operations_applied"]),
-                operation_evaluations=int(
-                    raw_refine["operation_evaluations"]),
-                evaluation_cache=(
-                    _cache_key_order(raw_refine["evaluation_cache"])
-                    if raw_refine["evaluation_cache"] is not None else None),
-            )
-            if raw_refine is not None else None
-        )
+        refine_diagnostics = (PCRefineDiagnostics.from_state(raw_refine)
+                              if raw_refine is not None else None)
         journal_batches = restored.get("journal_batches")
     except (KeyError, TypeError, ValueError, AttributeError) as error:
         raise ValueError(

@@ -63,7 +63,7 @@ class EvaluationStats:
             re-resolved answers / re-summed benefits (answer or estimate
             delta touched the entry).
         evaluations: Full from-scratch derivations (entry missing or its
-            cluster snapshot stale) — the unit the reference engine pays
+            cluster snapshot stale) — the unit the reference oracle pays
             on *every* request.
     """
 

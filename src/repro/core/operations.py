@@ -95,7 +95,7 @@ class OperationEvaluator:
         self._estimator = estimator
         #: From-scratch derivations performed (each public value walks
         #: ``relevant_pairs`` once).  The refine benchmark reads this to
-        #: compare the reference engine's work against the incremental
+        #: compare the reference oracle's work against the incremental
         #: :class:`~repro.core.evaluation_cache.EvaluationCache`.
         self.evaluations = 0
 

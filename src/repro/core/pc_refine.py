@@ -19,18 +19,12 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.clustering import Clustering
 from repro.core.estimator import DEFAULT_NUM_BUCKETS
 from repro.core.evaluation_cache import EvaluationCache
-from repro.core.operations import (
-    Operation,
-    OperationEvaluator,
-    apply_operation,
-)
+from repro.core.operations import Operation
 from repro.core.refine import (
     BENEFIT_TOLERANCE,
-    REFINE_ENGINES,
     OperationCache,
     apply_free_operations,
     build_estimator,
-    enumerate_operations,
 )
 from repro.crowd.oracle import CrowdOracle
 from repro.perf.timing import maybe_stage
@@ -51,11 +45,11 @@ class PCRefineDiagnostics:
         operations_applied: Confirmed-positive operations applied per round.
         free_operations_applied: Zero-cost operations applied in total.
         operation_evaluations: Benefit/cost derivations the run performed —
-            from-scratch evaluator walks on the reference engine; cache
-            builds + refreshes on the fast engine.  The refine benchmark
-            compares the two.
-        evaluation_cache: Fast-engine :class:`~repro.core.evaluation_cache.
-            EvaluationStats` snapshot (``None`` on the reference engine).
+            cache builds + refreshes (from-scratch evaluator walks on the
+            :func:`repro.reference.pc_refine` oracle).  The refine
+            benchmark compares the two.
+        evaluation_cache: :class:`~repro.core.evaluation_cache.
+            EvaluationStats` snapshot (``None`` on the reference oracle).
     """
 
     batch_sizes: List[int] = field(default_factory=list)
@@ -68,6 +62,45 @@ class PCRefineDiagnostics:
     @property
     def rounds(self) -> int:
         return len(self.batch_sizes)
+
+    def to_state(self) -> Dict[str, object]:
+        """A JSON-safe snapshot (checkpoint payloads)."""
+        return {
+            "batch_sizes": list(self.batch_sizes),
+            "operations_packed": list(self.operations_packed),
+            "operations_applied": list(self.operations_applied),
+            "free_operations_applied": self.free_operations_applied,
+            "operation_evaluations": self.operation_evaluations,
+            "evaluation_cache": (dict(self.evaluation_cache)
+                                 if self.evaluation_cache is not None
+                                 else None),
+        }
+
+    @classmethod
+    def from_state(cls, state: Dict) -> "PCRefineDiagnostics":
+        """Inverse of :meth:`to_state`.  The evaluation-cache snapshot is
+        rebuilt in :meth:`~repro.core.evaluation_cache.EvaluationStats.
+        as_dict` key order, so a snapshot that went through sorted-key
+        JSON restores byte-identical (repr included)."""
+        cache = state["evaluation_cache"]
+        return cls(
+            batch_sizes=[int(b) for b in state["batch_sizes"]],
+            operations_packed=[int(p) for p in state["operations_packed"]],
+            operations_applied=[int(a) for a in state["operations_applied"]],
+            free_operations_applied=int(state["free_operations_applied"]),
+            operation_evaluations=int(state["operation_evaluations"]),
+            evaluation_cache=(_cache_key_order(cache)
+                              if cache is not None else None),
+        )
+
+
+def _cache_key_order(cache: Dict) -> Dict:
+    """An evaluation-cache snapshot in its canonical key order."""
+    canonical = ("lookups", "hits", "refreshes", "evaluations", "hit_rate")
+    ordered = {key: cache[key] for key in canonical if key in cache}
+    ordered.update((key, value) for key, value in cache.items()
+                   if key not in ordered)
+    return ordered
 
 
 def refinement_budget(
@@ -92,61 +125,6 @@ def refinement_budget(
     return min(one_batch_maximum, float(num_unknown_pairs)) / threshold_divisor
 
 
-def _pack_independent_operations(
-    clustering: Clustering,
-    candidates: CandidateSet,
-    evaluator: OperationEvaluator,
-    budget: float,
-    ranking: str = "ratio",
-    hard_budget: bool = False,
-    timings=None,
-) -> List[Operation]:
-    """Greedy O^i construction (Algorithm 5 lines 9-14): scan operations by
-    descending benefit-cost ratio; keep those with positive ratio that are
-    independent of everything already packed; stop once the packed cost
-    reaches the budget.
-
-    ``ranking="benefit"`` ranks by estimated benefit alone instead — the
-    cost-blind alternative the paper argues against (Section 5.2), kept as
-    an ablation knob.
-
-    ``hard_budget=True`` changes the stopping rule from Algorithm 5's
-    ``Σc ≥ T`` (which lets the last packed operation overshoot) to a strict
-    knapsack-style filter: an operation is only packed if its cost still
-    fits.  Used to honor an exact caller-imposed pair cap.
-    """
-    if ranking not in ("ratio", "benefit"):
-        raise ValueError(f"ranking must be 'ratio' or 'benefit', got {ranking!r}")
-    scored: List[Tuple[float, int, Operation]] = []
-    with maybe_stage(timings, "refine.evaluate"):
-        for operation in enumerate_operations(clustering, candidates):
-            cost = evaluator.cost(operation)
-            if cost <= 0:
-                continue  # known benefit; handled by the free path
-            benefit = evaluator.estimated_benefit(operation)
-            key = benefit / cost if ranking == "ratio" else benefit
-            if key > 0.0:
-                scored.append((key, cost, operation))
-    with maybe_stage(timings, "refine.pack"):
-        # Deterministic order: ratio desc, then a stable textual tiebreak.
-        scored.sort(key=lambda item: (-item[0], repr(item[2])))
-
-        packed: List[Operation] = []
-        touched: Set[int] = set()
-        total_cost = 0
-        for ratio, cost, operation in scored:
-            if total_cost >= budget:
-                break
-            if hard_budget and total_cost + cost > budget:
-                continue
-            if set(operation.touched_clusters) & touched:
-                continue
-            packed.append(operation)
-            touched.update(operation.touched_clusters)
-            total_cost += cost
-    return packed
-
-
 def _pack_independent_operations_fast(
     cache: OperationCache,
     evaluations: EvaluationCache,
@@ -155,8 +133,9 @@ def _pack_independent_operations_fast(
     hard_budget: bool = False,
     timings=None,
 ) -> List[Operation]:
-    """Fast-engine packer: identical packing decisions to
-    :func:`_pack_independent_operations`, lazily ordered.
+    """Greedy O^i construction (Algorithm 5 lines 9-14), lazily ordered:
+    identical packing decisions to the oracle
+    :func:`repro.reference.pack_independent_operations`.
 
     Scores come from the shared :class:`EvaluationCache` instead of fresh
     evaluator walks, and the full ``sort`` is replaced by a heapified
@@ -202,109 +181,6 @@ def _pack_independent_operations_fast(
     return packed
 
 
-def _pc_refine_reference(
-    clustering: Clustering,
-    candidates: CandidateSet,
-    oracle: CrowdOracle,
-    num_records: int,
-    threshold_divisor: float,
-    num_buckets: int,
-    diagnostics: Optional[PCRefineDiagnostics],
-    ranking: str,
-    max_refinement_pairs: Optional[int],
-    obs,
-    timings=None,
-) -> Clustering:
-    """Reference engine: fresh evaluator walks, full re-enumeration and
-    re-sort per round, per-round unknown-pair sweep.  The literal reading
-    of Algorithm 5; kept for equivalence tests and as the benchmark
-    baseline."""
-    pairs_at_start = oracle.stats.pairs_issued
-    estimator = build_estimator(candidates, oracle, num_buckets=num_buckets)
-    evaluator = OperationEvaluator(clustering, candidates, oracle, estimator)
-
-    def finish() -> Clustering:
-        if diagnostics is not None:
-            diagnostics.operation_evaluations = evaluator.evaluations
-        return clustering.canonicalize()
-
-    round_index = 0
-    while True:
-        with maybe_stage(timings, "refine.free"):
-            freed = apply_free_operations(clustering, candidates, oracle,
-                                          estimator, evaluator=evaluator)
-        if diagnostics is not None:
-            diagnostics.free_operations_applied += freed
-        if obs is not None and freed:
-            obs.metrics.counter(
-                "refine_free_operations_total",
-                help="Zero-cost refinement operations applied",
-            ).inc(freed)
-
-        spent = oracle.stats.pairs_issued - pairs_at_start
-        if max_refinement_pairs is not None and spent >= max_refinement_pairs:
-            return finish()
-
-        num_unknown = sum(
-            1 for pair in candidates.pairs if not oracle.knows(*pair)
-        )
-        budget = refinement_budget(
-            num_records, max(1, len(clustering)), num_unknown,
-            threshold_divisor=threshold_divisor,
-        )
-        if max_refinement_pairs is not None:
-            budget = min(budget, float(max_refinement_pairs - spent))
-        packed = _pack_independent_operations(
-            clustering, candidates, evaluator, budget, ranking=ranking,
-            hard_budget=max_refinement_pairs is not None, timings=timings,
-        )
-        if not packed:
-            return finish()
-
-        # One crowd batch resolves every packed operation's unknown pairs.
-        with maybe_stage(timings, "refine.crowd"):
-            needed: Set[Pair] = set()
-            for operation in packed:
-                needed.update(evaluator.unknown_pairs(operation))
-            answers = oracle.ask_batch(sorted(needed))
-            for pair, crowd_score in answers.items():
-                if pair in candidates:
-                    estimator.add_sample(
-                        pair, candidates.machine_scores[pair], crowd_score
-                    )
-
-        with maybe_stage(timings, "refine.apply"):
-            applied = 0
-            for operation in packed:
-                benefit = evaluator.exact_benefit(operation)
-                if benefit is not None and benefit > BENEFIT_TOLERANCE:
-                    apply_operation(clustering, operation)
-                    applied += 1
-        if diagnostics is not None:
-            diagnostics.batch_sizes.append(len(needed))
-            diagnostics.operations_packed.append(len(packed))
-            diagnostics.operations_applied.append(applied)
-        round_index += 1
-        if obs is not None:
-            obs.metrics.counter(
-                "refine_rounds_total",
-                help="PC-Refine parallel rounds executed",
-            ).inc()
-            obs.event(
-                "refine.round",
-                round=round_index,
-                budget=budget,
-                batch_pairs=len(needed),
-                packed=len(packed),
-                applied=applied,
-                clusters=len(clustering),
-                histogram_samples=len(estimator),
-                histogram_buckets=estimator.num_buckets,
-            )
-        if applied == 0:
-            return finish()
-
-
 def _pc_refine_fast(
     clustering: Clustering,
     candidates: CandidateSet,
@@ -318,10 +194,10 @@ def _pc_refine_fast(
     obs,
     timings=None,
 ) -> Clustering:
-    """Fast engine: one :class:`OperationCache` + :class:`EvaluationCache`
-    shared across rounds (free path included), an incrementally maintained
+    """One :class:`OperationCache` + :class:`EvaluationCache` shared
+    across rounds (free path included), an incrementally maintained
     unknown-pair count, and the lazily ordered packer.  Byte-identical to
-    :func:`_pc_refine_reference` — property-tested in
+    :func:`repro.reference.pc_refine` — property-tested in
     ``tests/core/test_refine_engines.py``."""
     pairs_at_start = oracle.stats.pairs_issued
     estimator = build_estimator(candidates, oracle, num_buckets=num_buckets)
@@ -434,7 +310,6 @@ def pc_refine(
     ranking: str = "ratio",
     max_refinement_pairs: Optional[int] = None,
     obs=None,
-    engine: str = "fast",
     timings=None,
 ) -> Clustering:
     """Run PC-Refine; refines ``clustering`` in place and returns it.
@@ -442,8 +317,8 @@ def pc_refine(
     The returned clustering is *canonicalized*: cluster ids are
     renumbered ``0..n-1`` ascending by smallest member (see
     :meth:`~repro.core.clustering.Clustering.canonicalize`), so any two
-    engine configurations that produce the same partition also produce
-    byte-identical ids.
+    runs that produce the same partition also produce byte-identical
+    ids.
 
     Args:
         clustering: Phase-2 output ``C`` (mutated).
@@ -465,9 +340,6 @@ def pc_refine(
             emits a ``refine.round`` event (budget ``T``, packed batch,
             applied count, histogram state) and bumps the round / free
             counters.
-        engine: One of :data:`~repro.core.refine.REFINE_ENGINES` — "fast"
-            (incremental, default) or "reference" (full re-evaluation);
-            outputs are byte-identical.
         timings: Optional :class:`~repro.perf.timing.StageTimings`;
             accumulates per-stage wall time under ``refine.evaluate``
             (benefit/cost scoring), ``refine.pack`` (greedy packing),
@@ -475,17 +347,13 @@ def pc_refine(
             (confirmed application), and ``refine.free`` (zero-cost
             path) — the breakdown ``bench_refine`` reports.
     """
-    if engine not in REFINE_ENGINES:
-        raise ValueError(
-            f"engine must be one of {REFINE_ENGINES}, got {engine!r}"
-        )
     if num_records is None:
         num_records = clustering.num_records
     if max_refinement_pairs is not None and max_refinement_pairs < 0:
         raise ValueError(
             f"max_refinement_pairs must be >= 0, got {max_refinement_pairs}"
         )
-    refine = _pc_refine_fast if engine == "fast" else _pc_refine_reference
-    return refine(clustering, candidates, oracle, num_records,
-                  threshold_divisor, num_buckets, diagnostics, ranking,
-                  max_refinement_pairs, obs, timings=timings)
+    return _pc_refine_fast(clustering, candidates, oracle, num_records,
+                           threshold_divisor, num_buckets, diagnostics,
+                           ranking, max_refinement_pairs, obs,
+                           timings=timings)

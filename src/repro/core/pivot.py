@@ -6,11 +6,10 @@ iteration), and form a cluster of the pivot plus every neighbor the crowd
 marks duplicate (``f_c > 0.5``).  A 5-approximation of the Λ' minimum in
 expectation (Lemma 1, via Ailon et al.).
 
-The loop runs on either pivot engine (see
-:data:`~repro.core.pivot_engine.PIVOT_ENGINES`): ``reference`` re-scans the
-live-vertex set for the minimum rank every iteration, ``fast`` walks a
-permutation-ordered live list with a lazily advancing head cursor and an
-eagerly cleaned graph.  Outputs are byte-identical.
+The loop walks a permutation-ordered live list with a lazily advancing
+head cursor over an eagerly cleaned graph.  The literal per-iteration
+minimum-rank scan is the test oracle :func:`repro.reference.crowd_pivot`;
+the two are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ from typing import Optional
 
 from repro.core.clustering import Clustering
 from repro.core.permutation import Permutation
-from repro.core.pivot_engine import LiveVertexOrder, require_pivot_engine
+from repro.core.pivot_engine import LiveVertexOrder
 from repro.crowd.oracle import CrowdOracle
 from repro.pruning.candidate import CandidateSet
-from repro.pruning.graph import CandidateGraph, EagerCandidateGraph
+from repro.pruning.graph import EagerCandidateGraph
 
 
 def crowd_pivot(
@@ -34,7 +33,6 @@ def crowd_pivot(
     seed: Optional[int] = None,
     rng: Optional[random.Random] = None,
     obs=None,
-    engine: str = "fast",
 ) -> Clustering:
     """Run Crowd-Pivot over the candidate graph.
 
@@ -51,28 +49,19 @@ def crowd_pivot(
         obs: Optional :class:`~repro.obs.ObsContext`; each pivot emits a
             ``pivot.pivot`` event (pivot id, incident edges, cluster
             size) and bumps the round counter.
-        engine: One of :data:`~repro.core.pivot_engine.PIVOT_ENGINES` —
-            "fast" (incremental pivot order + eager graph, default) or
-            "reference" (per-iteration min-rank scan); outputs are
-            byte-identical.
 
     Returns:
         The clustering ``C``.
     """
-    require_pivot_engine(engine)
     ids = list(record_ids)
     if permutation is None:
         permutation = Permutation.random(ids, rng=rng, seed=seed)
-    fast = engine == "fast"
-    if fast:
-        graph = EagerCandidateGraph(ids, candidates.pairs)
-        order = LiveVertexOrder(permutation, graph.vertices)
-    else:
-        graph = CandidateGraph(ids, candidates.pairs)
+    graph = EagerCandidateGraph(ids, candidates.pairs)
+    order = LiveVertexOrder(permutation, graph.vertices)
     clustering = Clustering()
 
     while not graph.is_empty():
-        pivot = order.first() if fast else permutation.first(graph.vertices)
+        pivot = order.first()
         neighbors = graph.neighbors(pivot)
         answers = oracle.ask_batch((pivot, n) for n in neighbors)
         cluster = {pivot}
@@ -82,8 +71,7 @@ def crowd_pivot(
                 cluster.add(neighbor)
         clustering.add_cluster(cluster)
         graph.remove_vertices(cluster)
-        if fast:
-            order.discard(cluster)
+        order.discard(cluster)
         if obs is not None:
             obs.metrics.counter(
                 "pivot_rounds_total",

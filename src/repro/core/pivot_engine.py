@@ -1,24 +1,20 @@
-"""Fast-path machinery for the cluster-generation phase (Algorithms 2-3).
+"""Incremental machinery for the cluster-generation phase (Algorithms 2-3).
 
-The pivot loops come in two interchangeable engines, mirroring
-:data:`~repro.core.refine.REFINE_ENGINES`:
+The permutation order over the record set is materialized once; clustered
+vertices are lazily deleted and the order compacts itself on access
+(:class:`LiveVertexOrder`), so each round's ordered live-vertex view costs
+O(live) instead of O(n log n).  The Equation-4 prefix scan
+(:func:`choose_pivots`) fuses the waste estimates with the fresh-edge count
+in a single pass and stops early once the accumulated waste bound provably
+exceeds what any longer prefix could justify.  The chosen pivots and their
+waste bound are handed to ``partial_pivot`` instead of being recomputed
+there.
 
-- **reference** — the literal reading of the paper: every round copies the
-  live-vertex set, sorts it by permutation rank (twice: once in ``choose_k``
-  and again in ``partial_pivot``), and re-derives the Equation-3 waste
-  estimates from scratch.
-- **fast** — incremental.  The permutation order over the record set is
-  materialized once; clustered vertices are lazily deleted and the order
-  compacts itself on access (:class:`LiveVertexOrder`), so each round's
-  ordered live-vertex view costs O(live) instead of O(n log n).  The
-  Equation-4 prefix scan (:func:`choose_pivots`) fuses the waste estimates
-  with the fresh-edge count in a single pass and stops early once the
-  accumulated waste bound provably exceeds what any longer prefix could
-  justify.  The chosen pivots and their waste bound are handed to
-  ``partial_pivot`` instead of being recomputed there.
-
-Both engines produce byte-identical clusterings, issued-pair sequences,
-diagnostics, and observability event streams — property-tested in
+The literal reading of the paper — every round copies the live-vertex set,
+sorts it by permutation rank, and re-derives the Equation-3 waste estimates
+from scratch — is the test oracle in :mod:`repro.reference`.  Both produce
+byte-identical clusterings, issued-pair sequences, diagnostics, and
+observability event streams — property-tested in
 ``tests/core/test_pivot_engines.py``.
 """
 
@@ -28,20 +24,6 @@ from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.core.permutation import Permutation
 from repro.pruning.graph import CandidateGraph
-
-#: Cluster-generation engines: "fast" (incremental order + fused scan,
-#: the default) and "reference" (per-round whole-graph re-derivation, the
-#: literal reading of Algorithms 2-3).  Outputs are byte-identical.
-PIVOT_ENGINES = ("fast", "reference")
-
-
-def require_pivot_engine(engine: str) -> None:
-    """Raise ``ValueError`` unless ``engine`` is a known pivot engine."""
-    if engine not in PIVOT_ENGINES:
-        raise ValueError(
-            f"engine must be one of {PIVOT_ENGINES}, got {engine!r}"
-        )
-
 
 class LiveVertexOrder:
     """Live vertices in permutation order, with lazy-deletion compaction.
@@ -121,7 +103,7 @@ def choose_pivots(graph: CandidateGraph, ordered: List[int],
     Single pass over ``ordered`` (the live vertices in permutation order):
     each vertex's waste bound ``w_j`` and its fresh-edge contribution to
     ``|P_j|`` are derived from one ``neighbors()`` call, where the
-    reference path (:func:`~repro.core.pc_pivot.choose_k` +
+    reference path (:func:`repro.reference.choose_k` +
     :func:`~repro.core.partial_pivot.waste_estimates`) walks the
     neighborhood three times.  The scan stops early once ``sum w_j``
     exceeds ``epsilon`` times the *total* live edge count: ``|P_j|`` can
@@ -132,7 +114,7 @@ def choose_pivots(graph: CandidateGraph, ordered: List[int],
     Returns:
         ``(k, estimates)`` with ``len(estimates) == k``; ``(0, [])`` on an
         empty vertex list.  ``sum(estimates)`` is exactly the
-        ``predicted_waste`` the reference engine would compute for the
+        ``predicted_waste`` the reference oracle would compute for the
         same prefix.
     """
     if epsilon < 0:

@@ -8,7 +8,7 @@ component) produces precisely the clusters the whole-graph run would —
 Lemma 2/4 applied component-wise.  The component-streaming executor of
 :mod:`repro.runtime.pipeline` exploits that with the two halves here:
 
-1. **Per component** — :func:`_run_component` runs the fast engine over
+1. **Per component** — :func:`_run_component` runs the PC-Pivot loop over
    one component's own :class:`~repro.pruning.graph.EagerCandidateGraph`
    against a forked copy of the *pair-deterministic* answer source
    (every process resolves a pair to the same confidence, so placement

@@ -32,12 +32,6 @@ from repro.pruning.candidate import CandidateSet
 # 1/num_workers), so any genuine improvement is far above float dust.
 BENEFIT_TOLERANCE = 1e-9
 
-#: Refinement engines: "fast" (incremental EvaluationCache + lazy ranking)
-#: and "reference" (full re-evaluation per iteration, the literal reading of
-#: Algorithms 4-5).  Outputs are byte-identical; "reference" exists for
-#: equivalence testing and as the benchmark baseline.
-REFINE_ENGINES = ("fast", "reference")
-
 
 def enumerate_operations(clustering: Clustering,
                          candidates: CandidateSet) -> List[Operation]:
@@ -253,37 +247,6 @@ def _operation_sort_key(operation: Operation) -> Tuple:
     return (1, operation.cluster_a, operation.cluster_b)
 
 
-def _apply_free_operations_reference(
-    clustering: Clustering,
-    candidates: CandidateSet,
-    oracle: CrowdOracle,
-    estimator: HistogramEstimator,
-) -> int:
-    """Reference implementation: full re-enumeration per applied operation.
-
-    Semantically identical to :func:`apply_free_operations` (which the
-    pipeline uses); kept for equivalence tests and readability — this is
-    the literal reading of Algorithm 4 lines 5-7.
-    """
-    evaluator = OperationEvaluator(clustering, candidates, oracle, estimator)
-    applied = 0
-    while True:
-        best_operation: Optional[Operation] = None
-        best_key: Optional[Tuple] = None
-        for operation in enumerate_operations(clustering, candidates):
-            benefit = evaluator.exact_benefit(operation)
-            if benefit is None or benefit <= BENEFIT_TOLERANCE:
-                continue
-            key = (-benefit, _operation_sort_key(operation))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_operation = operation
-        if best_operation is None:
-            return applied
-        apply_operation(clustering, best_operation)
-        applied += 1
-
-
 def _operations_touching(
     clustering: Clustering,
     neighbors: Mapping[int, List[int]],
@@ -329,9 +292,9 @@ def apply_free_operations(
     membership (crowd answers don't change on the free path), so applying
     one operation only invalidates and respawns operations touching the
     changed clusters — everything else stays valid in the heap.  Equivalent
-    to :func:`_apply_free_operations_reference`, which re-enumerates
-    everything per step; both pick the maximum-benefit operation with the
-    same canonical tie-break.
+    to the oracle :func:`repro.reference.apply_free_operations`, which
+    re-enumerates everything per step; both pick the maximum-benefit
+    operation with the same canonical tie-break.
 
     Args:
         cache: Optional shared :class:`OperationCache` (from
@@ -344,7 +307,7 @@ def apply_free_operations(
             counter; values are state-dependent, never caller-dependent).
         evaluations: Optional :class:`EvaluationCache`; when given, exact
             benefits are served incrementally from it instead of being
-            re-derived per push (fast-engine path).  Must share the same
+            re-derived per push.  Must share the same
             tracker as ``cache``.
         invalidated: Optional out-parameter; accumulates the cluster ids
             each applied operation touched, changed, or created — exactly
@@ -413,81 +376,10 @@ def _record_answers(
             estimator.add_sample(pair, candidates.machine_scores[pair], crowd_score)
 
 
-def _crowd_refine_reference(
-    clustering: Clustering,
-    candidates: CandidateSet,
-    oracle: CrowdOracle,
-    num_buckets: int = DEFAULT_NUM_BUCKETS,
-    obs=None,
-) -> Clustering:
-    """Reference engine: re-evaluates every operation per outer iteration.
-
-    The literal reading of Algorithm 4's estimated path; kept for
-    equivalence tests and as the ``bench_refine`` baseline.
-    """
-    estimator = build_estimator(candidates, oracle, num_buckets=num_buckets)
-    evaluator = OperationEvaluator(clustering, candidates, oracle, estimator)
-    # One cache for the whole refinement: each outer iteration touches at
-    # most a handful of clusters, so re-enumeration cost drops from O(|S|)
-    # per loop to the few entries those clusters invalidated.
-    cache = OperationCache(clustering, candidates)
-
-    step = 0
-    while True:
-        applied = apply_free_operations(clustering, candidates, oracle,
-                                        estimator, cache=cache,
-                                        evaluator=evaluator)
-        if obs is not None and applied:
-            obs.metrics.counter(
-                "refine_free_operations_total",
-                help="Zero-cost refinement operations applied",
-            ).inc(applied)
-
-        # Estimated path: best benefit-cost ratio among costly operations.
-        best_operation: Optional[Operation] = None
-        best_ratio = 0.0
-        for operation in cache.operations():
-            cost = evaluator.cost(operation)
-            if cost <= 0:
-                continue  # exact benefit known; the free path already saw it
-            ratio = evaluator.estimated_benefit(operation) / cost
-            if best_operation is None or ratio > best_ratio:
-                best_ratio = ratio
-                best_operation = operation
-        if best_operation is None or best_ratio <= 0.0:
-            return clustering
-
-        cost = evaluator.cost(best_operation)
-        answers = oracle.ask_batch(evaluator.unknown_pairs(best_operation))
-        _record_answers(answers, candidates, estimator)
-        benefit = evaluator.exact_benefit(best_operation)
-        confirmed = benefit is not None and benefit > BENEFIT_TOLERANCE
-        if confirmed:
-            cache.apply(best_operation)
-        step += 1
-        if obs is not None:
-            obs.metrics.counter(
-                "refine_steps_total",
-                help="Costly Crowd-Refine iterations executed",
-            ).inc()
-            obs.event(
-                "refine.step",
-                step=step,
-                operation=repr(best_operation),
-                ratio=best_ratio,
-                cost=cost,
-                benefit=benefit,
-                applied=confirmed,
-                clusters=len(clustering),
-                histogram_samples=len(estimator),
-                histogram_buckets=estimator.num_buckets,
-            )
-
-
 class _LazyRatioSelector:
     """Persistent best-ratio selection over the costly operations.
 
-    Replaces the reference engine's full O(ops) rescan per iteration with a
+    Replaces the reference oracle's full O(ops) rescan per iteration with a
     lazy max-heap keyed ``(-ratio, enumeration-order key)``.  The
     enumeration-order key reproduces ``enumerate_operations``' position
     order (splits ascending by (cluster, record), then merges ascending by
@@ -626,11 +518,11 @@ def _crowd_refine_fast(
     num_buckets: int = DEFAULT_NUM_BUCKETS,
     obs=None,
 ) -> Clustering:
-    """Fast engine: incremental evaluation + lazy best-ratio selection.
+    """Incremental evaluation + lazy best-ratio selection.
 
-    Byte-identical to :func:`_crowd_refine_reference` (same operations
-    chosen, same crowd batches, same events) — property-tested in
-    ``tests/core/test_refine_engines.py``.
+    Byte-identical to :func:`repro.reference.crowd_refine` (same
+    operations chosen, same crowd batches, same events) — property-tested
+    in ``tests/core/test_refine_engines.py``.
     """
     estimator = build_estimator(candidates, oracle, num_buckets=num_buckets)
     cache = OperationCache(clustering, candidates)
@@ -693,7 +585,6 @@ def crowd_refine(
     oracle: CrowdOracle,
     num_buckets: int = DEFAULT_NUM_BUCKETS,
     obs=None,
-    engine: str = "fast",
 ) -> Clustering:
     """Run Crowd-Refine; refines ``clustering`` in place and returns it.
 
@@ -706,15 +597,6 @@ def crowd_refine(
             iteration emits a ``refine.step`` event (chosen operation, its
             ratio / cost / confirmed benefit, histogram state) and bumps
             the step / free-operation counters.
-        engine: One of :data:`REFINE_ENGINES` — "fast" (incremental,
-            default) or "reference" (full re-evaluation); outputs are
-            byte-identical.
     """
-    if engine not in REFINE_ENGINES:
-        raise ValueError(
-            f"engine must be one of {REFINE_ENGINES}, got {engine!r}"
-        )
-    refine = (_crowd_refine_fast if engine == "fast"
-              else _crowd_refine_reference)
-    return refine(clustering, candidates, oracle, num_buckets=num_buckets,
-                  obs=obs)
+    return _crowd_refine_fast(clustering, candidates, oracle,
+                              num_buckets=num_buckets, obs=obs)

@@ -161,8 +161,7 @@ def run_runtime_process_faults(
     def prune(fault_plan=None, obs=None, run_policy=policy):
         return build_candidate_set(
             dataset.records, jaccard_similarity_function(),
-            threshold=PRUNING_THRESHOLD, engine="prefix",
-            shards=shards, parallel=processes,
+            threshold=PRUNING_THRESHOLD, shards=shards, parallel=processes,
             supervisor_policy=run_policy, fault_plan=fault_plan, obs=obs,
         )
 

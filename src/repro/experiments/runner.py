@@ -49,6 +49,9 @@ ALL_METHODS = (
 
 RANDOMIZED_METHODS = frozenset({ACD_METHOD, PC_PIVOT_METHOD, CROWD_PIVOT_METHOD})
 
+#: Methods ``run_acd`` executes, the only ones ``pipeline=True`` applies to.
+PIPELINE_METHODS = (ACD_METHOD, PC_PIVOT_METHOD)
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -70,7 +73,6 @@ def prepare_instance(
     scale: float = 1.0,
     seed: int = 0,
     threshold: float = PRUNING_THRESHOLD,
-    engine: str = "auto",
     parallel: int = 0,
     shards: int = 0,
     kernel_backend: str = "auto",
@@ -88,10 +90,8 @@ def prepare_instance(
         scale: Dataset size multiplier (1.0 = Table 3 size).
         seed: Dataset generation seed.
         threshold: Pruning threshold τ (paper: 0.3).
-        engine: Pruning engine: 'auto', 'reference', or 'prefix'
-            (see :func:`repro.pruning.candidate.build_candidate_set`).
-        parallel: Worker processes (reference scoring loop or sharded
-            prefix join; <= 1 runs serially).
+        parallel: Worker processes (pair-scoring loop or sharded prefix
+            join; <= 1 runs serially).
         shards: Blocking-key shards for the prefix join (0/1 = unsharded;
             output is identical for every value).
         kernel_backend: Prefix-join verification kernel: 'auto',
@@ -111,8 +111,7 @@ def prepare_instance(
     if candidates is None:
         candidates = build_candidate_set(
             dataset.records, jaccard_similarity_function(),
-            threshold=threshold,
-            engine=engine, parallel=parallel, shards=shards,
+            threshold=threshold, parallel=parallel, shards=shards,
             kernel_backend=kernel_backend, timings=timings, obs=obs,
             supervisor_policy=supervisor_policy, fault_plan=fault_plan,
         )
@@ -178,8 +177,6 @@ def run_method(
     epsilon: float = 0.1,
     threshold_divisor: float = 8.0,
     obs=None,
-    refine_engine: str = "fast",
-    pivot_engine: str = "fast",
     checkpoints=None,
     resume: bool = False,
     pipeline: bool = False,
@@ -198,12 +195,6 @@ def run_method(
             get the full phase-level trace from :func:`run_acd`; baseline
             methods run inside a single ``method`` span with their crowd
             batches traced through the oracle.
-        refine_engine: ACD refinement evaluation engine ("fast" or
-            "reference"; byte-identical outputs) — ignored by the
-            non-ACD baselines.
-        pivot_engine: Cluster-generation engine ("fast" or "reference";
-            byte-identical outputs) for ACD / PC-Pivot / Crowd-Pivot —
-            ignored by the other baselines.
         checkpoints: Optional
             :class:`~repro.runtime.checkpoint.CheckpointStore` for
             phase-level crash safety (ACD / PC-Pivot only; forwarded to
@@ -211,12 +202,17 @@ def run_method(
         resume: With ``checkpoints``, restore the generation phase from
             its checkpoint instead of re-running it when one exists.
         pipeline: Run ACD's crowd phases decomposed by connected
-            component (ACD / PC-Pivot only; forwarded to
-            :func:`~repro.core.acd.run_acd`).
+            component (ACD / PC-Pivot only — any other method rejects it;
+            forwarded to :func:`~repro.core.acd.run_acd`).
         pipeline_workers: Worker processes for the pipeline pool
             (requires ``pipeline``).
     """
     ids = instance.record_ids
+    if (pipeline or pipeline_workers) and method not in PIPELINE_METHODS:
+        raise ValueError(
+            f"pipeline applies only to {' and '.join(PIPELINE_METHODS)}, "
+            f"not {method!r}"
+        )
 
     if method in (ACD_METHOD, PC_PIVOT_METHOD):
         result = run_acd(
@@ -224,9 +220,7 @@ def run_method(
             epsilon=epsilon, threshold_divisor=threshold_divisor,
             seed=seed, refine=(method == ACD_METHOD),
             pairs_per_hit=instance.setting.pairs_per_hit,
-            obs=obs, refine_engine=refine_engine,
-            pivot_engine=pivot_engine,
-            checkpoints=checkpoints, resume=resume,
+            obs=obs, checkpoints=checkpoints, resume=resume,
             pipeline=pipeline, pipeline_workers=pipeline_workers,
         )
         return _result(method, instance, result.clustering, result.stats)
@@ -236,8 +230,7 @@ def run_method(
         if method == CROWD_PIVOT_METHOD:
             from repro.core.pivot import crowd_pivot
             clustering = crowd_pivot(ids, instance.candidates, oracle,
-                                     seed=seed, obs=obs,
-                                     engine=pivot_engine)
+                                     seed=seed, obs=obs)
         elif method == CROWDER_METHOD:
             clustering = crowder_plus(ids, instance.candidates, oracle)
         elif method == TRANSM_METHOD:

@@ -16,7 +16,6 @@ from repro.pruning.analysis import (
 )
 from repro.pruning.candidate import (
     DEFAULT_THRESHOLD,
-    ENGINES,
     CandidateSet,
     build_candidate_set,
 )
@@ -34,7 +33,6 @@ from repro.pruning.minhash import (
 
 __all__ = [
     "DEFAULT_THRESHOLD",
-    "ENGINES",
     "CandidateGraph",
     "CandidateSet",
     "MinHasher",

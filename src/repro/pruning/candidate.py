@@ -6,27 +6,29 @@ a :class:`CandidateSet` carrying both the surviving pairs and their machine
 scores — the scores feed the refinement phase's histogram estimator and
 several baselines' pair orderings.
 
-Engines
--------
-``build_candidate_set`` picks among three ways of producing ``S``:
+Paths
+-----
+``build_candidate_set`` produces ``S`` one of two ways, chosen by the input
+alone (:func:`_prefix_join_eligible`):
 
-* ``reference`` — the seed implementation: enumerate candidate pairs
-  (token blocking / all pairs / caller-supplied) and score each one.
-* ``prefix`` — the length- and prefix-filtered set-similarity join
-  (:mod:`repro.pruning.prefix_join`); only valid for set-overlap metrics,
-  for which it provably produces the identical :class:`CandidateSet`.
-* ``auto`` (default) — ``prefix`` whenever it is provably equivalent to
-  what ``reference`` would compute, else ``reference``; the opt-in
-  ``parallel=N`` knob fans the reference scoring loop out to worker
-  processes for expensive non-set metrics.
+* the length- and prefix-filtered set-similarity join
+  (:mod:`repro.pruning.prefix_join`) for set-overlap metrics whose blocking
+  domain matches, for which it provably produces the same
+  :class:`CandidateSet` as scoring every blocked pair;
+* otherwise the enumerate-and-score loop: token blocking / all pairs /
+  caller-supplied pairs, each pair scored once.  It is the only path for
+  edit-distance and q-gram-under-blocking metrics and for external
+  ``candidate_pairs``; ``parallel=N`` fans its scoring out to worker
+  processes.
 
-Orthogonally to the engine, the prefix join itself dispatches between two
-*kernel backends* (:data:`~repro.similarity.kernels.KERNEL_BACKENDS`): the
-``scalar`` per-pair reference and the ``vectorized`` numpy batch path of
+The join itself dispatches between two *kernel backends*
+(:data:`~repro.similarity.kernels.KERNEL_BACKENDS`): the ``scalar``
+per-pair join and the ``vectorized`` numpy batch path of
 :mod:`repro.pruning.shard`, which also accepts a ``shards`` count for
 blocking-key partitioned (optionally multi-process) execution.  All
 combinations produce byte-identical candidate sets; backends and shard
-counts only move wall-clock and memory.
+counts only move wall-clock and memory.  The test oracle
+:func:`repro.reference.candidate_set` runs the scoring loop on every input.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ from repro.similarity.kernels import numpy_available, resolve_kernel_backend
 Pair = Tuple[int, int]
 
 DEFAULT_THRESHOLD = 0.3
-
-ENGINES = ("auto", "reference", "prefix")
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,8 @@ def _prefix_join_eligible(
     candidate_pairs: Optional[Iterable[Pair]],
     use_token_blocking: bool,
 ) -> bool:
-    """Whether the prefix join provably reproduces the reference output.
+    """Whether the prefix join provably reproduces the scoring loop's
+    output (and so is the path :func:`build_candidate_set` takes).
 
     Caller-supplied pairs restrict scoring arbitrarily — never joinable.
     With token blocking on, the join is equivalent only when the metric
@@ -114,7 +115,6 @@ def build_candidate_set(
     threshold: float = DEFAULT_THRESHOLD,
     candidate_pairs: Optional[Iterable[Pair]] = None,
     use_token_blocking: bool = True,
-    engine: str = "auto",
     parallel: int = 0,
     shards: int = 0,
     kernel_backend: str = "auto",
@@ -136,9 +136,8 @@ def build_candidate_set(
             ``candidate_pairs`` is not given.  Disable for similarity metrics
             that can score > τ with zero shared word tokens (e.g. q-gram or
             edit-distance metrics).
-        engine: ``auto`` | ``reference`` | ``prefix`` (see module docstring).
-        parallel: Worker processes; for the reference engine this fans out
-            the scoring loop, for the sharded prefix join it runs shards in
+        parallel: Worker processes; on the scoring loop this fans out the
+            pair scoring, for the sharded prefix join it runs shards in
             parallel (needs ``shards`` > 1 to matter there).
         shards: Blocking-key shards for the prefix join (0/1 = unsharded).
             Any value yields byte-identical output; > 1 is a scale knob.
@@ -153,7 +152,7 @@ def build_candidate_set(
         supervisor_policy: Optional
             :class:`~repro.runtime.supervisor.SupervisorPolicy` tuning the
             fault handling of parallel execution (both the chunked
-            reference scorer and the sharded join).
+            pair scorer and the sharded join).
         fault_plan: Optional
             :class:`~repro.runtime.faults.ProcessFaultPlan` injecting
             deterministic process faults into the worker pool (chaos
@@ -164,43 +163,33 @@ def build_candidate_set(
     """
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    eligible = _prefix_join_eligible(similarity, candidate_pairs,
+                                     use_token_blocking)
     if isinstance(shards, str):
         from repro.runtime.autoshard import resolve_auto_shards
 
-        shards = resolve_auto_shards("pruning", records=len(records),
+        shards = resolve_auto_shards(records=len(records),
                                      requested=shards, obs=obs)
-        if shards > 1 and (engine == "reference" or not _prefix_join_eligible(
-                similarity, candidate_pairs, use_token_blocking)):
-            # The heuristic never forces sharding onto the reference path.
+        if shards > 1 and not eligible:
+            # The heuristic never forces sharding onto the scoring loop.
             shards = 0
     if shards < 0:
         raise ValueError(f"shards must be >= 0, got {shards}")
     resolved_backend = resolve_kernel_backend(kernel_backend)
 
-    eligible = _prefix_join_eligible(similarity, candidate_pairs,
-                                     use_token_blocking)
-    if engine == "prefix" and not eligible:
-        raise ValueError(
-            "the prefix engine needs a set-overlap similarity, no external "
-            "candidate_pairs, and a blocking domain matching the metric "
-            f"(similarity={similarity.name!r})"
-        )
-    chosen = ("prefix" if engine == "prefix" or (engine == "auto" and eligible)
-              else "reference")
+    chosen = "prefix" if eligible else "reference"
     if chosen == "reference":
         if shards > 1:
             raise ValueError(
-                "shards > 1 applies only to the prefix join; the chosen "
-                f"engine here is 'reference' (engine={engine!r}, "
-                f"similarity={similarity.name!r})"
+                "shards > 1 applies only to the prefix join; this input "
+                "runs the scoring loop (similarity="
+                f"{similarity.name!r})"
             )
         if kernel_backend == "vectorized":
             raise ValueError(
                 "kernel_backend='vectorized' applies only to the prefix "
-                "join; the chosen engine here is 'reference' "
-                f"(engine={engine!r}, similarity={similarity.name!r})"
+                "join; this input runs the scoring loop (similarity="
+                f"{similarity.name!r})"
             )
     use_sharded = (chosen == "prefix"
                    and (shards > 1 or resolved_backend == "vectorized"))

@@ -24,14 +24,8 @@ AUTO_MIN_RECORDS = 50_000
 #: Bench-tier shard count used above the threshold.
 AUTO_PRUNING_SHARDS = 8
 
-_KINDS = {
-    # kind: (shards above threshold, shards below: serial)
-    "pruning": (AUTO_PRUNING_SHARDS, 1),
-}
 
-
-def resolve_auto_shards(kind: str, *, records: int,
-                        requested: Union[int, str],
+def resolve_auto_shards(*, records: int, requested: Union[int, str],
                         obs=None) -> int:
     """Resolve a ``shards`` knob that may be the string ``"auto"``.
 
@@ -40,23 +34,19 @@ def resolve_auto_shards(kind: str, *, records: int,
     ``records >= AUTO_MIN_RECORDS``, else ``1`` (serial join).
 
     Args:
-        kind: ``"pruning"`` — the only phase with a shard knob.
         records: Problem size the heuristic keys on.
         requested: The caller's knob — an int or ``"auto"``.
         obs: Optional :class:`~repro.obs.ObsContext`; auto resolutions
             emit a ``runtime.autoshard`` event recording the decision.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown autoshard kind {kind!r}")
     if not isinstance(requested, str):
         return requested
     if requested != "auto":
         raise ValueError(
             f"shards must be an int or 'auto', got {requested!r}")
-    above, below = _KINDS[kind]
-    resolved = above if records >= AUTO_MIN_RECORDS else below
+    resolved = AUTO_PRUNING_SHARDS if records >= AUTO_MIN_RECORDS else 1
     if obs is not None:
-        obs.event("runtime.autoshard", kind=kind, records=records,
+        obs.event("runtime.autoshard", records=records,
                   threshold=AUTO_MIN_RECORDS, resolved=resolved)
         obs.metrics.counter(
             "runtime_autoshard_total",

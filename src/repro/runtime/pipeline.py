@@ -267,7 +267,7 @@ def run_pipeline(
     ids = ([record.record_id for record in records]
            if records is not None else list(record_ids))
     # Pre-pruned entry has no pruning phase to shard.
-    num_shards = (resolve_auto_shards("pruning", records=len(ids),
+    num_shards = (resolve_auto_shards(records=len(ids),
                                       requested=pruning_shards, obs=obs)
                   if records is not None else 0)
     if permutation is None:
@@ -417,8 +417,6 @@ def run_pipeline(
                 "pairs_per_hit": pairs_per_hit,
                 "ranking": ranking,
                 "max_refinement_pairs": None,
-                "refine_engine": "fast",
-                "pivot_engine": "fast",
                 "pipeline": True,
                 "pipeline_workers": workers,
                 "pruning_shards": num_shards,

@@ -9,8 +9,7 @@ sorted ``int32`` array in one flat CSR store (:class:`EncodedRecords`), and
 whole blocks of candidate pairs are scored with a handful of numpy
 operations instead of one Python call each.
 
-Backends are dispatched through :data:`KERNEL_BACKENDS`, mirroring the
-``REFINE_ENGINES`` / ``PIVOT_ENGINES`` fast/reference registries:
+Backends are dispatched through :data:`KERNEL_BACKENDS`:
 
 * ``scalar`` — the literal reading: per-pair Python set functions.
 * ``vectorized`` — the numpy batch path described above.

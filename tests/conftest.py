@@ -74,3 +74,15 @@ def fig2_oracle() -> CrowdOracle:
     return scripted_oracle({
         (FIG2_IDS[x], FIG2_IDS[y]): 0.8 for x, y in FIG2_EDGES
     })
+
+
+def pruned_with(build, *args, **kwargs):
+    """Run a pruning entry point traced; return ``(candidate set, the
+    path its pruning span reports)`` — ``"prefix"`` for the join,
+    ``"reference"`` for the scoring loop."""
+    from repro.obs import ObsContext
+
+    obs = ObsContext()
+    candidates = build(*args, obs=obs, **kwargs)
+    (span,) = [root for root in obs.tracer.roots if root.name == "pruning"]
+    return candidates, span.attrs["engine"]

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pc_pivot import PCPivotDiagnostics, choose_k, pc_pivot
+from repro.core.pc_pivot import PCPivotDiagnostics, pc_pivot
 from repro.core.permutation import Permutation
 from repro.core.pivot import crowd_pivot
+from repro.core.pivot_engine import choose_pivots
 from repro.crowd.oracle import CrowdOracle
 from repro.pruning.graph import CandidateGraph
 from tests.conftest import (
@@ -27,6 +28,12 @@ def fig2_graph():
 
 def ids(letters):
     return [FIG2_IDS[x] for x in letters]
+
+
+def choose_k(graph, permutation, epsilon):
+    """Equation 4's ``k`` as PC-Pivot computes it on ``graph``."""
+    return choose_pivots(graph, permutation.ordered(graph.vertices),
+                         epsilon)[0]
 
 
 class TestChooseK:

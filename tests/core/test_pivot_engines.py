@@ -1,36 +1,39 @@
-"""Fast-vs-reference pivot engine equivalence.
+"""Production-vs-reference pivot equivalence.
 
-The incremental engine (LiveVertexOrder + fused early-exiting Equation-4
-scan + eager graph cleanup) must be indistinguishable from the reference
-per-round re-derivation engine: identical clusterings, identical crowd
-batch sequences, identical diagnostics, and identical observability event
-streams — under clean and faulty crowds alike."""
+The incremental production loops (LiveVertexOrder + fused early-exiting
+Equation-4 scan + eager graph cleanup) must be indistinguishable from the
+per-round re-derivation oracles in :mod:`repro.reference`: identical
+clusterings, identical crowd batch sequences, identical diagnostics, and
+identical observability event streams — under clean and faulty crowds
+alike."""
 
+import json
 import random as random_module
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import build_parser, main
+from repro import reference
+from repro.cli import main
 from repro.core.acd import run_acd
 from repro.core.partial_pivot import partial_pivot, waste_estimates
-from repro.core.pc_pivot import PCPivotDiagnostics, choose_k, pc_pivot
+from repro.core.pc_pivot import PCPivotDiagnostics, pc_pivot
+from repro.core.pc_refine import pc_refine
 from repro.core.permutation import Permutation
 from repro.core.pivot import crowd_pivot
-from repro.core.pivot_engine import (
-    PIVOT_ENGINES,
-    LiveVertexOrder,
-    choose_pivots,
-)
+from repro.core.pivot_engine import LiveVertexOrder, choose_pivots
+from repro.core.refine import crowd_refine
 from repro.crowd.cache import AnswerFile, FallbackAnswers, ScriptedAnswers
 from repro.crowd.faults import FaultModel
 from repro.crowd.oracle import CrowdOracle
 from repro.crowd.worker import WorkerPool
 from repro.datasets.registry import generate
 from repro.datasets.schema import canonical_pair
+from repro.eval.metrics import pairwise_scores
 from repro.experiments.chaos import _platform_answers
 from repro.experiments.configs import PRUNING_THRESHOLD, difficulty_model
+from repro.experiments.runner import prepare_instance
 from repro.obs import ObsContext
 from repro.pruning.candidate import build_candidate_set
 from repro.pruning.graph import CandidateGraph
@@ -40,6 +43,11 @@ from tests.conftest import FIG2_IDS, fig2_candidates, fig2_oracle, \
     make_candidates
 
 EPSILONS = (0.0, 0.05, 0.1, 0.3, 1.0)
+
+#: Each generation loop under test, keyed as "fast" (production) and
+#: "reference" (the oracle).
+PC_PIVOTS = {"fast": pc_pivot, "reference": reference.pc_pivot}
+CROWD_PIVOTS = {"fast": crowd_pivot, "reference": reference.crowd_pivot}
 
 
 class RecordingOracle(CrowdOracle):
@@ -108,12 +116,11 @@ def _collected_events(obs):
 def test_pc_pivot_engines_agree(seed, epsilon):
     ids, candidates, fresh_oracle = random_pivot_state(seed)
     outcomes = {}
-    for engine in PIVOT_ENGINES:
+    for engine, run in PC_PIVOTS.items():
         oracle = fresh_oracle()
         diagnostics = PCPivotDiagnostics()
-        clustering = pc_pivot(ids, candidates, oracle, epsilon=epsilon,
-                              seed=seed, diagnostics=diagnostics,
-                              engine=engine)
+        clustering = run(ids, candidates, oracle, epsilon=epsilon,
+                         seed=seed, diagnostics=diagnostics)
         clustering.check_invariants()
         outcomes[engine] = (
             clustering.as_sets(),
@@ -132,10 +139,9 @@ def test_pc_pivot_engines_agree(seed, epsilon):
 def test_crowd_pivot_engines_agree(seed):
     ids, candidates, fresh_oracle = random_pivot_state(seed)
     outcomes = {}
-    for engine in PIVOT_ENGINES:
+    for engine, run in CROWD_PIVOTS.items():
         oracle = fresh_oracle()
-        clustering = crowd_pivot(ids, candidates, oracle, seed=seed,
-                                 engine=engine)
+        clustering = run(ids, candidates, oracle, seed=seed)
         clustering.check_invariants()
         outcomes[engine] = (clustering.as_sets(), oracle.stats.pairs_issued,
                             oracle.stats.iterations, oracle.batches)
@@ -151,7 +157,7 @@ def test_choose_pivots_matches_reference(seed, epsilon):
     permutation = Permutation.random(ids, seed=seed + 1)
     ordered = permutation.ordered(graph.vertices)
     k, estimates = choose_pivots(graph, ordered, epsilon)
-    assert k == choose_k(graph, permutation, epsilon)
+    assert k == reference.choose_k(graph, permutation, epsilon)
     assert estimates == waste_estimates(graph, ordered)[:k]
 
 
@@ -159,11 +165,10 @@ def test_choose_pivots_matches_reference(seed, epsilon):
 def test_pc_pivot_event_streams_identical(seed):
     ids, candidates, fresh_oracle = random_pivot_state(seed)
     streams = {}
-    for engine in PIVOT_ENGINES:
+    for engine, run in PC_PIVOTS.items():
         obs = ObsContext()
         with obs.span("generation"):
-            pc_pivot(ids, candidates, fresh_oracle(), seed=seed, obs=obs,
-                     engine=engine)
+            run(ids, candidates, fresh_oracle(), seed=seed, obs=obs)
         streams[engine] = _collected_events(obs)
     assert streams["fast"] == streams["reference"]
 
@@ -172,27 +177,29 @@ def test_pc_pivot_event_streams_identical(seed):
 def test_crowd_pivot_event_streams_identical(seed):
     ids, candidates, fresh_oracle = random_pivot_state(seed)
     streams = {}
-    for engine in PIVOT_ENGINES:
+    for engine, run in CROWD_PIVOTS.items():
         obs = ObsContext()
         with obs.span("generation"):
-            crowd_pivot(ids, candidates, fresh_oracle(), seed=seed, obs=obs,
-                        engine=engine)
+            run(ids, candidates, fresh_oracle(), seed=seed, obs=obs)
         streams[engine] = _collected_events(obs)
     assert streams["fast"] == streams["reference"]
 
 
 @pytest.mark.parametrize("parallel", (True, False))
 def test_run_acd_engines_agree(tiny_paper, parallel):
-    results = {
-        engine: run_acd(tiny_paper.record_ids, tiny_paper.candidates,
-                        tiny_paper.answers, seed=2, parallel=parallel,
-                        pivot_engine=engine)
-        for engine in PIVOT_ENGINES
-    }
-    fast, reference = results["fast"], results["reference"]
-    assert fast.clustering.as_sets() == reference.clustering.as_sets()
-    assert fast.stats.pairs_issued == reference.stats.pairs_issued
-    assert fast.stats.iterations == reference.stats.iterations
+    """End to end: ``run_acd`` equals the reference generation oracle
+    followed by the production refinement."""
+    fast = run_acd(tiny_paper.record_ids, tiny_paper.candidates,
+                   tiny_paper.answers, seed=2, parallel=parallel)
+    clustering, stats = reference.run_acd(
+        tiny_paper.record_ids, tiny_paper.candidates, tiny_paper.answers,
+        seed=2, parallel=parallel,
+        generation=reference.pc_pivot if parallel else reference.crowd_pivot,
+        refinement=pc_refine if parallel else crowd_refine,
+    )
+    assert fast.clustering.as_sets() == clustering.as_sets()
+    assert fast.stats.pairs_issued == stats.pairs_issued
+    assert fast.stats.iterations == stats.iterations
 
 
 @pytest.mark.parametrize("seed", (0, 1))
@@ -207,23 +214,25 @@ def test_engines_agree_under_faulty_crowd(seed):
     )
     fault_model = FaultModel(abandonment_probability=0.15, spam_fraction=0.2,
                              timeout_seconds=240.0)
-    outcomes = {}
-    for engine in PIVOT_ENGINES:
-        answers = _platform_answers("restaurant", dataset, candidates, seed,
-                                    fault_model)
-        result = run_acd(dataset.record_ids, candidates, answers, seed=seed,
-                         pivot_engine=engine)
-        outcomes[engine] = (result.clustering.as_sets(),
-                            result.stats.pairs_issued)
-    assert outcomes["fast"] == outcomes["reference"]
+    answers = _platform_answers("restaurant", dataset, candidates, seed,
+                                fault_model)
+    result = run_acd(dataset.record_ids, candidates, answers, seed=seed)
+    answers = _platform_answers("restaurant", dataset, candidates, seed,
+                                fault_model)
+    clustering, stats = reference.run_acd(
+        dataset.record_ids, candidates, answers, seed=seed,
+        refinement=pc_refine)
+    assert (result.clustering.as_sets(), result.stats.pairs_issued) == (
+        clustering.as_sets(), stats.pairs_issued)
 
 
 def test_unknown_engine_rejected():
+    """The engine knob is gone: generation has one production loop."""
     ids, candidates, fresh_oracle = random_pivot_state(0)
-    with pytest.raises(ValueError, match="engine"):
-        pc_pivot(ids, candidates, fresh_oracle(), engine="bogus")
-    with pytest.raises(ValueError, match="engine"):
-        crowd_pivot(ids, candidates, fresh_oracle(), engine="bogus")
+    with pytest.raises(TypeError, match="engine"):
+        pc_pivot(ids, candidates, fresh_oracle(), engine="reference")
+    with pytest.raises(TypeError, match="engine"):
+        crowd_pivot(ids, candidates, fresh_oracle(), engine="reference")
 
 
 def test_partial_pivot_rejects_half_supplied_precomputation():
@@ -253,7 +262,7 @@ def test_epsilon_zero_contract():
     candidates = fig2_candidates()
     graph = CandidateGraph(sorted(FIG2_IDS.values()), candidates.pairs)
     permutation = Permutation(FIG2_BINDING_ORDER)
-    assert choose_k(graph, permutation, 0.0) == 1
+    assert reference.choose_k(graph, permutation, 0.0) == 1
     assert choose_pivots(
         graph, permutation.ordered(graph.vertices), 0.0
     ) == (1, [0])
@@ -262,14 +271,15 @@ def test_epsilon_zero_contract():
 def _fig2_warning_events(epsilon, engine="fast"):
     obs = ObsContext()
     with obs.span("generation"):
-        pc_pivot(sorted(FIG2_IDS.values()), fig2_candidates(), fig2_oracle(),
-                 epsilon=epsilon, permutation=Permutation(FIG2_BINDING_ORDER),
-                 obs=obs, engine=engine)
+        PC_PIVOTS[engine](sorted(FIG2_IDS.values()), fig2_candidates(),
+                          fig2_oracle(), epsilon=epsilon,
+                          permutation=Permutation(FIG2_BINDING_ORDER),
+                          obs=obs)
     return [attrs for name, attrs in _collected_events(obs)
             if name == "pivot.waste_bound_binding"]
 
 
-@pytest.mark.parametrize("engine", PIVOT_ENGINES)
+@pytest.mark.parametrize("engine", tuple(PC_PIVOTS))
 def test_waste_bound_binding_warning_emitted(engine):
     """A round forced down to k=1 under a positive ε warns that the waste
     bound is binding (the round runs sequentially)."""
@@ -485,12 +495,6 @@ def test_run_acd_sharded_agrees(tiny_paper):
 
 
 class TestShardedValidation:
-    def test_reference_engine_rejected(self, tiny_paper):
-        with pytest.raises(ValueError, match="fast"):
-            run_acd(tiny_paper.record_ids, tiny_paper.candidates,
-                    tiny_paper.answers, pipeline=True,
-                    pivot_engine="reference")
-
     def test_negative_shards_rejected(self, tiny_paper):
         with pytest.raises(ValueError, match="shards"):
             run_pipeline(tiny_paper.answers,
@@ -528,22 +532,22 @@ class TestShardedValidation:
 
 
 class TestCLI:
-    def test_pivot_engine_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["run", "restaurant", "--pivot-engine", "reference"]
-        )
-        assert args.pivot_engine == "reference"
-        assert (build_parser().parse_args(["run", "restaurant"])
-                .pivot_engine == "fast")
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "restaurant", "--pivot-engine", "nope"]
-            )
-
-    def test_run_with_reference_engine(self, capsys):
+    def test_run_with_reference_engine(self, tmp_path):
+        """``repro run`` reports what the reference generation oracle
+        (followed by the production refinement) computes."""
+        output = tmp_path / "run.json"
         assert main(["run", "restaurant", "--scale", "0.05",
-                     "--pivot-engine", "reference"]) == 0
-        assert "F1" in capsys.readouterr().out
+                     "--output", str(output)]) == 0
+        rollup = json.loads(output.read_text())["result"]
+        instance = prepare_instance("restaurant", "3w", scale=0.05, seed=1)
+        clustering, stats = reference.run_acd(
+            instance.record_ids, instance.candidates, instance.answers,
+            seed=7, pairs_per_hit=instance.setting.pairs_per_hit,
+            refinement=pc_refine)
+        assert rollup["pairs_issued"] == stats.pairs_issued
+        assert rollup["iterations"] == stats.iterations
+        assert rollup["f1"] == pairwise_scores(clustering,
+                                               instance.dataset.gold).f1
 
     def test_run_with_pivot_shards(self, capsys):
         """Component-sharded generation runs through ``--pipeline``."""

@@ -1,29 +1,32 @@
-"""Fast-vs-reference refinement engine equivalence.
+"""Production-vs-reference refinement equivalence.
 
-The incremental engine (EvaluationCache + lazy ranking) must be
-indistinguishable from the reference full-re-evaluation engine: identical
-clusterings, identical crowd traffic, identical diagnostics, and identical
-observability event streams — under clean and faulty crowds alike."""
+The incremental production loops (EvaluationCache + lazy ranking) must be
+indistinguishable from the full-re-evaluation oracles in
+:mod:`repro.reference`: identical clusterings, identical crowd traffic,
+identical diagnostics, and identical observability event streams — under
+clean and faulty crowds alike."""
 
+import json
 import random as random_module
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import build_parser, main
+from repro import reference
+from repro.cli import main
 from repro.core.acd import run_acd
 from repro.core.clustering import Clustering
 from repro.core.evaluation_cache import EvaluationCache
 from repro.core.operations import OperationEvaluator, independent
+from repro.core.pc_pivot import pc_pivot
 from repro.core.pc_refine import (
     PCRefineDiagnostics,
-    _pack_independent_operations,
     _pack_independent_operations_fast,
     pc_refine,
 )
+from repro.core.pivot import crowd_pivot
 from repro.core.refine import (
-    REFINE_ENGINES,
     OperationCache,
     build_estimator,
     crowd_refine,
@@ -32,12 +35,19 @@ from repro.crowd.cache import ScriptedAnswers
 from repro.crowd.faults import FaultModel
 from repro.crowd.oracle import CrowdOracle
 from repro.datasets.registry import generate
+from repro.eval.metrics import pairwise_scores
 from repro.experiments.chaos import _platform_answers
 from repro.experiments.configs import PRUNING_THRESHOLD
+from repro.experiments.runner import prepare_instance
 from repro.obs import ObsContext
 from repro.pruning.candidate import build_candidate_set
 from repro.similarity.composite import jaccard_similarity_function
 from tests.conftest import make_candidates
+
+#: Each refinement loop under test, keyed as "fast" (production) and
+#: "reference" (the oracle).
+PC_REFINES = {"fast": pc_refine, "reference": reference.pc_refine}
+CROWD_REFINES = {"fast": crowd_refine, "reference": reference.crowd_refine}
 
 
 def random_refine_state(seed):
@@ -95,10 +105,9 @@ def _collected_events(obs):
 def test_crowd_refine_engines_agree(seed):
     clustering, candidates, fresh_oracle = random_refine_state(seed)
     outcomes = {}
-    for engine in REFINE_ENGINES:
+    for engine, run in CROWD_REFINES.items():
         oracle = fresh_oracle()
-        refined = crowd_refine(clustering.copy(), candidates, oracle,
-                               engine=engine)
+        refined = run(clustering.copy(), candidates, oracle)
         refined.check_invariants()
         outcomes[engine] = (refined.as_sets(), oracle.stats.pairs_issued,
                             oracle.stats.iterations)
@@ -110,11 +119,11 @@ def test_crowd_refine_engines_agree(seed):
 def test_pc_refine_engines_agree(seed):
     clustering, candidates, fresh_oracle = random_refine_state(seed)
     outcomes = {}
-    for engine in REFINE_ENGINES:
+    for engine, run in PC_REFINES.items():
         oracle = fresh_oracle()
         diagnostics = PCRefineDiagnostics()
-        refined = pc_refine(clustering.copy(), candidates, oracle,
-                            diagnostics=diagnostics, engine=engine)
+        refined = run(clustering.copy(), candidates, oracle,
+                      diagnostics=diagnostics)
         refined.check_invariants()
         outcomes[engine] = (
             refined.as_sets(),
@@ -131,11 +140,10 @@ def test_pc_refine_engines_agree(seed):
 def test_crowd_refine_event_streams_identical(seed):
     clustering, candidates, fresh_oracle = random_refine_state(seed)
     streams = {}
-    for engine in REFINE_ENGINES:
+    for engine, run in CROWD_REFINES.items():
         obs = ObsContext()
         with obs.span("refinement"):
-            crowd_refine(clustering.copy(), candidates, fresh_oracle(),
-                         obs=obs, engine=engine)
+            run(clustering.copy(), candidates, fresh_oracle(), obs=obs)
         streams[engine] = _collected_events(obs)
     assert streams["fast"] == streams["reference"]
 
@@ -144,27 +152,30 @@ def test_crowd_refine_event_streams_identical(seed):
 def test_pc_refine_event_streams_identical(seed):
     clustering, candidates, fresh_oracle = random_refine_state(seed)
     streams = {}
-    for engine in REFINE_ENGINES:
+    for engine, run in PC_REFINES.items():
         obs = ObsContext()
         with obs.span("refinement"):
-            pc_refine(clustering.copy(), candidates, fresh_oracle(),
-                      obs=obs, engine=engine)
+            run(clustering.copy(), candidates, fresh_oracle(), obs=obs)
         streams[engine] = _collected_events(obs)
     assert streams["fast"] == streams["reference"]
 
 
 @pytest.mark.parametrize("parallel", (True, False))
 def test_run_acd_engines_agree(tiny_paper, parallel):
-    results = {
-        engine: run_acd(tiny_paper.record_ids, tiny_paper.candidates,
-                        tiny_paper.answers, seed=2, parallel=parallel,
-                        refine_engine=engine)
-        for engine in REFINE_ENGINES
-    }
-    fast, reference = results["fast"], results["reference"]
-    assert fast.clustering.as_sets() == reference.clustering.as_sets()
-    assert fast.stats.pairs_issued == reference.stats.pairs_issued
-    assert fast.stats.iterations == reference.stats.iterations
+    """End to end: ``run_acd`` equals the production generation followed
+    by the reference refinement oracle."""
+    fast = run_acd(tiny_paper.record_ids, tiny_paper.candidates,
+                   tiny_paper.answers, seed=2, parallel=parallel)
+    clustering, stats = reference.run_acd(
+        tiny_paper.record_ids, tiny_paper.candidates, tiny_paper.answers,
+        seed=2, parallel=parallel,
+        generation=pc_pivot if parallel else crowd_pivot,
+        refinement=(reference.pc_refine if parallel
+                    else reference.crowd_refine),
+    )
+    assert fast.clustering.as_sets() == clustering.as_sets()
+    assert fast.stats.pairs_issued == stats.pairs_issued
+    assert fast.stats.iterations == stats.iterations
 
 
 @pytest.mark.parametrize("seed", (0, 1))
@@ -179,15 +190,16 @@ def test_engines_agree_under_faulty_crowd(seed):
     )
     fault_model = FaultModel(abandonment_probability=0.15, spam_fraction=0.2,
                              timeout_seconds=240.0)
-    outcomes = {}
-    for engine in REFINE_ENGINES:
-        answers = _platform_answers("restaurant", dataset, candidates, seed,
-                                    fault_model)
-        result = run_acd(dataset.record_ids, candidates, answers, seed=seed,
-                         refine_engine=engine)
-        outcomes[engine] = (result.clustering.as_sets(),
-                            result.stats.pairs_issued)
-    assert outcomes["fast"] == outcomes["reference"]
+    answers = _platform_answers("restaurant", dataset, candidates, seed,
+                                fault_model)
+    result = run_acd(dataset.record_ids, candidates, answers, seed=seed)
+    answers = _platform_answers("restaurant", dataset, candidates, seed,
+                                fault_model)
+    clustering, stats = reference.run_acd(
+        dataset.record_ids, candidates, answers, seed=seed,
+        generation=pc_pivot)
+    assert (result.clustering.as_sets(), result.stats.pairs_issued) == (
+        clustering.as_sets(), stats.pairs_issued)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -201,7 +213,7 @@ def test_fast_packer_matches_reference(seed):
     for ranking in ("ratio", "benefit"):
         for hard_budget in (False, True):
             for budget in (0.0, 1.0, 3.0, 10.0):
-                reference = _pack_independent_operations(
+                expected = reference.pack_independent_operations(
                     clustering, candidates, evaluator, budget,
                     ranking=ranking, hard_budget=hard_budget,
                 )
@@ -213,36 +225,37 @@ def test_fast_packer_matches_reference(seed):
                     cache, evaluations, budget,
                     ranking=ranking, hard_budget=hard_budget,
                 )
-                assert fast == reference
+                assert fast == expected
                 for i, op_a in enumerate(fast):
                     for op_b in fast[i + 1:]:
                         assert independent(op_a, op_b)
 
 
 def test_unknown_engine_rejected():
+    """The engine knob is gone: refinement has one production loop."""
     clustering, candidates, fresh_oracle = random_refine_state(0)
-    with pytest.raises(ValueError, match="engine"):
+    with pytest.raises(TypeError, match="engine"):
         crowd_refine(clustering.copy(), candidates, fresh_oracle(),
-                     engine="bogus")
-    with pytest.raises(ValueError, match="engine"):
+                     engine="reference")
+    with pytest.raises(TypeError, match="engine"):
         pc_refine(clustering.copy(), candidates, fresh_oracle(),
-                  engine="bogus")
+                  engine="reference")
 
 
 class TestCLI:
-    def test_refine_engine_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["run", "restaurant", "--refine-engine", "reference"]
-        )
-        assert args.refine_engine == "reference"
-        assert (build_parser().parse_args(["run", "restaurant"])
-                .refine_engine == "fast")
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "restaurant", "--refine-engine", "nope"]
-            )
-
-    def test_run_with_reference_engine(self, capsys):
+    def test_run_with_reference_engine(self, tmp_path):
+        """``repro run`` reports what the production generation followed
+        by the reference refinement oracle computes."""
+        output = tmp_path / "run.json"
         assert main(["run", "restaurant", "--scale", "0.05",
-                     "--refine-engine", "reference"]) == 0
-        assert "F1" in capsys.readouterr().out
+                     "--output", str(output)]) == 0
+        rollup = json.loads(output.read_text())["result"]
+        instance = prepare_instance("restaurant", "3w", scale=0.05, seed=1)
+        clustering, stats = reference.run_acd(
+            instance.record_ids, instance.candidates, instance.answers,
+            seed=7, pairs_per_hit=instance.setting.pairs_per_hit,
+            generation=pc_pivot)
+        assert rollup["pairs_issued"] == stats.pairs_issued
+        assert rollup["iterations"] == stats.iterations
+        assert rollup["f1"] == pairwise_scores(clustering,
+                                               instance.dataset.gold).f1

@@ -1,5 +1,5 @@
 """Equivalence of the heap-based free-operation applier with the reference
-re-enumeration implementation (they must pick identical operations)."""
+re-enumeration oracle (they must pick identical operations)."""
 
 import random as random_module
 
@@ -7,14 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.core.clustering import Clustering
 from repro.core.estimator import HistogramEstimator
 from repro.core.pc_pivot import pc_pivot
-from repro.core.refine import (
-    _apply_free_operations_reference,
-    apply_free_operations,
-    build_estimator,
-)
+from repro.core.refine import apply_free_operations, build_estimator
 from repro.crowd.cache import ScriptedAnswers
 from repro.crowd.oracle import CrowdOracle
 from tests.conftest import make_candidates
@@ -63,7 +60,7 @@ def test_heap_matches_reference(seed):
     applied_fast = apply_free_operations(
         clustering_a, candidates, oracle_a, estimator_a
     )
-    applied_reference = _apply_free_operations_reference(
+    applied_reference = reference.apply_free_operations(
         clustering_b, candidates, oracle_b, estimator_b
     )
     assert clustering_a.as_sets() == clustering_b.as_sets()

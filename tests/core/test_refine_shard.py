@@ -150,11 +150,6 @@ class TestValidation:
             run_method("ACD", _instance(scale=0.05), seed=7,
                        pipeline_workers=2)
 
-    def test_reference_engine_rejected(self):
-        with pytest.raises(ValueError, match="'fast' engines"):
-            run_method("ACD", _instance(scale=0.05), seed=7, pipeline=True,
-                       refine_engine="reference")
-
     def test_max_refinement_pairs_rejected(self):
         instance = _instance(scale=0.05)
         with pytest.raises(ValueError, match="max_refinement_pairs"):
@@ -196,13 +191,6 @@ class TestRunAcdWiring:
             run_acd(instance.record_ids, instance.candidates,
                     instance.answers, seed=7, parallel=False,
                     pipeline=True)
-
-    def test_refine_shards_reject_reference_engine(self):
-        instance = _instance(scale=0.05)
-        with pytest.raises(ValueError, match="'fast' engines"):
-            run_acd(instance.record_ids, instance.candidates,
-                    instance.answers, seed=7, parallel=True,
-                    pipeline=True, refine_engine="reference")
 
     def test_refine_shards_reject_pair_cap(self):
         instance = _instance(scale=0.05)

@@ -79,18 +79,24 @@ class TestBenchSchema:
 
 class TestPruningInstrumentation:
     def test_build_candidate_set_records_stages(self):
+        from repro import reference
         from repro.datasets.schema import Record
-        from repro.pruning.candidate import build_candidate_set
+        from repro.pruning.candidate import (
+            _prefix_join_eligible,
+            build_candidate_set,
+        )
         from repro.similarity.composite import jaccard_similarity_function
 
         records = [Record(record_id=i, text=t)
                    for i, t in enumerate(["a b c", "a b d", "x y"])]
-        for engine in ("reference", "prefix"):
+        # The production call below must take the join, not the loop.
+        assert _prefix_join_eligible(jaccard_similarity_function(), None,
+                                     True)
+        for build in (reference.candidate_set, build_candidate_set):
             timings = StageTimings()
-            build_candidate_set(records, jaccard_similarity_function(),
-                                engine=engine, timings=timings)
+            build(records, jaccard_similarity_function(), timings=timings)
             stages = timings.as_dict()
-            assert "blocking" in stages and "scoring" in stages, engine
+            assert "blocking" in stages and "scoring" in stages, build
 
 
 class TestMeters:

@@ -1,20 +1,25 @@
-"""Equivalence of the fast-path pruning engines with the reference loop.
+"""Equivalence of the production pruning path with the reference loop.
 
 The prefix-filtered join and the parallel pair scorer are optimizations,
 not approximations: for every supported configuration they must produce a
 byte-identical :class:`CandidateSet` (same pairs, same float scores) as the
-seed's enumerate-and-score loop.  These tests pin that down on the three
-paper datasets, on randomized synthetic records, and on the τ edge cases
-(score == τ excluded; empty-token records).
+seed's enumerate-and-score loop (:func:`repro.reference.candidate_set`).
+These tests pin that down on the three paper datasets, on randomized
+synthetic records, and on the τ edge cases (score == τ excluded;
+empty-token records).  Every production call that is meant to exercise the
+join checks that its pruning span really reports ``engine="prefix"`` —
+otherwise a routing change would quietly turn a check into
+reference-vs-reference.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.datasets.registry import generate
 from repro.datasets.schema import Record
-from repro.pruning.candidate import build_candidate_set
+from repro.pruning.candidate import _prefix_join_eligible, build_candidate_set
 from repro.pruning.parallel import score_pairs_parallel
 from repro.pruning.prefix_join import prefix_length
 from repro.similarity.composite import (
@@ -26,6 +31,7 @@ from repro.similarity.composite import (
     qgram_similarity_function,
 )
 from repro.similarity.jaccard import token_jaccard
+from tests.conftest import pruned_with
 
 DATASETS = ("paper", "restaurant", "product")
 
@@ -47,6 +53,13 @@ def reference_similarity():
     return SimilarityFunction("jaccard", token_jaccard)
 
 
+def joined(*args, **kwargs):
+    """The production pruning path, asserted to have taken the join."""
+    candidates, engine = pruned_with(build_candidate_set, *args, **kwargs)
+    assert engine == "prefix"
+    return candidates
+
+
 def assert_identical(left, right):
     assert left.pairs == right.pairs
     assert left.machine_scores == right.machine_scores
@@ -59,19 +72,17 @@ class TestPrefixJoinOnDatasets:
     @pytest.mark.parametrize("dataset_name", DATASETS)
     def test_identical_to_seed_reference(self, dataset_name):
         records = generate(dataset_name, scale=0.15, seed=3).records
-        reference = build_candidate_set(records, reference_similarity(),
-                                        threshold=0.3, engine="reference")
-        joined = build_candidate_set(records, jaccard_similarity_function(),
-                                     threshold=0.3, engine="prefix")
-        assert_identical(reference, joined)
+        expected = reference.candidate_set(records, reference_similarity(),
+                                           threshold=0.3)
+        assert_identical(expected, joined(
+            records, jaccard_similarity_function(), threshold=0.3))
 
     @pytest.mark.parametrize("dataset_name", DATASETS)
     def test_auto_selects_join_and_matches(self, dataset_name):
         records = generate(dataset_name, scale=0.1, seed=5).records
-        auto = build_candidate_set(records, jaccard_similarity_function())
-        reference = build_candidate_set(records, reference_similarity(),
-                                        engine="reference")
-        assert_identical(reference, auto)
+        auto = joined(records, jaccard_similarity_function())
+        expected = reference.candidate_set(records, reference_similarity())
+        assert_identical(expected, auto)
 
 
 short_texts = st.lists(
@@ -91,30 +102,28 @@ class TestPrefixJoinRandomized:
                                                  factory_index, blocking):
         records = recs(*texts)
         factory = SET_FACTORIES[factory_index]
-        reference = build_candidate_set(
+        expected = reference.candidate_set(
             records, factory(), threshold=threshold,
-            use_token_blocking=blocking, engine="reference",
+            use_token_blocking=blocking,
         )
-        joined = build_candidate_set(
+        assert_identical(expected, joined(
             records, factory(), threshold=threshold,
-            use_token_blocking=blocking, engine="prefix",
-        )
-        assert_identical(reference, joined)
+            use_token_blocking=blocking,
+        ))
 
     @settings(max_examples=30, deadline=None)
     @given(texts=short_texts,
            threshold=st.sampled_from([0.0, 0.2, 0.5]))
     def test_qgram_join_matches_all_pairs_reference(self, texts, threshold):
         records = recs(*texts)
-        reference = build_candidate_set(
+        expected = reference.candidate_set(
             records, qgram_similarity_function(), threshold=threshold,
-            use_token_blocking=False, engine="reference",
+            use_token_blocking=False,
         )
-        joined = build_candidate_set(
+        assert_identical(expected, joined(
             records, qgram_similarity_function(), threshold=threshold,
-            use_token_blocking=False, engine="prefix",
-        )
-        assert_identical(reference, joined)
+            use_token_blocking=False,
+        ))
 
 
 class TestThresholdEdgeCases:
@@ -122,70 +131,79 @@ class TestThresholdEdgeCases:
         # {a,b} vs {b,c}: jaccard exactly 1/3 — must be pruned at τ=1/3 by
         # both engines (the paper's condition is strict: f > τ).
         records = recs("a b", "b c")
-        for engine in ("reference", "prefix"):
-            result = build_candidate_set(
-                records, jaccard_similarity_function(),
-                threshold=1 / 3, engine=engine,
-            )
-            assert (0, 1) not in result, engine
+        for build in (reference.candidate_set, joined):
+            result = build(records, jaccard_similarity_function(),
+                           threshold=1 / 3)
+            assert (0, 1) not in result, build
 
     def test_empty_records_with_blocking(self):
         # Token blocking never pairs empty-token records; the join must not
         # re-introduce them.
         records = recs("", "", "a b")
-        for engine in ("reference", "prefix"):
-            result = build_candidate_set(
-                records, jaccard_similarity_function(), engine=engine,
-            )
-            assert (0, 1) not in result, engine
+        for build in (reference.candidate_set, joined):
+            result = build(records, jaccard_similarity_function())
+            assert (0, 1) not in result, build
 
     def test_empty_records_without_blocking(self):
         # All-pairs scoring gives two empty records jaccard 1.0 > τ; the
         # join must reproduce that too.
         records = recs("", "", "a b")
-        reference = build_candidate_set(
-            records, jaccard_similarity_function(),
-            use_token_blocking=False, engine="reference",
+        expected = reference.candidate_set(
+            records, jaccard_similarity_function(), use_token_blocking=False,
         )
-        joined = build_candidate_set(
-            records, jaccard_similarity_function(),
-            use_token_blocking=False, engine="prefix",
-        )
-        assert (0, 1) in reference and reference.machine_scores[(0, 1)] == 1.0
-        assert_identical(reference, joined)
+        assert (0, 1) in expected and expected.machine_scores[(0, 1)] == 1.0
+        assert_identical(expected, joined(
+            records, jaccard_similarity_function(), use_token_blocking=False,
+        ))
 
     def test_threshold_zero_keeps_any_overlap(self):
         records = recs("a b c d e f g", "g z")
-        reference = build_candidate_set(records, jaccard_similarity_function(),
-                                        threshold=0.0, engine="reference")
-        joined = build_candidate_set(records, jaccard_similarity_function(),
-                                     threshold=0.0, engine="prefix")
-        assert (0, 1) in joined
-        assert_identical(reference, joined)
+        expected = reference.candidate_set(
+            records, jaccard_similarity_function(), threshold=0.0)
+        result = joined(records, jaccard_similarity_function(), threshold=0.0)
+        assert (0, 1) in result
+        assert_identical(expected, result)
+
+
+def scored(*args, **kwargs):
+    """The production pruning path, asserted to have run the scoring
+    loop, and equal to the reference oracle on the same input."""
+    candidates, engine = pruned_with(build_candidate_set, *args, **kwargs)
+    assert engine == "reference"
+    assert_identical(reference.candidate_set(*args, **kwargs), candidates)
+    return candidates
 
 
 class TestEngineSelection:
+    """The join is taken exactly when :func:`_prefix_join_eligible` holds;
+    every other input runs the scoring loop."""
+
     def test_prefix_engine_rejects_non_set_metric(self):
-        with pytest.raises(ValueError):
-            build_candidate_set(recs("a", "b"), reference_similarity(),
-                                engine="prefix")
+        assert not _prefix_join_eligible(reference_similarity(), None, True)
+        scored(recs("a b", "a b"), reference_similarity())
 
     def test_prefix_engine_rejects_external_pairs(self):
-        with pytest.raises(ValueError):
-            build_candidate_set(recs("a", "a"), jaccard_similarity_function(),
-                                candidate_pairs=[(0, 1)], engine="prefix")
+        assert not _prefix_join_eligible(jaccard_similarity_function(),
+                                         [(0, 1)], True)
+        result = scored(recs("a", "a"), jaccard_similarity_function(),
+                        candidate_pairs=[(0, 1)])
+        assert result.pairs == ((0, 1),)
 
     def test_prefix_engine_rejects_qgram_under_token_blocking(self):
         # Token blocking's word-token domain doesn't match q-gram sets; the
-        # reference path (blocking off or on) is the only faithful one.
-        with pytest.raises(ValueError):
-            build_candidate_set(recs("ab", "cd"), qgram_similarity_function(),
-                                use_token_blocking=True, engine="prefix")
+        # scoring loop (blocking off or on) is the only faithful one.
+        assert not _prefix_join_eligible(qgram_similarity_function(), None,
+                                         True)
+        assert _prefix_join_eligible(qgram_similarity_function(), None,
+                                     False)
+        scored(recs("ab", "cd", "abc"), qgram_similarity_function(),
+               use_token_blocking=True)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
+        """The engine knob is gone: the input alone picks the path."""
+        with pytest.raises(TypeError, match="engine"):
             build_candidate_set(recs("a", "b"), jaccard_similarity_function(),
-                                engine="warp")
+                                engine="reference")
 
     def test_auto_falls_back_for_external_pairs(self):
         records = recs("a b", "a b", "a b")
@@ -208,10 +226,8 @@ class TestParallelScorer:
     @pytest.mark.parametrize("dataset_name", DATASETS)
     def test_parallel_matches_serial_on_datasets(self, dataset_name):
         records = generate(dataset_name, scale=0.1, seed=7).records
-        serial = build_candidate_set(records, reference_similarity(),
-                                     engine="reference")
-        parallel = build_candidate_set(records, reference_similarity(),
-                                       engine="reference", parallel=2)
+        serial = reference.candidate_set(records, reference_similarity())
+        parallel = scored(records, reference_similarity(), parallel=2)
         assert_identical(serial, parallel)
 
     def test_score_pairs_parallel_matches_direct_loop(self):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.datasets.registry import generate
 from repro.datasets.schema import Record
 from repro.pruning import parallel as parallel_module
@@ -28,6 +29,7 @@ from repro.similarity.composite import (
     qgram_similarity_function,
 )
 from repro.similarity.jaccard import token_jaccard
+from tests.conftest import pruned_with
 from repro.similarity.kernels import numpy_available
 
 shard = pytest.importorskip("repro.pruning.shard")
@@ -166,35 +168,36 @@ class TestForkParallelism:
 class TestBuildCandidateSetRouting:
     def test_shards_and_backends_match_reference(self):
         records = generate("restaurant", scale=0.1, seed=7).records
-        reference = build_candidate_set(
-            records, jaccard_similarity_function(),
-            threshold=0.3, engine="reference",
+        expected = reference.candidate_set(
+            records, jaccard_similarity_function(), threshold=0.3,
         )
         for kwargs in (
-            dict(engine="prefix", shards=3),
-            dict(engine="prefix", kernel_backend="vectorized"),
-            dict(engine="prefix", kernel_backend="scalar", shards=2),
-            dict(shards=4),  # auto engine
+            dict(shards=3),
+            dict(kernel_backend="vectorized"),
+            dict(kernel_backend="scalar", shards=2),
+            dict(shards=4),
         ):
-            result = build_candidate_set(
-                records, jaccard_similarity_function(),
+            result, engine = pruned_with(
+                build_candidate_set, records, jaccard_similarity_function(),
                 threshold=0.3, **kwargs,
             )
-            assert result.pairs == reference.pairs, kwargs
-            assert result.machine_scores == reference.machine_scores, kwargs
+            assert engine == "prefix", kwargs
+            assert result.pairs == expected.pairs, kwargs
+            assert result.machine_scores == expected.machine_scores, kwargs
 
     def test_qgram_sharded_matches_reference(self):
         records = generate("restaurant", scale=0.08, seed=2).records
-        reference = build_candidate_set(
+        expected = reference.candidate_set(
             records, qgram_similarity_function(), threshold=0.2,
-            use_token_blocking=False, engine="reference",
+            use_token_blocking=False,
         )
-        sharded = build_candidate_set(
-            records, qgram_similarity_function(), threshold=0.2,
-            use_token_blocking=False, engine="prefix", shards=3,
+        sharded, engine = pruned_with(
+            build_candidate_set, records, qgram_similarity_function(),
+            threshold=0.2, use_token_blocking=False, shards=3,
         )
-        assert sharded.pairs == reference.pairs
-        assert sharded.machine_scores == reference.machine_scores
+        assert engine == "prefix"
+        assert sharded.pairs == expected.pairs
+        assert sharded.machine_scores == expected.machine_scores
 
     def test_negative_shards_rejected(self):
         with pytest.raises(ValueError):
@@ -202,14 +205,16 @@ class TestBuildCandidateSetRouting:
                                 shards=-1)
 
     def test_reference_engine_rejects_shards(self):
-        with pytest.raises(ValueError):
+        # External candidate pairs route even a set metric to the scoring
+        # loop, which has no shards to honor.
+        with pytest.raises(ValueError, match="scoring loop"):
             build_candidate_set(recs("a", "b"), jaccard_similarity_function(),
-                                engine="reference", shards=2)
+                                candidate_pairs=[(0, 1)], shards=2)
 
     def test_reference_engine_rejects_vectorized_backend(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="scoring loop"):
             build_candidate_set(recs("a", "b"), jaccard_similarity_function(),
-                                engine="reference",
+                                candidate_pairs=[(0, 1)],
                                 kernel_backend="vectorized")
 
     def test_unknown_backend_rejected(self):
@@ -244,10 +249,9 @@ class TestShardedJoinValidation:
 
 
 def test_reference_text_metric_never_routes_to_shards():
-    # A plain text metric has no set metadata; the auto engine must fall
-    # back to the reference loop even when shards are requested... which is
-    # exactly the reference+shards conflict, so it must raise instead of
-    # silently ignoring the knob.
+    # A plain text metric has no set metadata, so it runs the scoring loop
+    # even when shards are requested... which has no shards to honor, so it
+    # must raise instead of silently ignoring the knob.
     from repro.similarity.composite import SimilarityFunction
 
     similarity = SimilarityFunction("jaccard", token_jaccard)

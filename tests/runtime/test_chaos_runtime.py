@@ -41,8 +41,7 @@ class TestShardedKillAtScale:
         def prune(fault_plan=None, obs=None):
             return build_candidate_set(
                 dataset.records, jaccard_similarity_function(),
-                threshold=PRUNING_THRESHOLD, engine="prefix",
-                shards=8, parallel=4,
+                threshold=PRUNING_THRESHOLD, shards=8, parallel=4,
                 supervisor_policy=SupervisorPolicy(backoff_base_s=0.005),
                 fault_plan=fault_plan, obs=obs,
             )
@@ -53,6 +52,10 @@ class TestShardedKillAtScale:
             fault_plan=ProcessFaultPlan.sample(8, seed=0, kills=2),
             obs=obs,
         )
+        # The production path must have taken the sharded join.
+        (span,) = [root for root in obs.tracer.roots
+                   if root.name == "pruning"]
+        assert span.attrs["engine"] == "prefix"
         assert chaotic.pairs == reference.pairs
         assert chaotic.machine_scores == reference.machine_scores
         assert chaotic.threshold == reference.threshold

@@ -288,30 +288,24 @@ class TestCheckpointKillResume:
 class TestAutoshard:
     def test_auto_resolves_by_tier(self):
         assert resolve_auto_shards(
-            "pruning", records=AUTO_MIN_RECORDS, requested="auto") == 8
+            records=AUTO_MIN_RECORDS, requested="auto") == 8
         assert resolve_auto_shards(
-            "pruning", records=AUTO_MIN_RECORDS - 1, requested="auto") == 1
-        # Pruning is the only phase with a shard knob left.
-        for kind in ("pivot", "refine"):
-            with pytest.raises(ValueError, match="unknown autoshard kind"):
-                resolve_auto_shards(kind, records=100, requested="auto")
+            records=AUTO_MIN_RECORDS - 1, requested="auto") == 1
 
     def test_explicit_integers_pass_through(self):
-        assert resolve_auto_shards("pruning", records=1, requested=5) == 5
+        assert resolve_auto_shards(records=1, requested=5) == 5
 
     def test_auto_resolution_is_observable(self):
         obs = ObsContext()
         with obs.span("setup"):
-            resolve_auto_shards("pruning", records=AUTO_MIN_RECORDS,
-                                requested="auto", obs=obs)
-            resolve_auto_shards("pruning", records=10, requested=3,
+            resolve_auto_shards(records=AUTO_MIN_RECORDS, requested="auto",
                                 obs=obs)
+            resolve_auto_shards(records=10, requested=3, obs=obs)
         events = [e for e in _collect_events(obs)
                   if e[0] == "runtime.autoshard"]
         # Explicit integers resolve silently; only "auto" is a decision.
         assert len(events) == 1
-        assert events[0][1] == {"kind": "pruning",
-                                "records": AUTO_MIN_RECORDS,
+        assert events[0][1] == {"records": AUTO_MIN_RECORDS,
                                 "threshold": AUTO_MIN_RECORDS,
                                 "resolved": 8}
         counters = obs.metrics.as_dict()["counters"]
@@ -319,7 +313,7 @@ class TestAutoshard:
 
     def test_bad_string_rejected(self):
         with pytest.raises(ValueError):
-            resolve_auto_shards("pruning", records=10, requested="fast")
+            resolve_auto_shards(records=10, requested="fast")
 
 
 class TestSealingMatchesConnectedComponents:

@@ -1,15 +1,22 @@
-"""The checkpointable state snapshots: clustering, crowd stats, oracle.
+"""The checkpointable state snapshots: clustering, crowd stats, oracle,
+phase diagnostics.
 
 The generation checkpoint's byte-identity rests on three round trips:
 cluster ids (merge tie-breaking depends on them), the full crowd-cost
 counters, and the answer set ``A`` in answer-log order.  These tests pin
-each one, plus the journal's replay-skip used when a checkpoint already
-carries a phase's cost counters.
+each one, the PC-Pivot / PC-Refine diagnostics both checkpoints carry,
+plus the journal's replay-skip used when a checkpoint already carries a
+phase's cost counters.
 """
+
+import json
 
 import pytest
 
 from repro.core.clustering import Clustering
+from repro.core.evaluation_cache import EvaluationStats
+from repro.core.pc_pivot import PCPivotDiagnostics
+from repro.core.pc_refine import PCRefineDiagnostics
 from repro.crowd.persistence import JournalingAnswerFile
 from repro.crowd.stats import CrowdStats
 from tests.conftest import scripted_oracle
@@ -100,6 +107,48 @@ class TestCrowdStatsState:
     def test_malformed_state_raises(self, state):
         with pytest.raises(ValueError):
             CrowdStats.from_state(state)
+
+
+class TestDiagnosticsState:
+    @pytest.mark.parametrize("cache", (
+        None,
+        EvaluationStats(lookups=40, hits=31, refreshes=5,
+                        evaluations=9).as_dict(),
+    ))
+    def test_round_trip_through_checkpoint_json(self, cache):
+        """Checkpoints are written as sorted-key JSON; the restored
+        diagnostics equal the originals, the evaluation-cache snapshot
+        comes back in ``EvaluationStats.as_dict`` key order (so its repr
+        matches an uninterrupted run's), and the payload keys are the
+        ones existing checkpoints carry."""
+        pivot = PCPivotDiagnostics(ks=[3, 1], predicted_waste=[2, 0],
+                                   issued_per_round=[17, 4])
+        refine = PCRefineDiagnostics(
+            batch_sizes=[12, 3], operations_packed=[4, 1],
+            operations_applied=[3, 0], free_operations_applied=6,
+            operation_evaluations=58, evaluation_cache=cache,
+        )
+        assert set(pivot.to_state()) == {"ks", "predicted_waste",
+                                         "issued_per_round"}
+        assert set(refine.to_state()) == {
+            "batch_sizes", "operations_packed", "operations_applied",
+            "free_operations_applied", "operation_evaluations",
+            "evaluation_cache",
+        }
+        stored = json.loads(json.dumps(
+            {"pivot": pivot.to_state(), "refine": refine.to_state()},
+            sort_keys=True,
+        ))
+        restored_pivot = PCPivotDiagnostics.from_state(stored["pivot"])
+        restored_refine = PCRefineDiagnostics.from_state(stored["refine"])
+        assert restored_pivot == pivot
+        assert restored_refine == refine
+        assert repr(restored_refine) == repr(refine)
+        if cache is None:
+            assert restored_refine.evaluation_cache is None
+        else:
+            assert list(restored_refine.evaluation_cache) == [
+                "lookups", "hits", "refreshes", "evaluations", "hit_rate"]
 
 
 class TestOracleAnswerLog:

@@ -193,6 +193,33 @@ class TestExecutionKnobs:
             run_acd(instance.record_ids, instance.candidates,
                     instance.answers, pipeline_workers=2)
 
+    @pytest.mark.parametrize("method",
+                             ("CrowdER+", "TransM", "TransNode", "GCER"))
+    def test_pipeline_rejected_for_baselines(self, method):
+        """Regression: ``--pipeline`` was silently dropped for the
+        baselines while the output still recorded ``"pipeline": true``.
+        Only ACD and PC-Pivot run through ``run_acd``; both entry points
+        now reject pipelining for anything else."""
+        from repro.experiments.runner import prepare_instance, run_method
+
+        with pytest.raises(SystemExit, match="--pipeline applies only"):
+            main(["run", "restaurant", "--scale", "0.05", "--method",
+                  method, "--pipeline", "--pipeline-workers", "2"])
+        instance = prepare_instance("restaurant", "3w", scale=0.05)
+        with pytest.raises(ValueError, match="pipeline applies only"):
+            run_method(method, instance, seed=7, gcer_budget=10,
+                       pipeline=True, pipeline_workers=2)
+
+    @pytest.mark.parametrize("flag", ("--engine", "--pivot-engine",
+                                      "--refine-engine"))
+    def test_engine_flags_are_gone(self, flag, capsys):
+        """Each phase has one production path; the reference engines
+        are test oracles, not CLI choices."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "restaurant", flag,
+                                       "reference"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_pipeline_workers_with_pipeline_runs(self, capsys):
         assert main(["run", "restaurant", "--scale", "0.05", "--pipeline",
                      "--pipeline-workers", "2"]) == 0
