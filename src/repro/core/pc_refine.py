@@ -223,9 +223,7 @@ def _pc_refine_fast(
     round_index = 0
     while True:
         with maybe_stage(timings, "refine.free"):
-            freed = apply_free_operations(clustering, candidates, oracle,
-                                          estimator, cache=cache,
-                                          evaluations=evaluations)
+            freed = apply_free_operations(clustering, cache, evaluations)
         if diagnostics is not None:
             diagnostics.free_operations_applied += freed
         if obs is not None and freed:

@@ -21,7 +21,6 @@ from repro.core.evaluation_cache import EvaluationCache
 from repro.core.operations import (
     Merge,
     Operation,
-    OperationEvaluator,
     Split,
     apply_operation,
 )
@@ -274,12 +273,8 @@ def _operations_touching(
 
 def apply_free_operations(
     clustering: Clustering,
-    candidates: CandidateSet,
-    oracle: CrowdOracle,
-    estimator: HistogramEstimator,
-    cache: Optional[OperationCache] = None,
-    evaluator: Optional[OperationEvaluator] = None,
-    evaluations: Optional[EvaluationCache] = None,
+    cache: OperationCache,
+    evaluations: EvaluationCache,
     invalidated: Optional[Set[int]] = None,
     on_apply=None,
 ) -> int:
@@ -297,18 +292,14 @@ def apply_free_operations(
     operation with the same canonical tie-break.
 
     Args:
-        cache: Optional shared :class:`OperationCache` (from
-            ``crowd_refine``).  Supplies the initial operation list, the
-            candidate adjacency, and the cluster-version tracker — so the
-            heap seeding reuses cached enumeration state and the applied
-            operations invalidate the caller's cache entries in turn.
-        evaluator: Optional caller-owned evaluator to use instead of a
-            private one (lets the caller account all derivations in one
-            counter; values are state-dependent, never caller-dependent).
-        evaluations: Optional :class:`EvaluationCache`; when given, exact
-            benefits are served incrementally from it instead of being
-            re-derived per push.  Must share the same
-            tracker as ``cache``.
+        cache: The caller's :class:`OperationCache` over ``clustering``.
+            Supplies the initial operation list, the candidate adjacency,
+            and the cluster-version tracker — so the heap seeding reuses
+            cached enumeration state and the applied operations
+            invalidate the caller's cache entries in turn.
+        evaluations: The caller's :class:`EvaluationCache`, sharing
+            ``cache``'s tracker; exact benefits are served incrementally
+            from it instead of being re-derived per push.
         invalidated: Optional out-parameter; accumulates the cluster ids
             each applied operation touched, changed, or created — exactly
             the set a caller-side ranking structure must re-examine
@@ -318,22 +309,9 @@ def apply_free_operations(
             state) — lets component refinement journal applied operations
             as id-independent record references for the merged replay.
     """
-    if evaluations is not None:
-        exact_benefit = evaluations.exact_benefit
-    else:
-        if evaluator is None:
-            evaluator = OperationEvaluator(clustering, candidates, oracle,
-                                           estimator)
-        exact_benefit = evaluator.exact_benefit
-
-    if cache is not None:
-        neighbors = cache.neighbors
-        tracker = cache.tracker
-        initial_operations = cache.operations()
-    else:
-        neighbors = candidate_adjacency(candidates)
-        tracker = ClusterVersionTracker(clustering)
-        initial_operations = enumerate_operations(clustering, candidates)
+    exact_benefit = evaluations.exact_benefit
+    neighbors = cache.neighbors
+    tracker = cache.tracker
 
     heap: List[Tuple[float, Tuple, Operation, Tuple[Tuple[int, int], ...]]] = []
 
@@ -345,7 +323,7 @@ def apply_free_operations(
                 tracker.snapshot(operation.touched_clusters),
             ))
 
-    for operation in initial_operations:
+    for operation in cache.operations():
         push_if_positive(operation)
 
     applied = 0
@@ -533,9 +511,7 @@ def _crowd_refine_fast(
     step = 0
     while True:
         invalidated: Set[int] = set()
-        applied = apply_free_operations(clustering, candidates, oracle,
-                                        estimator, cache=cache,
-                                        evaluations=evaluations,
+        applied = apply_free_operations(clustering, cache, evaluations,
                                         invalidated=invalidated)
         if invalidated:
             selector.invalidate_clusters(invalidated)

@@ -157,8 +157,7 @@ def _run_component(
     while True:
         free_refs: List[_OpRef] = []
         apply_free_operations(
-            clustering, candidates, oracle, estimator, cache=cache,
-            evaluations=evaluations,
+            clustering, cache, evaluations,
             on_apply=lambda op: free_refs.append(_op_ref(clustering, op)),
         )
         packed = _pack_independent_operations_fast(cache, evaluations,

@@ -114,8 +114,9 @@ class AnswerJournal:
     ``fsync``.  A crash can therefore tear at most the final line; replay
     truncates a torn tail and raises on corruption anywhere else.
 
-    The journal is the recovery log for :class:`JournalingAnswerFile` and
-    ``run_acd(..., journal_path=...)`` / ``repro run --journal``.
+    The journal is the recovery log for :class:`JournalingAnswerFile` —
+    wrap the answers handed to ``run_acd`` / ``run_pipeline`` in one —
+    and for ``repro run --journal``.
     """
 
     def __init__(self, path: Union[str, Path],

@@ -31,6 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.baselines import crowder_plus
 from repro.core.acd import run_acd
+from repro.core.pivot import crowd_pivot
 from repro.crowd.faults import FaultModel
 from repro.crowd.oracle import CrowdOracle
 from repro.crowd.platform import PlatformAnswerFile, PlatformSimulator
@@ -86,13 +87,13 @@ def run_chaos_pipeline(pipeline: str, dataset_name: str, dataset,
                                 fault_model)
     ids = dataset.record_ids
     if pipeline == "ACD":
-        result = run_acd(ids, candidates, answers, seed=seed, parallel=True)
+        result = run_acd(ids, candidates, answers, seed=seed)
         clustering, stats = result.clustering, result.stats
         oracle_degraded = answers.degraded_pairs()
     elif pipeline == "Crowd-Pivot":
-        result = run_acd(ids, candidates, answers, seed=seed, parallel=False,
-                         refine=False)
-        clustering, stats = result.clustering, result.stats
+        stats = CrowdStats(num_workers=answers.num_workers)
+        clustering = crowd_pivot(ids, candidates,
+                                 CrowdOracle(answers, stats=stats), seed=seed)
         oracle_degraded = answers.degraded_pairs()
     elif pipeline == "CrowdER+":
         stats = CrowdStats(num_workers=answers.num_workers)

@@ -32,6 +32,7 @@ from repro.experiments.configs import (
 )
 from repro.perf.timing import StageTimings
 from repro.pruning.candidate import CandidateSet, build_candidate_set
+from repro.runtime.pipeline import run_pipeline
 from repro.similarity.composite import jaccard_similarity_function
 
 ACD_METHOD = "ACD"
@@ -197,13 +198,14 @@ def run_method(
             batches traced through the oracle.
         checkpoints: Optional
             :class:`~repro.runtime.checkpoint.CheckpointStore` for
-            phase-level crash safety (ACD / PC-Pivot only; forwarded to
-            :func:`~repro.core.acd.run_acd`).
+            phase-level crash safety (ACD / PC-Pivot only).
         resume: With ``checkpoints``, restore the generation phase from
             its checkpoint instead of re-running it when one exists.
         pipeline: Run ACD's crowd phases decomposed by connected
-            component (ACD / PC-Pivot only — any other method rejects it;
-            forwarded to :func:`~repro.core.acd.run_acd`).
+            component through
+            :func:`~repro.runtime.pipeline.run_pipeline` instead of
+            :func:`~repro.core.acd.run_acd` (ACD / PC-Pivot only — any
+            other method rejects it).
         pipeline_workers: Worker processes for the pipeline pool
             (requires ``pipeline``).
     """
@@ -213,16 +215,28 @@ def run_method(
             f"pipeline applies only to {' and '.join(PIPELINE_METHODS)}, "
             f"not {method!r}"
         )
+    if pipeline_workers and not pipeline:
+        raise ValueError(
+            "pipeline_workers requires pipeline=True: the global engines "
+            "run in-process"
+        )
 
     if method in (ACD_METHOD, PC_PIVOT_METHOD):
-        result = run_acd(
-            ids, instance.candidates, instance.answers,
+        options = dict(
             epsilon=epsilon, threshold_divisor=threshold_divisor,
             seed=seed, refine=(method == ACD_METHOD),
             pairs_per_hit=instance.setting.pairs_per_hit,
             obs=obs, checkpoints=checkpoints, resume=resume,
-            pipeline=pipeline, pipeline_workers=pipeline_workers,
         )
+        if pipeline:
+            result = run_pipeline(
+                instance.answers, record_ids=ids,
+                candidates=instance.candidates, workers=pipeline_workers,
+                **options,
+            ).result
+        else:
+            result = run_acd(ids, instance.candidates, instance.answers,
+                             **options)
         return _result(method, instance, result.clustering, result.stats)
 
     oracle = _fresh_oracle(instance, obs=obs)

@@ -282,9 +282,9 @@ def crowd_refine(
 
     step = 0
     while True:
-        applied = _apply_free_heap(clustering, candidates, oracle,
-                                   estimator, cache=cache,
-                                   evaluator=evaluator)
+        # The from-scratch evaluator serves the heap's exact benefits
+        # (EvaluationCache's exact_benefit contract, re-derived per call).
+        applied = _apply_free_heap(clustering, cache, evaluator)
         if obs is not None and applied:
             obs.metrics.counter(
                 "refine_free_operations_total",
@@ -428,8 +428,12 @@ def pc_refine(
     round_index = 0
     while True:
         with maybe_stage(timings, "refine.free"):
-            freed = _apply_free_heap(clustering, candidates, oracle,
-                                     estimator, evaluator=evaluator)
+            # A fresh cache per round: the packed operations below are
+            # applied without its tracker.  The from-scratch evaluator
+            # serves the exact benefits, so every walk is counted in
+            # ``operation_evaluations``.
+            freed = _apply_free_heap(
+                clustering, OperationCache(clustering, candidates), evaluator)
         if diagnostics is not None:
             diagnostics.free_operations_applied += freed
         if obs is not None and freed:
@@ -540,13 +544,18 @@ def run_acd(
     generation=None,
     refinement=None,
 ) -> Tuple[Clustering, CrowdStats]:
-    """Generation then refinement over one shared oracle, as
-    :func:`repro.core.acd.run_acd` composes them (default ε, ``x`` and
-    histogram granularity).
+    """Generation then refinement over one shared oracle (default ε,
+    ``x`` and histogram granularity).
 
     Args:
-        parallel: PC-Pivot + PC-Refine (``True``) or Crowd-Pivot +
-            Crowd-Refine (``False``).
+        parallel: PC-Pivot + PC-Refine (``True``, the composition
+            :func:`repro.core.acd.run_acd` runs) or Crowd-Pivot +
+            Crowd-Refine (``False``).  The sequential composition has no
+            production entry point: callers run
+            :func:`repro.core.pivot.crowd_pivot` then
+            :func:`repro.core.refine.crowd_refine` over one
+            :class:`~repro.crowd.oracle.CrowdOracle`, and this is its
+            oracle.
         generation: Replace the generation oracle with another function
             of the same signature (e.g. the production
             :func:`repro.core.pc_pivot.pc_pivot`) — the BENCH A/B stages

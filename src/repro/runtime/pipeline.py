@@ -49,9 +49,12 @@ shards, workers, fault plan}`` and for either entry shape.
 Per-component round logs are pure functions of ``(component,
 permutation, epsilon | frozen budget + estimator, answer source)`` —
 scheduling, sealing order, and faults cannot perturb them — and both
-merges consume the logs in canonical component order.  The three phase
-checkpoints of :mod:`repro.runtime.checkpoint` are written at the same
-boundaries with the same payloads as :func:`~repro.core.acd.run_acd`.
+merges consume the logs in canonical component order.  The crowd
+phases run through the same :class:`~repro.core.acd.CrowdPhases` driver
+as :func:`~repro.core.acd.run_acd` — same spans, checkpoints, restore
+paths and result assembly — so the ``generation`` and ``refinement``
+checkpoints of :mod:`repro.runtime.checkpoint` are interchangeable
+between the two executors.
 """
 
 from __future__ import annotations
@@ -60,25 +63,16 @@ import heapq
 import os
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import pivot_shard, refine_shard
-from repro.core.acd import (
-    ACDResult,
-    _finalize_obs,
-    _generation_state,
-    _refinement_state,
-    _restore_generation,
-    _restore_refinement,
-)
+from repro.core.acd import ACDResult, CrowdPhases
 from repro.core.clustering import Clustering
 from repro.core.estimator import DEFAULT_NUM_BUCKETS
 from repro.core.pc_pivot import DEFAULT_EPSILON, PCPivotDiagnostics
 from repro.core.pc_refine import DEFAULT_THRESHOLD_DIVISOR, PCRefineDiagnostics
 from repro.core.permutation import Permutation
 from repro.crowd.oracle import CrowdOracle
-from repro.crowd.stats import CrowdStats
 from repro.obs import ObsContext, maybe_span
 from repro.perf.timing import StageTimings
 from repro.pruning.candidate import (
@@ -193,7 +187,6 @@ def run_pipeline(
     refine: bool = True,
     pairs_per_hit: int = 20,
     ranking: str = "ratio",
-    journal_path: Optional[Union[str, Path]] = None,
     obs: Optional[ObsContext] = None,
     checkpoints: Optional[CheckpointStore] = None,
     resume: bool = False,
@@ -213,8 +206,8 @@ def run_pipeline(
       :func:`~repro.pruning.candidate.build_candidate_set` first and only
       the crowd phases pipeline.
     - ``record_ids`` + ``candidates`` — pruning already done (the
-      :func:`~repro.core.acd.run_acd` ``pipeline=True`` path): every
-      component dispatches immediately.
+      ``run_method(..., pipeline=True)`` path): every component
+      dispatches immediately.
 
     Args largely mirror :func:`~repro.core.acd.run_acd`; the pipelined
     extras are ``pruning_shards`` (streamed join shard count, or
@@ -222,35 +215,18 @@ def run_pipeline(
     :mod:`repro.runtime.autoshard`), ``workers`` (shared pool processes;
     ``<= 1`` runs inline), and ``timings`` (records the
     ``pipeline_bytes_shipped_total`` / ``pipeline_bytes_per_task``
-    dispatch-overhead meters).  ``journal_path``, ``checkpoints`` /
-    ``resume`` (all three phases), ``obs``, and chaos ``fault_plan``
-    compose exactly as in :func:`~repro.core.acd.run_acd`.
+    dispatch-overhead meters).  ``checkpoints`` / ``resume`` (all three
+    phases), ``obs``, a
+    :class:`~repro.crowd.persistence.JournalingAnswerFile` around
+    ``answers``, and chaos ``fault_plan`` compose exactly as in
+    :func:`~repro.core.acd.run_acd`: both drive the crowd phases through
+    one :class:`~repro.core.acd.CrowdPhases`.
 
     Returns:
         A :class:`PipelineResult` (see the module docstring for what is
         identical to the global engines and what follows component
         accounting).
     """
-    if journal_path is not None:
-        from repro.crowd.persistence import JournalingAnswerFile
-
-        journaled = JournalingAnswerFile(answers, journal_path)
-        try:
-            return run_pipeline(
-                journaled, records=records, similarity=similarity,
-                record_ids=record_ids, candidates=candidates,
-                threshold=threshold, pruning_shards=pruning_shards,
-                kernel_backend=kernel_backend, workers=workers,
-                epsilon=epsilon, threshold_divisor=threshold_divisor,
-                num_buckets=num_buckets, seed=seed, permutation=permutation,
-                refine=refine, pairs_per_hit=pairs_per_hit, ranking=ranking,
-                obs=obs, checkpoints=checkpoints, resume=resume,
-                supervisor_policy=supervisor_policy, fault_plan=fault_plan,
-                timings=timings,
-            )
-        finally:
-            journaled.close()
-
     if (records is None) == (record_ids is None and candidates is None):
         raise ValueError(
             "pass either records+similarity (full pipeline) or "
@@ -273,43 +249,30 @@ def run_pipeline(
     if permutation is None:
         permutation = Permutation.random(ids, seed=seed)
 
-    restored_refinement = (checkpoints.load("refinement")
-                           if checkpoints is not None and resume and refine
-                           else None)
-    restored = (checkpoints.load("generation")
-                if (checkpoints is not None and resume
-                    and restored_refinement is None) else None)
+    phases = CrowdPhases(
+        answers, epsilon=epsilon, threshold_divisor=threshold_divisor,
+        num_buckets=num_buckets, seed=seed, refine=refine,
+        pairs_per_hit=pairs_per_hit, ranking=ranking,
+        max_refinement_pairs=None, obs=obs, checkpoints=checkpoints,
+        resume=resume,
+    )
     restored_pruning = (checkpoints.load("pruning")
                         if checkpoints is not None and resume else None)
     if candidates is None and restored_pruning is not None:
         candidates = restore_candidates(restored_pruning)
 
-    if restored_refinement is not None or restored is not None:
-        # The crowd phases (or everything) restore from checkpoints:
-        # there is nothing to overlap.  Compute candidates with the full
-        # join if the pruning phase was not checkpointed.
-        if candidates is None:
-            candidates = build_candidate_set(
-                records, similarity, threshold=threshold,
-                shards=num_shards, kernel_backend=kernel_backend,
-                parallel=workers, timings=timings, obs=obs,
-                supervisor_policy=supervisor_policy, fault_plan=fault_plan,
-            )
-            if checkpoints is not None:
-                checkpoints.save("pruning", candidate_state(candidates))
-
     stream_pruning = (
         candidates is None
-        and restored_refinement is None and restored is None
+        and phases.runs_generation
         and numpy_available()
         and _prefix_join_eligible(similarity, None, True)
     )
-    if (candidates is None and not stream_pruning
-            and restored_refinement is None and restored is None):
-        # Streaming needs the vectorized token-blocked prefix join; for
+    if candidates is None and not stream_pruning:
+        # A restored crowd phase has nothing to overlap pruning with, and
+        # streaming needs the vectorized token-blocked prefix join; for
         # other similarity/platform configurations only the crowd phases
         # pipeline (pruning runs the byte-identical full join first).
-        if obs is not None:
+        if phases.runs_generation and obs is not None:
             obs.event("pipeline.serial_pruning",
                       reason=("no-numpy" if not numpy_available()
                               else "not-prefix-eligible"))
@@ -327,21 +290,10 @@ def run_pipeline(
         notify_parallel_fallback(obs, requested=workers,
                                  context="run_pipeline")
 
-    if restored_refinement is not None:
-        stats = CrowdStats.from_state(restored_refinement["stats"])
-    elif restored is not None:
-        stats = CrowdStats.from_state(restored["stats"])
-    else:
-        stats = CrowdStats(pairs_per_hit=pairs_per_hit,
-                           num_workers=answers.num_workers)
-    oracle = CrowdOracle(answers, stats=stats, obs=obs)
+    oracle = phases.oracle
     source = oracle.source
     fork_source = getattr(source, "fork_source", source)
-
-    pivot_diagnostics: Optional[PCPivotDiagnostics] = None
-    refine_diagnostics: Optional[PCRefineDiagnostics] = None
-    need_tasks = restored_refinement is None and (
-        restored is None or refine)
+    need_tasks = phases.runs_generation or phases.runs_refinement
     pool: Optional[SupervisedPool] = None
     component_logs: Dict[int, list] = {}
     #: Pivot task index -> first member of each component it carries.
@@ -371,8 +323,9 @@ def run_pipeline(
                                       state=_PIPELINE_STATE)
                 return pool
 
-            components: Optional[List[Tuple[int, ...]]] = None
-            if restored_refinement is None and restored is None:
+            components: List[Tuple[int, ...]] = []
+            prepared = None
+            if phases.runs_generation:
                 if candidates is None:
                     candidates, components = _streamed_pruning_phase(
                         pool_factory, records, similarity, threshold,
@@ -382,15 +335,42 @@ def run_pipeline(
                 else:
                     components = _dispatch_all_components(
                         pool_factory(), ids, candidates, pivot_of, obs)
+                if refine:
+                    # The clustering-independent half of the refine
+                    # partition needs only the candidate set, so it runs
+                    # while the tail pivot tasks still wait out their
+                    # crowd rounds.
+                    prepared = refine_shard.prepare_refine_partition(
+                        components, candidates)
             elif need_tasks:
                 pool_factory()
 
-            result = _crowd_phases(
-                pool, ids, candidates, oracle, answers, stats, permutation,
-                epsilon, threshold_divisor, num_buckets, refine, ranking,
-                obs, checkpoints, resume, restored, restored_refinement,
-                pivot_of, component_logs, components,
-            )
+            def generate(diagnostics: PCPivotDiagnostics) -> Clustering:
+                """The generation barrier: drain the pool, then replay
+                merged rounds through the caller's oracle."""
+                while pivot_of:
+                    index, value = pool.next_result()
+                    for key, logs in zip(pivot_of.pop(index), value):
+                        component_logs[key] = logs
+                component_rounds = {
+                    index: component_logs[members[0]]
+                    for index, members in enumerate(components)
+                    if len(members) > 1 and members[0] in component_logs
+                }
+                return pivot_shard._merge_component_runs(
+                    ids, components, component_rounds, permutation,
+                    oracle, epsilon, diagnostics, obs, source,
+                )
+
+            def refine_step(clustering: Clustering,
+                            diagnostics: PCRefineDiagnostics) -> Clustering:
+                return _refine_phase(
+                    pool, clustering, candidates, oracle, len(ids),
+                    threshold_divisor, num_buckets, diagnostics, ranking,
+                    obs, source, prepared,
+                )
+
+            result = phases.run(ids, candidates, generate, refine_step)
         finally:
             if pool is not None:
                 pool.close()
@@ -405,24 +385,8 @@ def run_pipeline(
             if pool.report.tasks else 0.0,
         )
 
-    if obs is not None:
-        _finalize_obs(
-            obs, result,
-            config={
-                "epsilon": epsilon,
-                "threshold_divisor": threshold_divisor,
-                "num_buckets": num_buckets,
-                "refine": refine,
-                "parallel": True,
-                "pairs_per_hit": pairs_per_hit,
-                "ranking": ranking,
-                "max_refinement_pairs": None,
-                "pipeline": True,
-                "pipeline_workers": workers,
-                "pruning_shards": num_shards,
-            },
-            seeds={"pivot_seed": seed},
-        )
+    phases.finish(result, pipeline=True, pipeline_workers=workers,
+                  pruning_shards=num_shards)
     report = pool.report if pool is not None else RuntimeReport()
     return PipelineResult(candidates=candidates, result=result,
                           report=report)
@@ -539,8 +503,8 @@ def _streamed_pruning_phase(
     :func:`~repro.pruning.candidate.build_candidate_set` prefix path:
     same join plan, same per-shard survivors, same sorted merge, same
     ``pruning`` span and gauges.  Pivot tasks dispatched here are
-    collected later by :func:`_crowd_phases` — only the pruning tasks
-    gate this phase's exit.
+    collected later by :func:`run_pipeline`'s generation barrier — only
+    the pruning tasks gate this phase's exit.
     """
     resolved_backend = resolve_kernel_backend(kernel_backend)
     metric = similarity.set_metric
@@ -640,105 +604,6 @@ def _dispatch_all_components(
                   dispatched=batcher.dispatched,
                   queue_depth=pool.outstanding)
     return components
-
-
-def _crowd_phases(
-    pool: Optional[SupervisedPool], ids: Sequence[int],
-    candidates: CandidateSet, oracle: CrowdOracle, answers,
-    stats: CrowdStats, permutation: Permutation, epsilon: float,
-    threshold_divisor: float, num_buckets: int, refine: bool, ranking: str,
-    obs, checkpoints, resume: bool, restored, restored_refinement,
-    pivot_of: Dict[int, List[int]], component_logs: Dict[int, list],
-    components: Optional[List[Tuple[int, ...]]] = None,
-) -> ACDResult:
-    """Phases B/C: generation merge barrier, refinement, result assembly.
-
-    Mirrors :func:`~repro.core.acd.run_acd`'s structure — same spans,
-    same checkpoint boundaries and payloads, same restore paths — with
-    the sharded merges consuming the pipeline's per-component logs.
-    """
-    pivot_diagnostics: Optional[PCPivotDiagnostics] = None
-    refine_diagnostics: Optional[PCRefineDiagnostics] = None
-    source = oracle.source
-
-    with maybe_span(obs, "acd", records=len(ids),
-                    candidate_pairs=len(candidates), parallel=True):
-        prepared = None
-        if restored_refinement is not None:
-            (clustering, generation_stats, pivot_diagnostics,
-             refine_diagnostics) = _restore_refinement(
-                restored_refinement, answers, oracle, obs)
-        else:
-            if restored is not None:
-                clustering, pivot_diagnostics = _restore_generation(
-                    restored, answers, oracle, obs)
-            else:
-                # Generation barrier: index the partition first — the
-                # component list (streamed out of the sealing tracker,
-                # so no second label pass over the candidate graph) and
-                # the clustering-independent half of the refine
-                # partition need only the candidate set, so this
-                # parent-side compute runs while the tail pivot tasks
-                # are still waiting out their crowd rounds — then drain
-                # the pool and replay merged rounds through the
-                # caller's oracle.
-                if components is None:
-                    components = connected_components(ids, candidates.pairs)
-                if refine:
-                    prepared = refine_shard.prepare_refine_partition(
-                        components, candidates)
-                while pivot_of:
-                    index, value = pool.next_result()
-                    for key, logs in zip(pivot_of.pop(index), value):
-                        component_logs[key] = logs
-                component_rounds = {
-                    index: component_logs[members[0]]
-                    for index, members in enumerate(components)
-                    if len(members) > 1 and members[0] in component_logs
-                }
-                with maybe_span(obs, "generation"):
-                    pivot_diagnostics = PCPivotDiagnostics()
-                    clustering = pivot_shard._merge_component_runs(
-                        ids, components, component_rounds, permutation,
-                        oracle, epsilon, pivot_diagnostics, obs, source,
-                    )
-            generation_stats = stats.snapshot()
-            if checkpoints is not None and restored is None:
-                checkpoints.save(
-                    "generation",
-                    _generation_state(clustering, oracle, answers,
-                                      pivot_diagnostics),
-                )
-
-            if refine:
-                with maybe_span(obs, "refinement"):
-                    refine_diagnostics = PCRefineDiagnostics()
-                    clustering = _refine_phase(
-                        pool, clustering, candidates, oracle, len(ids),
-                        threshold_divisor, num_buckets, refine_diagnostics,
-                        ranking, obs, source, prepared,
-                    )
-                if checkpoints is not None:
-                    checkpoints.save(
-                        "refinement",
-                        _refinement_state(clustering, oracle, answers,
-                                          generation_stats,
-                                          pivot_diagnostics,
-                                          refine_diagnostics),
-                    )
-
-    total = stats.snapshot()
-    refinement_stats = {
-        key: total[key] - generation_stats[key] for key in total
-    }
-    return ACDResult(
-        clustering=clustering,
-        stats=stats,
-        generation_stats=generation_stats,
-        refinement_stats=refinement_stats,
-        pivot_diagnostics=pivot_diagnostics,
-        refine_diagnostics=refine_diagnostics,
-    )
 
 
 def _refine_phase(

@@ -4,6 +4,10 @@ import pytest
 
 from repro.core.acd import run_acd
 from repro.core.permutation import Permutation
+from repro.core.pivot import crowd_pivot
+from repro.core.refine import crowd_refine
+from repro.crowd.oracle import CrowdOracle
+from repro.runtime.pipeline import run_pipeline
 from repro.eval.metrics import f1_score
 
 
@@ -55,12 +59,16 @@ class TestPipeline:
         assert scores["with"] > scores["without"]
 
     def test_sequential_mode(self, tiny_restaurant):
-        result = run_acd(
-            tiny_restaurant.record_ids, tiny_restaurant.candidates,
-            tiny_restaurant.answers, seed=1, parallel=False,
+        """Crowd-Pivot then Crowd-Refine over one oracle: the sequential
+        composition the parallelization experiments compare against."""
+        oracle = CrowdOracle(tiny_restaurant.answers)
+        clustering = crowd_refine(
+            crowd_pivot(tiny_restaurant.record_ids,
+                        tiny_restaurant.candidates, oracle, seed=1),
+            tiny_restaurant.candidates, oracle,
         )
-        assert result.pivot_diagnostics is None
-        assert result.clustering.num_records == len(tiny_restaurant.dataset)
+        assert clustering.num_records == len(tiny_restaurant.dataset)
+        clustering.check_invariants()
 
     def test_sequential_and_parallel_generation_agree(self, tiny_product):
         permutation = Permutation.random(tiny_product.record_ids, seed=5)
@@ -68,12 +76,11 @@ class TestPipeline:
             tiny_product.record_ids, tiny_product.candidates,
             tiny_product.answers, permutation=permutation, refine=False,
         )
-        sequential = run_acd(
+        sequential = crowd_pivot(
             tiny_product.record_ids, tiny_product.candidates,
-            tiny_product.answers, permutation=permutation, refine=False,
-            parallel=False,
+            CrowdOracle(tiny_product.answers), permutation=permutation,
         )
-        assert parallel.clustering.as_sets() == sequential.clustering.as_sets()
+        assert parallel.clustering.as_sets() == sequential.as_sets()
 
     def test_deterministic_given_seed(self, tiny_paper):
         a = run_acd(tiny_paper.record_ids, tiny_paper.candidates,
@@ -96,3 +103,25 @@ class TestPipeline:
             tiny_restaurant.answers, seed=1, pairs_per_hit=10,
         )
         assert result.stats.pairs_per_hit == 10
+
+
+class TestRemovedKnobs:
+    @pytest.mark.parametrize("knob,value", [
+        ("parallel", False), ("pipeline", True), ("pipeline_workers", 2),
+        ("journal_path", "run.wal"),
+    ])
+    def test_run_acd_knobs_are_gone(self, tiny_restaurant, knob, value):
+        """The sequential engines, the component executor and the
+        write-ahead journal are direct calls (``crowd_pivot`` /
+        ``crowd_refine``, ``run_pipeline``, ``JournalingAnswerFile``),
+        not ``run_acd`` options."""
+        with pytest.raises(TypeError, match=knob):
+            run_acd(tiny_restaurant.record_ids, tiny_restaurant.candidates,
+                    tiny_restaurant.answers, **{knob: value})
+
+    def test_run_pipeline_journal_path_is_gone(self, tiny_restaurant):
+        with pytest.raises(TypeError, match="journal_path"):
+            run_pipeline(tiny_restaurant.answers,
+                         record_ids=tiny_restaurant.record_ids,
+                         candidates=tiny_restaurant.candidates,
+                         journal_path="run.wal")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.core.acd import run_acd
 from repro.core.objective import lambda_objective
 from repro.core.permutation import Permutation
+from repro.core.pivot import crowd_pivot
 from repro.crowd.cache import ScriptedAnswers
 from repro.crowd.oracle import CrowdOracle
 from tests.conftest import make_candidates
@@ -77,10 +78,9 @@ def test_parallel_matches_sequential_generation(instance_seed, run_seed):
     permutation = Permutation.random(range(num_records), seed=run_seed)
     parallel = run_acd(range(num_records), candidates, answers,
                        permutation=permutation, refine=False)
-    sequential = run_acd(range(num_records), candidates, answers,
-                         permutation=permutation, refine=False,
-                         parallel=False)
-    assert parallel.clustering.as_sets() == sequential.clustering.as_sets()
+    sequential = crowd_pivot(list(range(num_records)), candidates,
+                             CrowdOracle(answers), permutation=permutation)
+    assert parallel.clustering.as_sets() == sequential.as_sets()
 
 
 @settings(max_examples=30, deadline=None)

@@ -33,7 +33,7 @@ from repro.datasets.schema import canonical_pair
 from repro.eval.metrics import pairwise_scores
 from repro.experiments.chaos import _platform_answers
 from repro.experiments.configs import PRUNING_THRESHOLD, difficulty_model
-from repro.experiments.runner import prepare_instance
+from repro.experiments.runner import prepare_instance, run_method
 from repro.obs import ObsContext
 from repro.pruning.candidate import build_candidate_set
 from repro.pruning.graph import CandidateGraph
@@ -187,19 +187,26 @@ def test_crowd_pivot_event_streams_identical(seed):
 
 @pytest.mark.parametrize("parallel", (True, False))
 def test_run_acd_engines_agree(tiny_paper, parallel):
-    """End to end: ``run_acd`` equals the reference generation oracle
+    """End to end: ``run_acd`` (``parallel``) or Crowd-Pivot then
+    Crowd-Refine over one oracle equals the reference generation oracle
     followed by the production refinement."""
-    fast = run_acd(tiny_paper.record_ids, tiny_paper.candidates,
-                   tiny_paper.answers, seed=2, parallel=parallel)
+    ids, candidates = tiny_paper.record_ids, tiny_paper.candidates
+    if parallel:
+        result = run_acd(ids, candidates, tiny_paper.answers, seed=2)
+        fast, fast_stats = result.clustering, result.stats
+    else:
+        oracle = CrowdOracle(tiny_paper.answers)
+        fast = crowd_refine(crowd_pivot(ids, candidates, oracle, seed=2),
+                            candidates, oracle)
+        fast_stats = oracle.stats
     clustering, stats = reference.run_acd(
-        tiny_paper.record_ids, tiny_paper.candidates, tiny_paper.answers,
-        seed=2, parallel=parallel,
+        ids, candidates, tiny_paper.answers, seed=2, parallel=parallel,
         generation=reference.pc_pivot if parallel else reference.crowd_pivot,
         refinement=pc_refine if parallel else crowd_refine,
     )
-    assert fast.clustering.as_sets() == clustering.as_sets()
-    assert fast.stats.pairs_issued == stats.pairs_issued
-    assert fast.stats.iterations == stats.iterations
+    assert fast.as_sets() == clustering.as_sets()
+    assert fast_stats.pairs_issued == stats.pairs_issued
+    assert fast_stats.iterations == stats.iterations
 
 
 @pytest.mark.parametrize("seed", (0, 1))
@@ -477,15 +484,16 @@ def test_sharded_pair_set_invariant_and_waste_bounded():
 
 
 def test_run_acd_sharded_agrees(tiny_paper):
-    """End-to-end generation through ``run_acd``: component execution
-    yields the classic clustering (ids included), and every worker count
-    yields byte-identical stats."""
+    """End-to-end generation: component execution through
+    ``run_pipeline`` yields ``run_acd``'s classic clustering (ids
+    included), and every worker count yields byte-identical stats."""
     base = run_acd(tiny_paper.record_ids, tiny_paper.candidates,
                    tiny_paper.answers, seed=2, refine=False)
     sharded = {
-        workers: run_acd(tiny_paper.record_ids, tiny_paper.candidates,
-                         tiny_paper.answers, seed=2, refine=False,
-                         pipeline=True, pipeline_workers=workers)
+        workers: run_pipeline(tiny_paper.answers,
+                              record_ids=tiny_paper.record_ids,
+                              candidates=tiny_paper.candidates, seed=2,
+                              refine=False, workers=workers).result
         for workers in (0, 2, 3)
     }
     first = sharded[0]
@@ -506,14 +514,7 @@ class TestShardedValidation:
         """Pool workers without component execution would change nothing
         but the run's fingerprint."""
         with pytest.raises(ValueError, match="pipeline"):
-            run_acd(tiny_paper.record_ids, tiny_paper.candidates,
-                    tiny_paper.answers, pipeline_workers=2)
-
-    def test_run_acd_sequential_rejects_pivot_shards(self, tiny_paper):
-        """Sequential Crowd-Pivot has no component decomposition."""
-        with pytest.raises(ValueError, match="parallel"):
-            run_acd(tiny_paper.record_ids, tiny_paper.candidates,
-                    tiny_paper.answers, parallel=False, pipeline=True)
+            run_method("PC-Pivot", tiny_paper, pipeline_workers=2)
 
     def test_non_pair_deterministic_source_rejected(self):
         """FallbackAnswers tracks degraded pairs statefully — forking it

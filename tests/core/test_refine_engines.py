@@ -162,20 +162,27 @@ def test_pc_refine_event_streams_identical(seed):
 
 @pytest.mark.parametrize("parallel", (True, False))
 def test_run_acd_engines_agree(tiny_paper, parallel):
-    """End to end: ``run_acd`` equals the production generation followed
-    by the reference refinement oracle."""
-    fast = run_acd(tiny_paper.record_ids, tiny_paper.candidates,
-                   tiny_paper.answers, seed=2, parallel=parallel)
+    """End to end: ``run_acd`` (``parallel``) or Crowd-Pivot then
+    Crowd-Refine over one oracle equals the production generation
+    followed by the reference refinement oracle."""
+    ids, candidates = tiny_paper.record_ids, tiny_paper.candidates
+    if parallel:
+        result = run_acd(ids, candidates, tiny_paper.answers, seed=2)
+        fast, fast_stats = result.clustering, result.stats
+    else:
+        oracle = CrowdOracle(tiny_paper.answers)
+        fast = crowd_refine(crowd_pivot(ids, candidates, oracle, seed=2),
+                            candidates, oracle)
+        fast_stats = oracle.stats
     clustering, stats = reference.run_acd(
-        tiny_paper.record_ids, tiny_paper.candidates, tiny_paper.answers,
-        seed=2, parallel=parallel,
+        ids, candidates, tiny_paper.answers, seed=2, parallel=parallel,
         generation=pc_pivot if parallel else crowd_pivot,
         refinement=(reference.pc_refine if parallel
                     else reference.crowd_refine),
     )
-    assert fast.clustering.as_sets() == clustering.as_sets()
-    assert fast.stats.pairs_issued == stats.pairs_issued
-    assert fast.stats.iterations == stats.iterations
+    assert fast.as_sets() == clustering.as_sets()
+    assert fast_stats.pairs_issued == stats.pairs_issued
+    assert fast_stats.iterations == stats.iterations
 
 
 @pytest.mark.parametrize("seed", (0, 1))

@@ -10,8 +10,13 @@ from hypothesis import strategies as st
 from repro import reference
 from repro.core.clustering import Clustering
 from repro.core.estimator import HistogramEstimator
+from repro.core.evaluation_cache import EvaluationCache
 from repro.core.pc_pivot import pc_pivot
-from repro.core.refine import apply_free_operations, build_estimator
+from repro.core.refine import (
+    OperationCache,
+    apply_free_operations,
+    build_estimator,
+)
 from repro.crowd.cache import ScriptedAnswers
 from repro.crowd.oracle import CrowdOracle
 from tests.conftest import make_candidates
@@ -46,6 +51,14 @@ def random_refine_state(seed):
     return Clustering(clusters), candidates, oracle
 
 
+def apply_free(clustering, candidates, oracle, estimator):
+    """The production heap applier over the cache pair its callers own."""
+    cache = OperationCache(clustering, candidates)
+    evaluations = EvaluationCache(clustering, candidates, oracle, estimator,
+                                  cache.tracker)
+    return apply_free_operations(clustering, cache, evaluations)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 100_000))
 def test_heap_matches_reference(seed):
@@ -57,9 +70,8 @@ def test_heap_matches_reference(seed):
     _, _, oracle_b = random_refine_state(seed)
     estimator_b = build_estimator(candidates, oracle_b)
 
-    applied_fast = apply_free_operations(
-        clustering_a, candidates, oracle_a, estimator_a
-    )
+    applied_fast = apply_free(clustering_a, candidates, oracle_a,
+                              estimator_a)
     applied_reference = reference.apply_free_operations(
         clustering_b, candidates, oracle_b, estimator_b
     )
@@ -98,7 +110,7 @@ def test_heap_handles_cascading_operations():
     oracle.ask_batch(candidates.pairs)
     clustering = Clustering([{0, 1, 2}, {3}, {4}])
     estimator = HistogramEstimator()
-    applied = apply_free_operations(clustering, candidates, oracle, estimator)
+    applied = apply_free(clustering, candidates, oracle, estimator)
     assert applied >= 2
     assert clustering.together(0, 3) and clustering.together(0, 1)
     assert not clustering.together(0, 2)

@@ -1,7 +1,7 @@
 """Sharded PC-Refine: cross-configuration byte-identity, classic parity, wiring.
 
 Component refinement runs inside :func:`~repro.runtime.pipeline.run_pipeline`
-(``run_acd(pipeline=True)``).  Its identity contract (see
+(``run_method(..., pipeline=True)``).  Its identity contract (see
 ``repro/core/refine_shard.py``): every ``{pruning shards, workers}``
 configuration produces a byte-identical clustering, crowd stats, and
 diagnostics.  Parity with the *classic* fast engine is empirical, not
@@ -151,11 +151,13 @@ class TestValidation:
                        pipeline_workers=2)
 
     def test_max_refinement_pairs_rejected(self):
+        """A global sequential pair cap cannot decompose across
+        components, so the component executor has no such option."""
         instance = _instance(scale=0.05)
-        with pytest.raises(ValueError, match="max_refinement_pairs"):
-            run_acd(instance.record_ids, instance.candidates,
-                    instance.answers, seed=7, pipeline=True,
-                    max_refinement_pairs=50)
+        with pytest.raises(TypeError, match="max_refinement_pairs"):
+            run_pipeline(instance.answers, record_ids=instance.record_ids,
+                         candidates=instance.candidates, seed=7,
+                         max_refinement_pairs=50)
 
     def test_non_pair_deterministic_source_rejected(self):
         instance = _instance(scale=0.05)
@@ -173,31 +175,17 @@ class TestValidation:
 
 class TestRunAcdWiring:
     def test_sharded_run_acd_matches_classic(self):
-        def acd(**kwargs):
-            instance = _instance("restaurant", scale=0.3)
-            return run_acd(instance.record_ids, instance.candidates,
-                           instance.answers, seed=7, parallel=True,
-                           **kwargs)
-
-        classic = acd()
-        sharded = acd(pipeline=True, pipeline_workers=2)
+        instance = _instance("restaurant", scale=0.3)
+        classic = run_acd(instance.record_ids, instance.candidates,
+                          instance.answers, seed=7)
+        instance = _instance("restaurant", scale=0.3)
+        sharded = run_pipeline(instance.answers,
+                               record_ids=instance.record_ids,
+                               candidates=instance.candidates, seed=7,
+                               workers=2).result
         assert (sharded.clustering.to_state()
                 == classic.clustering.to_state())
         assert sharded.stats.pairs_issued == classic.stats.pairs_issued
-
-    def test_refine_shards_require_parallel(self):
-        instance = _instance(scale=0.05)
-        with pytest.raises(ValueError, match="parallel=True"):
-            run_acd(instance.record_ids, instance.candidates,
-                    instance.answers, seed=7, parallel=False,
-                    pipeline=True)
-
-    def test_refine_shards_reject_pair_cap(self):
-        instance = _instance(scale=0.05)
-        with pytest.raises(ValueError, match="max_refinement_pairs"):
-            run_acd(instance.record_ids, instance.candidates,
-                    instance.answers, seed=7, parallel=True, pipeline=True,
-                    pipeline_workers=2, max_refinement_pairs=10)
 
 
 class TestRefinementCheckpoint:
@@ -205,10 +193,11 @@ class TestRefinementCheckpoint:
         config = {"dataset": "largescale", "scale": 0.1, "seed": 0}
 
         def acd(instance, checkpoints=None, resume=False):
-            return run_acd(instance.record_ids, instance.candidates,
-                           instance.answers, seed=7, parallel=True,
-                           pipeline=True, checkpoints=checkpoints,
-                           resume=resume)
+            return run_pipeline(instance.answers,
+                                record_ids=instance.record_ids,
+                                candidates=instance.candidates, seed=7,
+                                checkpoints=checkpoints,
+                                resume=resume).result
 
         uninterrupted = acd(_instance(scale=0.1))
         with tempfile.TemporaryDirectory() as tmp:

@@ -15,6 +15,10 @@ Three contracts are pinned here:
 import pytest
 
 from repro.core.acd import run_acd
+from repro.core.pivot import crowd_pivot
+from repro.core.refine import crowd_refine
+from repro.crowd.oracle import CrowdOracle
+from repro.crowd.persistence import JournalingAnswerFile
 from repro.experiments.runner import prepare_instance, run_method
 from repro.obs import ObsContext, load_manifest, read_events
 
@@ -41,10 +45,19 @@ class TestByteIdentity:
         assert observed.refinement_stats == plain.refinement_stats
 
     def test_sequential_mode_identical(self, instance):
-        plain = _run(instance, parallel=False)
-        observed = _run(instance, obs=ObsContext(), parallel=False)
-        assert observed.clustering.as_sets() == plain.clustering.as_sets()
-        assert observed.stats.snapshot() == plain.stats.snapshot()
+        def sequential(obs=None):
+            oracle = CrowdOracle(instance.answers, obs=obs)
+            clustering = crowd_pivot(instance.record_ids,
+                                     instance.candidates, oracle, seed=11,
+                                     obs=obs)
+            clustering = crowd_refine(clustering, instance.candidates,
+                                      oracle, obs=obs)
+            return clustering, oracle.stats
+
+        plain_clustering, plain_stats = sequential()
+        observed_clustering, observed_stats = sequential(obs=ObsContext())
+        assert observed_clustering.as_sets() == plain_clustering.as_sets()
+        assert observed_stats.snapshot() == plain_stats.snapshot()
 
     def test_baseline_methods_identical(self, instance):
         for method in ("Crowd-Pivot", "CrowdER+", "TransM"):
@@ -141,6 +154,24 @@ class TestTraceFileAndManifest:
         span_table = {entry["name"]: entry for entry in manifest["spans"]}
         assert span_table["acd"]["count"] == 1
 
+    def test_parallel_key_belongs_to_the_cli(self, instance, tmp_path):
+        """Regression: the library wrote ``parallel: True`` (the batched
+        engines) and the CLI overwrote it with its pruning worker count,
+        so the one key meant two things.  Only the CLI writes it now."""
+        from repro.cli import main
+
+        trace = tmp_path / "lib.trace.jsonl"
+        with ObsContext.to_path(trace) as obs:
+            _run(instance, obs=obs)
+        manifest = load_manifest(tmp_path / "lib.trace.manifest.json")
+        assert "parallel" not in manifest["config"]
+
+        trace = tmp_path / "cli.trace.jsonl"
+        assert main(["run", "restaurant", "--scale", "0.05", "--parallel",
+                     "2", "--trace", str(trace)]) == 0
+        manifest = load_manifest(tmp_path / "cli.trace.manifest.json")
+        assert manifest["config"]["parallel"] == 2
+
     def test_in_memory_obs_writes_nothing(self, instance, tmp_path):
         _run(instance, obs=ObsContext())
         assert list(tmp_path.iterdir()) == []
@@ -148,8 +179,10 @@ class TestTraceFileAndManifest:
     def test_journaled_run_traces_identically(self, instance, tmp_path):
         plain = _run(instance)
         obs = ObsContext()
-        journaled = _run(instance, obs=obs,
-                         journal_path=tmp_path / "run.wal")
+        with JournalingAnswerFile(instance.answers,
+                                  tmp_path / "run.wal") as answers:
+            journaled = run_acd(instance.record_ids, instance.candidates,
+                                answers, seed=11, obs=obs)
         assert journaled.clustering.as_sets() == plain.clustering.as_sets()
         counters = obs.metrics.as_dict()["counters"]
         assert counters["crowd_pairs_issued_total"] \

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.acd import run_acd
 from repro.crowd.cache import AnswerFile
+from repro.crowd.persistence import JournalingAnswerFile
 from repro.crowd.worker import WorkerPool
 from repro.datasets.registry import generate
 from repro.experiments.configs import PRUNING_THRESHOLD, difficulty_model
@@ -77,7 +77,7 @@ def _collect_events(obs):
 
 
 def _pipeline_outcome(pruning_shards=4, workers=0, fault_plan=None,
-                      policy=POLICY, pre_pruned=False, journal_path=None,
+                      policy=POLICY, pre_pruned=False,
                       checkpoints=None, resume=False, answers=None):
     # AnswerFile resolves each pair from a pair-seeded RNG, so a fresh
     # instance per run replays identical answers.
@@ -87,7 +87,7 @@ def _pipeline_outcome(pruning_shards=4, workers=0, fault_plan=None,
     kwargs = dict(
         threshold=PRUNING_THRESHOLD, workers=workers, seed=SEED, obs=obs,
         supervisor_policy=policy, fault_plan=fault_plan,
-        journal_path=journal_path, checkpoints=checkpoints, resume=resume,
+        checkpoints=checkpoints, resume=resume,
     )
     if pre_pruned:
         piped = run_pipeline(source, record_ids=_DATASET.record_ids,
@@ -164,12 +164,13 @@ class TestBarrierParity:
     def test_pre_pruned_entry_matches_barrier(self):
         """The record_ids+candidates entry shape (pruning already done)
         dispatches every component immediately and matches the inline
-        barrier run on the pool, and through ``run_acd(pipeline=True)``."""
+        barrier run on the pool, traced or not."""
         outcome = _pipeline_outcome(pre_pruned=True, workers=2)
         assert _core(outcome) == _barrier_core()
-        result = run_acd(_DATASET.record_ids, _CANDIDATES,
-                         AnswerFile(_DATASET.gold, _WORKERS), seed=SEED,
-                         pipeline=True, pipeline_workers=2)
+        result = run_pipeline(AnswerFile(_DATASET.gold, _WORKERS),
+                              record_ids=_DATASET.record_ids,
+                              candidates=_CANDIDATES, seed=SEED,
+                              workers=2).result
         assert result.clustering.to_state() == outcome["clustering"]
         assert result.stats.snapshot() == outcome["stats"]
 
@@ -210,9 +211,13 @@ class TestJournalComposition:
 
         with tempfile.TemporaryDirectory() as tmp:
             journal = Path(tmp) / "run.journal"
-            first = _pipeline_outcome(workers=2, journal_path=journal)
+            with JournalingAnswerFile(AnswerFile(_DATASET.gold, _WORKERS),
+                                      journal) as answers:
+                first = _pipeline_outcome(workers=2, answers=answers)
             batches_after_first = AnswerJournal(journal).num_batches
-            replayed = _pipeline_outcome(workers=2, journal_path=journal)
+            with JournalingAnswerFile(AnswerFile(_DATASET.gold, _WORKERS),
+                                      journal) as answers:
+                replayed = _pipeline_outcome(workers=2, answers=answers)
             batches_after_replay = AnswerJournal(journal).num_batches
         assert batches_after_first >= 1
         assert batches_after_replay == batches_after_first

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.acd import run_acd
 from repro.core.pc_pivot import pc_pivot
 from repro.experiments.runner import prepare_instance
 from repro.obs import ObsContext
@@ -156,11 +155,11 @@ class TestCheckpointKillResume:
                   "pipeline": True}
 
         def acd(instance, checkpoints=None, resume=False):
-            return run_acd(
-                instance.record_ids, instance.candidates, instance.answers,
-                seed=7, pipeline=True, pipeline_workers=2,
+            return run_pipeline(
+                instance.answers, record_ids=instance.record_ids,
+                candidates=instance.candidates, seed=7, workers=2,
                 checkpoints=checkpoints, resume=resume,
-            )
+            ).result
 
         uninterrupted = acd(_instance())
         with tempfile.TemporaryDirectory() as tmp:

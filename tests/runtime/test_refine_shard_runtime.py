@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.acd import _generation_state, run_acd
+from repro.core.acd import _generation_state
 from repro.core.pc_pivot import PCPivotDiagnostics, pc_pivot
 from repro.crowd.cache import AnswerFile
 from repro.crowd.oracle import CrowdOracle
@@ -180,15 +180,18 @@ class TestJournalComposition:
         source by design — the journal's guarantee covers the
         authoritative coordinator accounting, not worker-side memos.
         """
-        from repro.crowd.persistence import AnswerJournal
+        from repro.crowd.persistence import (
+            AnswerJournal,
+            JournalingAnswerFile,
+        )
 
         def acd(journal_path):
-            return run_acd(
-                _DATASET.record_ids, _CANDIDATES,
-                AnswerFile(_DATASET.gold, _WORKERS), seed=7,
-                pipeline=True, pipeline_workers=2,
-                journal_path=journal_path,
-            )
+            with JournalingAnswerFile(AnswerFile(_DATASET.gold, _WORKERS),
+                                      journal_path) as answers:
+                return run_pipeline(
+                    answers, record_ids=_DATASET.record_ids,
+                    candidates=_CANDIDATES, seed=7, workers=2,
+                ).result
 
         with tempfile.TemporaryDirectory() as tmp:
             journal = Path(tmp) / "run.journal"
@@ -213,11 +216,11 @@ class TestCheckpointKillResume:
                   "pipeline": True}
 
         def acd(answers, checkpoints=None, resume=False):
-            return run_acd(
-                _DATASET.record_ids, _CANDIDATES, answers, seed=7,
-                pipeline=True, pipeline_workers=2,
+            return run_pipeline(
+                answers, record_ids=_DATASET.record_ids,
+                candidates=_CANDIDATES, seed=7, workers=2,
                 checkpoints=checkpoints, resume=resume,
-            )
+            ).result
 
         uninterrupted = acd(AnswerFile(_DATASET.gold, _WORKERS))
         with tempfile.TemporaryDirectory() as tmp:

@@ -181,8 +181,7 @@ class TestExecutionKnobs:
         same thing as no worker count, yet entered the checkpoint and
         journal fingerprints — so two equivalent runs refused to resume
         each other.  Both entry points now reject the combination."""
-        from repro.core.acd import run_acd
-        from repro.experiments.runner import prepare_instance
+        from repro.experiments.runner import prepare_instance, run_method
 
         with pytest.raises(SystemExit,
                            match="--pipeline-workers requires --pipeline"):
@@ -190,8 +189,7 @@ class TestExecutionKnobs:
                   "--pipeline-workers", "2"])
         instance = prepare_instance("restaurant", "3w", scale=0.05)
         with pytest.raises(ValueError, match="pipeline_workers"):
-            run_acd(instance.record_ids, instance.candidates,
-                    instance.answers, pipeline_workers=2)
+            run_method("ACD", instance, pipeline_workers=2)
 
     @pytest.mark.parametrize("method",
                              ("CrowdER+", "TransM", "TransNode", "GCER"))

@@ -11,6 +11,7 @@ from repro.core.clustering import Clustering
 from repro.core.pc_pivot import pc_pivot
 from repro.crowd.cache import ScriptedAnswers
 from repro.crowd.oracle import CrowdOracle
+from repro.crowd.persistence import JournalingAnswerFile
 from repro.datasets.schema import GoldStandard, Record, canonical_pair
 from repro.pruning.candidate import CandidateSet
 from tests.conftest import make_candidates, scripted_oracle
@@ -306,13 +307,14 @@ class TestCrashResume:
 
         journal = tmp_path / "acd.wal"
         with pytest.raises(Killed):
-            run_acd(dataset.record_ids, candidates,
-                    KillSwitch(make_answers(), 2), seed=11,
-                    journal_path=journal)
+            with JournalingAnswerFile(KillSwitch(make_answers(), 2),
+                                      journal) as answers:
+                run_acd(dataset.record_ids, candidates, answers, seed=11)
         assert journal.exists()
 
-        resumed = run_acd(dataset.record_ids, candidates, make_answers(),
-                          seed=11, journal_path=journal)
+        with JournalingAnswerFile(make_answers(), journal) as answers:
+            resumed = run_acd(dataset.record_ids, candidates, answers,
+                              seed=11)
         assert (resumed.clustering.as_sets()
                 == reference.clustering.as_sets())
         assert resumed.stats.snapshot() == reference.stats.snapshot()
@@ -346,8 +348,10 @@ class TestCrashResume:
 
         plain = run_acd(dataset.record_ids, candidates, make_answers(),
                         seed=11)
-        journaled = run_acd(dataset.record_ids, candidates, make_answers(),
-                            seed=11, journal_path=tmp_path / "run.wal")
+        with JournalingAnswerFile(make_answers(),
+                                  tmp_path / "run.wal") as answers:
+            journaled = run_acd(dataset.record_ids, candidates, answers,
+                                seed=11)
         assert journaled.clustering.as_sets() == plain.clustering.as_sets()
         assert journaled.stats.snapshot() == plain.stats.snapshot()
 
