@@ -31,8 +31,9 @@ bench-refine:
 bench-pivot:
 	REPRO_BENCH_SCALE=1.0 python benchmarks/bench_pivot.py
 
-# Scale benchmark: vectorized sharded pruning vs the scalar paths on the
-# synthetic largescale population (10k / 100k / 1M records), asserting
+# Scale benchmark: the production (sharded, vectorized) prefix join vs
+# its scalar oracles -- the frozenset join and the scoring loop from
+# repro.reference -- on the synthetic largescale population, asserting
 # byte-identical candidate sets, plus the cluster-generation stage
 # (classic PC-Pivot vs the component-decomposed run_pipeline, identical
 # clusterings, crowd-iteration and wall-clock speedups) on tiers up to
@@ -42,9 +43,11 @@ bench-pivot:
 # refine_iteration_speedup, advisory classic-parity flag) on tiers up to
 # REPRO_BENCH_REFINE_CAP.  Regenerates
 # BENCH_scale.json at the repo root with records/sec, pairs/sec, and
-# peak-RSS meters.
+# peak-RSS meters, at the 10k and 100k tiers the committed file holds.
+# For the 1M tier as well (about 8 GiB of memory), run
+# REPRO_BENCH_SCALE_TIERS=10000,100000,1000000 python benchmarks/bench_scale.py
 bench-scale:
-	python benchmarks/bench_scale.py
+	REPRO_BENCH_SCALE_TIERS=10000,100000 python benchmarks/bench_scale.py
 
 # 10k-only tier for CI runners (minutes, not tens of minutes).
 bench-scale-smoke:

@@ -2,17 +2,18 @@
 
 Runs the pruning phase over the synthetic ``largescale`` population
 (:mod:`repro.datasets.largescale`) at increasing record counts, comparing
-the vectorized sharded join against the scalar paths, verifying byte-
-identical candidate sets wherever more than one variant runs, and writing
+the production join against the scalar oracles, verifying byte-identical
+candidate sets wherever more than one variant runs, and writing
 ``BENCH_scale.json`` at the repo root in the shared BENCH schema with
 records/sec, pairs/sec, and peak-RSS meters per run.
 
 Pruning variants per tier (each capped by its env knob):
 
-* ``vectorized``  — prefix join, vectorized kernel, sharded
+* ``vectorized``  — the production prefix join, sharded
   (:mod:`repro.pruning.shard`); runs at every tier.
-* ``scalar-join`` — prefix join, scalar kernel (the scalar reference of
-  the kernel registry); capped at ``REPRO_BENCH_SCALAR_CAP``.
+* ``scalar-join`` — the same join one record at a time over Python
+  frozensets (the oracle ``repro.reference.prefix_filtered_candidates``);
+  capped at ``REPRO_BENCH_SCALAR_CAP``.
 * ``reference``   — the seed's token blocking + per-pair scoring loop
   (``repro.reference.candidate_set``); capped at
   ``REPRO_BENCH_REFERENCE_CAP``.
@@ -107,8 +108,15 @@ from repro.pruning.candidate import (  # noqa: E402
     _prefix_join_eligible,
     build_candidate_set,
 )
-from repro.reference import candidate_set  # noqa: E402
-from repro.similarity.composite import jaccard_similarity_function  # noqa: E402
+from repro.pruning.candidate import CandidateSet  # noqa: E402
+from repro.reference import (  # noqa: E402
+    candidate_set,
+    prefix_filtered_candidates,
+)
+from repro.similarity.composite import (  # noqa: E402
+    SET_METRIC_FUNCTIONS,
+    jaccard_similarity_function,
+)
 
 TIERS = tuple(
     int(tier)
@@ -150,6 +158,17 @@ def _measure(records, build=build_candidate_set, **knobs):
     timings.record_throughput("pairs_per_second", len(candidates))
     timings.record_peak_rss()
     return candidates, timings
+
+
+def _scalar_join(records, similarity, threshold, timings):
+    """The frozenset oracle join as a :class:`CandidateSet`."""
+    pairs, scores = prefix_filtered_candidates(
+        records, set_of=similarity.set_of,
+        set_function=SET_METRIC_FUNCTIONS[similarity.set_metric],
+        metric=similarity.set_metric, threshold=threshold, timings=timings,
+    )
+    return CandidateSet(pairs=tuple(pairs), machine_scores=scores,
+                        threshold=threshold)
 
 
 def _answers(dataset):
@@ -323,10 +342,8 @@ def _refine_stage(label, tier, runs, derived):
     """
     dataset = generate_largescale(scale=tier / BASE_RECORDS, seed=SEED,
                                   confusion=REFINE_CONFUSION)
-    candidates, _ = _measure(
-        dataset.records, kernel_backend="vectorized",
-        shards=SHARDS, parallel=PARALLEL,
-    )
+    candidates, _ = _measure(dataset.records, shards=SHARDS,
+                             parallel=PARALLEL)
 
     classic, classic_iters, classic_pairs, classic_timings = _measure_refine(
         dataset, candidates)
@@ -384,10 +401,8 @@ def main() -> int:
         dataset = generate_largescale(scale=tier / BASE_RECORDS, seed=SEED)
         assert len(dataset.records) == tier
 
-        vec, vec_timings = _measure(
-            dataset.records, kernel_backend="vectorized",
-            shards=SHARDS, parallel=PARALLEL,
-        )
+        vec, vec_timings = _measure(dataset.records, shards=SHARDS,
+                                    parallel=PARALLEL)
         runs[f"{label}/vectorized"] = run_entry(
             vec_timings, records=tier, pairs=len(vec),
             shards=SHARDS, parallel=PARALLEL,
@@ -398,11 +413,9 @@ def main() -> int:
               f"peak RSS {vec_timings.meters['peak_rss_bytes'] / 2**20:.0f} MiB")
 
         if tier <= SCALAR_CAP:
-            # Unsharded single-shard vectorized run: shard-count invariance
-            # at real scale (cheap — same kernel, no partitioning).
-            one, one_timings = _measure(
-                dataset.records, kernel_backend="vectorized", shards=1,
-            )
+            # Unsharded single-shard run: shard-count invariance at real
+            # scale (cheap — same kernel, no partitioning).
+            one, one_timings = _measure(dataset.records, shards=1)
             runs[f"{label}/vectorized-1shard"] = run_entry(
                 one_timings, records=tier, pairs=len(one), shards=1,
             )
@@ -410,15 +423,14 @@ def main() -> int:
                 print(f"FAIL: {label}: shard counts disagree", file=sys.stderr)
                 return 1
 
-            scalar, scalar_timings = _measure(
-                dataset.records, kernel_backend="scalar", shards=0,
-            )
+            scalar, scalar_timings = _measure(dataset.records,
+                                              build=_scalar_join)
             runs[f"{label}/scalar-join"] = run_entry(
                 scalar_timings, records=tier, pairs=len(scalar),
             )
             if (scalar.pairs, scalar.machine_scores) != (vec.pairs,
                                                          vec.machine_scores):
-                print(f"FAIL: {label}: kernel backends disagree",
+                print(f"FAIL: {label}: scalar join oracle disagrees",
                       file=sys.stderr)
                 return 1
             speedup = scalar_timings.total / max(vec_timings.total, 1e-12)

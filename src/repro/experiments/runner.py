@@ -76,7 +76,6 @@ def prepare_instance(
     threshold: float = PRUNING_THRESHOLD,
     parallel: int = 0,
     shards: int = 0,
-    kernel_backend: str = "auto",
     timings: Optional[StageTimings] = None,
     obs=None,
     candidates: Optional[CandidateSet] = None,
@@ -95,8 +94,6 @@ def prepare_instance(
             join; <= 1 runs serially).
         shards: Blocking-key shards for the prefix join (0/1 = unsharded;
             output is identical for every value).
-        kernel_backend: Prefix-join verification kernel: 'auto',
-            'vectorized', or 'scalar' (see :mod:`repro.similarity.kernels`).
         timings: Optional stage timer recording pruning wall-clock.
         obs: Optional :class:`~repro.obs.ObsContext`; traces the pruning
             phase (the dataset generation itself is untimed).
@@ -113,7 +110,7 @@ def prepare_instance(
         candidates = build_candidate_set(
             dataset.records, jaccard_similarity_function(),
             threshold=threshold, parallel=parallel, shards=shards,
-            kernel_backend=kernel_backend, timings=timings, obs=obs,
+            timings=timings, obs=obs,
             supervisor_policy=supervisor_policy, fault_plan=fault_plan,
         )
     workers = WorkerPool(

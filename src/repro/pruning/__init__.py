@@ -21,10 +21,7 @@ from repro.pruning.candidate import (
 )
 from repro.pruning.graph import CandidateGraph, graph_from_candidates
 from repro.pruning.parallel import score_pairs_parallel
-from repro.pruning.prefix_join import (
-    prefix_filtered_candidates,
-    prefix_length,
-)
+from repro.pruning.prefix_join import prefix_length
 from repro.pruning.minhash import (
     MinHasher,
     lsh_candidate_pairs,
@@ -43,7 +40,6 @@ __all__ = [
     "graph_from_candidates",
     "lsh_candidate_pairs",
     "minhash_blocking_pairs",
-    "prefix_filtered_candidates",
     "prefix_length",
     "score_pairs_parallel",
     "sorted_neighborhood_pairs",

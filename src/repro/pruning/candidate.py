@@ -12,28 +12,24 @@ Paths
 alone (:func:`_prefix_join_eligible`):
 
 * the length- and prefix-filtered set-similarity join
-  (:mod:`repro.pruning.prefix_join`) for set-overlap metrics whose blocking
-  domain matches, for which it provably produces the same
-  :class:`CandidateSet` as scoring every blocked pair;
+  (:func:`repro.pruning.shard.sharded_prefix_filtered_candidates`) for
+  set-overlap metrics whose blocking domain matches, for which it provably
+  produces the same :class:`CandidateSet` as scoring every blocked pair;
+  ``shards`` > 1 partitions it by blocking key (and, with ``parallel``,
+  across worker processes) without changing a byte of the output;
 * otherwise the enumerate-and-score loop: token blocking / all pairs /
   caller-supplied pairs, each pair scored once.  It is the only path for
   edit-distance and q-gram-under-blocking metrics and for external
   ``candidate_pairs``; ``parallel=N`` fans its scoring out to worker
   processes.
 
-The join itself dispatches between two *kernel backends*
-(:data:`~repro.similarity.kernels.KERNEL_BACKENDS`): the ``scalar``
-per-pair join and the ``vectorized`` numpy batch path of
-:mod:`repro.pruning.shard`, which also accepts a ``shards`` count for
-blocking-key partitioned (optionally multi-process) execution.  All
-combinations produce byte-identical candidate sets; backends and shard
-counts only move wall-clock and memory.  The test oracle
-:func:`repro.reference.candidate_set` runs the scoring loop on every input.
+The test oracles :func:`repro.reference.candidate_set` (the scoring loop
+on every input) and :func:`repro.reference.prefix_filtered_candidates` (the
+join one record at a time over Python frozensets) pin both paths.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -41,8 +37,8 @@ from repro.datasets.schema import Record, canonical_pair
 from repro.obs import maybe_span
 from repro.perf.timing import StageTimings, maybe_stage
 from repro.pruning.blocking import all_pairs, token_blocking_pairs
+from repro.pruning.shard import sharded_prefix_filtered_candidates
 from repro.similarity.composite import SET_METRIC_FUNCTIONS, SimilarityFunction
-from repro.similarity.kernels import numpy_available, resolve_kernel_backend
 
 Pair = Tuple[int, int]
 
@@ -117,7 +113,6 @@ def build_candidate_set(
     use_token_blocking: bool = True,
     parallel: int = 0,
     shards: int = 0,
-    kernel_backend: str = "auto",
     timings: Optional[StageTimings] = None,
     obs=None,
     supervisor_policy=None,
@@ -141,10 +136,6 @@ def build_candidate_set(
             parallel (needs ``shards`` > 1 to matter there).
         shards: Blocking-key shards for the prefix join (0/1 = unsharded).
             Any value yields byte-identical output; > 1 is a scale knob.
-        kernel_backend: ``auto`` | ``vectorized`` | ``scalar`` — how prefix
-            join candidates are verified (see
-            :mod:`repro.similarity.kernels`).  ``auto`` uses the vectorized
-            kernel whenever numpy is importable.
         timings: Optional :class:`~repro.perf.timing.StageTimings`; records
             ``blocking`` and ``scoring`` stage wall-clock.
         obs: Optional :class:`~repro.obs.ObsContext`; the phase runs inside
@@ -175,54 +166,30 @@ def build_candidate_set(
             shards = 0
     if shards < 0:
         raise ValueError(f"shards must be >= 0, got {shards}")
-    resolved_backend = resolve_kernel_backend(kernel_backend)
-
-    chosen = "prefix" if eligible else "reference"
-    if chosen == "reference":
-        if shards > 1:
-            raise ValueError(
-                "shards > 1 applies only to the prefix join; this input "
-                "runs the scoring loop (similarity="
-                f"{similarity.name!r})"
-            )
-        if kernel_backend == "vectorized":
-            raise ValueError(
-                "kernel_backend='vectorized' applies only to the prefix "
-                "join; this input runs the scoring loop (similarity="
-                f"{similarity.name!r})"
-            )
-    use_sharded = (chosen == "prefix"
-                   and (shards > 1 or resolved_backend == "vectorized"))
-    if use_sharded and not numpy_available():
-        # shards > 1 with an auto/scalar backend and no numpy: the sharded
-        # join is array-based, so degrade to the (identical) scalar join.
-        warnings.warn(
-            f"shards={shards} requested but numpy is not importable; "
-            "running the unsharded scalar prefix join (identical output)",
-            RuntimeWarning, stacklevel=2,
+    if shards > 1 and not eligible:
+        raise ValueError(
+            "shards > 1 applies only to the prefix join; this input runs "
+            f"the scoring loop (similarity={similarity.name!r})"
         )
-        use_sharded = False
-    with maybe_span(obs, "pruning", engine=chosen,
+
+    with maybe_span(obs, "pruning",
+                    engine="prefix" if eligible else "reference",
                     records=len(records), threshold=threshold,
-                    kernel_backend=resolved_backend,
-                    shards=max(shards, 1) if chosen == "prefix" else 0) as span:
-        if use_sharded:
-            surviving, scores = _run_sharded_join(
-                records, similarity, threshold,
-                include_empty_pairs=not use_token_blocking,
+                    shards=max(shards, 1) if eligible else 0) as span:
+        if eligible:
+            surviving, scores = sharded_prefix_filtered_candidates(
+                records,
+                set_of=similarity.set_of,
+                set_function=SET_METRIC_FUNCTIONS[similarity.set_metric],
+                metric=similarity.set_metric,
+                threshold=threshold,
                 num_shards=max(shards, 1),
                 processes=parallel,
-                kernel_backend=resolved_backend,
+                include_empty_pairs=not use_token_blocking,
                 timings=timings,
                 obs=obs,
                 supervisor_policy=supervisor_policy,
                 fault_plan=fault_plan,
-            )
-        elif chosen == "prefix":
-            surviving, scores = _run_prefix_join(
-                records, similarity, threshold,
-                include_empty_pairs=not use_token_blocking,
-                timings=timings,
             )
         else:
             surviving, scores = _run_reference(
@@ -230,77 +197,36 @@ def build_candidate_set(
                 use_token_blocking, parallel, timings, obs,
                 supervisor_policy, fault_plan,
             )
-        if obs is not None:
-            span.set_attr("candidate_pairs", len(surviving))
-            obs.metrics.gauge(
-                "pruning_records", help="Records entering the pruning phase"
-            ).set(len(records))
-            obs.metrics.gauge(
-                "pruning_candidate_pairs",
-                help="Pairs surviving the machine-similarity threshold",
-            ).set(len(surviving))
+        candidates = _assemble(similarity, surviving, scores, threshold)
+        _report_pruning(obs, span, len(records), candidates)
+    return candidates
+
+
+def _assemble(
+    similarity: SimilarityFunction,
+    surviving: List[Pair],
+    scores: Dict[Pair, float],
+    threshold: float,
+) -> CandidateSet:
+    """The pruning phase's :class:`CandidateSet`, with ``similarity``'s
+    memo seeded so later phases' reads of these pairs stay warm."""
+    similarity.seed_cache(scores)
     return CandidateSet(pairs=tuple(surviving), machine_scores=scores,
                         threshold=threshold)
 
 
-def _run_prefix_join(
-    records: Sequence[Record],
-    similarity: SimilarityFunction,
-    threshold: float,
-    include_empty_pairs: bool,
-    timings: Optional[StageTimings],
-) -> Tuple[List[Pair], Dict[Pair, float]]:
-    from repro.pruning.prefix_join import prefix_filtered_candidates
-
-    assert similarity.set_metric is not None
-    surviving, scores = prefix_filtered_candidates(
-        records,
-        set_of=similarity.set_of,
-        set_function=SET_METRIC_FUNCTIONS[similarity.set_metric],
-        metric=similarity.set_metric,
-        threshold=threshold,
-        include_empty_pairs=include_empty_pairs,
-        timings=timings,
-    )
-    # Keep later phases' memoized reads warm, as the reference loop would.
-    similarity.seed_cache(scores)
-    return surviving, scores
-
-
-def _run_sharded_join(
-    records: Sequence[Record],
-    similarity: SimilarityFunction,
-    threshold: float,
-    include_empty_pairs: bool,
-    num_shards: int,
-    processes: int,
-    kernel_backend: str,
-    timings: Optional[StageTimings],
-    obs,
-    supervisor_policy=None,
-    fault_plan=None,
-) -> Tuple[List[Pair], Dict[Pair, float]]:
-    from repro.pruning.shard import sharded_prefix_filtered_candidates
-
-    assert similarity.set_metric is not None
-    surviving, scores = sharded_prefix_filtered_candidates(
-        records,
-        set_of=similarity.set_of,
-        set_function=SET_METRIC_FUNCTIONS[similarity.set_metric],
-        metric=similarity.set_metric,
-        threshold=threshold,
-        num_shards=num_shards,
-        processes=processes,
-        kernel_backend=kernel_backend,
-        include_empty_pairs=include_empty_pairs,
-        timings=timings,
-        obs=obs,
-        supervisor_policy=supervisor_policy,
-        fault_plan=fault_plan,
-    )
-    # Keep later phases' memoized reads warm, as the reference loop would.
-    similarity.seed_cache(scores)
-    return surviving, scores
+def _report_pruning(obs, span, records: int, candidates: CandidateSet) -> None:
+    """The ``pruning`` span's survivor count and the phase's gauges."""
+    if obs is None:
+        return
+    span.set_attr("candidate_pairs", len(candidates))
+    obs.metrics.gauge(
+        "pruning_records", help="Records entering the pruning phase"
+    ).set(records)
+    obs.metrics.gauge(
+        "pruning_candidate_pairs",
+        help="Pairs surviving the machine-similarity threshold",
+    ).set(len(candidates))
 
 
 def _run_reference(
@@ -325,51 +251,31 @@ def _run_reference(
         else:
             candidate_pairs = all_pairs(records)
 
-    if parallel > 1 or timings is not None:
-        # Materialize the pair stream so blocking and scoring time apart
-        # (and so chunks can be fanned out to workers).
-        with maybe_stage(timings, "blocking"):
-            unique = _canonical_unique(candidate_pairs, needs_dedupe)
-        with maybe_stage(timings, "scoring"):
-            if parallel > 1:
-                from repro.pruning.parallel import score_pairs_parallel
+    # Materialize the pair stream so blocking and scoring time apart (and
+    # so chunks can be fanned out to workers).
+    with maybe_stage(timings, "blocking"):
+        unique = _canonical_unique(candidate_pairs, needs_dedupe)
+    with maybe_stage(timings, "scoring"):
+        if parallel > 1:
+            from repro.pruning.parallel import score_pairs_parallel
 
-                scores = score_pairs_parallel(
-                    unique,
-                    texts={rid: record.text for rid, record in by_id.items()},
-                    metric=similarity.text_similarity,
-                    threshold=threshold,
-                    processes=parallel,
-                    obs=obs,
-                    policy=supervisor_policy,
-                    fault_plan=fault_plan,
-                )
-                similarity.seed_cache(scores)
-            else:
-                scores = {}
-                for pair in unique:
-                    score = similarity(by_id[pair[0]], by_id[pair[1]])
-                    if score > threshold:
-                        scores[pair] = score
-            surviving = sorted(scores)
-        return surviving, scores
-
-    surviving = []
-    scores: Dict[Pair, float] = {}
-    # Track *all* scored pairs, not just survivors: a duplicate of a
-    # sub-threshold pair must not be scored twice.
-    scored: Set[Pair] = set()
-    for raw_pair in candidate_pairs:
-        pair = canonical_pair(*raw_pair) if needs_dedupe else raw_pair
-        if needs_dedupe:
-            if pair in scored:
-                continue
-            scored.add(pair)
-        score = similarity(by_id[pair[0]], by_id[pair[1]])
-        if score > threshold:
-            surviving.append(pair)
-            scores[pair] = score
-    surviving.sort()
+            scores = score_pairs_parallel(
+                unique,
+                texts={rid: record.text for rid, record in by_id.items()},
+                metric=similarity.text_similarity,
+                threshold=threshold,
+                processes=parallel,
+                obs=obs,
+                policy=supervisor_policy,
+                fault_plan=fault_plan,
+            )
+        else:
+            scores = {}
+            for pair in unique:
+                score = similarity(by_id[pair[0]], by_id[pair[1]])
+                if score > threshold:
+                    scores[pair] = score
+        surviving = sorted(scores)
     return surviving, scores
 
 

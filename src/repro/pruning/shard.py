@@ -1,31 +1,32 @@
-"""Sharded, vectorized prefix-filtered similarity join — the scale-out path.
+"""Sharded, vectorized prefix-filtered similarity join — the pruning join.
 
-The scalar join (:mod:`repro.pruning.prefix_join`) processes one record at a
-time over Python frozensets; at 100k-1M records both its candidate-generation
-probe loop and its per-pair verification are interpreter-bound.  This module
-runs the *same* join — same canonical token order, same prefix lengths, same
-partner-size bound, same exact verification — over interned int-rank arrays
-(:mod:`repro.similarity.kernels`), partitioned into **shards by blocking
-key** and verified in numpy blocks.
+Every prefix-eligible input of
+:func:`~repro.pruning.candidate.build_candidate_set` (and the streamed
+pruning phase of :func:`~repro.runtime.pipeline.run_pipeline`) runs this
+join.  It applies the filter algebra of :mod:`repro.pruning.prefix_join` —
+canonical token order, prefix lengths, partner-size bound — over interned
+int-rank arrays (:mod:`repro.similarity.kernels`), partitioned into
+**shards by blocking key** and verified in numpy blocks.  One shard (the
+default) is the unsharded join; more shards bound per-task memory and let
+the shards run in worker processes.
 
 Algorithm
 ---------
 1. Token sets are interned into a :class:`~repro.similarity.kernels.TokenVocabulary`
    whose dense ranks follow the canonical (document frequency, token) order,
    and flattened into one CSR :class:`~repro.similarity.kernels.EncodedRecords`
-   store, rows sorted by the scalar join's processing order (set size, id).
+   store, rows sorted by processing order (set size, id).
 2. The *prefix incidence* list — one ``(token rank, row)`` entry per prefix
    token per record — is built and sorted token-major.  Every entry whose
    group (posting list of one token) has at least one earlier entry is an
    *element*: it will pair with each of its predecessors, which is precisely
-   the scalar join's probe/index rule (a pair is generated iff the two
+   the prefix filter's probe/index rule (a pair is generated iff the two
    prefixes share a token).
 3. Elements are partitioned into shards with
    :func:`repro.pruning.blocking.shard_of_token` (round-robin over the
    canonical rank).  Each shard generates its pair blocks with numpy
    (predecessor expansion), applies the partner-size filter, deduplicates,
-   and verifies the survivors — vectorized batch scoring or the scalar set
-   function, per the kernel backend.
+   and verifies the survivors with the vectorized batch scores.
 4. The cross-shard merge unions the per-shard ``{pair: score}`` survivor
    maps.  A pair straddling shards (shared prefix tokens assigned to
    different shards) is verified in each, with bit-identical scores, so the
@@ -45,16 +46,20 @@ falls back to the in-process loop and reports it via
 :func:`repro.pruning.parallel.notify_parallel_fallback`
 (``pruning.parallel_fallback`` event + ``ParallelFallbackWarning``).
 
-Equivalence contract: for every shard count and either kernel backend, the
-surviving pair list and ``{pair: score}`` map are byte-identical to
-:func:`repro.pruning.prefix_join.prefix_filtered_candidates` — the
-candidate *sets* coincide by the argument above, and verification computes
-the same IEEE-754 doubles (see :mod:`repro.similarity.kernels`).
+Equivalence contract: for every shard count and process count, the
+surviving pair list and ``{pair: score}`` map are byte-identical to the
+one-record-at-a-time frozenset join kept as the test oracle
+(:func:`repro.reference.prefix_filtered_candidates`) — the candidate
+*sets* coincide by the argument above, and verification computes the same
+IEEE-754 doubles as the scalar set functions (see
+:mod:`repro.similarity.kernels`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro.datasets.schema import Record
 from repro.perf.timing import StageTimings
@@ -71,15 +76,8 @@ from repro.pruning.prefix_join import (
 from repro.similarity.kernels import (
     EncodedRecords,
     TokenVocabulary,
-    numpy_available,
-    resolve_kernel_backend,
     score_encoded_pairs,
 )
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None  # type: ignore[assignment]
 
 Pair = Tuple[int, int]
 SetFunction = Callable[[FrozenSet[str], FrozenSet[str]], float]
@@ -101,8 +99,7 @@ class _JoinPlan:
     """
 
     def __init__(self, encoded: EncodedRecords, rows_sorted, elem_row,
-                 elem_k, elem_grp_start, elem_token, need,
-                 sets_in_order: List[FrozenSet[str]]):
+                 elem_k, elem_grp_start, elem_token, need):
         self.encoded = encoded
         self.rows_sorted = rows_sorted
         self.elem_row = elem_row
@@ -110,24 +107,32 @@ class _JoinPlan:
         self.elem_grp_start = elem_grp_start
         self.elem_token = elem_token
         self.need = need
-        self.sets_in_order = sets_in_order
 
 
 def _build_plan(
-    sets: Dict[int, FrozenSet[str]],
-    nonempty: List[int],
+    records: Sequence[Record],
+    set_of: Callable[[Record], FrozenSet[str]],
     metric: str,
     threshold: float,
-) -> _JoinPlan:
-    """Intern, encode, and lay out the prefix incidence for the join."""
+) -> Tuple[_JoinPlan, List[int]]:
+    """Intern, encode, and lay out the prefix incidence for the join.
+
+    Returns the plan over the records with non-empty sets, plus the ids
+    of the records whose set is empty (they share no token, so only
+    ``include_empty_pairs`` ever pairs them).
+    """
+    sets: Dict[int, FrozenSet[str]] = {
+        record.record_id: set_of(record) for record in records
+    }
+    nonempty = [record_id for record_id, s in sets.items() if s]
+    empty = [record_id for record_id, s in sets.items() if not s]
     ordered_ids = sorted(nonempty, key=lambda rid: (len(sets[rid]), rid))
     vocab = TokenVocabulary.build([sets[rid] for rid in ordered_ids])
     encoded = EncodedRecords.from_sets(sets, ordered_ids, vocab)
-    sets_in_order = [sets[rid] for rid in ordered_ids]
 
     sizes = encoded.counts
     # Per-size memos keep the float bounds literally identical to the
-    # scalar join's per-record computations.
+    # per-record computations of the frozenset join.
     prefix_of_size: Dict[int, int] = {}
     need_of_size: Dict[int, float] = {}
     for size in set(sizes.tolist()):
@@ -169,7 +174,7 @@ def _build_plan(
         elem_grp_start = _np.zeros(0, dtype=_np.int64)
         elem_k = _np.zeros(0, dtype=_np.int64)
     active = elem_k > 0
-    return _JoinPlan(
+    plan = _JoinPlan(
         encoded=encoded,
         rows_sorted=rows_sorted,
         elem_row=rows_sorted[active],
@@ -177,8 +182,8 @@ def _build_plan(
         elem_grp_start=elem_grp_start[active],
         elem_token=tokens_sorted[active],
         need=need,
-        sets_in_order=sets_in_order,
     )
+    return plan, empty
 
 
 def record_shard_touch_masks(
@@ -244,8 +249,6 @@ def _process_element_batch(
     element_indices,
     metric: str,
     threshold: float,
-    kernel: str,
-    set_function: SetFunction,
     survivors: Dict[Pair, float],
 ) -> int:
     """Expand one element batch into pairs, filter, verify, accumulate.
@@ -265,7 +268,7 @@ def _process_element_batch(
     left_row = plan.rows_sorted[left_pos]
 
     # Partner-size filter — the probing (later, right) record's bound
-    # applied to the indexed (earlier, left) record, as in the scalar join.
+    # applied to the indexed (earlier, left) record.
     keep = plan.encoded.counts[left_row] >= plan.need[right_row]
     left_row = left_row[keep]
     right_row = right_row[keep]
@@ -279,27 +282,16 @@ def _process_element_batch(
     right_row = packed % nrows
 
     ids = plan.encoded.ids
-    if kernel == "vectorized":
-        scores = score_encoded_pairs(metric, plan.encoded, left_row, right_row)
-        passing = scores > threshold
-        left_ids = ids[left_row[passing]]
-        right_ids = ids[right_row[passing]]
-        low = _np.minimum(left_ids, right_ids)
-        high = _np.maximum(left_ids, right_ids)
-        survivors.update(zip(
-            zip(low.tolist(), high.tolist()),
-            scores[passing].tolist(),
-        ))
-    else:
-        sets_in_order = plan.sets_in_order
-        id_list = ids.tolist()
-        for row_a, row_b in zip(left_row.tolist(), right_row.tolist()):
-            score = set_function(sets_in_order[row_a], sets_in_order[row_b])
-            score = min(1.0, max(0.0, score))
-            if score > threshold:
-                id_a, id_b = id_list[row_a], id_list[row_b]
-                pair = (id_a, id_b) if id_a < id_b else (id_b, id_a)
-                survivors[pair] = score
+    scores = score_encoded_pairs(metric, plan.encoded, left_row, right_row)
+    passing = scores > threshold
+    left_ids = ids[left_row[passing]]
+    right_ids = ids[right_row[passing]]
+    low = _np.minimum(left_ids, right_ids)
+    high = _np.maximum(left_ids, right_ids)
+    survivors.update(zip(
+        zip(low.tolist(), high.tolist()),
+        scores[passing].tolist(),
+    ))
     return len(packed)
 
 
@@ -309,8 +301,6 @@ def _join_shard(
     num_shards: int,
     metric: str,
     threshold: float,
-    kernel: str,
-    set_function: SetFunction,
     pair_block_size: int,
 ) -> Dict[Pair, float]:
     """Run one shard's generation + verification; returns its survivors."""
@@ -329,10 +319,8 @@ def _join_shard(
         stop = int(_np.searchsorted(pair_counts, consumed + pair_block_size,
                                     side="left")) + 1
         stop = min(max(stop, start + 1), len(mine))
-        _process_element_batch(
-            plan, mine[start:stop], metric, threshold, kernel,
-            set_function, survivors,
-        )
+        _process_element_batch(plan, mine[start:stop], metric, threshold,
+                               survivors)
         start = stop
     return survivors
 
@@ -345,8 +333,6 @@ def _run_shard_worker(shard_index: int) -> Dict[Pair, float]:
         _SHARD_STATE["num_shards"],  # type: ignore[arg-type]
         _SHARD_STATE["metric"],  # type: ignore[arg-type]
         _SHARD_STATE["threshold"],  # type: ignore[arg-type]
-        _SHARD_STATE["kernel"],  # type: ignore[arg-type]
-        _SHARD_STATE["set_function"],  # type: ignore[arg-type]
         _SHARD_STATE["pair_block_size"],  # type: ignore[arg-type]
     )
 
@@ -359,7 +345,6 @@ def sharded_prefix_filtered_candidates(
     threshold: float,
     num_shards: int = 1,
     processes: int = 0,
-    kernel_backend: str = "auto",
     include_empty_pairs: bool = False,
     timings: Optional[StageTimings] = None,
     obs=None,
@@ -367,15 +352,17 @@ def sharded_prefix_filtered_candidates(
     supervisor_policy: Optional[SupervisorPolicy] = None,
     fault_plan: Optional[ProcessFaultPlan] = None,
 ) -> Tuple[List[Pair], Dict[Pair, float]]:
-    """Run the sharded vectorized join; same contract (and output, byte for
-    byte) as :func:`repro.pruning.prefix_join.prefix_filtered_candidates`.
+    """Run the join; returns ``(sorted surviving pairs, pair -> score)``,
+    byte for byte what the oracle
+    :func:`repro.reference.prefix_filtered_candidates` returns.
 
     Args:
         records: The record set ``R``.
-        set_of: Maps a record to the frozenset the metric compares.
-        set_function: The exact scalar set metric — used verbatim for
-            verification under the ``scalar`` kernel, and as the equivalence
-            reference of the ``vectorized`` kernel.
+        set_of: Maps a record to the frozenset the metric compares (cached
+            word tokens or q-grams — see ``SimilarityFunction.set_of``).
+        set_function: The exact scalar set metric; scores the empty-set
+            pairs of ``include_empty_pairs`` (the batch kernels reproduce
+            it bit for bit on every other pair).
         metric: One of :data:`~repro.pruning.prefix_join.PREFIX_METRICS`.
         threshold: τ; pairs with score strictly above τ survive.
         num_shards: Blocking-key shards (>= 1).  Output is identical for
@@ -385,10 +372,9 @@ def sharded_prefix_filtered_candidates(
             shard) runs in-process.  Requires the ``fork`` start method —
             without it the join falls back to the in-process loop and
             emits the ``pruning.parallel_fallback`` warning event.
-        kernel_backend: ``auto`` | ``vectorized`` | ``scalar`` —
-            verification kernel (see :mod:`repro.similarity.kernels`).
         include_empty_pairs: Also emit pairs of records with empty sets,
-            matching the all-pairs reference (same as the scalar join).
+            matching the all-pairs scoring loop instead of token blocking
+            (which never pairs them).
         timings: Optional stage timer; ``blocking`` covers interning,
             encoding, and incidence layout, ``scoring`` covers shard
             execution, verification, and the cross-shard merge.
@@ -400,11 +386,6 @@ def sharded_prefix_filtered_candidates(
             :class:`~repro.runtime.supervisor.SupervisorPolicy`.
         fault_plan: Deterministic process-fault injection (chaos testing
             only); task index = shard index.
-
-    Raises:
-        RuntimeError: When numpy is unavailable (the sharded join is
-            inherently array-based; callers should degrade to the scalar
-            join instead — ``build_candidate_set`` does).
     """
     if metric not in PREFIX_METRICS:
         raise ValueError(f"unknown prefix-join metric {metric!r}")
@@ -414,28 +395,16 @@ def sharded_prefix_filtered_candidates(
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
     if pair_block_size < 1:
         raise ValueError(f"pair_block_size must be >= 1, got {pair_block_size}")
-    if not numpy_available():
-        raise RuntimeError(
-            "the sharded join requires numpy; use the scalar prefix join "
-            "(repro.pruning.prefix_join) on numpy-free platforms"
-        )
-    kernel = resolve_kernel_backend(kernel_backend)
     timings = timings if timings is not None else StageTimings()
 
     with timings.stage("blocking"):
-        sets: Dict[int, FrozenSet[str]] = {
-            record.record_id: set_of(record) for record in records
-        }
-        nonempty = [record_id for record_id, s in sets.items() if s]
-        empty = [record_id for record_id, s in sets.items() if not s]
-        plan = _build_plan(sets, nonempty, metric, threshold)
+        plan, empty = _build_plan(records, set_of, metric, threshold)
 
     with timings.stage("scoring"):
         merged: Dict[Pair, float] = {}
         shard_results = _execute_shards(
-            plan, num_shards, processes, metric, threshold, kernel,
-            set_function, pair_block_size, obs,
-            supervisor_policy, fault_plan,
+            plan, num_shards, processes, metric, threshold, pair_block_size,
+            obs, supervisor_policy, fault_plan,
         )
         for shard_survivors in shard_results:
             merged.update(shard_survivors)
@@ -460,8 +429,6 @@ def _execute_shards(
     processes: int,
     metric: str,
     threshold: float,
-    kernel: str,
-    set_function: SetFunction,
     pair_block_size: int,
     obs,
     supervisor_policy: Optional[SupervisorPolicy] = None,
@@ -475,14 +442,13 @@ def _execute_shards(
         want_parallel = False
     if not want_parallel:
         return [
-            _join_shard(plan, shard, num_shards, metric, threshold, kernel,
-                        set_function, pair_block_size)
+            _join_shard(plan, shard, num_shards, metric, threshold,
+                        pair_block_size)
             for shard in range(num_shards)
         ]
 
     _SHARD_STATE.update(
         plan=plan, num_shards=num_shards, metric=metric, threshold=threshold,
-        kernel=kernel, set_function=set_function,
         pair_block_size=pair_block_size,
     )
     try:

@@ -18,6 +18,9 @@ against:
   per outer iteration;
 - :func:`apply_free_operations` — Algorithm 4 lines 5-7 re-enumerating
   every operation per applied free operation;
+- :func:`prefix_filtered_candidates` — the prefix join one record at a
+  time over Python frozensets with per-pair verification, the scalar
+  reading of the sharded vectorized join in :mod:`repro.pruning.shard`;
 - :func:`candidate_set` — the seed's enumerate-and-score pruning loop for
   every input, including those the production path answers with the
   prefix join;
@@ -34,7 +37,17 @@ under ``src/repro`` does.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.clustering import Clustering
 from repro.core.estimator import DEFAULT_NUM_BUCKETS, HistogramEstimator
@@ -66,7 +79,7 @@ from repro.core.refine import (
 from repro.core.refine import apply_free_operations as _apply_free_heap
 from repro.crowd.oracle import CrowdOracle
 from repro.crowd.stats import CrowdStats
-from repro.datasets.schema import Record
+from repro.datasets.schema import Record, canonical_pair
 from repro.perf.timing import StageTimings, maybe_stage
 from repro.pruning.candidate import (
     DEFAULT_THRESHOLD,
@@ -74,9 +87,17 @@ from repro.pruning.candidate import (
     _run_reference,
 )
 from repro.pruning.graph import CandidateGraph
+from repro.pruning.prefix_join import (
+    EPS,
+    PREFIX_METRICS,
+    canonical_token_order,
+    partner_size_need,
+    prefix_length,
+)
 from repro.similarity.composite import SimilarityFunction
 
 Pair = Tuple[int, int]
+SetFunction = Callable[[FrozenSet[str], FrozenSet[str]], float]
 
 __all__ = [
     "apply_free_operations",
@@ -87,6 +108,7 @@ __all__ = [
     "pack_independent_operations",
     "pc_pivot",
     "pc_refine",
+    "prefix_filtered_candidates",
     "run_acd",
 ]
 
@@ -505,6 +527,96 @@ def pc_refine(
 # ---------------------------------------------------------------------------
 # Pruning and the end-to-end composition
 # ---------------------------------------------------------------------------
+
+
+def prefix_filtered_candidates(
+    records: Sequence[Record],
+    set_of: Callable[[Record], FrozenSet[str]],
+    set_function: SetFunction,
+    metric: str,
+    threshold: float,
+    include_empty_pairs: bool = False,
+    timings: Optional[StageTimings] = None,
+) -> Tuple[List[Pair], Dict[Pair, float]]:
+    """Run the join; returns ``(sorted surviving pairs, pair -> score)``.
+
+    Args:
+        records: The record set ``R``.
+        set_of: Maps a record to the frozenset the metric compares (cached
+            word tokens or q-grams — see ``SimilarityFunction.set_of``).
+        set_function: The exact set metric (e.g. ``jaccard``); used verbatim
+            for verification so scores match the reference bit-for-bit.
+        metric: One of :data:`PREFIX_METRICS` (selects the filter algebra).
+        threshold: τ; pairs with score strictly above τ survive.
+        include_empty_pairs: Also emit pairs of records with *empty* sets
+            (scored by ``set_function(∅, ∅)``) — matches the all-pairs
+            reference instead of the token-blocking reference.
+        timings: Optional stage timer; records ``blocking`` (ordering,
+            prefix index, candidate generation) and ``scoring``
+            (exact verification).
+    """
+    if metric not in PREFIX_METRICS:
+        raise ValueError(f"unknown prefix-join metric {metric!r}")
+    if not 0.0 <= threshold < 1.0:
+        raise ValueError(f"threshold must be in [0, 1), got {threshold}")
+    timings = timings if timings is not None else StageTimings()
+
+    with timings.stage("blocking"):
+        sets: Dict[int, FrozenSet[str]] = {
+            record.record_id: set_of(record) for record in records
+        }
+        nonempty = [record_id for record_id, s in sets.items() if s]
+        empty = [record_id for record_id, s in sets.items() if not s]
+
+        order = canonical_token_order([sets[record_id] for record_id in nonempty])
+        sorted_tokens: Dict[int, List[str]] = {
+            record_id: sorted(sets[record_id], key=order.__getitem__)
+            for record_id in nonempty
+        }
+        # Process records in ascending set size (ties by id) so each probe
+        # only ever meets partners that are no larger than itself.
+        by_size = sorted(nonempty, key=lambda rid: (len(sets[rid]), rid))
+
+        index: Dict[str, List[int]] = {}
+        candidate_pairs: List[Pair] = []
+        for record_id in by_size:
+            tokens = sorted_tokens[record_id]
+            size = len(tokens)
+            size_need = partner_size_need(metric, threshold, size) - EPS
+            probed: Dict[int, None] = {}
+            prefix = tokens[:prefix_length(metric, threshold, size)]
+            for token in prefix:
+                for other_id in index.get(token, ()):
+                    if other_id in probed:
+                        continue
+                    probed[other_id] = None
+                    if len(sets[other_id]) < size_need:
+                        continue  # too small for any τ-passing overlap
+                    candidate_pairs.append(canonical_pair(other_id, record_id))
+            for token in prefix:
+                index.setdefault(token, []).append(record_id)
+
+    surviving: List[Pair] = []
+    scores: Dict[Pair, float] = {}
+    with timings.stage("scoring"):
+        for pair in candidate_pairs:
+            score = set_function(sets[pair[0]], sets[pair[1]])
+            score = min(1.0, max(0.0, score))
+            if score > threshold:
+                surviving.append(pair)
+                scores[pair] = score
+        if include_empty_pairs and len(empty) >= 2:
+            empty_score = min(1.0, max(0.0, set_function(frozenset(),
+                                                         frozenset())))
+            if empty_score > threshold:
+                ordered = sorted(empty)
+                for i, a in enumerate(ordered):
+                    for b in ordered[i + 1:]:
+                        pair = (a, b)
+                        surviving.append(pair)
+                        scores[pair] = empty_score
+        surviving.sort()
+    return surviving, scores
 
 
 def candidate_set(

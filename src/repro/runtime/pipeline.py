@@ -78,7 +78,9 @@ from repro.perf.timing import StageTimings
 from repro.pruning.candidate import (
     DEFAULT_THRESHOLD,
     CandidateSet,
+    _assemble,
     _prefix_join_eligible,
+    _report_pruning,
     build_candidate_set,
 )
 from repro.pruning.components import IncrementalComponents, connected_components
@@ -101,8 +103,6 @@ from repro.runtime.supervisor import (
     SupervisedPool,
     SupervisorPolicy,
 )
-from repro.similarity.composite import SET_METRIC_FUNCTIONS
-from repro.similarity.kernels import numpy_available, resolve_kernel_backend
 
 Pair = Tuple[int, int]
 
@@ -141,8 +141,7 @@ def _execute_task(payload: Tuple) -> Any:
     if kind == "prune":
         return _join_shard(
             state["plan"], payload[1], state["num_shards"],
-            state["metric"], state["threshold"], state["kernel"],
-            state["set_function"], state["pair_block_size"],
+            state["metric"], state["threshold"], state["pair_block_size"],
         )
     if kind == "pivot":
         # One task = one *group* of sealed components, run back-to-back
@@ -177,7 +176,6 @@ def run_pipeline(
     candidates: Optional[CandidateSet] = None,
     threshold: float = DEFAULT_THRESHOLD,
     pruning_shards: Union[int, str] = "auto",
-    kernel_backend: str = "auto",
     workers: int = 0,
     epsilon: float = DEFAULT_EPSILON,
     threshold_divisor: float = DEFAULT_THRESHOLD_DIVISOR,
@@ -201,7 +199,7 @@ def run_pipeline(
     - ``records`` + ``similarity`` — the full pipeline: pruning shards
       stream candidate edges into the sealing accumulator and sealed
       components dispatch to pivot workers while pruning still runs.
-      Requires a prefix-join-eligible similarity and numpy; otherwise
+      Requires a token-blocked prefix-join-eligible similarity; otherwise
       pruning runs the (byte-identical) full
       :func:`~repro.pruning.candidate.build_candidate_set` first and only
       the crowd phases pipeline.
@@ -264,22 +262,18 @@ def run_pipeline(
     stream_pruning = (
         candidates is None
         and phases.runs_generation
-        and numpy_available()
         and _prefix_join_eligible(similarity, None, True)
     )
     if candidates is None and not stream_pruning:
         # A restored crowd phase has nothing to overlap pruning with, and
-        # streaming needs the vectorized token-blocked prefix join; for
-        # other similarity/platform configurations only the crowd phases
-        # pipeline (pruning runs the byte-identical full join first).
+        # streaming needs the token-blocked prefix join; for other
+        # similarities only the crowd phases pipeline (pruning runs the
+        # byte-identical full join or scoring loop first).
         if phases.runs_generation and obs is not None:
-            obs.event("pipeline.serial_pruning",
-                      reason=("no-numpy" if not numpy_available()
-                              else "not-prefix-eligible"))
+            obs.event("pipeline.serial_pruning", reason="not-prefix-eligible")
         candidates = build_candidate_set(
-            records, similarity, threshold=threshold,
-            shards=num_shards if numpy_available() else 0,
-            kernel_backend=kernel_backend, parallel=workers,
+            records, similarity, threshold=threshold, shards=num_shards,
+            parallel=workers,
             timings=timings, obs=obs,
             supervisor_policy=supervisor_policy, fault_plan=fault_plan,
         )
@@ -329,7 +323,7 @@ def run_pipeline(
                 if candidates is None:
                     candidates, components = _streamed_pruning_phase(
                         pool_factory, records, similarity, threshold,
-                        num_shards, kernel_backend, ids, pivot_of,
+                        num_shards, ids, pivot_of,
                         component_logs, obs, checkpoints,
                     )
                 else:
@@ -493,7 +487,7 @@ def _collect_one(pool: SupervisedPool, prune_of: Dict[int, int],
 
 def _streamed_pruning_phase(
     pool_factory, records, similarity, threshold: float,
-    num_shards: int, kernel_backend: str, ids: Sequence[int],
+    num_shards: int, ids: Sequence[int],
     pivot_of: Dict[int, List[int]], component_logs: Dict[int, list],
     obs, checkpoints,
 ) -> Tuple[CandidateSet, List[Tuple[int, ...]]]:
@@ -506,21 +500,15 @@ def _streamed_pruning_phase(
     collected later by :func:`run_pipeline`'s generation barrier — only
     the pruning tasks gate this phase's exit.
     """
-    resolved_backend = resolve_kernel_backend(kernel_backend)
     metric = similarity.set_metric
-    set_function = SET_METRIC_FUNCTIONS[metric]
     with maybe_span(obs, "pruning", engine="prefix", records=len(records),
-                    threshold=threshold, kernel_backend=resolved_backend,
-                    shards=num_shards) as span:
-        sets = {record.record_id: similarity.set_of(record)
-                for record in records}
-        nonempty = [record_id for record_id, s in sets.items() if s]
-        plan = _build_plan(sets, nonempty, metric, threshold)
+                    threshold=threshold, shards=num_shards) as span:
+        # Token blocking never pairs empty-set records: their ids go unused.
+        plan, _ = _build_plan(records, similarity.set_of, metric, threshold)
         touch = record_shard_touch_masks(plan, metric, threshold, num_shards)
         tracker = IncrementalComponents(ids, touch, num_shards)
         _PIPELINE_STATE.update(
             plan=plan, num_shards=num_shards, metric=metric,
-            kernel=resolved_backend, set_function=set_function,
             pair_block_size=DEFAULT_PAIR_BLOCK_SIZE,
         )
         # Fork *after* the join plan is published: workers inherit it
@@ -561,19 +549,8 @@ def _streamed_pruning_phase(
 
         surviving = sorted(merged)
         scores = {pair: merged[pair] for pair in surviving}
-        similarity.seed_cache(scores)
-        candidates = CandidateSet(pairs=tuple(surviving),
-                                  machine_scores=scores,
-                                  threshold=threshold)
-        if obs is not None:
-            span.set_attr("candidate_pairs", len(surviving))
-            obs.metrics.gauge(
-                "pruning_records", help="Records entering the pruning phase"
-            ).set(len(records))
-            obs.metrics.gauge(
-                "pruning_candidate_pairs",
-                help="Pairs surviving the machine-similarity threshold",
-            ).set(len(surviving))
+        candidates = _assemble(similarity, surviving, scores, threshold)
+        _report_pruning(obs, span, len(records), candidates)
     if checkpoints is not None:
         checkpoints.save("pruning", candidate_state(candidates))
     return candidates, sealed_components

@@ -7,13 +7,9 @@ provides the batch counterpart: token sets are *interned* once into dense
 integer ids in a shared :class:`TokenVocabulary`, every record becomes a
 sorted ``int32`` array in one flat CSR store (:class:`EncodedRecords`), and
 whole blocks of candidate pairs are scored with a handful of numpy
-operations instead of one Python call each.
-
-Backends are dispatched through :data:`KERNEL_BACKENDS`:
-
-* ``scalar`` — the literal reading: per-pair Python set functions.
-* ``vectorized`` — the numpy batch path described above.
-* ``auto`` — ``vectorized`` when numpy is importable, else ``scalar``.
+operations instead of one Python call each.  The prefix join
+(:mod:`repro.pruning.shard`) verifies every candidate pair this way; the
+scalar functions stay the reference these kernels are tested against.
 
 Equivalence contract: for every supported metric the vectorized scores are
 **bit-for-bit identical** to the scalar ones.  Intersection and set sizes
@@ -22,9 +18,6 @@ operations in the same order as its scalar twin (e.g. Jaccard divides the
 exact intersection by the exact union — both integers below 2^53 — so both
 paths produce the same correctly rounded quotient).  The empty-set
 conventions also match: empty vs empty scores 1.0, empty vs non-empty 0.0.
-
-numpy is an optional dependency: when it is missing every ``auto`` resolve
-degrades to ``scalar`` and the module stays importable.
 """
 
 from __future__ import annotations
@@ -32,43 +25,29 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-try:  # Optional dependency: everything degrades to the scalar path.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None  # type: ignore[assignment]
-
-#: Kernel backends, fast/reference style.  ``auto`` resolves at call time.
-KERNEL_BACKENDS = ("auto", "vectorized", "scalar")
+import numpy as _np
 
 #: Metrics with a batch implementation (the prefix-join family).
 VECTORIZED_METRICS = ("jaccard", "cosine", "dice", "overlap")
 
 
-def numpy_available() -> bool:
-    """Whether the vectorized backend can run at all."""
-    return _np is not None
-
-
 def resolve_kernel_backend(backend: str) -> str:
-    """Resolve a :data:`KERNEL_BACKENDS` name to ``vectorized`` or ``scalar``.
+    """The prefix join's verification kernel for ``backend``: always
+    ``"vectorized"``.
+
+    The join has one kernel, so nothing in the package calls this.  It
+    stays importable because the repo benchmark (``perfbench/run.py``)
+    records ``resolve_kernel_backend("auto")`` in its environment line.
 
     Raises:
-        ValueError: For an unknown backend, or for an *explicit*
-            ``vectorized`` request when numpy is not importable (``auto``
-            silently degrades instead).
+        ValueError: For any name other than ``"auto"`` or
+            ``"vectorized"``.
     """
-    if backend not in KERNEL_BACKENDS:
+    if backend not in ("auto", "vectorized"):
         raise ValueError(
-            f"kernel backend must be one of {KERNEL_BACKENDS}, got {backend!r}"
+            f"kernel backend must be 'auto' or 'vectorized', got {backend!r}"
         )
-    if backend == "auto":
-        return "vectorized" if numpy_available() else "scalar"
-    if backend == "vectorized" and not numpy_available():
-        raise ValueError(
-            "kernel backend 'vectorized' requires numpy, which is not "
-            "importable in this environment (use 'auto' or 'scalar')"
-        )
-    return backend
+    return "vectorized"
 
 
 class TokenVocabulary:
@@ -78,8 +57,8 @@ class TokenVocabulary:
     document frequency, ties broken lexicographically (see
     :func:`repro.pruning.prefix_join.canonical_token_order`) — so sorting a
     record's rank array ascending reproduces exactly the canonically
-    ordered token list the scalar join builds, and ``ranks < size`` prefixes
-    coincide token-for-token.
+    ordered token list, and ``ranks < size`` prefixes coincide
+    token-for-token.
     """
 
     def __init__(self, rank_of: Dict[str, int]):
@@ -106,8 +85,6 @@ class TokenVocabulary:
 
     def encode(self, token_set: FrozenSet[str]) -> "_np.ndarray":
         """One set as a sorted (= canonically ordered) ``int32`` rank array."""
-        if _np is None:  # pragma: no cover - guarded by callers
-            raise RuntimeError("numpy is required to encode token sets")
         ranks = _np.fromiter(
             (self.rank_of[token] for token in token_set),
             dtype=_np.int32, count=len(token_set),
@@ -145,8 +122,6 @@ class EncodedRecords:
         vocab: Optional[TokenVocabulary] = None,
     ) -> "EncodedRecords":
         """Encode ``sets`` (restricted to ``ids``, in that row order)."""
-        if _np is None:  # pragma: no cover - guarded by callers
-            raise RuntimeError("numpy is required to build EncodedRecords")
         if vocab is None:
             vocab = TokenVocabulary.build([sets[record_id] for record_id in ids])
         counts = _np.fromiter((len(sets[record_id]) for record_id in ids),
@@ -320,8 +295,6 @@ def batch_text_scores(
         domain: ``"word"`` (word tokens) or ``"qgram"`` (padded q-grams).
         q: Gram length for the q-gram domain.
     """
-    if _np is None:
-        raise RuntimeError("numpy is required for batch_text_scores")
     if len(texts_a) != len(texts_b):
         raise ValueError(
             f"aligned text batches required: {len(texts_a)} vs {len(texts_b)}"

@@ -1,12 +1,13 @@
-"""Byte-identity of the sharded vectorized join with the scalar prefix join.
+"""Byte-identity of the sharded vectorized join with its scalar oracle.
 
 Sharding and vectorization are throughput optimizations, not
-approximations: for every metric, shard count, process count, and kernel
-backend the sharded join must return exactly the pairs and float scores of
-:func:`~repro.pruning.prefix_join.prefix_filtered_candidates` (itself
-pinned to the seed reference loop by ``test_fastpath_equivalence``).
-These tests also cover the ``build_candidate_set`` routing (``shards`` /
-``kernel_backend`` knobs) and the never-silent serial fallback.
+approximations: for every metric, shard count and process count the
+production join must return exactly the pairs and float scores of the
+one-record-at-a-time frozenset join
+:func:`repro.reference.prefix_filtered_candidates`.  These tests also
+cover the ``build_candidate_set`` routing (the ``shards`` knob, pinned
+to the seed scoring loop :func:`repro.reference.candidate_set`) and the
+never-silent serial fallback.
 """
 
 import pytest
@@ -14,12 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import reference
+from repro.cli import main
 from repro.datasets.registry import generate
 from repro.datasets.schema import Record
+from repro.experiments.runner import prepare_instance
 from repro.pruning import parallel as parallel_module
+from repro.pruning import shard
 from repro.pruning.candidate import build_candidate_set
 from repro.pruning.parallel import ParallelFallbackWarning
-from repro.pruning.prefix_join import PREFIX_METRICS, prefix_filtered_candidates
+from repro.pruning.prefix_join import PREFIX_METRICS
+from repro.reference import prefix_filtered_candidates
+from repro.runtime.pipeline import run_pipeline
 from repro.similarity.composite import (
     SET_METRIC_FUNCTIONS,
     cosine_set_similarity_function,
@@ -30,12 +36,6 @@ from repro.similarity.composite import (
 )
 from repro.similarity.jaccard import token_jaccard
 from tests.conftest import pruned_with
-from repro.similarity.kernels import numpy_available
-
-shard = pytest.importorskip("repro.pruning.shard")
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="the sharded join requires numpy"
-)
 
 SET_FACTORIES = {
     "jaccard": jaccard_similarity_function,
@@ -59,22 +59,20 @@ def join_args(metric, factory=None):
 
 
 def assert_same_join(records, metric, threshold, *, include_empty_pairs=False,
-                     shard_counts=(1, 2, 3, 5, 8), backends=("vectorized",
-                                                             "scalar")):
-    """The scalar unsharded join vs every (shards, backend) combination."""
+                     shard_counts=(1, 2, 3, 5, 8), processes=0):
+    """The scalar oracle join vs the production join at every shard count."""
     expected_pairs, expected_scores = prefix_filtered_candidates(
         records, threshold=threshold,
         include_empty_pairs=include_empty_pairs, **join_args(metric),
     )
     for num_shards in shard_counts:
-        for backend in backends:
-            pairs, scores = shard.sharded_prefix_filtered_candidates(
-                records, threshold=threshold, num_shards=num_shards,
-                kernel_backend=backend,
-                include_empty_pairs=include_empty_pairs, **join_args(metric),
-            )
-            assert pairs == expected_pairs, (metric, num_shards, backend)
-            assert scores == expected_scores, (metric, num_shards, backend)
+        pairs, scores = shard.sharded_prefix_filtered_candidates(
+            records, threshold=threshold, num_shards=num_shards,
+            processes=processes,
+            include_empty_pairs=include_empty_pairs, **join_args(metric),
+        )
+        assert pairs == expected_pairs, (metric, num_shards, processes)
+        assert scores == expected_scores, (metric, num_shards, processes)
 
 
 class TestShardedJoinOnDatasets:
@@ -121,8 +119,8 @@ class TestShardedJoinRandomized:
         # Tiny pair blocks exercise the batch boundaries; output must not
         # depend on the block size.
         records = recs(*texts)
-        expected = shard.sharded_prefix_filtered_candidates(
-            records, threshold=0.3, num_shards=2, **join_args("jaccard"),
+        expected = prefix_filtered_candidates(
+            records, threshold=0.3, **join_args("jaccard"),
         )
         got = shard.sharded_prefix_filtered_candidates(
             records, threshold=0.3, num_shards=2, pair_block_size=block,
@@ -134,14 +132,8 @@ class TestShardedJoinRandomized:
 class TestForkParallelism:
     def test_fork_processes_match_in_process(self):
         records = generate("paper", scale=0.15, seed=3).records
-        serial = shard.sharded_prefix_filtered_candidates(
-            records, threshold=0.3, num_shards=4, **join_args("jaccard"),
-        )
-        forked = shard.sharded_prefix_filtered_candidates(
-            records, threshold=0.3, num_shards=4, processes=2,
-            **join_args("jaccard"),
-        )
-        assert forked == serial
+        assert_same_join(records, "jaccard", threshold=0.3,
+                         shard_counts=(4,), processes=2)
 
     def test_fallback_warns_and_emits_event(self, monkeypatch):
         monkeypatch.setattr(parallel_module, "fork_available", lambda: False)
@@ -166,15 +158,15 @@ class TestForkParallelism:
 
 
 class TestBuildCandidateSetRouting:
-    def test_shards_and_backends_match_reference(self):
+    def test_shard_counts_match_reference(self):
         records = generate("restaurant", scale=0.1, seed=7).records
         expected = reference.candidate_set(
             records, jaccard_similarity_function(), threshold=0.3,
         )
         for kwargs in (
             dict(shards=3),
-            dict(kernel_backend="vectorized"),
-            dict(kernel_backend="scalar", shards=2),
+            dict(),
+            dict(shards=2),
             dict(shards=4),
         ):
             result, engine = pruned_with(
@@ -211,17 +203,6 @@ class TestBuildCandidateSetRouting:
             build_candidate_set(recs("a", "b"), jaccard_similarity_function(),
                                 candidate_pairs=[(0, 1)], shards=2)
 
-    def test_reference_engine_rejects_vectorized_backend(self):
-        with pytest.raises(ValueError, match="scoring loop"):
-            build_candidate_set(recs("a", "b"), jaccard_similarity_function(),
-                                candidate_pairs=[(0, 1)],
-                                kernel_backend="vectorized")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            build_candidate_set(recs("a", "b"), jaccard_similarity_function(),
-                                kernel_backend="simd")
-
 
 class TestShardedJoinValidation:
     def test_unknown_metric_rejected(self):
@@ -257,3 +238,32 @@ def test_reference_text_metric_never_routes_to_shards():
     similarity = SimilarityFunction("jaccard", token_jaccard)
     with pytest.raises(ValueError):
         build_candidate_set(recs("a b", "a c"), similarity, shards=2)
+
+
+class TestRemovedKnobs:
+    """The join has one verification kernel, so the ``kernel_backend``
+    option is gone from every surface that used to thread it through."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: build_candidate_set(recs("a b", "a c"),
+                                    jaccard_similarity_function(),
+                                    kernel_backend="scalar"),
+        lambda: shard.sharded_prefix_filtered_candidates(
+            recs("a b", "a c"), threshold=0.3, kernel_backend="scalar",
+            **join_args("jaccard")),
+        lambda: run_pipeline(None, records=recs("a b", "a c"),
+                             similarity=jaccard_similarity_function(),
+                             kernel_backend="scalar"),
+        lambda: prepare_instance("restaurant", scale=0.05,
+                                 kernel_backend="scalar"),
+    ], ids=["build_candidate_set", "sharded_prefix_filtered_candidates",
+            "run_pipeline", "prepare_instance"])
+    def test_kernel_backend_argument_is_gone(self, call):
+        with pytest.raises(TypeError, match="kernel_backend"):
+            call()
+
+    def test_kernel_backend_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "restaurant", "--kernel-backend", "scalar"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

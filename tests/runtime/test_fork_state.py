@@ -12,12 +12,12 @@ import multiprocessing
 import pytest
 
 from repro.pruning import parallel as parallel_module
+from repro.pruning import shard
 from repro.pruning.parallel import score_pairs_parallel
 from repro.similarity.composite import (
     SET_METRIC_FUNCTIONS,
     jaccard_similarity_function,
 )
-from repro.similarity.kernels import numpy_available
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -61,36 +61,31 @@ class TestScoreParallelState:
         assert parallel_module._FORK_STATE == {}
 
 
-@pytest.mark.skipif(not numpy_available(),
-                    reason="the sharded join requires numpy")
 class TestShardJoinState:
     @staticmethod
-    def _join(shard_module, **kwargs):
+    def _join(**kwargs):
         from repro.datasets.schema import Record
 
         records = [Record(record_id=i, text=text)
                    for i, text in sorted(TEXTS.items())]
         similarity = jaccard_similarity_function()
-        return shard_module.sharded_prefix_filtered_candidates(
+        return shard.sharded_prefix_filtered_candidates(
             records, set_of=similarity.set_of,
             set_function=SET_METRIC_FUNCTIONS["jaccard"],
             metric="jaccard", threshold=0.1, num_shards=3, **kwargs,
         )
 
     def test_state_empty_after_successful_join(self):
-        shard = pytest.importorskip("repro.pruning.shard")
-        serial = self._join(shard)
-        forked = self._join(shard, processes=2)
+        serial = self._join()
+        forked = self._join(processes=2)
         assert forked == serial
         assert shard._SHARD_STATE == {}
 
     def test_state_empty_after_failed_join(self, monkeypatch):
-        shard = pytest.importorskip("repro.pruning.shard")
-
         def explode(*args, **kwargs):
             raise RuntimeError("simulated pool failure")
 
         monkeypatch.setattr(shard, "supervised_map", explode)
         with pytest.raises(RuntimeError):
-            self._join(shard, processes=2)
+            self._join(processes=2)
         assert shard._SHARD_STATE == {}

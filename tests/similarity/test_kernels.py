@@ -19,18 +19,12 @@ from repro.pruning.prefix_join import canonical_token_order
 from repro.similarity.hybrid import token_cosine, token_dice, token_overlap
 from repro.similarity.jaccard import qgram_jaccard, token_jaccard
 from repro.similarity.kernels import (
-    KERNEL_BACKENDS,
     EncodedRecords,
     TokenVocabulary,
     batch_text_scores,
-    numpy_available,
     resolve_kernel_backend,
 )
 from repro.similarity.tokenize import token_set
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized kernels require numpy"
-)
 
 # Random text: lowercase words plus unicode (accents, CJK) and repeats.
 words = st.text(alphabet=string.ascii_lowercase + " ", max_size=40)
@@ -134,22 +128,12 @@ def test_encoded_records_roundtrip(texts):
 
 
 def test_resolve_backend():
+    # Kept only for the repo benchmark's environment line: one kernel.
     assert resolve_kernel_backend("auto") == "vectorized"
     assert resolve_kernel_backend("vectorized") == "vectorized"
-    assert resolve_kernel_backend("scalar") == "scalar"
-    with pytest.raises(ValueError):
-        resolve_kernel_backend("simd")
-    assert KERNEL_BACKENDS == ("auto", "vectorized", "scalar")
-
-
-def test_resolve_backend_without_numpy(monkeypatch):
-    import repro.similarity.kernels as kernels
-
-    monkeypatch.setattr(kernels, "_np", None)
-    assert kernels.resolve_kernel_backend("auto") == "scalar"
-    assert kernels.resolve_kernel_backend("scalar") == "scalar"
-    with pytest.raises(ValueError, match="requires numpy"):
-        kernels.resolve_kernel_backend("vectorized")
+    for retired in ("scalar", "simd"):
+        with pytest.raises(ValueError):
+            resolve_kernel_backend(retired)
 
 
 def test_batch_text_scores_validates():
