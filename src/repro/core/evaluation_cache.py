@@ -12,9 +12,12 @@ invalidates *only* what actually changed, keyed on three signals:
   operation bumps only the changed clusters, so only entries touching them
   rebuild.
 * **Oracle answer epoch** — the oracle keeps an append-only log of pairs
-  transitioning unknown -> known; the cache consumes the log through a
-  cursor and marks dirty exactly the entries whose unknown-pair sets the
-  fresh answers intersect (a reverse pair -> operations index).
+  transitioning unknown -> known; the cache consumes it through a cursor
+  and reads each fresh pair's holders off the cluster map: a pair inside
+  cluster ``C`` feeds only ``Split(a, C)`` and ``Split(b, C)``, a pair
+  across two clusters only their ``Merge``.  Of those, the entries that
+  exist with a current snapshot are marked dirty (a stale one rebuilds
+  anyway); a record outside the clustering feeds nothing.
 * **Estimator epoch** — new histogram samples bump the estimator's epoch;
   the cache re-queries its per-score estimate memo and marks dirty only
   entries holding unknown pairs whose machine-score estimate *actually
@@ -41,9 +44,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from repro.core.clustering import Clustering
 from repro.core.estimator import HistogramEstimator
 from repro.core.objective import merge_benefit, split_benefit
-from repro.core.operations import Operation, Split
+from repro.core.operations import Merge, Operation, Split
 from repro.crowd.oracle import CrowdOracle
-from repro.datasets.schema import canonical_pair
 from repro.pruning.candidate import CandidateSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (refine imports us)
@@ -91,8 +93,8 @@ class _Entry:
 
     __slots__ = (
         "snapshot", "is_split", "pairs", "confidences", "unknown_indices",
-        "unknown_scores", "registered_pairs", "registered_scores",
-        "estimated", "exact", "answer_dirty", "estimate_dirty",
+        "unknown_scores", "registered_scores", "estimated", "exact",
+        "answer_dirty", "estimate_dirty",
     )
 
     def __init__(self) -> None:
@@ -104,10 +106,9 @@ class _Entry:
         self.confidences: List[Optional[float]] = []
         self.unknown_indices: List[int] = []
         self.unknown_scores: List[float] = []
-        # Index registrations at build time (kept until rebuild so stale
-        # registrations can be dropped; a spurious dirty mark only costs a
-        # refresh, never correctness).
-        self.registered_pairs: Tuple[Pair, ...] = ()
+        # Distinct scores registered in the score index at build time
+        # (kept until rebuild so stale registrations can be dropped; a
+        # spurious dirty mark only costs a refresh, never correctness).
         self.registered_scores: Tuple[float, ...] = ()
         self.estimated: float = 0.0
         self.exact: Optional[float] = None
@@ -135,15 +136,14 @@ class EvaluationCache:
         self._clustering = clustering
         self._candidates = candidates
         self._oracle = oracle
+        self._known = oracle.known_map
         self._estimator = estimator
         self._tracker = tracker
         self._entries: Dict[Operation, _Entry] = {}
-        # Reverse indexes: which entries a fresh answer / changed estimate
-        # can affect.
-        self._pair_index: Dict[Pair, Set[Operation]] = {}
-        self._score_index: Dict[float, Set[Operation]] = {}
+        # Reverse index: which entries a changed estimate can affect.
+        self._score_index: Dict[float, Dict[Operation, _Entry]] = {}
         # Per-machine-score estimate memo, refreshed (and diffed) when the
-        # estimator epoch moves.
+        # estimator epoch moves; covers every registered score.
         self._estimates: Dict[float, float] = {}
         self._answer_cursor = oracle.answer_epoch
         self._estimator_epoch = estimator.epoch
@@ -225,21 +225,6 @@ class EvaluationCache:
         self.stats.hits += 1
         return entry
 
-    def _known_confidence(self, pair: Pair) -> Optional[float]:
-        answered = self._oracle.known_confidence(*pair)
-        if answered is not None:
-            return answered
-        if pair not in self._candidates:
-            return 0.0
-        return None
-
-    def _estimate(self, machine_score: float) -> float:
-        value = self._estimates.get(machine_score)
-        if value is None:
-            value = self._estimator.estimate(machine_score)
-            self._estimates[machine_score] = value
-        return value
-
     def _build(self, operation: Operation) -> _Entry:
         old = self._entries.get(operation)
         if old is not None:
@@ -248,34 +233,45 @@ class EvaluationCache:
         entry = _Entry()
         entry.snapshot = self._tracker.snapshot(operation.touched_clusters)
         entry.is_split = isinstance(operation, Split)
-        if isinstance(operation, Split):
+        # Canonical pairs built inline, in OperationEvaluator.relevant_pairs
+        # order (the operands never share a record, so no pair is (r, r)).
+        if entry.is_split:
+            record = operation.record_id
             others = self._clustering.members(operation.cluster_id)
-            others.discard(operation.record_id)
-            pairs = [canonical_pair(operation.record_id, other)
+            others.discard(record)
+            pairs = [(record, other) if record < other else (other, record)
                      for other in sorted(others)]
         else:
             members_a = sorted(self._clustering.members(operation.cluster_a))
             members_b = sorted(self._clustering.members(operation.cluster_b))
-            pairs = [canonical_pair(a, b) for a in members_a for b in members_b]
+            pairs = [(a, b) if a < b else (b, a)
+                     for a in members_a for b in members_b]
         entry.pairs = pairs
 
-        scores = self._candidates.machine_scores
+        # One lookup per pair: answered pairs read f_c from ``A``; on a miss
+        # the pair is pruned (no machine score: f_c = 0) or still unknown.
+        known = self._known.get
+        score_of = self._candidates.machine_scores.get
+        confidences = entry.confidences
+        unknown_indices = entry.unknown_indices
+        unknown_scores = entry.unknown_scores
         for index, pair in enumerate(pairs):
-            confidence = self._known_confidence(pair)
-            entry.confidences.append(confidence)
+            confidence = known(pair)
             if confidence is None:
-                entry.unknown_indices.append(index)
-                entry.unknown_scores.append(scores[pair])
+                score = score_of(pair)
+                if score is None:
+                    confidence = 0.0
+                else:
+                    unknown_indices.append(index)
+                    unknown_scores.append(score)
+            confidences.append(confidence)
 
-        entry.registered_pairs = tuple(
-            entry.pairs[index] for index in entry.unknown_indices
-        )
-        entry.registered_scores = tuple(entry.unknown_scores)
-        for pair in entry.registered_pairs:
-            self._pair_index.setdefault(pair, set()).add(operation)
+        entry.registered_scores = tuple(set(unknown_scores))
+        estimates = self._estimates
         for score in entry.registered_scores:
-            self._estimate(score)  # memo must cover every registered score
-            self._score_index.setdefault(score, set()).add(operation)
+            if score not in estimates:
+                estimates[score] = self._estimator.estimate(score)
+            self._score_index.setdefault(score, {})[operation] = entry
 
         self._recompute_benefits(entry)
         self._entries[operation] = entry
@@ -285,10 +281,11 @@ class EvaluationCache:
         """Re-resolve answers / re-sum benefits without re-deriving the
         pair structure (cluster snapshot is still current)."""
         if entry.answer_dirty:
+            known = self._known.get
             still_indices: List[int] = []
             still_scores: List[float] = []
             for position, index in enumerate(entry.unknown_indices):
-                confidence = self._oracle.known_confidence(*entry.pairs[index])
+                confidence = known(entry.pairs[index])
                 if confidence is None:
                     still_indices.append(index)
                     still_scores.append(entry.unknown_scores[position])
@@ -305,29 +302,20 @@ class EvaluationCache:
     def _recompute_benefits(self, entry: _Entry) -> None:
         # Ordered sums over the relevant pairs — the exact arithmetic of
         # OperationEvaluator.{exact,estimated}_benefit.
+        values: List[float] = entry.confidences  # type: ignore[assignment]
         if entry.unknown_indices:
-            values: List[float] = list(entry.confidences)  # type: ignore[arg-type]
-            for position, index in enumerate(entry.unknown_indices):
-                values[index] = self._estimate(entry.unknown_scores[position])
-            entry.exact = None
-        else:
-            values = entry.confidences  # type: ignore[assignment]
-            entry.exact = (split_benefit(values) if entry.is_split
-                           else merge_benefit(values))
-        entry.estimated = (split_benefit(values) if entry.is_split
-                           else merge_benefit(values))
+            values = list(values)
+            for index, score in zip(entry.unknown_indices, entry.unknown_scores):
+                values[index] = self._estimates[score]
+        benefit = split_benefit if entry.is_split else merge_benefit
+        entry.estimated = benefit(values)
+        entry.exact = None if entry.unknown_indices else entry.estimated
 
     def _deregister(self, operation: Operation, entry: _Entry) -> None:
-        for pair in entry.registered_pairs:
-            ops = self._pair_index.get(pair)
-            if ops is not None:
-                ops.discard(operation)
-                if not ops:
-                    del self._pair_index[pair]
         for score in entry.registered_scores:
             ops = self._score_index.get(score)
             if ops is not None:
-                ops.discard(operation)
+                ops.pop(operation, None)
                 if not ops:
                     del self._score_index[score]
                     self._estimates.pop(score, None)
@@ -341,15 +329,25 @@ class EvaluationCache:
         if oracle_epoch != self._answer_cursor:
             fresh = self._oracle.answers_since(self._answer_cursor)
             self._answer_cursor = oracle_epoch
-            for pair in fresh:
-                ops = self._pair_index.pop(pair, None)
-                if not ops:
-                    continue
-                for operation in ops:
+            clustering = self._clustering
+            for record_a, record_b in fresh:
+                if record_a not in clustering or record_b not in clustering:
+                    continue  # beyond a component oracle's clustering
+                # Only these operations' current pairs can hold (a, b).
+                cluster_a = clustering.cluster_of(record_a)
+                cluster_b = clustering.cluster_of(record_b)
+                if cluster_a == cluster_b:
+                    holders: Tuple[Operation, ...] = (
+                        Split(record_a, cluster_a), Split(record_b, cluster_a))
+                else:
+                    holders = (Merge(min(cluster_a, cluster_b),
+                                     max(cluster_a, cluster_b)),)
+                for operation in holders:
                     entry = self._entries.get(operation)
-                    if entry is not None:
+                    if (entry is not None
+                            and self._tracker.is_current(entry.snapshot)):
                         entry.answer_dirty = True
-                self._dirty_ops.update(ops)
+                        self._dirty_ops.add(operation)
 
         estimator_epoch = self._estimator.epoch
         if estimator_epoch != self._estimator_epoch:
@@ -361,11 +359,8 @@ class EvaluationCache:
                     self._estimates[score] = new_value
                     changed.append(score)
             for score in changed:
-                ops = self._score_index.get(score)
-                if not ops:
-                    continue
-                for operation in ops:
-                    entry = self._entries.get(operation)
-                    if entry is not None:
+                holders = self._score_index.get(score)
+                if holders:
+                    for entry in holders.values():
                         entry.estimate_dirty = True
-                self._dirty_ops.update(ops)
+                    self._dirty_ops.update(holders)

@@ -13,9 +13,8 @@ pairs* (edges the sequential algorithm would never have asked), and Equation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
-from repro.core.permutation import Permutation
 from repro.crowd.oracle import CrowdOracle
 from repro.obs import maybe_span
 from repro.pruning.graph import CandidateGraph
@@ -76,43 +75,35 @@ def waste_estimates(graph: CandidateGraph, pivots: List[int]) -> List[int]:
 def partial_pivot(
     graph: CandidateGraph,
     k: int,
-    permutation: Permutation,
     oracle: CrowdOracle,
     obs=None,
     *,
-    pivots: Optional[List[int]] = None,
-    predicted_waste: Optional[int] = None,
+    pivots: List[int],
+    predicted_waste: int,
 ) -> PartialPivotResult:
     """Run one Partial-Pivot round, mutating ``graph`` in place.
 
     Args:
         graph: ``G_i``; clustered vertices are removed from it (it becomes
             ``G_{i+1}`` on return).
-        k: Number of simultaneous pivots; clamped to the number of live
-            vertices.
-        permutation: The shared permutation ``M``.
+        k: Number of simultaneous pivots the round was planned with.
         oracle: Crowd access; all incident edges go out as one batch.
         obs: Optional :class:`~repro.obs.ObsContext`; the round runs
             inside a ``pivot.partial`` span so its crowd batch nests
             under it in the trace.
-        pivots: Fast-engine hand-off: the first ``k`` live vertices in
-            permutation order, as already derived by the caller's
-            Equation-4 scan.  Must be given together with
-            ``predicted_waste``; when omitted, both are derived here (the
-            reference path).
-        predicted_waste: Fast-engine hand-off: ``sum(waste_estimates(graph,
-            pivots))`` for those pivots, computed *before* any mutation.
+        pivots: The first ``k`` live vertices in permutation order, as
+            derived by the caller's Equation-4 scan
+            (:func:`~repro.core.pivot_engine.choose_pivots`).
+        predicted_waste: ``sum(waste_estimates(graph, pivots))`` for those
+            pivots, computed *before* any mutation.
 
     Returns:
         The clusters formed and bookkeeping for the waste analysis.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if (pivots is None) != (predicted_waste is None):
-        raise ValueError("pivots and predicted_waste must be given together")
     with maybe_span(obs, "pivot.partial", k=k) as span:
-        result = _partial_pivot_round(graph, k, permutation, oracle,
-                                      pivots, predicted_waste)
+        result = _partial_pivot_round(graph, oracle, pivots, predicted_waste)
         if obs is not None:
             span.set_attr("issued_pairs", len(result.issued_pairs))
             span.set_attr("clusters", len(result.clusters))
@@ -122,20 +113,11 @@ def partial_pivot(
 
 def _partial_pivot_round(
     graph: CandidateGraph,
-    k: int,
-    permutation: Permutation,
     oracle: CrowdOracle,
-    pivots: Optional[List[int]] = None,
-    predicted_waste: Optional[int] = None,
+    pivots: List[int],
+    predicted_waste: int,
 ) -> PartialPivotResult:
-    if pivots is None:
-        alive = graph.vertices
-        if not alive:
-            return PartialPivotResult(clusters=(), issued_pairs=(),
-                                      predicted_waste=0)
-        pivots = permutation.ordered(alive)[:k]
-        predicted_waste = sum(waste_estimates(graph, pivots))
-    elif not pivots:
+    if not pivots:
         return PartialPivotResult(clusters=(), issued_pairs=(),
                                   predicted_waste=0)
 

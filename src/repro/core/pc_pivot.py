@@ -162,10 +162,8 @@ def _pc_pivot_fast(ids, candidates, oracle, epsilon, permutation,
         ordered = order.live()
         live_before = len(ordered)
         k, estimates = choose_pivots(graph, ordered, epsilon)
-        result = partial_pivot(
-            graph, k, permutation, oracle, obs=obs,
-            pivots=ordered[:k], predicted_waste=sum(estimates),
-        )
+        result = partial_pivot(graph, k, oracle, obs=obs, pivots=ordered[:k],
+                               predicted_waste=sum(estimates))
         for cluster in result.clusters:
             clustering.add_cluster(cluster)
             order.discard(cluster)

@@ -106,10 +106,8 @@ def _run_component(
         live_before = len(ordered)
         epoch = oracle.answer_epoch
         k, estimates = choose_pivots(graph, ordered, epsilon)
-        result = partial_pivot(
-            graph, k, permutation, oracle,
-            pivots=ordered[:k], predicted_waste=sum(estimates),
-        )
+        result = partial_pivot(graph, k, oracle, pivots=ordered[:k],
+                               predicted_waste=sum(estimates))
         clusters = []
         for cluster in result.clusters:
             clusters.append(tuple(sorted(cluster)))

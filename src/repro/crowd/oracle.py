@@ -9,7 +9,8 @@ that issues at least one *new* pair counts as one crowd iteration.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.crowd.cache import AnswerFile
 from repro.crowd.stats import CrowdStats
@@ -172,6 +173,12 @@ class CrowdOracle:
         whether a benefit is computable without cost.
         """
         return self._known.get(canonical_pair(record_a, record_b))
+
+    @property
+    def known_map(self) -> Mapping[Pair, float]:
+        """A read-only live view of ``A`` keyed by canonical pair — one
+        ``get`` per pair for hot loops that already hold canonical pairs."""
+        return MappingProxyType(self._known)
 
     def known_pairs(self) -> Dict[Pair, float]:
         """A copy of the answered-pair set ``A`` with confidences."""

@@ -9,6 +9,8 @@ against:
 
 - :func:`pc_pivot` / :func:`choose_k` — Algorithm 3 re-sorting the live
   vertices and re-deriving the Equation-3/4 scan from scratch each round;
+- :func:`partial_pivot` — Algorithm 2 deriving its own pivots (the first
+  ``k`` live vertices by permutation rank) and their Equation-3 bound;
 - :func:`crowd_pivot` — Algorithm 1 scanning the live vertices for the
   minimum permutation rank each iteration;
 - :func:`pc_refine` / :func:`pack_independent_operations` — Algorithm 5
@@ -56,7 +58,8 @@ from repro.core.operations import (
     OperationEvaluator,
     apply_operation,
 )
-from repro.core.partial_pivot import partial_pivot, waste_estimates
+from repro.core.partial_pivot import PartialPivotResult, waste_estimates
+from repro.core.partial_pivot import partial_pivot as _core_partial_pivot
 from repro.core.pc_pivot import (
     DEFAULT_EPSILON,
     PCPivotDiagnostics,
@@ -106,6 +109,7 @@ __all__ = [
     "crowd_pivot",
     "crowd_refine",
     "pack_independent_operations",
+    "partial_pivot",
     "pc_pivot",
     "pc_refine",
     "prefix_filtered_candidates",
@@ -162,6 +166,24 @@ def choose_k(graph: CandidateGraph, permutation: Permutation,
         if cumulative_waste <= epsilon * issued_edges:
             best_k = j
     return best_k
+
+
+def partial_pivot(
+    graph: CandidateGraph,
+    k: int,
+    permutation: Permutation,
+    oracle: CrowdOracle,
+    obs=None,
+) -> PartialPivotResult:
+    """Partial-Pivot (Algorithm 2) with self-derived pivots: the first
+    ``k`` live vertices in permutation order (``k`` clamped to the live
+    count) and their Equation-3 bound, then
+    :func:`repro.core.partial_pivot.partial_pivot`'s round."""
+    pivots = permutation.ordered(graph.vertices)[:k]
+    return _core_partial_pivot(
+        graph, k, oracle, obs=obs, pivots=pivots,
+        predicted_waste=sum(waste_estimates(graph, pivots)),
+    )
 
 
 def pc_pivot(

@@ -83,22 +83,31 @@ def test_cache_matches_evaluator_across_deltas(seed):
 
     for _ in range(10):
         assert_matches_evaluator(cache, evaluator, clustering, candidates)
-        operations = enumerate_operations(clustering, candidates)
-        unknown = [pair for pair in candidates.pairs
-                   if not oracle.knows(*pair)]
-        roll = rng.random()
-        if roll < 0.4 and operations:
-            tracker.apply(clustering, rng.choice(operations))
-        elif roll < 0.7 and unknown:
-            answers = oracle.ask_batch([rng.choice(unknown)])
-            for pair, crowd_score in answers.items():
-                estimator.add_sample(
-                    pair, candidates.machine_scores[pair], crowd_score
-                )
-        elif candidates.pairs:
-            pair = rng.choice(list(candidates.pairs))
-            estimator.add_sample(pair, candidates.machine_scores[pair],
-                                 rng.choice((0.0, 1 / 3, 2 / 3, 1.0)))
+        # 1-4 deltas of any kind between two lookups, in random order: an
+        # answer can land before the cluster change that follows it is
+        # synced, and vice versa.
+        for _ in range(rng.randint(1, 4)):
+            mutate(rng, clustering, candidates, oracle, estimator, tracker)
+
+
+def mutate(rng, clustering, candidates, oracle, estimator, tracker):
+    """Apply one random delta: an operation, a fresh answer (folded into
+    the histogram, as the refinement loops do) or a histogram sample."""
+    operations = enumerate_operations(clustering, candidates)
+    unknown = [pair for pair in candidates.pairs if not oracle.knows(*pair)]
+    roll = rng.random()
+    if roll < 0.4 and operations:
+        tracker.apply(clustering, rng.choice(operations))
+    elif roll < 0.7 and unknown:
+        answers = oracle.ask_batch([rng.choice(unknown)])
+        for pair, crowd_score in answers.items():
+            estimator.add_sample(
+                pair, candidates.machine_scores[pair], crowd_score
+            )
+    elif candidates.pairs:
+        pair = rng.choice(list(candidates.pairs))
+        estimator.add_sample(pair, candidates.machine_scores[pair],
+                             rng.choice((0.0, 1 / 3, 2 / 3, 1.0)))
 
 
 def small_state():
@@ -220,3 +229,81 @@ def test_stats_accounting():
     payload = stats.as_dict()
     assert payload["hit_rate"] == 0.5
     assert payload["lookups"] == 2
+
+
+def holder_state():
+    """c0 = {0, 1, 2}, c1 = {3}, c2 = {4, 5}; only (0, 1) answered.
+
+    The unknown (1, 2) lies inside c0; the unknown (1, 5) crosses c0/c2.
+    """
+    clustering = Clustering()
+    c0 = clustering.add_cluster([0, 1, 2])
+    c1 = clustering.add_cluster([3])
+    c2 = clustering.add_cluster([4, 5])
+    scores = {(0, 1): 0.8, (0, 2): 0.7, (1, 2): 0.6, (2, 3): 0.5,
+              (3, 4): 0.45, (1, 5): 0.4}
+    candidates = make_candidates(scores)
+    oracle = CrowdOracle(ScriptedAnswers(
+        {pair: 1.0 for pair in scores}, num_workers=3
+    ))
+    oracle.ask_batch([(0, 1)])
+    estimator = build_estimator(candidates, oracle)
+    tracker = ClusterVersionTracker(clustering)
+    cache = EvaluationCache(clustering, candidates, oracle, estimator,
+                            tracker)
+    for operation in enumerate_operations(clustering, candidates):
+        cache.cost(operation)
+    assert cache.drain_dirty_operations() == set()
+    return clustering, candidates, oracle, estimator, tracker, cache, (c0, c1, c2)
+
+
+def test_answer_marks_exactly_the_current_holders():
+    clustering, candidates, oracle, estimator, tracker, cache, ids = holder_state()
+    c0, _, c2 = ids
+    # Inside c0: only the splits of its two records hold the pair.
+    oracle.ask_batch([(1, 2)])
+    assert cache.drain_dirty_operations() == {Split(1, c0), Split(2, c0)}
+    # Across c0/c2: only their merge holds it.
+    oracle.ask_batch([(1, 5)])
+    assert cache.drain_dirty_operations() == {Merge(c0, c2)}
+
+    evaluations = cache.stats.evaluations
+    refreshes = cache.stats.refreshes
+    assert_matches_evaluator(
+        cache, OperationEvaluator(clustering, candidates, oracle, estimator),
+        clustering, candidates,
+    )
+    assert cache.stats.evaluations == evaluations  # refreshed in place
+    assert cache.stats.refreshes > refreshes
+
+
+def test_answer_outside_the_clustering_marks_nothing():
+    clustering, candidates, oracle, estimator, tracker, cache, _ = holder_state()
+    # A component oracle can be seeded with answers beyond its records.
+    oracle.seed_known({(2, 99): 1.0, (98, 99): 0.0})
+    assert cache.drain_dirty_operations() == set()
+    hits = cache.stats.hits
+    operations = enumerate_operations(clustering, candidates)
+    for operation in operations:
+        cache.cost(operation)
+    assert cache.stats.hits == hits + len(operations)
+
+
+def test_stale_holder_is_rebuilt_not_refreshed():
+    clustering, candidates, oracle, estimator, tracker, cache, ids = holder_state()
+    c0, _, c2 = ids
+    merge = Merge(c0, c2)
+    assert cache.cost(merge) == 1  # (1, 5) unknown
+    tracker.apply(clustering, Split(4, c2))  # c2 shrinks to {5}
+    oracle.ask_batch([(1, 5)])
+    # The merge still holds (1, 5) but its snapshot is stale: not marked.
+    assert cache.drain_dirty_operations() == set()
+
+    evaluations = cache.stats.evaluations
+    refreshes = cache.stats.refreshes
+    assert cache.cost(merge) == 0
+    assert cache.stats.evaluations == evaluations + 1
+    assert cache.stats.refreshes == refreshes
+    evaluator = OperationEvaluator(clustering, candidates, oracle, estimator)
+    assert cache.relevant_pairs(merge) == evaluator.relevant_pairs(merge)
+    assert cache.exact_benefit(merge) == evaluator.exact_benefit(merge)

@@ -1,11 +1,14 @@
-"""Tests for repro.core.partial_pivot — Algorithm 2, Equation 3, and the
-three Figure 2 cases of Section 4.2."""
+"""Tests for Partial-Pivot — Algorithm 2, Equation 3, and the three
+Figure 2 cases of Section 4.2.  The rounds run through
+``repro.reference.partial_pivot``, which derives its own pivots from the
+permutation and hands them to ``repro.core.partial_pivot``."""
 
 import pytest
 
-from repro.core.partial_pivot import partial_pivot, waste_estimates
+from repro.core.partial_pivot import waste_estimates
 from repro.core.permutation import Permutation
 from repro.pruning.graph import CandidateGraph
+from repro.reference import partial_pivot
 from tests.conftest import FIG2_EDGES, FIG2_IDS, fig2_candidates, fig2_oracle
 
 

@@ -243,16 +243,16 @@ def test_unknown_engine_rejected():
 
 
 def test_partial_pivot_rejects_half_supplied_precomputation():
-    """pivots and predicted_waste travel together or not at all."""
+    """pivots and predicted_waste are both required: the self-deriving
+    round lives only in repro.reference."""
     ids, candidates, fresh_oracle = random_pivot_state(3)
     graph = CandidateGraph(ids, candidates.pairs)
     permutation = Permutation.random(ids, seed=0)
     pivots = permutation.ordered(graph.vertices)[:1]
-    with pytest.raises(ValueError, match="together"):
-        partial_pivot(graph, 1, permutation, fresh_oracle(), pivots=pivots)
-    with pytest.raises(ValueError, match="together"):
-        partial_pivot(graph, 1, permutation, fresh_oracle(),
-                      predicted_waste=0)
+    with pytest.raises(TypeError, match="predicted_waste"):
+        partial_pivot(graph, 1, fresh_oracle(), pivots=pivots)
+    with pytest.raises(TypeError, match="pivots"):
+        partial_pivot(graph, 1, fresh_oracle(), predicted_waste=0)
 
 
 # ---------------------------------------------------------------------------
