@@ -39,8 +39,8 @@ bench-pivot:
 # clusterings, crowd-iteration and wall-clock speedups) on tiers up to
 # REPRO_BENCH_GENERATION_CAP and the refinement stage (classic PC-Refine
 # vs run_pipeline resumed from the classic generation checkpoint, on a
-# confused regeneration of the tier, refine_speedup /
-# refine_iteration_speedup, advisory classic-parity flag) on tiers up to
+# confused regeneration of the tier; the run fails unless both give the
+# same clustering, refine pairs and iterations) on tiers up to
 # REPRO_BENCH_REFINE_CAP.  Regenerates
 # BENCH_scale.json at the repo root with records/sec, pairs/sec, and
 # peak-RSS meters, at the 10k and 100k tiers the committed file holds.

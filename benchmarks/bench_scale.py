@@ -45,18 +45,14 @@ Refinement variants per tier (capped at ``REPRO_BENCH_REFINE_CAP``, on a
 gives the refine phase real over-/under-merge work; the clean default
 generator produces clusterings the phase barely touches):
 
-* ``refine-classic`` — the classic single-process PC-Refine loop.
-* ``refine-sharded`` — per-component PC-Refine inside the pre-pruned
-  ``run_pipeline``, resumed from the classic run's ``generation``
-  checkpoint, on a supervised pool of ``REPRO_BENCH_REFINE_PROCESSES``
-  worker processes, plus the merged-round replay
-  (:mod:`repro.core.refine_shard`).
-  Both variants refine the same classic generation-phase clustering.
-  ``refine_iteration_speedup`` is the crowd-latency win (sharded
-  iterations = the deepest component's round count);
-  ``refine_classic_identical`` records whether the sharded partition
-  matched the classic engine's bit for bit (guaranteed across sharded
-  configs, empirical vs classic — see ``repro/core/refine_shard.py``).
+* ``refine-classic`` — ``pc_refine`` called directly after PC-Pivot.
+* ``refine-pipelined`` — the pre-pruned ``run_pipeline``, resumed from
+  the classic run's ``generation`` checkpoint.  The pipeline refines
+  with the same global PC-Refine loop (Algorithm 5), so given the same
+  generation state its clustering, refine pairs and refine iterations
+  must equal the classic run's; ``refine_classic_identical`` records
+  that, and the benchmark fails when it is false.  Both entries carry
+  the same ``refine.*`` stage breakdown.
 
 Standalone (no pytest)::
 
@@ -81,8 +77,6 @@ Environment knobs:
                                    inline pool)
     REPRO_BENCH_REFINE_CAP         largest tier for the refinement stage
                                    (default 100000)
-    REPRO_BENCH_REFINE_PROCESSES   pool workers for refine-sharded
-                                   (default min(4, CPU count), as above)
     REPRO_BENCH_REFINE_CONFUSION   confusion knob for the refine-stage
                                    dataset (default 0.25)
 """
@@ -137,8 +131,6 @@ _DEFAULT_PROCESSES = str(min(4, os.cpu_count() or 1))
 PIVOT_PROCESSES = int(
     os.environ.get("REPRO_BENCH_PIVOT_PROCESSES", _DEFAULT_PROCESSES))
 REFINE_CAP = int(os.environ.get("REPRO_BENCH_REFINE_CAP", "100000"))
-REFINE_PROCESSES = int(
-    os.environ.get("REPRO_BENCH_REFINE_PROCESSES", _DEFAULT_PROCESSES))
 REFINE_CONFUSION = float(
     os.environ.get("REPRO_BENCH_REFINE_CONFUSION", "0.25"))
 SEED = 1
@@ -268,18 +260,17 @@ def _generation_stage(label, tier, dataset, candidates, runs, derived):
     return True
 
 
-def _measure_refine(dataset, candidates, *, processes=None):
+def _measure_refine(dataset, candidates, *, pipelined=False):
     """One refinement run from the classic generation clustering.
 
     The generation phase (untimed, identical across variants: same seed,
     pair-deterministic answers) produces the starting clustering and the
-    shared phase-2 answer set.  ``processes=None`` times the classic
-    ``pc_refine``; an integer writes the generation phase as a
-    checkpoint and times the pre-pruned ``run_pipeline`` resuming from
-    it on a pool of that many workers.  Returns (clustering,
-    refine_iterations, refine_pairs, timings); the timings carry the
-    engine's own per-stage breakdown plus an explicit ``total`` equal to
-    the refine wall-clock.
+    shared phase-2 answer set.  By default this times ``pc_refine``
+    directly; ``pipelined`` writes the generation phase as a checkpoint
+    and times the pre-pruned ``run_pipeline`` resuming from it.  Returns
+    (clustering, refine_iterations, refine_pairs, timings); the timings
+    carry the ``refine.*`` per-stage breakdown plus an explicit
+    ``total`` equal to the refine wall-clock.
     """
     import tempfile
 
@@ -291,7 +282,7 @@ def _measure_refine(dataset, candidates, *, processes=None):
     from repro.runtime.pipeline import run_pipeline
 
     timings = StageTimings()
-    if processes is None:
+    if not pipelined:
         oracle = CrowdOracle(_answers(dataset))
         clustering = pc_pivot(dataset.record_ids, candidates, oracle,
                               seed=SEED)
@@ -310,15 +301,15 @@ def _measure_refine(dataset, candidates, *, processes=None):
             with timings.stage("refine"):
                 result = run_pipeline(
                     _answers(dataset), record_ids=dataset.record_ids,
-                    candidates=candidates, workers=processes,
-                    checkpoints=store, resume=True, timings=timings,
+                    candidates=candidates, checkpoints=store, resume=True,
+                    timings=timings,
                 ).result
         clustering = result.clustering
         generation = result.generation_stats
         total = result.stats.snapshot()
-    # The engine's sub-stages (refine.free, refine.evaluate, ...)
-    # accumulated into the same StageTimings; pin the explicit total to
-    # the refine wall-clock so the breakdown does not double-count it.
+    # The refine.* sub-stages accumulated into the same StageTimings;
+    # pin the explicit total to the refine wall-clock so the breakdown
+    # does not double-count it.
     timings.add("total", timings.seconds("refine"))
     refine_pairs = int(total["pairs_issued"] - generation["pairs_issued"])
     timings.record_throughput("pairs_per_second", refine_pairs,
@@ -330,15 +321,14 @@ def _measure_refine(dataset, candidates, *, processes=None):
 
 
 def _refine_stage(label, tier, runs, derived):
-    """The refinement tier: classic vs component-decomposed PC-Refine.
+    """The refinement tier: PC-Refine direct vs through ``run_pipeline``.
 
     Regenerates the tier with the ``confusion`` knob (the clean dataset
     leaves the refine phase nothing to do) and prunes it, then refines
-    the same generation clustering under both engines.  Returns False
-    only on an internal benchmark failure; a sharded-vs-classic
-    partition difference is recorded (``refine_classic_identical``),
-    not failed — cross-*config* identity is the guaranteed contract and
-    the test suites pin it, classic parity is empirical.
+    the same generation clustering both ways.  Returns False — failing
+    the benchmark — when the pipelined run differs from the classic one
+    in clustering, refine pairs or refine iterations: both executors run
+    the same global PC-Refine loop.
     """
     dataset = generate_largescale(scale=tier / BASE_RECORDS, seed=SEED,
                                   confusion=REFINE_CONFUSION)
@@ -357,36 +347,26 @@ def _refine_stage(label, tier, runs, derived):
           f"{classic_pairs} pairs, {classic_iters} crowd iterations, "
           f"{len(classic)} clusters")
 
-    sharded, sharded_iters, sharded_pairs, sharded_timings = _measure_refine(
-        dataset, candidates, processes=REFINE_PROCESSES)
-    runs[f"{label}/refine-sharded"] = run_entry(
-        sharded_timings, records=tier, candidate_pairs=len(candidates),
-        pairs_issued=sharded_pairs, iterations=sharded_iters,
-        clusters=len(sharded), processes=REFINE_PROCESSES,
+    piped, piped_iters, piped_pairs, piped_timings = _measure_refine(
+        dataset, candidates, pipelined=True)
+    runs[f"{label}/refine-pipelined"] = run_entry(
+        piped_timings, records=tier, candidate_pairs=len(candidates),
+        pairs_issued=piped_pairs, iterations=piped_iters,
+        clusters=len(piped),
     )
-    identical = sharded.to_state() == classic.to_state()
-    speedup = (classic_timings.seconds("refine")
-               / max(sharded_timings.seconds("refine"), 1e-12))
-    derived[f"{label}/refine_speedup"] = round(speedup, 2)
-    # As with generation, the deployed cost of the phase is crowd
-    # latency: merged component rounds crowdsource every component's
-    # round-r batch simultaneously, so the sharded iteration count is
-    # the deepest component's round count.
-    iteration_speedup = classic_iters / max(sharded_iters, 1)
-    derived[f"{label}/refine_iteration_speedup"] = round(
-        iteration_speedup, 2)
+    identical = (piped.to_state() == classic.to_state()
+                 and (piped_pairs, piped_iters)
+                 == (classic_pairs, classic_iters))
     derived[f"{label}/refine_classic_identical"] = identical
-    print(f"{label}/refine-sharded: "
-          f"{sharded_timings.seconds('refine'):.2f}s "
-          f"({speedup:.1f}x wall, {iteration_speedup:.1f}x crowd "
-          f"iterations [{sharded_iters} vs {classic_iters}], "
-          f"{'identical' if identical else 'DIVERGED'} clustering, "
-          f"{sharded_pairs} vs {classic_pairs} pairs)")
+    print(f"{label}/refine-pipelined: "
+          f"{piped_timings.seconds('refine'):.2f}s, "
+          f"{piped_pairs} pairs, {piped_iters} crowd iterations, "
+          f"{'identical to' if identical else 'DIVERGED from'} classic")
     if not identical:
-        print(f"note: {label}: sharded refine partition differs from "
-              "classic (allowed — classic parity is empirical; "
-              "cross-config identity is covered by the test suites)")
-    return True
+        print(f"FAIL: {label}: pipelined refinement diverged from classic "
+              f"({piped_pairs} vs {classic_pairs} pairs, {piped_iters} vs "
+              f"{classic_iters} iterations)", file=sys.stderr)
+    return identical
 
 
 def main() -> int:
@@ -472,7 +452,6 @@ def main() -> int:
             "generation_cap": GENERATION_CAP,
             "pivot_processes": PIVOT_PROCESSES,
             "refine_cap": REFINE_CAP,
-            "refine_processes": REFINE_PROCESSES,
             "refine_confusion": REFINE_CONFUSION,
             "dataset": "largescale", "metric": "jaccard",
         },

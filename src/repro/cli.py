@@ -151,10 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", default=None, metavar="PATH",
                      help="also write the result metrics as JSON to PATH")
     run.add_argument("--pipeline", action="store_true",
-                     help="run ACD's crowd phases decomposed by connected "
-                          "component over one supervised worker pool "
-                          "(same generation clustering as the global "
-                          "run; crowd rounds count the deepest "
+                     help="run ACD's cluster generation decomposed by "
+                          "connected component over one supervised worker "
+                          "pool, then the same global PC-Refine (same "
+                          "generation clustering as the global run; "
+                          "generation crowd rounds count the deepest "
                           "component; ACD and PC-Pivot only)")
     run.add_argument("--pipeline-workers", type=int, default=0, metavar="N",
                      help="worker processes for the pipeline pool "

@@ -161,15 +161,15 @@ class CrowdPhases:
     and answer set ``A`` (Section 3).  :func:`run_acd` supplies PC-Pivot
     and PC-Refine as the two steps;
     :func:`repro.runtime.pipeline.run_pipeline` supplies its
-    component merge barrier and per-component refinement.  Everything
+    component merge barrier and the same PC-Refine.  Everything
     else lives here, once: picking the deepest checkpoint to restore,
     rebuilding the cost counters and oracle, the ``acd`` /
     ``generation`` / ``refinement`` spans, the two checkpoint saves,
     :class:`ACDResult` assembly, and the run manifest.
 
-    Construct it before any phase work — :attr:`runs_generation` and
-    :attr:`runs_refinement` tell the caller which steps :meth:`run` will
-    call — then :meth:`run` the steps and :meth:`finish` the run.
+    Construct it before any phase work — :attr:`runs_generation` tells
+    the caller whether :meth:`run` will call the generation step — then
+    :meth:`run` the steps and :meth:`finish` the run.
     """
 
     def __init__(self, answers, *, epsilon: float, threshold_divisor: float,
@@ -212,11 +212,6 @@ class CrowdPhases:
         """Will :meth:`run` call the generation step (no checkpoint)?"""
         return (self._restored_refinement is None
                 and self._restored_generation is None)
-
-    @property
-    def runs_refinement(self) -> bool:
-        """Will :meth:`run` call the refinement step?"""
-        return self.refine and self._restored_refinement is None
 
     def run(
         self, ids: Sequence[int], candidates: CandidateSet,

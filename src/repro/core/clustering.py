@@ -62,16 +62,6 @@ class Clustering:
         clone._next_id = self._next_id
         return clone
 
-    @property
-    def next_id(self) -> int:
-        """The id the next merge or split will be assigned.
-
-        Part of the determinism contract (merge tie-breaking and split
-        numbering depend on id order); exposed so coordinators can ship
-        it to workers without serializing the whole clustering.
-        """
-        return self._next_id
-
     # ------------------------------------------------------------------
     # Serialization (phase checkpoints)
     # ------------------------------------------------------------------

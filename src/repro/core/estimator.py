@@ -37,18 +37,14 @@ class HistogramEstimator:
         self._dirty = True
         self._epoch = 0
         # Sorted-snapshot bookkeeping: ``_sorted_obs`` is the observation
-        # list as of the last rebuild (reassigned, never mutated — safe
-        # to share across copies) and ``_fresh`` holds samples added
+        # list as of the last rebuild and ``_fresh`` holds samples added
         # since, keyed by pair so an overwrite of a *snapshotted* pair
         # can be detected and the snapshot discarded.  A rebuild then
         # merges the snapshot with the (few) fresh samples instead of
-        # re-sorting the full set — component refinement leans on
-        # this, rebuilding per crowdsourcing component.
+        # re-sorting the full set — PC-Refine leans on this, rebuilding
+        # after every crowd round.
         self._sorted_obs: Optional[List[Tuple[float, float]]] = None
         self._fresh: Dict[Pair, Tuple[float, float]] = {}
-        # Copy-on-write: when True, ``_samples`` is shared with another
-        # estimator and must be detached before the first mutation.
-        self._shared_samples = False
 
     @property
     def epoch(self) -> int:
@@ -64,12 +60,6 @@ class HistogramEstimator:
     def __len__(self) -> int:
         return len(self._samples)
 
-    def _detach(self) -> None:
-        """Materialize a private ``_samples`` dict before mutating."""
-        if self._shared_samples:
-            self._samples = dict(self._samples)
-            self._shared_samples = False
-
     def add_sample(self, pair: Pair, machine_score: float,
                    crowd_score: float) -> None:
         """Record one crowdsourced pair; marks the histogram for rebuild.
@@ -77,7 +67,6 @@ class HistogramEstimator:
         Re-adding the same pair overwrites its previous sample (idempotent
         with respect to replayed answers).
         """
-        self._detach()
         sample = (machine_score, crowd_score)
         if self._sorted_obs is not None:
             if pair in self._fresh:
@@ -96,36 +85,11 @@ class HistogramEstimator:
 
     def add_samples(self, samples: Dict[Pair, Tuple[float, float]]) -> None:
         """Bulk :meth:`add_sample`."""
-        self._detach()
         self._sorted_obs = None
         self._fresh.clear()
         self._samples.update(samples)
         self._dirty = True
         self._epoch += 1
-
-    def copy(self) -> "HistogramEstimator":
-        """An independent clone observationally detached from its source.
-
-        Cheap by construction: the sample dict is *shared* copy-on-write
-        (either side detaches with a shallow dict copy before its first
-        mutation), the sorted snapshot is shared outright (rebuilds
-        reassign it, never mutate it), and the bucket arrays likewise.
-        Cloning a clean estimator therefore costs a handful of pointer
-        copies, and only clones that go on to ingest samples ever pay
-        for a private dict — component refinement clones the global
-        histogram once per component, of which few crowdsource.
-        """
-        clone = HistogramEstimator(self.num_buckets)
-        clone._samples = self._samples
-        clone._shared_samples = self._shared_samples = True
-        clone._upper_bounds = self._upper_bounds
-        clone._bucket_means = self._bucket_means
-        clone._merged_counts = self._merged_counts
-        clone._sorted_obs = self._sorted_obs
-        clone._fresh = dict(self._fresh)
-        clone._dirty = self._dirty
-        clone._epoch = self._epoch
-        return clone
 
     def _rebuild(self) -> None:
         if self._sorted_obs is not None:

@@ -306,8 +306,8 @@ def apply_free_operations(
             (including destroyed cluster ids).
         on_apply: Optional callback invoked with each operation *about to
             be applied* (the clustering still in its pre-application
-            state) — lets component refinement journal applied operations
-            as id-independent record references for the merged replay.
+            state) — lets a caller observe every step against the
+            clustering it was applied to.
     """
     exact_benefit = evaluations.exact_benefit
     neighbors = cache.neighbors

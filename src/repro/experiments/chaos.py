@@ -223,7 +223,7 @@ def run_pipeline_process_faults(
 
     Runs the component-streaming pipelined executor
     (:func:`repro.runtime.pipeline.run_pipeline`) end to end — streamed
-    pruning, sealed-component pivot dispatch, shared-pool refinement —
+    pruning, sealed-component pivot dispatch, then global refinement —
     over a *confused* ``records``-sized largescale population once
     fault-free and once per fault kind in
     :data:`RUNTIME_PROCESS_FAULTS`.  Each row records three checks:
@@ -289,9 +289,8 @@ def run_pipeline_process_faults(
     plans = {
         "kill": ProcessFaultPlan.sample(shards, seed=seed,
                                         kills=faults_per_kind),
-        # No straggler deadline: pivot and refine tasks sleep on crowd
-        # latency by design, so the delay schedule is ridden out rather
-        # than raced.
+        # No straggler deadline: pivot tasks sleep on crowd latency by
+        # design, so the delay schedule is ridden out rather than raced.
         "delay": ProcessFaultPlan.sample(shards, seed=seed,
                                          delays=faults_per_kind,
                                          delay_seconds=0.6),

@@ -198,11 +198,12 @@ def run_method(
             phase-level crash safety (ACD / PC-Pivot only).
         resume: With ``checkpoints``, restore the generation phase from
             its checkpoint instead of re-running it when one exists.
-        pipeline: Run ACD's crowd phases decomposed by connected
+        pipeline: Run ACD's cluster generation decomposed by connected
             component through
             :func:`~repro.runtime.pipeline.run_pipeline` instead of
-            :func:`~repro.core.acd.run_acd` (ACD / PC-Pivot only — any
-            other method rejects it).
+            :func:`~repro.core.acd.run_acd`; refinement is the same
+            global PC-Refine either way (ACD / PC-Pivot only — any other
+            method rejects it).
         pipeline_workers: Worker processes for the pipeline pool
             (requires ``pipeline``).
     """

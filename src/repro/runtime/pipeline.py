@@ -2,12 +2,11 @@
 
 PC-Pivot only ever asks pivot-incident pairs, so cluster generation
 splits exactly along the connected components of ``G = (V_R, E_S)``
-(Lemmas 2 and 4), and refinement splits along the components of the
-candidate graph plus the clusters' own links.  :func:`run_pipeline` is
-the one executor that exploits this: it runs pruning, PC-Pivot, and
-PC-Refine as ``(phase, component)`` tasks over **one**
-:class:`~repro.runtime.supervisor.SupervisedPool`, streaming work
-downstream as its inputs seal:
+(Lemmas 2 and 4).  :func:`run_pipeline` is the one executor that
+exploits this: it runs pruning and PC-Pivot as ``(phase, component)``
+tasks over **one** :class:`~repro.runtime.supervisor.SupervisedPool`,
+streaming work downstream as its inputs seal, then refines with the
+global PC-Refine loop:
 
 - **Streamed pruning → pivot.**  Pruning shards are submitted first;
   each finished shard's surviving edges feed an incremental union-find
@@ -23,56 +22,58 @@ downstream as its inputs seal:
   while the remaining pruning shards still run.  With the
   ``record_ids`` + ``candidates`` entry (pruning already done) every
   component dispatches at once.
-- **Pivot → refine is a true barrier — by data dependency.**  Refine
-  workers need the *global* frozen histogram (built from all candidate
-  pairs plus the complete phase-2 answer set), the single budget ``T``
-  (global cluster and unknown-pair counts), and the merged clustering's
-  cluster ids (packing tie-breaks depend on them) — all functions of
-  every pivot component.  What the pipeline overlaps is inside the
-  phase: all refine components run concurrently on the already-forked
-  pool (no re-fork, no re-publish), with the late coordination state
-  shipped to live workers by ``state`` broadcasts.
-- **One oracle multiplexer.**  Workers resolve pairs against forked
-  copies of the caller's pair-deterministic answer source and return
-  plain round logs; the parent replays *merged rounds* through the
-  caller's oracle (:func:`repro.core.pivot_shard._merge_component_runs`,
-  :func:`repro.core.refine_shard._replay_component_runs`).  The replay
+- **Generation → refinement is a barrier, and refinement is global.**
+  PC-Refine (Algorithm 5) is one loop over all clusters: one
+  equi-depth histogram, one budget ``T = N_m / x`` per round, one
+  benefit-cost ranking across every cluster.  The parent therefore
+  drains the pool, merges the generation clustering, and runs
+  :func:`~repro.core.pc_refine.pc_refine` on it with the caller's
+  oracle — the same call :func:`~repro.core.acd.run_acd` makes, so the
+  two executors refine identically from the same generation state.
+- **Workers resolve generation pairs; the parent owns the oracle.**
+  Pivot workers resolve pairs against forked copies of the caller's
+  pair-deterministic answer source and return plain round logs; the
+  parent replays *merged rounds* through the caller's oracle
+  (:func:`repro.core.pivot_shard._merge_component_runs`).  The replay
   is the authoritative accounting — journal-compatible, stats-exact,
-  event-exact.
+  event-exact — and refinement asks the same oracle directly.
 
 Determinism contract: the generation clustering (cluster ids included)
 equals the global :func:`~repro.core.pc_pivot.pc_pivot`'s for the same
-permutation; crowd rounds are the deepest component's and crowd pairs
-the sum over components.  The final clustering, stats, diagnostics, and
-non-runtime event stream are byte-identical for every ``{pruning
-shards, workers, fault plan}`` and for either entry shape.
+permutation; generation crowd rounds are the deepest component's and
+its crowd pairs the sum over components.  The final clustering, stats,
+diagnostics, and non-runtime event stream are byte-identical for every
+``{pruning shards, workers, fault plan}`` and for either entry shape.
 Per-component round logs are pure functions of ``(component,
-permutation, epsilon | frozen budget + estimator, answer source)`` —
-scheduling, sealing order, and faults cannot perturb them — and both
-merges consume the logs in canonical component order.  The crowd
-phases run through the same :class:`~repro.core.acd.CrowdPhases` driver
-as :func:`~repro.core.acd.run_acd` — same spans, checkpoints, restore
+permutation, epsilon, answer source)`` — scheduling, sealing order, and
+faults cannot perturb them — and the merge consumes the logs in
+canonical component order.  The crowd phases run through the same
+:class:`~repro.core.acd.CrowdPhases` driver as
+:func:`~repro.core.acd.run_acd` — same spans, checkpoints, restore
 paths and result assembly — so the ``generation`` and ``refinement``
 checkpoints of :mod:`repro.runtime.checkpoint` are interchangeable
-between the two executors.
+between the two executors, and a run resumed from the same
+``generation`` checkpoint refines identically under either.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core import pivot_shard, refine_shard
+from repro.core import pivot_shard
 from repro.core.acd import ACDResult, CrowdPhases
 from repro.core.clustering import Clustering
 from repro.core.estimator import DEFAULT_NUM_BUCKETS
 from repro.core.pc_pivot import DEFAULT_EPSILON, PCPivotDiagnostics
-from repro.core.pc_refine import DEFAULT_THRESHOLD_DIVISOR, PCRefineDiagnostics
+from repro.core.pc_refine import (
+    DEFAULT_THRESHOLD_DIVISOR,
+    PCRefineDiagnostics,
+    pc_refine,
+)
 from repro.core.permutation import Permutation
-from repro.crowd.oracle import CrowdOracle
 from repro.obs import ObsContext, maybe_span
 from repro.perf.timing import StageTimings
 from repro.pruning.candidate import (
@@ -106,10 +107,9 @@ from repro.runtime.supervisor import (
 
 Pair = Tuple[int, int]
 
-#: Worker state captured at fork time, extended at runtime by ``state``
-#: broadcasts.  Shared structures (join plan, permutation, forked answer
-#: source, frozen estimator) ship once; per-task payloads carry only the
-#: component-local slice.
+#: Worker state captured at fork time.  Shared structures (join plan,
+#: permutation, forked answer source) ship once; per-task payloads carry
+#: only the component-local slice.
 _PIPELINE_STATE: Dict[str, object] = {}
 
 
@@ -132,9 +132,9 @@ class PipelineResult:
 def _execute_task(payload: Tuple) -> Any:
     """Dispatch one ``(phase, ...)`` task against the published state.
 
-    Pure: reads :data:`_PIPELINE_STATE` (fork snapshot plus any
-    broadcasts) and the payload only, so the parent's inline/degraded
-    paths compute byte-identical results.
+    Pure: reads :data:`_PIPELINE_STATE` (the fork snapshot) and the
+    payload only, so the parent's inline/degraded paths compute
+    byte-identical results.
     """
     state = _PIPELINE_STATE
     kind = payload[0]
@@ -153,16 +153,6 @@ def _execute_task(payload: Tuple) -> Any:
                 state["epsilon"], state["answers"],
             )
             for members, edges in payload[1]
-        ]
-    if kind == "refine":
-        return [
-            refine_shard._run_component(
-                entries, pairs, scores, known,
-                state["refine_next_id"], state["threshold"],
-                state["refine_budget"], state["ranking"],
-                state["refine_estimator"], state["answers"],
-            )
-            for entries, pairs, scores, known in payload[1]
         ]
     raise ValueError(f"unknown pipeline task kind {kind!r}")
 
@@ -213,8 +203,13 @@ def run_pipeline(
     :mod:`repro.runtime.autoshard`), ``workers`` (shared pool processes;
     ``<= 1`` runs inline), and ``timings`` (records the
     ``pipeline_bytes_shipped_total`` / ``pipeline_bytes_per_task``
-    dispatch-overhead meters).  ``checkpoints`` / ``resume`` (all three
-    phases), ``obs``, a
+    dispatch-overhead meters, and is forwarded to
+    :func:`~repro.core.pc_refine.pc_refine` for its ``refine.*``
+    stages).  The ``workers`` serve pruning and generation only: the
+    pool closes once generation drains, refinement runs the global
+    PC-Refine loop in this process, and a run resumed from a
+    ``generation`` checkpoint forks no pool.  ``checkpoints`` /
+    ``resume`` (all three phases), ``obs``, a
     :class:`~repro.crowd.persistence.JournalingAnswerFile` around
     ``answers``, and chaos ``fault_plan`` compose exactly as in
     :func:`~repro.core.acd.run_acd`: both drive the crowd phases through
@@ -280,14 +275,12 @@ def run_pipeline(
         if checkpoints is not None:
             checkpoints.save("pruning", candidate_state(candidates))
 
-    if workers > 1 and not fork_available():
+    if workers > 1 and phases.runs_generation and not fork_available():
         notify_parallel_fallback(obs, requested=workers,
                                  context="run_pipeline")
 
     oracle = phases.oracle
     source = oracle.source
-    fork_source = getattr(source, "fork_source", source)
-    need_tasks = phases.runs_generation or phases.runs_refinement
     pool: Optional[SupervisedPool] = None
     component_logs: Dict[int, list] = {}
     #: Pivot task index -> first member of each component it carries.
@@ -296,30 +289,27 @@ def run_pipeline(
     with maybe_span(obs, "pipeline", workers=workers,
                     pruning_shards=num_shards, records=len(ids)):
         try:
-            if need_tasks:
+            components: List[Tuple[int, ...]] = []
+            if phases.runs_generation:
                 # Publish the fork-time state *before* spawning workers:
                 # everything here (and, in the streamed path, the join
                 # plan published inside _streamed_pruning_phase before
                 # the factory runs) is inherited by fork, never pickled.
                 _PIPELINE_STATE.update(
                     permutation=permutation, epsilon=epsilon,
-                    ranking=ranking, answers=fork_source,
+                    answers=getattr(source, "fork_source", source),
                     threshold=(candidates.threshold
                                if candidates is not None else threshold),
                 )
 
-            def pool_factory() -> SupervisedPool:
-                nonlocal pool
-                pool = SupervisedPool(_execute_task, workers,
-                                      policy=supervisor_policy, obs=obs,
-                                      fault_plan=fault_plan,
-                                      label="pipeline",
-                                      state=_PIPELINE_STATE)
-                return pool
+                def pool_factory() -> SupervisedPool:
+                    nonlocal pool
+                    pool = SupervisedPool(_execute_task, workers,
+                                          policy=supervisor_policy, obs=obs,
+                                          fault_plan=fault_plan,
+                                          label="pipeline")
+                    return pool
 
-            components: List[Tuple[int, ...]] = []
-            prepared = None
-            if phases.runs_generation:
                 if candidates is None:
                     candidates, components = _streamed_pruning_phase(
                         pool_factory, records, similarity, threshold,
@@ -329,23 +319,18 @@ def run_pipeline(
                 else:
                     components = _dispatch_all_components(
                         pool_factory(), ids, candidates, pivot_of, obs)
-                if refine:
-                    # The clustering-independent half of the refine
-                    # partition needs only the candidate set, so it runs
-                    # while the tail pivot tasks still wait out their
-                    # crowd rounds.
-                    prepared = refine_shard.prepare_refine_partition(
-                        components, candidates)
-            elif need_tasks:
-                pool_factory()
 
             def generate(diagnostics: PCPivotDiagnostics) -> Clustering:
-                """The generation barrier: drain the pool, then replay
-                merged rounds through the caller's oracle."""
+                """The generation barrier: drain and close the pool, then
+                replay merged rounds through the caller's oracle."""
                 while pivot_of:
                     index, value = pool.next_result()
                     for key, logs in zip(pivot_of.pop(index), value):
                         component_logs[key] = logs
+                pool.close()
+                # The fork-time state (join plan included) has no reader
+                # left; free it before refinement allocates.
+                _PIPELINE_STATE.clear()
                 component_rounds = {
                     index: component_logs[members[0]]
                     for index, members in enumerate(components)
@@ -358,11 +343,12 @@ def run_pipeline(
 
             def refine_step(clustering: Clustering,
                             diagnostics: PCRefineDiagnostics) -> Clustering:
-                return _refine_phase(
-                    pool, clustering, candidates, oracle, len(ids),
-                    threshold_divisor, num_buckets, diagnostics, ranking,
-                    obs, source, prepared,
-                )
+                return pc_refine(clustering, candidates, oracle,
+                                 num_records=len(ids),
+                                 threshold_divisor=threshold_divisor,
+                                 num_buckets=num_buckets,
+                                 diagnostics=diagnostics, ranking=ranking,
+                                 obs=obs, timings=timings)
 
             result = phases.run(ids, candidates, generate, refine_step)
         finally:
@@ -581,71 +567,3 @@ def _dispatch_all_components(
                   dispatched=batcher.dispatched,
                   queue_depth=pool.outstanding)
     return components
-
-
-def _refine_phase(
-    pool: SupervisedPool, clustering: Clustering, candidates: CandidateSet,
-    oracle: CrowdOracle, num_records: int, threshold_divisor: float,
-    num_buckets: int, diagnostics: PCRefineDiagnostics, ranking: str,
-    obs, source, prepared=None,
-) -> Clustering:
-    """Phase C: per-component refinement on the shared, already-forked pool.
-
-    The coordination state that only exists now — the merged
-    clustering's id counter, the frozen budget ``T``, and the global
-    histogram — is broadcast to the live workers (fork carried
-    everything else), then every multi-vertex component runs
-    concurrently and the parent replays the merged rounds.
-    """
-    if prepared is None:
-        # Restore paths arrive here without the pre-drain index pass.
-        components, multi, multi_components, estimator, budget = (
-            refine_shard.build_refine_partition(
-                clustering, candidates, oracle, num_records,
-                threshold_divisor, num_buckets,
-            ))
-    else:
-        components, multi, multi_components, estimator, budget = (
-            refine_shard.finish_refine_partition(
-                prepared, clustering, candidates, oracle, num_records,
-                threshold_divisor, num_buckets,
-            ))
-    pool.broadcast("refine_next_id", clustering.next_id)
-    pool.broadcast("refine_budget", budget)
-    pool.broadcast("refine_estimator", estimator)
-    # LPT-pack the components into dispatch-sized group tasks (the same
-    # granularity reasoning as _PivotBatcher; refinement is a barrier,
-    # so packing can balance globally instead of streaming).
-    num_groups = min(len(multi_components), 64)
-    sized = sorted(
-        ((len(entries) + len(pairs), pos)
-         for pos, (entries, pairs, _, _) in enumerate(multi_components)),
-        key=lambda item: (-item[0], item[1]),
-    )
-    bins: List[List[int]] = [[] for _ in range(num_groups)]
-    heap = [(0, group) for group in range(num_groups)]
-    for size, pos in sized:
-        load, group = heapq.heappop(heap)
-        bins[group].append(pos)
-        heapq.heappush(heap, (load + size, group))
-    task_of: Dict[int, List[int]] = {}
-    for positions in bins:
-        if positions:
-            task_of[pool.submit(
-                ("refine", [multi_components[pos] for pos in positions])
-            )] = positions
-    if obs is not None:
-        obs.event("pipeline.refine_dispatch",
-                  components=len(multi_components), tasks=len(task_of),
-                  queue_depth=pool.outstanding)
-    component_runs: Dict[int, tuple] = {}
-    while task_of:
-        index, value = pool.next_result()
-        for pos, run in zip(task_of.pop(index), value):
-            component_runs[multi[pos]] = run
-    refine_shard._replay_component_runs(
-        clustering, components, component_runs, oracle, candidates,
-        estimator, budget, diagnostics, obs, source,
-    )
-    refine_shard.aggregate_refine_diagnostics(diagnostics, component_runs)
-    return clustering.canonicalize()

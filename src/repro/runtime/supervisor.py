@@ -27,11 +27,10 @@ duplex pipe each — and supervises every dispatched task:
   result is byte-identical — the run completes, slower, never wrong.
 
 The pool is long-lived: tasks are submitted as they become ready and
-collected in completion order, and a ``state`` broadcast extends the
-workers' fork-time globals — the component-streaming executor of
-:mod:`repro.runtime.pipeline` keeps one pool up across all three ACD
-phases this way.  :func:`supervised_map` is the one-shot wrapper the
-pruning layer uses.
+collected in completion order — the component-streaming executor of
+:mod:`repro.runtime.pipeline` keeps one pool up across pruning and
+cluster generation this way.  :func:`supervised_map` is the one-shot
+wrapper the pruning layer uses.
 
 Every decision is observable: ``runtime.worker_crash`` /
 ``runtime.task_retry`` / ``runtime.straggler_redispatch`` /
@@ -146,17 +145,14 @@ class RuntimeReport:
 
 
 def _worker_main(worker_fn: Callable[[Any], Any], conn,
-                 fault_plan: Optional[ProcessFaultPlan],
-                 state: Optional[Dict[str, Any]]) -> None:
+                 fault_plan: Optional[ProcessFaultPlan]) -> None:
     """Worker process body: serve tasks off the pipe until told to stop.
 
     Payloads arrive pickled (the parent serializes each one once, at
-    submission).  A ``("state", key, value)`` message extends the
-    fork-time ``state`` snapshot with values published after the fork;
-    pipe FIFO ordering delivers it before any task submitted afterwards.
-    Chaos faults are applied *here*, per (task, attempt), so the parent's
-    serial degradation path (which never enters this function) always
-    runs clean — that is the bottom rung of the degradation ladder.
+    submission).  Chaos faults are applied *here*, per (task, attempt),
+    so the parent's serial degradation path (which never enters this
+    function) always runs clean — that is the bottom rung of the
+    degradation ladder.
     """
     try:
         while True:
@@ -166,9 +162,6 @@ def _worker_main(worker_fn: Callable[[Any], Any], conn,
                 return
             if message[0] == "stop":
                 return
-            if message[0] == "state":
-                state[message[1]] = message[2]
-                continue
             _, index, attempt, blob = message
             directive = (fault_plan.directive(index, attempt)
                          if fault_plan is not None else None)
@@ -231,8 +224,7 @@ class SupervisedPool:
     Tasks are submitted as they become ready (:meth:`submit`) and
     collected in completion order (:meth:`next_result`); the pool stays
     up until :meth:`close`, so one fork can serve several phases.  Every
-    task runs the fault ladder of the module docstring.  Late-bound
-    coordination state reaches live workers through :meth:`broadcast`.
+    task runs the fault ladder of the module docstring.
 
     With ``processes <= 1`` or no ``fork`` start method the pool runs
     *inline*: tasks execute synchronously in submission order in the
@@ -249,15 +241,12 @@ class SupervisedPool:
         fault_plan: Deterministic chaos injected inside workers, keyed
             by task index (submission order).
         label: Pool name recorded on every event.
-        state: The module-global dict ``worker_fn`` reads; required for
-            :meth:`broadcast`.
     """
 
     def __init__(self, worker_fn: Callable[[Any], Any], processes: int,
                  policy: Optional[SupervisorPolicy] = None, obs=None,
                  fault_plan: Optional[ProcessFaultPlan] = None,
-                 label: str = "runtime",
-                 state: Optional[Dict[str, Any]] = None):
+                 label: str = "runtime"):
         if processes < 0:
             raise ValueError(f"processes must be >= 0, got {processes}")
         self._worker_fn = worker_fn
@@ -265,7 +254,6 @@ class SupervisedPool:
         self._policy = policy if policy is not None else SupervisorPolicy()
         self._observer = _Observer(obs, label)
         self._fault_plan = fault_plan
-        self._state = state
         self.report = RuntimeReport()
         #: Pickled payload bytes handed to the pool (each task once).
         self.bytes_shipped = 0
@@ -295,31 +283,12 @@ class SupervisedPool:
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main,
-            args=(self._worker_fn, child_conn, self._fault_plan,
-                  self._state),
+            args=(self._worker_fn, child_conn, self._fault_plan),
             daemon=True,
         )
         process.start()
         child_conn.close()
         return _Worker(process=process, conn=parent_conn)
-
-    def broadcast(self, key: str, value: Any) -> None:
-        """Publish late-bound state to the parent and every live worker.
-
-        The parent's ``state`` is set *first*: respawned workers fork
-        from parent memory after this point and inherit the value, and
-        the inline/degraded paths read it directly.  Live workers receive
-        a ``state`` message, which pipe FIFO ordering delivers before any
-        task submitted afterwards.
-        """
-        if self._state is None:
-            raise RuntimeError("broadcast needs a pool created with state=")
-        self._state[key] = value
-        for worker in self._workers:
-            try:
-                worker.conn.send(("state", key, value))
-            except (BrokenPipeError, OSError):
-                pass  # the crash handler reaps it on the next step
 
     def submit(self, payload: Any) -> int:
         """Queue a task; returns its index (also the fault-plan key)."""

@@ -1,18 +1,19 @@
-"""Sharded PC-Refine: cross-configuration byte-identity, classic parity, wiring.
+"""Pipelined ACD: cross-configuration byte-identity, classic parity, wiring.
 
-Component refinement runs inside :func:`~repro.runtime.pipeline.run_pipeline`
-(``run_method(..., pipeline=True)``).  Its identity contract (see
-``repro/core/refine_shard.py``): every ``{pruning shards, workers}``
+:func:`~repro.runtime.pipeline.run_pipeline` (``run_method(...,
+pipeline=True)``) decomposes pruning and cluster generation by
+component, then refines with the same global PC-Refine loop as
+:func:`~repro.core.acd.run_acd`.  Every ``{pruning shards, workers}``
 configuration produces a byte-identical clustering, crowd stats, and
-diagnostics.  Parity with the *classic* fast engine is empirical, not
-guaranteed; it holds on the paper's three datasets and is asserted for
-them here through the checkpoint route — classic generation writes a
-``generation`` checkpoint, and the pipeline resumes from it, so only
-refinement runs component by component.
+diagnostics.  Parity with the classic executor is exact given the same
+generation state, and is asserted here through the checkpoint route —
+classic generation writes a ``generation`` checkpoint, and the pipeline
+resumes from it, so only refinement runs under the pipeline.
 """
 
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -56,7 +57,7 @@ def _classic(instance, seed=SEED):
 
 
 def _classic_generation_then_sharded_refine(instance, seed=SEED, workers=0):
-    """Classic PC-Pivot, then component PC-Refine resumed from its
+    """Classic PC-Pivot, then the pipeline's PC-Refine resumed from its
     ``generation`` checkpoint (the pipeline adds a ``refinement`` one)."""
     with tempfile.TemporaryDirectory() as tmp:
         store = CheckpointStore(Path(tmp), config={"seed": seed})
@@ -123,6 +124,9 @@ class TestCrossConfigIdentity:
 
 
 class TestClassicParity:
+    """Resumed from the same ``generation`` checkpoint, the pipeline's
+    refinement equals ``run_acd``'s on every outcome key."""
+
     @pytest.mark.parametrize("name,scale", [
         ("paper", 0.3), ("restaurant", 0.5), ("product", 0.15),
     ])
@@ -130,16 +134,35 @@ class TestClassicParity:
         classic = _classic(_instance(name, scale=scale))
         sharded = _classic_generation_then_sharded_refine(
             _instance(name, scale=scale))
-        assert sharded["clustering"] == classic["clustering"]
-        assert sharded["stats"] == classic["stats"]
+        assert sharded == classic
 
     def test_sharded_matches_classic_at_largescale(self):
         instance = _instance(scale=0.5)
         classic = _classic(instance)
         sharded = _classic_generation_then_sharded_refine(
             _instance(scale=0.5), workers=2)
-        assert sharded["clustering"] == classic["clustering"]
-        assert sharded["stats"] == classic["stats"]
+        assert sharded == classic
+
+    def test_pipeline_matches_classic_on_confused_population(self):
+        # 10k confused records: refinement packs over many clusters for
+        # several rounds, so one histogram and one budget T per round
+        # (Algorithm 5) decide every ranking and stopping choice.
+        dataset = generate("largescale", scale=1.0, seed=0, confusion=0.25)
+        candidates = build_candidate_set(
+            dataset.records, jaccard_similarity_function(),
+            threshold=PRUNING_THRESHOLD,
+        )
+        crowd = WorkerPool(difficulty=difficulty_model("largescale"),
+                           num_workers=3)
+
+        def instance():
+            return SimpleNamespace(record_ids=dataset.record_ids,
+                                   candidates=candidates,
+                                   answers=AnswerFile(dataset.gold, crowd))
+
+        classic = _classic(instance())
+        assert classic["rounds"] >= 2
+        assert _classic_generation_then_sharded_refine(instance()) == classic
 
 
 class TestValidation:

@@ -195,14 +195,6 @@ class TestInterruptHygiene:
         assert _no_new_children(before) == []
 
 
-#: Module-global state the pool tests publish and broadcast into.
-_STATE = {}
-
-
-def _offset_square(value):
-    return value * value + _STATE.get("offset", 0)
-
-
 def _sleep_then_square(value):
     import time
 
@@ -213,24 +205,6 @@ def _sleep_then_square(value):
 class TestSupervisedPool:
     def _collect(self, pool, count):
         return dict(pool.next_result() for _ in range(count))
-
-    def test_broadcast_reaches_live_workers(self):
-        pool = SupervisedPool(_offset_square, 2, state=_STATE)
-        try:
-            first = [pool.submit(value) for value in range(4)]
-            assert self._collect(pool, 4) == {
-                index: value * value for index, value in enumerate(range(4))}
-            pool.broadcast("offset", 100)
-            later = [pool.submit(value) for value in range(4)]
-            results = self._collect(pool, 4)
-        finally:
-            pool.close()
-            _STATE.clear()
-        assert first == [0, 1, 2, 3] and later == [4, 5, 6, 7]
-        assert results == {index: value * value + 100
-                           for index, value in zip(later, range(4))}
-        assert pool.report.tasks == 8
-        assert pool.bytes_shipped > 0
 
     def test_one_process_runs_inline(self):
         before = multiprocessing.active_children()
@@ -254,10 +228,16 @@ class TestSupervisedPool:
             for value in PAYLOADS[:4]:
                 pool.submit(value)
             results = self._collect(pool, 4)
+            # The pool stays up: a second wave runs on the same workers.
+            for value in PAYLOADS[4:8]:
+                pool.submit(value)
+            results.update(self._collect(pool, 4))
         finally:
             pool.close()
-        assert [results[index] for index in range(4)] == EXPECTED[:4]
+        assert [results[index] for index in range(8)] == EXPECTED[:8]
         assert pool.report.straggler_redispatches >= 1
+        assert pool.report.tasks == 8
+        assert pool.bytes_shipped > 0
 
     def test_waiting_on_busy_workers_does_not_spin(self):
         """Regression: a queued task with every worker busy must block in
