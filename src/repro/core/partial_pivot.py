@@ -8,12 +8,20 @@ given the same permutation and the same crowd answers, the clusters produced
 are identical to sequential Crowd-Pivot's — parallelism costs only *wasted
 pairs* (edges the sequential algorithm would never have asked), and Equation
 3 bounds those ahead of time, before any crowdsourcing.
+
+A round has two halves around its crowd batch:
+:func:`pivot_incident_pairs` (what to ask) and :func:`form_clusters`
+(the clusters the answers imply).  :func:`partial_pivot` runs both around
+one ``ask_batch``; the lockstep component runner of
+:mod:`repro.core.pivot_shard` runs the first half for every component it
+carries, asks the union in one batch, then runs the second half per
+component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Set, Tuple
 
 from repro.crowd.oracle import CrowdOracle
 from repro.obs import maybe_span
@@ -103,7 +111,13 @@ def partial_pivot(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     with maybe_span(obs, "pivot.partial", k=k) as span:
-        result = _partial_pivot_round(graph, oracle, pivots, predicted_waste)
+        pairs = pivot_incident_pairs(graph, pivots)
+        answers = oracle.ask_batch(pairs)
+        result = PartialPivotResult(
+            clusters=form_clusters(graph, pivots, pairs, answers),
+            issued_pairs=tuple(pairs),
+            predicted_waste=predicted_waste,
+        )
         if obs is not None:
             span.set_attr("issued_pairs", len(result.issued_pairs))
             span.set_attr("clusters", len(result.clusters))
@@ -111,29 +125,42 @@ def partial_pivot(
     return result
 
 
-def _partial_pivot_round(
-    graph: CandidateGraph,
-    oracle: CrowdOracle,
-    pivots: List[int],
-    predicted_waste: int,
-) -> PartialPivotResult:
-    if not pivots:
-        return PartialPivotResult(clusters=(), issued_pairs=(),
-                                  predicted_waste=0)
-
-    # All candidate edges incident to any pivot, one crowd batch.
+def pivot_incident_pairs(graph: CandidateGraph,
+                         pivots: List[int]) -> List[Pair]:
+    """The first half of a round: every candidate edge incident to a
+    pivot, canonical and sorted — the round's one crowd batch."""
     issued: Set[Pair] = set()
     for pivot in pivots:
         for neighbor in graph.neighbors(pivot):
             issued.add((pivot, neighbor) if pivot < neighbor
                        else (neighbor, pivot))
-    ordered_pairs = sorted(issued)
-    answers = oracle.ask_batch(ordered_pairs)
+    return sorted(issued)
 
+
+def form_clusters(
+    graph: CandidateGraph,
+    pivots: List[int],
+    pairs: List[Pair],
+    answers: Mapping[Pair, float],
+) -> Tuple[FrozenSet[int], ...]:
+    """The second half of a round: replay sequential Crowd-Pivot cluster
+    formation on the answered subgraph, removing clustered vertices from
+    ``graph``.
+
+    Args:
+        graph: ``G_i``; it becomes ``G_{i+1}`` on return.
+        pivots: The round's pivots in permutation order.
+        pairs: The round's :func:`pivot_incident_pairs`.
+        answers: Crowd confidences covering at least ``pairs`` (it may
+            hold other rounds' or other components' pairs too).
+
+    Returns:
+        The clusters formed, in pivot order.
+    """
     # H_i: all live vertices, edges restricted to crowd-confirmed duplicates.
     confirmed: Dict[int, Set[int]] = {}
-    for pair, confidence in answers.items():
-        if confidence > 0.5:
+    for pair in pairs:
+        if answers[pair] > 0.5:
             a, b = pair
             confirmed.setdefault(a, set()).add(b)
             confirmed.setdefault(b, set()).add(a)
@@ -150,9 +177,4 @@ def _partial_pivot_round(
         clusters.append(frozenset(cluster))
         removed.update(cluster)
     graph.remove_vertices(removed)
-
-    return PartialPivotResult(
-        clusters=tuple(clusters),
-        issued_pairs=tuple(ordered_pairs),
-        predicted_waste=predicted_waste,
-    )
+    return tuple(clusters)

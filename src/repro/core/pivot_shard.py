@@ -1,4 +1,4 @@
-"""Component-decomposed PC-Pivot: the per-component body and the merge.
+"""Component-decomposed PC-Pivot: the lockstep task runner and the merge.
 
 Cluster generation decomposes exactly along connected components of the
 candidate graph: every pair Crowd-Pivot issues is pivot-incident, so
@@ -8,13 +8,19 @@ component) produces precisely the clusters the whole-graph run would —
 Lemma 2/4 applied component-wise.  The component-streaming executor of
 :mod:`repro.runtime.pipeline` exploits that with the two halves here:
 
-1. **Per component** — :func:`_run_component` runs the PC-Pivot loop over
-   one component's own :class:`~repro.pruning.graph.EagerCandidateGraph`
-   against a forked copy of the *pair-deterministic* answer source
-   (every process resolves a pair to the same confidence, so placement
-   cannot change any answer).  It returns the component's round log:
-   chosen ``k``, predicted waste, issued pairs, clusters, and the fresh
-   confidences.
+1. **Per task, in lockstep** — :func:`_run_components` runs the
+   PC-Pivot loop over every component a pool task carries, each on its
+   own :class:`~repro.pruning.graph.EagerCandidateGraph`, against a
+   forked copy of the *pair-deterministic* answer source (every process
+   resolves a pair to the same confidence, so placement cannot change
+   any answer).  Each round, every still-live component plans its own
+   pivots; the union of their pivot-incident pairs goes out as **one**
+   crowd batch, and each component forms its clusters from its own
+   pairs.  A task therefore waits out its deepest component's rounds,
+   not the sum over its components.  It returns one round log per
+   component: chosen ``k``, predicted waste, issued pairs, clusters, and
+   the fresh confidences — exactly the log that component would produce
+   run alone.
 2. **Merge** — :func:`_merge_component_runs` primes the parent's answer
    source with the worker confidences, then replays *merged rounds*
    through the caller's oracle: round ``r`` is the union of every
@@ -35,7 +41,10 @@ answers.  Round *accounting* (``CrowdStats`` batch boundaries, per-round
 diagnostics) follows the merged component-local rounds — the maximum
 and the sum over components of what a stand-alone PC-Pivot on each
 component would report — whereas the global engine's Equation-4 rounds
-couple components through the global permutation prefix.  The
+couple components through the global permutation prefix.  A
+component's round log is a pure function of ``(component, permutation,
+epsilon, answer source)``: which components share a task changes only
+the worker's wall-clock crowd waits, never a log.  The
 per-component ε waste bound still holds round by round, hence so does
 the global one (a sum of per-component bounds, every issued pair being
 fresh).
@@ -46,7 +55,11 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.clustering import Clustering
-from repro.core.partial_pivot import PartialPivotResult, partial_pivot
+from repro.core.partial_pivot import (
+    PartialPivotResult,
+    form_clusters,
+    pivot_incident_pairs,
+)
 from repro.core.pc_pivot import _finish_round
 from repro.core.permutation import Permutation
 from repro.core.pivot_engine import LiveVertexOrder, choose_pivots
@@ -80,45 +93,59 @@ def require_pair_deterministic(source) -> None:
         )
 
 
-def _run_component(
-    vertices: Sequence[int],
-    edges: Sequence[Pair],
+def _run_components(
+    groups: Sequence[Tuple[Sequence[int], Sequence[Pair]]],
     permutation: Permutation,
     epsilon: float,
     answers,
-) -> List[_RoundLog]:
-    """Run the fast PC-Pivot loop over one connected component.
+) -> List[List[_RoundLog]]:
+    """Run the PC-Pivot loop over ``(vertices, edges)`` components in
+    lockstep: one crowd batch per round for all of them.
 
-    A local throwaway oracle collects this component's answers; the
-    parent replays the returned log through the caller's oracle, which
-    is where the authoritative stats/journal/events accounting happens.
+    Components share no edge, so batching their rounds together changes
+    no component's pivots, pairs or clusters — only how many crowd round
+    trips the group waits out.  A local throwaway oracle collects the
+    answers; the parent replays the returned logs through the caller's
+    oracle, which is where the authoritative stats/journal/events
+    accounting happens.
+
+    Returns:
+        One round log per component, in ``groups`` order.
     """
-    graph = EagerCandidateGraph(vertices, edges)
-    # Rank-sort the component instead of filtering the global permutation
-    # (LiveVertexOrder's constructor is O(records); per-component that
-    # would be quadratic in the record count).
-    order = LiveVertexOrder.from_ranked(
-        sorted(vertices, key=permutation.rank))
     oracle = CrowdOracle(answers)
-    rounds: List[_RoundLog] = []
-    while not graph.is_empty():
-        ordered = order.live()
-        live_before = len(ordered)
-        epoch = oracle.answer_epoch
-        k, estimates = choose_pivots(graph, ordered, epsilon)
-        result = partial_pivot(graph, k, oracle, pivots=ordered[:k],
-                               predicted_waste=sum(estimates))
-        clusters = []
-        for cluster in result.clusters:
-            clusters.append(tuple(sorted(cluster)))
-            order.discard(cluster)
-        fresh = tuple(
-            (a, b, oracle.known_confidence(a, b))
-            for a, b in oracle.answers_since(epoch)
-        )
-        rounds.append((k, result.predicted_waste, result.issued_pairs,
-                       live_before, len(graph), tuple(clusters), fresh))
-    return rounds
+    runs = []
+    for vertices, edges in groups:
+        # Rank-sort the component instead of filtering the global
+        # permutation (LiveVertexOrder's constructor is O(records);
+        # per-component that would be quadratic in the record count).
+        order = LiveVertexOrder.from_ranked(
+            sorted(vertices, key=permutation.rank))
+        runs.append((EagerCandidateGraph(vertices, edges), order, []))
+    live = [run for run in runs if not run[0].is_empty()]
+    while live:
+        planned = []
+        batch: List[Pair] = []
+        for graph, order, _ in live:
+            ordered = order.live()
+            k, estimates = choose_pivots(graph, ordered, epsilon)
+            pivots = ordered[:k]
+            pairs = pivot_incident_pairs(graph, pivots)
+            planned.append((k, sum(estimates), len(ordered), pivots, pairs))
+            batch.extend(pairs)
+        confidences = oracle.ask_batch(batch)
+        for (graph, order, rounds), (k, waste, live_before, pivots, pairs) \
+                in zip(live, planned):
+            clusters = form_clusters(graph, pivots, pairs, confidences)
+            for cluster in clusters:
+                order.discard(cluster)
+            # Every issued pair is fresh: each pivot leaves the graph in
+            # its own round, and no two components share a pair.
+            fresh = tuple((a, b, confidences[(a, b)]) for a, b in pairs)
+            rounds.append((k, waste, tuple(pairs), live_before, len(graph),
+                           tuple(tuple(sorted(c)) for c in clusters),
+                           fresh))
+        live = [run for run in live if not run[0].is_empty()]
+    return [rounds for _, _, rounds in runs]
 
 
 def _merge_component_runs(

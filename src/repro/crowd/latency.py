@@ -108,7 +108,9 @@ class _SleepingForkSource:
     Implements ``confidence_batch`` so a worker's local oracle delivers
     each crowd round in one call — and that call sleeps ``round_seconds``
     once, the wall-clock cost of posting the round and waiting for the
-    crowd.  Answers themselves come from the wrapped source, so a
+    crowd.  A pivot task batches every component it carries into one
+    round, so the sleep is once per task round, not once per component
+    round.  Answers themselves come from the wrapped source, so a
     latency-injected run resolves byte-identical confidences.
     """
 
@@ -139,12 +141,13 @@ class SimulatedLatencyAnswers:
     if every crowd round actually *takes time*; this wrapper makes the
     makespan benchmarks honest.  Worker processes see
     :attr:`fork_source` — a view whose ``confidence_batch`` sleeps
-    ``round_seconds`` per crowd round — so concurrently-active
-    components wait out their rounds in parallel, exactly like
-    concurrently-posted HIT batches.  The wrapper itself (what the
-    parent's merged-round replay uses) deliberately does **not**
-    implement ``confidence_batch``: replayed rounds are primed memo
-    lookups and must stay free, or latency would be double-counted.
+    ``round_seconds`` per crowd round.  A pivot task posts one round for
+    all the components it carries, and concurrent tasks wait out their
+    rounds in parallel, exactly like concurrently-posted HIT batches.
+    The wrapper itself (what the parent's merged-round replay uses)
+    deliberately does **not** implement ``confidence_batch``: replayed
+    rounds are primed memo lookups and must stay free, or latency would
+    be double-counted.
 
     Answers delegate to the wrapped source, so latency-injected and
     plain runs are byte-identical in everything but elapsed time.

@@ -16,10 +16,13 @@ global PC-Refine loop:
   shards of its prefix tokens
   (:func:`~repro.pruning.shard.record_shard_touch_masks`); once every
   shard in a component's combined mask is done, the component is
-  *sealed* — no future edge can reach it or merge it — and its
-  per-component fast PC-Pivot task
-  (:func:`repro.core.pivot_shard._run_component`) dispatches immediately
-  while the remaining pruning shards still run.  With the
+  *sealed* — no future edge can reach it or merge it — and it
+  dispatches to PC-Pivot immediately while the remaining pruning shards
+  still run.  Sealed components are grouped into pivot tasks, and a task
+  runs its components in lockstep
+  (:func:`repro.core.pivot_shard._run_components`): one crowd batch per
+  round for the whole group, so a worker waits out its deepest
+  component's rounds rather than the sum over its components.  With the
   ``record_ids`` + ``candidates`` entry (pruning already done) every
   component dispatches at once.
 - **Generation → refinement is a barrier, and refinement is global.**
@@ -45,9 +48,9 @@ its crowd pairs the sum over components.  The final clustering, stats,
 diagnostics, and non-runtime event stream are byte-identical for every
 ``{pruning shards, workers, fault plan}`` and for either entry shape.
 Per-component round logs are pure functions of ``(component,
-permutation, epsilon, answer source)`` — scheduling, sealing order, and
-faults cannot perturb them — and the merge consumes the logs in
-canonical component order.  The crowd phases run through the same
+permutation, epsilon, answer source)`` — task grouping, scheduling,
+sealing order, and faults cannot perturb them — and the merge consumes
+the logs in canonical component order.  The crowd phases run through the same
 :class:`~repro.core.acd.CrowdPhases` driver as
 :func:`~repro.core.acd.run_acd` — same spans, checkpoints, restore
 paths and result assembly — so the ``generation`` and ``refinement``
@@ -144,16 +147,14 @@ def _execute_task(payload: Tuple) -> Any:
             state["metric"], state["threshold"], state["pair_block_size"],
         )
     if kind == "pivot":
-        # One task = one *group* of sealed components, run back-to-back
-        # to amortize dispatch (a lone small component costs more in
-        # pickling and pipe traffic than in pivot rounds).
-        return [
-            pivot_shard._run_component(
-                members, edges, state["permutation"],
-                state["epsilon"], state["answers"],
-            )
-            for members, edges in payload[1]
-        ]
+        # One task = one *group* of sealed components, run in lockstep:
+        # one crowd batch per round for the whole group (and a lone
+        # small component costs more in pickling and pipe traffic than
+        # in pivot rounds).
+        return pivot_shard._run_components(
+            payload[1], state["permutation"], state["epsilon"],
+            state["answers"],
+        )
     raise ValueError(f"unknown pipeline task kind {kind!r}")
 
 

@@ -9,9 +9,12 @@ duplex pipe each — and supervises every dispatched task:
 
 - **Crash detection.**  Worker process sentinels are part of the event
   loop; a dead worker (non-zero exitcode, broken pipe) is detected
-  immediately, its in-flight task is recovered, and a replacement worker
-  is forked (bounded by ``max_worker_respawns``, and never beyond the
-  number of unresolved tasks).
+  immediately and its in-flight task is recovered.  A worker a chaos
+  kill directive took down is always replaced, so ``worker_respawns``
+  counts exactly the plan's kills, whatever the schedule; other lost
+  workers are refilled only while unresolved tasks outnumber live
+  workers, and are not counted as respawns.  Both draw on the
+  ``max_worker_respawns`` budget.
 - **Deadlines / stragglers.**  With ``task_deadline_s`` set, a task that
   outlives its deadline is re-dispatched to another worker; the first
   result wins.  Workers are pure functions, so duplicate execution is
@@ -129,6 +132,7 @@ class RuntimeReport:
     task_retries: int = 0
     straggler_redispatches: int = 0
     straggler_terminations: int = 0
+    #: Replacements for workers a fault-plan kill directive took down.
     worker_respawns: int = 0
     degraded_serial: int = 0
 
@@ -269,6 +273,10 @@ class SupervisedPool:
         self._ready: Deque[Tuple[int, Any]] = deque()
         self._outstanding = 0
         self._workers: List[_Worker] = []
+        #: Workers forked to replace lost ones (the respawn budget), and
+        #: directive-killed workers not yet replaced.
+        self._replacements = 0
+        self._owed_respawns = 0
         self._inline = processes <= 1 or not _fork_available()
         if not self._inline:
             self._context = multiprocessing.get_context("fork")
@@ -366,18 +374,29 @@ class SupervisedPool:
             self._degrade(index)
 
     def _respawn_if_short(self) -> None:
-        """Replace lost workers, never beyond the unresolved task count."""
+        """Replace lost workers within the respawn budget.
+
+        A directive-killed worker is always replaced (its task's retry
+        is still owed), so the respawn count is a function of the fault
+        plan alone.  Any other shortfall is refilled only up to the
+        unresolved task count, and is not counted as a respawn: whether
+        it arises depends on how many tasks were still open at the crash.
+        """
         unresolved = len(self._payloads) - len(self._resolved)
-        while (len(self._workers) < min(self._processes, unresolved)
-               and self.report.worker_respawns
-               < self._policy.max_worker_respawns):
-            self.report.worker_respawns += 1
+        while (self._replacements < self._policy.max_worker_respawns
+               and (self._owed_respawns
+                    or len(self._workers) < min(self._processes,
+                                                unresolved))):
+            self._replacements += 1
             replacement = self._spawn()
             self._workers.append(replacement)
-            self._observer.record(
-                "runtime_worker_respawns_total", "runtime.worker_respawn",
-                pid=replacement.process.pid,
-            )
+            if self._owed_respawns:
+                self._owed_respawns -= 1
+                self.report.worker_respawns += 1
+                self._observer.record(
+                    "runtime_worker_respawns_total",
+                    "runtime.worker_respawn", pid=replacement.process.pid,
+                )
 
     def _remove(self, worker: _Worker) -> None:
         self._workers.remove(worker)
@@ -479,6 +498,10 @@ class SupervisedPool:
             )
             if worker.task is not None:
                 index, attempt, _ = worker.task
+                directive = (self._fault_plan.directive(index, attempt)
+                             if self._fault_plan is not None else None)
+                if directive is not None and directive.kind == "kill":
+                    self._owed_respawns += 1
                 self._inflight[index] -= 1
                 self._handle_failure(None, index, attempt, "worker-crash")
         self._reap_stragglers()

@@ -75,6 +75,20 @@ class TestChaosSuiteChecks:
         assert by_kind["poison"]["runtime_counters"].get(
             "runtime_task_retries_total", 0) >= 1
 
+    def test_kill_row_counters_repeat_exactly(self):
+        """The pruning kill row of ``CHAOS_smoke.json`` compares exactly:
+        every directive-killed worker is replaced, so its respawn count
+        is the plan's kill count on every run."""
+        rows = [
+            next(check for check in run_runtime_process_faults()
+                 if check["fault"] == "kill")
+            for _ in range(2)
+        ]
+        assert rows[0] == rows[1]
+        counters = rows[0]["runtime_counters"]
+        assert counters["runtime_worker_respawns_total"] == 2
+        assert counters["runtime_worker_crashes_total"] == 2
+
     def test_pipeline_fault_matrix(self):
         checks = run_pipeline_process_faults(records=2_000,
                                              faults_per_kind=1)

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.crowd.cache import AnswerFile
+from repro.crowd.latency import SimulatedLatencyAnswers
 from repro.crowd.persistence import JournalingAnswerFile
 from repro.crowd.worker import WorkerPool
 from repro.datasets.registry import generate
@@ -106,6 +107,8 @@ def _pipeline_outcome(pruning_shards=4, workers=0, fault_plan=None,
         "batches": list(result.stats.batch_sizes),
         "generation_stats": result.generation_stats,
         "refinement_stats": result.refinement_stats,
+        "pivot_diagnostics": result.pivot_diagnostics.to_state(),
+        "refine_diagnostics": result.refine_diagnostics.to_state(),
         # Scheduling telemetry (pipeline.* events, runtime counters and
         # events) legitimately varies with the configuration; the crowd
         # phases' event stream must not.
@@ -142,6 +145,8 @@ def _barrier_core():
         "batches": list(result.stats.batch_sizes),
         "generation_stats": result.generation_stats,
         "refinement_stats": result.refinement_stats,
+        "pivot_diagnostics": result.pivot_diagnostics.to_state(),
+        "refine_diagnostics": result.refine_diagnostics.to_state(),
     }
 
 
@@ -182,7 +187,7 @@ class TestFaultByteIdentity:
         plans = {
             "kill": ProcessFaultPlan.sample(6, seed=1, kills=2),
             # The pipeline rides out delays rather than racing
-            # stragglers (pivot/refine tasks sleep on crowd latency),
+            # stragglers (pivot tasks sleep on crowd latency),
             # so the plain policy applies to every kind.
             "delay": ProcessFaultPlan.sample(6, seed=1, delays=2,
                                              delay_seconds=0.5),
@@ -200,6 +205,29 @@ class TestFaultByteIdentity:
         )
         assert outcome["counters"].get("runtime_worker_crashes_total",
                                        0) >= 1
+
+
+class TestSimulatedLatency:
+    def test_latency_injected_pool_run_matches_inline_and_plain(self):
+        """Under simulated crowd latency a pool task sleeps once per
+        lockstep round for all its components; that changes only wall
+        clock.  The pooled run equals the inline run and a plain-answers
+        run in clustering, stats, diagnostics (the refinement evaluation
+        cache counters included), crowd-phase events and counters."""
+        def view(workers, latency):
+            answers = AnswerFile(_DATASET.gold, _WORKERS)
+            if latency:
+                answers = SimulatedLatencyAnswers(answers, 0.002)
+            outcome = _pipeline_outcome(workers=workers, answers=answers)
+            outcome["counters"] = {
+                name: value for name, value in outcome["counters"].items()
+                if not name.startswith(("runtime_", "pipeline_"))}
+            return outcome
+
+        pooled = view(workers=2, latency=True)
+        assert pooled["refine_diagnostics"]["evaluation_cache"]
+        assert pooled == view(workers=0, latency=True)
+        assert pooled == view(workers=2, latency=False)
 
 
 class TestJournalComposition:

@@ -90,6 +90,20 @@ class TestWorkerKill:
                                    policy=FAST, fault_plan=plan)
         assert report.worker_respawns >= 1
 
+    def test_respawns_count_exactly_the_directive_kills(self):
+        """Whether a lost worker is needed again depends on how many
+        tasks were still open when it died; a directive-killed worker is
+        replaced regardless, so the count repeats under any schedule."""
+        plan = ProcessFaultPlan(kill_tasks=frozenset({1, 10, 11}))
+        for _ in range(3):
+            obs = ObsContext()
+            _, report = supervised_map(_square, PAYLOADS, processes=3,
+                                       policy=FAST, fault_plan=plan,
+                                       obs=obs)
+            assert report.worker_respawns == 3
+            assert _runtime_counters(obs)[
+                "runtime_worker_respawns_total"] == 3
+
     def test_no_child_processes_survive(self):
         before = multiprocessing.active_children()
         plan = ProcessFaultPlan(kill_tasks=frozenset({2, 5}))
