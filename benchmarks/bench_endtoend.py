@@ -8,6 +8,12 @@ Standalone (no pytest)::
 
     REPRO_BENCH_SCALE=0.3 python benchmarks/bench_endtoend.py
 
+Stage tables are span rollups of a harness-only
+:class:`~repro.obs.ObsContext`: each stage is a harness span around a
+call that never receives that context, so every timed run (both sides
+of each makespan A/B) stays untraced — except ``acd_traced``, which
+streams its own trace to disk to measure the tracing overhead.
+
 The ``acd_reference`` stage swaps PC-Refine for its full-re-evaluation
 oracle and ``acd_pivot_reference`` swaps PC-Pivot for its per-round
 re-derivation oracle (both from ``repro.reference``); each asserts the
@@ -55,6 +61,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from common import in_fork  # noqa: E402
 from repro.core.pc_pivot import pc_pivot  # noqa: E402
 from repro.core.pc_refine import pc_refine  # noqa: E402
 from repro.eval.metrics import pairwise_scores  # noqa: E402
@@ -68,6 +75,7 @@ from repro.perf.timing import (  # noqa: E402
     StageTimings,
     bench_payload,
     run_entry,
+    stage_seconds,
     write_bench_json,
 )
 from repro.reference import run_acd as reference_acd  # noqa: E402
@@ -94,37 +102,6 @@ PIPELINE_CONFUSION = float(os.environ.get("REPRO_BENCH_PIPELINE_CONFUSION",
                                           "0.25"))
 
 
-def _in_fork(fn):
-    """Run ``fn`` in a forked child process and return its result.
-
-    Each timed side of the makespan comparison gets a pristine process:
-    neither side's measurement is taxed by the other side's leftover
-    heap (fork page-faults, GC pressure), and the order the two sides
-    run in stops mattering.
-    """
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-
-    def _target() -> None:
-        try:
-            payload = ("ok", fn())
-        except BaseException as exc:
-            payload = ("err", f"{type(exc).__name__}: {exc}")
-        sender.send(payload)
-        sender.close()
-
-    proc = ctx.Process(target=_target)
-    proc.start()
-    sender.close()
-    status, payload = receiver.recv()
-    proc.join()
-    if status != "ok":
-        raise RuntimeError(f"benchmark stage failed in fork: {payload}")
-    return payload
-
-
 def pipelined_stage(runs: dict) -> dict:
     """Barrier vs pipelined makespan under one crowd-latency model."""
     from repro.crowd.cache import AnswerFile
@@ -149,45 +126,47 @@ def pipelined_stage(runs: dict) -> dict:
                                        PIPELINE_LATENCY)
 
     def barrier_side():
-        side = StageTimings()
-        with side.stage("barrier_pruning"):
+        harness, meters = ObsContext(), StageTimings()
+        with harness.span("barrier_pruning"):
             candidates = build_candidate_set(
                 dataset.records, jaccard_similarity_function(),
                 threshold=PRUNING_THRESHOLD, shards=PIPELINE_SHARDS,
                 parallel=PIPELINE_WORKERS,
             )
-        with side.stage("barrier_acd"):
+        with harness.span("barrier_acd"):
             barrier = run_pipeline(
                 latency_answers(), record_ids=dataset.record_ids,
                 candidates=candidates, seed=SEED,
                 workers=PIPELINE_WORKERS,
             ).result
-        side.record_peak_rss("barrier_peak_rss_bytes")
-        return side, (candidates.pairs, barrier.clustering.to_state(),
-                      barrier.stats.snapshot(),
-                      list(barrier.stats.batch_sizes))
+        meters.record_peak_rss("barrier_peak_rss_bytes")
+        return (harness.tracer.span_summaries(), meters,
+                (candidates.pairs, barrier.clustering.to_state(),
+                 barrier.stats.snapshot(), list(barrier.stats.batch_sizes)))
 
     def pipelined_side():
-        side = StageTimings()
-        with side.stage("pipelined"):
+        harness, meters = ObsContext(), StageTimings()
+        with harness.span("pipelined"):
             piped = run_pipeline(
                 latency_answers(), records=dataset.records,
                 similarity=jaccard_similarity_function(),
                 threshold=PRUNING_THRESHOLD,
                 pruning_shards=PIPELINE_SHARDS,
-                workers=PIPELINE_WORKERS, seed=SEED, timings=side,
+                workers=PIPELINE_WORKERS, seed=SEED, timings=meters,
             )
-        side.record_peak_rss()
+        meters.record_peak_rss()
         meta = dict(candidate_pairs=len(piped.candidates),
                     clusters=len(piped.result.clustering),
                     pool=piped.report.as_dict())
-        return side, (piped.candidates.pairs,
-                      piped.result.clustering.to_state(),
-                      piped.result.stats.snapshot(),
-                      list(piped.result.stats.batch_sizes)), meta
+        return (harness.tracer.span_summaries(), meters,
+                (piped.candidates.pairs,
+                 piped.result.clustering.to_state(),
+                 piped.result.stats.snapshot(),
+                 list(piped.result.stats.batch_sizes)), meta)
 
-    barrier_timings, barrier_fp = _in_fork(barrier_side)
-    pipelined_timings, piped_fp, piped_meta = _in_fork(pipelined_side)
+    barrier_stages, barrier_meters, barrier_fp = in_fork(barrier_side)
+    piped_stages, piped_meters, piped_fp, piped_meta = in_fork(
+        pipelined_side)
 
     assert piped_fp[0] == barrier_fp[0], \
         "pipelined pruning must match the barrier candidate set"
@@ -198,18 +177,17 @@ def pipelined_stage(runs: dict) -> dict:
     assert piped_fp[3] == barrier_fp[3], \
         "pipelined crowd rounds must be byte-identical to barrier"
 
-    timings = StageTimings()
-    for name, seconds in {**barrier_timings.as_dict(),
-                          **pipelined_timings.as_dict()}.items():
-        timings.add(name, seconds)
-    for name, value in {**barrier_timings.meters,
-                        **pipelined_timings.meters}.items():
-        timings.set_meter(name, value)
+    stages = barrier_stages + piped_stages
+    meters = StageTimings()
+    for name, value in {**barrier_meters.meters,
+                        **piped_meters.meters}.items():
+        meters.set_meter(name, value)
 
-    prune_s = timings.seconds("barrier_pruning")
-    acd_s = timings.seconds("barrier_acd")
+    seconds = stage_seconds(stages)
+    prune_s = seconds["barrier_pruning"]
+    acd_s = seconds["barrier_acd"]
     barrier_s = prune_s + acd_s
-    pipelined_s = timings.seconds("pipelined")
+    pipelined_s = seconds["pipelined"]
     speedup = barrier_s / pipelined_s if pipelined_s > 0 else 1.0
     # The pipeline can hide at most the shorter of the two phases it
     # overlaps (pruning compute vs the crowd phases); efficiency is the
@@ -218,7 +196,7 @@ def pipelined_stage(runs: dict) -> dict:
     efficiency = ((barrier_s - pipelined_s) / hidable
                   if hidable > 0 else 0.0)
     runs["pipelined"] = run_entry(
-        timings,
+        stages, meters,
         records=len(dataset.record_ids),
         workers=PIPELINE_WORKERS,
         pruning_shards=PIPELINE_SHARDS,
@@ -253,8 +231,8 @@ def main() -> int:
     reference_total = 0.0
     pivot_reference_total = 0.0
     for dataset_name in (DATASETS if "classic" in STAGES else ()):
-        timings = StageTimings()
-        with timings.stage("pruning"):
+        harness, meters = ObsContext(), StageTimings()
+        with harness.span("total"), harness.span("pruning"):
             instance = prepare_instance(
                 dataset_name, SETTING, scale=SCALE, seed=SEED,
                 parallel=PARALLEL,
@@ -262,49 +240,55 @@ def main() -> int:
         # Untimed warm-up: the first run populates the lazy answer file,
         # which would otherwise be billed to whichever stage runs first.
         run_method(ACD_METHOD, instance, seed=SEED)
-        with timings.stage("acd"):
-            result = run_method(ACD_METHOD, instance, seed=SEED)
-        # The same pipeline under the full-re-evaluation refinement oracle:
-        # the delta is the incremental PC-Refine's end-to-end win.
-        with timings.stage("acd_reference"):
-            reference = _acd_with_oracle(instance, generation=pc_pivot)
-        assert reference == (result.pairs_issued, result.f1), \
-            "the refinement oracle must agree"
-        # And under the per-round re-derivation pivot oracle: the delta is
-        # the incremental pivot order's end-to-end win.
-        with timings.stage("acd_pivot_reference"):
-            pivot_reference = _acd_with_oracle(instance, refinement=pc_refine)
-        assert pivot_reference == (result.pairs_issued, result.f1), \
-            "the pivot oracle must agree"
-        # Same run again under full observability (spans + metrics + JSONL
-        # stream to disk) — the delta is the tracing overhead.
-        with tempfile.TemporaryDirectory() as tmpdir:
-            with timings.stage("acd_traced"):
-                with ObsContext.to_path(Path(tmpdir) / "bench.trace.jsonl") as obs:
-                    traced = run_method(ACD_METHOD, instance, seed=SEED,
-                                        obs=obs)
+        with harness.span("total"):
+            with harness.span("acd"):
+                result = run_method(ACD_METHOD, instance, seed=SEED)
+            # The same pipeline under the full-re-evaluation refinement
+            # oracle: the delta is the incremental PC-Refine's end-to-end
+            # win.
+            with harness.span("acd_reference"):
+                reference = _acd_with_oracle(instance, generation=pc_pivot)
+            assert reference == (result.pairs_issued, result.f1), \
+                "the refinement oracle must agree"
+            # And under the per-round re-derivation pivot oracle: the delta
+            # is the incremental pivot order's end-to-end win.
+            with harness.span("acd_pivot_reference"):
+                pivot_reference = _acd_with_oracle(instance,
+                                                   refinement=pc_refine)
+            assert pivot_reference == (result.pairs_issued, result.f1), \
+                "the pivot oracle must agree"
+            # Same run again under full observability (spans + metrics +
+            # JSONL stream to disk) — the delta is the tracing overhead.
+            with tempfile.TemporaryDirectory() as tmpdir:
+                with harness.span("acd_traced"):
+                    with ObsContext.to_path(
+                            Path(tmpdir) / "bench.trace.jsonl") as obs:
+                        traced = run_method(ACD_METHOD, instance, seed=SEED,
+                                            obs=obs)
         assert traced.pairs_issued == result.pairs_issued, \
             "tracing must not perturb the run"
-        plain_total += timings.seconds("acd")
-        traced_total += timings.seconds("acd_traced")
-        reference_total += timings.seconds("acd_reference")
-        pivot_reference_total += timings.seconds("acd_pivot_reference")
-        timings.record_throughput("pruning_records_per_second",
-                                  len(instance.record_ids), stage="pruning")
-        timings.record_peak_rss()
+        stages = harness.tracer.span_summaries()
+        seconds = stage_seconds(stages)
+        plain_total += seconds["acd"]
+        traced_total += seconds["acd_traced"]
+        reference_total += seconds["acd_reference"]
+        pivot_reference_total += seconds["acd_pivot_reference"]
+        meters.record_throughput("pruning_records_per_second",
+                                 len(instance.record_ids), seconds["pruning"])
+        meters.record_peak_rss()
         runs[dataset_name] = run_entry(
-            timings,
+            stages, meters,
             records=len(instance.record_ids),
             candidate_pairs=len(instance.candidates),
             f1=round(result.f1, 4),
             pairs_issued=result.pairs_issued,
         )
         print(
-            f"{dataset_name}: pruning {timings.seconds('pruning'):.3f}s, "
-            f"acd {timings.seconds('acd'):.3f}s, "
-            f"reference {timings.seconds('acd_reference'):.3f}s, "
-            f"pivot-reference {timings.seconds('acd_pivot_reference'):.3f}s, "
-            f"traced {timings.seconds('acd_traced'):.3f}s, "
+            f"{dataset_name}: pruning {seconds['pruning']:.3f}s, "
+            f"acd {seconds['acd']:.3f}s, "
+            f"reference {seconds['acd_reference']:.3f}s, "
+            f"pivot-reference {seconds['acd_pivot_reference']:.3f}s, "
+            f"traced {seconds['acd_traced']:.3f}s, "
             f"F1 {result.f1:.3f}"
         )
 

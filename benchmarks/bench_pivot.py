@@ -10,6 +10,12 @@ byte-identical clusterings, issued-pair counts, and per-round diagnostics
 across engines while it is at it, then writes ``BENCH_pivot.json`` at the
 repo root in the shared BENCH schema.
 
+The stage table is the span rollup of a harness-only
+:class:`~repro.obs.ObsContext`: a ``total`` span around the repetitions,
+one ``pivot`` span around each engine call.  The engines themselves
+run untraced (they never receive that context), on both sides of the
+A/B.
+
 Standalone (no pytest)::
 
     REPRO_BENCH_SCALE=1.0 python benchmarks/bench_pivot.py
@@ -34,10 +40,11 @@ from repro.core.pc_pivot import PCPivotDiagnostics, pc_pivot  # noqa: E402
 from repro.crowd.oracle import CrowdOracle  # noqa: E402
 from repro.crowd.stats import CrowdStats  # noqa: E402
 from repro.experiments.runner import prepare_instance  # noqa: E402
+from repro.obs import ObsContext  # noqa: E402
 from repro.perf.timing import (  # noqa: E402
-    StageTimings,
     bench_payload,
     run_entry,
+    stage_seconds,
     write_bench_json,
 )
 from repro.reference import pc_pivot as reference_pc_pivot  # noqa: E402
@@ -55,23 +62,25 @@ ENGINES = {"fast": pc_pivot, "reference": reference_pc_pivot}
 
 
 def _run_engine(instance, engine: str, reps: int = 1):
-    """``reps`` timed generation passes; returns (timings, diagnostics of
-    the last pass, clustering, pairs_issued of one pass)."""
-    timings = StageTimings()
-    for _ in range(reps):
-        stats = CrowdStats(
-            pairs_per_hit=instance.setting.pairs_per_hit,
-            reward_cents_per_hit=instance.setting.reward_cents_per_hit,
-            num_workers=instance.setting.num_workers,
-        )
-        oracle = CrowdOracle(instance.answers, stats=stats)
-        diagnostics = PCPivotDiagnostics()
-        with timings.stage("pivot"):
-            clustering = ENGINES[engine](
-                instance.record_ids, instance.candidates, oracle,
-                seed=SEED, diagnostics=diagnostics,
+    """``reps`` timed generation passes; returns (stage table, diagnostics
+    of the last pass, clustering, pairs_issued of one pass)."""
+    harness = ObsContext()
+    with harness.span("total"):
+        for _ in range(reps):
+            stats = CrowdStats(
+                pairs_per_hit=instance.setting.pairs_per_hit,
+                reward_cents_per_hit=instance.setting.reward_cents_per_hit,
+                num_workers=instance.setting.num_workers,
             )
-    return timings, diagnostics, clustering, stats.pairs_issued
+            oracle = CrowdOracle(instance.answers, stats=stats)
+            diagnostics = PCPivotDiagnostics()
+            with harness.span("pivot"):
+                clustering = ENGINES[engine](
+                    instance.record_ids, instance.candidates, oracle,
+                    seed=SEED, diagnostics=diagnostics,
+                )
+    return (harness.tracer.span_summaries(), diagnostics, clustering,
+            stats.pairs_issued)
 
 
 def main() -> int:
@@ -87,12 +96,13 @@ def main() -> int:
         _run_engine(instance, "reference")
         per_engine = {}
         for engine in ENGINES:
-            timings, diagnostics, clustering, pairs = _run_engine(
+            stages, diagnostics, clustering, pairs = _run_engine(
                 instance, engine, reps=REPS
             )
-            per_engine[engine] = (timings, diagnostics, clustering, pairs)
+            per_engine[engine] = (stage_seconds(stages), diagnostics,
+                                  clustering, pairs)
             runs[f"{dataset_name}/{engine}"] = run_entry(
-                timings,
+                stages,
                 records=len(instance.record_ids),
                 candidate_pairs=len(instance.candidates),
                 reps=REPS,
@@ -111,8 +121,8 @@ def main() -> int:
             assert getattr(fast[1], attr) == getattr(reference[1], attr), \
                 f"{dataset_name}: diagnostics.{attr} diverged"
 
-        ref_seconds = reference[0].seconds("pivot")
-        fast_seconds = max(1e-9, fast[0].seconds("pivot"))
+        ref_seconds = reference[0]["pivot"]
+        fast_seconds = max(1e-9, fast[0]["pivot"])
         speedup = ref_seconds / fast_seconds
         ref_total += ref_seconds
         fast_total += fast_seconds

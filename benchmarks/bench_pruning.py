@@ -6,6 +6,12 @@ the production path, which takes the prefix join for Jaccard — checks the
 outputs are byte-identical, and writes ``BENCH_pruning.json`` at the repo
 root in the shared BENCH schema (see :mod:`repro.perf.timing`).
 
+Each side runs with an in-memory :class:`~repro.obs.ObsContext` inside a
+harness ``total`` span, and its stage table is that context's span
+rollup: ``blocking`` and ``scoring`` (plus the production side's
+``pruning`` phase span).  Both sides of the A/B therefore include the
+same in-memory tracing.
+
 Standalone (no pytest)::
 
     REPRO_BENCH_SCALE=2 python benchmarks/bench_pruning.py
@@ -27,10 +33,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.datasets.registry import generate  # noqa: E402
 from repro.experiments.configs import PRUNING_THRESHOLD  # noqa: E402
+from repro.obs import ObsContext  # noqa: E402
 from repro.perf.timing import (  # noqa: E402
     StageTimings,
     bench_payload,
     run_entry,
+    stage_seconds,
     write_bench_json,
 )
 from repro.pruning.candidate import (  # noqa: E402
@@ -57,6 +65,21 @@ def reference_similarity() -> SimilarityFunction:
     return SimilarityFunction("jaccard", token_jaccard)
 
 
+def _measure(build, records, similarity, **knobs):
+    """One traced pruning run; returns (candidates, stage table, total
+    seconds, meters)."""
+    obs = ObsContext()
+    with obs.span("total"):
+        candidates = build(records, similarity, threshold=PRUNING_THRESHOLD,
+                           obs=obs, **knobs)
+    stages = obs.tracer.span_summaries()
+    total = stage_seconds(stages)["total"]
+    meters = StageTimings()
+    meters.record_throughput("records_per_second", len(records), total)
+    meters.record_peak_rss()
+    return candidates, stages, total, meters
+
+
 def main() -> int:
     runs = {}
     derived = {}
@@ -66,29 +89,19 @@ def main() -> int:
         return 1
     for dataset_name in DATASETS:
         dataset = generate(dataset_name, scale=SCALE, seed=SEED)
+        records = len(dataset.records)
 
-        ref_timings = StageTimings()
-        reference = candidate_set(
-            dataset.records, reference_similarity(),
-            threshold=PRUNING_THRESHOLD, timings=ref_timings,
-        )
-        ref_timings.record_throughput("records_per_second",
-                                      len(dataset.records))
-        ref_timings.record_peak_rss()
+        reference, ref_stages, ref_total, ref_meters = _measure(
+            candidate_set, dataset.records, reference_similarity())
         runs[f"{dataset_name}/reference"] = run_entry(
-            ref_timings, records=len(dataset.records), pairs=len(reference),
+            ref_stages, ref_meters, records=records, pairs=len(reference),
         )
 
-        join_timings = StageTimings()
-        joined = build_candidate_set(
-            dataset.records, jaccard_similarity_function(),
-            threshold=PRUNING_THRESHOLD, timings=join_timings,
-        )
-        join_timings.record_throughput("records_per_second",
-                                       len(dataset.records))
-        join_timings.record_peak_rss()
+        joined, join_stages, join_total, join_meters = _measure(
+            build_candidate_set, dataset.records,
+            jaccard_similarity_function())
         runs[f"{dataset_name}/prefix"] = run_entry(
-            join_timings, records=len(dataset.records), pairs=len(joined),
+            join_stages, join_meters, records=records, pairs=len(joined),
         )
 
         identical = (
@@ -98,27 +111,25 @@ def main() -> int:
         if not identical:
             print(f"FAIL: {dataset_name}: engines disagree", file=sys.stderr)
             return 1
-        speedup = ref_timings.total / max(join_timings.total, 1e-12)
+        speedup = ref_total / max(join_total, 1e-12)
         derived[f"{dataset_name}/speedup"] = round(speedup, 2)
         print(
-            f"{dataset_name}: reference {ref_timings.total:.3f}s, "
-            f"prefix {join_timings.total:.3f}s "
+            f"{dataset_name}: reference {ref_total:.3f}s, "
+            f"prefix {join_total:.3f}s "
             f"({speedup:.1f}x, {len(joined)} pairs, identical)"
         )
 
         if PARALLEL > 1:
-            par_timings = StageTimings()
-            parallel = candidate_set(
-                dataset.records, reference_similarity(),
-                threshold=PRUNING_THRESHOLD, parallel=PARALLEL,
-                timings=par_timings,
+            parallel, par_stages, _, par_meters = _measure(
+                candidate_set, dataset.records, reference_similarity(),
+                parallel=PARALLEL,
             )
             if parallel.pairs != reference.pairs:
                 print(f"FAIL: {dataset_name}: parallel run disagrees",
                       file=sys.stderr)
                 return 1
             runs[f"{dataset_name}/reference-parallel{PARALLEL}"] = run_entry(
-                par_timings, records=len(dataset.records), pairs=len(parallel),
+                par_stages, par_meters, records=records, pairs=len(parallel),
             )
 
     derived["min_speedup"] = min(

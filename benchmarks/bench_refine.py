@@ -26,6 +26,12 @@ the signal at paper scale; the wall-clock win appears once the
 candidate graph is large enough for evaluation to dominate
 (``benchmarks/bench_scale.py``).
 
+The stage table is a span rollup.  The refinement engine runs with an
+in-memory :class:`~repro.obs.ObsContext`, so its ``refine.*`` stages are
+its own spans; the harness adds ``total``, ``generation`` and
+``refine`` spans on the same context (generation itself runs untraced).
+Both engines of the A/B therefore include the same in-memory tracing.
+
 Standalone (no pytest)::
 
     REPRO_BENCH_SCALE=0.5 python benchmarks/bench_refine.py
@@ -50,10 +56,11 @@ from repro.core.pc_refine import PCRefineDiagnostics, pc_refine  # noqa: E402
 from repro.crowd.oracle import CrowdOracle  # noqa: E402
 from repro.crowd.stats import CrowdStats  # noqa: E402
 from repro.experiments.runner import prepare_instance  # noqa: E402
+from repro.obs import ObsContext  # noqa: E402
 from repro.perf.timing import (  # noqa: E402
-    StageTimings,
     bench_payload,
     run_entry,
+    stage_seconds,
     write_bench_json,
 )
 from repro.reference import pc_refine as reference_pc_refine  # noqa: E402
@@ -78,29 +85,26 @@ REFINE_STAGES = ("refine.free", "refine.evaluate", "refine.pack",
 
 
 def _run_engine(instance, engine: str):
-    """One generation + refinement pass; returns (timings, diagnostics,
-    clustering, pairs_issued)."""
+    """One generation + refinement pass; returns (stage table,
+    diagnostics, clustering, pairs_issued)."""
     stats = CrowdStats(
         pairs_per_hit=instance.setting.pairs_per_hit,
         reward_cents_per_hit=instance.setting.reward_cents_per_hit,
         num_workers=instance.setting.num_workers,
     )
     oracle = CrowdOracle(instance.answers, stats=stats)
-    timings = StageTimings()
-    with timings.stage("generation"):
-        clustering = pc_pivot(instance.record_ids, instance.candidates,
-                              oracle, seed=SEED)
+    obs = ObsContext()
     diagnostics = PCRefineDiagnostics()
-    with timings.stage("refine"):
-        ENGINES[engine](clustering, instance.candidates, oracle,
-                        num_records=len(instance.record_ids),
-                        diagnostics=diagnostics, timings=timings)
-    # The refine.* sub-stages above accumulate inside the "refine" stage,
-    # so the implicit sum-of-stages total would double-count them — pin
-    # the total to the two top-level phases explicitly.
-    timings.add("total",
-                timings.seconds("generation") + timings.seconds("refine"))
-    return timings, diagnostics, clustering, stats.pairs_issued
+    with obs.span("total"):
+        with obs.span("generation"):
+            clustering = pc_pivot(instance.record_ids, instance.candidates,
+                                  oracle, seed=SEED)
+        with obs.span("refine"):
+            ENGINES[engine](clustering, instance.candidates, oracle,
+                            num_records=len(instance.record_ids),
+                            diagnostics=diagnostics, obs=obs)
+    return (obs.tracer.span_summaries(), diagnostics, clustering,
+            stats.pairs_issued)
 
 
 def main() -> int:
@@ -110,8 +114,8 @@ def main() -> int:
     hit_rates = []
     total_ref_evals = 0
     total_fast_evals = 0
-    stage_seconds = {engine: {stage: 0.0 for stage in REFINE_STAGES}
-                     for engine in ENGINES}
+    refine_stage_seconds = {engine: dict.fromkeys(REFINE_STAGES, 0.0)
+                            for engine in ENGINES}
     refine_seconds = {engine: 0.0 for engine in ENGINES}
     for dataset_name in DATASETS:
         instance = prepare_instance(dataset_name, SETTING, scale=SCALE,
@@ -121,10 +125,11 @@ def main() -> int:
         _run_engine(instance, "reference")
         per_engine = {}
         for engine in ENGINES:
-            timings, diagnostics, clustering, pairs = _run_engine(
+            stages, diagnostics, clustering, pairs = _run_engine(
                 instance, engine
             )
-            per_engine[engine] = (timings, diagnostics, clustering, pairs)
+            seconds = stage_seconds(stages)
+            per_engine[engine] = (seconds, diagnostics, clustering, pairs)
             meta = {
                 "records": len(instance.record_ids),
                 "candidate_pairs": len(instance.candidates),
@@ -135,10 +140,10 @@ def main() -> int:
             }
             if diagnostics.evaluation_cache is not None:
                 meta["cache"] = diagnostics.evaluation_cache
-            runs[f"{dataset_name}/{engine}"] = run_entry(timings, **meta)
+            runs[f"{dataset_name}/{engine}"] = run_entry(stages, **meta)
             for stage in REFINE_STAGES:
-                stage_seconds[engine][stage] += timings.seconds(stage)
-            refine_seconds[engine] += timings.seconds("refine")
+                refine_stage_seconds[engine][stage] += seconds.get(stage, 0.0)
+            refine_seconds[engine] += seconds["refine"]
 
         fast = per_engine["fast"]
         reference = per_engine["reference"]
@@ -149,8 +154,8 @@ def main() -> int:
         ref_evals = reference[1].operation_evaluations
         fast_evals = max(1, fast[1].operation_evaluations)
         reduction = ref_evals / fast_evals
-        ref_seconds = reference[0].seconds("refine")
-        fast_seconds = max(1e-9, fast[0].seconds("refine"))
+        ref_seconds = reference[0]["refine"]
+        fast_seconds = max(1e-9, fast[0]["refine"])
         speedup = ref_seconds / fast_seconds
         hit_rate = fast[1].evaluation_cache["hit_rate"]
         total_ref_evals += ref_evals
@@ -189,12 +194,12 @@ def main() -> int:
         for stage in REFINE_STAGES:
             short = stage.split(".", 1)[1]
             derived[f"stage_share_{short}_{engine}"] = round(
-                stage_seconds[engine][stage] / total, 4
+                refine_stage_seconds[engine][stage] / total, 4
             )
         print(
             f"{engine} refine stage shares: " + ", ".join(
                 f"{stage.split('.', 1)[1]} "
-                f"{stage_seconds[engine][stage] / total:.0%}"
+                f"{refine_stage_seconds[engine][stage] / total:.0%}"
                 for stage in REFINE_STAGES
             )
         )

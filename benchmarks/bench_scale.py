@@ -54,6 +54,17 @@ generator produces clusterings the phase barely touches):
   that, and the benchmark fails when it is false.  Both entries carry
   the same ``refine.*`` stage breakdown.
 
+Every variant runs in its own forked child (``common.in_fork``), so its
+``peak_rss_bytes`` meter is that variant's own peak (plus its largest
+reaped child, e.g. a worker pool) rather than the largest peak of any
+variant measured before it in the same process.  Stage tables are span
+rollups: pruning and refinement variants run with an in-memory
+:class:`~repro.obs.ObsContext` (``blocking`` / ``scoring`` and the
+``refine.*`` stages are the engines' own spans, so both sides of each
+A/B include the same in-memory tracing), inside harness ``total`` /
+``generation`` / ``refine`` spans; generation variants run untraced
+inside the harness spans.
+
 Standalone (no pytest)::
 
     python benchmarks/bench_scale.py                      # 10k + 100k + 1M
@@ -90,12 +101,15 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from common import in_fork  # noqa: E402
 from repro.datasets.largescale import BASE_RECORDS, generate_largescale  # noqa: E402
 from repro.experiments.configs import PRUNING_THRESHOLD  # noqa: E402
+from repro.obs import ObsContext  # noqa: E402
 from repro.perf.timing import (  # noqa: E402
     StageTimings,
     bench_payload,
     run_entry,
+    stage_seconds,
     write_bench_json,
 )
 from repro.pruning.candidate import (  # noqa: E402
@@ -139,25 +153,29 @@ OUTPUT = REPO_ROOT / "BENCH_scale.json"
 
 def _measure(records, build=build_candidate_set, **knobs):
     """One pruning run — the production path (the prefix join, for
-    Jaccard) unless ``build`` names the reference oracle; returns
-    (candidate_set, timings-with-meters)."""
-    timings = StageTimings()
-    candidates = build(
-        records, jaccard_similarity_function(),
-        threshold=PRUNING_THRESHOLD, timings=timings, **knobs,
-    )
-    timings.record_throughput("records_per_second", len(records))
-    timings.record_throughput("pairs_per_second", len(candidates))
-    timings.record_peak_rss()
-    return candidates, timings
+    Jaccard) unless ``build`` names an oracle; returns (candidate_set,
+    stage table, meters)."""
+    obs = ObsContext()
+    with obs.span("total"):
+        candidates = build(
+            records, jaccard_similarity_function(),
+            threshold=PRUNING_THRESHOLD, obs=obs, **knobs,
+        )
+    stages = obs.tracer.span_summaries()
+    total = stage_seconds(stages)["total"]
+    meters = StageTimings()
+    meters.record_throughput("records_per_second", len(records), total)
+    meters.record_throughput("pairs_per_second", len(candidates), total)
+    meters.record_peak_rss()
+    return candidates, stages, meters
 
 
-def _scalar_join(records, similarity, threshold, timings):
+def _scalar_join(records, similarity, threshold, obs):
     """The frozenset oracle join as a :class:`CandidateSet`."""
     pairs, scores = prefix_filtered_candidates(
         records, set_of=similarity.set_of,
         set_function=SET_METRIC_FUNCTIONS[similarity.set_metric],
-        metric=similarity.set_metric, threshold=threshold, timings=timings,
+        metric=similarity.set_metric, threshold=threshold, obs=obs,
     )
     return CandidateSet(pairs=tuple(pairs), machine_scores=scores,
                         threshold=threshold)
@@ -177,7 +195,8 @@ def _answers(dataset):
 
 
 def _measure_generation(dataset, candidates, *, processes=None):
-    """One cluster-generation run; returns (clustering, stats, timings).
+    """One untraced cluster-generation run; returns (clustering, stats,
+    stage table, meters).
 
     ``processes=None`` runs the classic engine (``run_acd``); an integer
     runs the pre-pruned ``run_pipeline`` on a pool of that many workers.
@@ -185,8 +204,8 @@ def _measure_generation(dataset, candidates, *, processes=None):
     from repro.core.acd import run_acd
     from repro.runtime.pipeline import run_pipeline
 
-    timings = StageTimings()
-    with timings.stage("generation"):
+    harness = ObsContext()
+    with harness.span("total"), harness.span("generation"):
         if processes is None:
             result = run_acd(dataset.record_ids, candidates,
                              _answers(dataset), seed=SEED, refine=False)
@@ -196,11 +215,15 @@ def _measure_generation(dataset, candidates, *, processes=None):
                 candidates=candidates, seed=SEED, refine=False,
                 workers=processes,
             ).result
-    timings.record_throughput("records_per_second", len(dataset.records))
-    timings.record_throughput("pairs_per_second",
-                              int(result.stats.pairs_issued))
-    timings.record_peak_rss()
-    return result.clustering, result.stats, timings
+    stages = harness.tracer.span_summaries()
+    total = stage_seconds(stages)["total"]
+    meters = StageTimings()
+    meters.record_throughput("records_per_second", len(dataset.records),
+                             total)
+    meters.record_throughput("pairs_per_second",
+                             int(result.stats.pairs_issued), total)
+    meters.record_peak_rss()
+    return result.clustering, result.stats, stages, meters
 
 
 def _generation_stage(label, tier, dataset, candidates, runs, derived):
@@ -209,24 +232,27 @@ def _generation_stage(label, tier, dataset, candidates, runs, derived):
     Returns False when the sharded run diverges from the classic one
     (the caller fails the benchmark).
     """
-    classic, classic_stats, classic_timings = _measure_generation(
-        dataset, candidates)
+    classic, classic_stats, classic_stages, classic_meters = in_fork(
+        lambda: _measure_generation(dataset, candidates))
+    classic_s = stage_seconds(classic_stages)["total"]
     runs[f"{label}/pivot-classic"] = run_entry(
-        classic_timings, records=tier,
+        classic_stages, classic_meters, records=tier,
         pairs_issued=int(classic_stats.pairs_issued),
         iterations=int(classic_stats.iterations),
         clusters=len(classic),
     )
-    print(f"{label}/pivot-classic: {classic_timings.total:.2f}s, "
+    print(f"{label}/pivot-classic: {classic_s:.2f}s, "
           f"{int(classic_stats.pairs_issued)} pairs, "
           f"{int(classic_stats.iterations)} crowd iterations, "
           f"peak RSS "
-          f"{classic_timings.meters['peak_rss_bytes'] / 2**20:.0f} MiB")
+          f"{classic_meters.meters['peak_rss_bytes'] / 2**20:.0f} MiB")
 
-    sharded, sharded_stats, sharded_timings = _measure_generation(
-        dataset, candidates, processes=PIVOT_PROCESSES)
+    sharded, sharded_stats, sharded_stages, sharded_meters = in_fork(
+        lambda: _measure_generation(dataset, candidates,
+                                    processes=PIVOT_PROCESSES))
+    sharded_s = stage_seconds(sharded_stages)["total"]
     runs[f"{label}/pivot-sharded"] = run_entry(
-        sharded_timings, records=tier,
+        sharded_stages, sharded_meters, records=tier,
         pairs_issued=int(sharded_stats.pairs_issued),
         iterations=int(sharded_stats.iterations),
         clusters=len(sharded), processes=PIVOT_PROCESSES,
@@ -235,7 +261,7 @@ def _generation_stage(label, tier, dataset, candidates, runs, derived):
         print(f"FAIL: {label}: sharded generation clustering diverged",
               file=sys.stderr)
         return False
-    speedup = classic_timings.total / max(sharded_timings.total, 1e-12)
+    speedup = classic_s / max(sharded_s, 1e-12)
     derived[f"{label}/generation_speedup"] = round(speedup, 2)
     # The generation phase's deployed cost is crowd latency: iterations
     # times the crowd round-trip.  Merged component rounds crowdsource
@@ -251,7 +277,7 @@ def _generation_stage(label, tier, dataset, candidates, runs, derived):
     # (usually less).  Only the clustering is pinned across engines.
     derived[f"{label}/generation_pairs_saved"] = int(
         classic_stats.pairs_issued - sharded_stats.pairs_issued)
-    print(f"{label}/pivot-sharded: {sharded_timings.total:.2f}s "
+    print(f"{label}/pivot-sharded: {sharded_s:.2f}s "
           f"({speedup:.1f}x wall, {iteration_speedup:.1f}x crowd "
           f"iterations [{int(sharded_stats.iterations)} vs "
           f"{int(classic_stats.iterations)}], identical clustering, "
@@ -268,9 +294,10 @@ def _measure_refine(dataset, candidates, *, pipelined=False):
     shared phase-2 answer set.  By default this times ``pc_refine``
     directly; ``pipelined`` writes the generation phase as a checkpoint
     and times the pre-pruned ``run_pipeline`` resuming from it.  Returns
-    (clustering, refine_iterations, refine_pairs, timings); the timings
-    carry the ``refine.*`` per-stage breakdown plus an explicit
-    ``total`` equal to the refine wall-clock.
+    (clustering, refine_iterations, refine_pairs, stage table, meters);
+    the stage table carries the ``refine.*`` per-stage spans under the
+    harness's ``total`` and ``refine`` spans (the pipelined run's own
+    phase spans too).
     """
     import tempfile
 
@@ -281,16 +308,16 @@ def _measure_refine(dataset, candidates, *, pipelined=False):
     from repro.runtime.checkpoint import CheckpointStore
     from repro.runtime.pipeline import run_pipeline
 
-    timings = StageTimings()
+    obs = ObsContext()
     if not pipelined:
         oracle = CrowdOracle(_answers(dataset))
         clustering = pc_pivot(dataset.record_ids, candidates, oracle,
                               seed=SEED)
         generation = oracle.stats.snapshot()
-        with timings.stage("refine"):
+        with obs.span("total"), obs.span("refine"):
             clustering = pc_refine(
                 clustering, candidates, oracle,
-                num_records=len(dataset.records), timings=timings,
+                num_records=len(dataset.records), obs=obs,
             )
         total = oracle.stats.snapshot()
     else:
@@ -298,26 +325,24 @@ def _measure_refine(dataset, candidates, *, pipelined=False):
             store = CheckpointStore(tmp, config={"seed": SEED})
             run_acd(dataset.record_ids, candidates, _answers(dataset),
                     seed=SEED, refine=False, checkpoints=store)
-            with timings.stage("refine"):
+            with obs.span("total"), obs.span("refine"):
                 result = run_pipeline(
                     _answers(dataset), record_ids=dataset.record_ids,
                     candidates=candidates, checkpoints=store, resume=True,
-                    timings=timings,
+                    obs=obs,
                 ).result
         clustering = result.clustering
         generation = result.generation_stats
         total = result.stats.snapshot()
-    # The refine.* sub-stages accumulated into the same StageTimings;
-    # pin the explicit total to the refine wall-clock so the breakdown
-    # does not double-count it.
-    timings.add("total", timings.seconds("refine"))
+    stages = obs.tracer.span_summaries()
     refine_pairs = int(total["pairs_issued"] - generation["pairs_issued"])
-    timings.record_throughput("pairs_per_second", refine_pairs,
-                              stage="refine")
-    timings.record_peak_rss()
+    meters = StageTimings()
+    meters.record_throughput("pairs_per_second", refine_pairs,
+                             stage_seconds(stages)["refine"])
+    meters.record_peak_rss()
     return (clustering,
             int(total["iterations"] - generation["iterations"]),
-            refine_pairs, timings)
+            refine_pairs, stages, meters)
 
 
 def _refine_stage(label, tier, runs, derived):
@@ -332,25 +357,28 @@ def _refine_stage(label, tier, runs, derived):
     """
     dataset = generate_largescale(scale=tier / BASE_RECORDS, seed=SEED,
                                   confusion=REFINE_CONFUSION)
-    candidates, _ = _measure(dataset.records, shards=SHARDS,
-                             parallel=PARALLEL)
+    candidates = build_candidate_set(
+        dataset.records, jaccard_similarity_function(),
+        threshold=PRUNING_THRESHOLD, shards=SHARDS, parallel=PARALLEL)
 
-    classic, classic_iters, classic_pairs, classic_timings = _measure_refine(
-        dataset, candidates)
+    classic, classic_iters, classic_pairs, classic_stages, classic_meters = (
+        in_fork(lambda: _measure_refine(dataset, candidates)))
     runs[f"{label}/refine-classic"] = run_entry(
-        classic_timings, records=tier, candidate_pairs=len(candidates),
+        classic_stages, classic_meters, records=tier,
+        candidate_pairs=len(candidates),
         pairs_issued=classic_pairs, iterations=classic_iters,
         clusters=len(classic),
     )
     print(f"{label}/refine-classic: "
-          f"{classic_timings.seconds('refine'):.2f}s, "
+          f"{stage_seconds(classic_stages)['refine']:.2f}s, "
           f"{classic_pairs} pairs, {classic_iters} crowd iterations, "
           f"{len(classic)} clusters")
 
-    piped, piped_iters, piped_pairs, piped_timings = _measure_refine(
-        dataset, candidates, pipelined=True)
+    piped, piped_iters, piped_pairs, piped_stages, piped_meters = in_fork(
+        lambda: _measure_refine(dataset, candidates, pipelined=True))
     runs[f"{label}/refine-pipelined"] = run_entry(
-        piped_timings, records=tier, candidate_pairs=len(candidates),
+        piped_stages, piped_meters, records=tier,
+        candidate_pairs=len(candidates),
         pairs_issued=piped_pairs, iterations=piped_iters,
         clusters=len(piped),
     )
@@ -359,7 +387,7 @@ def _refine_stage(label, tier, runs, derived):
                  == (classic_pairs, classic_iters))
     derived[f"{label}/refine_classic_identical"] = identical
     print(f"{label}/refine-pipelined: "
-          f"{piped_timings.seconds('refine'):.2f}s, "
+          f"{stage_seconds(piped_stages)['refine']:.2f}s, "
           f"{piped_pairs} pairs, {piped_iters} crowd iterations, "
           f"{'identical to' if identical else 'DIVERGED from'} classic")
     if not identical:
@@ -381,57 +409,64 @@ def main() -> int:
         dataset = generate_largescale(scale=tier / BASE_RECORDS, seed=SEED)
         assert len(dataset.records) == tier
 
-        vec, vec_timings = _measure(dataset.records, shards=SHARDS,
-                                    parallel=PARALLEL)
+        vec, vec_stages, vec_meters = in_fork(
+            lambda: _measure(dataset.records, shards=SHARDS,
+                             parallel=PARALLEL))
+        vec_s = stage_seconds(vec_stages)["total"]
         runs[f"{label}/vectorized"] = run_entry(
-            vec_timings, records=tier, pairs=len(vec),
+            vec_stages, vec_meters, records=tier, pairs=len(vec),
             shards=SHARDS, parallel=PARALLEL,
         )
-        print(f"{label}/vectorized: {vec_timings.total:.2f}s, "
+        print(f"{label}/vectorized: {vec_s:.2f}s, "
               f"{len(vec)} pairs, "
-              f"{vec_timings.meters['records_per_second']:.0f} rec/s, "
-              f"peak RSS {vec_timings.meters['peak_rss_bytes'] / 2**20:.0f} MiB")
+              f"{vec_meters.meters['records_per_second']:.0f} rec/s, "
+              f"peak RSS {vec_meters.meters['peak_rss_bytes'] / 2**20:.0f} MiB")
 
         if tier <= SCALAR_CAP:
             # Unsharded single-shard run: shard-count invariance at real
             # scale (cheap — same kernel, no partitioning).
-            one, one_timings = _measure(dataset.records, shards=1)
+            one, one_stages, one_meters = in_fork(
+                lambda: _measure(dataset.records, shards=1))
             runs[f"{label}/vectorized-1shard"] = run_entry(
-                one_timings, records=tier, pairs=len(one), shards=1,
+                one_stages, one_meters, records=tier, pairs=len(one),
+                shards=1,
             )
             if (one.pairs, one.machine_scores) != (vec.pairs, vec.machine_scores):
                 print(f"FAIL: {label}: shard counts disagree", file=sys.stderr)
                 return 1
 
-            scalar, scalar_timings = _measure(dataset.records,
-                                              build=_scalar_join)
+            scalar, scalar_stages, scalar_meters = in_fork(
+                lambda: _measure(dataset.records, build=_scalar_join))
+            scalar_s = stage_seconds(scalar_stages)["total"]
             runs[f"{label}/scalar-join"] = run_entry(
-                scalar_timings, records=tier, pairs=len(scalar),
+                scalar_stages, scalar_meters, records=tier,
+                pairs=len(scalar),
             )
             if (scalar.pairs, scalar.machine_scores) != (vec.pairs,
                                                          vec.machine_scores):
                 print(f"FAIL: {label}: scalar join oracle disagrees",
                       file=sys.stderr)
                 return 1
-            speedup = scalar_timings.total / max(vec_timings.total, 1e-12)
+            speedup = scalar_s / max(vec_s, 1e-12)
             derived[f"{label}/speedup_vs_scalar_join"] = round(speedup, 2)
-            print(f"{label}/scalar-join: {scalar_timings.total:.2f}s "
+            print(f"{label}/scalar-join: {scalar_s:.2f}s "
                   f"({speedup:.1f}x, identical)")
 
         if tier <= REFERENCE_CAP:
-            reference, ref_timings = _measure(dataset.records,
-                                              build=candidate_set)
+            reference, ref_stages, ref_meters = in_fork(
+                lambda: _measure(dataset.records, build=candidate_set))
+            ref_s = stage_seconds(ref_stages)["total"]
             runs[f"{label}/reference"] = run_entry(
-                ref_timings, records=tier, pairs=len(reference),
+                ref_stages, ref_meters, records=tier, pairs=len(reference),
             )
             if (reference.pairs, reference.machine_scores) != (
                     vec.pairs, vec.machine_scores):
                 print(f"FAIL: {label}: reference oracle disagrees",
                       file=sys.stderr)
                 return 1
-            speedup = ref_timings.total / max(vec_timings.total, 1e-12)
+            speedup = ref_s / max(vec_s, 1e-12)
             derived[f"{label}/speedup_vs_reference"] = round(speedup, 2)
-            print(f"{label}/reference: {ref_timings.total:.2f}s "
+            print(f"{label}/reference: {ref_s:.2f}s "
                   f"({speedup:.1f}x, identical)")
 
         if tier <= GENERATION_CAP:

@@ -13,7 +13,8 @@ Environment knobs:
     REPRO_BENCH_PARALLEL  pruning worker processes (default 0 = serial)
 
 Every benchmark prints its rows (visible with ``pytest -s``) and also
-writes them to ``benchmarks/results/<name>.txt``.
+writes them to ``benchmarks/results/<name>.txt``.  The standalone
+``bench_*.py`` harnesses share :func:`in_fork`.
 """
 
 from __future__ import annotations
@@ -66,6 +67,39 @@ def eps_sweep(dataset: str) -> EpsilonSweep:
 def t_sweep(dataset: str):
     """The Figure 10 T sweep (3-worker setting)."""
     return threshold_sweep(instance(dataset, "3w"), repetitions=REPETITIONS)
+
+
+def in_fork(fn):
+    """Run ``fn`` in a forked child process and return its result.
+
+    Each measured variant gets a pristine process: no variant's
+    measurement is taxed by another's leftover heap (fork page-faults,
+    GC pressure), the order variants run in stops mattering, and the
+    process-lifetime peak-RSS meters
+    (:func:`repro.perf.timing.peak_rss_bytes`) read that variant's own
+    peak rather than the largest one measured before it.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+
+    def _target() -> None:
+        try:
+            payload = ("ok", fn())
+        except BaseException as exc:
+            payload = ("err", f"{type(exc).__name__}: {exc}")
+        sender.send(payload)
+        sender.close()
+
+    proc = ctx.Process(target=_target)
+    proc.start()
+    sender.close()
+    status, payload = receiver.recv()
+    proc.join()
+    if status != "ok":
+        raise RuntimeError(f"benchmark stage failed in fork: {payload}")
+    return payload
 
 
 def emit(name: str, text: str) -> None:

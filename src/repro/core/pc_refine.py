@@ -27,7 +27,7 @@ from repro.core.refine import (
     build_estimator,
 )
 from repro.crowd.oracle import CrowdOracle
-from repro.perf.timing import maybe_stage
+from repro.obs import maybe_span
 from repro.pruning.candidate import CandidateSet
 
 DEFAULT_THRESHOLD_DIVISOR = 8.0
@@ -131,7 +131,7 @@ def _pack_independent_operations_fast(
     budget: float,
     ranking: str = "ratio",
     hard_budget: bool = False,
-    timings=None,
+    obs=None,
 ) -> List[Operation]:
     """Greedy O^i construction (Algorithm 5 lines 9-14), lazily ordered:
     identical packing decisions to the oracle
@@ -147,7 +147,7 @@ def _pack_independent_operations_fast(
         raise ValueError(f"ranking must be 'ratio' or 'benefit', got {ranking!r}")
     by_ratio = ranking == "ratio"
     scored: List[Tuple[float, str, int, Operation]] = []
-    with maybe_stage(timings, "refine.evaluate"):
+    with maybe_span(obs, "refine.evaluate"):
         for operation in cache.operations():
             if by_ratio:
                 ratio, cost = evaluations.ratio_and_cost(operation)
@@ -161,7 +161,7 @@ def _pack_independent_operations_fast(
                 key = evaluations.estimated_benefit(operation)
             if key > 0.0:
                 scored.append((-key, repr(operation), cost, operation))
-    with maybe_stage(timings, "refine.pack"):
+    with maybe_span(obs, "refine.pack"):
         heapq.heapify(scored)
 
         packed: List[Operation] = []
@@ -192,7 +192,6 @@ def _pc_refine_fast(
     ranking: str,
     max_refinement_pairs: Optional[int],
     obs,
-    timings=None,
 ) -> Clustering:
     """One :class:`OperationCache` + :class:`EvaluationCache` shared
     across rounds (free path included), an incrementally maintained
@@ -222,7 +221,7 @@ def _pc_refine_fast(
 
     round_index = 0
     while True:
-        with maybe_stage(timings, "refine.free"):
+        with maybe_span(obs, "refine.free"):
             freed = apply_free_operations(clustering, cache, evaluations)
         if diagnostics is not None:
             diagnostics.free_operations_applied += freed
@@ -244,13 +243,13 @@ def _pc_refine_fast(
             budget = min(budget, float(max_refinement_pairs - spent))
         packed = _pack_independent_operations_fast(
             cache, evaluations, budget, ranking=ranking,
-            hard_budget=max_refinement_pairs is not None, timings=timings,
+            hard_budget=max_refinement_pairs is not None, obs=obs,
         )
         if not packed:
             return finish()
 
         # One crowd batch resolves every packed operation's unknown pairs.
-        with maybe_stage(timings, "refine.crowd"):
+        with maybe_span(obs, "refine.crowd"):
             needed: Set[Pair] = set()
             for operation in packed:
                 needed.update(evaluations.unknown_pairs(operation))
@@ -265,7 +264,7 @@ def _pc_refine_fast(
                         pair, candidates.machine_scores[pair], crowd_score
                     )
 
-        with maybe_stage(timings, "refine.apply"):
+        with maybe_span(obs, "refine.apply"):
             applied = 0
             for operation in packed:
                 benefit = evaluations.exact_benefit(operation)
@@ -308,7 +307,6 @@ def pc_refine(
     ranking: str = "ratio",
     max_refinement_pairs: Optional[int] = None,
     obs=None,
-    timings=None,
 ) -> Clustering:
     """Run PC-Refine; refines ``clustering`` in place and returns it.
 
@@ -337,13 +335,12 @@ def pc_refine(
         obs: Optional :class:`~repro.obs.ObsContext`; each parallel round
             emits a ``refine.round`` event (budget ``T``, packed batch,
             applied count, histogram state) and bumps the round / free
-            counters.
-        timings: Optional :class:`~repro.perf.timing.StageTimings`;
-            accumulates per-stage wall time under ``refine.evaluate``
+            counters, and its five stages run in spans:
+            ``refine.free`` (zero-cost path), ``refine.evaluate``
             (benefit/cost scoring), ``refine.pack`` (greedy packing),
-            ``refine.crowd`` (batch + histogram), ``refine.apply``
-            (confirmed application), and ``refine.free`` (zero-cost
-            path) — the breakdown ``bench_refine`` reports.
+            ``refine.crowd`` (batch + histogram) and ``refine.apply``
+            (confirmed application) — the breakdown ``bench_refine``
+            reports.
     """
     if num_records is None:
         num_records = clustering.num_records
@@ -353,5 +350,4 @@ def pc_refine(
         )
     return _pc_refine_fast(clustering, candidates, oracle, num_records,
                            threshold_divisor, num_buckets, diagnostics,
-                           ranking, max_refinement_pairs, obs,
-                           timings=timings)
+                           ranking, max_refinement_pairs, obs)

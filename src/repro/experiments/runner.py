@@ -30,7 +30,6 @@ from repro.experiments.configs import (
     crowd_setting,
     difficulty_model,
 )
-from repro.perf.timing import StageTimings
 from repro.pruning.candidate import CandidateSet, build_candidate_set
 from repro.runtime.pipeline import run_pipeline
 from repro.similarity.composite import jaccard_similarity_function
@@ -76,7 +75,6 @@ def prepare_instance(
     threshold: float = PRUNING_THRESHOLD,
     parallel: int = 0,
     shards: int = 0,
-    timings: Optional[StageTimings] = None,
     obs=None,
     candidates: Optional[CandidateSet] = None,
     supervisor_policy=None,
@@ -94,7 +92,6 @@ def prepare_instance(
             join; <= 1 runs serially).
         shards: Blocking-key shards for the prefix join (0/1 = unsharded;
             output is identical for every value).
-        timings: Optional stage timer recording pruning wall-clock.
         obs: Optional :class:`~repro.obs.ObsContext`; traces the pruning
             phase (the dataset generation itself is untimed).
         candidates: Pre-built candidate set (e.g. restored from a
@@ -110,7 +107,7 @@ def prepare_instance(
         candidates = build_candidate_set(
             dataset.records, jaccard_similarity_function(),
             threshold=threshold, parallel=parallel, shards=shards,
-            timings=timings, obs=obs,
+            obs=obs,
             supervisor_policy=supervisor_policy, fault_plan=fault_plan,
         )
     workers = WorkerPool(

@@ -1,5 +1,6 @@
-"""Performance instrumentation: scoped stage timers and the machine-readable
+"""Benchmark meters (peak RSS, throughputs) and the machine-readable
 ``BENCH_*.json`` emitters the benchmark harness regresses against.
+Stage durations are :mod:`repro.obs` spans.
 """
 
 from repro.perf.timing import (
@@ -7,6 +8,7 @@ from repro.perf.timing import (
     bench_payload,
     read_bench_json,
     run_entry,
+    stage_seconds,
     write_bench_json,
 )
 
@@ -15,5 +17,6 @@ __all__ = [
     "bench_payload",
     "read_bench_json",
     "run_entry",
+    "stage_seconds",
     "write_bench_json",
 ]

@@ -1,10 +1,15 @@
-"""Scoped wall-clock timers and the ``BENCH_*.json`` schema.
+"""Benchmark meters and the ``BENCH_*.json`` schema.
 
-The pruning engine and the benchmark harness share one instrumentation
-vocabulary: a :class:`StageTimings` accumulates named stage durations
-(``blocking``, ``scoring``, ``total``, ...) via the :meth:`StageTimings.stage`
-context manager, and :func:`write_bench_json` persists a benchmark run as a
-machine-readable JSON document that future PRs regress against.
+Stage durations are spans: the pipeline's phases and stages (``pruning``
+with its ``blocking`` / ``scoring`` stages, the five ``refine.*`` stages
+of a PC-Refine round, ...) open spans on an optional
+:class:`~repro.obs.ObsContext`, and a harness that wants a stage table
+passes one and reads ``obs.tracer.span_summaries()`` (harness-level
+timers are spans on an ``ObsContext`` of their own).  This module adds
+what spans do not carry: :class:`StageTimings` *meters* — peak RSS and
+throughputs — and :func:`write_bench_json`, which persists a benchmark
+run as a machine-readable JSON document that future PRs regress
+against.
 
 BENCH JSON schema (one document per benchmark)::
 
@@ -25,14 +30,12 @@ BENCH JSON schema (one document per benchmark)::
       "derived": {"speedup": 4.2, ...}     # harness-computed summaries
     }
 
-Timings are wall-clock seconds from :func:`time.perf_counter`.  Repeated
-entries to the same stage accumulate, so a stage may wrap a loop body.
-
-Besides durations, a :class:`StageTimings` carries *meters* — point-in-time
-gauges such as peak RSS (:func:`peak_rss_bytes`) and derived throughputs
-(records/sec, pairs/sec via :meth:`StageTimings.record_throughput`).  Meters
-ride along in the same run entry under a ``meters`` key, so every benchmark
-that reports timings can report memory and throughput for free.
+``stages`` is :func:`stage_seconds` of the run's span rollup: span
+wall-clock seconds (:func:`time.perf_counter`) summed per name, so a
+stage may wrap a loop body and nested spans appear next to their
+parent.  ``meters`` are point-in-time gauges — peak RSS
+(:func:`peak_rss_bytes`) and throughputs (records/sec, pairs/sec via
+:meth:`StageTimings.record_throughput`).
 """
 
 from __future__ import annotations
@@ -41,92 +44,68 @@ import json
 import resource
 import sys
 import time
-from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Any, Dict, Iterator, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, Mapping, Optional, Union
 
 SCHEMA_VERSION = 1
 
 
 def peak_rss_bytes() -> int:
-    """Peak resident set size of this process, in bytes.
+    """Peak resident set size of this process plus its largest reaped
+    child, in bytes (perfbench's ``peak_rss_mb`` reads the same sum).
 
     Uses ``resource.getrusage`` (always available on POSIX; no psutil
     dependency).  ``ru_maxrss`` is kibibytes on Linux but bytes on macOS —
-    normalized here.  Note this is a high-water mark since process start,
-    not the current footprint: record it right after the stage of interest
-    and interpret deltas accordingly.
+    normalized here.  Both terms are high-water marks over the process
+    lifetime, not the current footprint: a variant measured after a
+    larger one in the same process repeats the larger peak, so the
+    harnesses run each measured variant in its own forked child
+    (``benchmarks/common.py``'s ``in_fork``) and read it there.  The
+    child term covers worker pools the variant forked and reaped.
     """
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     if sys.platform == "darwin":  # pragma: no cover - linux CI
         return int(peak)
     return int(peak) * 1024
 
 
 class StageTimings:
-    """Accumulates named wall-clock stage durations.
+    """A run's meters: point-in-time gauges such as peak RSS and
+    throughputs.  Stage durations are spans (see the module docstring).
 
     >>> timings = StageTimings()
-    >>> with timings.stage("blocking"):
-    ...     pass
-    >>> sorted(timings.as_dict()) == ["blocking"]
-    True
+    >>> timings.set_meter("records_per_second", 42.0)
+    >>> timings.meters
+    {'records_per_second': 42.0}
     """
 
     def __init__(self) -> None:
-        self._seconds: Dict[str, float] = {}
         self._meters: Dict[str, float] = {}
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block under ``name`` (accumulating on re-entry)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - start)
-
-    def add(self, name: str, seconds: float) -> None:
-        """Add ``seconds`` to stage ``name``."""
-        if seconds < 0:
-            raise ValueError(f"negative duration for stage {name!r}: {seconds}")
-        self._seconds[name] = self._seconds.get(name, 0.0) + seconds
-
-    def seconds(self, name: str) -> float:
-        """Accumulated seconds of one stage (0.0 if never entered)."""
-        return self._seconds.get(name, 0.0)
-
-    @property
-    def total(self) -> float:
-        """Sum of all recorded stages (excluding an explicit 'total' stage)."""
-        return sum(
-            seconds for name, seconds in self._seconds.items() if name != "total"
-        )
 
     def set_meter(self, name: str, value: float) -> None:
         """Set a gauge meter (overwrites; meters are point measurements)."""
         self._meters[name] = value
 
     def record_peak_rss(self, name: str = "peak_rss_bytes") -> int:
-        """Capture the process peak RSS into meter ``name``; returns it."""
+        """Capture :func:`peak_rss_bytes` into meter ``name``; returns it."""
         peak = peak_rss_bytes()
         self.set_meter(name, float(peak))
         return peak
 
     def record_throughput(self, name: str, count: int,
-                          stage: Optional[str] = None) -> float:
-        """Derive an items-per-second meter from a recorded stage.
+                          seconds: float) -> float:
+        """Set an items-per-second meter.
 
         Args:
             name: Meter name (e.g. ``records_per_second``).
             count: Items processed (records, pairs, ...).
-            stage: Stage whose duration divides ``count``; defaults to the
-                cross-stage total.
+            seconds: The wall-clock they took (typically one entry of
+                :func:`stage_seconds`).
 
         Returns:
             The computed rate (0.0 when the duration is not measurable).
         """
-        seconds = self.seconds(stage) if stage is not None else self.total
         rate = count / seconds if seconds > 0 else 0.0
         self.set_meter(name, rate)
         return rate
@@ -136,39 +115,16 @@ class StageTimings:
         """Meter -> value mapping, insertion-ordered."""
         return dict(self._meters)
 
-    def as_dict(self) -> Dict[str, float]:
-        """Stage -> seconds mapping, insertion-ordered."""
-        return dict(self._seconds)
-
-    def with_total(self) -> Dict[str, float]:
-        """Stage mapping plus a ``total`` key (explicit total wins if set)."""
-        out = self.as_dict()
-        out.setdefault("total", self.total)
-        return out
-
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{name}={seconds:.4f}s" for name, seconds in self._seconds.items()
-        )
-        return f"StageTimings({inner})"
+        return f"StageTimings(meters={self._meters!r})"
 
 
-#: The shared no-op context of :func:`maybe_stage` (``nullcontext`` is
-#: reusable, so disabled sites allocate nothing).
-_NULL_STAGE = nullcontext()
-
-
-def maybe_stage(timings: Optional[StageTimings], name: str):
-    """A stage on ``timings`` — or the shared no-op context when it is None.
-
-    The timing twin of :func:`repro.obs.maybe_span`::
-
-        with maybe_stage(timings, "refine.pack"):
-            ...
-    """
-    if timings is None:
-        return _NULL_STAGE
-    return timings.stage(name)
+def stage_seconds(
+    summaries: Iterable[Mapping[str, Any]],
+) -> Dict[str, float]:
+    """Span name -> summed seconds, from
+    :meth:`repro.obs.Tracer.span_summaries`: a BENCH stage table."""
+    return {summary["name"]: summary["total_s"] for summary in summaries}
 
 
 def bench_payload(
@@ -189,12 +145,15 @@ def bench_payload(
 
 
 def run_entry(
-    timings: StageTimings, **meta: Any
+    stages: Iterable[Mapping[str, Any]],
+    timings: Optional[StageTimings] = None,
+    **meta: Any,
 ) -> Dict[str, Any]:
-    """One ``runs`` entry: stage timings (with total), any recorded meters
-    (peak RSS, throughputs), plus free-form meta."""
-    entry: Dict[str, Any] = {"stages": timings.with_total()}
-    if timings.meters:
+    """One ``runs`` entry: the stage table of a span rollup
+    (:meth:`repro.obs.Tracer.span_summaries`), any meters recorded on
+    ``timings`` (peak RSS, throughputs), plus free-form meta."""
+    entry: Dict[str, Any] = {"stages": stage_seconds(stages)}
+    if timings is not None and timings.meters:
         entry["meters"] = timings.meters
     entry["meta"] = dict(meta)
     return entry

@@ -35,7 +35,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.datasets.schema import Record, canonical_pair
 from repro.obs import maybe_span
-from repro.perf.timing import StageTimings, maybe_stage
 from repro.pruning.blocking import all_pairs, token_blocking_pairs
 from repro.pruning.shard import sharded_prefix_filtered_candidates
 from repro.similarity.composite import SET_METRIC_FUNCTIONS, SimilarityFunction
@@ -113,7 +112,6 @@ def build_candidate_set(
     use_token_blocking: bool = True,
     parallel: int = 0,
     shards: int = 0,
-    timings: Optional[StageTimings] = None,
     obs=None,
     supervisor_policy=None,
     fault_plan=None,
@@ -136,10 +134,9 @@ def build_candidate_set(
             parallel (needs ``shards`` > 1 to matter there).
         shards: Blocking-key shards for the prefix join (0/1 = unsharded).
             Any value yields byte-identical output; > 1 is a scale knob.
-        timings: Optional :class:`~repro.perf.timing.StageTimings`; records
-            ``blocking`` and ``scoring`` stage wall-clock.
         obs: Optional :class:`~repro.obs.ObsContext`; the phase runs inside
-            a ``pruning`` span and reports record / survivor gauges.
+            a ``pruning`` span, with its ``blocking`` and ``scoring``
+            stages in child spans, and reports record / survivor gauges.
         supervisor_policy: Optional
             :class:`~repro.runtime.supervisor.SupervisorPolicy` tuning the
             fault handling of parallel execution (both the chunked
@@ -186,7 +183,6 @@ def build_candidate_set(
                 num_shards=max(shards, 1),
                 processes=parallel,
                 include_empty_pairs=not use_token_blocking,
-                timings=timings,
                 obs=obs,
                 supervisor_policy=supervisor_policy,
                 fault_plan=fault_plan,
@@ -194,7 +190,7 @@ def build_candidate_set(
         else:
             surviving, scores = _run_reference(
                 records, similarity, threshold, candidate_pairs,
-                use_token_blocking, parallel, timings, obs,
+                use_token_blocking, parallel, obs,
                 supervisor_policy, fault_plan,
             )
         candidates = _assemble(similarity, surviving, scores, threshold)
@@ -236,7 +232,6 @@ def _run_reference(
     candidate_pairs: Optional[Iterable[Pair]],
     use_token_blocking: bool,
     parallel: int,
-    timings: Optional[StageTimings],
     obs=None,
     supervisor_policy=None,
     fault_plan=None,
@@ -253,9 +248,9 @@ def _run_reference(
 
     # Materialize the pair stream so blocking and scoring time apart (and
     # so chunks can be fanned out to workers).
-    with maybe_stage(timings, "blocking"):
+    with maybe_span(obs, "blocking"):
         unique = _canonical_unique(candidate_pairs, needs_dedupe)
-    with maybe_stage(timings, "scoring"):
+    with maybe_span(obs, "scoring"):
         if parallel > 1:
             from repro.pruning.parallel import score_pairs_parallel
 

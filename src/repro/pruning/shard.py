@@ -62,7 +62,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as _np
 
 from repro.datasets.schema import Record
-from repro.perf.timing import StageTimings
+from repro.obs import maybe_span
 from repro.pruning.blocking import shard_of_token
 from repro.pruning.parallel import fork_available, notify_parallel_fallback
 from repro.runtime.faults import ProcessFaultPlan
@@ -346,7 +346,6 @@ def sharded_prefix_filtered_candidates(
     num_shards: int = 1,
     processes: int = 0,
     include_empty_pairs: bool = False,
-    timings: Optional[StageTimings] = None,
     obs=None,
     pair_block_size: int = DEFAULT_PAIR_BLOCK_SIZE,
     supervisor_policy: Optional[SupervisorPolicy] = None,
@@ -375,11 +374,11 @@ def sharded_prefix_filtered_candidates(
         include_empty_pairs: Also emit pairs of records with empty sets,
             matching the all-pairs scoring loop instead of token blocking
             (which never pairs them).
-        timings: Optional stage timer; ``blocking`` covers interning,
-            encoding, and incidence layout, ``scoring`` covers shard
-            execution, verification, and the cross-shard merge.
-        obs: Optional :class:`~repro.obs.ObsContext` (fallback events and
-            the supervised pool's ``runtime.*`` fault events).
+        obs: Optional :class:`~repro.obs.ObsContext`: the ``blocking``
+            span covers interning, encoding, and incidence layout, the
+            ``scoring`` span shard execution, verification, and the
+            cross-shard merge; also fallback events and the supervised
+            pool's ``runtime.*`` fault events.
         pair_block_size: Generated pairs per numpy block (memory bound).
         supervisor_policy: Fault-handling knobs of the shard worker pool
             (retries, backoff, straggler deadline); defaults to
@@ -395,12 +394,11 @@ def sharded_prefix_filtered_candidates(
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
     if pair_block_size < 1:
         raise ValueError(f"pair_block_size must be >= 1, got {pair_block_size}")
-    timings = timings if timings is not None else StageTimings()
 
-    with timings.stage("blocking"):
+    with maybe_span(obs, "blocking"):
         plan, empty = _build_plan(records, set_of, metric, threshold)
 
-    with timings.stage("scoring"):
+    with maybe_span(obs, "scoring"):
         merged: Dict[Pair, float] = {}
         shard_results = _execute_shards(
             plan, num_shards, processes, metric, threshold, pair_block_size,

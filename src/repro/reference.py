@@ -83,7 +83,7 @@ from repro.core.refine import apply_free_operations as _apply_free_heap
 from repro.crowd.oracle import CrowdOracle
 from repro.crowd.stats import CrowdStats
 from repro.datasets.schema import Record, canonical_pair
-from repro.perf.timing import StageTimings, maybe_stage
+from repro.obs import maybe_span
 from repro.pruning.candidate import (
     DEFAULT_THRESHOLD,
     CandidateSet,
@@ -383,7 +383,7 @@ def pack_independent_operations(
     budget: float,
     ranking: str = "ratio",
     hard_budget: bool = False,
-    timings=None,
+    obs=None,
 ) -> List[Operation]:
     """Greedy O^i construction (Algorithm 5 lines 9-14): scan operations by
     descending benefit-cost ratio; keep those with positive ratio that are
@@ -405,7 +405,7 @@ def pack_independent_operations(
     if ranking not in ("ratio", "benefit"):
         raise ValueError(f"ranking must be 'ratio' or 'benefit', got {ranking!r}")
     scored: List[Tuple[float, int, Operation]] = []
-    with maybe_stage(timings, "refine.evaluate"):
+    with maybe_span(obs, "refine.evaluate"):
         for operation in enumerate_operations(clustering, candidates):
             cost = evaluator.cost(operation)
             if cost <= 0:
@@ -414,7 +414,7 @@ def pack_independent_operations(
             key = benefit / cost if ranking == "ratio" else benefit
             if key > 0.0:
                 scored.append((key, cost, operation))
-    with maybe_stage(timings, "refine.pack"):
+    with maybe_span(obs, "refine.pack"):
         # Deterministic order: ratio desc, then a stable textual tiebreak.
         scored.sort(key=lambda item: (-item[0], repr(item[2])))
 
@@ -445,7 +445,6 @@ def pc_refine(
     ranking: str = "ratio",
     max_refinement_pairs: Optional[int] = None,
     obs=None,
-    timings=None,
 ) -> Clustering:
     """PC-Refine with fresh evaluator walks, full re-enumeration and
     re-sort per round, and a per-round unknown-pair sweep.
@@ -471,7 +470,7 @@ def pc_refine(
 
     round_index = 0
     while True:
-        with maybe_stage(timings, "refine.free"):
+        with maybe_span(obs, "refine.free"):
             # A fresh cache per round: the packed operations below are
             # applied without its tracker.  The from-scratch evaluator
             # serves the exact benefits, so every walk is counted in
@@ -501,20 +500,20 @@ def pc_refine(
             budget = min(budget, float(max_refinement_pairs - spent))
         packed = pack_independent_operations(
             clustering, candidates, evaluator, budget, ranking=ranking,
-            hard_budget=max_refinement_pairs is not None, timings=timings,
+            hard_budget=max_refinement_pairs is not None, obs=obs,
         )
         if not packed:
             return finish()
 
         # One crowd batch resolves every packed operation's unknown pairs.
-        with maybe_stage(timings, "refine.crowd"):
+        with maybe_span(obs, "refine.crowd"):
             needed: Set[Pair] = set()
             for operation in packed:
                 needed.update(evaluator.unknown_pairs(operation))
             answers = oracle.ask_batch(sorted(needed))
             _record_answers(answers, candidates, estimator)
 
-        with maybe_stage(timings, "refine.apply"):
+        with maybe_span(obs, "refine.apply"):
             applied = 0
             for operation in packed:
                 benefit = evaluator.exact_benefit(operation)
@@ -558,7 +557,7 @@ def prefix_filtered_candidates(
     metric: str,
     threshold: float,
     include_empty_pairs: bool = False,
-    timings: Optional[StageTimings] = None,
+    obs=None,
 ) -> Tuple[List[Pair], Dict[Pair, float]]:
     """Run the join; returns ``(sorted surviving pairs, pair -> score)``.
 
@@ -573,17 +572,16 @@ def prefix_filtered_candidates(
         include_empty_pairs: Also emit pairs of records with *empty* sets
             (scored by ``set_function(∅, ∅)``) — matches the all-pairs
             reference instead of the token-blocking reference.
-        timings: Optional stage timer; records ``blocking`` (ordering,
-            prefix index, candidate generation) and ``scoring``
-            (exact verification).
+        obs: Optional :class:`~repro.obs.ObsContext`; spans ``blocking``
+            (ordering, prefix index, candidate generation) and
+            ``scoring`` (exact verification).
     """
     if metric not in PREFIX_METRICS:
         raise ValueError(f"unknown prefix-join metric {metric!r}")
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    timings = timings if timings is not None else StageTimings()
 
-    with timings.stage("blocking"):
+    with maybe_span(obs, "blocking"):
         sets: Dict[int, FrozenSet[str]] = {
             record.record_id: set_of(record) for record in records
         }
@@ -620,7 +618,7 @@ def prefix_filtered_candidates(
 
     surviving: List[Pair] = []
     scores: Dict[Pair, float] = {}
-    with timings.stage("scoring"):
+    with maybe_span(obs, "scoring"):
         for pair in candidate_pairs:
             score = set_function(sets[pair[0]], sets[pair[1]])
             score = min(1.0, max(0.0, score))
@@ -648,7 +646,7 @@ def candidate_set(
     candidate_pairs: Optional[Iterable[Pair]] = None,
     use_token_blocking: bool = True,
     parallel: int = 0,
-    timings: Optional[StageTimings] = None,
+    obs=None,
 ) -> CandidateSet:
     """The pruning phase through the enumerate-and-score loop, whatever
     the metric: token blocking (or all pairs, or ``candidate_pairs``),
@@ -662,7 +660,7 @@ def candidate_set(
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     surviving, scores = _run_reference(
         records, similarity, threshold, candidate_pairs, use_token_blocking,
-        parallel, timings,
+        parallel, obs,
     )
     return CandidateSet(pairs=tuple(surviving), machine_scores=scores,
                         threshold=threshold)

@@ -202,11 +202,10 @@ def run_pipeline(
     extras are ``pruning_shards`` (streamed join shard count, or
     ``"auto"`` for the heuristic of
     :mod:`repro.runtime.autoshard`), ``workers`` (shared pool processes;
-    ``<= 1`` runs inline), and ``timings`` (records the
+    ``<= 1`` runs inline), and ``timings`` (the sink of the
     ``pipeline_bytes_shipped_total`` / ``pipeline_bytes_per_task``
-    dispatch-overhead meters, and is forwarded to
-    :func:`~repro.core.pc_refine.pc_refine` for its ``refine.*``
-    stages).  The ``workers`` serve pruning and generation only: the
+    dispatch-overhead meters; stage times are ``obs`` spans).  The
+    ``workers`` serve pruning and generation only: the
     pool closes once generation drains, refinement runs the global
     PC-Refine loop in this process, and a run resumed from a
     ``generation`` checkpoint forks no pool.  ``checkpoints`` /
@@ -269,8 +268,7 @@ def run_pipeline(
             obs.event("pipeline.serial_pruning", reason="not-prefix-eligible")
         candidates = build_candidate_set(
             records, similarity, threshold=threshold, shards=num_shards,
-            parallel=workers,
-            timings=timings, obs=obs,
+            parallel=workers, obs=obs,
             supervisor_policy=supervisor_policy, fault_plan=fault_plan,
         )
         if checkpoints is not None:
@@ -349,7 +347,7 @@ def run_pipeline(
                                  threshold_divisor=threshold_divisor,
                                  num_buckets=num_buckets,
                                  diagnostics=diagnostics, ranking=ranking,
-                                 obs=obs, timings=timings)
+                                 obs=obs)
 
             result = phases.run(ids, candidates, generate, refine_step)
         finally:

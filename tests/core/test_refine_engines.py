@@ -100,6 +100,20 @@ def _collected_events(obs):
     return collected
 
 
+def _span_names(obs):
+    """Every span's name in the trace, depth first."""
+    names = []
+
+    def walk(span):
+        names.append(span.name)
+        for child in span.children:
+            walk(child)
+
+    for root in obs.tracer.roots:
+        walk(root)
+    return names
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000))
 def test_crowd_refine_engines_agree(seed):
@@ -150,14 +164,21 @@ def test_crowd_refine_event_streams_identical(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_pc_refine_event_streams_identical(seed):
+    """Same events, and the same ``refine.*`` stage spans in the same
+    order (free, evaluate, pack, crowd, apply per round)."""
     clustering, candidates, fresh_oracle = random_refine_state(seed)
     streams = {}
+    spans = {}
     for engine, run in PC_REFINES.items():
         obs = ObsContext()
         with obs.span("refinement"):
             run(clustering.copy(), candidates, fresh_oracle(), obs=obs)
         streams[engine] = _collected_events(obs)
+        spans[engine] = _span_names(obs)
     assert streams["fast"] == streams["reference"]
+    assert spans["fast"] == spans["reference"]
+    assert spans["fast"][:4] == ["refinement", "refine.free",
+                                 "refine.evaluate", "refine.pack"]
 
 
 @pytest.mark.parametrize("parallel", (True, False))

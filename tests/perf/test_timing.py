@@ -1,66 +1,50 @@
-"""Tests for repro.perf.timing (stage timers and the BENCH schema)."""
+"""Tests for repro.perf.timing (meters, stage tables and the BENCH
+schema) and the pruning phase's stage spans."""
 
 import pytest
 
+from repro.obs import ObsContext
 from repro.perf.timing import (
     SCHEMA_VERSION,
     StageTimings,
     bench_payload,
     read_bench_json,
     run_entry,
+    stage_seconds,
     write_bench_json,
 )
 
+#: A one-stage rollup in the shape of ``Tracer.span_summaries()``.
+BLOCKING = [{"name": "blocking", "count": 1, "total_s": 0.1}]
+
 
 class TestStageTimings:
+    """The BENCH stage table: span wall-clock rolled up per name."""
+
     def test_stage_records_duration(self):
-        timings = StageTimings()
-        with timings.stage("blocking"):
+        obs = ObsContext()
+        with obs.span("blocking"):
             pass
-        assert timings.seconds("blocking") >= 0.0
-        assert list(timings.as_dict()) == ["blocking"]
+        stages = stage_seconds(obs.tracer.span_summaries())
+        assert list(stages) == ["blocking"]
+        assert stages["blocking"] >= 0.0
 
     def test_reentry_accumulates(self):
-        timings = StageTimings()
-        timings.add("scoring", 1.0)
-        timings.add("scoring", 0.5)
-        assert timings.seconds("scoring") == pytest.approx(1.5)
-
-    def test_unknown_stage_is_zero(self):
-        assert StageTimings().seconds("nope") == 0.0
-
-    def test_total_sums_stages(self):
-        timings = StageTimings()
-        timings.add("blocking", 1.0)
-        timings.add("scoring", 2.0)
-        assert timings.total == pytest.approx(3.0)
-
-    def test_total_excludes_explicit_total(self):
-        timings = StageTimings()
-        timings.add("blocking", 1.0)
-        timings.add("total", 9.0)
-        assert timings.total == pytest.approx(1.0)
-        # ... but an explicit total wins in the serialized view.
-        assert timings.with_total()["total"] == pytest.approx(9.0)
-
-    def test_with_total_adds_key(self):
-        timings = StageTimings()
-        timings.add("scoring", 2.0)
-        assert timings.with_total() == {"scoring": 2.0, "total": 2.0}
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            StageTimings().add("x", -0.1)
+        obs = ObsContext()
+        for _ in range(2):
+            with obs.span("scoring"):
+                pass
+        durations = [root.duration_s for root in obs.tracer.roots]
+        stages = stage_seconds(obs.tracer.span_summaries())
+        assert stages["scoring"] == pytest.approx(sum(durations))
 
 
 class TestBenchSchema:
     def test_payload_shape(self):
-        timings = StageTimings()
-        timings.add("blocking", 0.1)
         payload = bench_payload(
             "pruning",
             config={"scale": 2.0},
-            runs={"paper/prefix": run_entry(timings, records=600)},
+            runs={"paper/prefix": run_entry(BLOCKING, records=600)},
             derived={"speedup": 4.0},
         )
         assert payload["benchmark"] == "pruning"
@@ -68,7 +52,7 @@ class TestBenchSchema:
         assert payload["config"] == {"scale": 2.0}
         entry = payload["runs"]["paper/prefix"]
         assert entry["meta"] == {"records": 600}
-        assert entry["stages"]["total"] == pytest.approx(0.1)
+        assert entry["stages"] == {"blocking": pytest.approx(0.1)}
         assert payload["derived"] == {"speedup": 4.0}
 
     def test_write_read_roundtrip(self, tmp_path):
@@ -79,24 +63,33 @@ class TestBenchSchema:
 
 class TestPruningInstrumentation:
     def test_build_candidate_set_records_stages(self):
-        from repro import reference
+        """Both pruning paths time their stages in ``blocking`` and
+        ``scoring`` spans nested under the phase's ``pruning`` span."""
         from repro.datasets.schema import Record
         from repro.pruning.candidate import (
             _prefix_join_eligible,
             build_candidate_set,
         )
-        from repro.similarity.composite import jaccard_similarity_function
+        from repro.similarity.composite import (
+            jaccard_similarity_function,
+            levenshtein_similarity_function,
+        )
 
         records = [Record(record_id=i, text=t)
                    for i, t in enumerate(["a b c", "a b d", "x y"])]
-        # The production call below must take the join, not the loop.
-        assert _prefix_join_eligible(jaccard_similarity_function(), None,
-                                     True)
-        for build in (reference.candidate_set, build_candidate_set):
-            timings = StageTimings()
-            build(records, jaccard_similarity_function(), timings=timings)
-            stages = timings.as_dict()
-            assert "blocking" in stages and "scoring" in stages, build
+        join = jaccard_similarity_function()
+        loop = levenshtein_similarity_function()
+        # One input per path: the prefix join and the scoring loop.
+        assert _prefix_join_eligible(join, None, True)
+        assert not _prefix_join_eligible(loop, None, False)
+        for similarity, token_blocking in ((join, True), (loop, False)):
+            obs = ObsContext()
+            build_candidate_set(records, similarity,
+                                use_token_blocking=token_blocking, obs=obs)
+            (pruning,) = obs.tracer.roots
+            assert pruning.name == "pruning"
+            assert [child.name for child in pruning.children] == [
+                "blocking", "scoring"], similarity.name
 
 
 class TestMeters:
@@ -125,32 +118,25 @@ class TestMeters:
 
     def test_record_throughput_from_stage(self):
         timings = StageTimings()
-        timings.add("scoring", 2.0)
+        stages = stage_seconds(
+            [{"name": "scoring", "count": 1, "total_s": 2.0}])
         rate = timings.record_throughput("pairs_per_second", 100,
-                                         stage="scoring")
+                                         stages["scoring"])
         assert rate == pytest.approx(50.0)
         assert timings.meters["pairs_per_second"] == pytest.approx(50.0)
 
-    def test_record_throughput_defaults_to_total(self):
-        timings = StageTimings()
-        timings.add("blocking", 1.0)
-        timings.add("scoring", 3.0)
-        rate = timings.record_throughput("records_per_second", 400)
-        assert rate == pytest.approx(100.0)
-
     def test_record_throughput_unmeasurable_is_zero(self):
         timings = StageTimings()
-        assert timings.record_throughput("records_per_second", 400) == 0.0
+        assert timings.record_throughput("records_per_second", 400,
+                                         0.0) == 0.0
 
     def test_run_entry_includes_meters(self):
         timings = StageTimings()
-        timings.add("scoring", 1.0)
         timings.set_meter("records_per_second", 42.0)
-        entry = run_entry(timings, records=7)
+        entry = run_entry(BLOCKING, timings, records=7)
         assert entry["meters"] == {"records_per_second": 42.0}
         assert entry["meta"] == {"records": 7}
 
     def test_run_entry_omits_empty_meters(self):
-        timings = StageTimings()
-        timings.add("scoring", 1.0)
-        assert "meters" not in run_entry(timings)
+        assert "meters" not in run_entry(BLOCKING, StageTimings())
+        assert "meters" not in run_entry(BLOCKING)

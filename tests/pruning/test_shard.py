@@ -19,6 +19,7 @@ from repro.cli import main
 from repro.datasets.registry import generate
 from repro.datasets.schema import Record
 from repro.experiments.runner import prepare_instance
+from repro.obs import ObsContext, Tracer
 from repro.pruning import parallel as parallel_module
 from repro.pruning import shard
 from repro.pruning.candidate import build_candidate_set
@@ -138,23 +139,22 @@ class TestForkParallelism:
     def test_fallback_warns_and_emits_event(self, monkeypatch):
         monkeypatch.setattr(parallel_module, "fork_available", lambda: False)
         monkeypatch.setattr(shard, "fork_available", lambda: False)
-        events = []
-
-        class FakeObs:
-            def event(self, name, **fields):
-                events.append((name, fields))
+        records_seen = []
+        obs = ObsContext(tracer=Tracer(sink=records_seen.append))
 
         records = recs("a b c", "a b d", "b c d")
         with pytest.warns(ParallelFallbackWarning):
             pairs, scores = shard.sharded_prefix_filtered_candidates(
                 records, threshold=0.1, num_shards=2, processes=2,
-                obs=FakeObs(), **join_args("jaccard"),
+                obs=obs, **join_args("jaccard"),
             )
         expected_pairs, expected_scores = prefix_filtered_candidates(
             records, threshold=0.1, **join_args("jaccard"),
         )
         assert pairs == expected_pairs and scores == expected_scores
-        assert any(name == "pruning.parallel_fallback" for name, _ in events)
+        assert any(record["type"] == "event"
+                   and record["name"] == "pruning.parallel_fallback"
+                   for record in records_seen)
 
 
 class TestBuildCandidateSetRouting:

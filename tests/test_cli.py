@@ -76,14 +76,18 @@ class TestTraceAndManifest:
     def test_run_with_trace_writes_trace_and_manifest(self, capsys, tmp_path):
         from repro.obs import load_manifest, read_events, summarize_trace
         trace = tmp_path / "run.trace.jsonl"
-        assert main(["run", "restaurant", "--scale", "0.05",
+        # Scale 0.15 is the smallest Restaurant run whose refinement packs
+        # a crowd round, so every refine.* stage span appears.
+        assert main(["run", "restaurant", "--scale", "0.15",
                      "--trace", str(trace)]) == 0
         out = capsys.readouterr().out
         assert f"trace: {trace}" in out
 
         span_names = {record["name"] for record in read_events(trace)
                       if record["type"] == "span"}
-        assert {"pruning", "acd", "generation", "refinement"} <= span_names
+        assert {"pruning", "blocking", "scoring", "acd", "generation",
+                "refinement", "refine.free", "refine.evaluate",
+                "refine.pack", "refine.crowd", "refine.apply"} <= span_names
         summary = summarize_trace(trace)
         assert summary["crowd_rounds"]
 
