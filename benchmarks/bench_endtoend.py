@@ -12,7 +12,10 @@ Stage tables are span rollups of a harness-only
 :class:`~repro.obs.ObsContext`: each stage is a harness span around a
 call that never receives that context, so every timed run (both sides
 of each makespan A/B) stays untraced — except ``acd_traced``, which
-streams its own trace to disk to measure the tracing overhead.
+streams its own trace to disk to measure the tracing overhead.  Each
+dataset row, and each side of the pipelined comparison, runs in its own
+forked child (``common.in_fork``), so every peak-RSS meter is that
+row's own.
 
 The ``acd_reference`` stage swaps PC-Refine for its full-re-evaluation
 oracle and ``acd_pivot_reference`` swaps PC-Pivot for its per-round
@@ -224,6 +227,61 @@ def _acd_with_oracle(instance, **phase):
             pairwise_scores(clustering, instance.dataset.gold).f1)
 
 
+def classic_row(dataset_name: str):
+    """One dataset's pruning + ACD stages; returns ``(run entry, stage
+    seconds, f1)``.  Runs in its own fork, so the peak RSS is this
+    dataset's own."""
+    harness, meters = ObsContext(), StageTimings()
+    with harness.span("total"), harness.span("pruning"):
+        instance = prepare_instance(
+            dataset_name, SETTING, scale=SCALE, seed=SEED,
+            parallel=PARALLEL,
+        )
+    # Untimed warm-up: the first run populates the lazy answer file,
+    # which would otherwise be billed to whichever stage runs first.
+    run_method(ACD_METHOD, instance, seed=SEED)
+    with harness.span("total"):
+        with harness.span("acd"):
+            result = run_method(ACD_METHOD, instance, seed=SEED)
+        # The same pipeline under the full-re-evaluation refinement
+        # oracle: the delta is the incremental PC-Refine's end-to-end
+        # win.
+        with harness.span("acd_reference"):
+            reference = _acd_with_oracle(instance, generation=pc_pivot)
+        assert reference == (result.pairs_issued, result.f1), \
+            "the refinement oracle must agree"
+        # And under the per-round re-derivation pivot oracle: the delta
+        # is the incremental pivot order's end-to-end win.
+        with harness.span("acd_pivot_reference"):
+            pivot_reference = _acd_with_oracle(instance,
+                                               refinement=pc_refine)
+        assert pivot_reference == (result.pairs_issued, result.f1), \
+            "the pivot oracle must agree"
+        # Same run again under full observability (spans + metrics +
+        # JSONL stream to disk) — the delta is the tracing overhead.
+        with tempfile.TemporaryDirectory() as tmpdir:
+            with harness.span("acd_traced"):
+                with ObsContext.to_path(
+                        Path(tmpdir) / "bench.trace.jsonl") as obs:
+                    traced = run_method(ACD_METHOD, instance, seed=SEED,
+                                        obs=obs)
+    assert traced.pairs_issued == result.pairs_issued, \
+        "tracing must not perturb the run"
+    stages = harness.tracer.span_summaries()
+    seconds = stage_seconds(stages)
+    meters.record_throughput("pruning_records_per_second",
+                             len(instance.record_ids), seconds["pruning"])
+    meters.record_peak_rss()
+    entry = run_entry(
+        stages, meters,
+        records=len(instance.record_ids),
+        candidate_pairs=len(instance.candidates),
+        f1=round(result.f1, 4),
+        pairs_issued=result.pairs_issued,
+    )
+    return entry, seconds, result.f1
+
+
 def main() -> int:
     runs = {}
     plain_total = 0.0
@@ -231,65 +289,19 @@ def main() -> int:
     reference_total = 0.0
     pivot_reference_total = 0.0
     for dataset_name in (DATASETS if "classic" in STAGES else ()):
-        harness, meters = ObsContext(), StageTimings()
-        with harness.span("total"), harness.span("pruning"):
-            instance = prepare_instance(
-                dataset_name, SETTING, scale=SCALE, seed=SEED,
-                parallel=PARALLEL,
-            )
-        # Untimed warm-up: the first run populates the lazy answer file,
-        # which would otherwise be billed to whichever stage runs first.
-        run_method(ACD_METHOD, instance, seed=SEED)
-        with harness.span("total"):
-            with harness.span("acd"):
-                result = run_method(ACD_METHOD, instance, seed=SEED)
-            # The same pipeline under the full-re-evaluation refinement
-            # oracle: the delta is the incremental PC-Refine's end-to-end
-            # win.
-            with harness.span("acd_reference"):
-                reference = _acd_with_oracle(instance, generation=pc_pivot)
-            assert reference == (result.pairs_issued, result.f1), \
-                "the refinement oracle must agree"
-            # And under the per-round re-derivation pivot oracle: the delta
-            # is the incremental pivot order's end-to-end win.
-            with harness.span("acd_pivot_reference"):
-                pivot_reference = _acd_with_oracle(instance,
-                                                   refinement=pc_refine)
-            assert pivot_reference == (result.pairs_issued, result.f1), \
-                "the pivot oracle must agree"
-            # Same run again under full observability (spans + metrics +
-            # JSONL stream to disk) — the delta is the tracing overhead.
-            with tempfile.TemporaryDirectory() as tmpdir:
-                with harness.span("acd_traced"):
-                    with ObsContext.to_path(
-                            Path(tmpdir) / "bench.trace.jsonl") as obs:
-                        traced = run_method(ACD_METHOD, instance, seed=SEED,
-                                            obs=obs)
-        assert traced.pairs_issued == result.pairs_issued, \
-            "tracing must not perturb the run"
-        stages = harness.tracer.span_summaries()
-        seconds = stage_seconds(stages)
+        entry, seconds, f1 = in_fork(lambda: classic_row(dataset_name))
+        runs[dataset_name] = entry
         plain_total += seconds["acd"]
         traced_total += seconds["acd_traced"]
         reference_total += seconds["acd_reference"]
         pivot_reference_total += seconds["acd_pivot_reference"]
-        meters.record_throughput("pruning_records_per_second",
-                                 len(instance.record_ids), seconds["pruning"])
-        meters.record_peak_rss()
-        runs[dataset_name] = run_entry(
-            stages, meters,
-            records=len(instance.record_ids),
-            candidate_pairs=len(instance.candidates),
-            f1=round(result.f1, 4),
-            pairs_issued=result.pairs_issued,
-        )
         print(
             f"{dataset_name}: pruning {seconds['pruning']:.3f}s, "
             f"acd {seconds['acd']:.3f}s, "
             f"reference {seconds['acd_reference']:.3f}s, "
             f"pivot-reference {seconds['acd_pivot_reference']:.3f}s, "
             f"traced {seconds['acd_traced']:.3f}s, "
-            f"F1 {result.f1:.3f}"
+            f"F1 {f1:.3f}"
         )
 
     derived = {}

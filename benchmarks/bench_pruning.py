@@ -10,7 +10,8 @@ Each side runs with an in-memory :class:`~repro.obs.ObsContext` inside a
 harness ``total`` span, and its stage table is that context's span
 rollup: ``blocking`` and ``scoring`` (plus the production side's
 ``pruning`` phase span).  Both sides of the A/B therefore include the
-same in-memory tracing.
+same in-memory tracing.  Every variant runs in its own forked child
+(``common.in_fork``), so its peak RSS is its own.
 
 Standalone (no pytest)::
 
@@ -31,6 +32,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from common import in_fork  # noqa: E402
 from repro.datasets.registry import generate  # noqa: E402
 from repro.experiments.configs import PRUNING_THRESHOLD  # noqa: E402
 from repro.obs import ObsContext  # noqa: E402
@@ -66,18 +68,23 @@ def reference_similarity() -> SimilarityFunction:
 
 
 def _measure(build, records, similarity, **knobs):
-    """One traced pruning run; returns (candidates, stage table, total
-    seconds, meters)."""
-    obs = ObsContext()
-    with obs.span("total"):
-        candidates = build(records, similarity, threshold=PRUNING_THRESHOLD,
-                           obs=obs, **knobs)
-    stages = obs.tracer.span_summaries()
-    total = stage_seconds(stages)["total"]
-    meters = StageTimings()
-    meters.record_throughput("records_per_second", len(records), total)
-    meters.record_peak_rss()
-    return candidates, stages, total, meters
+    """One traced pruning run in a forked child; returns (candidates,
+    stage table, total seconds, meters)."""
+
+    def run():
+        obs = ObsContext()
+        with obs.span("total"):
+            candidates = build(records, similarity,
+                               threshold=PRUNING_THRESHOLD, obs=obs,
+                               **knobs)
+        stages = obs.tracer.span_summaries()
+        total = stage_seconds(stages)["total"]
+        meters = StageTimings()
+        meters.record_throughput("records_per_second", len(records), total)
+        meters.record_peak_rss()
+        return candidates, stages, total, meters
+
+    return in_fork(run)
 
 
 def main() -> int:

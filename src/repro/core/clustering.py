@@ -8,7 +8,9 @@ queries the algorithms and metrics need.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple,
+)
 
 
 class Clustering:
@@ -136,6 +138,15 @@ class Clustering:
     def members(self, cluster_id: int) -> Set[int]:
         """A copy of the member set of a cluster."""
         return set(self._members[cluster_id])
+
+    def member_view(self, cluster_id: int) -> AbstractSet[int]:
+        """The live member set of a cluster, without a copy.
+
+        Callers must not mutate it.  A merge leaves the absorbed cluster's
+        set as it was, so a view taken before the merge still lists the
+        records that moved.
+        """
+        return self._members[cluster_id]
 
     def size(self, cluster_id: int) -> int:
         return len(self._members[cluster_id])

@@ -5,31 +5,46 @@ operation's relevant pairs, cost, and benefits from scratch on every call —
 correct, but the refinement loops (Algorithms 4-5) ask for the same values
 thousands of times while only a handful of clusters change per iteration.
 :class:`EvaluationCache` memoizes the full evaluation of each operation and
-invalidates *only* what actually changed, keyed on three signals:
+updates *only* what actually changed, keyed on four signals:
 
 * **Cluster versions** — an entry snapshots its touched clusters'
   :class:`~repro.core.refine.ClusterVersionTracker` versions; any applied
   operation bumps only the changed clusters, so only entries touching them
-  rebuild.
+  go stale.
+* **Cluster deltas** — a stale entry replays the membership changes the
+  tracker logged since its snapshot (a split: one record left; a merge:
+  the absorbed cluster's records joined) and patches its rows in place:
+  only the pairs of records that joined are resolved, the pairs of
+  records that left are cut out, and every other pair keeps its term.  A
+  record that left and came back is resolved afresh.  The entry rebuilds
+  instead when its own split record left its cluster (answers that land
+  meanwhile are marked on a ``Merge``), when a cluster was destroyed, or
+  when the new pairs would exceed half the grid.
 * **Oracle answer epoch** — the oracle keeps an append-only log of pairs
   transitioning unknown -> known; the cache consumes it through a cursor
   and reads each fresh pair's holders off the cluster map: a pair inside
   cluster ``C`` feeds only ``Split(a, C)`` and ``Split(b, C)``, a pair
-  across two clusters only their ``Merge``.  Of those, the entries that
-  exist with a current snapshot are marked dirty (a stale one rebuilds
-  anyway); a record outside the clustering feeds nothing.
+  across two clusters only their ``Merge``.  Those entries are marked
+  dirty — stale ones too, since a patch keeps their old pairs; a record
+  outside the clustering feeds nothing.
 * **Estimator epoch** — new histogram samples bump the estimator's epoch;
   the cache re-queries its per-score estimate memo and marks dirty only
   entries holding unknown pairs whose machine-score estimate *actually
   changed* (a reverse score -> operations index), so a rebuild that lands
   on identical bucket means invalidates nothing.
 
-Everything the cache serves is byte-identical to a fresh
-``OperationEvaluator`` derivation: per-pair confidences are stored in
-``relevant_pairs`` order and benefits are recomputed as the same ordered
-sums (:func:`~repro.core.objective.split_benefit` /
-:func:`~repro.core.objective.merge_benefit`), so float summation order — and
-therefore every downstream comparison and tie-break — is preserved.
+An entry stores its operation's pairs as a row-major grid — the split's
+record against its cluster's other members, or the merge's ``cluster_a``
+members against ``cluster_b``'s, both sorted — with one benefit term per
+pair (``1 - 2 f_c`` for a split, Equation 5; ``2 f_c - 1`` for a merge,
+Equation 6) and an unknown flag; machine scores are kept for the unknown
+pairs only.  Everything the cache serves is byte-identical to a fresh
+``OperationEvaluator`` derivation: the grid is ``relevant_pairs`` order,
+each term is the exact expression of
+:func:`~repro.core.objective.split_benefit` /
+:func:`~repro.core.objective.merge_benefit`, and a benefit is the same
+builtin ``sum`` over the same sequence of terms — so float summation order,
+and therefore every downstream comparison and tie-break, is preserved.
 
 Assumptions (all hold within a run): crowd answers are append-only (a
 known pair's confidence never changes), pruned pairs stay pruned, and all
@@ -38,20 +53,26 @@ clustering mutations flow through the shared version tracker.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from itertools import compress, count
+from typing import (
+    TYPE_CHECKING, AbstractSet, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.clustering import Clustering
 from repro.core.estimator import HistogramEstimator
-from repro.core.objective import merge_benefit, split_benefit
 from repro.core.operations import Merge, Operation, Split
 from repro.crowd.oracle import CrowdOracle
 from repro.pruning.candidate import CandidateSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (refine imports us)
-    from repro.core.refine import ClusterVersionTracker
+    from repro.core.refine import ClusterVersionTracker, MembershipChange
 
 Pair = Tuple[int, int]
+#: ``(start, stop, inserted)``: keep old positions ``start:stop``, then
+#: place the ``inserted`` records (see :func:`_splice`).
+_Segment = Tuple[int, int, List[int]]
 
 
 @dataclass
@@ -64,15 +85,19 @@ class EvaluationStats:
         refreshes: Lookups that reused the entry's pair structure but
             re-resolved answers / re-summed benefits (answer or estimate
             delta touched the entry).
-        evaluations: Full from-scratch derivations (entry missing or its
-            cluster snapshot stale) — the unit the reference oracle pays
-            on *every* request.
+        evaluations: Full from-scratch derivations (entry missing, or its
+            clusters changed too much to patch) — the unit the reference
+            oracle pays on *every* request.
+        patches: Lookups that brought a stale entry up to date by
+            replaying its clusters' membership changes (only the pairs of
+            records that joined are resolved).
     """
 
     lookups: int = 0
     hits: int = 0
     refreshes: int = 0
     evaluations: int = 0
+    patches: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -84,6 +109,7 @@ class EvaluationStats:
             "hits": self.hits,
             "refreshes": self.refreshes,
             "evaluations": self.evaluations,
+            "patches": self.patches,
             "hit_rate": round(self.hit_rate, 4),
         }
 
@@ -92,22 +118,27 @@ class _Entry:
     """One operation's memoized evaluation (see module docstring)."""
 
     __slots__ = (
-        "snapshot", "is_split", "pairs", "confidences", "unknown_indices",
-        "unknown_scores", "registered_scores", "estimated", "exact",
+        "snapshot", "is_split", "rows", "cols", "terms", "unknown",
+        "scores", "registered_scores", "estimated", "exact",
         "answer_dirty", "estimate_dirty",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, is_split: bool) -> None:
         self.snapshot: Tuple[Tuple[int, int], ...] = ()
-        self.is_split = False
-        self.pairs: List[Pair] = []
-        # One slot per relevant pair, in order: the known f_c (answered or
-        # pruned-0.0) or None while the pair is still unknown.
-        self.confidences: List[Optional[float]] = []
-        self.unknown_indices: List[int] = []
-        self.unknown_scores: List[float] = []
-        # Distinct scores registered in the score index at build time
-        # (kept until rebuild so stale registrations can be dropped; a
+        self.is_split = is_split
+        # The grid's sorted row and column records: a split's record
+        # against its cluster's other members, or cluster_a x cluster_b.
+        self.rows: List[int] = []
+        self.cols: List[int] = []
+        # One benefit term per cell, row-major (the estimate's term while
+        # the pair is unknown), and a flag per cell marking unknown pairs.
+        self.terms: List[float] = []
+        self.unknown = bytearray()
+        # Machine scores of the unknown cells, in cell order; its length is
+        # the operation's cost.
+        self.scores: List[float] = []
+        # Distinct scores registered in the score index (reset on every
+        # build and patch; answers only shrink the unknown set, and a
         # spurious dirty mark only costs a refresh, never correctness).
         self.registered_scores: Tuple[float, ...] = ()
         self.estimated: float = 0.0
@@ -125,6 +156,10 @@ class EvaluationCache:
     changes, fresh crowd answers, or changed histogram estimates.
     """
 
+    #: A stale entry rebuilds instead of patching once the pairs a patch
+    #: would resolve exceed this share of its new grid.
+    _PATCH_LIMIT = 0.5
+
     def __init__(
         self,
         clustering: Clustering,
@@ -134,7 +169,7 @@ class EvaluationCache:
         tracker: "ClusterVersionTracker",
     ):
         self._clustering = clustering
-        self._candidates = candidates
+        self._machine_scores = candidates.machine_scores
         self._oracle = oracle
         self._known = oracle.known_map
         self._estimator = estimator
@@ -159,16 +194,25 @@ class EvaluationCache:
 
     def relevant_pairs(self, operation: Operation) -> List[Pair]:
         """The record pairs whose ``f_c`` the operation's benefit needs."""
-        return list(self._entry(operation, exact_only=True).pairs)
+        entry = self._entry(operation, exact_only=True)
+        cols = entry.cols
+        return [(row, col) if row < col else (col, row)
+                for row in entry.rows for col in cols]
 
     def cost(self, operation: Operation) -> int:
         """Crowdsourcing cost ``c(o)``."""
-        return len(self._entry(operation, exact_only=True).unknown_indices)
+        return len(self._entry(operation, exact_only=True).scores)
 
     def unknown_pairs(self, operation: Operation) -> List[Pair]:
         """Still-unknown relevant pairs, in ``relevant_pairs`` order."""
         entry = self._entry(operation, exact_only=True)
-        return [entry.pairs[index] for index in entry.unknown_indices]
+        rows, cols = entry.rows, entry.cols
+        width = len(cols)
+        pairs = []
+        for index in compress(count(), entry.unknown):
+            a, b = rows[index // width], cols[index % width]
+            pairs.append((a, b) if a < b else (b, a))
+        return pairs
 
     def exact_benefit(self, operation: Operation) -> Optional[float]:
         """``b(o)`` when every relevant ``f_c`` is known; else ``None``."""
@@ -183,7 +227,7 @@ class EvaluationCache:
         when ``c(o) <= 0`` (the refinement loops route those through the
         free path and never rank them)."""
         entry = self._entry(operation)
-        cost = len(entry.unknown_indices)
+        cost = len(entry.scores)
         if cost <= 0:
             return None, cost
         return entry.estimated / cost, cost
@@ -213,112 +257,209 @@ class EvaluationCache:
         histogram change for values the estimator can't move.
         """
         self._sync()
-        self.stats.lookups += 1
+        stats = self.stats
+        stats.lookups += 1
         entry = self._entries.get(operation)
-        if entry is None or not self._tracker.is_current(entry.snapshot):
-            self.stats.evaluations += 1
-            return self._build(operation)
-        if entry.answer_dirty or (entry.estimate_dirty and not exact_only):
-            self.stats.refreshes += 1
+        if entry is None:
+            entry = _Entry(isinstance(operation, Split))
+            self._entries[operation] = entry
+            stats.evaluations += 1
+            self._build(operation, entry)
+        elif not self._tracker.is_current(entry.snapshot):
+            if self._patch(operation, entry):
+                stats.patches += 1
+            else:
+                stats.evaluations += 1
+                self._build(operation, entry)
+        elif entry.answer_dirty or (entry.estimate_dirty and not exact_only):
+            stats.refreshes += 1
             self._refresh(entry)
-            return entry
-        self.stats.hits += 1
+        else:
+            stats.hits += 1
         return entry
 
-    def _build(self, operation: Operation) -> _Entry:
-        old = self._entries.get(operation)
-        if old is not None:
-            self._deregister(operation, old)
-
-        entry = _Entry()
+    def _build(self, operation: Operation, entry: _Entry) -> None:
+        """Derive ``entry`` from the current clustering (in place, so the
+        score index keeps pointing at it)."""
         entry.snapshot = self._tracker.snapshot(operation.touched_clusters)
-        entry.is_split = isinstance(operation, Split)
-        # Canonical pairs built inline, in OperationEvaluator.relevant_pairs
-        # order (the operands never share a record, so no pair is (r, r)).
+        view = self._clustering.member_view
         if entry.is_split:
             record = operation.record_id
-            others = self._clustering.members(operation.cluster_id)
-            others.discard(record)
-            pairs = [(record, other) if record < other else (other, record)
-                     for other in sorted(others)]
+            entry.rows = [record]
+            entry.cols = sorted(view(operation.cluster_id))
+            entry.cols.remove(record)
         else:
-            members_a = sorted(self._clustering.members(operation.cluster_a))
-            members_b = sorted(self._clustering.members(operation.cluster_b))
-            pairs = [(a, b) if a < b else (b, a)
-                     for a in members_a for b in members_b]
-        entry.pairs = pairs
+            entry.rows = sorted(view(operation.cluster_a))
+            entry.cols = sorted(view(operation.cluster_b))
+        entry.terms = []
+        entry.unknown = bytearray()
+        entry.scores = []
+        for row in entry.rows:
+            self._resolve(entry, row, entry.cols)
+        entry.answer_dirty = entry.estimate_dirty = False
+        self._summarize(entry)
+        self._register(operation, entry)
 
-        # One lookup per pair: answered pairs read f_c from ``A``; on a miss
-        # the pair is pruned (no machine score: f_c = 0) or still unknown.
+    def _patch(self, operation: Operation, entry: _Entry) -> bool:
+        """Bring a stale entry up to date from its clusters' logged
+        membership changes; ``False`` when it must rebuild instead."""
+        tracker = self._tracker
+        moves = []
+        for cluster_id, version in entry.snapshot:
+            changes = tracker.changes_since(cluster_id, version)
+            if changes is None:
+                return False  # a touched cluster was destroyed
+            moves.append(_net_moves(changes))
+        if entry.is_split:
+            ((gone_cols, joined_cols),) = moves
+            if operation.record_id in gone_cols:
+                # The record left (and may be back): answers between were
+                # marked on a Merge, so its whole row is suspect.
+                return False
+            gone_rows: AbstractSet[int] = frozenset()
+            joined_rows: AbstractSet[int] = frozenset()
+        else:
+            (gone_rows, joined_rows), (gone_cols, joined_cols) = moves
+
+        old_rows, old_cols = entry.rows, entry.cols
+        row_plan, rows = _splice(old_rows, gone_rows, joined_rows)
+        col_plan, cols = _splice(old_cols, gone_cols, joined_cols)
+        fresh_pairs = ((len(old_rows) - len(gone_rows)) * len(joined_cols)
+                       + len(joined_rows) * len(cols))
+        if fresh_pairs > self._PATCH_LIMIT * len(rows) * len(cols):
+            return False
+
+        # Walk the old grid in cell order: kept cells are copied in runs
+        # (their unknown scores are the matching run of ``scores``, found by
+        # counting flags), new cells are resolved.
+        old_terms, old_unknown, old_scores = (entry.terms, entry.unknown,
+                                              entry.scores)
+        terms: List[float] = []
+        unknown = bytearray()
+        scores: List[float] = []
+        entry.terms, entry.unknown, entry.scores = terms, unknown, scores
+        width = len(old_cols)
+        cursor = rank = 0  # old cell position, unknown cells before it
+
+        def keep(start: int, stop: int) -> None:
+            nonlocal cursor, rank
+            rank += old_unknown.count(1, cursor, start)
+            run = old_unknown.count(1, start, stop)
+            terms.extend(old_terms[start:stop])
+            unknown.extend(old_unknown[start:stop])
+            scores.extend(old_scores[rank:rank + run])
+            rank += run
+            cursor = stop
+
+        cols_unchanged = not gone_cols and not joined_cols
+        for start, stop, inserted_rows in row_plan:
+            if cols_unchanged:
+                keep(start * width, stop * width)
+            else:
+                for index in range(start, stop):
+                    base = index * width
+                    for col_start, col_stop, inserted in col_plan:
+                        keep(base + col_start, base + col_stop)
+                        if inserted:
+                            self._resolve(entry, old_rows[index], inserted)
+            for row in inserted_rows:
+                self._resolve(entry, row, cols)
+        entry.rows, entry.cols = rows, cols
+        entry.snapshot = tracker.snapshot(operation.touched_clusters)
+        self._refresh(entry)
+        self._register(operation, entry)
+        return True
+
+    def _resolve(self, entry: _Entry, row: int, cols: Sequence[int]) -> None:
+        """Append the cells ``row x cols`` to ``entry``'s grid.
+
+        One lookup per pair: answered pairs read f_c from ``A``; on a miss
+        the pair is pruned (no machine score: f_c = 0) or still unknown,
+        and takes its score's current estimate."""
         known = self._known.get
-        score_of = self._candidates.machine_scores.get
-        confidences = entry.confidences
-        unknown_indices = entry.unknown_indices
-        unknown_scores = entry.unknown_scores
-        for index, pair in enumerate(pairs):
+        score_of = self._machine_scores.get
+        estimates = self._estimates
+        unknown = entry.unknown
+        scores = entry.scores
+        values: List[float] = []
+        for col in cols:
+            pair = (row, col) if row < col else (col, row)
             confidence = known(pair)
             if confidence is None:
                 score = score_of(pair)
                 if score is None:
                     confidence = 0.0
                 else:
-                    unknown_indices.append(index)
-                    unknown_scores.append(score)
-            confidences.append(confidence)
-
-        entry.registered_scores = tuple(set(unknown_scores))
-        estimates = self._estimates
-        for score in entry.registered_scores:
-            if score not in estimates:
-                estimates[score] = self._estimator.estimate(score)
-            self._score_index.setdefault(score, {})[operation] = entry
-
-        self._recompute_benefits(entry)
-        self._entries[operation] = entry
-        return entry
+                    confidence = estimates.get(score)
+                    if confidence is None:
+                        confidence = self._estimator.estimate(score)
+                        estimates[score] = confidence
+                    scores.append(score)
+                    unknown.append(1)
+                    values.append(confidence)
+                    continue
+            unknown.append(0)
+            values.append(confidence)
+        # The exact per-pair expressions of split_benefit / merge_benefit.
+        if entry.is_split:
+            entry.terms.extend([1.0 - 2.0 * fc for fc in values])
+        else:
+            entry.terms.extend([2.0 * fc - 1.0 for fc in values])
 
     def _refresh(self, entry: _Entry) -> None:
         """Re-resolve answers / re-sum benefits without re-deriving the
-        pair structure (cluster snapshot is still current)."""
+        pair structure (cluster snapshot is current)."""
+        terms, unknown = entry.terms, entry.unknown
         if entry.answer_dirty:
             known = self._known.get
-            still_indices: List[int] = []
-            still_scores: List[float] = []
-            for position, index in enumerate(entry.unknown_indices):
-                confidence = known(entry.pairs[index])
+            rows, cols = entry.rows, entry.cols
+            width = len(cols)
+            still: List[float] = []
+            for index, score in zip(compress(count(), unknown),
+                                    entry.scores):
+                a, b = rows[index // width], cols[index % width]
+                confidence = known((a, b) if a < b else (b, a))
                 if confidence is None:
-                    still_indices.append(index)
-                    still_scores.append(entry.unknown_scores[position])
+                    still.append(score)
                 else:
-                    entry.confidences[index] = confidence
-            entry.unknown_indices = still_indices
-            entry.unknown_scores = still_scores
+                    terms[index] = (1.0 - 2.0 * confidence if entry.is_split
+                                    else 2.0 * confidence - 1.0)
+                    unknown[index] = 0
+            entry.scores = still
             entry.answer_dirty = False
-        # The estimate memo is always current after _sync, so recomputing
-        # clears estimate staleness no matter which flag triggered us.
-        entry.estimate_dirty = False
-        self._recompute_benefits(entry)
+        if entry.estimate_dirty:
+            estimates = self._estimates
+            cells = zip(compress(count(), unknown), entry.scores)
+            if entry.is_split:
+                for index, score in cells:
+                    terms[index] = 1.0 - 2.0 * estimates[score]
+            else:
+                for index, score in cells:
+                    terms[index] = 2.0 * estimates[score] - 1.0
+            entry.estimate_dirty = False
+        self._summarize(entry)
 
-    def _recompute_benefits(self, entry: _Entry) -> None:
-        # Ordered sums over the relevant pairs — the exact arithmetic of
+    @staticmethod
+    def _summarize(entry: _Entry) -> None:
+        # The same builtin sum over the same ordered terms as
         # OperationEvaluator.{exact,estimated}_benefit.
-        values: List[float] = entry.confidences  # type: ignore[assignment]
-        if entry.unknown_indices:
-            values = list(values)
-            for index, score in zip(entry.unknown_indices, entry.unknown_scores):
-                values[index] = self._estimates[score]
-        benefit = split_benefit if entry.is_split else merge_benefit
-        entry.estimated = benefit(values)
-        entry.exact = None if entry.unknown_indices else entry.estimated
+        entry.estimated = sum(entry.terms)
+        entry.exact = None if entry.scores else entry.estimated
 
-    def _deregister(self, operation: Operation, entry: _Entry) -> None:
+    def _register(self, operation: Operation, entry: _Entry) -> None:
+        """Index ``entry`` under exactly its unknown cells' scores."""
+        registered = set(entry.scores)
+        index = self._score_index
         for score in entry.registered_scores:
-            ops = self._score_index.get(score)
-            if ops is not None:
-                ops.pop(operation, None)
+            if score not in registered:
+                ops = index[score]
+                del ops[operation]
                 if not ops:
-                    del self._score_index[score]
+                    del index[score]
                     self._estimates.pop(score, None)
+        for score in registered:
+            index.setdefault(score, {})[operation] = entry
+        entry.registered_scores = tuple(registered)
 
     # ------------------------------------------------------------------
     # Delta ingestion
@@ -344,10 +485,11 @@ class EvaluationCache:
                                      max(cluster_a, cluster_b)),)
                 for operation in holders:
                     entry = self._entries.get(operation)
-                    if (entry is not None
-                            and self._tracker.is_current(entry.snapshot)):
+                    if entry is not None:
+                        # A stale holder is patched, keeping this pair.
                         entry.answer_dirty = True
-                        self._dirty_ops.add(operation)
+                        if self._tracker.is_current(entry.snapshot):
+                            self._dirty_ops.add(operation)
 
         estimator_epoch = self._estimator.epoch
         if estimator_epoch != self._estimator_epoch:
@@ -364,3 +506,51 @@ class EvaluationCache:
                     for entry in holders.values():
                         entry.estimate_dirty = True
                     self._dirty_ops.update(holders)
+
+
+def _net_moves(changes: Sequence["MembershipChange"],
+               ) -> Tuple[Set[int], Set[int]]:
+    """Replay a cluster's changes into ``(gone, joined)``: the snapshot
+    members that left (even if they came back) and the records to resolve
+    afresh (every current member that joined since, re-joiners included)."""
+    gone: Set[int] = set()
+    joined: Set[int] = set()
+    for arrived, records in changes:
+        if arrived:
+            joined.update(records)
+        else:
+            for record in records:
+                if record in joined:
+                    joined.discard(record)
+                else:
+                    gone.add(record)
+    return gone, joined
+
+
+def _splice(old: List[int], gone: AbstractSet[int],
+            joined: AbstractSet[int]) -> Tuple[List[_Segment], List[int]]:
+    """Plan the sorted record list ``old - gone | joined``.
+
+    Returns the plan (segments of kept old positions, each followed by the
+    records inserted after it) and the new list itself.  ``gone`` must be a
+    subset of ``old``; a record in both ``gone`` and ``joined`` is dropped
+    at its old position and inserted there afresh.
+    """
+    if not gone and not joined:
+        return [(0, len(old), [])], old
+    dropped = {bisect_left(old, record) for record in gone}
+    inserted: Dict[int, List[int]] = {}
+    for record in sorted(joined):
+        inserted.setdefault(bisect_left(old, record), []).append(record)
+    plan: List[_Segment] = []
+    new: List[int] = []
+    start = 0
+    for position in sorted(dropped.union(inserted)):
+        records = inserted.get(position, [])
+        plan.append((start, position, records))
+        new.extend(old[start:position])
+        new.extend(records)
+        start = position + 1 if position in dropped else position
+    plan.append((start, len(old), []))
+    new.extend(old[start:])
+    return plan, new

@@ -45,9 +45,9 @@ class PCRefineDiagnostics:
         operations_applied: Confirmed-positive operations applied per round.
         free_operations_applied: Zero-cost operations applied in total.
         operation_evaluations: Benefit/cost derivations the run performed —
-            cache builds + refreshes (from-scratch evaluator walks on the
-            :func:`repro.reference.pc_refine` oracle).  The refine
-            benchmark compares the two.
+            cache builds + patches + refreshes (from-scratch evaluator
+            walks on the :func:`repro.reference.pc_refine` oracle).  The
+            refine benchmark compares the two.
         evaluation_cache: :class:`~repro.core.evaluation_cache.
             EvaluationStats` snapshot (``None`` on the reference oracle).
     """
@@ -96,7 +96,8 @@ class PCRefineDiagnostics:
 
 def _cache_key_order(cache: Dict) -> Dict:
     """An evaluation-cache snapshot in its canonical key order."""
-    canonical = ("lookups", "hits", "refreshes", "evaluations", "hit_rate")
+    canonical = ("lookups", "hits", "refreshes", "evaluations", "patches",
+                 "hit_rate")
     ordered = {key: cache[key] for key in canonical if key in cache}
     ordered.update((key, value) for key, value in cache.items()
                    if key not in ordered)
@@ -214,8 +215,8 @@ def _pc_refine_fast(
     def finish() -> Clustering:
         if diagnostics is not None:
             stats = evaluations.stats
-            diagnostics.operation_evaluations = (stats.evaluations
-                                                 + stats.refreshes)
+            diagnostics.operation_evaluations = (
+                stats.evaluations + stats.patches + stats.refreshes)
             diagnostics.evaluation_cache = stats.as_dict()
         return clustering.canonicalize()
 

@@ -13,17 +13,14 @@ from __future__ import annotations
 
 import heapq
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Collection, Dict, Iterable, List, Mapping, Optional, Set, Tuple,
+)
 
 from repro.core.clustering import Clustering
 from repro.core.estimator import DEFAULT_NUM_BUCKETS, HistogramEstimator
 from repro.core.evaluation_cache import EvaluationCache
-from repro.core.operations import (
-    Merge,
-    Operation,
-    Split,
-    apply_operation,
-)
+from repro.core.operations import Merge, Operation, Split
 from repro.crowd.oracle import CrowdOracle
 from repro.pruning.candidate import CandidateSet
 
@@ -61,6 +58,12 @@ def enumerate_operations(clustering: Clustering,
     return operations
 
 
+#: One membership change of a cluster: ``(True, records)`` when the
+#: records joined it (a merge absorbed their cluster), ``(False,
+#: (record,))`` when one record left it (a split).
+MembershipChange = Tuple[bool, Collection[int]]
+
+
 class ClusterVersionTracker:
     """Monotone per-cluster version counters over a mutating clustering.
 
@@ -69,12 +72,21 @@ class ClusterVersionTracker:
     reused, so a fresh id can't collide with a stale cached version).  Both
     the free-operation heap and the costly-operation enumeration cache use
     these versions to invalidate only what an operation actually touched.
+
+    Each bump also logs the membership change behind it, so a consumer
+    holding an old version can replay what moved since
+    (:meth:`changes_since`) instead of re-reading the whole cluster — the
+    :class:`~repro.core.evaluation_cache.EvaluationCache` patches its rows
+    this way.
     """
 
     def __init__(self, clustering: Clustering):
         self._versions: Dict[int, int] = {
             cluster_id: 0 for cluster_id in clustering.cluster_ids
         }
+        # cluster id -> its changes, one per version step (created lazily:
+        # version v of a cluster is len(self._changes.get(cluster, ()))).
+        self._changes: Dict[int, List[MembershipChange]] = {}
 
     def version(self, cluster_id: int) -> Optional[int]:
         """Current version of a cluster; ``None`` once it is destroyed."""
@@ -88,10 +100,20 @@ class ClusterVersionTracker:
         )
 
     def is_current(self, snapshot: Tuple[Tuple[int, int], ...]) -> bool:
-        return all(
-            self._versions.get(cluster_id) == version
-            for cluster_id, version in snapshot
-        )
+        versions = self._versions
+        for cluster_id, version in snapshot:
+            if versions.get(cluster_id) != version:
+                return False
+        return True
+
+    def changes_since(self, cluster_id: int,
+                      version: int) -> Optional[List[MembershipChange]]:
+        """The membership changes that took a live cluster from
+        ``version`` to its current version, oldest first; ``None`` once
+        the cluster is destroyed."""
+        if cluster_id not in self._versions:
+            return None
+        return self._changes.get(cluster_id, [])[version:]
 
     def apply(self, clustering: Clustering, operation: Operation) -> Set[int]:
         """Apply ``operation`` and update versions.
@@ -99,18 +121,29 @@ class ClusterVersionTracker:
         Returns the ids of clusters whose cached state is now invalid
         (changed survivors plus newly created clusters).
         """
-        before = set(clustering.cluster_ids)
-        apply_operation(clustering, operation)
-        after = set(clustering.cluster_ids)
-        changed = set(operation.touched_clusters) & after
-        created = after - before
-        for cluster_id in changed:
-            self._versions[cluster_id] += 1
-        for cluster_id in created:
-            self._versions[cluster_id] = 0
-        for dead in before - after:
-            self._versions.pop(dead, None)
-        return changed | created
+        if isinstance(operation, Split):
+            record_id = operation.record_id
+            cluster_id = clustering.cluster_of(record_id)
+            created = clustering.split(record_id)
+            self._bump(cluster_id, (False, (record_id,)))
+            self._versions[created] = 0
+            return {cluster_id, created}
+        if isinstance(operation, Merge):
+            cluster_a, cluster_b = operation.cluster_a, operation.cluster_b
+            members_a = clustering.member_view(cluster_a)
+            members_b = clustering.member_view(cluster_b)
+            survivor = clustering.merge(cluster_a, cluster_b)
+            absorbed, moved = ((cluster_b, members_b) if survivor == cluster_a
+                               else (cluster_a, members_a))
+            self._bump(survivor, (True, moved))
+            del self._versions[absorbed]
+            self._changes.pop(absorbed, None)
+            return {survivor}
+        raise TypeError(f"unknown operation type: {type(operation).__name__}")
+
+    def _bump(self, cluster_id: int, change: MembershipChange) -> None:
+        self._versions[cluster_id] += 1
+        self._changes.setdefault(cluster_id, []).append(change)
 
 
 class OperationCache:
@@ -366,8 +399,10 @@ class _LazyRatioSelector:
     would select: maximum ratio, earliest enumeration position among ties.
 
     Staleness is handled lazily: heap entries are discarded on pop when
-    their tracked ratio no longer matches; invalidated clusters respawn
-    their touching operations; answer/estimate deltas arrive through
+    their tracked ``(ratio, enumeration key)`` no longer matches — a
+    cluster change can move a merge's minimum crossing pair while its
+    ratio stays put; invalidated clusters respawn their touching
+    operations; answer/estimate deltas arrive through
     :meth:`EvaluationCache.drain_dirty_operations`.
     """
 
@@ -377,7 +412,8 @@ class _LazyRatioSelector:
         self._cache = cache
         self._evaluations = evaluations
         self._heap: List[Tuple[float, Tuple, int, Operation]] = []
-        self._tracked: Dict[Operation, float] = {}
+        # operation -> (ratio, enumeration key) of its live heap entry
+        self._tracked: Dict[Operation, Tuple[float, Tuple]] = {}
         self._by_cluster: Dict[int, Set[Operation]] = {}
         self._pending: Set[int] = set()
         self._seq = 0
@@ -397,12 +433,12 @@ class _LazyRatioSelector:
         if len(heap) > 64 + 4 * len(self._tracked):
             self._compact()
         while heap:
-            negative_ratio, _, _, operation = heap[0]
+            negative_ratio, key, _, operation = heap[0]
             current = self._tracked.get(operation)
-            if current is None or -negative_ratio != current:
+            if current is None or current != (-negative_ratio, key):
                 heapq.heappop(heap)  # stale entry
                 continue
-            return operation, current
+            return operation, current[0]
         return None, 0.0
 
     # -- internals ------------------------------------------------------
@@ -426,24 +462,28 @@ class _LazyRatioSelector:
         for operation in dirty:
             # Untracked live operations have cost <= 0 (answers only ever
             # shrink costs; cost growth requires a cluster change, which
-            # arrives via `fresh`), so only tracked ones can move.
+            # arrives via `fresh`), so only tracked ones can move — and
+            # without a cluster change their enumeration key stays put.
             if operation not in fresh and operation in self._tracked:
-                self._consider(operation)
+                self._consider(operation, self._tracked[operation][1])
 
-    def _consider(self, operation: Operation) -> None:
+    def _consider(self, operation: Operation,
+                  key: Optional[Tuple] = None) -> None:
+        """(Re)track ``operation``; ``key`` is its enumeration key when
+        the caller knows no touched cluster changed."""
         ratio, cost = self._evaluations.ratio_and_cost(operation)
         if cost <= 0:
             self._untrack(operation)
             return
         for cluster_id in operation.touched_clusters:
             self._by_cluster.setdefault(cluster_id, set()).add(operation)
-        if self._tracked.get(operation) == ratio:
+        if key is None:
+            key = self._enum_key(operation)
+        if self._tracked.get(operation) == (ratio, key):
             return  # existing heap entry is still valid
-        self._tracked[operation] = ratio
+        self._tracked[operation] = (ratio, key)
         self._seq += 1
-        heapq.heappush(self._heap,
-                       (-ratio, self._enum_key(operation), self._seq,
-                        operation))
+        heapq.heappush(self._heap, (-ratio, key, self._seq, operation))
 
     def _untrack(self, operation: Operation) -> None:
         if self._tracked.pop(operation, None) is None:
@@ -457,8 +497,9 @@ class _LazyRatioSelector:
 
     def _compact(self) -> None:
         self._heap = [
-            (-ratio, self._enum_key(operation), index, operation)
-            for index, (operation, ratio) in enumerate(self._tracked.items())
+            (-ratio, key, index, operation)
+            for index, (operation, (ratio, key))
+            in enumerate(self._tracked.items())
         ]
         heapq.heapify(self._heap)
         self._seq = len(self._heap)

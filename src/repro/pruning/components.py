@@ -6,10 +6,9 @@ and removing a cluster in one component never changes the live
 neighborhood of another.  The component-streaming executor of
 :mod:`repro.runtime.pipeline` therefore uses the component — not the
 record — as its unit of distribution: this module finds the components
-(a ``scipy.sparse.csgraph`` label pass when scipy is importable, a
-pure-Python union-find otherwise — identical canonical output either
-way), and :class:`IncrementalComponents` seals them one by one while
-pruning shards are still streaming edges in.
+(a ``scipy.sparse.csgraph`` label pass), and
+:class:`IncrementalComponents` seals them one by one while pruning shards
+are still streaming edges in.
 
 Everything here is deterministic: components come out sorted by their
 smallest vertex (members ascending).
@@ -17,9 +16,28 @@ smallest vertex (members ascending).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
+
+import numpy as np
 
 Pair = Tuple[int, int]
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-d array, by sort plus an adjacent-difference
+    mask.  Sorts ``values`` in place (callers pass a temporary).
+
+    Same sorted output; numpy >= 2.3 answers a plain ``np.unique`` of
+    integers through a hash table, several times slower than this on the
+    packed-pair arrays of the prefix join.
+    """
+    values.sort()
+    if values.size < 2:
+        return values
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def connected_components(
@@ -30,67 +48,20 @@ def connected_components(
 
     Isolated vertices form singleton components.  Returns every component
     as a sorted tuple of members, the component list itself sorted by
-    smallest member — a canonical order independent of input order and
-    of which backend computed it.
+    smallest member — a canonical order independent of input order.
+
+    One ``scipy.sparse.csgraph`` label pass plus one ``lexsort``: at the
+    100k-record bench tier a union-find loop (the oracle
+    :func:`repro.reference.connected_components`) costs more than half
+    the sharded engine's parent-side budget; this does the same work in a
+    few tens of milliseconds.
     """
-    vertices = list(vertices)
-    pairs = list(pairs)
-    try:
-        return _components_sparse(vertices, pairs)
-    except ImportError:
-        return _components_python(vertices, pairs)
-
-
-def _components_python(
-    vertices: Sequence[int],
-    pairs: Sequence[Pair],
-) -> List[Tuple[int, ...]]:
-    """Union-find fallback (no third-party dependencies)."""
-    parent: Dict[int, int] = {v: v for v in vertices}
-
-    def find(v: int) -> int:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:  # path compression
-            parent[v], v = root, parent[v]
-        return root
-
-    for a, b in pairs:
-        if a not in parent or b not in parent:
-            raise ValueError(f"pair ({a}, {b}) references unknown vertex")
-        root_a, root_b = find(a), find(b)
-        if root_a != root_b:
-            # Union by smaller root id keeps the forest deterministic.
-            if root_b < root_a:
-                root_a, root_b = root_b, root_a
-            parent[root_b] = root_a
-
-    members: Dict[int, List[int]] = {}
-    for v in parent:
-        members.setdefault(find(v), []).append(v)
-    return [tuple(sorted(group))
-            for _, group in sorted(members.items())]
-
-
-def _components_sparse(
-    vertices: Sequence[int],
-    pairs: Sequence[Pair],
-) -> List[Tuple[int, ...]]:
-    """Vectorized component labelling via ``scipy.sparse.csgraph``.
-
-    At the 100k-record bench tier the union-find loop costs more than
-    half the sharded engine's parent-side budget; the sparse label pass
-    plus one ``lexsort`` does the same work in a few tens of
-    milliseconds.
-    """
-    import numpy as np
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components as sparse_cc
 
-    verts = np.unique(np.fromiter(vertices, dtype=np.int64))
+    verts = sorted_unique(np.fromiter(vertices, dtype=np.int64))
     n = int(verts.size)
-    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    edges = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
     if edges.size:
         if n:
             index = np.searchsorted(verts, edges)

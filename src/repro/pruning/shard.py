@@ -64,6 +64,7 @@ import numpy as _np
 from repro.datasets.schema import Record
 from repro.obs import maybe_span
 from repro.pruning.blocking import shard_of_token
+from repro.pruning.components import sorted_unique
 from repro.pruning.parallel import fork_available, notify_parallel_fallback
 from repro.runtime.faults import ProcessFaultPlan
 from repro.runtime.supervisor import SupervisorPolicy, supervised_map
@@ -234,7 +235,7 @@ def record_shard_touch_masks(
                                     return_counts=True)
     shared = counts[inverse] >= 2
     shards = tokens[shared] % num_shards
-    packed = _np.unique(rows[shared] * num_shards + shards)
+    packed = sorted_unique(rows[shared] * num_shards + shards)
     ids = plan.encoded.ids.tolist()
     masks: Dict[int, int] = {}
     for key in packed.tolist():
@@ -277,7 +278,7 @@ def _process_element_batch(
 
     # Deduplicate pairs generated from several shared prefix tokens.
     nrows = _np.int64(len(plan.encoded))
-    packed = _np.unique(left_row * nrows + right_row)
+    packed = sorted_unique(left_row * nrows + right_row)
     left_row = packed // nrows
     right_row = packed % nrows
 

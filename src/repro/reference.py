@@ -26,6 +26,9 @@ against:
 - :func:`candidate_set` — the seed's enumerate-and-score pruning loop for
   every input, including those the production path answers with the
   prefix join;
+- :func:`connected_components` — a pure-Python union-find for the
+  candidate graph's components, which production labels with
+  ``scipy.sparse.csgraph``;
 - :func:`run_acd` — generation then refinement over one shared oracle,
   composed from the oracles above.
 
@@ -548,6 +551,41 @@ def pc_refine(
 # ---------------------------------------------------------------------------
 # Pruning and the end-to-end composition
 # ---------------------------------------------------------------------------
+
+
+def connected_components(
+    vertices: Iterable[int],
+    pairs: Iterable[Pair],
+) -> List[Tuple[int, ...]]:
+    """Union-find reading of
+    :func:`repro.pruning.components.connected_components`: the same
+    canonical component list (members ascending, components by smallest
+    member) from a pure-Python forest."""
+    parent: Dict[int, int] = {v: v for v in vertices}
+
+    def find(v: int) -> int:
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:  # path compression
+            parent[v], v = root, parent[v]
+        return root
+
+    for a, b in pairs:
+        if a not in parent or b not in parent:
+            raise ValueError(f"pair ({a}, {b}) references unknown vertex")
+        root_a, root_b = find(a), find(b)
+        if root_a != root_b:
+            # Union by smaller root id keeps the forest deterministic.
+            if root_b < root_a:
+                root_a, root_b = root_b, root_a
+            parent[root_b] = root_a
+
+    members: Dict[int, List[int]] = {}
+    for v in parent:
+        members.setdefault(find(v), []).append(v)
+    return [tuple(sorted(group))
+            for _, group in sorted(members.items())]
 
 
 def prefix_filtered_candidates(

@@ -132,7 +132,7 @@ def small_state():
     return clustering, candidates, oracle, estimator, tracker, cache, (c0, c1, c2)
 
 
-def test_cluster_change_forces_rebuild():
+def test_cluster_change_patches_entry():
     clustering, candidates, oracle, estimator, tracker, cache, ids = small_state()
     c0, c1, _ = ids
     merge = Merge(c0, c1)
@@ -143,7 +143,8 @@ def test_cluster_change_forces_rebuild():
 
     tracker.apply(clustering, Split(1, c0))  # c0 shrinks to {0}
     assert cache.cost(merge) == 0  # only the pruned (0, 2) remains relevant
-    assert cache.stats.evaluations == 2
+    # Record 1's row is cut out of the grid; nothing is re-derived.
+    assert (cache.stats.evaluations, cache.stats.patches) == (1, 1)
     evaluator = OperationEvaluator(clustering, candidates, oracle, estimator)
     assert cache.relevant_pairs(merge) == evaluator.relevant_pairs(merge)
     assert cache.exact_benefit(merge) == evaluator.exact_benefit(merge)
@@ -225,10 +226,11 @@ def test_stats_accounting():
     cache.cost(merge)
     stats = cache.stats
     assert (stats.lookups, stats.evaluations, stats.hits,
-            stats.refreshes) == (2, 1, 1, 0)
+            stats.refreshes, stats.patches) == (2, 1, 1, 0, 0)
     payload = stats.as_dict()
     assert payload["hit_rate"] == 0.5
     assert payload["lookups"] == 2
+    assert payload["patches"] == 0
 
 
 def holder_state():
@@ -289,21 +291,174 @@ def test_answer_outside_the_clustering_marks_nothing():
     assert cache.stats.hits == hits + len(operations)
 
 
-def test_stale_holder_is_rebuilt_not_refreshed():
+def test_stale_holder_is_patched_not_refreshed():
     clustering, candidates, oracle, estimator, tracker, cache, ids = holder_state()
     c0, _, c2 = ids
     merge = Merge(c0, c2)
     assert cache.cost(merge) == 1  # (1, 5) unknown
     tracker.apply(clustering, Split(4, c2))  # c2 shrinks to {5}
     oracle.ask_batch([(1, 5)])
-    # The merge still holds (1, 5) but its snapshot is stale: not marked.
+    # The merge still holds (1, 5) but its snapshot is stale: it is not
+    # reported dirty (callers learn of it from the tracker) ...
     assert cache.drain_dirty_operations() == set()
 
     evaluations = cache.stats.evaluations
     refreshes = cache.stats.refreshes
+    patches = cache.stats.patches
+    # ... yet the answer is recorded on it, so the patch that keeps the
+    # (1, 5) cell resolves it.
     assert cache.cost(merge) == 0
-    assert cache.stats.evaluations == evaluations + 1
+    assert cache.stats.evaluations == evaluations
+    assert cache.stats.patches == patches + 1
     assert cache.stats.refreshes == refreshes
     evaluator = OperationEvaluator(clustering, candidates, oracle, estimator)
     assert cache.relevant_pairs(merge) == evaluator.relevant_pairs(merge)
     assert cache.exact_benefit(merge) == evaluator.exact_benefit(merge)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cache_matches_evaluator_when_lookups_skip_deltas(seed):
+    """Entries looked up only now and then must replay several deltas of
+    every kind at once (the refinement loops never ask for every
+    operation after every change)."""
+    rng = random_module.Random(seed * 7919 + 11)
+    clustering, candidates, oracle, estimator = random_cache_state(seed + 100)
+    tracker = ClusterVersionTracker(clustering)
+    cache = EvaluationCache(clustering, candidates, oracle, estimator,
+                            tracker)
+    evaluator = OperationEvaluator(clustering, candidates, oracle, estimator)
+
+    for _ in range(25):
+        operations = enumerate_operations(clustering, candidates)
+        sample = [operation for operation in operations
+                  if rng.random() < 0.3]
+        for operation in sample:
+            assert_operation_matches(cache, evaluator, operation, rng)
+        for _ in range(rng.randint(1, 6)):
+            mutate(rng, clustering, candidates, oracle, estimator, tracker)
+    assert_matches_evaluator(cache, evaluator, clustering, candidates)
+
+
+def assert_operation_matches(cache, evaluator, operation, rng):
+    """One accessor, chosen at random: exact-only lookups leave estimate
+    staleness in place, so the accessor order matters."""
+    accessor = rng.choice(("relevant_pairs", "cost", "unknown_pairs",
+                           "exact_benefit", "estimated_benefit"))
+    assert (getattr(cache, accessor)(operation)
+            == getattr(evaluator, accessor)(operation))
+
+
+def grid_state():
+    """c0 = {0, 1, 2, 3}, c1 = {4, 5}, c2 = {6}: every pair a candidate,
+    only (0, 4) and (1, 4) answered, so nearly every pair is unknown."""
+    clustering = Clustering()
+    c0 = clustering.add_cluster([0, 1, 2, 3])
+    c1 = clustering.add_cluster([4, 5])
+    c2 = clustering.add_cluster([6])
+    scores = {(a, b): round(0.4 + 0.05 * ((a + b) % 9), 2)
+              for a in range(7) for b in range(a + 1, 7)}
+    candidates = make_candidates(scores)
+    oracle = CrowdOracle(ScriptedAnswers(
+        {pair: (1.0 if (pair[0] < 4) == (pair[1] < 4) else 0.0)
+         for pair in scores}, num_workers=3,
+    ))
+    oracle.ask_batch([(0, 4), (1, 4)])  # the histogram's two samples
+    estimator = build_estimator(candidates, oracle)
+    tracker = ClusterVersionTracker(clustering)
+    cache = EvaluationCache(clustering, candidates, oracle, estimator,
+                            tracker)
+    return clustering, candidates, oracle, estimator, tracker, cache, (c0, c1, c2)
+
+
+def check_all(cache, clustering, candidates, oracle, estimator):
+    assert_matches_evaluator(
+        cache, OperationEvaluator(clustering, candidates, oracle, estimator),
+        clustering, candidates,
+    )
+
+
+def test_split_record_out_and_back_while_answers_land():
+    clustering, candidates, oracle, estimator, tracker, cache, ids = grid_state()
+    c0, _, _ = ids
+    split = Split(1, c0)
+    assert cache.cost(split) == 3
+    singleton = min(tracker.apply(clustering, split) - {c0})
+    oracle.ask_batch([(1, 2)])
+    # Synced while record 1 is out: the answer lands on the merge.
+    assert cache.drain_dirty_operations() == set()
+    assert cache.cost(Merge(c0, singleton)) == 2
+    tracker.apply(clustering, Merge(c0, singleton))  # c0 survives
+    assert clustering.cluster_of(1) == c0
+
+    evaluations = cache.stats.evaluations
+    assert cache.cost(split) == 2  # (1, 2) is known now
+    assert cache.stats.evaluations == evaluations + 1  # rebuilt, not patched
+    check_all(cache, clustering, candidates, oracle, estimator)
+
+
+def test_member_out_and_back_is_resolved_afresh():
+    clustering, candidates, oracle, estimator, tracker, cache, ids = grid_state()
+    c0, _, _ = ids
+    split = Split(0, c0)
+    assert cache.cost(split) == 3
+    singleton = min(tracker.apply(clustering, Split(2, c0)) - {c0})
+    oracle.ask_batch([(0, 2)])
+    assert cache.drain_dirty_operations() == set()  # marks Merge(c0, {2})
+    tracker.apply(clustering, Merge(c0, singleton))
+
+    patches = cache.stats.patches
+    assert cache.cost(split) == 2
+    assert cache.exact_benefit(split) is None
+    assert cache.stats.patches == patches + 1
+    check_all(cache, clustering, candidates, oracle, estimator)
+
+
+def test_member_moves_from_cluster_b_to_cluster_a():
+    clustering, candidates, oracle, estimator, tracker, cache, ids = grid_state()
+    c0, c1, c2 = ids
+    merge = Merge(c1, c2)  # rows {4, 5}, column {6}
+    assert cache.relevant_pairs(merge) == [(4, 6), (5, 6)]
+    wide = Merge(c0, c1)  # rows {0..3}, columns {4, 5}
+    assert cache.cost(wide) == 6  # (0, 4) and (1, 4) are answered
+    # Record 5 moves from c1 (Merge(c1, c2)'s rows) to c2 (its column):
+    # c1 = {4}, c2 = {5, 6}.
+    singleton = min(tracker.apply(clustering, Split(5, c1)) - {c1})
+    tracker.apply(clustering, Merge(c2, singleton))
+    oracle.ask_batch([(4, 6)])
+
+    patches = cache.stats.patches
+    assert cache.relevant_pairs(merge) == [(4, 5), (4, 6)]
+    assert cache.cost(merge) == 1
+    assert cache.cost(wide) == 2  # column 5 is cut out
+    assert cache.stats.patches == patches + 2
+    check_all(cache, clustering, candidates, oracle, estimator)
+
+    # And from cluster_b to cluster_a: record 6 moves from c2 into c0.
+    merge_02 = Merge(c0, c2)
+    cache.cost(merge_02)
+    moved = min(tracker.apply(clustering, Split(6, c2)) - {c2})
+    tracker.apply(clustering, Merge(c0, moved))
+    patches = cache.stats.patches
+    assert cache.relevant_pairs(merge_02) == [
+        (0, 5), (1, 5), (2, 5), (3, 5), (5, 6)]
+    assert cache.stats.patches == patches + 1
+    check_all(cache, clustering, candidates, oracle, estimator)
+
+
+def test_tracker_logs_membership_changes():
+    clustering = Clustering([[0, 1, 2], [3], [4, 5]])
+    tracker = ClusterVersionTracker(clustering)
+    assert tracker.changes_since(0, 0) == []
+    changed = tracker.apply(clustering, Split(1, 0))
+    created = min(changed - {0})
+    assert changed == {0, created}
+    assert tracker.version(created) == 0
+    assert tracker.changes_since(0, 0) == [(False, (1,))]
+    assert tracker.apply(clustering, Merge(2, 1)) == {2}
+    assert tracker.version(1) is None and tracker.changes_since(1, 0) is None
+    assert tracker.changes_since(2, 0) == [(True, {3})]
+    tracker.apply(clustering, Merge(0, created))
+    assert tracker.changes_since(0, 1) == [(True, {1})]
+    assert tracker.version(0) == 2
+    with pytest.raises(TypeError):
+        tracker.apply(clustering, "split")

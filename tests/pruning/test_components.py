@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pruning.components import (
-    _components_python,
-    connected_components,
-)
+import numpy as np
+
+from repro import reference
+from repro.pruning.components import connected_components, sorted_unique
 
 
 class TestConnectedComponents:
@@ -52,12 +52,39 @@ class TestConnectedComponents:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 100_000))
     def test_backends_agree(self, seed):
-        # The scipy label pass (when importable) and the pure-Python
-        # union-find must emit the identical canonical component list.
+        # The scipy label pass and the pure-Python union-find oracle must
+        # emit the identical canonical component list.
         rng = random_module.Random(seed)
         n = rng.randint(0, 40)
         vertices = rng.sample(range(1000), n)
         pairs = [(a, b) for i, a in enumerate(vertices)
                  for b in vertices[i + 1:] if rng.random() < 0.08]
         assert connected_components(vertices, pairs) == \
-            _components_python(vertices, pairs)
+            reference.connected_components(vertices, pairs)
+
+    def test_oracle_rejects_unknown_vertex(self):
+        with pytest.raises(ValueError, match="unknown"):
+            reference.connected_components([0, 1], [(0, 7)])
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("values", (
+        [],
+        [5],
+        [7, 7, 7, 7],
+        [3, -1, 3, 2**62, -1, 0],
+    ))
+    def test_matches_np_unique(self, values):
+        array = np.array(values, dtype=np.int64)
+        expected = np.unique(array)
+        result = sorted_unique(array)
+        assert result.dtype == np.int64
+        assert result.tolist() == expected.tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_matches_np_unique_on_random_input(self, seed):
+        rng = np.random.default_rng(seed)
+        array = rng.integers(-50, 50, size=int(rng.integers(0, 400)),
+                             dtype=np.int64)
+        assert np.array_equal(sorted_unique(array.copy()), np.unique(array))

@@ -113,7 +113,7 @@ class TestDiagnosticsState:
     @pytest.mark.parametrize("cache", (
         None,
         EvaluationStats(lookups=40, hits=31, refreshes=5,
-                        evaluations=9).as_dict(),
+                        evaluations=6, patches=3).as_dict(),
     ))
     def test_round_trip_through_checkpoint_json(self, cache):
         """Checkpoints are written as sorted-key JSON; the restored
@@ -148,7 +148,20 @@ class TestDiagnosticsState:
             assert restored_refine.evaluation_cache is None
         else:
             assert list(restored_refine.evaluation_cache) == [
-                "lookups", "hits", "refreshes", "evaluations", "hit_rate"]
+                "lookups", "hits", "refreshes", "evaluations", "patches",
+                "hit_rate"]
+
+    def test_checkpoint_without_patches_restores(self):
+        """Checkpoints written before the cache counted patches carry no
+        ``patches`` key; they restore as written, in canonical order."""
+        legacy = {"evaluations": 9, "hit_rate": 0.775, "hits": 31,
+                  "lookups": 40, "refreshes": 5}
+        state = PCRefineDiagnostics(evaluation_cache=legacy).to_state()
+        restored = PCRefineDiagnostics.from_state(
+            json.loads(json.dumps(state, sort_keys=True)))
+        assert restored.evaluation_cache == legacy
+        assert list(restored.evaluation_cache) == [
+            "lookups", "hits", "refreshes", "evaluations", "hit_rate"]
 
 
 class TestOracleAnswerLog:
