@@ -31,6 +31,9 @@ in-memory :class:`~repro.obs.ObsContext`, so its ``refine.*`` stages are
 its own spans; the harness adds ``total``, ``generation`` and
 ``refine`` spans on the same context (generation itself runs untraced).
 Both engines of the A/B therefore include the same in-memory tracing.
+Each engine runs ``REPEATS`` times per dataset, alternating with the
+other; a run's ``stages`` are the per-stage medians and ``stages_iqr``
+their interquartile ranges, and every repeat must report the same counts.
 
 Standalone (no pytest)::
 
@@ -59,7 +62,6 @@ from repro.experiments.runner import prepare_instance  # noqa: E402
 from repro.obs import ObsContext  # noqa: E402
 from repro.perf.timing import (  # noqa: E402
     bench_payload,
-    run_entry,
     stage_seconds,
     write_bench_json,
 )
@@ -82,6 +84,11 @@ ENGINES = {"fast": pc_refine, "reference": reference_pc_refine}
 #: worker latency — identical for both engines by construction.
 REFINE_STAGES = ("refine.free", "refine.evaluate", "refine.pack",
                  "refine.crowd", "refine.apply")
+
+#: Timed runs per dataset and engine.  A stage's seconds are their median,
+#: with the interquartile range in ``stages_iqr``: one sample cannot show
+#: a stage gain on a host whose speed drifts.
+REPEATS = 5
 
 
 def _run_engine(instance, engine: str):
@@ -107,6 +114,18 @@ def _run_engine(instance, engine: str):
             stats.pairs_issued)
 
 
+def _median_and_iqr(tables):
+    """Per-stage median and interquartile range of repeated stage
+    tables."""
+    medians, spreads = {}, {}
+    for stage in tables[0]:
+        low, middle, high = statistics.quantiles(
+            [table[stage] for table in tables], n=4, method="inclusive")
+        medians[stage] = middle
+        spreads[stage] = high - low
+    return medians, spreads
+
+
 def main() -> int:
     runs = {}
     reductions = []
@@ -123,12 +142,17 @@ def main() -> int:
         # Untimed warm-up: populate the lazy answer file so neither engine
         # is billed for first-ask worker-answer generation.
         _run_engine(instance, "reference")
+        # The engines alternate within each repeat, so a drift in host
+        # speed bills both alike.
+        samples = {engine: [] for engine in ENGINES}
+        for _ in range(REPEATS):
+            for engine in ENGINES:
+                samples[engine].append(_run_engine(instance, engine))
         per_engine = {}
         for engine in ENGINES:
-            stages, diagnostics, clustering, pairs = _run_engine(
-                instance, engine
-            )
-            seconds = stage_seconds(stages)
+            _, diagnostics, clustering, pairs = samples[engine][0]
+            seconds, spread = _median_and_iqr(
+                [stage_seconds(stages) for stages, *_ in samples[engine]])
             per_engine[engine] = (seconds, diagnostics, clustering, pairs)
             meta = {
                 "records": len(instance.record_ids),
@@ -140,7 +164,14 @@ def main() -> int:
             }
             if diagnostics.evaluation_cache is not None:
                 meta["cache"] = diagnostics.evaluation_cache
-            runs[f"{dataset_name}/{engine}"] = run_entry(stages, **meta)
+            # Every repeat does the same work: only the clock may differ.
+            for _, other, other_clustering, other_pairs in samples[engine]:
+                assert other.to_state() == diagnostics.to_state(), engine
+                assert other_clustering.as_sets() == clustering.as_sets()
+                assert other_pairs == pairs
+            runs[f"{dataset_name}/{engine}"] = {
+                "stages": seconds, "stages_iqr": spread, "meta": meta,
+            }
             for stage in REFINE_STAGES:
                 refine_stage_seconds[engine][stage] += seconds.get(stage, 0.0)
             refine_seconds[engine] += seconds["refine"]
@@ -207,7 +238,8 @@ def main() -> int:
     payload = bench_payload(
         "refine",
         config={"scale": SCALE, "seed": SEED, "setting": SETTING,
-                "datasets": list(DATASETS), "engines": list(ENGINES)},
+                "datasets": list(DATASETS), "engines": list(ENGINES),
+                "repeats": REPEATS},
         runs=runs,
         derived=derived,
     )

@@ -33,6 +33,14 @@ updates *only* what actually changed, keyed on four signals:
   changed* (a reverse score -> operations index), so a rebuild that lands
   on identical bucket means invalidates nothing.
 
+The cache observes the tracker: a merge evicts every entry touching the
+cluster it destroyed, with its score registrations (cluster ids are
+never reused, so such an entry could never be served again).  Entries
+that received fresh answers are also collected apart from the dirty
+set (:meth:`EvaluationCache.drain_answered_operations`): an answer can
+move an exact benefit, an estimate cannot, so only they seed the next
+free pass besides the changed clusters' operations.
+
 An entry stores its operation's pairs as a row-major grid — the split's
 record against its cluster's other members, or the merge's ``cluster_a``
 members against ``cluster_b``'s, both sorted — with one benefit term per
@@ -175,6 +183,10 @@ class EvaluationCache:
         self._estimator = estimator
         self._tracker = tracker
         self._entries: Dict[Operation, _Entry] = {}
+        # cluster id -> the operations whose entry was created touching
+        # it, so the entries of a destroyed cluster can be evicted (ids
+        # are never reused: such an entry can never be served again).
+        self._by_cluster: Dict[int, List[Operation]] = {}
         # Reverse index: which entries a changed estimate can affect.
         self._score_index: Dict[float, Dict[Operation, _Entry]] = {}
         # Per-machine-score estimate memo, refreshed (and diffed) when the
@@ -186,7 +198,12 @@ class EvaluationCache:
         # (answer/estimate deltas only; cluster staleness is reported by
         # the tracker, not here).
         self._dirty_ops: Set[Operation] = set()
+        # Operations whose entries received fresh answers since the last
+        # drain — the only ones whose exact benefit can have moved
+        # without a cluster change (estimate deltas cannot move it).
+        self._answered_ops: Set[Operation] = set()
         self.stats = EvaluationStats()
+        tracker.observe(self)
 
     # ------------------------------------------------------------------
     # Public accessors (OperationEvaluator-compatible values)
@@ -242,6 +259,34 @@ class EvaluationCache:
         self._dirty_ops = set()
         return dirty
 
+    def drain_answered_operations(self) -> Set[Operation]:
+        """Operations whose entries received fresh crowd answers since the
+        last drain (stale ones included: their clusters changed after the
+        answer landed)."""
+        self._sync()
+        answered = self._answered_ops
+        self._answered_ops = set()
+        return answered
+
+    # ------------------------------------------------------------------
+    # Tracker observer
+    # ------------------------------------------------------------------
+
+    def on_split(self, record_id: int, cluster_id: int, created: int) -> None:
+        """A split destroys no cluster: nothing to evict."""
+
+    def on_merge(self, survivor: int, absorbed: int) -> None:
+        """Evict every entry touching the absorbed cluster, with its
+        score registrations."""
+        for operation in self._by_cluster.pop(absorbed, ()):
+            # A merge entry is already gone when its other cluster died
+            # first.
+            entry = self._entries.pop(operation, None)
+            if entry is not None:
+                self._unregister(operation, entry.registered_scores)
+                self._dirty_ops.discard(operation)
+                self._answered_ops.discard(operation)
+
     # ------------------------------------------------------------------
     # Entry lifecycle
     # ------------------------------------------------------------------
@@ -252,9 +297,9 @@ class EvaluationCache:
 
         ``exact_only`` marks accessors whose values don't depend on the
         histogram (pairs / cost / exact benefit): for them an
-        estimate-stale entry is still a hit — the free path re-scans every
-        operation per pass, and would otherwise pay a refresh per
-        histogram change for values the estimator can't move.
+        estimate-stale entry is still a hit — the free path would
+        otherwise pay a refresh per histogram change for values the
+        estimator can't move.
         """
         self._sync()
         stats = self.stats
@@ -263,6 +308,8 @@ class EvaluationCache:
         if entry is None:
             entry = _Entry(isinstance(operation, Split))
             self._entries[operation] = entry
+            for cluster_id in operation.touched_clusters:
+                self._by_cluster.setdefault(cluster_id, []).append(operation)
             stats.evaluations += 1
             self._build(operation, entry)
         elif not self._tracker.is_current(entry.snapshot):
@@ -449,17 +496,24 @@ class EvaluationCache:
     def _register(self, operation: Operation, entry: _Entry) -> None:
         """Index ``entry`` under exactly its unknown cells' scores."""
         registered = set(entry.scores)
+        self._unregister(operation, [score for score in entry.registered_scores
+                                     if score not in registered])
         index = self._score_index
-        for score in entry.registered_scores:
-            if score not in registered:
-                ops = index[score]
-                del ops[operation]
-                if not ops:
-                    del index[score]
-                    self._estimates.pop(score, None)
         for score in registered:
             index.setdefault(score, {})[operation] = entry
         entry.registered_scores = tuple(registered)
+
+    def _unregister(self, operation: Operation,
+                    scores: Sequence[float]) -> None:
+        """Drop ``operation`` from the score index under ``scores``; a
+        score nothing holds any more leaves the estimate memo too."""
+        index = self._score_index
+        for score in scores:
+            ops = index[score]
+            del ops[operation]
+            if not ops:
+                del index[score]
+                self._estimates.pop(score, None)
 
     # ------------------------------------------------------------------
     # Delta ingestion
@@ -488,6 +542,7 @@ class EvaluationCache:
                     if entry is not None:
                         # A stale holder is patched, keeping this pair.
                         entry.answer_dirty = True
+                        self._answered_ops.add(operation)
                         if self._tracker.is_current(entry.snapshot):
                             self._dirty_ops.add(operation)
 

@@ -25,6 +25,7 @@ from repro.core.refine import (
     OperationCache,
     apply_free_operations,
     build_estimator,
+    free_pass_seeds,
 )
 from repro.crowd.oracle import CrowdOracle
 from repro.obs import maybe_span
@@ -195,8 +196,10 @@ def _pc_refine_fast(
     obs,
 ) -> Clustering:
     """One :class:`OperationCache` + :class:`EvaluationCache` shared
-    across rounds (free path included), an incrementally maintained
-    unknown-pair count, and the lazily ordered packer.  Byte-identical to
+    across rounds (free path included), free passes after the first
+    seeded from the round's changes (:func:`~repro.core.refine.
+    free_pass_seeds`), an incrementally maintained unknown-pair count,
+    and the lazily ordered packer.  Byte-identical to
     :func:`repro.reference.pc_refine` — property-tested in
     ``tests/core/test_refine_engines.py``."""
     pairs_at_start = oracle.stats.pairs_issued
@@ -221,9 +224,11 @@ def _pc_refine_fast(
         return clustering.canonicalize()
 
     round_index = 0
+    seeds: Optional[List[Operation]] = None  # the first pass: everything
     while True:
         with maybe_span(obs, "refine.free"):
-            freed = apply_free_operations(clustering, cache, evaluations)
+            freed = apply_free_operations(clustering, cache, evaluations,
+                                          seeds=seeds)
         if diagnostics is not None:
             diagnostics.free_operations_applied += freed
         if obs is not None and freed:
@@ -267,11 +272,13 @@ def _pc_refine_fast(
 
         with maybe_span(obs, "refine.apply"):
             applied = 0
+            changed: Set[int] = set()
             for operation in packed:
                 benefit = evaluations.exact_benefit(operation)
                 if benefit is not None and benefit > BENEFIT_TOLERANCE:
-                    cache.apply(operation)
+                    changed |= cache.apply(operation)
                     applied += 1
+            seeds = free_pass_seeds(cache, evaluations, changed)
         if diagnostics is not None:
             diagnostics.batch_sizes.append(len(needed))
             diagnostics.operations_packed.append(len(packed))

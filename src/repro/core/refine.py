@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 
 from typing import (
-    Collection, Dict, Iterable, List, Mapping, Optional, Set, Tuple,
+    Collection, Dict, Iterable, List, Optional, Protocol, Set, Tuple,
 )
 
 from repro.core.clustering import Clustering
@@ -64,6 +64,16 @@ def enumerate_operations(clustering: Clustering,
 MembershipChange = Tuple[bool, Collection[int]]
 
 
+class ClusterObserver(Protocol):
+    """Receives every operation a :class:`ClusterVersionTracker` applies,
+    right after the clustering changed."""
+
+    def on_split(self, record_id: int, cluster_id: int,
+                 created: int) -> None: ...
+
+    def on_merge(self, survivor: int, absorbed: int) -> None: ...
+
+
 class ClusterVersionTracker:
     """Monotone per-cluster version counters over a mutating clustering.
 
@@ -77,7 +87,10 @@ class ClusterVersionTracker:
     holding an old version can replay what moved since
     (:meth:`changes_since`) instead of re-reading the whole cluster — the
     :class:`~repro.core.evaluation_cache.EvaluationCache` patches its rows
-    this way.
+    this way.  Structures that must follow every change as it happens
+    (the :class:`OperationCache` adjacency index, the evaluation cache's
+    eviction of destroyed clusters) :meth:`observe` the tracker, so an
+    operation applied straight through it reaches them too.
     """
 
     def __init__(self, clustering: Clustering):
@@ -87,6 +100,11 @@ class ClusterVersionTracker:
         # cluster id -> its changes, one per version step (created lazily:
         # version v of a cluster is len(self._changes.get(cluster, ()))).
         self._changes: Dict[int, List[MembershipChange]] = {}
+        self._observers: List[ClusterObserver] = []
+
+    def observe(self, observer: ClusterObserver) -> None:
+        """Report every operation applied from now on to ``observer``."""
+        self._observers.append(observer)
 
     def version(self, cluster_id: int) -> Optional[int]:
         """Current version of a cluster; ``None`` once it is destroyed."""
@@ -127,6 +145,8 @@ class ClusterVersionTracker:
             created = clustering.split(record_id)
             self._bump(cluster_id, (False, (record_id,)))
             self._versions[created] = 0
+            for observer in self._observers:
+                observer.on_split(record_id, cluster_id, created)
             return {cluster_id, created}
         if isinstance(operation, Merge):
             cluster_a, cluster_b = operation.cluster_a, operation.cluster_b
@@ -138,6 +158,8 @@ class ClusterVersionTracker:
             self._bump(survivor, (True, moved))
             del self._versions[absorbed]
             self._changes.pop(absorbed, None)
+            for observer in self._observers:
+                observer.on_merge(survivor, absorbed)
             return {survivor}
         raise TypeError(f"unknown operation type: {type(operation).__name__}")
 
@@ -147,14 +169,22 @@ class ClusterVersionTracker:
 
 
 class OperationCache:
-    """Version-invalidated cache of :func:`enumerate_operations`.
+    """The live operation list of a mutating clustering.
 
-    ``crowd_refine``'s estimated path re-enumerates every candidate
-    operation on every outer iteration — an O(|S|) scan of the candidate
-    pairs — even when the iteration applied a single operation.  This cache
-    keeps per-cluster split lists and per-cluster-pair merge entries stamped
-    with :class:`ClusterVersionTracker` versions, and rebuilds only the
-    entries whose clusters changed.
+    Splits are kept per cluster, stamped with
+    :class:`ClusterVersionTracker` versions and rebuilt only for clusters
+    that changed.  Mergers come from a *cluster-adjacency index*: for
+    every pair of live clusters joined by at least one candidate edge, the
+    number of crossing edges and the smallest crossing pair.  The cache
+    observes its tracker, so the index follows every applied operation in
+    O(Δ) — including operations applied straight through a shared
+    tracker:
+
+    * a merge folds the absorbed cluster's row into the survivor's (the
+      edges between the two become internal and drop out);
+    * a split moves only the split record's edges onto the new singleton;
+      when a moved edge was some pair's smallest crossing pair, that
+      minimum is recomputed lazily, on its next read.
 
     :meth:`operations` returns the *exact* list (contents and order) that
     ``enumerate_operations`` would produce: splits ascend by (cluster id,
@@ -170,12 +200,22 @@ class OperationCache:
         self._tracker = tracker if tracker is not None else (
             ClusterVersionTracker(clustering)
         )
-        self.neighbors: Dict[int, List[int]] = candidate_adjacency(candidates)
+        self._neighbors: Dict[int, List[int]] = candidate_adjacency(candidates)
         # cluster id -> (version, splits of that cluster, sorted by record)
         self._split_entries: Dict[int, Tuple[int, List[Operation]]] = {}
-        # (cluster_a, cluster_b) -> (version_a, version_b, min crossing pair)
-        self._merge_entries: Dict[Tuple[int, int],
-                                  Tuple[int, int, Tuple[int, int]]] = {}
+        # live cluster id -> {adjacent cluster id: [crossing edges, smallest
+        # crossing pair or None while it awaits a recompute]}; both rows of
+        # a cluster pair share one list.
+        self._adjacent: Dict[int, Dict[int, List]] = {
+            cluster_id: {} for cluster_id in clustering.cluster_ids
+        }
+        cluster_of = clustering.cluster_of
+        for a, b in candidates.pairs:
+            cluster_a, cluster_b = cluster_of(a), cluster_of(b)
+            if cluster_a != cluster_b:
+                self._add_crossing(cluster_a, cluster_b,
+                                   (a, b) if a < b else (b, a))
+        self._tracker.observe(self)
 
     @property
     def tracker(self) -> ClusterVersionTracker:
@@ -188,69 +228,141 @@ class OperationCache:
     def operations(self) -> List[Operation]:
         """The current operation list, identical to
         ``enumerate_operations(clustering, candidates)``."""
-        clustering = self._clustering
-        cluster_ids = clustering.cluster_ids  # sorted
-        current: Dict[int, int] = {}
-        for cluster_id in cluster_ids:
-            version = self._tracker.version(cluster_id)
-            assert version is not None, "live cluster missing from tracker"
-            current[cluster_id] = version
-
-        for key in [k for k, (version_a, version_b, _)
-                    in self._merge_entries.items()
-                    if current.get(k[0]) != version_a
-                    or current.get(k[1]) != version_b]:
-            del self._merge_entries[key]
-        for dead in set(self._split_entries) - set(current):
-            del self._split_entries[dead]
-
-        stale = [
-            cluster_id for cluster_id in cluster_ids
-            if self._split_entries.get(cluster_id, (None, None))[0]
-            != current[cluster_id]
-        ]
-        for cluster_id in stale:
-            self._rebuild(cluster_id, current)
-
         operations: List[Operation] = []
-        for cluster_id in cluster_ids:
-            operations.extend(self._split_entries[cluster_id][1])
-        for key, _ in sorted(self._merge_entries.items(),
-                             key=lambda item: item[1][2]):
-            operations.append(Merge(key[0], key[1]))
+        for cluster_id in self._clustering.cluster_ids:
+            operations.extend(self._splits(cluster_id))
+        merges = [
+            (self.min_crossing_pair(cluster_a, cluster_b), cluster_a, cluster_b)
+            for cluster_a, row in self._adjacent.items()
+            for cluster_b in row if cluster_a < cluster_b
+        ]
+        merges.sort()  # crossing pairs are unique across cluster pairs
+        operations.extend(Merge(cluster_a, cluster_b)
+                          for _, cluster_a, cluster_b in merges)
         return operations
 
-    def _rebuild(self, cluster_id: int, current: Mapping[int, int]) -> None:
-        clustering = self._clustering
-        members = clustering.members(cluster_id)
-        splits: List[Operation] = (
-            [Split(record_id, cluster_id) for record_id in sorted(members)]
-            if len(members) >= 2 else []
-        )
-        self._split_entries[cluster_id] = (current[cluster_id], splits)
-
-        # Every candidate edge crossing this cluster has exactly one endpoint
-        # inside it, so scanning members x neighbors sees them all — the
-        # per-merge minimum crossing pair is exact.
-        crossing: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for record_id in members:
-            for neighbor in self.neighbors.get(record_id, ()):
-                other = clustering.cluster_of(neighbor)
-                if other == cluster_id:
-                    continue
+    def operations_touching(self, cluster_ids: Iterable[int]) -> List[Operation]:
+        """Every operation touching one of ``cluster_ids``, each once;
+        destroyed ids contribute nothing."""
+        adjacent = self._adjacent
+        found: List[Operation] = []
+        seen_merges: Set[Tuple[int, int]] = set()
+        for cluster_id in cluster_ids:
+            row = adjacent.get(cluster_id)
+            if row is None:
+                continue
+            found.extend(self._splits(cluster_id))
+            for other in row:
                 key = ((cluster_id, other) if cluster_id < other
                        else (other, cluster_id))
-                pair = ((record_id, neighbor) if record_id < neighbor
-                        else (neighbor, record_id))
-                best = crossing.get(key)
-                if best is None or pair < best:
-                    crossing[key] = pair
-        for key, pair in crossing.items():
-            self._merge_entries[key] = (current[key[0]], current[key[1]], pair)
+                if key not in seen_merges:
+                    seen_merges.add(key)
+                    found.append(Merge(*key))
+        return found
+
+    def __contains__(self, operation: Operation) -> bool:
+        """Whether ``operation`` is in the current operation list."""
+        if isinstance(operation, Split):
+            cluster_id = operation.cluster_id
+            clustering = self._clustering
+            return (cluster_id in self._adjacent
+                    and clustering.cluster_of(operation.record_id) == cluster_id
+                    and clustering.size(cluster_id) >= 2)
+        return operation.cluster_b in self._adjacent.get(operation.cluster_a, ())
+
+    def min_crossing_pair(self, cluster_a: int, cluster_b: int) -> Tuple[int, int]:
+        """The smallest candidate pair crossing two adjacent clusters — the
+        merge's first-occurrence position in ``enumerate_operations``'
+        sorted pair scan."""
+        crossing = self._adjacent[cluster_a][cluster_b]
+        if crossing[1] is None:
+            clustering = self._clustering
+            scan, other = cluster_a, cluster_b
+            if clustering.size(other) < clustering.size(scan):
+                scan, other = other, scan
+            cluster_of = clustering.cluster_of
+            crossing[1] = min(
+                (record_id, neighbor) if record_id < neighbor
+                else (neighbor, record_id)
+                for record_id in clustering.member_view(scan)
+                for neighbor in self._neighbors.get(record_id, ())
+                if cluster_of(neighbor) == other
+            )
+        return crossing[1]
+
+    # -- tracker observer -------------------------------------------------
+
+    def on_split(self, record_id: int, cluster_id: int, created: int) -> None:
+        """Move the split record's edges onto its new singleton."""
+        adjacent = self._adjacent
+        row = adjacent[cluster_id]
+        adjacent[created] = {}
+        cluster_of = self._clustering.cluster_of
+        for neighbor in self._neighbors.get(record_id, ()):
+            other = cluster_of(neighbor)
+            pair = ((record_id, neighbor) if record_id < neighbor
+                    else (neighbor, record_id))
+            if other != cluster_id:  # the edge no longer crosses here
+                crossing = row[other]
+                if crossing[0] == 1:
+                    del row[other]
+                    del adjacent[other][cluster_id]
+                else:
+                    crossing[0] -= 1
+                    if crossing[1] == pair:
+                        crossing[1] = None
+            # Either way it now crosses (created, other); an edge internal
+            # to the old cluster crosses (created, cluster).
+            self._add_crossing(created, other, pair)
+
+    def on_merge(self, survivor: int, absorbed: int) -> None:
+        """Fold the absorbed cluster's row into the survivor's."""
+        adjacent = self._adjacent
+        row = adjacent.pop(absorbed)
+        kept = adjacent[survivor]
+        row.pop(survivor, None)
+        kept.pop(absorbed, None)
+        for other, crossing in row.items():
+            back = adjacent[other]
+            del back[absorbed]
+            mine = kept.get(other)
+            if mine is None:
+                kept[other] = back[survivor] = crossing
+            else:
+                mine[0] += crossing[0]
+                if mine[1] is not None:
+                    mine[1] = (None if crossing[1] is None
+                               else min(mine[1], crossing[1]))
+        self._split_entries.pop(absorbed, None)
+
+    # -- internals --------------------------------------------------------
+
+    def _add_crossing(self, cluster_a: int, cluster_b: int,
+                      pair: Tuple[int, int]) -> None:
+        row = self._adjacent[cluster_a]
+        crossing = row.get(cluster_b)
+        if crossing is None:
+            row[cluster_b] = self._adjacent[cluster_b][cluster_a] = [1, pair]
+        else:
+            crossing[0] += 1
+            if crossing[1] is not None and pair < crossing[1]:
+                crossing[1] = pair
+
+    def _splits(self, cluster_id: int) -> List[Operation]:
+        version = self._tracker.version(cluster_id)
+        entry = self._split_entries.get(cluster_id)
+        if entry is None or entry[0] != version:
+            members = self._clustering.member_view(cluster_id)
+            splits: List[Operation] = (
+                [Split(record_id, cluster_id) for record_id in sorted(members)]
+                if len(members) >= 2 else []
+            )
+            entry = self._split_entries[cluster_id] = (version, splits)
+        return entry[1]
 
 
 def candidate_adjacency(candidates: CandidateSet) -> Dict[int, List[int]]:
-    """Record-level adjacency of the candidate graph (for merge respawning)."""
+    """Record-level adjacency of the candidate graph."""
     neighbors: Dict[int, List[int]] = {}
     for a, b in candidates.pairs:
         neighbors.setdefault(a, []).append(b)
@@ -279,37 +391,13 @@ def _operation_sort_key(operation: Operation) -> Tuple:
     return (1, operation.cluster_a, operation.cluster_b)
 
 
-def _operations_touching(
-    clustering: Clustering,
-    neighbors: Mapping[int, List[int]],
-    cluster_ids: Iterable[int],
-) -> List[Operation]:
-    """All candidate operations touching the given *live* clusters."""
-    found: List[Operation] = []
-    seen_merges: Set[Tuple[int, int]] = set()
-    for cluster_id in cluster_ids:
-        members = clustering.members(cluster_id)
-        if len(members) >= 2:
-            for record_id in members:
-                found.append(Split(record_id, cluster_id))
-        for record_id in members:
-            for neighbor in neighbors.get(record_id, ()):
-                other = clustering.cluster_of(neighbor)
-                if other == cluster_id:
-                    continue
-                key = (min(cluster_id, other), max(cluster_id, other))
-                if key not in seen_merges:
-                    seen_merges.add(key)
-                    found.append(Merge(key[0], key[1]))
-    return found
-
-
 def apply_free_operations(
     clustering: Clustering,
     cache: OperationCache,
     evaluations: EvaluationCache,
     invalidated: Optional[Set[int]] = None,
     on_apply=None,
+    seeds: Optional[Iterable[Operation]] = None,
 ) -> int:
     """Step 1 of Section 5.4 / lines 5-7 of Algorithm 4: repeatedly apply the
     known-benefit operation with the largest positive benefit until none is
@@ -326,10 +414,9 @@ def apply_free_operations(
 
     Args:
         cache: The caller's :class:`OperationCache` over ``clustering``.
-            Supplies the initial operation list, the candidate adjacency,
-            and the cluster-version tracker — so the heap seeding reuses
-            cached enumeration state and the applied operations
-            invalidate the caller's cache entries in turn.
+            Supplies the seed and respawn operations and the
+            cluster-version tracker, so the applied operations update
+            the caller's cache in turn.
         evaluations: The caller's :class:`EvaluationCache`, sharing
             ``cache``'s tracker; exact benefits are served incrementally
             from it instead of being re-derived per push.
@@ -341,9 +428,13 @@ def apply_free_operations(
             be applied* (the clustering still in its pre-application
             state) — lets a caller observe every step against the
             clustering it was applied to.
+        seeds: The operations to seed the heap with; ``None`` seeds every
+            current operation.  A pass after an earlier one needs only
+            :func:`free_pass_seeds`: that pass left no known-positive
+            operation, and an exact benefit moves only when a touched
+            cluster changes or a relevant pair gets answered.
     """
     exact_benefit = evaluations.exact_benefit
-    neighbors = cache.neighbors
     tracker = cache.tracker
 
     heap: List[Tuple[float, Tuple, Operation, Tuple[Tuple[int, int], ...]]] = []
@@ -356,7 +447,7 @@ def apply_free_operations(
                 tracker.snapshot(operation.touched_clusters),
             ))
 
-    for operation in cache.operations():
+    for operation in cache.operations() if seeds is None else seeds:
         push_if_positive(operation)
 
     applied = 0
@@ -371,9 +462,26 @@ def apply_free_operations(
         applied += 1
         if invalidated is not None:
             invalidated |= set(operation.touched_clusters) | changed
-        for affected in _operations_touching(clustering, neighbors, changed):
+        for affected in cache.operations_touching(changed):
             push_if_positive(affected)
     return applied
+
+
+def free_pass_seeds(cache: OperationCache, evaluations: EvaluationCache,
+                    changed: Iterable[int]) -> List[Operation]:
+    """The seeds of a free pass that follows an earlier one: every
+    operation touching a cluster changed since (``changed``, as returned
+    by the tracker's applies), plus every current operation whose pairs
+    got crowd answers since (which also drains that set).  Nothing else
+    can have gained a known positive benefit; the heap key ``(-benefit,
+    sort key)`` is unique, so the pass applies exactly what a full seeding
+    would."""
+    seeds = cache.operations_touching(changed)
+    seen = set(seeds)
+    seeds.extend(operation
+                 for operation in evaluations.drain_answered_operations()
+                 if operation not in seen and operation in cache)
+    return seeds
 
 
 def _record_answers(
@@ -406,9 +514,7 @@ class _LazyRatioSelector:
     :meth:`EvaluationCache.drain_dirty_operations`.
     """
 
-    def __init__(self, clustering: Clustering, cache: OperationCache,
-                 evaluations: EvaluationCache):
-        self._clustering = clustering
+    def __init__(self, cache: OperationCache, evaluations: EvaluationCache):
         self._cache = cache
         self._evaluations = evaluations
         self._heap: List[Tuple[float, Tuple, int, Operation]] = []
@@ -450,11 +556,7 @@ class _LazyRatioSelector:
         stale: Set[Operation] = set()
         for cluster_id in pending:
             stale |= self._by_cluster.pop(cluster_id, set())
-        tracker = self._cache.tracker
-        live = [cluster_id for cluster_id in pending
-                if tracker.version(cluster_id) is not None]
-        fresh = set(_operations_touching(self._clustering,
-                                         self._cache.neighbors, live))
+        fresh = set(self._cache.operations_touching(pending))
         for operation in stale - fresh:
             self._untrack(operation)
         for operation in fresh:
@@ -507,27 +609,8 @@ class _LazyRatioSelector:
     def _enum_key(self, operation: Operation) -> Tuple:
         if isinstance(operation, Split):
             return (0, operation.cluster_id, operation.record_id)
-        return (1, self._min_crossing_pair(operation))
-
-    def _min_crossing_pair(self, operation: Merge) -> Tuple[int, int]:
-        """The merge's smallest crossing candidate pair — its first
-        occurrence position in ``enumerate_operations``' sorted pair scan."""
-        clustering = self._clustering
-        neighbors = self._cache.neighbors
-        scan, other = operation.cluster_a, operation.cluster_b
-        if clustering.size(other) < clustering.size(scan):
-            scan, other = other, scan
-        best: Optional[Tuple[int, int]] = None
-        for record_id in clustering.members(scan):
-            for neighbor in neighbors.get(record_id, ()):
-                if clustering.cluster_of(neighbor) != other:
-                    continue
-                pair = ((record_id, neighbor) if record_id < neighbor
-                        else (neighbor, record_id))
-                if best is None or pair < best:
-                    best = pair
-        assert best is not None, "merge exists without a crossing edge"
-        return best
+        return (1, self._cache.min_crossing_pair(operation.cluster_a,
+                                                 operation.cluster_b))
 
 
 def _crowd_refine_fast(
@@ -547,13 +630,14 @@ def _crowd_refine_fast(
     cache = OperationCache(clustering, candidates)
     evaluations = EvaluationCache(clustering, candidates, oracle, estimator,
                                   cache.tracker)
-    selector = _LazyRatioSelector(clustering, cache, evaluations)
+    selector = _LazyRatioSelector(cache, evaluations)
 
     step = 0
+    seeds: Optional[List[Operation]] = None  # the first pass: everything
     while True:
         invalidated: Set[int] = set()
         applied = apply_free_operations(clustering, cache, evaluations,
-                                        invalidated=invalidated)
+                                        invalidated=invalidated, seeds=seeds)
         if invalidated:
             selector.invalidate_clusters(invalidated)
         if obs is not None and applied:
@@ -571,11 +655,13 @@ def _crowd_refine_fast(
         _record_answers(answers, candidates, estimator)
         benefit = evaluations.exact_benefit(best_operation)
         confirmed = benefit is not None and benefit > BENEFIT_TOLERANCE
+        changed: Set[int] = set()
         if confirmed:
             changed = cache.apply(best_operation)
             selector.invalidate_clusters(
                 set(best_operation.touched_clusters) | changed
             )
+        seeds = free_pass_seeds(cache, evaluations, changed)
         step += 1
         if obs is not None:
             obs.metrics.counter(

@@ -23,9 +23,10 @@ conventions also match: empty vs empty scores 1.0, empty vs non-empty 0.0.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as _np
+import scipy.sparse as _sparse
 
 #: Metrics with a batch implementation (the prefix-join family).
 VECTORIZED_METRICS = ("jaccard", "cosine", "dice", "overlap")
@@ -103,6 +104,9 @@ class EncodedRecords:
         starts: ``int64[n]`` offset of each row's slice in ``flat``.
         counts: ``int64[n]`` per-row set sizes.
         vocab_size: Number of distinct tokens (key-packing modulus).
+        incidence: The same store as a records x vocabulary 0/1
+            ``scipy.sparse`` CSR matrix, built once here, so forked prune
+            shards share it; it feeds :func:`batch_intersection_sizes`.
     """
 
     def __init__(self, ids, flat, starts, counts, vocab_size: int):
@@ -111,6 +115,16 @@ class EncodedRecords:
         self.starts = starts
         self.counts = counts
         self.vocab_size = int(vocab_size)
+        # Column indices are ``flat`` itself: rows are stored sorted and
+        # duplicate-free, so the matrix is already canonical.
+        index_type = _np.int32 if len(flat) < 2**31 else _np.int64
+        indptr = _np.zeros(len(counts) + 1, dtype=index_type)
+        _np.cumsum(counts, out=indptr[1:])
+        self.incidence = _sparse.csr_matrix(
+            (_np.ones(len(flat), dtype=_np.int8),
+             flat.astype(index_type, copy=False), indptr),
+            shape=(len(counts), max(self.vocab_size, 1)),
+        )
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -148,34 +162,6 @@ class EncodedRecords:
             vocab_size=len(vocab),
         )
 
-    def gather(self, rows: "_np.ndarray") -> Tuple["_np.ndarray", "_np.ndarray"]:
-        """Concatenated token ranks of ``rows`` plus each token's local
-        row index — the CSR gather feeding the batch intersection.
-
-        Returns ``(tokens, owner)`` where ``owner[i]`` is the position in
-        ``rows`` that ``tokens[i]`` came from.
-        """
-        counts = self.counts[rows]
-        total = int(counts.sum())
-        owner = _np.repeat(_np.arange(len(rows), dtype=_np.int64), counts)
-        if total == 0:
-            return self.flat[:0], owner
-        # Source indices walk each row's flat slice consecutively, jumping
-        # to the next row's start at each boundary.  One cumsum over a
-        # mostly-ones step array beats the repeat/arange formulation —
-        # ragged repeats are the slow primitive at this volume.  Zero-count
-        # rows contribute no boundary, so drop them before differencing.
-        nz = _np.flatnonzero(counts)
-        row_starts = self.starts[rows[nz]]
-        sizes = counts[nz]
-        steps = _np.ones(total, dtype=_np.int64)
-        steps[0] = row_starts[0]
-        if len(nz) > 1:
-            boundaries = _np.cumsum(sizes)[:-1]
-            steps[boundaries] = row_starts[1:] - row_starts[:-1] - (sizes[:-1] - 1)
-        src = _np.cumsum(steps)
-        return self.flat[src], owner
-
 
 def batch_intersection_sizes(
     encoded: EncodedRecords,
@@ -184,27 +170,15 @@ def batch_intersection_sizes(
 ) -> "_np.ndarray":
     """Exact ``|A ∩ B|`` for each row pair, as ``int64[npairs]``.
 
-    Concatenates both rows' (internally duplicate-free) token ranks per
-    pair, packs ``(pair, token)`` into one int64 key, sorts, and counts
-    adjacent duplicates — a token seen twice under one pair is exactly a
-    token present in both sets.
+    A sparse row product: the element-wise product of the two rows of
+    the 0/1 :attr:`EncodedRecords.incidence` matrix is 1 exactly on the
+    shared tokens, so its row sum is the intersection size.
     """
-    npairs = len(left_rows)
-    if npairs == 0:
+    if len(left_rows) == 0:
         return _np.zeros(0, dtype=_np.int64)
-    pair_of = _np.empty(npairs * 2, dtype=_np.int64)
-    pair_of[0::2] = _np.arange(npairs, dtype=_np.int64)
-    pair_of[1::2] = pair_of[0::2]
-    rows = _np.empty(npairs * 2, dtype=left_rows.dtype)
-    rows[0::2] = left_rows
-    rows[1::2] = right_rows
-    tokens, owner = encoded.gather(rows)
-    # owner indexes the interleaved rows array; owner // 2 is the pair.
-    keys = (owner // 2) * _np.int64(max(encoded.vocab_size, 1)) + tokens
-    keys.sort()
-    duplicate = keys[1:] == keys[:-1]
-    hit_pairs = keys[:-1][duplicate] // _np.int64(max(encoded.vocab_size, 1))
-    return _np.bincount(hit_pairs, minlength=npairs).astype(_np.int64)
+    matrix = encoded.incidence
+    shared = matrix[left_rows].multiply(matrix[right_rows]).sum(axis=1)
+    return _np.asarray(shared, dtype=_np.int64).ravel()
 
 
 def batch_set_scores(

@@ -11,6 +11,7 @@ join's canonical token order exactly.
 
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from repro.similarity.jaccard import qgram_jaccard, token_jaccard
 from repro.similarity.kernels import (
     EncodedRecords,
     TokenVocabulary,
+    batch_intersection_sizes,
     batch_text_scores,
     resolve_kernel_backend,
 )
@@ -125,6 +127,37 @@ def test_encoded_records_roundtrip(texts):
         ranks = encoded.flat[start:start + count].tolist()
         assert ranks == sorted(vocab.rank_of[t] for t in sets[record_id])
         assert count == len(sets[record_id])
+
+
+token_sets = st.frozensets(st.sampled_from("abcdefghij"), max_size=8)
+
+
+@given(st.lists(token_sets, min_size=1, max_size=12), st.data())
+@settings(max_examples=80)
+def test_intersection_sizes_match_set_intersection(sets, data):
+    """The sparse row product counts ``len(a & b)`` exactly, empty rows
+    (and empty-vs-empty pairs) included."""
+    records = dict(enumerate(sets))
+    records[len(sets)] = frozenset()  # always at least one empty row
+    encoded = EncodedRecords.from_sets(records, ids=list(records))
+    rows = st.integers(0, len(records) - 1)
+    pairs = data.draw(st.lists(st.tuples(rows, rows), max_size=30))
+    left = np.array([a for a, _ in pairs], dtype=np.int64)
+    right = np.array([b for _, b in pairs], dtype=np.int64)
+    sizes = batch_intersection_sizes(encoded, left, right)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == [len(records[a] & records[b])
+                              for a, b in pairs]
+
+
+def test_intersection_sizes_exceed_the_incidence_dtype():
+    """The 0/1 incidence entries are int8; their row sums must not be."""
+    records = {0: frozenset(map(str, range(300))),
+               1: frozenset(map(str, range(100, 400)))}
+    encoded = EncodedRecords.from_sets(records, ids=[0, 1])
+    sizes = batch_intersection_sizes(encoded, np.array([0, 0]),
+                                     np.array([1, 0]))
+    assert sizes.tolist() == [200, 300]
 
 
 def test_resolve_backend():
