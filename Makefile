@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-quick bench-smoke bench-refine bench-pivot bench-scale bench-scale-smoke bench-pipeline chaos-smoke chaos-runtime trace-smoke examples lint clean
+.PHONY: install test bench results-check bench-quick bench-smoke bench-refine bench-pivot bench-scale bench-scale-smoke bench-pipeline chaos-smoke chaos-runtime trace-smoke examples lint clean
 
 install:
 	python setup.py develop
@@ -8,6 +8,13 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only -q
+
+# Results-drift check: the figure suite is deterministic, so a
+# full-scale regeneration must leave every committed
+# benchmarks/results/*.txt byte-identical.
+results-check:
+	pytest benchmarks/ --benchmark-only -q
+	git diff --exit-code -- benchmarks/results
 
 bench-quick:
 	REPRO_BENCH_SCALE=0.3 REPRO_BENCH_REPS=2 pytest benchmarks/ --benchmark-only -q

@@ -12,7 +12,11 @@ Stage tables are span rollups of a harness-only
 :class:`~repro.obs.ObsContext`: each stage is a harness span around a
 call that never receives that context, so every timed run (both sides
 of each makespan A/B) stays untraced — except ``acd_traced``, which
-streams its own trace to disk to measure the tracing overhead.  Each
+streams its own trace to disk to measure the tracing overhead.  The
+plain ``acd`` and the traced run alternate over ``REPEATS`` samples,
+each after a ``gc.collect()``; their stages are medians with IQRs in
+``stages_iqr``, and ``trace_overhead_pct`` is the median over repeats of
+the traced-vs-plain difference, with its IQR.  Each
 dataset row, and each side of the pipelined comparison, runs in its own
 forked child (``common.in_fork``), so every peak-RSS meter is that
 row's own.
@@ -56,7 +60,9 @@ overlappable phase the pipeline actually hid).
 
 from __future__ import annotations
 
+import gc
 import os
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -103,6 +109,11 @@ PIPELINE_WORKERS = int(os.environ.get("REPRO_BENCH_PIPELINE_WORKERS", "8"))
 PIPELINE_SHARDS = int(os.environ.get("REPRO_BENCH_PIPELINE_SHARDS", "32"))
 PIPELINE_CONFUSION = float(os.environ.get("REPRO_BENCH_PIPELINE_CONFUSION",
                                           "0.25"))
+
+#: Plain/traced ACD samples per dataset.  ``acd`` and ``acd_traced`` are
+#: their medians, with the interquartile range in ``stages_iqr``: one
+#: sample each read a traced run faster than a plain one.
+REPEATS = 5
 
 
 def pipelined_stage(runs: dict) -> dict:
@@ -227,10 +238,26 @@ def _acd_with_oracle(instance, **phase):
             pairwise_scores(clustering, instance.dataset.gold).f1)
 
 
+def _timed_sample(harness, name: str, run):
+    """One timed sample of ``run()`` under the harness span ``name``,
+    after a ``gc.collect()``; returns ``(seconds, result)``."""
+    gc.collect()
+    with harness.span(name) as span:
+        result = run()
+    return span.duration_s, result
+
+
+def _median_and_iqr(values):
+    """Median and interquartile range of repeated samples."""
+    low, middle, high = statistics.quantiles(values, n=4,
+                                             method="inclusive")
+    return middle, high - low
+
+
 def classic_row(dataset_name: str):
     """One dataset's pruning + ACD stages; returns ``(run entry, stage
-    seconds, f1)``.  Runs in its own fork, so the peak RSS is this
-    dataset's own."""
+    seconds, f1, per-sample seconds of acd and acd_traced)``.  Runs in
+    its own fork, so the peak RSS is this dataset's own."""
     harness, meters = ObsContext(), StageTimings()
     with harness.span("total"), harness.span("pruning"):
         instance = prepare_instance(
@@ -240,35 +267,52 @@ def classic_row(dataset_name: str):
     # Untimed warm-up: the first run populates the lazy answer file,
     # which would otherwise be billed to whichever stage runs first.
     run_method(ACD_METHOD, instance, seed=SEED)
-    with harness.span("total"):
-        with harness.span("acd"):
-            result = run_method(ACD_METHOD, instance, seed=SEED)
-        # The same pipeline under the full-re-evaluation refinement
-        # oracle: the delta is the incremental PC-Refine's end-to-end
-        # win.
-        with harness.span("acd_reference"):
-            reference = _acd_with_oracle(instance, generation=pc_pivot)
-        assert reference == (result.pairs_issued, result.f1), \
-            "the refinement oracle must agree"
-        # And under the per-round re-derivation pivot oracle: the delta
-        # is the incremental pivot order's end-to-end win.
-        with harness.span("acd_pivot_reference"):
-            pivot_reference = _acd_with_oracle(instance,
-                                               refinement=pc_refine)
-        assert pivot_reference == (result.pairs_issued, result.f1), \
-            "the pivot oracle must agree"
-        # Same run again under full observability (spans + metrics +
-        # JSONL stream to disk) — the delta is the tracing overhead.
-        with tempfile.TemporaryDirectory() as tmpdir:
-            with harness.span("acd_traced"):
-                with ObsContext.to_path(
-                        Path(tmpdir) / "bench.trace.jsonl") as obs:
-                    traced = run_method(ACD_METHOD, instance, seed=SEED,
-                                        obs=obs)
-    assert traced.pairs_issued == result.pairs_issued, \
-        "tracing must not perturb the run"
+    with tempfile.TemporaryDirectory() as tmpdir:
+        trace_path = Path(tmpdir) / "bench.trace.jsonl"
+
+        def traced_run():
+            # Full observability (spans + metrics + JSONL stream to
+            # disk): the delta to a plain run is the tracing overhead.
+            with ObsContext.to_path(trace_path) as obs:
+                return run_method(ACD_METHOD, instance, seed=SEED, obs=obs)
+
+        samples = {"acd": [], "acd_traced": []}
+        runs = {"acd": lambda: run_method(ACD_METHOD, instance, seed=SEED),
+                "acd_traced": traced_run}
+        with harness.span("total"):
+            # Plain and traced samples alternate, and so does which of
+            # the two goes first, so host drift bills both sides alike.
+            for repeat in range(REPEATS):
+                order = list(runs) if repeat % 2 == 0 else list(runs)[::-1]
+                for name in order:
+                    samples[name].append(_timed_sample(harness, name,
+                                                       runs[name]))
+            result = samples["acd"][0][1]
+            # The same pipeline under the full-re-evaluation refinement
+            # oracle: the delta is the incremental PC-Refine's end-to-end
+            # win.
+            gc.collect()
+            with harness.span("acd_reference"):
+                reference = _acd_with_oracle(instance, generation=pc_pivot)
+            assert reference == (result.pairs_issued, result.f1), \
+                "the refinement oracle must agree"
+            # And under the per-round re-derivation pivot oracle: the
+            # delta is the incremental pivot order's end-to-end win.
+            gc.collect()
+            with harness.span("acd_pivot_reference"):
+                pivot_reference = _acd_with_oracle(instance,
+                                                   refinement=pc_refine)
+            assert pivot_reference == (result.pairs_issued, result.f1), \
+                "the pivot oracle must agree"
+    for _, other in samples["acd"] + samples["acd_traced"]:
+        assert other.pairs_issued == result.pairs_issued, \
+            "repeats and tracing must not perturb the run"
     stages = harness.tracer.span_summaries()
     seconds = stage_seconds(stages)
+    spread = {}
+    for name, timed in samples.items():
+        seconds[name], spread[name] = _median_and_iqr(
+            [duration for duration, _ in timed])
     meters.record_throughput("pruning_records_per_second",
                              len(instance.record_ids), seconds["pruning"])
     meters.record_peak_rss()
@@ -279,7 +323,11 @@ def classic_row(dataset_name: str):
         f1=round(result.f1, 4),
         pairs_issued=result.pairs_issued,
     )
-    return entry, seconds, result.f1
+    entry["stages"] = seconds
+    entry["stages_iqr"] = spread
+    sample_seconds = {name: [duration for duration, _ in timed]
+                      for name, timed in samples.items()}
+    return entry, seconds, result.f1, sample_seconds
 
 
 def main() -> int:
@@ -288,11 +336,18 @@ def main() -> int:
     traced_total = 0.0
     reference_total = 0.0
     pivot_reference_total = 0.0
+    # Per repeat, the plain and traced seconds summed over datasets.
+    plain_samples = [0.0] * REPEATS
+    traced_samples = [0.0] * REPEATS
     for dataset_name in (DATASETS if "classic" in STAGES else ()):
-        entry, seconds, f1 = in_fork(lambda: classic_row(dataset_name))
+        entry, seconds, f1, sample_seconds = in_fork(
+            lambda: classic_row(dataset_name))
         runs[dataset_name] = entry
         plain_total += seconds["acd"]
         traced_total += seconds["acd_traced"]
+        for repeat in range(REPEATS):
+            plain_samples[repeat] += sample_seconds["acd"][repeat]
+            traced_samples[repeat] += sample_seconds["acd_traced"][repeat]
         reference_total += seconds["acd_reference"]
         pivot_reference_total += seconds["acd_pivot_reference"]
         print(
@@ -306,19 +361,24 @@ def main() -> int:
 
     derived = {}
     if "classic" in STAGES:
-        overhead_pct = ((traced_total - plain_total) / plain_total * 100.0
-                        if plain_total > 0 else 0.0)
+        # Each repeat's traced samples against the plain samples taken
+        # alongside them; the median and IQR over repeats, not one pair.
+        overhead_pct, overhead_iqr = _median_and_iqr([
+            (traced - plain) / plain * 100.0 if plain > 0 else 0.0
+            for plain, traced in zip(plain_samples, traced_samples)])
         acd_speedup = (reference_total / plain_total
                        if plain_total > 0 else 1.0)
         pivot_speedup = (pivot_reference_total / plain_total
                          if plain_total > 0 else 1.0)
         derived.update(
             trace_overhead_pct=round(overhead_pct, 2),
+            trace_overhead_pct_iqr=round(overhead_iqr, 2),
             acd_speedup_vs_reference=round(acd_speedup, 2),
             acd_speedup_vs_pivot_reference=round(pivot_speedup, 2),
         )
         print(f"trace overhead: {overhead_pct:+.2f}% "
-              f"(plain {plain_total:.3f}s, traced {traced_total:.3f}s)")
+              f"(IQR {overhead_iqr:.2f} points over {REPEATS} pairs; "
+              f"median plain {plain_total:.3f}s, traced {traced_total:.3f}s)")
     if "pipelined" in STAGES:
         derived.update(pipelined_stage(runs))
 
@@ -328,6 +388,7 @@ def main() -> int:
                 "parallel": PARALLEL, "setting": SETTING,
                 "datasets": list(DATASETS),
                 "stages": list(STAGES),
+                "repeats": REPEATS,
                 "pipeline_records": PIPELINE_RECORDS,
                 "pipeline_latency_s": PIPELINE_LATENCY,
                 "pipeline_workers": PIPELINE_WORKERS,

@@ -32,8 +32,9 @@ its own spans; the harness adds ``total``, ``generation`` and
 ``refine`` spans on the same context (generation itself runs untraced).
 Both engines of the A/B therefore include the same in-memory tracing.
 Each engine runs ``REPEATS`` times per dataset, alternating with the
-other; a run's ``stages`` are the per-stage medians and ``stages_iqr``
-their interquartile ranges, and every repeat must report the same counts.
+other, after a ``gc.collect()``; a run's ``stages`` are the per-stage
+medians and ``stages_iqr`` their interquartile ranges, and every repeat
+must report the same counts.
 
 Standalone (no pytest)::
 
@@ -46,6 +47,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import gc
 import os
 import statistics
 import sys
@@ -147,6 +149,9 @@ def main() -> int:
         samples = {engine: [] for engine in ENGINES}
         for _ in range(REPEATS):
             for engine in ENGINES:
+                # Collect first, so a cyclic-GC pass left over from the
+                # previous sample does not land inside this one.
+                gc.collect()
                 samples[engine].append(_run_engine(instance, engine))
         per_engine = {}
         for engine in ENGINES:

@@ -4,7 +4,7 @@ The paper treats the pruning phase as a given; this ablation compares the
 candidate sets produced by the library's three blocking strategies on the
 Restaurant dataset — exhaustive scoring, token blocking (exact for Jaccard),
 and MinHash LSH (approximate, sub-quadratic) — reporting candidate counts,
-duplicate recall, and build time.
+duplicate recall, and pairs scored (build time is printed only).
 
 Expected shape: token blocking matches exhaustive scoring exactly; MinHash
 trades a few points of recall for a smaller scored-pair workload.
@@ -52,12 +52,15 @@ def run_strategies():
 def test_ablation_blocking(benchmark):
     rows = benchmark.pedantic(run_strategies, rounds=1, iterations=1)
     token_equals_exact = rows.pop("_same")
+    # Build time is wall clock, so it is printed but kept out of the
+    # results file, which must regenerate byte for byte.
     emit("ablation_blocking_restaurant", format_table(
-        ["strategy", "candidate pairs", "dup recall", "seconds",
-         "pairs scored"],
-        [[name, f"{pairs}", f"{recall:.3f}", f"{seconds:.2f}", f"{scored}"]
-         for name, (pairs, recall, seconds, scored) in rows.items()],
+        ["strategy", "candidate pairs", "dup recall", "pairs scored"],
+        [[name, f"{pairs}", f"{recall:.3f}", f"{scored}"]
+         for name, (pairs, recall, _, scored) in rows.items()],
     ))
+    for name, (_, _, seconds, _) in rows.items():
+        print(f"{name}: built in {seconds:.2f}s")
     # Token blocking is exact for Jaccard.
     assert token_equals_exact
     # MinHash recovers nearly all duplicates while scoring fewer pairs.

@@ -15,7 +15,8 @@ F1, at zero extra crowdsourcing cost.
 import pytest
 
 from repro.core.acd import run_acd
-from repro.crowd.truth_inference import InferredAnswers, dawid_skene
+from repro.crowd.cache import ScriptedAnswers
+from repro.crowd.truth_inference import dawid_skene
 from repro.crowd.worker import DifficultyModel
 from repro.crowd.workforce import Workforce, WorkforceAnswerFile
 from repro.eval.metrics import f1_score
@@ -36,7 +37,7 @@ def run_comparison_of_aggregators():
     )
     votes_source.prefetch(pairs)
 
-    inferred = InferredAnswers(dawid_skene(votes_source.all_votes()),
+    inferred = ScriptedAnswers(dawid_skene(votes_source.all_votes()).posteriors,
                                num_workers=5)
 
     def error_rate(answers):

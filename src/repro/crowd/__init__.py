@@ -6,7 +6,9 @@ replayable simulator:
 - :class:`DifficultyModel` / :class:`WorkerPool` — pair-correlated worker
   error model calibrated to Table 3's measured error rates;
 - :class:`AnswerFile` — the paper's recorded answer file ``F``: one shared,
-  memoized set of answers that every method replays;
+  memoized set of answers that every method replays, and the memo every
+  answer source subclasses (overriding only its per-pair ``_vote``);
+  wrappers around a source extend :class:`AnswerWrapper`;
 - :class:`CrowdOracle` — the only crowd interface algorithms see, with
   per-run cost accounting (:class:`CrowdStats`);
 - HIT packing helpers matching the paper's AMT settings;
@@ -17,7 +19,12 @@ replayable simulator:
 """
 
 from repro.crowd.adaptive import AdaptiveAnswerFile
-from repro.crowd.cache import AnswerFile, FallbackAnswers, ScriptedAnswers
+from repro.crowd.cache import (
+    AnswerFile,
+    AnswerWrapper,
+    FallbackAnswers,
+    ScriptedAnswers,
+)
 from repro.crowd.cluster_hits import (
     ClusterHitPlan,
     RecordGroup,
@@ -53,7 +60,6 @@ from repro.crowd.render import (
 from repro.crowd.seeding import stable_rng, stable_seed
 from repro.crowd.stats import CrowdStats
 from repro.crowd.truth_inference import (
-    InferredAnswers,
     TruthInferenceResult,
     WorkerEstimate,
     dawid_skene,
@@ -69,6 +75,7 @@ __all__ = [
     "AdaptiveAnswerFile",
     "AnswerFile",
     "AnswerJournal",
+    "AnswerWrapper",
     "Assignment",
     "BatchReceipt",
     "ClusterHitPlan",
@@ -79,7 +86,6 @@ __all__ = [
     "FaultEvent",
     "FaultModel",
     "Hit",
-    "InferredAnswers",
     "JournalingAnswerFile",
     "LatencyModel",
     "PlatformAnswerFile",

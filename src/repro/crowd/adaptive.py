@@ -11,34 +11,37 @@ panel.  Difficult pairs — the ones whose latent error probability is close
 to a coin flip — are exactly the ones that produce split votes, so they
 organically receive more workers, while easy pairs stay cheap.
 
-The class is answer-file compatible (``confidence`` / ``num_workers`` /
-``prefetch``), so the whole algorithm stack runs on it unchanged; the
+The class is an :class:`~repro.crowd.cache.AnswerFile` whose per-pair
+vote escalates, so the whole algorithm stack runs on it unchanged; the
 per-pair vote spend is tracked for the cost accounting of the extension
-experiment (``benchmarks/test_ext_adaptive_assignment.py``).
+experiment (``benchmarks/test_ext_adaptive.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict
 
+from repro.crowd.cache import AnswerFile, Pair
 from repro.crowd.worker import WorkerPool
 from repro.datasets.schema import GoldStandard, canonical_pair
 
-Pair = Tuple[int, int]
 
-
-class AdaptiveAnswerFile:
+class AdaptiveAnswerFile(AnswerFile):
     """Crowd answers with split-vote escalation.
 
     Args:
         gold: Ground truth (seen only by the simulator).
-        workers: Base worker pool; its ``num_workers`` is the initial panel.
+        workers: Base worker pool; its ``num_workers`` is the initial panel
+            (and the reported ``num_workers``, used for HIT cost baselines).
         escalated_workers: Panel size after escalation (must be larger).
         margin: Escalate when ``|duplicate_votes - half| <= margin`` votes,
             i.e. the initial panel was nearly tied.  With the default
             3-worker panel and margin 1, any 2-1 vote escalates while 3-0
             votes stand.
     """
+
+    #: Priming would bypass the per-pair vote spend this class audits.
+    pair_deterministic = False
 
     def __init__(self, gold: GoldStandard, workers: WorkerPool,
                  escalated_workers: int = 7, margin: int = 1):
@@ -49,57 +52,29 @@ class AdaptiveAnswerFile:
             )
         if margin < 0:
             raise ValueError(f"margin must be >= 0, got {margin}")
-        self._gold = gold
-        self._base = workers
+        super().__init__(gold, workers)
         self._escalated = WorkerPool(
             difficulty=workers.difficulty, num_workers=escalated_workers
         )
         self._margin = margin
-        self._answers: Dict[Pair, float] = {}
         self._votes_spent: Dict[Pair, int] = {}
 
-    @property
-    def num_workers(self) -> int:
-        """The *base* panel size (used for HIT cost baselines)."""
-        return self._base.num_workers
-
-    def __len__(self) -> int:
-        return len(self._answers)
-
     def _is_split(self, duplicate_votes: int, panel: int) -> bool:
-        # Distance of the vote from unanimity, measured against the margin:
-        # a vote is "split" when the minority got more than (margin - 1)
-        # votes... i.e. min(yes, no) >= ceil(margin/1)?  We use the simple
-        # rule: minority votes >= 1 and |yes - no| <= margin.
+        # Split: the vote is not unanimous, and the duplicate and
+        # non-duplicate counts differ by at most the margin.
         minority = min(duplicate_votes, panel - duplicate_votes)
         return minority > 0 and abs(2 * duplicate_votes - panel) <= self._margin
 
-    def confidence(self, record_a: int, record_b: int) -> float:
-        """Crowd confidence with escalation, memoized per pair."""
-        pair = canonical_pair(record_a, record_b)
-        cached = self._answers.get(pair)
-        if cached is not None:
-            return cached
+    def _vote(self, pair: Pair) -> float:
         truth = self._gold.is_duplicate(*pair)
-        base_votes = self._base.votes(pair[0], pair[1], truth)
-        panel = self._base.num_workers
+        base_votes = self._workers.votes(pair[0], pair[1], truth)
+        panel = self.num_workers
         if self._is_split(base_votes, panel):
             escalated_votes = self._escalated.votes(pair[0], pair[1], truth)
-            confidence = escalated_votes / self._escalated.num_workers
-            spent = panel + self._escalated.num_workers
-        else:
-            confidence = base_votes / panel
-            spent = panel
-        self._answers[pair] = confidence
-        self._votes_spent[pair] = spent
-        return confidence
-
-    def majority_duplicate(self, record_a: int, record_b: int) -> bool:
-        return self.confidence(record_a, record_b) > 0.5
-
-    def prefetch(self, pairs: Iterable[Pair]) -> None:
-        for a, b in pairs:
-            self.confidence(a, b)
+            self._votes_spent[pair] = panel + self._escalated.num_workers
+            return escalated_votes / self._escalated.num_workers
+        self._votes_spent[pair] = panel
+        return base_votes / panel
 
     # ------------------------------------------------------------------
     # Extension-experiment measurements
@@ -118,17 +93,6 @@ class AdaptiveAnswerFile:
             return 0.0
         escalated = sum(
             1 for spent in self._votes_spent.values()
-            if spent > self._base.num_workers
+            if spent > self.num_workers
         )
         return escalated / len(self._votes_spent)
-
-    def majority_error_rate(self, pairs: Iterable[Pair]) -> float:
-        """Fraction of pairs whose (possibly escalated) majority vote
-        disagrees with the gold truth — comparable to Table 3's column."""
-        total = 0
-        wrong = 0
-        for a, b in pairs:
-            total += 1
-            if self.majority_duplicate(a, b) != self._gold.is_duplicate(a, b):
-                wrong += 1
-        return wrong / total if total else 0.0

@@ -10,35 +10,59 @@ utilize the same set of crowdsourced results."*
 per-pair crowd confidences backed by a :class:`~repro.crowd.worker.WorkerPool`
 and the gold standard.  One :class:`AnswerFile` is shared by all methods in a
 comparison so they see byte-identical answers.
+
+It is also the one memo behind every answer source in this package: a
+source that votes differently (escalated panels, named workers, the
+platform simulator, a scripted table) subclasses it and overrides only
+:meth:`AnswerFile._vote`, the per-pair hook the memo calls on first use.
+Sources that *wrap* another source extend :class:`AnswerWrapper`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Mapping, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.datasets.schema import GoldStandard, canonical_pair
 from repro.crowd.worker import WorkerPool
 
 Pair = Tuple[int, int]
 
+#: A degradation fallback: per-pair machine confidence, as a mapping or a
+#: callable (e.g. ``candidates.score`` wrapped over a pair).
+Fallback = Union[Mapping[Pair, float], Callable[[Pair], float]]
+
 
 class AnswerFile:
-    """Replayable per-pair crowd answers, generated once and memoized."""
+    """Replayable per-pair crowd answers, generated once and memoized.
+
+    Subclasses change how a pair is answered by overriding :meth:`_vote`;
+    everything else (the memo, ``majority_duplicate``, ``prefetch``,
+    ``prime``, ``len`` and ``majority_error_rate``) is shared.
+    """
 
     #: Each pair's answer is a pure function of the pair (the worker pool
     #: votes through a pair-seeded RNG), so forked processes resolve the
     #: same pairs to the same confidences — the property the sharded
-    #: pivot engine requires of its oracle.
+    #: pivot engine requires of its oracle.  Subclasses that keep
+    #: per-pair audit state declare ``False``: the engine primes the
+    #: parent's memo with worker answers (:meth:`prime` skips
+    #: :meth:`_vote`), so that state would silently miss those pairs.
     pair_deterministic = True
+
+    #: Ground truth, for :meth:`majority_error_rate`; ``None`` on sources
+    #: that never see it.
+    _gold: Optional[GoldStandard] = None
 
     def __init__(self, gold: GoldStandard, workers: WorkerPool):
         self._gold = gold
         self._workers = workers
+        self.num_workers = workers.num_workers
         self._answers: Dict[Pair, float] = {}
 
-    @property
-    def num_workers(self) -> int:
-        return self._workers.num_workers
+    def _vote(self, pair: Pair) -> float:
+        """The crowd confidence for a canonical pair not yet in the memo."""
+        return self._workers.confidence(pair[0], pair[1],
+                                        self._gold.is_duplicate(*pair))
 
     def __len__(self) -> int:
         return len(self._answers)
@@ -47,12 +71,14 @@ class AnswerFile:
         """The crowd confidence ``f_c`` for one pair (generated on first use)."""
         pair = canonical_pair(record_a, record_b)
         cached = self._answers.get(pair)
-        if cached is not None:
-            return cached
-        truth = self._gold.is_duplicate(*pair)
-        confidence = self._workers.confidence(pair[0], pair[1], truth)
-        self._answers[pair] = confidence
-        return confidence
+        if cached is None:
+            cached = self._answers[pair] = self._vote(pair)
+        return cached
+
+    def confidence_batch(self, pairs: Sequence[Pair]) -> Dict[Pair, float]:
+        """Confidences for many pairs, keyed by canonical pair."""
+        return {canonical_pair(*pair): self.confidence(*pair)
+                for pair in pairs}
 
     def majority_duplicate(self, record_a: int, record_b: int) -> bool:
         """Majority-vote verdict for a pair (``f_c > 0.5``)."""
@@ -60,8 +86,7 @@ class AnswerFile:
 
     def prefetch(self, pairs: Iterable[Pair]) -> None:
         """Materialize answers for many pairs (e.g. the whole candidate set)."""
-        for a, b in pairs:
-            self.confidence(a, b)
+        self.confidence_batch(list(pairs))
 
     def prime(self, answers: Mapping[Pair, float]) -> None:
         """Warm the memo with answers already computed elsewhere.
@@ -84,25 +109,20 @@ class AnswerFile:
         wrong = 0
         for a, b in pairs:
             total += 1
-            verdict = self.majority_duplicate(a, b)
-            if verdict != self._gold.is_duplicate(a, b):
+            if self.majority_duplicate(a, b) != self._gold.is_duplicate(a, b):
                 wrong += 1
-        if total == 0:
-            return 0.0
-        return wrong / total
+        return wrong / total if total else 0.0
 
 
-class ScriptedAnswers:
+class ScriptedAnswers(AnswerFile):
     """Explicitly scripted crowd answers.
 
-    Implements the same interface as :class:`AnswerFile` but serves
-    hand-written per-pair confidences — the form the paper's worked examples
-    (Figures 2-4 and 9, Appendix B) come in.  Used by tests and pedagogic
-    examples where the exact ``f_c`` of every edge matters.
+    Serves hand-written per-pair confidences — the form the paper's worked
+    examples (Figures 2-4 and 9, Appendix B) come in — and any fixed
+    pair -> confidence table, such as a loaded answer file or Dawid-Skene
+    posteriors.  Used by tests and pedagogic examples where the exact
+    ``f_c`` of every edge matters.
     """
-
-    #: Scripted answers are a fixed pair -> confidence table.
-    pair_deterministic = True
 
     def __init__(self, confidences: Mapping[Pair, float],
                  num_workers: int = 1,
@@ -114,36 +134,70 @@ class ScriptedAnswers:
             an unscripted query an error, which is usually what a test
             wants.
         """
-        self._confidences: Dict[Pair, float] = {}
+        self.num_workers = num_workers
+        self._answers = {}
         for raw, confidence in confidences.items():
             if not 0.0 <= confidence <= 1.0:
                 raise ValueError(
                     f"confidence for {raw} must be in [0, 1], got {confidence}"
                 )
-            self._confidences[canonical_pair(*raw)] = confidence
+            self._answers[canonical_pair(*raw)] = confidence
         self._default = default
-        self.num_workers = num_workers
 
-    def __len__(self) -> int:
-        return len(self._confidences)
-
-    def confidence(self, record_a: int, record_b: int) -> float:
-        pair = canonical_pair(record_a, record_b)
-        if pair in self._confidences:
-            return self._confidences[pair]
+    def _vote(self, pair: Pair) -> float:
         if self._default is None:
             raise KeyError(f"no scripted answer for pair {pair}")
         return self._default
 
-    def majority_duplicate(self, record_a: int, record_b: int) -> bool:
-        return self.confidence(record_a, record_b) > 0.5
 
-    def prefetch(self, pairs: Iterable[Pair]) -> None:
-        for a, b in pairs:
-            self.confidence(a, b)
+def as_fallback(fallback: Optional[Fallback]) -> Optional[Callable[[Pair], float]]:
+    """A fallback mapping or callable as a callable (``None`` stays)."""
+    if fallback is None or callable(fallback):
+        return fallback
+    return fallback.__getitem__
 
 
-class FallbackAnswers:
+def fallback_confidence(fallback: Callable[[Pair], float], pair: Pair) -> float:
+    """The machine confidence ``fallback(pair)``, checked to lie in [0, 1]."""
+    value = float(fallback(pair))
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(
+            f"fallback confidence for {pair} must be in [0, 1], got {value}"
+        )
+    return value
+
+
+class AnswerWrapper:
+    """Base for answer sources that wrap another source.
+
+    Forwards the answer-source contract — ``num_workers``,
+    ``pair_deterministic``, ``confidence`` and ``prime`` — to the wrapped
+    source; a wrapper overrides only what it changes.
+    """
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    @property
+    def num_workers(self) -> int:
+        return self._inner.num_workers
+
+    @property
+    def pair_deterministic(self) -> bool:
+        """Exactly the wrapped source's property."""
+        return bool(getattr(self._inner, "pair_deterministic", False))
+
+    def confidence(self, record_a: int, record_b: int) -> float:
+        return self._inner.confidence(record_a, record_b)
+
+    def prime(self, answers: Mapping[Pair, float]) -> None:
+        """Warm the wrapped source's memo, when it has one."""
+        prime = getattr(self._inner, "prime", None)
+        if prime is not None:
+            prime(answers)
+
+
+class FallbackAnswers(AnswerWrapper):
     """A primary answer source with a machine-score degradation fallback.
 
     Serves the primary's answer when it has one; when the primary raises
@@ -154,42 +208,27 @@ class FallbackAnswers:
     and the caller can see exactly which answers were machine-sourced.
     """
 
-    def __init__(self, primary,
-                 fallback: Union[Mapping[Pair, float],
-                                 Callable[[Pair], float]],
-                 num_workers: Optional[int] = None):
+    #: The degraded set is per process: a forked copy's fallbacks would
+    #: never reach the parent's.
+    pair_deterministic = False
+
+    def __init__(self, primary, fallback: Fallback):
         """Args:
         primary: Any answer source with ``confidence(a, b)``.
         fallback: Pair -> machine confidence, as a mapping or callable.
-        num_workers: Reported worker count (default: the primary's).
         """
-        self._primary = primary
-        self._fallback = (fallback if callable(fallback)
-                          else fallback.__getitem__)
-        self.num_workers = (num_workers if num_workers is not None
-                            else primary.num_workers)
+        super().__init__(primary)
+        self._fallback = as_fallback(fallback)
         self._degraded: Set[Pair] = set()
 
     def confidence(self, record_a: int, record_b: int) -> float:
         try:
-            return self._primary.confidence(record_a, record_b)
+            return self._inner.confidence(record_a, record_b)
         except KeyError:
             pair = canonical_pair(record_a, record_b)
-            value = float(self._fallback(pair))
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(
-                    f"fallback confidence for {pair} must be in [0, 1], "
-                    f"got {value}"
-                )
+            value = fallback_confidence(self._fallback, pair)
             self._degraded.add(pair)
             return value
-
-    def majority_duplicate(self, record_a: int, record_b: int) -> bool:
-        return self.confidence(record_a, record_b) > 0.5
-
-    def prefetch(self, pairs: Iterable[Pair]) -> None:
-        for a, b in pairs:
-            self.confidence(a, b)
 
     def degraded_pairs(self) -> Set[Pair]:
         """Pairs served from the fallback so far (a copy)."""

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from repro.crowd.cache import AnswerWrapper
 from repro.crowd.hits import num_hits
 from repro.crowd.seeding import stable_rng
 
@@ -102,7 +103,7 @@ class LatencyModel:
         return total
 
 
-class _SleepingForkSource:
+class _SleepingForkSource(AnswerWrapper):
     """Worker-side view of :class:`SimulatedLatencyAnswers`.
 
     Implements ``confidence_batch`` so a worker's local oracle delivers
@@ -114,18 +115,9 @@ class _SleepingForkSource:
     latency-injected run resolves byte-identical confidences.
     """
 
-    pair_deterministic = True
-
     def __init__(self, inner, round_seconds: float):
-        self._inner = inner
+        super().__init__(inner)
         self.round_seconds = round_seconds
-
-    @property
-    def num_workers(self) -> int:
-        return self._inner.num_workers
-
-    def confidence(self, record_a: int, record_b: int) -> float:
-        return self._inner.confidence(record_a, record_b)
 
     def confidence_batch(self, pairs):
         import time
@@ -134,7 +126,7 @@ class _SleepingForkSource:
         return {pair: self._inner.confidence(*pair) for pair in pairs}
 
 
-class SimulatedLatencyAnswers:
+class SimulatedLatencyAnswers(AnswerWrapper):
     """Inject real wall-clock crowd latency into a simulated answer source.
 
     The iteration counts the paper reports translate to wall clock only
@@ -157,26 +149,12 @@ class SimulatedLatencyAnswers:
         if round_seconds < 0:
             raise ValueError(
                 f"round_seconds must be >= 0, got {round_seconds}")
-        self._answers = answers
+        super().__init__(answers)
         self.round_seconds = round_seconds
 
     @property
-    def pair_deterministic(self) -> bool:
-        return bool(getattr(self._answers, "pair_deterministic", False))
-
-    @property
-    def num_workers(self) -> int:
-        return self._answers.num_workers
-
-    def confidence(self, record_a: int, record_b: int) -> float:
-        return self._answers.confidence(record_a, record_b)
-
-    def prime(self, answers) -> None:
-        self._answers.prime(answers)
-
-    @property
     def fork_source(self) -> _SleepingForkSource:
-        inner = getattr(self._answers, "fork_source", self._answers)
+        inner = getattr(self._inner, "fork_source", self._inner)
         return _SleepingForkSource(inner, self.round_seconds)
 
 

@@ -1,11 +1,11 @@
 """Persistence for crowd answers — the paper's file ``F`` made literal.
 
 Section 6.1 records all AMT answers in a local file and replays them for
-every method.  These helpers serialize any answer source (simulated
-:class:`~repro.crowd.cache.AnswerFile`, :class:`AdaptiveAnswerFile`, or
-hand-scripted answers) to JSON and load it back as a
-:class:`~repro.crowd.cache.ScriptedAnswers`, so an expensive crowd run —
-real or simulated — can be archived and replayed across processes.
+every method.  These helpers serialize any answer source to JSON and load
+it back as a :class:`~repro.crowd.cache.ScriptedAnswers` — an
+:class:`~repro.crowd.cache.AnswerFile` whose memo starts out holding the
+saved table — so an expensive crowd run, real or simulated, can be
+archived and replayed across processes.
 
 Two durability levels:
 
@@ -13,13 +13,14 @@ Two durability levels:
   finished answer set.  Writes are atomic (temp file + ``os.replace``), so
   a crash mid-write can never corrupt an existing file ``F``.
 - :class:`AnswerJournal` + :class:`JournalingAnswerFile` — a write-ahead
-  journal for runs *in flight*.  Every resolved crowd batch is appended as
-  one fsynced line; a crash can tear at most the final line, which replay
-  discards.  Re-opening the journal resumes a killed run: already-answered
-  batches are served from the journal (no crowd cost), the platform's
-  batch counter is fast-forwarded so fresh batches draw the same votes
-  they would have drawn uninterrupted, and the resumed run's result is
-  byte-identical.
+  journal for runs *in flight*.  The journaling file is an
+  :class:`~repro.crowd.cache.AnswerWrapper` around any answer source.
+  Every resolved crowd batch is appended as one fsynced line; a crash can
+  tear at most the final line, which replay discards.  Re-opening the
+  journal resumes a killed run: already-answered batches are served from
+  the journal (no crowd cost), the platform's batch counter is
+  fast-forwarded so fresh batches draw the same votes they would have
+  drawn uninterrupted, and the resumed run's result is byte-identical.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.crowd.cache import ScriptedAnswers
+from repro.crowd.cache import AnswerWrapper, ScriptedAnswers
 from repro.datasets.schema import canonical_pair
 from repro.runtime.atomic import atomic_write_text as _atomic_write_text
 
@@ -366,7 +367,7 @@ class AnswerJournal:
         self.close()
 
 
-class JournalingAnswerFile:
+class JournalingAnswerFile(AnswerWrapper):
     """A write-ahead journaling wrapper around any answer source.
 
     Every batch resolved through the wrapped source is durably appended to
@@ -409,7 +410,7 @@ class JournalingAnswerFile:
                 f"{journal.num_workers} workers, but the answer source "
                 f"reports {source.num_workers}"
             )
-        self._source = source
+        super().__init__(source)
         self.journal = journal
         #: Answers already on record when this wrapper opened the journal —
         #: the resume inheritance.
@@ -420,19 +421,6 @@ class JournalingAnswerFile:
         skip = getattr(source, "skip_batches", None)
         if skip is not None and self._resumed_batches:
             skip(self._resumed_batches)
-
-    @property
-    def num_workers(self) -> int:
-        return self._source.num_workers
-
-    @property
-    def pair_deterministic(self) -> bool:
-        """Whether forked copies resolve pairs to identical confidences.
-
-        Journaling adds no randomness of its own, so this is exactly the
-        wrapped source's property.
-        """
-        return bool(getattr(self._source, "pair_deterministic", False))
 
     @property
     def fork_source(self):
@@ -446,13 +434,7 @@ class JournalingAnswerFile:
         their batches through this wrapper, which journals them exactly
         as a single-process run would.
         """
-        return self._source
-
-    def prime(self, answers: Mapping[Pair, float]) -> None:
-        """Warm the wrapped source's memo (no journaling side effects)."""
-        prime = getattr(self._source, "prime", None)
-        if prime is not None:
-            prime(answers)
+        return self._inner
 
     def __len__(self) -> int:
         return len(self.journal)
@@ -485,18 +467,18 @@ class JournalingAnswerFile:
         missing = sorted({pair for pair in requested
                           if pair not in self.journal})
         if missing:
-            resolver = getattr(self._source, "confidence_batch", None)
+            resolver = getattr(self._inner, "confidence_batch", None)
             if resolver is not None:
                 resolved = resolver(missing)
             else:
-                resolved = {pair: self._source.confidence(*pair)
+                resolved = {pair: self._inner.confidence(*pair)
                             for pair in missing}
             degraded: Set[Pair] = set()
-            degraded_source = getattr(self._source, "degraded_pairs", None)
+            degraded_source = getattr(self._inner, "degraded_pairs", None)
             if degraded_source is not None:
                 degraded = set(degraded_source()) & set(missing)
             faults: Dict[str, int] = {}
-            drain = getattr(self._source, "drain_fault_counters", None)
+            drain = getattr(self._inner, "drain_fault_counters", None)
             if drain is not None:
                 faults = drain()
             self.journal.append_batch(
@@ -520,12 +502,6 @@ class JournalingAnswerFile:
             canonical_pair(record_a, record_b)
         ]
 
-    def majority_duplicate(self, record_a: int, record_b: int) -> bool:
-        return self.confidence(record_a, record_b) > 0.5
-
-    def prefetch(self, pairs: Iterable[Pair]) -> None:
-        self.confidence_batch(list(pairs))
-
     # ------------------------------------------------------------------
     # Fault-surface passthrough
     # ------------------------------------------------------------------
@@ -544,7 +520,7 @@ class JournalingAnswerFile:
 
     def degraded_pairs(self) -> Set[Pair]:
         degraded = self.journal.degraded_pairs()
-        source = getattr(self._source, "degraded_pairs", None)
+        source = getattr(self._inner, "degraded_pairs", None)
         if source is not None:
             degraded |= set(source())
         return degraded

@@ -24,8 +24,8 @@ majorities are unbeatable, and HITs that exhaust their budget surface as
 *degraded* pairs.  All fault randomness lives on a separate seed stream,
 so a null fault model reproduces the fault-free engine byte for byte.
 
-:class:`PlatformAnswerFile` adapts the platform to the answer-source
-interface (implementing ``confidence_batch``), so the entire algorithm
+:class:`PlatformAnswerFile` is the answer file over the platform
+(overriding ``confidence_batch``), so the entire algorithm
 stack runs on it unchanged while the platform accumulates vote-level data
 (ready for :func:`~repro.crowd.truth_inference.dawid_skene`), money, and
 wall-clock time.  It also carries the degradation fallback (serve the
@@ -38,19 +38,15 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.crowd.cache import (
+    AnswerFile,
+    Fallback,
+    Pair,
+    as_fallback,
+    fallback_confidence,
+)
 from repro.crowd.faults import (
     ABANDONED,
     FaultEvent,
@@ -58,11 +54,10 @@ from repro.crowd.faults import (
     UnansweredPairError,
 )
 from repro.crowd.seeding import stable_rng
+from repro.crowd.stats import FAULT_COUNTERS
 from repro.crowd.worker import DifficultyModel
 from repro.crowd.workforce import SimulatedWorker, Workforce
 from repro.datasets.schema import GoldStandard, canonical_pair
-
-Pair = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -493,25 +488,10 @@ class PlatformSimulator:
         return votes
 
 
-#: A degradation fallback: per-pair machine confidence, as a mapping or a
-#: callable (e.g. ``candidates.score`` wrapped over a pair).
-Fallback = Union[Mapping[Pair, float], Callable[[Pair], float]]
+class PlatformAnswerFile(AnswerFile):
+    """Answer file over a :class:`PlatformSimulator`.
 
-
-def _as_fallback(fallback: Optional[Fallback]):
-    if fallback is None or callable(fallback):
-        return fallback
-    return fallback.__getitem__
-
-
-_FAULT_COUNTER_KEYS = ("retries", "timeouts", "abandonments",
-                       "degraded_pairs", "quorum_stops")
-
-
-class PlatformAnswerFile:
-    """Answer-source adapter over a :class:`PlatformSimulator`.
-
-    Implements ``confidence_batch``, so a
+    Overrides ``confidence_batch``, so a
     :class:`~repro.crowd.oracle.CrowdOracle` posts each fresh batch to the
     platform as one batch of HITs; single-pair ``confidence`` calls become
     one-pair batches.  Previously answered pairs are served from memory
@@ -526,35 +506,36 @@ class PlatformAnswerFile:
             :class:`~repro.crowd.faults.UnansweredPairError`.
     """
 
+    #: Votes depend on each batch's position on the platform, not on the
+    #: pair alone.
+    pair_deterministic = False
+
     def __init__(self, platform: PlatformSimulator,
                  fallback: Optional[Fallback] = None):
         self._platform = platform
-        self._fallback = _as_fallback(fallback)
-        self._answers: Dict[Pair, float] = {}
+        self.num_workers = platform.assignments_per_hit
+        self._answers = {}
+        self._fallback = as_fallback(fallback)
         self._degraded: Set[Pair] = set()
         self._pending_faults: Dict[str, int] = dict.fromkeys(
-            _FAULT_COUNTER_KEYS, 0)
+            FAULT_COUNTERS, 0)
 
     @property
     def platform(self) -> PlatformSimulator:
         """The backing simulator (for audit queries)."""
         return self._platform
 
-    @property
-    def num_workers(self) -> int:
-        return self._platform.assignments_per_hit
-
-    def __len__(self) -> int:
-        return len(self._answers)
-
     def skip_batches(self, count: int) -> None:
         """Fast-forward the platform's batch counter (crash-safe resume);
         see :meth:`PlatformSimulator.skip_batches`."""
         self._platform.skip_batches(count)
 
+    def _vote(self, pair: Pair) -> float:
+        return self.confidence_batch([pair])[pair]
+
     def confidence_batch(self, pairs: Sequence[Pair]) -> Dict[Pair, float]:
-        fresh = [canonical_pair(*pair) for pair in pairs
-                 if canonical_pair(*pair) not in self._answers]
+        requested = [canonical_pair(*pair) for pair in pairs]
+        fresh = [pair for pair in requested if pair not in self._answers]
         if fresh:
             receipt = self._platform.post_batch(fresh)
             self._answers.update(receipt.confidences)
@@ -569,24 +550,15 @@ class PlatformAnswerFile:
             self._pending_faults["degraded_pairs"] += len(
                 receipt.degraded_pairs)
             self._pending_faults["quorum_stops"] += receipt.quorum_stops
-        return {
-            canonical_pair(*pair): self._answers[canonical_pair(*pair)]
-            for pair in pairs
-        }
+        return {pair: self._answers[pair] for pair in requested}
 
     def _fallback_confidence(self, pair: Pair) -> float:
         if self._fallback is None:
             raise UnansweredPairError(pair)
         try:
-            value = float(self._fallback(pair))
+            return fallback_confidence(self._fallback, pair)
         except KeyError:
             raise UnansweredPairError(pair) from None
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(
-                f"fallback confidence for {pair} must be in [0, 1], "
-                f"got {value}"
-            )
-        return value
 
     def degraded_pairs(self) -> Set[Pair]:
         """Pairs served degraded (partial votes or machine fallback)."""
@@ -601,16 +573,5 @@ class PlatformAnswerFile:
         """
         counters = {key: value for key, value in
                     self._pending_faults.items() if value}
-        self._pending_faults = dict.fromkeys(_FAULT_COUNTER_KEYS, 0)
+        self._pending_faults = dict.fromkeys(FAULT_COUNTERS, 0)
         return counters
-
-    def confidence(self, record_a: int, record_b: int) -> float:
-        return self.confidence_batch([(record_a, record_b)])[
-            canonical_pair(record_a, record_b)
-        ]
-
-    def majority_duplicate(self, record_a: int, record_b: int) -> bool:
-        return self.confidence(record_a, record_b) > 0.5
-
-    def prefetch(self, pairs: Iterable[Pair]) -> None:
-        self.confidence_batch(list(pairs))

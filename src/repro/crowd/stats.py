@@ -12,6 +12,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+#: The per-run counters, in checkpoint order: the batch costs first, then
+#: the crowd-side failures a fault-injecting source reports.
+COUNTERS = ("pairs_issued", "iterations", "hits", "votes", "retries",
+            "timeouts", "abandonments", "degraded_pairs", "quorum_stops")
+FAULT_COUNTERS = COUNTERS[4:]
+
 
 @dataclass
 class CrowdStats:
@@ -64,27 +70,22 @@ class CrowdStats:
         self.votes += new_pairs * self.num_workers
         self.batch_sizes.append(new_pairs)
 
-    def record_faults(self, retries: int = 0, timeouts: int = 0,
-                      abandonments: int = 0, degraded_pairs: int = 0,
-                      quorum_stops: int = 0) -> None:
+    def record_faults(self, **counts: int) -> None:
         """Account for crowd-side failures observed during a batch.
 
-        The counts come from a fault-injecting answer source's
+        Keyword arguments name counters in :data:`FAULT_COUNTERS`.  The
+        counts come from a fault-injecting answer source's
         ``drain_fault_counters()`` (e.g.
         :class:`~repro.crowd.platform.PlatformAnswerFile`); a fault-free
         source never reports any.
         """
-        for name, count in (("retries", retries), ("timeouts", timeouts),
-                            ("abandonments", abandonments),
-                            ("degraded_pairs", degraded_pairs),
-                            ("quorum_stops", quorum_stops)):
+        for name, count in counts.items():
+            if name not in FAULT_COUNTERS:
+                raise TypeError(f"unknown fault counter {name!r}")
             if count < 0:
                 raise ValueError(f"{name} must be >= 0, got {count}")
-        self.retries += retries
-        self.timeouts += timeouts
-        self.abandonments += abandonments
-        self.degraded_pairs += degraded_pairs
-        self.quorum_stops += quorum_stops
+        for name, count in counts.items():
+            setattr(self, name, getattr(self, name) + count)
 
     @property
     def monetary_cost_cents(self) -> float:
@@ -93,73 +94,46 @@ class CrowdStats:
 
     def snapshot(self) -> Dict[str, float]:
         """A plain-dict view for reports and experiment records."""
-        return {
-            "pairs_issued": self.pairs_issued,
-            "iterations": self.iterations,
-            "hits": self.hits,
-            "votes": self.votes,
-            "cost_cents": self.monetary_cost_cents,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "abandonments": self.abandonments,
-            "degraded_pairs": self.degraded_pairs,
-            "quorum_stops": self.quorum_stops,
-        }
+        view: Dict[str, float] = {name: getattr(self, name)
+                                  for name in COUNTERS[:4]}
+        view["cost_cents"] = self.monetary_cost_cents
+        view.update((name, getattr(self, name)) for name in FAULT_COUNTERS)
+        return view
 
     def to_state(self) -> Dict[str, object]:
         """A JSON-serializable snapshot of every counter (including the
         per-iteration batch sizes, which :meth:`snapshot` omits) — the
         phase-checkpoint form (:mod:`repro.runtime.checkpoint`)."""
-        return {
+        state: Dict[str, object] = {
             "pairs_per_hit": self.pairs_per_hit,
             "reward_cents_per_hit": self.reward_cents_per_hit,
             "num_workers": self.num_workers,
-            "pairs_issued": self.pairs_issued,
-            "iterations": self.iterations,
-            "hits": self.hits,
-            "votes": self.votes,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "abandonments": self.abandonments,
-            "degraded_pairs": self.degraded_pairs,
-            "quorum_stops": self.quorum_stops,
-            "batch_sizes": list(self.batch_sizes),
         }
+        state.update((name, getattr(self, name)) for name in COUNTERS)
+        state["batch_sizes"] = list(self.batch_sizes)
+        return state
 
     @staticmethod
     def from_state(state: Dict[str, object]) -> "CrowdStats":
         """Rebuild the :meth:`to_state` snapshot, counter for counter."""
         try:
-            return CrowdStats(
+            stats = CrowdStats(
                 pairs_per_hit=int(state["pairs_per_hit"]),
                 reward_cents_per_hit=float(state["reward_cents_per_hit"]),
                 num_workers=int(state["num_workers"]),
-                pairs_issued=int(state["pairs_issued"]),
-                iterations=int(state["iterations"]),
-                hits=int(state["hits"]),
-                votes=int(state["votes"]),
-                retries=int(state["retries"]),
-                timeouts=int(state["timeouts"]),
-                abandonments=int(state["abandonments"]),
-                degraded_pairs=int(state["degraded_pairs"]),
-                quorum_stops=int(state["quorum_stops"]),
                 batch_sizes=[int(size) for size in state["batch_sizes"]],
             )
+            for name in COUNTERS:
+                setattr(stats, name, int(state[name]))
         except (KeyError, TypeError, ValueError) as error:
             raise ValueError(
                 f"malformed crowd-stats state ({error})"
             ) from None
+        return stats
 
     def merge(self, other: "CrowdStats") -> None:
         """Fold another phase's counters into this one (e.g. generation +
         refinement into a whole-pipeline total)."""
-        self.pairs_issued += other.pairs_issued
-        self.iterations += other.iterations
-        self.hits += other.hits
-        self.votes += other.votes
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.abandonments += other.abandonments
-        self.degraded_pairs += other.degraded_pairs
-        self.quorum_stops += other.quorum_stops
+        for name in COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.batch_sizes.extend(other.batch_sizes)

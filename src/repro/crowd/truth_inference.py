@@ -11,15 +11,16 @@ Dawid-Skene EM estimator:
 - per pair: posterior probability of being a duplicate;
 - a class prior, re-estimated each iteration.
 
-The posteriors plug straight into the pipeline via
-:class:`InferredAnswers` (an answer-file-compatible view), so ACD can run
-on inferred confidences instead of raw majority fractions.
+The posteriors are a fixed pair -> confidence table, so they plug straight
+into the pipeline as ``ScriptedAnswers(result.posteriors, num_workers=...)``
+(:class:`~repro.crowd.cache.ScriptedAnswers`), and ACD runs on inferred
+confidences instead of raw majority fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from repro.datasets.schema import canonical_pair
 
@@ -198,31 +199,3 @@ def dawid_skene(
         iterations=iterations_run,
     )
 
-
-class InferredAnswers:
-    """Answer-file-compatible view over truth-inference posteriors.
-
-    Lets the whole pipeline (oracle, ACD, baselines) run on Dawid-Skene
-    posteriors instead of majority fractions.
-    """
-
-    def __init__(self, result: TruthInferenceResult, num_workers: int = 3):
-        self._posteriors = dict(result.posteriors)
-        self.num_workers = num_workers
-
-    def __len__(self) -> int:
-        return len(self._posteriors)
-
-    def confidence(self, record_a: int, record_b: int) -> float:
-        pair = canonical_pair(record_a, record_b)
-        try:
-            return self._posteriors[pair]
-        except KeyError:
-            raise KeyError(f"no inferred answer for pair {pair}") from None
-
-    def majority_duplicate(self, record_a: int, record_b: int) -> bool:
-        return self.confidence(record_a, record_b) > 0.5
-
-    def prefetch(self, pairs: Iterable[Pair]) -> None:
-        for a, b in pairs:
-            self.confidence(a, b)

@@ -11,9 +11,9 @@ qualification policies can be studied directly:
   AMT-style track record (approved HITs, approval rate);
 - :class:`Workforce` — a population of workers drawn from a Beta
   reliability distribution, with qualification filters;
-- :class:`WorkforceAnswerFile` — an answer-file-compatible source where
-  each pair is judged by ``panel_size`` workers sampled from the (possibly
-  filtered) workforce; pair difficulty still comes from a shared
+- :class:`WorkforceAnswerFile` — an :class:`~repro.crowd.cache.AnswerFile`
+  where each pair is judged by ``panel_size`` workers sampled from the
+  (possibly filtered) workforce; pair difficulty still comes from a shared
   :class:`DifficultyModel`, so confusing pairs stay confusing for everyone.
 
 Answers are deterministic in (workforce seed, pair), replayable like every
@@ -23,13 +23,12 @@ other answer source in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.crowd.cache import AnswerFile, Pair
 from repro.crowd.seeding import stable_rng
 from repro.crowd.worker import DifficultyModel
 from repro.datasets.schema import GoldStandard, canonical_pair
-
-Pair = Tuple[int, int]
 
 #: Worker personas: honest workers follow their reliability; spammers
 #: answer at chance regardless of the pair; adversarial workers invert the
@@ -211,14 +210,17 @@ class Workforce:
         return counts
 
 
-class WorkforceAnswerFile:
-    """Answer-file-compatible source backed by a worker population.
+class WorkforceAnswerFile(AnswerFile):
+    """Answer file backed by a worker population.
 
     Each pair is judged by ``panel_size`` workers sampled (deterministically
     per pair) from the workforce; the confidence is the fraction voting
     duplicate.  Tracks which workers judged which pair for audit-style
     inspection.
     """
+
+    #: Priming would bypass the per-pair panels and votes this class audits.
+    pair_deterministic = False
 
     def __init__(
         self,
@@ -237,18 +239,11 @@ class WorkforceAnswerFile:
         self._workforce = workforce
         self._difficulty = difficulty
         self.num_workers = panel_size
-        self._answers: Dict[Pair, float] = {}
+        self._answers = {}
         self._panels: Dict[Pair, Tuple[int, ...]] = {}
         self._votes: Dict[Pair, Tuple[Tuple[int, bool], ...]] = {}
 
-    def __len__(self) -> int:
-        return len(self._answers)
-
-    def confidence(self, record_a: int, record_b: int) -> float:
-        pair = canonical_pair(record_a, record_b)
-        cached = self._answers.get(pair)
-        if cached is not None:
-            return cached
+    def _vote(self, pair: Pair) -> float:
         rng = stable_rng(self._workforce.seed, "panel", pair[0], pair[1],
                          self.num_workers)
         panel = rng.sample(self._workforce.workers(), self.num_workers)
@@ -262,11 +257,9 @@ class WorkforceAnswerFile:
             votes.append((worker.worker_id, voted_duplicate))
             if voted_duplicate:
                 duplicate_votes += 1
-        confidence = duplicate_votes / self.num_workers
-        self._answers[pair] = confidence
         self._panels[pair] = tuple(worker.worker_id for worker in panel)
         self._votes[pair] = tuple(votes)
-        return confidence
+        return duplicate_votes / self.num_workers
 
     def votes(self, record_a: int, record_b: int) -> Tuple[Tuple[int, bool], ...]:
         """Per-worker votes ``(worker_id, voted_duplicate)`` for an already
@@ -277,23 +270,6 @@ class WorkforceAnswerFile:
         """Every answered pair's per-worker votes (a copy)."""
         return dict(self._votes)
 
-    def majority_duplicate(self, record_a: int, record_b: int) -> bool:
-        return self.confidence(record_a, record_b) > 0.5
-
-    def prefetch(self, pairs: Iterable[Pair]) -> None:
-        for a, b in pairs:
-            self.confidence(a, b)
-
     def panel(self, record_a: int, record_b: int) -> Tuple[int, ...]:
         """The worker ids that judged an (already answered) pair."""
         return self._panels[canonical_pair(record_a, record_b)]
-
-    def majority_error_rate(self, pairs: Iterable[Pair]) -> float:
-        """Fraction of pairs whose majority vote disagrees with the truth."""
-        total = 0
-        wrong = 0
-        for a, b in pairs:
-            total += 1
-            if self.majority_duplicate(a, b) != self._gold.is_duplicate(a, b):
-                wrong += 1
-        return wrong / total if total else 0.0

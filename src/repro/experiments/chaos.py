@@ -32,6 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.baselines import crowder_plus
 from repro.core.acd import run_acd
 from repro.core.pivot import crowd_pivot
+from repro.crowd.cache import AnswerWrapper
 from repro.crowd.faults import FaultModel
 from repro.crowd.oracle import CrowdOracle
 from repro.crowd.platform import PlatformAnswerFile, PlatformSimulator
@@ -315,20 +316,16 @@ def run_pipeline_process_faults(
     return results
 
 
-class _CountingAnswers:
+class _CountingAnswers(AnswerWrapper):
     """Pass-through answer source counting fresh pair resolutions."""
 
     def __init__(self, source):
-        self._source = source
+        super().__init__(source)
         self.resolved_pairs = 0
-
-    @property
-    def num_workers(self) -> int:
-        return self._source.num_workers
 
     def confidence(self, record_a: int, record_b: int) -> float:
         self.resolved_pairs += 1
-        return self._source.confidence(record_a, record_b)
+        return self._inner.confidence(record_a, record_b)
 
 
 def _acd_fingerprint(result) -> tuple:

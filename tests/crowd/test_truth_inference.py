@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.crowd.truth_inference import (
-    InferredAnswers,
-    TruthInferenceResult,
-    dawid_skene,
-)
+from repro.crowd.cache import ScriptedAnswers
+from repro.crowd.truth_inference import TruthInferenceResult, dawid_skene
 from repro.crowd.worker import DifficultyModel
 from repro.crowd.workforce import Workforce, WorkforceAnswerFile
 from repro.datasets.schema import GoldStandard
@@ -132,14 +129,17 @@ class TestAgainstMajorityVote:
         assert correlation > 0.5
 
 
-class TestInferredAnswers:
+class TestPosteriorsAsAnswers:
+    """Posteriors replay through ``ScriptedAnswers`` like any answer file."""
+
     def test_pipeline_compatible(self):
         votes = {
             (0, 1): [(0, True), (1, True), (2, True)],
             (1, 2): [(0, False), (1, False), (2, False)],
             (0, 2): [(0, False), (1, False), (2, True)],
         }
-        answers = InferredAnswers(dawid_skene(votes), num_workers=3)
+        answers = ScriptedAnswers(dawid_skene(votes).posteriors,
+                                  num_workers=3)
         from repro.core.acd import run_acd
         from tests.conftest import make_candidates
         candidates = make_candidates({(0, 1): 0.8, (1, 2): 0.7, (0, 2): 0.6})
@@ -148,12 +148,13 @@ class TestInferredAnswers:
         assert not result.clustering.together(1, 2)
 
     def test_missing_pair_raises(self):
-        answers = InferredAnswers(
-            dawid_skene({(0, 1): [(0, True)]}), num_workers=1
+        answers = ScriptedAnswers(
+            dawid_skene({(0, 1): [(0, True)]}).posteriors, num_workers=1
         )
         with pytest.raises(KeyError):
             answers.confidence(7, 8)
 
     def test_len(self):
-        answers = InferredAnswers(dawid_skene({(0, 1): [(0, True)]}))
+        answers = ScriptedAnswers(
+            dawid_skene({(0, 1): [(0, True)]}).posteriors)
         assert len(answers) == 1

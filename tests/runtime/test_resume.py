@@ -11,6 +11,7 @@ interrupted, and that the checkpointed phase was not re-executed.
 import pytest
 
 from repro.core.acd import run_acd
+from repro.crowd.cache import AnswerWrapper
 from repro.crowd.persistence import JournalingAnswerFile
 from repro.experiments.runner import prepare_instance
 from repro.runtime.checkpoint import (
@@ -39,20 +40,16 @@ def _fingerprint(result) -> tuple:
     )
 
 
-class _CountingAnswers:
+class _CountingAnswers(AnswerWrapper):
     """Pass-through answer source counting fresh pair resolutions."""
 
     def __init__(self, source):
-        self._source = source
+        super().__init__(source)
         self.resolved_pairs = 0
-
-    @property
-    def num_workers(self) -> int:
-        return self._source.num_workers
 
     def confidence(self, record_a: int, record_b: int) -> float:
         self.resolved_pairs += 1
-        return self._source.confidence(record_a, record_b)
+        return self._inner.confidence(record_a, record_b)
 
 
 @pytest.fixture(scope="module")
