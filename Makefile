@@ -1,4 +1,4 @@
-.PHONY: install test bench results-check bench-quick bench-smoke bench-refine bench-pivot bench-scale bench-scale-smoke bench-pipeline chaos-smoke chaos-runtime trace-smoke examples lint clean
+.PHONY: install test bench results-check bench-quick bench-smoke bench-refine bench-pivot bench-scale bench-scale-smoke bench-pipeline chaos-smoke chaos-check chaos-runtime trace-smoke examples lint clean
 
 install:
 	python setup.py develop
@@ -31,10 +31,11 @@ bench-smoke:
 bench-refine:
 	REPRO_BENCH_SCALE=0.5 python benchmarks/bench_refine.py
 
-# Pivot benchmark: the incremental PC-Pivot (live order, fused Equation-4
-# scan) vs its per-round re-derivation oracle (repro.reference) on every
-# dataset, asserting identical outputs.  Regenerates BENCH_pivot.json at
-# the repo root.
+# Pivot benchmark: the production PC-Pivot (per connected component, live
+# order, fused Equation-4 scan, merged crowd rounds) vs the whole-graph
+# per-round re-derivation oracle (repro.reference) on every dataset,
+# asserting identical clusterings and reporting both sides' rounds and
+# pairs.  Regenerates BENCH_pivot.json at the repo root.
 bench-pivot:
 	REPRO_BENCH_SCALE=1.0 python benchmarks/bench_pivot.py
 
@@ -42,10 +43,11 @@ bench-pivot:
 # its scalar oracles -- the frozenset join and the scoring loop from
 # repro.reference -- on the synthetic largescale population, asserting
 # byte-identical candidate sets, plus the cluster-generation stage
-# (classic PC-Pivot vs the component-decomposed run_pipeline, identical
-# clusterings, crowd-iteration and wall-clock speedups) on tiers up to
-# REPRO_BENCH_GENERATION_CAP and the refinement stage (classic PC-Refine
-# vs run_pipeline resumed from the classic generation checkpoint, on a
+# (the whole-graph PC-Pivot oracle vs run_acd inline and on a worker
+# pool: identical clusterings, byte-identical inline/pool stats, the
+# crowd-iteration saving and the pool's wall-clock ratio) on tiers up to
+# REPRO_BENCH_GENERATION_CAP and the refinement stage (pc_refine called
+# directly vs run_acd resumed from a generation checkpoint, on a
 # confused regeneration of the tier; the run fails unless both give the
 # same clustering, refine pairs and iterations) on tiers up to
 # REPRO_BENCH_REFINE_CAP.  Regenerates
@@ -60,11 +62,11 @@ bench-scale:
 bench-scale-smoke:
 	REPRO_BENCH_SCALE_TIERS=10000 python benchmarks/bench_scale.py
 
-# Pipelined-executor smoke: barrier (full pruning join, then the
-# pre-pruned pipeline) vs component-streaming pipelined execution on the
-# same pool size under a simulated crowd latency model, asserting
-# byte-identical candidate sets and final
-# clusterings and reporting pipeline_makespan_speedup /
+# Streamed-pruning smoke: barrier (full pruning join, then the pre-pruned
+# run_acd) vs run_acd from records, whose pool starts components while
+# pruning runs, on the same pool size under a simulated crowd latency
+# model, asserting byte-identical candidate sets, final clusterings and
+# crowd stats and reporting pipeline_makespan_speedup /
 # pipeline_overlap_efficiency.  Runs a reduced 20k tier for CI runners
 # (the committed BENCH_endtoend.json carries the full 100k tier);
 # regenerates BENCH_endtoend.json at the repo root.
@@ -77,15 +79,21 @@ bench-pipeline:
 # default hostile crowd (abandonment, timeouts, spammers, early quorum),
 # the supervised worker pool must stay byte-identical under process
 # faults (kills, delays, poison chunks) for the sharded pruning join and
-# the component-streaming pipelined executor (whose generation
-# clustering is also checked against the global PC-Pivot, and whose
-# result against pruning-then-pipeline execution), and all three phase
-# checkpoints (pruning / generation / refinement) must kill-resume
+# for run_acd's generation pool fed by streamed pruning (whose
+# generation clustering is also checked against sequential Crowd-Pivot,
+# and whose result against pruning-then-inline execution), and all three
+# phase checkpoints (pruning / generation / refinement) must kill-resume
 # byte-identically.
 # Regenerates CHAOS_smoke.json at the repo root.
 chaos-smoke:
 	python -m repro chaos --dataset restaurant --scale 0.1 --seeds 5 \
 		--output CHAOS_smoke.json
+
+# Chaos drift check: every field of the suite is deterministic (fault
+# counters included), so a regeneration must leave the committed
+# CHAOS_smoke.json byte-identical.
+chaos-check: chaos-smoke
+	git diff --exit-code -- CHAOS_smoke.json
 
 # Runtime-focused chaos: the process-fault matrix (worker kills / task
 # delays / poison chunks on sharded 10k pruning and the pipelined

@@ -22,25 +22,31 @@ forked child (``common.in_fork``), so every peak-RSS meter is that
 row's own.
 
 The ``acd_reference`` stage swaps PC-Refine for its full-re-evaluation
-oracle and ``acd_pivot_reference`` swaps PC-Pivot for its per-round
-re-derivation oracle (both from ``repro.reference``); each asserts the
-same pairs and F1 as the ``acd`` stage, and the deltas are the
-incremental loops' end-to-end wins.
+oracle (from ``repro.reference``) and asserts the same pairs and F1 as
+the ``acd`` stage; the delta is the incremental refinement's end-to-end
+win.  ``acd_pivot_reference`` swaps PC-Pivot for the whole-graph
+per-round re-derivation oracle.  That oracle counts rounds the paper's
+way — one Equation-4 scan over the whole graph — so it asks slightly
+different pairs than ``run_acd``'s per-component rounds: the stage
+asserts the two generation clusterings equal (cluster ids included) and
+records the oracle's pairs and F1 next to the ``acd`` stage's.
 
 Environment knobs:
     REPRO_BENCH_SCALE          dataset scale (default 1.0)
     REPRO_BENCH_PARALLEL       pruning worker processes (default 0)
     REPRO_BENCH_STAGES         comma list of stage groups to run:
-                               ``classic`` (the per-dataset stages above),
-                               ``pipelined`` (the makespan comparison
-                               below), or both (the default)
+                               ``datasets`` (the per-dataset stages
+                               above), ``pipelined`` (the makespan
+                               comparison below), or both (the default)
     REPRO_BENCH_PIPELINE_RECORDS    pipelined-stage record count
                                     (default 100000)
     REPRO_BENCH_PIPELINE_LATENCY    simulated crowd-round latency in
                                     seconds (default 0.002; must be > 0
                                     for an honest makespan)
     REPRO_BENCH_PIPELINE_WORKERS    shared-pool worker processes
-                                    (default 8)
+                                    (default: the CPUs this process may
+                                    use — more workers than CPUs only
+                                    measures contention)
     REPRO_BENCH_PIPELINE_SHARDS     pruning shards (default 32)
     REPRO_BENCH_PIPELINE_CONFUSION  largescale confusion rate
                                     (default 0.25 — the heavier crowd
@@ -49,8 +55,8 @@ Environment knobs:
 
 The ``pipelined`` stage times the same 100k-tier largescale workload
 twice under an identical simulated crowd-latency model — barrier
-execution (the full pruning join, then the pre-pruned ``run_pipeline``
-on the same pool size) vs the component-streaming pipeline that starts
+execution (the full pruning join, then the pre-pruned ``run_acd`` on
+the same pool size) vs ``run_acd`` from records, whose pool starts
 pivot components while pruning still runs — asserts the outputs
 byte-identical, and
 emits ``pipeline_makespan_speedup`` (barrier / pipelined wall-clock) and
@@ -73,6 +79,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from common import in_fork  # noqa: E402
 from repro.core.pc_pivot import pc_pivot  # noqa: E402
 from repro.core.pc_refine import pc_refine  # noqa: E402
+from repro.crowd.oracle import CrowdOracle  # noqa: E402
 from repro.eval.metrics import pairwise_scores  # noqa: E402
 from repro.experiments.runner import (  # noqa: E402
     ACD_METHOD,
@@ -87,6 +94,7 @@ from repro.perf.timing import (  # noqa: E402
     stage_seconds,
     write_bench_json,
 )
+from repro.reference import pc_pivot as reference_pc_pivot  # noqa: E402
 from repro.reference import run_acd as reference_acd  # noqa: E402
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
@@ -98,14 +106,26 @@ OUTPUT = REPO_ROOT / "BENCH_endtoend.json"
 STAGES = tuple(
     part.strip()
     for part in os.environ.get("REPRO_BENCH_STAGES",
-                               "classic,pipelined").split(",")
+                               "datasets,pipelined").split(",")
     if part.strip()
 )
 PIPELINE_RECORDS = int(os.environ.get("REPRO_BENCH_PIPELINE_RECORDS",
                                       "100000"))
 PIPELINE_LATENCY = float(os.environ.get("REPRO_BENCH_PIPELINE_LATENCY",
                                         "0.002"))
-PIPELINE_WORKERS = int(os.environ.get("REPRO_BENCH_PIPELINE_WORKERS", "8"))
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on (the affinity mask, not the
+    host's core count)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):
+        return max(1, os.cpu_count() or 1)
+
+
+PIPELINE_WORKERS = int(os.environ.get("REPRO_BENCH_PIPELINE_WORKERS",
+                                      str(_available_cpus())))
 PIPELINE_SHARDS = int(os.environ.get("REPRO_BENCH_PIPELINE_SHARDS", "32"))
 PIPELINE_CONFUSION = float(os.environ.get("REPRO_BENCH_PIPELINE_CONFUSION",
                                           "0.25"))
@@ -124,7 +144,7 @@ def pipelined_stage(runs: dict) -> dict:
     from repro.datasets.registry import generate
     from repro.experiments.configs import PRUNING_THRESHOLD, difficulty_model
     from repro.pruning.candidate import build_candidate_set
-    from repro.runtime.pipeline import run_pipeline
+    from repro.core.acd import run_acd
     from repro.similarity.composite import jaccard_similarity_function
 
     dataset = generate("largescale", scale=PIPELINE_RECORDS / 10_000,
@@ -148,11 +168,9 @@ def pipelined_stage(runs: dict) -> dict:
                 parallel=PIPELINE_WORKERS,
             )
         with harness.span("barrier_acd"):
-            barrier = run_pipeline(
-                latency_answers(), record_ids=dataset.record_ids,
-                candidates=candidates, seed=SEED,
-                workers=PIPELINE_WORKERS,
-            ).result
+            barrier = run_acd(dataset.record_ids, candidates,
+                              latency_answers(), seed=SEED,
+                              workers=PIPELINE_WORKERS)
         meters.record_peak_rss("barrier_peak_rss_bytes")
         return (harness.tracer.span_summaries(), meters,
                 (candidates.pairs, barrier.clustering.to_state(),
@@ -161,22 +179,28 @@ def pipelined_stage(runs: dict) -> dict:
     def pipelined_side():
         harness, meters = ObsContext(), StageTimings()
         with harness.span("pipelined"):
-            piped = run_pipeline(
-                latency_answers(), records=dataset.records,
+            piped = run_acd(
+                answers=latency_answers(), records=dataset.records,
                 similarity=jaccard_similarity_function(),
                 threshold=PRUNING_THRESHOLD,
                 pruning_shards=PIPELINE_SHARDS,
-                workers=PIPELINE_WORKERS, seed=SEED, timings=meters,
+                workers=PIPELINE_WORKERS, seed=SEED,
             )
+        runtime = piped.runtime
+        meters.set_meter("pipeline_bytes_shipped_total",
+                         float(runtime.bytes_shipped))
+        meters.set_meter("pipeline_bytes_per_task",
+                         round(runtime.bytes_shipped / runtime.tasks, 2)
+                         if runtime.tasks else 0.0)
         meters.record_peak_rss()
         meta = dict(candidate_pairs=len(piped.candidates),
-                    clusters=len(piped.result.clustering),
-                    pool=piped.report.as_dict())
+                    clusters=len(piped.clustering),
+                    pool=runtime.as_dict())
         return (harness.tracer.span_summaries(), meters,
                 (piped.candidates.pairs,
-                 piped.result.clustering.to_state(),
-                 piped.result.stats.snapshot(),
-                 list(piped.result.stats.batch_sizes)), meta)
+                 piped.clustering.to_state(),
+                 piped.stats.snapshot(),
+                 list(piped.stats.batch_sizes)), meta)
 
     barrier_stages, barrier_meters, barrier_fp = in_fork(barrier_side)
     piped_stages, piped_meters, piped_fp, piped_meta = in_fork(
@@ -254,7 +278,7 @@ def _median_and_iqr(values):
     return middle, high - low
 
 
-def classic_row(dataset_name: str):
+def dataset_row(dataset_name: str):
     """One dataset's pruning + ACD stages; returns ``(run entry, stage
     seconds, f1, per-sample seconds of acd and acd_traced)``.  Runs in
     its own fork, so the peak RSS is this dataset's own."""
@@ -296,14 +320,20 @@ def classic_row(dataset_name: str):
                 reference = _acd_with_oracle(instance, generation=pc_pivot)
             assert reference == (result.pairs_issued, result.f1), \
                 "the refinement oracle must agree"
-            # And under the per-round re-derivation pivot oracle: the
-            # delta is the incremental pivot order's end-to-end win.
+            # And under the whole-graph pivot oracle: the delta is the
+            # component executor's end-to-end win.  The oracle counts
+            # rounds over the whole graph, so its pairs may differ; the
+            # generation clusterings must not.
             gc.collect()
             with harness.span("acd_pivot_reference"):
                 pivot_reference = _acd_with_oracle(instance,
                                                    refinement=pc_refine)
-            assert pivot_reference == (result.pairs_issued, result.f1), \
-                "the pivot oracle must agree"
+            generations = [
+                engine(instance.record_ids, instance.candidates,
+                       CrowdOracle(instance.answers), seed=SEED).to_state()
+                for engine in (pc_pivot, reference_pc_pivot)]
+            assert generations[0] == generations[1], \
+                "the pivot oracle must generate the same clusters"
     for _, other in samples["acd"] + samples["acd_traced"]:
         assert other.pairs_issued == result.pairs_issued, \
             "repeats and tracing must not perturb the run"
@@ -322,6 +352,8 @@ def classic_row(dataset_name: str):
         candidate_pairs=len(instance.candidates),
         f1=round(result.f1, 4),
         pairs_issued=result.pairs_issued,
+        pivot_reference_pairs_issued=pivot_reference[0],
+        pivot_reference_f1=round(pivot_reference[1], 4),
     )
     entry["stages"] = seconds
     entry["stages_iqr"] = spread
@@ -339,9 +371,9 @@ def main() -> int:
     # Per repeat, the plain and traced seconds summed over datasets.
     plain_samples = [0.0] * REPEATS
     traced_samples = [0.0] * REPEATS
-    for dataset_name in (DATASETS if "classic" in STAGES else ()):
+    for dataset_name in (DATASETS if "datasets" in STAGES else ()):
         entry, seconds, f1, sample_seconds = in_fork(
-            lambda: classic_row(dataset_name))
+            lambda: dataset_row(dataset_name))
         runs[dataset_name] = entry
         plain_total += seconds["acd"]
         traced_total += seconds["acd_traced"]
@@ -360,7 +392,7 @@ def main() -> int:
         )
 
     derived = {}
-    if "classic" in STAGES:
+    if "datasets" in STAGES:
         # Each repeat's traced samples against the plain samples taken
         # alongside them; the median and IQR over repeats, not one pair.
         overhead_pct, overhead_iqr = _median_and_iqr([
@@ -376,9 +408,13 @@ def main() -> int:
             acd_speedup_vs_reference=round(acd_speedup, 2),
             acd_speedup_vs_pivot_reference=round(pivot_speedup, 2),
         )
+        # A spread wider than the 5% budget cannot resolve it either way.
+        verdict = ("unresolved: IQR above 5 points" if overhead_iqr > 5.0
+                   else "resolved")
         print(f"trace overhead: {overhead_pct:+.2f}% "
-              f"(IQR {overhead_iqr:.2f} points over {REPEATS} pairs; "
-              f"median plain {plain_total:.3f}s, traced {traced_total:.3f}s)")
+              f"(IQR {overhead_iqr:.2f} points over {REPEATS} pairs, "
+              f"{verdict}; median plain {plain_total:.3f}s, traced "
+              f"{traced_total:.3f}s)")
     if "pipelined" in STAGES:
         derived.update(pipelined_stage(runs))
 

@@ -1,14 +1,18 @@
-"""Pivot-phase benchmark: the incremental PC-Pivot loop ("fast") vs the
-per-round re-derivation oracle in ``repro.reference`` ("reference").
+"""Pivot-phase benchmark: the production PC-Pivot ("fast" — per connected
+component, incremental, one merged crowd round per component-local round,
+run inline) vs the whole-graph per-round re-derivation oracle in
+``repro.reference`` ("reference").
 
 Runs the generation phase (PC-Pivot) on every dataset under both pivot
 engines and compares the machine-side work: wall-clock seconds, rounds,
 and issued pairs.  The crowd answers are pre-populated by an untimed
 warm-up run, so the timings measure the per-round graph/permutation work
 the fast engine eliminates, not worker-answer synthesis.  Asserts
-byte-identical clusterings, issued-pair counts, and per-round diagnostics
-across engines while it is at it, then writes ``BENCH_pivot.json`` at the
-repo root in the shared BENCH schema.
+byte-identical clusterings (cluster ids included) across engines while
+it is at it; rounds and pairs are reported, not asserted, because the
+two count rounds differently (the oracle's whole-graph Equation-4 rounds
+couple components through the global permutation prefix).  Writes
+``BENCH_pivot.json`` at the repo root in the shared BENCH schema.
 
 The stage table is the span rollup of a harness-only
 :class:`~repro.obs.ObsContext`: a ``total`` span around the repetitions,
@@ -56,8 +60,9 @@ SETTING = "3w"
 DATASETS = ("paper", "restaurant", "product")
 OUTPUT = REPO_ROOT / "BENCH_pivot.json"
 
-#: The two PC-Pivot implementations under comparison: the production loop
-#: ("fast") and the per-round re-derivation oracle ("reference").
+#: The two PC-Pivot implementations under comparison: the production
+#: component executor ("fast") and the whole-graph re-derivation oracle
+#: ("reference").
 ENGINES = {"fast": pc_pivot, "reference": reference_pc_pivot}
 
 
@@ -114,12 +119,8 @@ def main() -> int:
 
         fast = per_engine["fast"]
         reference = per_engine["reference"]
-        # The engines must be interchangeable, not just fast.
-        assert fast[2].as_sets() == reference[2].as_sets(), dataset_name
-        assert fast[3] == reference[3], dataset_name
-        for attr in ("ks", "predicted_waste", "issued_per_round"):
-            assert getattr(fast[1], attr) == getattr(reference[1], attr), \
-                f"{dataset_name}: diagnostics.{attr} diverged"
+        # The engines must produce the same clusters, not just run fast.
+        assert fast[2].to_state() == reference[2].to_state(), dataset_name
 
         ref_seconds = reference[0]["pivot"]
         fast_seconds = max(1e-9, fast[0]["pivot"])
@@ -130,7 +131,8 @@ def main() -> int:
         print(
             f"{dataset_name}: pivot {ref_seconds:.3f}s -> "
             f"{fast_seconds:.3f}s ({speedup:.1f}x) over {REPS} reps, "
-            f"{fast[1].rounds} rounds, {fast[3]} pairs issued"
+            f"rounds {reference[1].rounds} -> {fast[1].rounds}, "
+            f"pairs issued {reference[3]} -> {fast[3]}"
         )
 
     payload = bench_payload(

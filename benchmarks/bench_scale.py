@@ -21,36 +21,42 @@ Pruning variants per tier (each capped by its env knob):
 Generation variants per tier (capped at ``REPRO_BENCH_GENERATION_CAP``,
 driven by the tier's vectorized candidate set):
 
-* ``pivot-classic`` — ``run_acd(refine=False)``: the classic
-  single-process PC-Pivot loop.
-* ``pivot-sharded`` — the pre-pruned ``run_pipeline(refine=False)``:
-  per-component PC-Pivot on a supervised pool of
-  ``REPRO_BENCH_PIVOT_PROCESSES`` worker processes, plus the merged-round
-  replay (:mod:`repro.core.pivot_shard`).  The clustering
-  (cluster IDs included) must match the classic run exactly; the
-  crowdsourced pair count may differ (component-local Equation-4 rounds
-  waste different — usually fewer — pairs than the globally-coupled
-  classic rounds), and the crowd *iteration* count drops to the deepest
-  component's round count because every component crowdsources its
-  round-``r`` batch simultaneously.  ``generation_iteration_speedup``
-  (classic iterations / sharded iterations) is the hardware-independent
-  generation-phase win: in a deployed system the phase's latency is
-  crowd iterations times the crowd round-trip, which dwarfs CPU.  The
-  wall-clock ``generation_speedup`` additionally needs as many real
-  cores as worker processes — on a single-core container the process
-  fan-out is pure timesharing overhead.
+* ``pivot-reference`` — the whole-graph PC-Pivot loop as the paper
+  states it (the oracle ``repro.reference.pc_pivot``), single process.
+* ``pivot-inline`` — ``run_acd(refine=False)``: per-component PC-Pivot,
+  every component in one lockstep round loop in this process, plus the
+  merged-round replay (:mod:`repro.core.pivot_shard`).
+* ``pivot-sharded`` — the same on a supervised pool of
+  ``REPRO_BENCH_PIVOT_PROCESSES`` worker processes
+  (``run_acd(workers=...)``).
+
+The clustering (cluster IDs included) must match the oracle's exactly,
+and the two ``run_acd`` runs must agree byte for byte in stats too.  The
+crowdsourced pair count may differ from the oracle's (component-local
+Equation-4 rounds waste different — usually fewer — pairs than the
+globally-coupled whole-graph rounds), and the crowd *iteration* count
+drops to the deepest component's round count because every component
+crowdsources its round-``r`` batch simultaneously.
+``generation_iteration_speedup`` (oracle iterations / ``run_acd``
+iterations) is the hardware-independent generation-phase win: in a
+deployed system the phase's latency is crowd iterations times the crowd
+round-trip, which dwarfs CPU.  ``generation_pool_speedup`` (inline
+seconds / pool seconds) needs as many real cores as worker processes —
+on a single-core container the process fan-out is pure timesharing
+overhead.
 
 Refinement variants per tier (capped at ``REPRO_BENCH_REFINE_CAP``, on a
 *confused* regeneration of the tier — ``confusion=REPRO_BENCH_REFINE_CONFUSION``
 gives the refine phase real over-/under-merge work; the clean default
 generator produces clusterings the phase barely touches):
 
-* ``refine-classic`` — ``pc_refine`` called directly after PC-Pivot.
-* ``refine-pipelined`` — the pre-pruned ``run_pipeline``, resumed from
-  the classic run's ``generation`` checkpoint.  The pipeline refines
-  with the same global PC-Refine loop (Algorithm 5), so given the same
+* ``refine-direct`` — ``pc_refine`` called directly after ``pc_pivot``
+  over one oracle.
+* ``refine-resumed`` — ``run_acd`` resumed from the ``generation``
+  checkpoint of a generation-only ``run_acd``.  It refines with the
+  same global PC-Refine loop (Algorithm 5), so given the same
   generation state its clustering, refine pairs and refine iterations
-  must equal the classic run's; ``refine_classic_identical`` records
+  must equal the direct run's; ``refine_resumed_identical`` records
   that, and the benchmark fails when it is false.  Both entries carry
   the same ``refine.*`` stage breakdown.
 
@@ -84,8 +90,8 @@ Environment knobs:
                                    (default min(4, CPU count); <= 1 =
                                    inline — supervised workers only
                                    pay off with real cores, so a
-                                   single-core host defaults to the
-                                   inline pool)
+                                   single-core host defaults to
+                                   inline generation)
     REPRO_BENCH_REFINE_CAP         largest tier for the refinement stage
                                    (default 100000)
     REPRO_BENCH_REFINE_CONFUSION   confusion knob for the refine-stage
@@ -198,106 +204,113 @@ def _measure_generation(dataset, candidates, *, processes=None):
     """One untraced cluster-generation run; returns (clustering, stats,
     stage table, meters).
 
-    ``processes=None`` runs the classic engine (``run_acd``); an integer
-    runs the pre-pruned ``run_pipeline`` on a pool of that many workers.
+    ``processes=None`` runs the whole-graph oracle
+    (``repro.reference.pc_pivot``); an integer runs ``run_acd`` with
+    that many pool workers (``<= 1``: inline).
     """
     from repro.core.acd import run_acd
-    from repro.runtime.pipeline import run_pipeline
+    from repro.crowd.oracle import CrowdOracle
+    from repro.reference import pc_pivot as reference_pc_pivot
 
     harness = ObsContext()
     with harness.span("total"), harness.span("generation"):
         if processes is None:
-            result = run_acd(dataset.record_ids, candidates,
-                             _answers(dataset), seed=SEED, refine=False)
+            oracle = CrowdOracle(_answers(dataset))
+            clustering = reference_pc_pivot(dataset.record_ids, candidates,
+                                            oracle, seed=SEED)
+            stats = oracle.stats
         else:
-            result = run_pipeline(
-                _answers(dataset), record_ids=dataset.record_ids,
-                candidates=candidates, seed=SEED, refine=False,
-                workers=processes,
-            ).result
+            result = run_acd(dataset.record_ids, candidates,
+                             _answers(dataset), seed=SEED, refine=False,
+                             workers=processes)
+            clustering, stats = result.clustering, result.stats
     stages = harness.tracer.span_summaries()
     total = stage_seconds(stages)["total"]
     meters = StageTimings()
     meters.record_throughput("records_per_second", len(dataset.records),
                              total)
-    meters.record_throughput("pairs_per_second",
-                             int(result.stats.pairs_issued), total)
+    meters.record_throughput("pairs_per_second", int(stats.pairs_issued),
+                             total)
     meters.record_peak_rss()
-    return result.clustering, result.stats, stages, meters
+    return clustering, stats, stages, meters
 
 
 def _generation_stage(label, tier, dataset, candidates, runs, derived):
-    """The generation tier: classic vs component-decomposed PC-Pivot.
+    """The generation tier: the whole-graph oracle vs ``run_acd`` inline
+    and on a pool.
 
-    Returns False when the sharded run diverges from the classic one
-    (the caller fails the benchmark).
+    Returns False when a ``run_acd`` clustering diverges from the
+    oracle's or the two ``run_acd`` runs disagree (the caller fails the
+    benchmark).
     """
-    classic, classic_stats, classic_stages, classic_meters = in_fork(
-        lambda: _measure_generation(dataset, candidates))
-    classic_s = stage_seconds(classic_stages)["total"]
-    runs[f"{label}/pivot-classic"] = run_entry(
-        classic_stages, classic_meters, records=tier,
-        pairs_issued=int(classic_stats.pairs_issued),
-        iterations=int(classic_stats.iterations),
-        clusters=len(classic),
-    )
-    print(f"{label}/pivot-classic: {classic_s:.2f}s, "
-          f"{int(classic_stats.pairs_issued)} pairs, "
-          f"{int(classic_stats.iterations)} crowd iterations, "
-          f"peak RSS "
-          f"{classic_meters.meters['peak_rss_bytes'] / 2**20:.0f} MiB")
+    measured = {}
+    for variant, processes in (("pivot-reference", None),
+                               ("pivot-inline", 0),
+                               ("pivot-sharded", PIVOT_PROCESSES)):
+        clustering, stats, stages, meters = in_fork(
+            lambda: _measure_generation(dataset, candidates,
+                                        processes=processes))
+        seconds = stage_seconds(stages)["total"]
+        measured[variant] = (clustering, stats, seconds)
+        extra = {} if processes is None else {"processes": processes}
+        runs[f"{label}/{variant}"] = run_entry(
+            stages, meters, records=tier,
+            pairs_issued=int(stats.pairs_issued),
+            iterations=int(stats.iterations),
+            clusters=len(clustering), **extra,
+        )
+        print(f"{label}/{variant}: {seconds:.2f}s, "
+              f"{int(stats.pairs_issued)} pairs, "
+              f"{int(stats.iterations)} crowd iterations, peak RSS "
+              f"{meters.meters['peak_rss_bytes'] / 2**20:.0f} MiB")
 
-    sharded, sharded_stats, sharded_stages, sharded_meters = in_fork(
-        lambda: _measure_generation(dataset, candidates,
-                                    processes=PIVOT_PROCESSES))
-    sharded_s = stage_seconds(sharded_stages)["total"]
-    runs[f"{label}/pivot-sharded"] = run_entry(
-        sharded_stages, sharded_meters, records=tier,
-        pairs_issued=int(sharded_stats.pairs_issued),
-        iterations=int(sharded_stats.iterations),
-        clusters=len(sharded), processes=PIVOT_PROCESSES,
-    )
-    if sharded.to_state() != classic.to_state():
-        print(f"FAIL: {label}: sharded generation clustering diverged",
+    oracle, oracle_stats, _ = measured["pivot-reference"]
+    inline, inline_stats, inline_s = measured["pivot-inline"]
+    pooled, pooled_stats, pooled_s = measured["pivot-sharded"]
+    if (inline.to_state() != oracle.to_state()
+            or pooled.to_state() != oracle.to_state()):
+        print(f"FAIL: {label}: run_acd generation clustering diverged "
+              f"from the whole-graph oracle", file=sys.stderr)
+        return False
+    if pooled_stats.snapshot() != inline_stats.snapshot():
+        print(f"FAIL: {label}: pool and inline generation stats differ",
               file=sys.stderr)
         return False
-    speedup = classic_s / max(sharded_s, 1e-12)
-    derived[f"{label}/generation_speedup"] = round(speedup, 2)
+    derived[f"{label}/generation_pool_speedup"] = round(
+        inline_s / max(pooled_s, 1e-12), 2)
     # The generation phase's deployed cost is crowd latency: iterations
     # times the crowd round-trip.  Merged component rounds crowdsource
-    # every component simultaneously, so the sharded iteration count is
+    # every component simultaneously, so run_acd's iteration count is
     # the deepest component's round count — this ratio is the
-    # hardware-independent phase speedup.
-    iteration_speedup = classic_stats.iterations / max(
-        sharded_stats.iterations, 1)
+    # hardware-independent phase speedup over the whole-graph loop.
+    iteration_speedup = oracle_stats.iterations / max(
+        inline_stats.iterations, 1)
     derived[f"{label}/generation_iteration_speedup"] = round(
         iteration_speedup, 2)
     # The pair counts legitimately differ: component-local Equation-4
-    # rounds waste differently than the globally-coupled classic rounds
-    # (usually less).  Only the clustering is pinned across engines.
+    # rounds waste differently than the globally-coupled whole-graph
+    # rounds (usually less).  Only the clustering is pinned across the
+    # two.
     derived[f"{label}/generation_pairs_saved"] = int(
-        classic_stats.pairs_issued - sharded_stats.pairs_issued)
-    print(f"{label}/pivot-sharded: {sharded_s:.2f}s "
-          f"({speedup:.1f}x wall, {iteration_speedup:.1f}x crowd "
-          f"iterations [{int(sharded_stats.iterations)} vs "
-          f"{int(classic_stats.iterations)}], identical clustering, "
-          f"{int(sharded_stats.pairs_issued)} vs "
-          f"{int(classic_stats.pairs_issued)} pairs)")
+        oracle_stats.pairs_issued - inline_stats.pairs_issued)
+    print(f"{label}: {iteration_speedup:.1f}x fewer crowd iterations "
+          f"than the oracle, identical clustering, pool "
+          f"{inline_s / max(pooled_s, 1e-12):.1f}x inline wall clock")
     return True
 
 
-def _measure_refine(dataset, candidates, *, pipelined=False):
-    """One refinement run from the classic generation clustering.
+def _measure_refine(dataset, candidates, *, resumed=False):
+    """One refinement run from ``pc_pivot``'s generation clustering.
 
     The generation phase (untimed, identical across variants: same seed,
     pair-deterministic answers) produces the starting clustering and the
     shared phase-2 answer set.  By default this times ``pc_refine``
-    directly; ``pipelined`` writes the generation phase as a checkpoint
-    and times the pre-pruned ``run_pipeline`` resuming from it.  Returns
-    (clustering, refine_iterations, refine_pairs, stage table, meters);
-    the stage table carries the ``refine.*`` per-stage spans under the
-    harness's ``total`` and ``refine`` spans (the pipelined run's own
-    phase spans too).
+    directly; ``resumed`` writes the generation phase as a checkpoint
+    and times ``run_acd`` resuming from it.  Returns (clustering,
+    refine_iterations, refine_pairs, stage table, meters); the stage
+    table carries the ``refine.*`` per-stage spans under the harness's
+    ``total`` and ``refine`` spans (the resumed run's own phase spans
+    too).
     """
     import tempfile
 
@@ -306,10 +319,9 @@ def _measure_refine(dataset, candidates, *, pipelined=False):
     from repro.core.pc_refine import pc_refine
     from repro.crowd.oracle import CrowdOracle
     from repro.runtime.checkpoint import CheckpointStore
-    from repro.runtime.pipeline import run_pipeline
 
     obs = ObsContext()
-    if not pipelined:
+    if not resumed:
         oracle = CrowdOracle(_answers(dataset))
         clustering = pc_pivot(dataset.record_ids, candidates, oracle,
                               seed=SEED)
@@ -326,11 +338,9 @@ def _measure_refine(dataset, candidates, *, pipelined=False):
             run_acd(dataset.record_ids, candidates, _answers(dataset),
                     seed=SEED, refine=False, checkpoints=store)
             with obs.span("total"), obs.span("refine"):
-                result = run_pipeline(
-                    _answers(dataset), record_ids=dataset.record_ids,
-                    candidates=candidates, checkpoints=store, resume=True,
-                    obs=obs,
-                ).result
+                result = run_acd(dataset.record_ids, candidates,
+                                 _answers(dataset), checkpoints=store,
+                                 resume=True, obs=obs)
         clustering = result.clustering
         generation = result.generation_stats
         total = result.stats.snapshot()
@@ -346,14 +356,15 @@ def _measure_refine(dataset, candidates, *, pipelined=False):
 
 
 def _refine_stage(label, tier, runs, derived):
-    """The refinement tier: PC-Refine direct vs through ``run_pipeline``.
+    """The refinement tier: PC-Refine direct vs ``run_acd`` resumed from a
+    generation checkpoint.
 
     Regenerates the tier with the ``confusion`` knob (the clean dataset
     leaves the refine phase nothing to do) and prunes it, then refines
     the same generation clustering both ways.  Returns False — failing
-    the benchmark — when the pipelined run differs from the classic one
-    in clustering, refine pairs or refine iterations: both executors run
-    the same global PC-Refine loop.
+    the benchmark — when the resumed run differs from the direct one in
+    clustering, refine pairs or refine iterations: both run the same
+    global PC-Refine loop.
     """
     dataset = generate_largescale(scale=tier / BASE_RECORDS, seed=SEED,
                                   confusion=REFINE_CONFUSION)
@@ -361,39 +372,39 @@ def _refine_stage(label, tier, runs, derived):
         dataset.records, jaccard_similarity_function(),
         threshold=PRUNING_THRESHOLD, shards=SHARDS, parallel=PARALLEL)
 
-    classic, classic_iters, classic_pairs, classic_stages, classic_meters = (
+    direct, direct_iters, direct_pairs, direct_stages, direct_meters = (
         in_fork(lambda: _measure_refine(dataset, candidates)))
-    runs[f"{label}/refine-classic"] = run_entry(
-        classic_stages, classic_meters, records=tier,
+    runs[f"{label}/refine-direct"] = run_entry(
+        direct_stages, direct_meters, records=tier,
         candidate_pairs=len(candidates),
-        pairs_issued=classic_pairs, iterations=classic_iters,
-        clusters=len(classic),
+        pairs_issued=direct_pairs, iterations=direct_iters,
+        clusters=len(direct),
     )
-    print(f"{label}/refine-classic: "
-          f"{stage_seconds(classic_stages)['refine']:.2f}s, "
-          f"{classic_pairs} pairs, {classic_iters} crowd iterations, "
-          f"{len(classic)} clusters")
+    print(f"{label}/refine-direct: "
+          f"{stage_seconds(direct_stages)['refine']:.2f}s, "
+          f"{direct_pairs} pairs, {direct_iters} crowd iterations, "
+          f"{len(direct)} clusters")
 
-    piped, piped_iters, piped_pairs, piped_stages, piped_meters = in_fork(
-        lambda: _measure_refine(dataset, candidates, pipelined=True))
-    runs[f"{label}/refine-pipelined"] = run_entry(
-        piped_stages, piped_meters, records=tier,
+    resumed, resumed_iters, resumed_pairs, resumed_stages, resumed_meters = (
+        in_fork(lambda: _measure_refine(dataset, candidates, resumed=True)))
+    runs[f"{label}/refine-resumed"] = run_entry(
+        resumed_stages, resumed_meters, records=tier,
         candidate_pairs=len(candidates),
-        pairs_issued=piped_pairs, iterations=piped_iters,
-        clusters=len(piped),
+        pairs_issued=resumed_pairs, iterations=resumed_iters,
+        clusters=len(resumed),
     )
-    identical = (piped.to_state() == classic.to_state()
-                 and (piped_pairs, piped_iters)
-                 == (classic_pairs, classic_iters))
-    derived[f"{label}/refine_classic_identical"] = identical
-    print(f"{label}/refine-pipelined: "
-          f"{stage_seconds(piped_stages)['refine']:.2f}s, "
-          f"{piped_pairs} pairs, {piped_iters} crowd iterations, "
-          f"{'identical to' if identical else 'DIVERGED from'} classic")
+    identical = (resumed.to_state() == direct.to_state()
+                 and (resumed_pairs, resumed_iters)
+                 == (direct_pairs, direct_iters))
+    derived[f"{label}/refine_resumed_identical"] = identical
+    print(f"{label}/refine-resumed: "
+          f"{stage_seconds(resumed_stages)['refine']:.2f}s, "
+          f"{resumed_pairs} pairs, {resumed_iters} crowd iterations, "
+          f"{'identical to' if identical else 'DIVERGED from'} direct")
     if not identical:
-        print(f"FAIL: {label}: pipelined refinement diverged from classic "
-              f"({piped_pairs} vs {classic_pairs} pairs, {piped_iters} vs "
-              f"{classic_iters} iterations)", file=sys.stderr)
+        print(f"FAIL: {label}: resumed refinement diverged from direct "
+              f"({resumed_pairs} vs {direct_pairs} pairs, {resumed_iters} "
+              f"vs {direct_iters} iterations)", file=sys.stderr)
     return identical
 
 

@@ -32,7 +32,6 @@ from typing import List, Optional
 from repro.datasets.registry import dataset_names
 from repro.experiments.runner import (
     ALL_METHODS,
-    PIPELINE_METHODS,
     Instance,
     prepare_instance,
     run_comparison,
@@ -65,9 +64,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1,
                         help="dataset/crowd seed")
     parser.add_argument("--parallel", type=int, default=0,
-                        help="worker processes for the pruning scoring loop "
-                             "or sharded prefix-join execution (<= 1 is "
-                             "serial)")
+                        help="worker processes for pruning (the scoring "
+                             "loop or sharded prefix join) and, in 'run', "
+                             "for ACD's cluster generation (<= 1 is serial; "
+                             "results are identical)")
     parser.add_argument("--shards", type=_shards_value, default=0,
                         help="blocking-key shards for the prefix join "
                              "(0/1 = unsharded; identical output at any "
@@ -150,16 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "from --trace)")
     run.add_argument("--output", default=None, metavar="PATH",
                      help="also write the result metrics as JSON to PATH")
-    run.add_argument("--pipeline", action="store_true",
-                     help="run ACD's cluster generation decomposed by "
-                          "connected component over one supervised worker "
-                          "pool, then the same global PC-Refine (same "
-                          "generation clustering as the global run; "
-                          "generation crowd rounds count the deepest "
-                          "component; ACD and PC-Pivot only)")
-    run.add_argument("--pipeline-workers", type=int, default=0, metavar="N",
-                     help="worker processes for the pipeline pool "
-                          "(<= 1 runs it inline; requires --pipeline)")
     _add_setting(run)
     _add_common(run)
 
@@ -268,18 +258,8 @@ def _check_run_paths(args: argparse.Namespace) -> Optional[Path]:
 
     Returns the resolved manifest path (``None`` when not tracing).  Every
     artifact must land in a distinct file — a journal silently overwritten
-    by the trace stream (or vice versa) is unrecoverable.  A worker count
-    without ``--pipeline``, or ``--pipeline`` for a method ``run_acd``
-    does not run, would change nothing but the recorded config, so both
-    are rejected too.
+    by the trace stream (or vice versa) is unrecoverable.
     """
-    if args.pipeline_workers and not args.pipeline:
-        raise SystemExit("--pipeline-workers requires --pipeline")
-    if args.pipeline and args.method not in PIPELINE_METHODS:
-        raise SystemExit(
-            f"--pipeline applies only to --method "
-            f"{' or '.join(PIPELINE_METHODS)}, not {args.method!r}"
-        )
     if args.resume and not (args.journal or args.checkpoint_dir):
         raise SystemExit(
             "--resume requires --journal PATH and/or --checkpoint-dir DIR"
@@ -366,8 +346,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
         "seed": args.seed,
         "method": args.method,
         "method_seed": args.method_seed,
-        "pipeline": args.pipeline,
-        "pipeline_workers": args.pipeline_workers,
         "parallel": args.parallel,
         "shards": args.shards,
     }
@@ -440,8 +418,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         result = run_method(args.method, instance, seed=args.method_seed,
                             gcer_budget=gcer_budget, obs=obs,
                             checkpoints=checkpoints, resume=args.resume,
-                            pipeline=args.pipeline,
-                            pipeline_workers=args.pipeline_workers)
+                            workers=args.parallel)
     finally:
         if journaled is not None:
             journaled.close()

@@ -1,8 +1,9 @@
 """The ACD algorithm family (the paper's contribution).
 
 - :func:`crowd_pivot` — Algorithm 1, sequential crowd-based Pivot;
-- :func:`partial_pivot` / :func:`pc_pivot` — Algorithms 2-3, the batched
-  cluster-generation phase with the Equation-4 wasted-pair budget ε;
+- :func:`pc_pivot` — Algorithms 2-3, the batched cluster-generation
+  phase with the Equation-4 wasted-pair budget ε, run per connected
+  component;
 - :func:`crowd_refine` / :func:`pc_refine` — Algorithms 4-5, the cluster
   refinement phase with split/merger operations, the equi-depth histogram
   estimator, and the per-round budget T;
@@ -28,11 +29,7 @@ from repro.core.operations import (
     apply_operation,
     independent,
 )
-from repro.core.partial_pivot import (
-    PartialPivotResult,
-    partial_pivot,
-    waste_estimates,
-)
+from repro.core.partial_pivot import PartialPivotResult, waste_estimates
 from repro.core.pc_pivot import (
     DEFAULT_EPSILON,
     PCPivotDiagnostics,
@@ -85,7 +82,6 @@ __all__ = [
     "merge_benefit",
     "optimality_gap",
     "pairwise_cost",
-    "partial_pivot",
     "pc_pivot",
     "pc_refine",
     "refinement_budget",

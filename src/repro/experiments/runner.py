@@ -31,7 +31,6 @@ from repro.experiments.configs import (
     difficulty_model,
 )
 from repro.pruning.candidate import CandidateSet, build_candidate_set
-from repro.runtime.pipeline import run_pipeline
 from repro.similarity.composite import jaccard_similarity_function
 
 ACD_METHOD = "ACD"
@@ -48,9 +47,6 @@ ALL_METHODS = (
 )
 
 RANDOMIZED_METHODS = frozenset({ACD_METHOD, PC_PIVOT_METHOD, CROWD_PIVOT_METHOD})
-
-#: Methods ``run_acd`` executes, the only ones ``pipeline=True`` applies to.
-PIPELINE_METHODS = (ACD_METHOD, PC_PIVOT_METHOD)
 
 
 @dataclass(frozen=True)
@@ -174,8 +170,7 @@ def run_method(
     obs=None,
     checkpoints=None,
     resume: bool = False,
-    pipeline: bool = False,
-    pipeline_workers: int = 0,
+    workers: int = 0,
 ) -> MethodResult:
     """Run one method on an instance and measure it.
 
@@ -195,27 +190,11 @@ def run_method(
             phase-level crash safety (ACD / PC-Pivot only).
         resume: With ``checkpoints``, restore the generation phase from
             its checkpoint instead of re-running it when one exists.
-        pipeline: Run ACD's cluster generation decomposed by connected
-            component through
-            :func:`~repro.runtime.pipeline.run_pipeline` instead of
-            :func:`~repro.core.acd.run_acd`; refinement is the same
-            global PC-Refine either way (ACD / PC-Pivot only — any other
-            method rejects it).
-        pipeline_workers: Worker processes for the pipeline pool
-            (requires ``pipeline``).
+        workers: Processes of ACD's cluster-generation pool (``<= 1``
+            runs inline; results are identical).  Baseline methods always
+            run in-process.
     """
     ids = instance.record_ids
-    if (pipeline or pipeline_workers) and method not in PIPELINE_METHODS:
-        raise ValueError(
-            f"pipeline applies only to {' and '.join(PIPELINE_METHODS)}, "
-            f"not {method!r}"
-        )
-    if pipeline_workers and not pipeline:
-        raise ValueError(
-            "pipeline_workers requires pipeline=True: the global engines "
-            "run in-process"
-        )
-
     if method in (ACD_METHOD, PC_PIVOT_METHOD):
         options = dict(
             epsilon=epsilon, threshold_divisor=threshold_divisor,
@@ -223,15 +202,8 @@ def run_method(
             pairs_per_hit=instance.setting.pairs_per_hit,
             obs=obs, checkpoints=checkpoints, resume=resume,
         )
-        if pipeline:
-            result = run_pipeline(
-                instance.answers, record_ids=ids,
-                candidates=instance.candidates, workers=pipeline_workers,
-                **options,
-            ).result
-        else:
-            result = run_acd(ids, instance.candidates, instance.answers,
-                             **options)
+        result = run_acd(ids, instance.candidates, instance.answers,
+                         workers=workers, **options)
         return _result(method, instance, result.clustering, result.stats)
 
     oracle = _fresh_oracle(instance, obs=obs)

@@ -42,8 +42,7 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
             # of the ones external tooling keys off.
             "properties": {
                 "shards": {"type": ["integer", "string"]},
-                "pipeline": {"type": "boolean"},
-                "pipeline_workers": {"type": "integer"},
+                "workers": {"type": "integer"},
             },
         },
         "seeds": {"type": "object"},

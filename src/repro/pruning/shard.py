@@ -2,8 +2,8 @@
 
 Every prefix-eligible input of
 :func:`~repro.pruning.candidate.build_candidate_set` (and the streamed
-pruning phase of :func:`~repro.runtime.pipeline.run_pipeline`) runs this
-join.  It applies the filter algebra of :mod:`repro.pruning.prefix_join` —
+pruning of :func:`~repro.core.acd.run_acd` on a worker pool,
+:func:`repro.core.pivot_shard.stream_pruning`) runs this join.  It applies the filter algebra of :mod:`repro.pruning.prefix_join` —
 canonical token order, prefix lengths, partner-size bound — over interned
 int-rank arrays (:mod:`repro.similarity.kernels`), partitioned into
 **shards by blocking key** and verified in numpy blocks.  One shard (the
@@ -210,8 +210,9 @@ def record_shard_touch_masks(
     the result; callers treat them as mask ``0`` (sealed immediately,
     which is exact: no future edge can touch them).
 
-    The pipelined executor ORs these masks over union-find components to
-    decide when a component is *sealed* (see
+    Streamed pruning (:func:`repro.core.pivot_shard.stream_pruning`) ORs
+    these masks over union-find components to decide when a component is
+    *sealed* (see
     :class:`repro.pruning.components.IncrementalComponents`).
     """
     if num_shards < 1:

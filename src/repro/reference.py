@@ -7,10 +7,14 @@ the straightforward readings those were derived from, so the identity
 suites and the BENCH A/B stages have something independent to check them
 against:
 
-- :func:`pc_pivot` / :func:`choose_k` — Algorithm 3 re-sorting the live
-  vertices and re-deriving the Equation-3/4 scan from scratch each round;
-- :func:`partial_pivot` — Algorithm 2 deriving its own pivots (the first
-  ``k`` live vertices by permutation rank) and their Equation-3 bound;
+- :func:`pc_pivot` / :func:`choose_k` — Algorithm 3 as one whole-graph
+  loop, re-sorting the live vertices and re-deriving the Equation-3/4
+  scan from scratch each round (production runs it per connected
+  component, so only the clustering is shared, not the round
+  accounting);
+- :func:`partial_pivot` — Algorithm 2: one whole-graph round deriving its
+  own pivots (the first ``k`` live vertices by permutation rank) and their
+  Equation-3 bound;
 - :func:`crowd_pivot` — Algorithm 1 scanning the live vertices for the
   minimum permutation rank each iteration;
 - :func:`pc_refine` / :func:`pack_independent_operations` — Algorithm 5
@@ -33,7 +37,9 @@ against:
   composed from the oracles above.
 
 Each oracle is byte-identical to its production counterpart: same
-clusterings, crowd batches, diagnostics and observability events.  None
+clusterings, crowd batches, diagnostics and observability events — except
+PC-Pivot (and so :func:`run_acd`'s generation phase), whose production
+executor shares only the clustering (see :func:`pc_pivot`).  None
 of this is product surface: only ``tests/`` and ``benchmarks/`` import
 this module, and ``tests/test_reference_boundary.py`` fails if a module
 under ``src/repro`` does.
@@ -61,13 +67,14 @@ from repro.core.operations import (
     OperationEvaluator,
     apply_operation,
 )
-from repro.core.partial_pivot import PartialPivotResult, waste_estimates
-from repro.core.partial_pivot import partial_pivot as _core_partial_pivot
-from repro.core.pc_pivot import (
-    DEFAULT_EPSILON,
-    PCPivotDiagnostics,
-    _finish_round,
+from repro.core.partial_pivot import (
+    PartialPivotResult,
+    form_clusters,
+    pivot_incident_pairs,
+    waste_estimates,
 )
+from repro.core.pc_pivot import DEFAULT_EPSILON, PCPivotDiagnostics
+from repro.core.pivot_shard import _finish_round
 from repro.core.pc_refine import (
     DEFAULT_THRESHOLD_DIVISOR,
     PCRefineDiagnostics,
@@ -178,15 +185,33 @@ def partial_pivot(
     oracle: CrowdOracle,
     obs=None,
 ) -> PartialPivotResult:
-    """Partial-Pivot (Algorithm 2) with self-derived pivots: the first
-    ``k`` live vertices in permutation order (``k`` clamped to the live
-    count) and their Equation-3 bound, then
-    :func:`repro.core.partial_pivot.partial_pivot`'s round."""
+    """Partial-Pivot (Algorithm 2): one whole-graph round, mutating
+    ``graph`` in place.
+
+    The pivots are the first ``k`` live vertices in permutation order
+    (``k`` clamped to the live count); their Equation-3 bound is computed
+    before any mutation, all their incident edges go out as one crowd
+    batch, and :func:`~repro.core.partial_pivot.form_clusters` replays
+    sequential cluster formation on the answers.  The round runs inside a
+    ``pivot.partial`` span so its crowd batch nests under it in a trace.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     pivots = permutation.ordered(graph.vertices)[:k]
-    return _core_partial_pivot(
-        graph, k, oracle, obs=obs, pivots=pivots,
-        predicted_waste=sum(waste_estimates(graph, pivots)),
-    )
+    predicted_waste = sum(waste_estimates(graph, pivots))
+    with maybe_span(obs, "pivot.partial", k=k) as span:
+        pairs = pivot_incident_pairs(graph, pivots)
+        answers = oracle.ask_batch(pairs)
+        result = PartialPivotResult(
+            clusters=form_clusters(graph, pivots, pairs, answers),
+            issued_pairs=tuple(pairs),
+            predicted_waste=predicted_waste,
+        )
+        if obs is not None:
+            span.set_attr("issued_pairs", len(result.issued_pairs))
+            span.set_attr("clusters", len(result.clusters))
+            span.set_attr("predicted_waste", result.predicted_waste)
+    return result
 
 
 def pc_pivot(
@@ -200,9 +225,14 @@ def pc_pivot(
     diagnostics: Optional[PCPivotDiagnostics] = None,
     obs=None,
 ) -> Clustering:
-    """PC-Pivot with whole-graph re-derivation every round.
+    """PC-Pivot as the paper states it: one whole-graph loop, re-deriving
+    the live order and the Equation-3/4 scan from scratch every round.
 
-    Same arguments and output as :func:`repro.core.pc_pivot.pc_pivot`.
+    Same arguments as :func:`repro.core.pc_pivot.pc_pivot` and the same
+    clustering (cluster ids included) for the same permutation.  Its
+    rounds couple components through the global permutation prefix, so
+    its crowd batches and diagnostics are the whole-graph ones, not the
+    production executor's merged component rounds.
     """
     ids = list(record_ids)
     if permutation is None:

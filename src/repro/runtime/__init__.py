@@ -6,7 +6,7 @@ Three layers, each usable on its own:
   the answer journal, the run manifest, and the phase checkpoints (temp
   file + fsync + ``os.replace`` + directory fsync).
 - :mod:`repro.runtime.supervisor` — the one supervised fork pool, shared
-  by the pruning layer and the pipelined executor: worker-death
+  by the pruning layer and ACD's cluster generation: worker-death
   detection, per-task deadlines with straggler re-dispatch, bounded
   exponential-backoff retries, and a final degradation to in-process
   execution with byte-identical results.

@@ -17,11 +17,10 @@ Checkpointed phases:
 - ``pruning`` — the full candidate set (pairs + machine scores +
   threshold), via :func:`candidate_state` / :func:`restore_candidates`.
 - ``generation`` — the cluster state between the pivot and refine
-  phases, assembled by :class:`repro.core.acd.CrowdPhases`, the
-  crowd-phase driver of both ``run_acd`` and ``run_pipeline``
-  (clustering, generation-phase cost counters, the answer set ``A``).
+  phases, assembled by :func:`repro.core.acd.run_acd` (clustering,
+  generation-phase cost counters, the answer set ``A``).
 - ``refinement`` — the finished pipeline state after phase 3, also
-  assembled by :class:`repro.core.acd.CrowdPhases` (final clustering,
+  assembled by :func:`repro.core.acd.run_acd` (final clustering,
   total cost counters, the full answer set, and both phases'
   diagnostics); a resume that finds it skips generation *and*
   refinement.

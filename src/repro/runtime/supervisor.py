@@ -30,9 +30,9 @@ duplex pipe each — and supervises every dispatched task:
   result is byte-identical — the run completes, slower, never wrong.
 
 The pool is long-lived: tasks are submitted as they become ready and
-collected in completion order — the component-streaming executor of
-:mod:`repro.runtime.pipeline` keeps one pool up across pruning and
-cluster generation this way.  :func:`supervised_map` is the one-shot
+collected in completion order — :func:`repro.core.acd.run_acd` keeps
+one pool up across streamed pruning and cluster generation this way
+(:mod:`repro.core.pivot_shard`).  :func:`supervised_map` is the one-shot
 wrapper the pruning layer uses.
 
 Every decision is observable: ``runtime.worker_crash`` /
@@ -135,6 +135,8 @@ class RuntimeReport:
     #: Replacements for workers a fault-plan kill directive took down.
     worker_respawns: int = 0
     degraded_serial: int = 0
+    #: Pickled payload bytes handed to the pool (each task once).
+    bytes_shipped: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -145,6 +147,7 @@ class RuntimeReport:
             "straggler_terminations": self.straggler_terminations,
             "worker_respawns": self.worker_respawns,
             "degraded_serial": self.degraded_serial,
+            "bytes_shipped": self.bytes_shipped,
         }
 
 
@@ -259,8 +262,6 @@ class SupervisedPool:
         self._observer = _Observer(obs, label)
         self._fault_plan = fault_plan
         self.report = RuntimeReport()
-        #: Pickled payload bytes handed to the pool (each task once).
-        self.bytes_shipped = 0
         self._payloads: List[Any] = []
         #: Min-heap of (ready_at_monotonic, sequence, task_index).
         self._pending: List[Tuple[float, int, int]] = []
@@ -309,7 +310,7 @@ class SupervisedPool:
             # exact and the parent never re-serializes a payload.
             blob = pickle.dumps(payload)
             self._payloads.append(blob)
-            self.bytes_shipped += len(blob)
+            self.report.bytes_shipped += len(blob)
         self._dispatches.append(0)
         self._inflight.append(0)
         self._failures.append(0)

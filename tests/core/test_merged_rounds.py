@@ -1,14 +1,15 @@
 """Merged-round accounting of component execution, against an oracle.
 
-PC-Pivot only ever asks pivot-incident pairs, so the pre-pruned
-:func:`~repro.runtime.pipeline.run_pipeline` runs cluster generation one
-connected component at a time and replays the component rounds merged:
-round ``r`` batches every component's round ``r``.  The oracle here is
-built without the executor: a stand-alone global :func:`pc_pivot` on each
+PC-Pivot only ever asks pivot-incident pairs, so
+:func:`~repro.core.acd.run_acd` runs cluster generation one connected
+component at a time and replays the component rounds merged: round ``r``
+batches every component's round ``r``.  The oracle here is built without
+the executor: the whole-graph :func:`repro.reference.pc_pivot` on each
 component's own sub-candidate set, under the global permutation
-restricted to the component.  Component execution must then report
+restricted to the component.  Component execution (inline and on a
+worker pool) must then report
 
-- the global engine's clustering, cluster ids included;
+- the whole-graph oracle's clustering, cluster ids included;
 - crowd rounds = the deepest component's rounds (the maximum);
 - crowd pairs = the sum over components.
 """
@@ -19,13 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pc_pivot import pc_pivot
+from repro import reference
+from repro.core.acd import run_acd
 from repro.core.permutation import Permutation
 from repro.crowd.oracle import CrowdOracle
 from repro.experiments.runner import prepare_instance
 from repro.pruning.candidate import CandidateSet
 from repro.pruning.components import connected_components
-from repro.runtime.pipeline import run_pipeline
 
 
 class HashedAnswers:
@@ -61,19 +62,20 @@ def _per_component_oracle(ids, candidates, answers, permutation):
         if len(members) == 1:
             continue
         oracle = CrowdOracle(answers)
-        pc_pivot(members, _sub_candidates(candidates, members), oracle,
-                 permutation=Permutation(permutation.ordered(members)))
+        reference.pc_pivot(
+            members, _sub_candidates(candidates, members), oracle,
+            permutation=Permutation(permutation.ordered(members)))
         rounds = max(rounds, oracle.stats.iterations)
         pairs += oracle.stats.pairs_issued
     return rounds, pairs
 
 
-def _check(ids, candidates, answers, seed):
+def _check(ids, candidates, answers, seed, workers=0):
     permutation = Permutation.random(ids, seed=seed)
-    classic = pc_pivot(ids, candidates, CrowdOracle(answers),
-                       permutation=permutation)
-    piped = run_pipeline(answers, record_ids=ids, candidates=candidates,
-                         permutation=permutation, refine=False).result
+    classic = reference.pc_pivot(ids, candidates, CrowdOracle(answers),
+                                 permutation=permutation)
+    piped = run_acd(ids, candidates, answers, permutation=permutation,
+                    refine=False, workers=workers)
     assert piped.clustering.to_state() == classic.to_state()
     rounds, pairs = _per_component_oracle(ids, candidates, answers,
                                           permutation)
@@ -111,20 +113,19 @@ def test_random_graphs_match_the_per_component_oracle(graph, salt, seed):
 def test_datasets_match_the_per_component_oracle(name, scale, seed):
     instance = prepare_instance(name, "3w", scale=scale, seed=0)
     piped = _check(instance.record_ids, instance.candidates,
-                   instance.answers, seed)
+                   instance.answers, seed, workers=2 if seed == 1 else 0)
     assert piped.stats.iterations >= 1
 
 
 def test_component_rounds_fall_below_the_global_engine_on_largescale():
     """The point of merged accounting: independent components crowdsource
     in the same round, so a many-component population needs fewer crowd
-    rounds than the global engine's coupled Equation-4 rounds."""
+    rounds than the whole-graph loop's coupled Equation-4 rounds."""
     instance = prepare_instance("largescale", "3w", scale=0.3, seed=0)
     permutation = Permutation.random(instance.record_ids, seed=1)
     classic = CrowdOracle(instance.answers)
-    pc_pivot(instance.record_ids, instance.candidates, classic,
-             permutation=permutation)
-    piped = run_pipeline(instance.answers, record_ids=instance.record_ids,
-                         candidates=instance.candidates,
-                         permutation=permutation, refine=False).result
+    reference.pc_pivot(instance.record_ids, instance.candidates, classic,
+                       permutation=permutation)
+    piped = run_acd(instance.record_ids, instance.candidates,
+                    instance.answers, permutation=permutation, refine=False)
     assert piped.stats.iterations < classic.stats.iterations

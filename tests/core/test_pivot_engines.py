@@ -1,11 +1,13 @@
 """Production-vs-reference pivot equivalence.
 
-The incremental production loops (LiveVertexOrder + fused early-exiting
-Equation-4 scan + eager graph cleanup) must be indistinguishable from the
-per-round re-derivation oracles in :mod:`repro.reference`: identical
-clusterings, identical crowd batch sequences, identical diagnostics, and
-identical observability event streams — under clean and faulty crowds
-alike."""
+Crowd-Pivot's incremental production loop must be indistinguishable from
+its re-derivation oracle in :mod:`repro.reference`: identical clusterings,
+crowd batch sequences and event streams.  PC-Pivot's production executor
+runs per connected component (:mod:`repro.core.pivot_shard`); against the
+whole-graph oracle :func:`repro.reference.pc_pivot` it must give the same
+clustering (cluster ids included), and its merged-round accounting must
+equal the oracle run on each component alone, merged round by round.  On
+a connected graph the two are byte-identical in every respect."""
 
 import json
 import random as random_module
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from repro import reference
 from repro.cli import main
 from repro.core.acd import run_acd
-from repro.core.partial_pivot import partial_pivot, waste_estimates
+from repro.core.partial_pivot import waste_estimates
 from repro.core.pc_pivot import PCPivotDiagnostics, pc_pivot
 from repro.core.pc_refine import pc_refine
 from repro.core.permutation import Permutation
@@ -36,8 +38,8 @@ from repro.experiments.configs import PRUNING_THRESHOLD, difficulty_model
 from repro.experiments.runner import prepare_instance, run_method
 from repro.obs import ObsContext
 from repro.pruning.candidate import build_candidate_set
+from repro.pruning.components import connected_components
 from repro.pruning.graph import CandidateGraph
-from repro.runtime.pipeline import run_pipeline
 from repro.similarity.composite import jaccard_similarity_function
 from tests.conftest import FIG2_IDS, fig2_candidates, fig2_oracle, \
     make_candidates
@@ -111,27 +113,64 @@ def _collected_events(obs):
 # ---------------------------------------------------------------------------
 
 
+def _pc_pivot_outcome(run, ids, candidates, oracle, epsilon, permutation):
+    diagnostics = PCPivotDiagnostics()
+    clustering = run(ids, candidates, oracle, epsilon=epsilon,
+                     permutation=permutation, diagnostics=diagnostics)
+    clustering.check_invariants()
+    return (clustering.to_state(), oracle.stats.pairs_issued,
+            oracle.stats.iterations, oracle.batches, diagnostics.ks,
+            diagnostics.predicted_waste, diagnostics.issued_per_round)
+
+
+def _merged_reference(ids, candidates, fresh_oracle, epsilon, permutation):
+    """The whole-graph oracle run on each component alone, merged round
+    by round: the accounting the production executor must report.
+    Singleton components ask nothing and are clustered without a round."""
+    batches, ks, waste, issued = [], [], [], []
+    pairs = iterations = 0
+    for members in connected_components(ids, candidates.pairs):
+        if len(members) == 1:
+            continue
+        member_set = set(members)
+        local = make_candidates({
+            pair: candidates.score(*pair) for pair in candidates.pairs
+            if pair[0] in member_set})
+        (_, comp_pairs, comp_iterations, comp_batches, comp_ks, comp_waste,
+         comp_issued) = _pc_pivot_outcome(
+            reference.pc_pivot, list(members), local, fresh_oracle(),
+            epsilon, permutation)
+        pairs += comp_pairs
+        iterations = max(iterations, comp_iterations)
+        for depth, (batch, k, w, n) in enumerate(
+                zip(comp_batches, comp_ks, comp_waste, comp_issued)):
+            if depth == len(ks):
+                batches.append(())
+                ks.append(0)
+                waste.append(0)
+                issued.append(0)
+            batches[depth] = tuple(sorted(batches[depth] + batch))
+            ks[depth] += k
+            waste[depth] += w
+            issued[depth] += n
+    return pairs, iterations, batches, ks, waste, issued
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000), st.sampled_from(EPSILONS))
 def test_pc_pivot_engines_agree(seed, epsilon):
+    """Same clustering (ids included) as the whole-graph oracle; stats,
+    crowd batches and diagnostics equal the oracle run per component
+    and merged round by round."""
     ids, candidates, fresh_oracle = random_pivot_state(seed)
-    outcomes = {}
-    for engine, run in PC_PIVOTS.items():
-        oracle = fresh_oracle()
-        diagnostics = PCPivotDiagnostics()
-        clustering = run(ids, candidates, oracle, epsilon=epsilon,
-                         seed=seed, diagnostics=diagnostics)
-        clustering.check_invariants()
-        outcomes[engine] = (
-            clustering.as_sets(),
-            oracle.stats.pairs_issued,
-            oracle.stats.iterations,
-            oracle.batches,
-            diagnostics.ks,
-            diagnostics.predicted_waste,
-            diagnostics.issued_per_round,
-        )
-    assert outcomes["fast"] == outcomes["reference"]
+    permutation = Permutation.random(ids, seed=seed)
+    fast = _pc_pivot_outcome(pc_pivot, ids, candidates, fresh_oracle(),
+                             epsilon, permutation)
+    whole_graph = _pc_pivot_outcome(reference.pc_pivot, ids, candidates,
+                                    fresh_oracle(), epsilon, permutation)
+    assert fast[0] == whole_graph[0]
+    assert fast[1:] == _merged_reference(ids, candidates, fresh_oracle,
+                                         epsilon, permutation)
 
 
 @settings(max_examples=30, deadline=None)
@@ -163,14 +202,25 @@ def test_choose_pivots_matches_reference(seed, epsilon):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_pc_pivot_event_streams_identical(seed):
+    """On one connected component the per-component executor *is* the
+    whole-graph loop: identical batches, diagnostics and event stream."""
     ids, candidates, fresh_oracle = random_pivot_state(seed)
-    streams = {}
+    largest = max(connected_components(ids, candidates.pairs), key=len)
+    member_set = set(largest)
+    local = make_candidates({pair: candidates.score(*pair)
+                             for pair in candidates.pairs
+                             if pair[0] in member_set})
+    permutation = Permutation.random(ids, seed=seed)
+    streams, outcomes = {}, {}
     for engine, run in PC_PIVOTS.items():
         obs = ObsContext()
         with obs.span("generation"):
-            run(ids, candidates, fresh_oracle(), seed=seed, obs=obs)
+            outcomes[engine] = _pc_pivot_outcome(
+                lambda *args, **kwargs: run(*args, obs=obs, **kwargs),
+                list(largest), local, fresh_oracle(), 0.1, permutation)
         streams[engine] = _collected_events(obs)
     assert streams["fast"] == streams["reference"]
+    assert outcomes["fast"] == outcomes["reference"]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -188,12 +238,18 @@ def test_crowd_pivot_event_streams_identical(seed):
 @pytest.mark.parametrize("parallel", (True, False))
 def test_run_acd_engines_agree(tiny_paper, parallel):
     """End to end: ``run_acd`` (``parallel``) or Crowd-Pivot then
-    Crowd-Refine over one oracle equals the reference generation oracle
-    followed by the production refinement."""
+    Crowd-Refine over one oracle equals the oracle composition of the
+    same phases, and ``run_acd``'s generation clustering equals the
+    whole-graph oracle's."""
     ids, candidates = tiny_paper.record_ids, tiny_paper.candidates
     if parallel:
         result = run_acd(ids, candidates, tiny_paper.answers, seed=2)
         fast, fast_stats = result.clustering, result.stats
+        generation = run_acd(ids, candidates, tiny_paper.answers, seed=2,
+                             refine=False).clustering
+        whole_graph = reference.pc_pivot(
+            ids, candidates, CrowdOracle(tiny_paper.answers), seed=2)
+        assert generation.to_state() == whole_graph.to_state()
     else:
         oracle = CrowdOracle(tiny_paper.answers)
         fast = crowd_refine(crowd_pivot(ids, candidates, oracle, seed=2),
@@ -201,7 +257,7 @@ def test_run_acd_engines_agree(tiny_paper, parallel):
         fast_stats = oracle.stats
     clustering, stats = reference.run_acd(
         ids, candidates, tiny_paper.answers, seed=2, parallel=parallel,
-        generation=reference.pc_pivot if parallel else reference.crowd_pivot,
+        generation=pc_pivot if parallel else reference.crowd_pivot,
         refinement=pc_refine if parallel else crowd_refine,
     )
     assert fast.as_sets() == clustering.as_sets()
@@ -211,9 +267,11 @@ def test_run_acd_engines_agree(tiny_paper, parallel):
 
 @pytest.mark.parametrize("seed", (0, 1))
 def test_engines_agree_under_faulty_crowd(seed):
-    """Each engine on its own fault-injecting platform (identical seeds):
-    the platforms replay deterministically, so equivalence holds iff the
-    engines issue identical batches in identical order."""
+    """``run_acd`` inline and the phase composition over one oracle, each
+    on its own fault-injecting platform (identical seeds): the platforms
+    replay deterministically, so equivalence holds iff ``run_acd`` posts
+    the platform exactly the batches the composition asks, and its stats
+    (fault counters included) are the oracle's."""
     dataset = generate("restaurant", scale=0.05, seed=seed)
     candidates = build_candidate_set(
         dataset.records, jaccard_similarity_function(),
@@ -228,9 +286,9 @@ def test_engines_agree_under_faulty_crowd(seed):
                                 fault_model)
     clustering, stats = reference.run_acd(
         dataset.record_ids, candidates, answers, seed=seed,
-        refinement=pc_refine)
-    assert (result.clustering.as_sets(), result.stats.pairs_issued) == (
-        clustering.as_sets(), stats.pairs_issued)
+        generation=pc_pivot, refinement=pc_refine)
+    assert (result.clustering.as_sets(), result.stats.snapshot()) == (
+        clustering.as_sets(), stats.snapshot())
 
 
 def test_unknown_engine_rejected():
@@ -242,17 +300,18 @@ def test_unknown_engine_rejected():
         crowd_pivot(ids, candidates, fresh_oracle(), engine="reference")
 
 
-def test_partial_pivot_rejects_half_supplied_precomputation():
-    """pivots and predicted_waste are both required: the self-deriving
-    round lives only in repro.reference."""
+def test_partial_pivot_is_reference_only():
+    """The whole-graph Partial-Pivot round is a test oracle: production
+    keeps only its two halves (``pivot_incident_pairs`` /
+    ``form_clusters``), and the oracle still rejects ``k < 1``."""
+    import repro.core.partial_pivot as core_partial_pivot
+
+    assert not hasattr(core_partial_pivot, "partial_pivot")
     ids, candidates, fresh_oracle = random_pivot_state(3)
     graph = CandidateGraph(ids, candidates.pairs)
-    permutation = Permutation.random(ids, seed=0)
-    pivots = permutation.ordered(graph.vertices)[:1]
-    with pytest.raises(TypeError, match="predicted_waste"):
-        partial_pivot(graph, 1, fresh_oracle(), pivots=pivots)
-    with pytest.raises(TypeError, match="pivots"):
-        partial_pivot(graph, 1, fresh_oracle(), predicted_waste=0)
+    with pytest.raises(ValueError, match="k must be"):
+        reference.partial_pivot(graph, 0, Permutation.random(ids, seed=0),
+                                fresh_oracle())
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +423,7 @@ class TestLiveVertexOrder:
 
 
 # ---------------------------------------------------------------------------
-# Sharded generation: component execution through the pipeline
+# Component execution: inline, on the pool, and under streamed pruning
 # ---------------------------------------------------------------------------
 
 #: Streamed-pruning shard counts; each seals components in its own order
@@ -372,12 +431,10 @@ class TestLiveVertexOrder:
 SHARD_COUNTS = (1, 2, 3, 5)
 
 
-def _pipeline_generation(ids, candidates, answers, seed, epsilon=0.1,
-                         workers=0):
-    """Pre-pruned component execution of the generation phase."""
-    return run_pipeline(answers, record_ids=ids, candidates=candidates,
-                        seed=seed, epsilon=epsilon, refine=False,
-                        workers=workers).result
+def _generation(ids, candidates, answers, seed, epsilon=0.1, workers=0):
+    """Pre-pruned generation phase through ``run_acd``."""
+    return run_acd(ids, candidates, answers, seed=seed, epsilon=epsilon,
+                   refine=False, workers=workers)
 
 
 class RecordingAnswers:
@@ -403,28 +460,29 @@ _LARGESCALE_CROWD = WorkerPool(difficulty=difficulty_model("largescale"),
 
 
 def _streamed_generation(dataset, seed, epsilon, shards):
-    """Streamed-pruning generation, inline: the recorder sees every ask."""
+    """Streamed-pruning generation on a two-worker pool; the parent's
+    merged-round replay shows the recorder every pair asked."""
     obs = ObsContext()
     answers = RecordingAnswers(AnswerFile(dataset.gold, _LARGESCALE_CROWD))
-    piped = run_pipeline(
-        answers, records=dataset.records,
+    result = run_acd(
+        answers=answers, records=dataset.records,
         similarity=jaccard_similarity_function(),
         threshold=PRUNING_THRESHOLD, pruning_shards=shards, seed=seed,
-        epsilon=epsilon, refine=False, obs=obs,
+        epsilon=epsilon, refine=False, obs=obs, workers=2,
     )
-    return piped, obs, answers.pairs
+    return result, obs, answers.pairs
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000), st.sampled_from(EPSILONS))
 def test_sharded_clustering_identical_to_classic(seed, epsilon):
-    """Component execution reproduces the classic engine's clustering —
-    including cluster IDs."""
+    """``run_acd``'s generation reproduces the whole-graph oracle's
+    clustering — including cluster IDs."""
     ids, candidates, fresh_oracle = random_pivot_state(seed)
-    classic = pc_pivot(ids, candidates, fresh_oracle(), epsilon=epsilon,
-                       seed=seed)
-    sharded = _pipeline_generation(ids, candidates,
-                                   fresh_oracle().source, seed, epsilon)
+    classic = reference.pc_pivot(ids, candidates, fresh_oracle(),
+                                 epsilon=epsilon, seed=seed)
+    sharded = _generation(ids, candidates, fresh_oracle().source, seed,
+                          epsilon)
     sharded.clustering.check_invariants()
     assert sharded.clustering.to_state() == classic.to_state()
 
@@ -433,8 +491,7 @@ def _accounting_invariant_across_shard_counts(seed, epsilon):
     dataset = generate("largescale", scale=0.05, seed=seed, confusion=0.25)
     outcomes = []
     for shards in SHARD_COUNTS:
-        piped, obs, _ = _streamed_generation(dataset, seed, epsilon, shards)
-        result = piped.result
+        result, obs, _ = _streamed_generation(dataset, seed, epsilon, shards)
         diagnostics = result.pivot_diagnostics
         outcomes.append((
             result.clustering.to_state(),
@@ -454,14 +511,14 @@ def _pair_set_invariant_and_waste_bounded(seed, epsilon):
     dataset = generate("largescale", scale=0.05, seed=seed, confusion=0.25)
     pair_sets = []
     for shards in (1, 3, 5):
-        piped, _, issued = _streamed_generation(dataset, seed, epsilon,
-                                                shards)
+        result, _, issued = _streamed_generation(dataset, seed, epsilon,
+                                                 shards)
         pair_sets.append(issued)
-        assert len(issued) == piped.result.stats.pairs_issued
-        assert issued <= set(piped.candidates.pairs)
+        assert len(issued) == result.stats.pairs_issued
+        assert issued <= set(result.candidates.pairs)
         # Equation 4, summed per round: predicted waste within ε of issued.
-        assert (piped.result.pivot_diagnostics.total_predicted_waste
-                <= epsilon * piped.result.stats.pairs_issued + 1e-9)
+        assert (result.pivot_diagnostics.total_predicted_waste
+                <= epsilon * result.stats.pairs_issued + 1e-9)
     assert pair_sets[0] == pair_sets[1] == pair_sets[2]
 
 
@@ -476,55 +533,54 @@ def test_sharded_accounting_invariant_across_shard_counts():
 def test_sharded_pair_set_invariant_and_waste_bounded():
     """The issued pair set is invariant across shard counts, stays within
     the candidate set, and honors the per-component Equation-4 bound.
-    (The round structure differs from the *classic* engine's: the global
-    permutation prefix couples components in classic Equation-4 rounds,
-    so only the clustering is pinned across engines.)"""
+    (The round structure differs from the whole-graph oracle's: the
+    global permutation prefix couples components in its Equation-4
+    rounds, so only the clustering is pinned across the two.)"""
     for seed, epsilon in ((0, 0.1), (3, 0.05), (4, 1.0)):
         _pair_set_invariant_and_waste_bounded(seed, epsilon)
 
 
 def test_run_acd_sharded_agrees(tiny_paper):
-    """End-to-end generation: component execution through
-    ``run_pipeline`` yields ``run_acd``'s classic clustering (ids
-    included), and every worker count yields byte-identical stats."""
-    base = run_acd(tiny_paper.record_ids, tiny_paper.candidates,
-                   tiny_paper.answers, seed=2, refine=False)
+    """End-to-end generation: every worker count yields the whole-graph
+    oracle's clustering (ids included) and byte-identical stats."""
+    base = reference.pc_pivot(tiny_paper.record_ids, tiny_paper.candidates,
+                              CrowdOracle(tiny_paper.answers), seed=2)
     sharded = {
-        workers: run_pipeline(tiny_paper.answers,
-                              record_ids=tiny_paper.record_ids,
-                              candidates=tiny_paper.candidates, seed=2,
-                              refine=False, workers=workers).result
+        workers: _generation(tiny_paper.record_ids, tiny_paper.candidates,
+                             tiny_paper.answers, seed=2, workers=workers)
         for workers in (0, 2, 3)
     }
     first = sharded[0]
     for result in sharded.values():
-        assert result.clustering.to_state() == base.clustering.to_state()
+        assert result.clustering.to_state() == base.to_state()
         assert result.stats == first.stats
 
 
 class TestShardedValidation:
     def test_negative_shards_rejected(self, tiny_paper):
         with pytest.raises(ValueError, match="shards"):
-            run_pipeline(tiny_paper.answers,
-                         records=tiny_paper.dataset.records,
-                         similarity=jaccard_similarity_function(),
-                         pruning_shards=-1)
+            run_acd(answers=tiny_paper.answers,
+                    records=tiny_paper.dataset.records,
+                    similarity=jaccard_similarity_function(),
+                    pruning_shards=-1)
 
     def test_processes_without_shards_rejected(self, tiny_paper):
-        """Pool workers without component execution would change nothing
-        but the run's fingerprint."""
-        with pytest.raises(ValueError, match="pipeline"):
-            run_method("PC-Pivot", tiny_paper, pipeline_workers=2)
+        """There is one executor, so the knobs that picked one are gone:
+        ``workers=`` sizes its pool."""
+        for knob in ("pipeline", "pipeline_workers"):
+            with pytest.raises(TypeError, match=knob):
+                run_method("PC-Pivot", tiny_paper, **{knob: 2})
 
     def test_non_pair_deterministic_source_rejected(self):
         """FallbackAnswers tracks degraded pairs statefully — forking it
-        into workers could change answers, so component execution
-        refuses it."""
+        into workers could change answers, so a pool refuses it (inline
+        execution takes it)."""
         ids, candidates, _ = random_pivot_state(1)
         source = FallbackAnswers(ScriptedAnswers({}, num_workers=3),
                                  fallback=lambda pair: 0.0)
         with pytest.raises(ValueError, match="pair-deterministic"):
-            _pipeline_generation(ids, candidates, source, seed=1)
+            _generation(ids, candidates, source, seed=1, workers=2)
+        _generation(ids, candidates, source, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +590,8 @@ class TestShardedValidation:
 
 class TestCLI:
     def test_run_with_reference_engine(self, tmp_path):
-        """``repro run`` reports what the reference generation oracle
-        (followed by the production refinement) computes."""
+        """``repro run`` reports what the oracle composition of the
+        production phases computes."""
         output = tmp_path / "run.json"
         assert main(["run", "restaurant", "--scale", "0.05",
                      "--output", str(output)]) == 0
@@ -544,15 +600,14 @@ class TestCLI:
         clustering, stats = reference.run_acd(
             instance.record_ids, instance.candidates, instance.answers,
             seed=7, pairs_per_hit=instance.setting.pairs_per_hit,
-            refinement=pc_refine)
+            generation=pc_pivot, refinement=pc_refine)
         assert rollup["pairs_issued"] == stats.pairs_issued
         assert rollup["iterations"] == stats.iterations
         assert rollup["f1"] == pairwise_scores(clustering,
                                                instance.dataset.gold).f1
 
     def test_run_with_pivot_shards(self, capsys):
-        """Component-sharded generation runs through ``--pipeline``."""
+        """``--parallel`` sizes the generation pool too."""
         assert main(["run", "restaurant", "--scale", "0.05",
-                     "--method", "PC-Pivot", "--pipeline",
-                     "--pipeline-workers", "2"]) == 0
+                     "--method", "PC-Pivot", "--parallel", "2"]) == 0
         assert "F1" in capsys.readouterr().out

@@ -1,14 +1,13 @@
-"""Pipelined ACD: cross-configuration byte-identity, classic parity, wiring.
+"""ACD refinement across executor configurations: byte-identity, parity,
+wiring.
 
-:func:`~repro.runtime.pipeline.run_pipeline` (``run_method(...,
-pipeline=True)``) decomposes pruning and cluster generation by
-component, then refines with the same global PC-Refine loop as
-:func:`~repro.core.acd.run_acd`.  Every ``{pruning shards, workers}``
+:func:`~repro.core.acd.run_acd` decomposes pruning and cluster generation
+by component — inline or on a worker pool — then refines with one global
+PC-Refine loop in the parent.  Every ``{pruning shards, workers}``
 configuration produces a byte-identical clustering, crowd stats, and
-diagnostics.  Parity with the classic executor is exact given the same
-generation state, and is asserted here through the checkpoint route —
-classic generation writes a ``generation`` checkpoint, and the pipeline
-resumes from it, so only refinement runs under the pipeline.
+diagnostics.  Refinement parity is also asserted through the checkpoint
+route: an inline generation writes a ``generation`` checkpoint, and a
+pool-configured run resumes from it, so only refinement runs there.
 """
 
 import tempfile
@@ -25,7 +24,6 @@ from repro.experiments.configs import PRUNING_THRESHOLD, difficulty_model
 from repro.experiments.runner import prepare_instance, run_method
 from repro.pruning.candidate import build_candidate_set
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.pipeline import run_pipeline
 from repro.similarity.composite import jaccard_similarity_function
 
 SEED = 3
@@ -57,27 +55,26 @@ def _classic(instance, seed=SEED):
 
 
 def _classic_generation_then_sharded_refine(instance, seed=SEED, workers=0):
-    """Classic PC-Pivot, then the pipeline's PC-Refine resumed from its
-    ``generation`` checkpoint (the pipeline adds a ``refinement`` one)."""
+    """An inline generation-only run, then a ``workers``-configured run
+    resumed from its ``generation`` checkpoint (which adds a
+    ``refinement`` one)."""
     with tempfile.TemporaryDirectory() as tmp:
         store = CheckpointStore(Path(tmp), config={"seed": seed})
         run_acd(instance.record_ids, instance.candidates, instance.answers,
                 seed=seed, refine=False, checkpoints=store)
-        result = run_pipeline(instance.answers,
-                              record_ids=instance.record_ids,
-                              candidates=instance.candidates,
-                              workers=workers, checkpoints=store,
-                              resume=True).result
+        result = run_acd(instance.record_ids, instance.candidates,
+                         instance.answers, workers=workers,
+                         checkpoints=store, resume=True)
     return _outcome(result)
 
 
 def _streamed(dataset, answers, shards, workers):
-    return _outcome(run_pipeline(
-        answers, records=dataset.records,
+    return _outcome(run_acd(
+        answers=answers, records=dataset.records,
         similarity=jaccard_similarity_function(),
         threshold=PRUNING_THRESHOLD, pruning_shards=shards,
         workers=workers, seed=SEED,
-    ).result)
+    ))
 
 
 class TestCrossConfigIdentity:
@@ -101,11 +98,10 @@ class TestCrossConfigIdentity:
                            num_workers=3)
 
         def run(workers):
-            return _outcome(run_pipeline(
-                AnswerFile(dataset.gold, crowd),
-                record_ids=dataset.record_ids, candidates=candidates,
-                workers=workers, seed=SEED,
-            ).result)
+            return _outcome(run_acd(
+                dataset.record_ids, candidates,
+                AnswerFile(dataset.gold, crowd), workers=workers, seed=SEED,
+            ))
 
         reference = run(0)
         assert reference["rounds"] >= 1
@@ -124,8 +120,9 @@ class TestCrossConfigIdentity:
 
 
 class TestClassicParity:
-    """Resumed from the same ``generation`` checkpoint, the pipeline's
-    refinement equals ``run_acd``'s on every outcome key."""
+    """Resumed from the same ``generation`` checkpoint, a resumed run's
+    refinement (any worker count) equals the uninterrupted inline run's
+    on every outcome key."""
 
     @pytest.mark.parametrize("name,scale", [
         ("paper", 0.3), ("restaurant", 0.5), ("product", 0.15),
@@ -167,20 +164,24 @@ class TestClassicParity:
 
 class TestValidation:
     def test_processes_without_shards_rejected(self):
-        """``run_method`` forwards the worker count, and pool workers
-        without component execution are rejected."""
-        with pytest.raises(ValueError, match="pipeline_workers"):
+        """``run_method`` takes ``workers=``; the knob that picked an
+        executor is gone."""
+        with pytest.raises(TypeError, match="pipeline_workers"):
             run_method("ACD", _instance(scale=0.05), seed=7,
                        pipeline_workers=2)
 
-    def test_max_refinement_pairs_rejected(self):
-        """A global sequential pair cap cannot decompose across
-        components, so the component executor has no such option."""
-        instance = _instance(scale=0.05)
-        with pytest.raises(TypeError, match="max_refinement_pairs"):
-            run_pipeline(instance.answers, record_ids=instance.record_ids,
-                         candidates=instance.candidates, seed=7,
-                         max_refinement_pairs=50)
+    def test_max_refinement_pairs_caps_pool_runs(self):
+        """Refinement is global on every executor configuration, so the
+        refinement pair cap applies identically with a pool."""
+        outcomes = []
+        for workers in (0, 2):
+            instance = _instance(scale=0.1)
+            result = run_acd(instance.record_ids, instance.candidates,
+                             instance.answers, seed=7, workers=workers,
+                             max_refinement_pairs=5)
+            assert result.refinement_stats["pairs_issued"] <= 5
+            outcomes.append(_outcome(result))
+        assert outcomes[0] == outcomes[1]
 
     def test_non_pair_deterministic_source_rejected(self):
         instance = _instance(scale=0.05)
@@ -192,8 +193,8 @@ class TestValidation:
                 return 1.0
 
         with pytest.raises(ValueError, match="pair-deterministic"):
-            run_pipeline(Opaque(), record_ids=instance.record_ids,
-                         candidates=instance.candidates)
+            run_acd(instance.record_ids, instance.candidates, Opaque(),
+                    workers=2)
 
 
 class TestRunAcdWiring:
@@ -202,13 +203,11 @@ class TestRunAcdWiring:
         classic = run_acd(instance.record_ids, instance.candidates,
                           instance.answers, seed=7)
         instance = _instance("restaurant", scale=0.3)
-        sharded = run_pipeline(instance.answers,
-                               record_ids=instance.record_ids,
-                               candidates=instance.candidates, seed=7,
-                               workers=2).result
+        sharded = run_acd(instance.record_ids, instance.candidates,
+                          instance.answers, seed=7, workers=2)
         assert (sharded.clustering.to_state()
                 == classic.clustering.to_state())
-        assert sharded.stats.pairs_issued == classic.stats.pairs_issued
+        assert sharded.stats.snapshot() == classic.stats.snapshot()
 
 
 class TestRefinementCheckpoint:
@@ -216,11 +215,9 @@ class TestRefinementCheckpoint:
         config = {"dataset": "largescale", "scale": 0.1, "seed": 0}
 
         def acd(instance, checkpoints=None, resume=False):
-            return run_pipeline(instance.answers,
-                                record_ids=instance.record_ids,
-                                candidates=instance.candidates, seed=7,
-                                checkpoints=checkpoints,
-                                resume=resume).result
+            return run_acd(instance.record_ids, instance.candidates,
+                           instance.answers, seed=7, workers=2,
+                           checkpoints=checkpoints, resume=resume)
 
         uninterrupted = acd(_instance(scale=0.1))
         with tempfile.TemporaryDirectory() as tmp:
@@ -253,8 +250,11 @@ class TestRefinementCheckpoint:
 
 class TestCliWiring:
     def test_cli_defaults_keep_classic_path(self):
+        """By default ``repro run`` generates inline; ``--parallel`` is the
+        one worker-count flag."""
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["run", "restaurant"])
-        assert args.pipeline is False
-        assert args.pipeline_workers == 0
+        assert args.parallel == 0
+        assert not hasattr(args, "pipeline")
+        assert not hasattr(args, "pipeline_workers")

@@ -1,9 +1,9 @@
 """Property: PC-Pivot's wasted pairs stay within ε (Equation 4, Lemmas 3-4).
 
 Over random candidate graphs of at most 12 records, a scripted
-pair-deterministic crowd, a random permutation and a random ε, both
-generation executors — the global :func:`~repro.core.pc_pivot.pc_pivot`
-and the component-decomposed ``run_pipeline(refine=False)`` — must:
+pair-deterministic crowd, a random permutation and a random ε, both the
+whole-graph oracle :func:`repro.reference.pc_pivot` and the
+component-decomposed ``run_acd(refine=False)`` must:
 
 - choose every round so that its Equation-3 predicted waste is at most
   ε times the pairs the round issues (Equation 4);
@@ -17,11 +17,12 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pc_pivot import PCPivotDiagnostics, pc_pivot
+from repro import reference
+from repro.core.acd import run_acd
+from repro.core.pc_pivot import PCPivotDiagnostics
 from repro.core.permutation import Permutation
 from repro.core.pivot import crowd_pivot
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.pipeline import run_pipeline
 from tests.conftest import make_candidates, scripted_oracle
 
 CONFIDENCES = (0.0, 0.2, 1 / 3, 0.6, 2 / 3, 1.0)
@@ -46,19 +47,20 @@ def pivot_instances(draw):
 def _global(ids, candidates, crowd, permutation, epsilon):
     oracle = scripted_oracle(crowd, num_workers=3)
     diagnostics = PCPivotDiagnostics()
-    clustering = pc_pivot(ids, candidates, oracle, epsilon=epsilon,
-                          permutation=permutation, diagnostics=diagnostics)
+    clustering = reference.pc_pivot(ids, candidates, oracle,
+                                    epsilon=epsilon, permutation=permutation,
+                                    diagnostics=diagnostics)
     return clustering, diagnostics, set(oracle.known_pairs())
 
 
 def _pipelined(ids, candidates, crowd, permutation, epsilon):
     with tempfile.TemporaryDirectory() as tmp:
         store = CheckpointStore(Path(tmp))
-        result = run_pipeline(
-            scripted_oracle(crowd, num_workers=3).source, record_ids=ids,
-            candidates=candidates, epsilon=epsilon, permutation=permutation,
-            refine=False, workers=0, checkpoints=store,
-        ).result
+        result = run_acd(
+            ids, candidates, scripted_oracle(crowd, num_workers=3).source,
+            epsilon=epsilon, permutation=permutation, refine=False,
+            checkpoints=store,
+        )
         issued = {(a, b) for a, b, _ in store.load("generation")["answers"]}
     return result.clustering, result.pivot_diagnostics, issued
 

@@ -95,7 +95,7 @@ class TestChaosSuiteChecks:
         by_kind = {check["fault"]: check for check in checks}
         assert set(by_kind) == {"kill", "delay", "poison"}
         assert all(check["byte_identical"] for check in checks)
-        assert all(check["classic_identical"] for check in checks)
+        assert all(check["crowd_pivot_identical"] for check in checks)
         assert all(check["barrier_identical"] for check in checks)
         assert by_kind["kill"]["runtime_counters"].get(
             "runtime_worker_crashes_total", 0) >= 1

@@ -1,16 +1,21 @@
-"""Component-streaming pipelined executor: byte-identity vs barrier
-execution under shard counts, worker processes, fault schedules,
-checkpoint kill-resume, and journal composition.
+"""The one ACD executor across worker counts and entry shapes:
+byte-identity vs barrier execution under shard counts, worker processes,
+fault schedules, checkpoint kill-resume, and journal composition.
 
-The pipelined executor's hard contract is that overlapping the
-pruning → pivot → refine phase barriers changes *when* work runs, never
-*what* it computes: the candidate set and the final clustering (cluster
-ids included) must be byte-identical to barrier execution — the full
-pruning join first, then the pre-pruned pipeline run inline — for every
-``{pruning shards, workers, fault plan}`` configuration.  The sealing
-accumulator that makes the overlap safe is property-tested here against
+:func:`~repro.core.acd.run_acd` runs generation per component, inline
+(``workers <= 1``) or on one pool that — given records — also runs the
+pruning shards and dispatches each component as soon as it seals.  The
+hard contract is that this changes *when* work runs, never *what* it
+computes: the candidate set and the final clustering (cluster ids
+included), stats, diagnostics, crowd-phase events, journal and
+checkpoints must be byte-identical to barrier execution — the full
+pruning join first, then the pre-pruned run inline — for every
+``{pruning shards, workers, fault plan}`` configuration and both entry
+shapes.  The sealing accumulator that makes the overlap safe is
+property-tested here against
 :func:`~repro.pruning.components.connected_components` under arbitrary
-shard-completion orders.
+shard-completion orders.  ``run_pipeline`` is a forwarding shim; one
+test pins that it forwards.
 """
 
 import multiprocessing
@@ -21,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.acd import run_acd
 from repro.crowd.cache import AnswerFile
 from repro.crowd.latency import SimulatedLatencyAnswers
 from repro.crowd.persistence import JournalingAnswerFile
@@ -39,13 +45,14 @@ from repro.runtime.autoshard import (
 )
 from repro.runtime.checkpoint import CheckpointMismatch, CheckpointStore
 from repro.runtime.faults import ProcessFaultPlan
+from repro.perf.timing import StageTimings
 from repro.runtime.pipeline import run_pipeline
 from repro.runtime.supervisor import SupervisorPolicy
 from repro.similarity.composite import jaccard_similarity_function
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the pipelined worker pool requires the 'fork' start method",
+    reason="the generation worker pool requires the 'fork' start method",
 )
 
 SEED = 3
@@ -91,17 +98,15 @@ def _pipeline_outcome(pruning_shards=4, workers=0, fault_plan=None,
         checkpoints=checkpoints, resume=resume,
     )
     if pre_pruned:
-        piped = run_pipeline(source, record_ids=_DATASET.record_ids,
-                             candidates=_CANDIDATES, **kwargs)
+        result = run_acd(_DATASET.record_ids, _CANDIDATES, source, **kwargs)
     else:
-        piped = run_pipeline(source, records=_DATASET.records,
-                             similarity=jaccard_similarity_function(),
-                             pruning_shards=pruning_shards, **kwargs)
-    result = piped.result
+        result = run_acd(answers=source, records=_DATASET.records,
+                         similarity=jaccard_similarity_function(),
+                         pruning_shards=pruning_shards, **kwargs)
     return {
-        "pairs": piped.candidates.pairs,
-        "scores": tuple(sorted(piped.candidates.machine_scores.items())),
-        "threshold": piped.candidates.threshold,
+        "pairs": result.candidates.pairs,
+        "scores": tuple(sorted(result.candidates.machine_scores.items())),
+        "threshold": result.candidates.threshold,
         "clustering": result.clustering.to_state(),
         "stats": result.stats.snapshot(),
         "batches": list(result.stats.batch_sizes),
@@ -125,17 +130,15 @@ def _core(outcome):
 
 
 def _identity_view(outcome):
-    """Everything that must be byte-identical across pipelined
+    """Everything that must be byte-identical across executor
     configurations (fault counters naturally differ by schedule)."""
     return {key: value for key, value in outcome.items()
             if key != "counters"}
 
 
 def _barrier_core():
-    result = run_pipeline(
-        AnswerFile(_DATASET.gold, _WORKERS), record_ids=_DATASET.record_ids,
-        candidates=_CANDIDATES, seed=SEED,
-    ).result
+    result = run_acd(_DATASET.record_ids, _CANDIDATES,
+                     AnswerFile(_DATASET.gold, _WORKERS), seed=SEED)
     return {
         "pairs": _CANDIDATES.pairs,
         "scores": tuple(sorted(_CANDIDATES.machine_scores.items())),
@@ -154,7 +157,7 @@ class TestBarrierParity:
     def test_pipeline_matches_barrier_across_configs(self):
         """Streamed pruning + overlapped crowd phases reproduce barrier
         execution byte for byte at every {shards, workers} point, and
-        the pipelined runs also agree on the crowd-phase event stream."""
+        the pool runs also agree on the crowd-phase event stream."""
         barrier = _barrier_core()
         outcomes = [
             _pipeline_outcome(pruning_shards=shards, workers=workers)
@@ -172,12 +175,59 @@ class TestBarrierParity:
         barrier run on the pool, traced or not."""
         outcome = _pipeline_outcome(pre_pruned=True, workers=2)
         assert _core(outcome) == _barrier_core()
-        result = run_pipeline(AnswerFile(_DATASET.gold, _WORKERS),
-                              record_ids=_DATASET.record_ids,
-                              candidates=_CANDIDATES, seed=SEED,
-                              workers=2).result
+        result = run_acd(_DATASET.record_ids, _CANDIDATES,
+                         AnswerFile(_DATASET.gold, _WORKERS), seed=SEED,
+                         workers=2)
         assert result.clustering.to_state() == outcome["clustering"]
         assert result.stats.snapshot() == outcome["stats"]
+
+    def test_workers_byte_identical_on_both_entry_shapes(self):
+        """``workers=0`` and ``workers=2`` agree byte for byte on each
+        entry shape: result, stats, diagnostics, crowd-phase events, the
+        journal file and every checkpoint file."""
+        from repro.crowd.persistence import JournalingAnswerFile
+
+        def artifacts(pre_pruned, workers):
+            with tempfile.TemporaryDirectory() as tmp:
+                journal = Path(tmp) / "run.journal"
+                store = CheckpointStore(Path(tmp) / "ck", config={"k": 1})
+                with JournalingAnswerFile(
+                        AnswerFile(_DATASET.gold, _WORKERS),
+                        journal) as answers:
+                    outcome = _identity_view(_pipeline_outcome(
+                        pre_pruned=pre_pruned, workers=workers,
+                        answers=answers, checkpoints=store))
+                files = {path.name: path.read_bytes()
+                         for path in sorted((Path(tmp) / "ck").iterdir())}
+                return outcome, journal.read_bytes(), files
+
+        for pre_pruned in (False, True):
+            inline = artifacts(pre_pruned, 0)
+            assert inline[2], "no checkpoint written"
+            assert artifacts(pre_pruned, 2) == inline, pre_pruned
+
+    def test_run_pipeline_forwards_to_run_acd(self):
+        """The shim returns ``run_acd``'s result, candidates and pool
+        report, and copies the two dispatch meters into ``timings``."""
+        timings = StageTimings()
+        piped = run_pipeline(AnswerFile(_DATASET.gold, _WORKERS),
+                             records=_DATASET.records,
+                             similarity=jaccard_similarity_function(),
+                             threshold=PRUNING_THRESHOLD, workers=2,
+                             seed=SEED, timings=timings)
+        direct = run_acd(answers=AnswerFile(_DATASET.gold, _WORKERS),
+                         records=_DATASET.records,
+                         similarity=jaccard_similarity_function(),
+                         threshold=PRUNING_THRESHOLD, workers=2, seed=SEED)
+        assert (piped.result.clustering.to_state()
+                == direct.clustering.to_state())
+        assert piped.candidates is piped.result.candidates
+        assert piped.report is piped.result.runtime
+        assert piped.report.tasks > 0
+        assert (timings.meters["pipeline_bytes_shipped_total"]
+                == piped.report.bytes_shipped)
+        assert timings.meters["pipeline_bytes_per_task"] == round(
+            piped.report.bytes_shipped / piped.report.tasks, 2)
 
 
 class TestFaultByteIdentity:
@@ -232,7 +282,7 @@ class TestSimulatedLatency:
 
 class TestJournalComposition:
     def test_journaled_pipelined_run_replays_byte_identical(self):
-        """A journaled pipelined run re-invoked on the same journal
+        """A journaled pool run re-invoked on the same journal
         serves every coordinator batch from the write-ahead log (the
         journal does not grow) and reports byte-identical."""
         from repro.crowd.persistence import AnswerJournal
@@ -254,12 +304,12 @@ class TestJournalComposition:
 
 class TestCheckpointKillResume:
     def test_resume_from_each_checkpoint(self):
-        """A pipelined run killed right after each of the three phase
+        """A pool run killed right after each of the three phase
         checkpoints resumes byte-identical to an uninterrupted run; a
         run that completed refinement resumes without touching the
         crowd at all."""
         config = {"dataset": "largescale", "scale": 0.2, "seed": 0,
-                  "pipeline": True, "pipeline_workers": 2}
+                  "workers": 2}
 
         class Refusing:
             pair_deterministic = True
@@ -267,7 +317,7 @@ class TestCheckpointKillResume:
 
             def confidence(self, a, b):
                 raise AssertionError(
-                    f"restored pipeline re-crowdsourced ({a}, {b})")
+                    f"restored run re-crowdsourced ({a}, {b})")
 
         uninterrupted = _pipeline_outcome(workers=2)
         with tempfile.TemporaryDirectory() as tmp:
@@ -300,17 +350,16 @@ class TestCheckpointKillResume:
 
     def test_resume_under_different_pipeline_config_fails_fast(self):
         """Regression: the checkpoint fingerprint must cover the
-        pipeline knobs — resuming a barrier run's checkpoints with
-        --pipeline (or a different worker count) must fail fast naming
-        the differing keys, not silently splice executions."""
+        execution knobs ``repro run`` records — resuming checkpoints under
+        a different worker or shard count must fail fast naming the
+        differing keys, not silently splice executions."""
         base = {"dataset": "largescale", "scale": 0.2, "seed": 0,
-                "pipeline": False, "pipeline_workers": 0}
+                "parallel": 0, "shards": 0}
         with tempfile.TemporaryDirectory() as tmp:
             store = CheckpointStore(tmp, config=base)
             store.save("pruning", {"pairs": [], "scores": [],
                                    "threshold": 0.7})
-            for key, value in (("pipeline", True),
-                               ("pipeline_workers", 4)):
+            for key, value in (("parallel", 4), ("shards", 3)):
                 mismatched = CheckpointStore(tmp,
                                              config={**base, key: value})
                 with pytest.raises(CheckpointMismatch) as excinfo:

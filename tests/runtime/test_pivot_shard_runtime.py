@@ -2,12 +2,12 @@
 worker counts, fault schedules, fork fallback, and checkpoint kill-resume.
 
 Component generation runs inside the pre-pruned
-:func:`~repro.runtime.pipeline.run_pipeline`.  The merge replays worker
-round logs through the caller's oracle in a canonical component order,
-so the clustering, crowd stats, diagnostics, and event streams must be
+:func:`~repro.core.acd.run_acd`.  The merge replays worker round logs
+through the caller's oracle in a canonical component order, so the
+clustering, crowd stats, diagnostics, and event streams must be
 byte-identical for every ``{workers, fault plan}`` — and the clustering
-itself (cluster IDs included) must equal the classic single-process
-engine's.
+itself (cluster IDs included) must equal the whole-graph oracle
+:func:`repro.reference.pc_pivot`'s.
 """
 
 import multiprocessing
@@ -16,13 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.pc_pivot import pc_pivot
+from repro import reference
+from repro.core.acd import run_acd
 from repro.experiments.runner import prepare_instance
 from repro.obs import ObsContext
 from repro.pruning.parallel import ParallelFallbackWarning
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.faults import ProcessFaultPlan
-from repro.runtime.pipeline import run_pipeline
 from repro.runtime.supervisor import SupervisorPolicy
 
 pytestmark = pytest.mark.skipif(
@@ -45,12 +45,11 @@ def _instance(scale=0.2, seed=0):
 def _generation_outcome(instance, seed=3, processes=0, fault_plan=None,
                         policy=POLICY):
     obs = ObsContext()
-    result = run_pipeline(
-        instance.answers, record_ids=instance.record_ids,
-        candidates=instance.candidates, seed=seed, refine=False,
-        workers=processes, supervisor_policy=policy,
-        fault_plan=fault_plan, obs=obs,
-    ).result
+    result = run_acd(
+        instance.record_ids, instance.candidates, instance.answers,
+        seed=seed, refine=False, workers=processes,
+        supervisor_policy=policy, fault_plan=fault_plan, obs=obs,
+    )
     diagnostics = result.pivot_diagnostics
     events = []
 
@@ -94,8 +93,9 @@ class TestProcessByteIdentity:
         from repro.crowd.oracle import CrowdOracle
 
         instance = _instance()
-        classic = pc_pivot(instance.record_ids, instance.candidates,
-                           CrowdOracle(instance.answers), seed=3)
+        classic = reference.pc_pivot(instance.record_ids,
+                                     instance.candidates,
+                                     CrowdOracle(instance.answers), seed=3)
         parallel = _generation_outcome(_instance(), processes=4)
         assert parallel["clustering"] == classic.to_state()
 
@@ -132,10 +132,10 @@ class TestFaultByteIdentity:
 
 class TestForkFallback:
     def test_fallback_warns_when_fork_unavailable(self, monkeypatch):
-        import repro.runtime.pipeline as pipeline
+        import repro.core.pivot_shard as pivot_shard
         import repro.runtime.supervisor as supervisor
 
-        monkeypatch.setattr(pipeline, "fork_available", lambda: False)
+        monkeypatch.setattr(pivot_shard, "fork_available", lambda: False)
         monkeypatch.setattr(supervisor, "_fork_available", lambda: False)
         serial = _generation_outcome(_instance())
         with pytest.warns(ParallelFallbackWarning):
@@ -152,14 +152,13 @@ class TestCheckpointKillResume:
         resumes in a fresh process and finishes byte-identical to an
         uninterrupted sharded run — without re-running generation."""
         config = {"dataset": "largescale", "scale": 0.2, "seed": 0,
-                  "pipeline": True}
+                  "workers": 2}
 
         def acd(instance, checkpoints=None, resume=False):
-            return run_pipeline(
-                instance.answers, record_ids=instance.record_ids,
-                candidates=instance.candidates, seed=7, workers=2,
-                checkpoints=checkpoints, resume=resume,
-            ).result
+            return run_acd(
+                instance.record_ids, instance.candidates, instance.answers,
+                seed=7, workers=2, checkpoints=checkpoints, resume=resume,
+            )
 
         uninterrupted = acd(_instance())
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,11 +1,11 @@
-"""Pipelined refinement composed with the runtime layer: journal replay
-and checkpoint kill-resume.
+"""Refinement after a pool generation, composed with the runtime layer:
+journal replay and checkpoint kill-resume.
 
-:func:`~repro.runtime.pipeline.run_pipeline` refines with the global
-PC-Refine loop in the parent process, through the caller's oracle, once
-the pool has drained generation — so a journaled run replays its
-refinement batches from the write-ahead log, and a ``refinement``
-checkpoint resumes without touching the crowd.  The confused largescale
+:func:`~repro.core.acd.run_acd` refines with the global PC-Refine loop in
+the parent process, through the caller's oracle, once the pool has
+drained generation — so a journaled run replays its refinement batches
+from the write-ahead log, and a ``refinement`` checkpoint resumes without
+touching the crowd.  The confused largescale
 population gives refinement real multi-round work.
 """
 
@@ -21,7 +21,7 @@ from repro.datasets.registry import generate
 from repro.experiments.configs import PRUNING_THRESHOLD, difficulty_model
 from repro.pruning.candidate import build_candidate_set
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.pipeline import run_pipeline
+from repro.core.acd import run_acd
 from repro.similarity.composite import jaccard_similarity_function
 
 pytestmark = pytest.mark.skipif(
@@ -40,7 +40,7 @@ _WORKERS = WorkerPool(difficulty=difficulty_model("largescale"),
 
 class TestJournalComposition:
     def test_journaled_sharded_run_replays_byte_identical(self):
-        """A journaled pipelined run re-invoked on the same journal
+        """A journaled pool run re-invoked on the same journal
         serves every parent-side batch from the write-ahead log (the
         journal does not grow) and reports byte-identical.  Forked pivot
         workers recompute their component answers from the
@@ -56,10 +56,8 @@ class TestJournalComposition:
         def acd(journal_path):
             with JournalingAnswerFile(AnswerFile(_DATASET.gold, _WORKERS),
                                       journal_path) as answers:
-                return run_pipeline(
-                    answers, record_ids=_DATASET.record_ids,
-                    candidates=_CANDIDATES, seed=7, workers=2,
-                ).result
+                return run_acd(_DATASET.record_ids, _CANDIDATES, answers,
+                               seed=7, workers=2)
 
         with tempfile.TemporaryDirectory() as tmp:
             journal = Path(tmp) / "run.journal"
@@ -77,19 +75,16 @@ class TestJournalComposition:
 
 class TestCheckpointKillResume:
     def test_refinement_checkpoint_resumes_sharded_run(self):
-        """A run killed right after the pipelined refinement checkpoint
-        resumes in a fresh process and reports byte-identical to an
-        uninterrupted pipelined run — without touching the crowd at
-        all."""
+        """A run killed right after the refinement checkpoint of a pool
+        run resumes in a fresh process and reports byte-identical to an
+        uninterrupted pool run — without touching the crowd at all."""
         config = {"dataset": "largescale", "scale": 0.2, "seed": 0,
-                  "pipeline": True}
+                  "workers": 2}
 
         def acd(answers, checkpoints=None, resume=False):
-            return run_pipeline(
-                answers, record_ids=_DATASET.record_ids,
-                candidates=_CANDIDATES, seed=7, workers=2,
-                checkpoints=checkpoints, resume=resume,
-            ).result
+            return run_acd(_DATASET.record_ids, _CANDIDATES, answers,
+                           seed=7, workers=2, checkpoints=checkpoints,
+                           resume=resume)
 
         uninterrupted = acd(AnswerFile(_DATASET.gold, _WORKERS))
         with tempfile.TemporaryDirectory() as tmp:

@@ -52,7 +52,9 @@ class TestFaultFree:
     def test_matches_serial_map(self):
         results, report = supervised_map(_square, PAYLOADS, processes=3)
         assert results == EXPECTED
-        assert report == RuntimeReport(tasks=len(PAYLOADS))
+        assert report == RuntimeReport(tasks=len(PAYLOADS),
+                                       bytes_shipped=report.bytes_shipped)
+        assert report.bytes_shipped > 0
 
     def test_empty_payloads(self):
         results, report = supervised_map(_square, [], processes=2)
@@ -251,7 +253,7 @@ class TestSupervisedPool:
         assert [results[index] for index in range(8)] == EXPECTED[:8]
         assert pool.report.straggler_redispatches >= 1
         assert pool.report.tasks == 8
-        assert pool.bytes_shipped > 0
+        assert pool.report.bytes_shipped > 0
 
     def test_waiting_on_busy_workers_does_not_spin(self):
         """Regression: a queued task with every worker busy must block in

@@ -180,37 +180,35 @@ class TestRunFlagValidation:
 
 
 class TestExecutionKnobs:
-    def test_pipeline_workers_without_pipeline_rejected(self):
-        """Regression: a worker count without the pipeline computed the
-        same thing as no worker count, yet entered the checkpoint and
-        journal fingerprints — so two equivalent runs refused to resume
-        each other.  Both entry points now reject the combination."""
+    def test_pipeline_workers_without_pipeline_rejected(self, capsys):
+        """There is one ACD executor, so the flags and keywords that
+        picked one are gone: ``--parallel`` / ``workers=`` size its
+        pool."""
         from repro.experiments.runner import prepare_instance, run_method
 
-        with pytest.raises(SystemExit,
-                           match="--pipeline-workers requires --pipeline"):
+        with pytest.raises(SystemExit):
             main(["run", "restaurant", "--scale", "0.05",
                   "--pipeline-workers", "2"])
+        assert "unrecognized arguments" in capsys.readouterr().err
         instance = prepare_instance("restaurant", "3w", scale=0.05)
-        with pytest.raises(ValueError, match="pipeline_workers"):
+        with pytest.raises(TypeError, match="pipeline_workers"):
             run_method("ACD", instance, pipeline_workers=2)
 
     @pytest.mark.parametrize("method",
                              ("CrowdER+", "TransM", "TransNode", "GCER"))
-    def test_pipeline_rejected_for_baselines(self, method):
-        """Regression: ``--pipeline`` was silently dropped for the
-        baselines while the output still recorded ``"pipeline": true``.
-        Only ACD and PC-Pivot run through ``run_acd``; both entry points
-        now reject pipelining for anything else."""
+    def test_pipeline_rejected_for_baselines(self, method, capsys):
+        """``--pipeline`` is gone for every method; baselines run
+        in-process whatever ``workers=`` says."""
         from repro.experiments.runner import prepare_instance, run_method
 
-        with pytest.raises(SystemExit, match="--pipeline applies only"):
+        with pytest.raises(SystemExit):
             main(["run", "restaurant", "--scale", "0.05", "--method",
-                  method, "--pipeline", "--pipeline-workers", "2"])
+                  method, "--pipeline"])
+        assert "unrecognized arguments" in capsys.readouterr().err
         instance = prepare_instance("restaurant", "3w", scale=0.05)
-        with pytest.raises(ValueError, match="pipeline applies only"):
+        with pytest.raises(TypeError, match="pipeline"):
             run_method(method, instance, seed=7, gcer_budget=10,
-                       pipeline=True, pipeline_workers=2)
+                       pipeline=True)
 
     @pytest.mark.parametrize("flag", ("--engine", "--pivot-engine",
                                       "--refine-engine"))
@@ -223,9 +221,14 @@ class TestExecutionKnobs:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_pipeline_workers_with_pipeline_runs(self, capsys):
-        assert main(["run", "restaurant", "--scale", "0.05", "--pipeline",
-                     "--pipeline-workers", "2"]) == 0
-        assert "F1" in capsys.readouterr().out
+        """``--parallel 2`` forks the generation pool and reports exactly
+        what the inline run reports."""
+        assert main(["run", "restaurant", "--scale", "0.05",
+                     "--parallel", "2"]) == 0
+        pooled = capsys.readouterr().out
+        assert main(["run", "restaurant", "--scale", "0.05"]) == 0
+        assert "F1" in pooled
+        assert pooled == capsys.readouterr().out
 
     def test_auto_shards_trace_writes_a_valid_manifest(self, capsys,
                                                        tmp_path):
