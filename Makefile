@@ -1,4 +1,4 @@
-.PHONY: install test bench results-check bench-quick bench-smoke bench-refine bench-pivot bench-scale bench-scale-smoke bench-pipeline chaos-smoke chaos-check chaos-runtime trace-smoke examples lint clean
+.PHONY: install test bench results-check bench-quick bench-smoke bench-refine bench-pivot bench-scale bench-scale-smoke chaos-smoke chaos-check chaos-runtime trace-smoke examples lint clean
 
 install:
 	python setup.py develop
@@ -62,26 +62,14 @@ bench-scale:
 bench-scale-smoke:
 	REPRO_BENCH_SCALE_TIERS=10000 python benchmarks/bench_scale.py
 
-# Streamed-pruning smoke: barrier (full pruning join, then the pre-pruned
-# run_acd) vs run_acd from records, whose pool starts components while
-# pruning runs, on the same pool size under a simulated crowd latency
-# model, asserting byte-identical candidate sets, final clusterings and
-# crowd stats and reporting pipeline_makespan_speedup /
-# pipeline_overlap_efficiency.  Runs a reduced 20k tier for CI runners
-# (the committed BENCH_endtoend.json carries the full 100k tier);
-# regenerates BENCH_endtoend.json at the repo root.
-bench-pipeline:
-	REPRO_BENCH_STAGES=pipelined REPRO_BENCH_PIPELINE_RECORDS=20000 \
-		REPRO_BENCH_PIPELINE_WORKERS=4 \
-		python benchmarks/bench_endtoend.py
-
 # Fault-injection smoke: every pipeline family must terminate under the
 # default hostile crowd (abandonment, timeouts, spammers, early quorum),
 # the supervised worker pool must stay byte-identical under process
 # faults (kills, delays, poison chunks) for the sharded pruning join and
-# for run_acd's generation pool fed by streamed pruning (whose
-# generation clustering is also checked against sequential Crowd-Pivot,
-# and whose result against pruning-then-inline execution), and all three
+# for run_acd from records, whose plan fires in the join's pool and then
+# in the generation pool (its generation clustering is also checked
+# against sequential Crowd-Pivot, and its result against
+# pruning-then-inline execution), and all three
 # phase checkpoints (pruning / generation / refinement) must kill-resume
 # byte-identically.
 # Regenerates CHAOS_smoke.json at the repo root.
@@ -96,8 +84,8 @@ chaos-check: chaos-smoke
 	git diff --exit-code -- CHAOS_smoke.json
 
 # Runtime-focused chaos: the process-fault matrix (worker kills / task
-# delays / poison chunks on sharded 10k pruning and the pipelined
-# executor) and the checkpoint kill-resume checks for all three phases,
+# delays / poison chunks on sharded 10k pruning and on run_acd from
+# records) and the checkpoint kill-resume checks for all three phases,
 # with the crowd-side sweep cut to a single seed.  Writes
 # CHAOS_runtime.json (not tracked).
 chaos-runtime:

@@ -17,9 +17,8 @@ plain ``acd`` and the traced run alternate over ``REPEATS`` samples,
 each after a ``gc.collect()``; their stages are medians with IQRs in
 ``stages_iqr``, and ``trace_overhead_pct`` is the median over repeats of
 the traced-vs-plain difference, with its IQR.  Each
-dataset row, and each side of the pipelined comparison, runs in its own
-forked child (``common.in_fork``), so every peak-RSS meter is that
-row's own.
+dataset row runs in its own forked child (``common.in_fork``), so every
+peak-RSS meter is that row's own.
 
 The ``acd_reference`` stage swaps PC-Refine for its full-re-evaluation
 oracle (from ``repro.reference``) and asserts the same pairs and F1 as
@@ -34,34 +33,6 @@ records the oracle's pairs and F1 next to the ``acd`` stage's.
 Environment knobs:
     REPRO_BENCH_SCALE          dataset scale (default 1.0)
     REPRO_BENCH_PARALLEL       pruning worker processes (default 0)
-    REPRO_BENCH_STAGES         comma list of stage groups to run:
-                               ``datasets`` (the per-dataset stages
-                               above), ``pipelined`` (the makespan
-                               comparison below), or both (the default)
-    REPRO_BENCH_PIPELINE_RECORDS    pipelined-stage record count
-                                    (default 100000)
-    REPRO_BENCH_PIPELINE_LATENCY    simulated crowd-round latency in
-                                    seconds (default 0.002; must be > 0
-                                    for an honest makespan)
-    REPRO_BENCH_PIPELINE_WORKERS    shared-pool worker processes
-                                    (default: the CPUs this process may
-                                    use — more workers than CPUs only
-                                    measures contention)
-    REPRO_BENCH_PIPELINE_SHARDS     pruning shards (default 32)
-    REPRO_BENCH_PIPELINE_CONFUSION  largescale confusion rate
-                                    (default 0.25 — the heavier crowd
-                                    workload widens the overlap window
-                                    the pipeline exploits)
-
-The ``pipelined`` stage times the same 100k-tier largescale workload
-twice under an identical simulated crowd-latency model — barrier
-execution (the full pruning join, then the pre-pruned ``run_acd`` on
-the same pool size) vs ``run_acd`` from records, whose pool starts
-pivot components while pruning still runs — asserts the outputs
-byte-identical, and
-emits ``pipeline_makespan_speedup`` (barrier / pipelined wall-clock) and
-``pipeline_overlap_efficiency`` (the fraction of the shorter
-overlappable phase the pipeline actually hid).
 """
 
 from __future__ import annotations
@@ -103,153 +74,11 @@ SEED = 1
 SETTING = "3w"
 DATASETS = ("paper", "restaurant", "product")
 OUTPUT = REPO_ROOT / "BENCH_endtoend.json"
-STAGES = tuple(
-    part.strip()
-    for part in os.environ.get("REPRO_BENCH_STAGES",
-                               "datasets,pipelined").split(",")
-    if part.strip()
-)
-PIPELINE_RECORDS = int(os.environ.get("REPRO_BENCH_PIPELINE_RECORDS",
-                                      "100000"))
-PIPELINE_LATENCY = float(os.environ.get("REPRO_BENCH_PIPELINE_LATENCY",
-                                        "0.002"))
-
-
-def _available_cpus() -> int:
-    """The CPUs this process may run on (the affinity mask, not the
-    host's core count)."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):
-        return max(1, os.cpu_count() or 1)
-
-
-PIPELINE_WORKERS = int(os.environ.get("REPRO_BENCH_PIPELINE_WORKERS",
-                                      str(_available_cpus())))
-PIPELINE_SHARDS = int(os.environ.get("REPRO_BENCH_PIPELINE_SHARDS", "32"))
-PIPELINE_CONFUSION = float(os.environ.get("REPRO_BENCH_PIPELINE_CONFUSION",
-                                          "0.25"))
 
 #: Plain/traced ACD samples per dataset.  ``acd`` and ``acd_traced`` are
 #: their medians, with the interquartile range in ``stages_iqr``: one
 #: sample each read a traced run faster than a plain one.
 REPEATS = 5
-
-
-def pipelined_stage(runs: dict) -> dict:
-    """Barrier vs pipelined makespan under one crowd-latency model."""
-    from repro.crowd.cache import AnswerFile
-    from repro.crowd.latency import SimulatedLatencyAnswers
-    from repro.crowd.worker import WorkerPool
-    from repro.datasets.registry import generate
-    from repro.experiments.configs import PRUNING_THRESHOLD, difficulty_model
-    from repro.pruning.candidate import build_candidate_set
-    from repro.core.acd import run_acd
-    from repro.similarity.composite import jaccard_similarity_function
-
-    dataset = generate("largescale", scale=PIPELINE_RECORDS / 10_000,
-                       seed=SEED, confusion=PIPELINE_CONFUSION)
-    crowd = WorkerPool(difficulty=difficulty_model("largescale"),
-                       num_workers=3)
-
-    def latency_answers():
-        # Fresh per run: AnswerFile resolves each pair from a pair-seeded
-        # RNG, so both executions see byte-identical crowd answers; the
-        # wrapper makes each worker-side crowd round cost real wall-clock.
-        return SimulatedLatencyAnswers(AnswerFile(dataset.gold, crowd),
-                                       PIPELINE_LATENCY)
-
-    def barrier_side():
-        harness, meters = ObsContext(), StageTimings()
-        with harness.span("barrier_pruning"):
-            candidates = build_candidate_set(
-                dataset.records, jaccard_similarity_function(),
-                threshold=PRUNING_THRESHOLD, shards=PIPELINE_SHARDS,
-                parallel=PIPELINE_WORKERS,
-            )
-        with harness.span("barrier_acd"):
-            barrier = run_acd(dataset.record_ids, candidates,
-                              latency_answers(), seed=SEED,
-                              workers=PIPELINE_WORKERS)
-        meters.record_peak_rss("barrier_peak_rss_bytes")
-        return (harness.tracer.span_summaries(), meters,
-                (candidates.pairs, barrier.clustering.to_state(),
-                 barrier.stats.snapshot(), list(barrier.stats.batch_sizes)))
-
-    def pipelined_side():
-        harness, meters = ObsContext(), StageTimings()
-        with harness.span("pipelined"):
-            piped = run_acd(
-                answers=latency_answers(), records=dataset.records,
-                similarity=jaccard_similarity_function(),
-                threshold=PRUNING_THRESHOLD,
-                pruning_shards=PIPELINE_SHARDS,
-                workers=PIPELINE_WORKERS, seed=SEED,
-            )
-        runtime = piped.runtime
-        meters.set_meter("pipeline_bytes_shipped_total",
-                         float(runtime.bytes_shipped))
-        meters.set_meter("pipeline_bytes_per_task",
-                         round(runtime.bytes_shipped / runtime.tasks, 2)
-                         if runtime.tasks else 0.0)
-        meters.record_peak_rss()
-        meta = dict(candidate_pairs=len(piped.candidates),
-                    clusters=len(piped.clustering),
-                    pool=runtime.as_dict())
-        return (harness.tracer.span_summaries(), meters,
-                (piped.candidates.pairs,
-                 piped.clustering.to_state(),
-                 piped.stats.snapshot(),
-                 list(piped.stats.batch_sizes)), meta)
-
-    barrier_stages, barrier_meters, barrier_fp = in_fork(barrier_side)
-    piped_stages, piped_meters, piped_fp, piped_meta = in_fork(
-        pipelined_side)
-
-    assert piped_fp[0] == barrier_fp[0], \
-        "pipelined pruning must match the barrier candidate set"
-    assert piped_fp[1] == barrier_fp[1], \
-        "pipelined clustering must be byte-identical to barrier"
-    assert piped_fp[2] == barrier_fp[2], \
-        "pipelined crowd stats must be byte-identical to barrier"
-    assert piped_fp[3] == barrier_fp[3], \
-        "pipelined crowd rounds must be byte-identical to barrier"
-
-    stages = barrier_stages + piped_stages
-    meters = StageTimings()
-    for name, value in {**barrier_meters.meters,
-                        **piped_meters.meters}.items():
-        meters.set_meter(name, value)
-
-    seconds = stage_seconds(stages)
-    prune_s = seconds["barrier_pruning"]
-    acd_s = seconds["barrier_acd"]
-    barrier_s = prune_s + acd_s
-    pipelined_s = seconds["pipelined"]
-    speedup = barrier_s / pipelined_s if pipelined_s > 0 else 1.0
-    # The pipeline can hide at most the shorter of the two phases it
-    # overlaps (pruning compute vs the crowd phases); efficiency is the
-    # fraction of that bound it actually hid.
-    hidable = min(prune_s, acd_s)
-    efficiency = ((barrier_s - pipelined_s) / hidable
-                  if hidable > 0 else 0.0)
-    runs["pipelined"] = run_entry(
-        stages, meters,
-        records=len(dataset.record_ids),
-        workers=PIPELINE_WORKERS,
-        pruning_shards=PIPELINE_SHARDS,
-        round_latency_s=PIPELINE_LATENCY,
-        confusion=PIPELINE_CONFUSION,
-        **piped_meta,
-    )
-    print(f"pipelined: barrier {barrier_s:.3f}s "
-          f"(pruning {prune_s:.3f}s + acd {acd_s:.3f}s), "
-          f"pipelined {pipelined_s:.3f}s, speedup {speedup:.2f}x, "
-          f"overlap efficiency {efficiency:.2f}")
-    return {
-        "pipeline_makespan_speedup": round(speedup, 2),
-        "pipeline_overlap_efficiency": round(efficiency, 2),
-    }
 
 
 def _acd_with_oracle(instance, **phase):
@@ -371,7 +200,7 @@ def main() -> int:
     # Per repeat, the plain and traced seconds summed over datasets.
     plain_samples = [0.0] * REPEATS
     traced_samples = [0.0] * REPEATS
-    for dataset_name in (DATASETS if "datasets" in STAGES else ()):
+    for dataset_name in DATASETS:
         entry, seconds, f1, sample_seconds = in_fork(
             lambda: dataset_row(dataset_name))
         runs[dataset_name] = entry
@@ -391,45 +220,35 @@ def main() -> int:
             f"F1 {f1:.3f}"
         )
 
-    derived = {}
-    if "datasets" in STAGES:
-        # Each repeat's traced samples against the plain samples taken
-        # alongside them; the median and IQR over repeats, not one pair.
-        overhead_pct, overhead_iqr = _median_and_iqr([
-            (traced - plain) / plain * 100.0 if plain > 0 else 0.0
-            for plain, traced in zip(plain_samples, traced_samples)])
-        acd_speedup = (reference_total / plain_total
-                       if plain_total > 0 else 1.0)
-        pivot_speedup = (pivot_reference_total / plain_total
-                         if plain_total > 0 else 1.0)
-        derived.update(
-            trace_overhead_pct=round(overhead_pct, 2),
-            trace_overhead_pct_iqr=round(overhead_iqr, 2),
-            acd_speedup_vs_reference=round(acd_speedup, 2),
-            acd_speedup_vs_pivot_reference=round(pivot_speedup, 2),
-        )
-        # A spread wider than the 5% budget cannot resolve it either way.
-        verdict = ("unresolved: IQR above 5 points" if overhead_iqr > 5.0
-                   else "resolved")
-        print(f"trace overhead: {overhead_pct:+.2f}% "
-              f"(IQR {overhead_iqr:.2f} points over {REPEATS} pairs, "
-              f"{verdict}; median plain {plain_total:.3f}s, traced "
-              f"{traced_total:.3f}s)")
-    if "pipelined" in STAGES:
-        derived.update(pipelined_stage(runs))
+    # Each repeat's traced samples against the plain samples taken
+    # alongside them; the median and IQR over repeats, not one pair.
+    overhead_pct, overhead_iqr = _median_and_iqr([
+        (traced - plain) / plain * 100.0 if plain > 0 else 0.0
+        for plain, traced in zip(plain_samples, traced_samples)])
+    acd_speedup = (reference_total / plain_total
+                   if plain_total > 0 else 1.0)
+    pivot_speedup = (pivot_reference_total / plain_total
+                     if plain_total > 0 else 1.0)
+    derived = dict(
+        trace_overhead_pct=round(overhead_pct, 2),
+        trace_overhead_pct_iqr=round(overhead_iqr, 2),
+        acd_speedup_vs_reference=round(acd_speedup, 2),
+        acd_speedup_vs_pivot_reference=round(pivot_speedup, 2),
+    )
+    # A spread wider than the 5% budget cannot resolve it either way.
+    verdict = ("unresolved: IQR above 5 points" if overhead_iqr > 5.0
+               else "resolved")
+    print(f"trace overhead: {overhead_pct:+.2f}% "
+          f"(IQR {overhead_iqr:.2f} points over {REPEATS} pairs, "
+          f"{verdict}; median plain {plain_total:.3f}s, traced "
+          f"{traced_total:.3f}s)")
 
     payload = bench_payload(
         "endtoend",
         config={"scale": SCALE, "seed": SEED,
                 "parallel": PARALLEL, "setting": SETTING,
                 "datasets": list(DATASETS),
-                "stages": list(STAGES),
-                "repeats": REPEATS,
-                "pipeline_records": PIPELINE_RECORDS,
-                "pipeline_latency_s": PIPELINE_LATENCY,
-                "pipeline_workers": PIPELINE_WORKERS,
-                "pipeline_shards": PIPELINE_SHARDS,
-                "pipeline_confusion": PIPELINE_CONFUSION},
+                "repeats": REPEATS},
         runs=runs,
         derived=derived,
     )

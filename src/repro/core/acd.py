@@ -14,14 +14,16 @@ along the connected components of the candidate graph (Lemmas 2 and 4).
 When ``workers <= 1``, :func:`~repro.core.pc_pivot.pc_pivot` runs every
 component in one lockstep round loop, asking each merged round of the
 oracle as it runs.  Otherwise the components run as grouped tasks on one
-supervised worker pool, which — given records and a prefix-join
-similarity — starts during pruning and takes each component as soon as
-no pending pruning shard can touch it; the parent then replays the same
-merged rounds through the oracle.  Either way the oracle records stats,
-fault counters, journal batches and events once per merged round, so the
+supervised worker pool, and the parent replays the same merged rounds
+through the oracle.  Either way the oracle records stats, fault
+counters, journal batches and events once per merged round, so the
 result is byte-identical for every worker count, shard count, fault plan
-and entry shape.  Refinement is the global PC-Refine loop, in this
-process, after the pool has closed.
+and entry shape.  Given records, pruning runs first and finishes before
+generation starts — the paper's phase order; with several shards and
+workers the join runs on its own supervised pool
+(:func:`~repro.pruning.candidate.build_candidate_set`).  Refinement is
+the global PC-Refine loop, in this process, after the generation pool
+has closed.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from repro.core.permutation import Permutation
 from repro.core.pivot_shard import (
     merge_component_runs,
     start_components,
-    stream_pruning,
     uses_pool,
 )
 from repro.crowd.oracle import CrowdOracle
@@ -54,7 +55,6 @@ from repro.obs import ObsContext, maybe_span
 from repro.pruning.candidate import (
     DEFAULT_THRESHOLD,
     CandidateSet,
-    _prefix_join_eligible,
     build_candidate_set,
 )
 from repro.runtime.autoshard import resolve_auto_shards
@@ -126,11 +126,9 @@ def run_acd(
     Two entry shapes:
 
     - ``record_ids`` + ``candidates`` — pruning already done.
-    - ``records`` + ``similarity`` — pruning runs here too.  With a worker
-      pool and a token-blocked prefix-join similarity it streams: sealed
-      components start generation while later pruning shards still run.
-      Otherwise the (byte-identical)
-      :func:`~repro.pruning.candidate.build_candidate_set` runs first.
+    - ``records`` + ``similarity`` — pruning runs here first
+      (:func:`~repro.pruning.candidate.build_candidate_set`), then
+      generation starts as on the pre-pruned entry.
 
     Args:
         record_ids: The record set ``R`` (ids).
@@ -184,12 +182,15 @@ def run_acd(
         pruning_shards: Prefix-join shard count, or ``"auto"`` for the
             heuristic of :mod:`repro.runtime.autoshard` (with
             ``records``).
-        workers: Processes of the one supervised pool that serves
-            pruning and generation; ``<= 1`` runs everything in this
-            process.  Refinement always runs here, after the pool closes.
-        supervisor_policy: Fault-handling knobs of that pool.
-        fault_plan: Deterministic process-fault injection into that pool
-            (the chaos suite).
+        workers: Processes of the supervised generation pool, and of the
+            pruning join's own pool when it runs several shards; ``<= 1``
+            runs everything in this process.  Refinement always runs
+            here, after the generation pool closes.
+        supervisor_policy: Fault-handling knobs of those pools.
+        fault_plan: Deterministic process-fault injection (the chaos
+            suite), applied to each pool in turn: it is keyed by task
+            index, so it fires in the pruning pool and again in the
+            generation pool.
 
     The sequential Crowd-Pivot / Crowd-Refine are
     :func:`repro.core.pivot.crowd_pivot` and
@@ -257,20 +258,12 @@ def run_acd(
             if restored_pruning is not None:
                 candidates = restore_candidates(restored_pruning)
             else:
-                if pooled and _prefix_join_eligible(similarity, None, True):
-                    candidates, run = stream_pruning(
-                        records, similarity, threshold, num_shards, ids,
-                        permutation, epsilon, answers, workers=workers,
-                        supervisor_policy=supervisor_policy,
-                        fault_plan=fault_plan, obs=obs,
-                    )
-                else:
-                    candidates = build_candidate_set(
-                        records, similarity, threshold=threshold,
-                        shards=num_shards, parallel=workers, obs=obs,
-                        supervisor_policy=supervisor_policy,
-                        fault_plan=fault_plan,
-                    )
+                candidates = build_candidate_set(
+                    records, similarity, threshold=threshold,
+                    shards=num_shards, parallel=workers, obs=obs,
+                    supervisor_policy=supervisor_policy,
+                    fault_plan=fault_plan,
+                )
                 if checkpoints is not None:
                     checkpoints.save("pruning", candidate_state(candidates))
 
@@ -294,13 +287,12 @@ def run_acd(
                                 diagnostics=pivot_diagnostics, obs=obs,
                             )
                         else:
-                            if run is None:
-                                run = start_components(
-                                    ids, candidates, permutation, epsilon,
-                                    answers, workers=workers,
-                                    supervisor_policy=supervisor_policy,
-                                    fault_plan=fault_plan, obs=obs,
-                                )
+                            run = start_components(
+                                ids, candidates, permutation, epsilon,
+                                answers, workers=workers,
+                                supervisor_policy=supervisor_policy,
+                                fault_plan=fault_plan, obs=obs,
+                            )
                             clustering = merge_component_runs(
                                 ids, run.components, run.wait(),
                                 permutation, oracle, epsilon,

@@ -23,16 +23,16 @@ and :func:`repro.core.acd.run_acd` generate clusters this way:
    any source, stateful ones included — sees each batch exactly once,
    and stats, fault counters, journal batches and events are recorded as
    the round happens.
-3. **On a pool** — :func:`start_components` groups the components into
-   pivot tasks on one :class:`~repro.runtime.supervisor.SupervisedPool`
-   whose workers run :func:`_run_components` against forked copies of a
-   *pair-deterministic* source and record nothing.
-   :func:`stream_pruning` shares that pool with the pruning join:
-   components dispatch as soon as no pending pruning shard can touch
-   them, while later shards still run.  :func:`merge_component_runs`
-   then primes the parent's answer source with the workers' confidences
-   and replays the same merged rounds through the caller's oracle — the
-   one place a pool run's results are recorded.
+3. **On a pool** — :func:`start_components` cuts the components into
+   pivot tasks of about ``len(ids) // 64`` vertices each, on one
+   :class:`~repro.runtime.supervisor.SupervisedPool` whose workers run
+   :func:`_run_components` against forked copies of a
+   *pair-deterministic* source and record nothing.  The pool runs only
+   generation: pruning has finished before it forks.
+   :func:`merge_component_runs` then primes the parent's answer source
+   with the workers' confidences and replays the same merged rounds
+   through the caller's oracle — the one place a pool run's results are
+   recorded.
 
 Either way one crowd batch, one diagnostics entry, and one
 ``pivot.round`` event per merged round, so ``CrowdStats.iterations``
@@ -50,7 +50,7 @@ a stand-alone PC-Pivot on each component would report — whereas the
 whole-graph Equation-4 rounds couple components through the global
 permutation prefix.  A component's round log is a pure function of
 ``(component, permutation, epsilon, answer source)``: task grouping,
-scheduling, sealing order and process faults change only wall clock,
+scheduling and process faults change only wall clock,
 never a log, and the merge consumes the logs in canonical component
 order.  The per-component ε waste bound holds round by round, hence so
 does the global one (a sum of per-component bounds, every issued pair
@@ -59,9 +59,9 @@ being fresh).
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.clustering import Clustering
 from repro.core.partial_pivot import (
@@ -73,19 +73,10 @@ from repro.core.permutation import Permutation
 from repro.core.pivot_engine import LiveVertexOrder, choose_pivots
 from repro.crowd.oracle import CrowdOracle
 from repro.obs import maybe_span
-from repro.pruning.candidate import CandidateSet, _assemble, _report_pruning
-from repro.pruning.components import (
-    IncrementalComponents,
-    connected_components,
-)
+from repro.pruning.candidate import CandidateSet
+from repro.pruning.components import _label_components
 from repro.pruning.graph import EagerCandidateGraph
 from repro.pruning.parallel import fork_available, notify_parallel_fallback
-from repro.pruning.shard import (
-    DEFAULT_PAIR_BLOCK_SIZE,
-    _build_plan,
-    _join_shard,
-    record_shard_touch_masks,
-)
 from repro.runtime.supervisor import RuntimeReport, SupervisedPool
 
 Pair = Tuple[int, int]
@@ -100,9 +91,9 @@ _RoundLog = Tuple[int, int, Tuple[Pair, ...], int, int,
 #: A component as the runner takes it: (vertices, edges).
 _Group = Tuple[Tuple[int, ...], Tuple[Pair, ...]]
 
-#: Worker state captured at fork time.  Shared structures (join plan,
-#: permutation, forked answer source) ship once; per-task payloads carry
-#: only the component-local slice.
+#: Worker state captured at fork time.  Shared structures (permutation,
+#: forked answer source) ship once; per-task payloads carry only their
+#: components.
 _FORK_STATE: Dict[str, object] = {}
 
 
@@ -264,30 +255,36 @@ def _run_components(
     return lockstep.logs
 
 
-def _execute_task(payload: Tuple) -> Any:
-    """Dispatch one ``(phase, ...)`` pool task against the fork state.
+def _execute_task(groups: Sequence[_Group]) -> List[List[_RoundLog]]:
+    """One pool task: :func:`_run_components` over a group of components.
 
     Pure: reads :data:`_FORK_STATE` (the fork snapshot) and the payload
     only, so the pool's degraded in-parent path computes byte-identical
     results.
     """
     state = _FORK_STATE
-    kind = payload[0]
-    if kind == "prune":
-        return _join_shard(
-            state["plan"], payload[1], state["num_shards"],
-            state["metric"], state["threshold"], state["pair_block_size"],
-        )
-    if kind == "pivot":
-        # One task = one *group* of sealed components, run in lockstep:
-        # one crowd batch per round for the whole group (and a lone
-        # small component costs more in pickling and pipe traffic than
-        # in pivot rounds).
-        return _run_components(
-            payload[1], state["permutation"], state["epsilon"],
-            state["answers"],
-        )
-    raise ValueError(f"unknown generation task kind {kind!r}")
+    return _run_components(groups, state["permutation"], state["epsilon"],
+                           state["answers"])
+
+
+def _pivot_tasks(groups: Sequence[_Group],
+                 budget: int) -> List[List[_Group]]:
+    """Cut the groups, in order, into pivot tasks of about ``budget``
+    vertices each: a task closes once its vertex count reaches the
+    budget.  Most components are two or three records, and the pickle +
+    pipe round trip of a task dwarfs their pivot work."""
+    tasks: List[List[_Group]] = []
+    task: List[_Group] = []
+    vertices = 0
+    for group in groups:
+        task.append(group)
+        vertices += len(group[0])
+        if vertices >= budget:
+            tasks.append(task)
+            task, vertices = [], 0
+    if task:
+        tasks.append(task)
+    return tasks
 
 
 class ComponentRun:
@@ -300,38 +297,32 @@ class ComponentRun:
         pool: The pool the pivot tasks run on.
     """
 
-    def __init__(self, pool: SupervisedPool):
+    def __init__(self, pool: SupervisedPool,
+                 components: List[Tuple[int, ...]],
+                 tasks: List[List[_Group]]):
         self.pool = pool
-        self.components: List[Tuple[int, ...]] = []
-        #: Pivot task index -> first member of each component it carries.
-        self._pivot_of: Dict[int, List[int]] = {}
-        #: First member of a component -> its round logs.
-        self._logs: Dict[int, List[_RoundLog]] = {}
+        self.components = components
+        #: Pool task indices, in submission (= component) order.
+        self._tasks = [pool.submit(task) for task in tasks]
 
     @property
     def report(self) -> RuntimeReport:
         """The pool's fault-handling telemetry."""
         return self.pool.report
 
-    def submit(self, groups: List[_Group]) -> None:
-        """Dispatch one pivot task carrying ``groups``."""
-        task = self.pool.submit(("pivot", groups))
-        self._pivot_of[task] = [members[0] for members, _ in groups]
-
-    def collect(self, task: int, logs) -> None:
-        """File a finished pivot task's logs."""
-        for key, rounds in zip(self._pivot_of.pop(task), logs):
-            self._logs[key] = rounds
-
     def wait(self) -> Dict[int, List[_RoundLog]]:
         """Drain and close the pool; component index -> round logs for
         every multi-vertex component."""
-        while self._pivot_of:
-            self.collect(*self.pool.next_result())
+        results: Dict[int, List[List[_RoundLog]]] = {}
+        while len(results) < len(self._tasks):
+            task, logs = self.pool.next_result()
+            results[task] = logs
         self.close()
-        return {index: self._logs[members[0]]
-                for index, members in enumerate(self.components)
-                if len(members) > 1 and members[0] in self._logs}
+        # Tasks carry the multi-vertex components in component order.
+        multi = [index for index, members in enumerate(self.components)
+                 if len(members) > 1]
+        return dict(zip(multi, (rounds for task in self._tasks
+                                for rounds in results[task])))
 
     def close(self) -> None:
         """Shut the pool down and free the fork state (idempotent)."""
@@ -349,41 +340,27 @@ def uses_pool(workers: int, obs=None) -> bool:
     return False
 
 
-def _start_pool(permutation: Permutation, epsilon: float, source,
-                workers: int, supervisor_policy, fault_plan,
-                obs) -> ComponentRun:
-    """Publish the fork-time state, then fork the pool.
-
-    Everything published before the fork (the join plan too, on the
-    streamed path) is inherited through copy-on-write, never pickled.
-    """
-    require_pair_deterministic(source)
-    _FORK_STATE.update(permutation=permutation, epsilon=epsilon,
-                       answers=_fork_view(source))
-    return ComponentRun(SupervisedPool(
-        _execute_task, workers, policy=supervisor_policy, obs=obs,
-        fault_plan=fault_plan, label="pipeline"))
-
-
 def _component_groups(
     ids: Sequence[int], candidates: CandidateSet,
 ) -> Tuple[List[Tuple[int, ...]], List[_Group]]:
     """Every component of the candidate graph, and the multi-vertex ones
-    with their edges, both sorted by smallest member."""
-    components = connected_components(ids, candidates.pairs)
-    comp_of: Dict[int, int] = {}
-    edges_of: Dict[int, List[Pair]] = {}
-    for index, members in enumerate(components):
-        if len(members) > 1:
-            for vertex in members:
-                comp_of[vertex] = index
-            edges_of[index] = []
-    for pair in candidates.pairs:
-        edges_of[comp_of[pair[0]]].append(pair)
-    groups = [(members, tuple(edges_of[index]))
-              for index, members in enumerate(components)
-              if len(members) > 1]
-    return components, groups
+    with their edges (in ``candidates.pairs`` order), both sorted by
+    smallest member."""
+    pairs = candidates.pairs
+    components, edge_component = _label_components(ids, pairs)
+    if not pairs:
+        return components, []
+    # A stable sort by component keeps each component's edges in pair
+    # order; only multi-vertex components have edges, so the runs of
+    # equal labels are exactly those components, ascending.
+    order = np.argsort(edge_component, kind="stable")
+    labels = edge_component[order]
+    ordered = [pairs[index] for index in order.tolist()]
+    starts = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist()]
+    ends = [*starts[1:], len(ordered)]
+    return components, [(components[label], tuple(ordered[i:j]))
+                        for label, i, j in zip(labels[starts].tolist(),
+                                               starts, ends)]
 
 
 def start_components(
@@ -392,19 +369,23 @@ def start_components(
     fault_plan=None, obs=None,
 ) -> ComponentRun:
     """Start generation over every component of the candidate graph as
-    grouped pivot tasks on a new pool of ``workers`` processes."""
+    grouped pivot tasks on a new pool of ``workers`` processes.
+
+    The permutation and the forked answer source are published before
+    the fork: workers inherit them through copy-on-write memory, and each
+    task ships only its components.
+    """
+    require_pair_deterministic(source)
     components, groups = _component_groups(ids, candidates)
-    run = _start_pool(permutation, epsilon, source, workers,
-                      supervisor_policy, fault_plan, obs)
-    run.components = components
-    batcher = _PivotBatcher(run, len(ids) // 64)
-    for group in groups:
-        batcher.add(*group)
-    batcher.flush()
+    _FORK_STATE.update(permutation=permutation, epsilon=epsilon,
+                       answers=_fork_view(source))
+    tasks = _pivot_tasks(groups, len(ids) // 64)
+    run = ComponentRun(SupervisedPool(
+        _execute_task, workers, policy=supervisor_policy, obs=obs,
+        fault_plan=fault_plan, label="pipeline"), components, tasks)
     if obs is not None:
-        obs.event("pipeline.seal", shard=None, sealed=len(components),
-                  dispatched=batcher.dispatched,
-                  queue_depth=run.pool.outstanding)
+        obs.event("pipeline.dispatch", components=len(components),
+                  dispatched=len(groups), tasks=len(tasks))
     return run
 
 
@@ -555,175 +536,3 @@ def _merge_clusters(
             f"{len(set(ids))} expected"
         )
     return clustering
-
-
-# ---------------------------------------------------------------------------
-# Streamed pruning: the pool's prune shards seal components for generation
-# ---------------------------------------------------------------------------
-
-
-def _prune_wave_width() -> int:
-    """In-flight prune-shard cap: one per CPU this process may use.
-
-    Prune shards are pure compute; running more of them than there are
-    CPUs just time-slices them to a synchronized finish, which starves
-    the sealing rule of staggered completions.  Capping at the CPU
-    count keeps the compute pipeline full while leaving the remaining
-    workers free to wait out sealed components' crowd rounds.
-    """
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):
-        return max(1, os.cpu_count() or 1)
-
-
-class _PivotBatcher:
-    """Group sealed components into dispatch-sized pivot tasks.
-
-    Streaming at component granularity is correct but wasteful: most
-    components are two or three records, and the pickle + pipe round
-    trip per task dwarfs their pivot work.  The batcher buffers sealed
-    components and flushes a group task whenever the buffered vertex
-    count reaches ``budget`` — about 64 tasks over the whole record
-    set — so early-sealed groups still dispatch while pruning runs,
-    without drowning the pool in micro-tasks.
-    """
-
-    def __init__(self, run: ComponentRun, budget: int):
-        self._run = run
-        self._budget = max(1, budget)
-        self._buffer: List[_Group] = []
-        self._vertices = 0
-        self.dispatched = 0
-
-    def add(self, members: Tuple[int, ...],
-            edges: Tuple[Pair, ...]) -> None:
-        self._buffer.append((members, edges))
-        self._vertices += len(members)
-        self.dispatched += 1
-        if self._vertices >= self._budget:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self._buffer:
-            return
-        self._run.submit(self._buffer)
-        self._buffer = []
-        self._vertices = 0
-
-
-def stream_pruning(
-    records, similarity, threshold: float, num_shards: int,
-    ids: Sequence[int], permutation: Permutation, epsilon: float, source,
-    *, workers: int, supervisor_policy=None, fault_plan=None, obs=None,
-) -> Tuple[CandidateSet, ComponentRun]:
-    """Run the pruning shards on a new pool, streaming each sealed
-    component to a pivot task on the same pool while later shards run.
-
-    Each finished shard's surviving edges feed an incremental union-find
-    (:class:`~repro.pruning.components.IncrementalComponents`).  A pair
-    is generated only from a prefix token present in *both* records'
-    prefixes, so the shards that can still touch a record are exactly
-    the shards of its prefix tokens
-    (:func:`~repro.pruning.shard.record_shard_touch_masks`); once every
-    shard in a component's combined mask is done, the component is
-    *sealed* — no future edge can reach it — and it dispatches.
-
-    Byte-identical to the full
-    :func:`~repro.pruning.candidate.build_candidate_set` prefix path:
-    same join plan, same per-shard survivors, same sorted merge, same
-    ``pruning`` span and gauges.  Only the pruning tasks gate this
-    function's exit; the returned run's :meth:`~ComponentRun.wait`
-    collects the pivot tasks.
-    """
-    metric = similarity.set_metric
-    with maybe_span(obs, "pruning", engine="prefix", records=len(records),
-                    threshold=threshold, shards=num_shards) as span:
-        # Token blocking never pairs empty-set records: their ids go unused.
-        plan, _ = _build_plan(records, similarity.set_of, metric, threshold)
-        touch = record_shard_touch_masks(plan, metric, threshold, num_shards)
-        tracker = IncrementalComponents(ids, touch, num_shards)
-        _FORK_STATE.update(
-            plan=plan, num_shards=num_shards, metric=metric,
-            threshold=threshold, pair_block_size=DEFAULT_PAIR_BLOCK_SIZE,
-        )
-        # Fork *after* the join plan is published: workers inherit it
-        # through copy-on-write memory instead of a per-worker pickle.
-        run = _start_pool(permutation, epsilon, source, workers,
-                          supervisor_policy, fault_plan, obs)
-        try:
-            candidates = _stream(run, tracker, similarity, threshold,
-                                 num_shards, ids, obs)
-        except BaseException:
-            run.close()
-            raise
-        _report_pruning(obs, span, len(records), candidates)
-    return candidates, run
-
-
-def _stream(run: ComponentRun, tracker: IncrementalComponents,
-            similarity, threshold: float, num_shards: int,
-            ids: Sequence[int], obs) -> CandidateSet:
-    """The prune-shard event loop of :func:`stream_pruning`."""
-    pool = run.pool
-    merged: Dict[Pair, float] = {}
-    # Wave dispatch: keep at most one prune shard in flight per
-    # actually-available CPU.  Flooding every worker with a prune
-    # shard makes the OS time-slice them to a simultaneous finish —
-    # no component seals until the very end and the overlap window
-    # collapses.  Staggered completions seal components while later
-    # shards still run, so their crowd rounds (the latency-bound
-    # part of pivot) hide under the remaining pruning compute.
-    shard_queue = deque(range(num_shards))
-    prune_of: Dict[int, int] = {}
-    for _ in range(min(_prune_wave_width(), num_shards)):
-        shard = shard_queue.popleft()
-        prune_of[pool.submit(("prune", shard))] = shard
-    batcher = _PivotBatcher(run, len(ids) // 64)
-    sealed_components: List[Tuple[int, ...]] = []
-    while prune_of:
-        index, value = pool.next_result()
-        if index not in prune_of:
-            run.collect(index, value)
-            continue
-        shard = prune_of.pop(index)
-        # Refill the wave before the merge/seal bookkeeping: that is
-        # a nontrivial serial chunk, and a worker should crunch the
-        # next shard underneath it rather than idle.
-        if shard_queue:
-            refill = shard_queue.popleft()
-            prune_of[pool.submit(("prune", refill))] = refill
-        # Shards re-emit pairs whose tokens hash to several shards;
-        # the union-find only needs each edge once (the merge dict is
-        # the dedup set — a pair seen before cannot change any
-        # component).
-        for pair, score in value.items():
-            if pair not in merged:
-                merged[pair] = score
-                tracker.add_edge(*pair)
-        sealed = tracker.finish_shard(shard)
-        before = batcher.dispatched
-        for members, edges in sealed:
-            sealed_components.append(members)
-            if len(members) > 1:
-                batcher.add(members, edges)
-        if obs is not None:
-            obs.event("pipeline.seal", shard=shard, sealed=len(sealed),
-                      dispatched=batcher.dispatched - before,
-                      queue_depth=pool.outstanding)
-    batcher.flush()
-    assert tracker.all_sealed
-    # Every edge-touched component sealed exactly once, members
-    # ascending; untouched records are trivial singletons.  Sorting
-    # by smallest member yields the same canonical list
-    # connected_components would compute — without the extra label
-    # pass over the full candidate graph.
-    touched = tracker.touched
-    sealed_components.extend(
-        (record_id,) for record_id in ids if record_id not in touched)
-    sealed_components.sort(key=lambda members: members[0])
-    run.components = sealed_components
-
-    surviving = sorted(merged)
-    scores = {pair: merged[pair] for pair in surviving}
-    return _assemble(similarity, surviving, scores, threshold)

@@ -9,10 +9,10 @@ Two fault surfaces are exercised:
 - **Process-side** — the supervised worker pool
   (:mod:`repro.runtime.supervisor`) under deterministic worker kills,
   task delays, and poison chunks at the 10k-record tier, for sharded
-  pruning and for :func:`~repro.core.acd.run_acd` on a generation pool
-  fed by streamed pruning (compared against sequential Crowd-Pivot and
-  against pruning-then-inline execution as well), plus phase-checkpoint
-  kill-resume checks
+  pruning and for :func:`~repro.core.acd.run_acd` from records — the
+  sharded join's pool, then the generation pool (compared against
+  sequential Crowd-Pivot and against pruning-then-inline execution as
+  well) — plus phase-checkpoint kill-resume checks
   (:mod:`repro.runtime.checkpoint`): a run killed after a completed
   phase must resume from the snapshot and finish byte-identical to an
   uninterrupted run.
@@ -219,13 +219,16 @@ def run_pipeline_process_faults(
     workers: int = 4,
     faults_per_kind: int = 2,
 ) -> List[Dict[str, object]]:
-    """The generation-pool fault matrix: streamed pruning under chaos.
+    """The two-pool fault matrix: ``run_acd`` from records under chaos.
 
-    Runs :func:`~repro.core.acd.run_acd` from records on a worker pool —
-    streamed pruning, sealed-component pivot tasks, then global
+    Runs :func:`~repro.core.acd.run_acd` from records on ``workers``
+    processes — the sharded pruning join on its pool, then grouped
+    component pivot tasks on the generation pool, then global
     refinement — over a *confused* ``records``-sized largescale
     population once fault-free and once per fault kind in
-    :data:`RUNTIME_PROCESS_FAULTS`.  Each row records three checks:
+    :data:`RUNTIME_PROCESS_FAULTS`.  The plan is keyed by task index, so
+    it fires in each pool in turn: its counters in ``runtime_counters``
+    are the two pools' sum.  Each row records three checks:
 
     - ``byte_identical`` — the final clustering (cluster ids included),
       crowd stats, and phase stats equal the fault-free pool run's;

@@ -193,36 +193,20 @@ def build_candidate_set(
                 use_token_blocking, parallel, obs,
                 supervisor_policy, fault_plan,
             )
-        candidates = _assemble(similarity, surviving, scores, threshold)
-        _report_pruning(obs, span, len(records), candidates)
+        # Seed the memo so later phases' reads of these pairs stay warm.
+        similarity.seed_cache(scores)
+        candidates = CandidateSet(pairs=tuple(surviving),
+                                  machine_scores=scores, threshold=threshold)
+        if obs is not None:
+            span.set_attr("candidate_pairs", len(candidates))
+            obs.metrics.gauge(
+                "pruning_records", help="Records entering the pruning phase"
+            ).set(len(records))
+            obs.metrics.gauge(
+                "pruning_candidate_pairs",
+                help="Pairs surviving the machine-similarity threshold",
+            ).set(len(candidates))
     return candidates
-
-
-def _assemble(
-    similarity: SimilarityFunction,
-    surviving: List[Pair],
-    scores: Dict[Pair, float],
-    threshold: float,
-) -> CandidateSet:
-    """The pruning phase's :class:`CandidateSet`, with ``similarity``'s
-    memo seeded so later phases' reads of these pairs stay warm."""
-    similarity.seed_cache(scores)
-    return CandidateSet(pairs=tuple(surviving), machine_scores=scores,
-                        threshold=threshold)
-
-
-def _report_pruning(obs, span, records: int, candidates: CandidateSet) -> None:
-    """The ``pruning`` span's survivor count and the phase's gauges."""
-    if obs is None:
-        return
-    span.set_attr("candidate_pairs", len(candidates))
-    obs.metrics.gauge(
-        "pruning_records", help="Records entering the pruning phase"
-    ).set(records)
-    obs.metrics.gauge(
-        "pruning_candidate_pairs",
-        help="Pairs surviving the machine-similarity threshold",
-    ).set(len(candidates))
 
 
 def _run_reference(

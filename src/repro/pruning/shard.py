@@ -1,9 +1,9 @@
 """Sharded, vectorized prefix-filtered similarity join — the pruning join.
 
 Every prefix-eligible input of
-:func:`~repro.pruning.candidate.build_candidate_set` (and the streamed
-pruning of :func:`~repro.core.acd.run_acd` on a worker pool,
-:func:`repro.core.pivot_shard.stream_pruning`) runs this join.  It applies the filter algebra of :mod:`repro.pruning.prefix_join` —
+:func:`~repro.pruning.candidate.build_candidate_set` — and so of
+:func:`~repro.core.acd.run_acd` given records — runs this join.  It
+applies the filter algebra of :mod:`repro.pruning.prefix_join` —
 canonical token order, prefix lengths, partner-size bound — over interned
 int-rank arrays (:mod:`repro.similarity.kernels`), partitioned into
 **shards by blocking key** and verified in numpy blocks.  One shard (the
@@ -185,65 +185,6 @@ def _build_plan(
         need=need,
     )
     return plan, empty
-
-
-def record_shard_touch_masks(
-    plan: _JoinPlan,
-    metric: str,
-    threshold: float,
-    num_shards: int,
-) -> Dict[int, int]:
-    """Per-record bitmask of pruning shards that can emit incident pairs.
-
-    The join generates a pair only from a prefix token present in *both*
-    records' prefixes, and :func:`_join_shard` assigns that token's pairs
-    to shard ``token % num_shards``.  Record ``r``'s touch set is
-    therefore ``{token % num_shards for token in prefix(r) if token's
-    prefix posting has >= 2 records}``: a token appearing in only one
-    record's prefix can never pair it with anything, so it is dropped —
-    in practice most prefix tokens are such singletons (prefix filtering
-    deliberately picks the rarest tokens), and dropping them is what
-    makes the masks narrow enough for components to seal while later
-    shards still run.  (The partner-size filter only *removes* pairs, so
-    the mask stays a safe over-approximation.)  Records with empty token
-    sets — or whose prefix tokens are all singletons — are absent from
-    the result; callers treat them as mask ``0`` (sealed immediately,
-    which is exact: no future edge can touch them).
-
-    Streamed pruning (:func:`repro.core.pivot_shard.stream_pruning`) ORs
-    these masks over union-find components to decide when a component is
-    *sealed* (see
-    :class:`repro.pruning.components.IncrementalComponents`).
-    """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    sizes = plan.encoded.counts
-    prefix_of_size = {size: prefix_length(metric, threshold, size)
-                      for size in set(sizes.tolist())}
-    size_list = sizes.tolist()
-    pcounts = _np.fromiter((prefix_of_size[size] for size in size_list),
-                           dtype=_np.int64, count=len(size_list))
-    total = int(pcounts.sum())
-    nrows = len(plan.encoded)
-    first_out = _np.repeat(_np.cumsum(pcounts) - pcounts, pcounts)
-    within = _np.arange(total, dtype=_np.int64) - first_out
-    src = _np.repeat(plan.encoded.starts, pcounts) + within
-    tokens = plan.encoded.flat[src]
-    rows = _np.repeat(_np.arange(nrows, dtype=_np.int64), pcounts)
-    # Keep only tokens shared by at least two prefixes: singletons can
-    # never emit a pair, and they are the majority of prefix tokens.
-    _, inverse, counts = _np.unique(tokens, return_inverse=True,
-                                    return_counts=True)
-    shared = counts[inverse] >= 2
-    shards = tokens[shared] % num_shards
-    packed = sorted_unique(rows[shared] * num_shards + shards)
-    ids = plan.encoded.ids.tolist()
-    masks: Dict[int, int] = {}
-    for key in packed.tolist():
-        row, shard = divmod(key, num_shards)
-        record_id = ids[row]
-        masks[record_id] = masks.get(record_id, 0) | (1 << shard)
-    return masks
 
 
 def _process_element_batch(

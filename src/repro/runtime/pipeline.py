@@ -1,8 +1,8 @@
 """``run_pipeline``: a compatibility shim over :func:`repro.core.acd.run_acd`.
 
-:func:`~repro.core.acd.run_acd` is the one ACD executor: it generates
-clusters per connected component, inline or on one supervised pool, and
-streams pruning into generation when given records.  This module keeps
+:func:`~repro.core.acd.run_acd` is the one ACD executor: given records
+it prunes first, then generates clusters per connected component, inline
+or on one supervised pool.  This module keeps
 the older entry point for the repository benchmark, which calls it; it
 forwards every argument and repackages the result.  It goes away in
 ROADMAP item 5, Step C, together with :class:`PipelineResult` and the

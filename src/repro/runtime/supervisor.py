@@ -31,7 +31,7 @@ duplex pipe each — and supervises every dispatched task:
 
 The pool is long-lived: tasks are submitted as they become ready and
 collected in completion order — :func:`repro.core.acd.run_acd` keeps
-one pool up across streamed pruning and cluster generation this way
+one pool up for all of cluster generation's component tasks this way
 (:mod:`repro.core.pivot_shard`).  :func:`supervised_map` is the one-shot
 wrapper the pruning layer uses.
 
@@ -282,11 +282,6 @@ class SupervisedPool:
         if not self._inline:
             self._context = multiprocessing.get_context("fork")
             self._workers = [self._spawn() for _ in range(processes)]
-
-    @property
-    def outstanding(self) -> int:
-        """Submitted tasks whose results have not been delivered yet."""
-        return self._outstanding
 
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self._context.Pipe()

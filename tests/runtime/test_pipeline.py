@@ -2,24 +2,22 @@
 byte-identity vs barrier execution under shard counts, worker processes,
 fault schedules, checkpoint kill-resume, and journal composition.
 
-:func:`~repro.core.acd.run_acd` runs generation per component, inline
-(``workers <= 1``) or on one pool that — given records — also runs the
-pruning shards and dispatches each component as soon as it seals.  The
-hard contract is that this changes *when* work runs, never *what* it
+:func:`~repro.core.acd.run_acd` prunes first when given records — the
+sharded join on its own supervised pool when it runs several shards on
+several workers — and then generates per component, inline
+(``workers <= 1``) or as grouped tasks on one generation pool.  The hard
+contract is that the executor changes *where* work runs, never *what* it
 computes: the candidate set and the final clustering (cluster ids
 included), stats, diagnostics, crowd-phase events, journal and
-checkpoints must be byte-identical to barrier execution — the full
-pruning join first, then the pre-pruned run inline — for every
-``{pruning shards, workers, fault plan}`` configuration and both entry
-shapes.  The sealing accumulator that makes the overlap safe is
-property-tested here against
-:func:`~repro.pruning.components.connected_components` under arbitrary
-shard-completion orders.  ``run_pipeline`` is a forwarding shim; one
-test pins that it forwards.
+checkpoints must be byte-identical to barrier execution — the pruning
+join, then the pre-pruned run inline — for every ``{pruning shards,
+workers, fault plan}`` configuration and both entry shapes.  A fault
+plan is keyed by task index, so it fires in the pruning pool and again
+in the generation pool.  ``run_pipeline`` is a forwarding shim; one test
+pins that it forwards.
 """
 
 import multiprocessing
-import random
 import shutil
 import tempfile
 from pathlib import Path
@@ -35,10 +33,6 @@ from repro.datasets.registry import generate
 from repro.experiments.configs import PRUNING_THRESHOLD, difficulty_model
 from repro.obs import ObsContext
 from repro.pruning.candidate import build_candidate_set
-from repro.pruning.components import (
-    IncrementalComponents,
-    connected_components,
-)
 from repro.runtime.autoshard import (
     AUTO_MIN_RECORDS,
     resolve_auto_shards,
@@ -84,14 +78,20 @@ def _collect_events(obs):
     return events
 
 
+#: Both entry shapes, records-in at one and at several pruning shards.
+ENTRY_SHAPES = ({"pruning_shards": 1}, {"pruning_shards": 4},
+                {"pre_pruned": True})
+
+
 def _pipeline_outcome(pruning_shards=4, workers=0, fault_plan=None,
                       policy=POLICY, pre_pruned=False,
-                      checkpoints=None, resume=False, answers=None):
+                      checkpoints=None, resume=False, answers=None,
+                      obs=None):
     # AnswerFile resolves each pair from a pair-seeded RNG, so a fresh
     # instance per run replays identical answers.
     source = answers if answers is not None else AnswerFile(_DATASET.gold,
                                                             _WORKERS)
-    obs = ObsContext()
+    obs = obs if obs is not None else ObsContext()
     kwargs = dict(
         threshold=PRUNING_THRESHOLD, workers=workers, seed=SEED, obs=obs,
         supervisor_policy=policy, fault_plan=fault_plan,
@@ -155,13 +155,14 @@ def _barrier_core():
 
 class TestBarrierParity:
     def test_pipeline_matches_barrier_across_configs(self):
-        """Streamed pruning + overlapped crowd phases reproduce barrier
-        execution byte for byte at every {shards, workers} point, and
-        the pool runs also agree on the crowd-phase event stream."""
+        """Records in, pruning then per-component generation reproduce
+        barrier execution byte for byte at every {shards, workers}
+        point, and the runs also agree on the crowd-phase event
+        stream."""
         barrier = _barrier_core()
         outcomes = [
             _pipeline_outcome(pruning_shards=shards, workers=workers)
-            for shards, workers in ((4, 0), (7, 2), (4, 4))
+            for shards, workers in ((1, 0), (4, 0), (1, 2), (4, 2), (7, 4))
         ]
         for outcome in outcomes:
             assert _core(outcome) == barrier
@@ -232,8 +233,6 @@ class TestBarrierParity:
 
 class TestFaultByteIdentity:
     def test_every_fault_kind_is_byte_identical(self):
-        reference = _identity_view(_pipeline_outcome(pruning_shards=6,
-                                                     workers=4))
         plans = {
             "kill": ProcessFaultPlan.sample(6, seed=1, kills=2),
             # The pipeline rides out delays rather than racing
@@ -243,10 +242,15 @@ class TestFaultByteIdentity:
                                              delay_seconds=0.5),
             "poison": ProcessFaultPlan.sample(6, seed=1, poisons=2),
         }
-        for kind, plan in plans.items():
-            chaotic = _pipeline_outcome(pruning_shards=6, workers=4,
-                                        fault_plan=plan)
-            assert _identity_view(chaotic) == reference, kind
+        barrier = _barrier_core()
+        for shape in ENTRY_SHAPES:
+            reference = _identity_view(_pipeline_outcome(workers=4,
+                                                         **shape))
+            assert _core(reference) == barrier, shape
+            for kind, plan in plans.items():
+                chaotic = _pipeline_outcome(workers=4, fault_plan=plan,
+                                            **shape)
+                assert _identity_view(chaotic) == reference, (shape, kind)
 
     def test_kill_plan_actually_crashed_workers(self):
         outcome = _pipeline_outcome(
@@ -255,6 +259,20 @@ class TestFaultByteIdentity:
         )
         assert outcome["counters"].get("runtime_worker_crashes_total",
                                        0) >= 1
+
+    def test_kill_plan_fires_in_each_pool(self):
+        """A plan keyed on task 0 kills a worker of the pruning join's
+        pool and again one of the generation pool; the run still returns
+        the barrier result."""
+        obs = ObsContext()
+        outcome = _pipeline_outcome(
+            pruning_shards=4, workers=2, obs=obs,
+            fault_plan=ProcessFaultPlan(kill_tasks=frozenset({0})))
+        crashed = [attrs["pool"] for name, attrs in _collect_events(obs)
+                   if name == "runtime.worker_crash"]
+        assert crashed == ["pruning.shard_join", "pipeline"]
+        assert outcome["counters"]["runtime_worker_crashes_total"] == 2
+        assert _core(outcome) == _barrier_core()
 
 
 class TestSimulatedLatency:
@@ -284,22 +302,28 @@ class TestJournalComposition:
     def test_journaled_pipelined_run_replays_byte_identical(self):
         """A journaled pool run re-invoked on the same journal
         serves every coordinator batch from the write-ahead log (the
-        journal does not grow) and reports byte-identical."""
+        journal does not grow) and reports byte-identical, on both entry
+        shapes."""
         from repro.crowd.persistence import AnswerJournal
 
-        with tempfile.TemporaryDirectory() as tmp:
-            journal = Path(tmp) / "run.journal"
-            with JournalingAnswerFile(AnswerFile(_DATASET.gold, _WORKERS),
-                                      journal) as answers:
-                first = _pipeline_outcome(workers=2, answers=answers)
-            batches_after_first = AnswerJournal(journal).num_batches
-            with JournalingAnswerFile(AnswerFile(_DATASET.gold, _WORKERS),
-                                      journal) as answers:
-                replayed = _pipeline_outcome(workers=2, answers=answers)
-            batches_after_replay = AnswerJournal(journal).num_batches
-        assert batches_after_first >= 1
-        assert batches_after_replay == batches_after_first
-        assert _identity_view(replayed) == _identity_view(first)
+        for shape in ENTRY_SHAPES:
+            with tempfile.TemporaryDirectory() as tmp:
+                journal = Path(tmp) / "run.journal"
+                with JournalingAnswerFile(
+                        AnswerFile(_DATASET.gold, _WORKERS),
+                        journal) as answers:
+                    first = _pipeline_outcome(workers=2, answers=answers,
+                                              **shape)
+                batches_after_first = AnswerJournal(journal).num_batches
+                with JournalingAnswerFile(
+                        AnswerFile(_DATASET.gold, _WORKERS),
+                        journal) as answers:
+                    replayed = _pipeline_outcome(workers=2,
+                                                 answers=answers, **shape)
+                batches_after_replay = AnswerJournal(journal).num_batches
+            assert batches_after_first >= 1, shape
+            assert batches_after_replay == batches_after_first, shape
+            assert _identity_view(replayed) == _identity_view(first), shape
 
 
 class TestCheckpointKillResume:
@@ -307,9 +331,15 @@ class TestCheckpointKillResume:
         """A pool run killed right after each of the three phase
         checkpoints resumes byte-identical to an uninterrupted run; a
         run that completed refinement resumes without touching the
-        crowd at all."""
+        crowd at all.  Both entry shapes (the pre-pruned one writes no
+        ``pruning`` checkpoint)."""
+        for shape in ENTRY_SHAPES:
+            self._resume_from_each_checkpoint(shape)
+
+    @staticmethod
+    def _resume_from_each_checkpoint(shape):
         config = {"dataset": "largescale", "scale": 0.2, "seed": 0,
-                  "workers": 2}
+                  "workers": 2, **shape}
 
         class Refusing:
             pair_deterministic = True
@@ -319,11 +349,11 @@ class TestCheckpointKillResume:
                 raise AssertionError(
                     f"restored run re-crowdsourced ({a}, {b})")
 
-        uninterrupted = _pipeline_outcome(workers=2)
+        uninterrupted = _pipeline_outcome(workers=2, **shape)
         with tempfile.TemporaryDirectory() as tmp:
             full = Path(tmp) / "full"
             first = _pipeline_outcome(
-                workers=2,
+                workers=2, **shape,
                 checkpoints=CheckpointStore(full, config=config))
             assert _identity_view(first) == _identity_view(uninterrupted)
             for phase in ("pruning", "generation", "refinement"):
@@ -337,7 +367,7 @@ class TestCheckpointKillResume:
                 if phase in ("pruning", "generation"):
                     store.clear("refinement")
                 resumed = _pipeline_outcome(
-                    workers=2, checkpoints=store, resume=True,
+                    workers=2, **shape, checkpoints=store, resume=True,
                     answers=(Refusing() if phase == "refinement"
                              else None))
                 view = _identity_view(resumed)
@@ -345,7 +375,7 @@ class TestCheckpointKillResume:
                 # (and worker batches already accounted in the restored
                 # stats) is absent by design; the authoritative outputs
                 # must still match exactly.
-                assert _core(resumed) == _core(uninterrupted), phase
+                assert _core(resumed) == _core(uninterrupted), (shape, phase)
                 assert view["clustering"] == uninterrupted["clustering"]
 
     def test_resume_under_different_pipeline_config_fails_fast(self):
@@ -396,70 +426,3 @@ class TestAutoshard:
     def test_bad_string_rejected(self):
         with pytest.raises(ValueError):
             resolve_auto_shards(records=10, requested="fast")
-
-
-class TestSealingMatchesConnectedComponents:
-    """The sealing accumulator's correctness property: for *any* shard
-    completion order, the sealed components plus the untouched
-    singletons equal :func:`connected_components` over the full edge
-    set, and each sealed component carries exactly its surviving
-    edges."""
-
-    def test_random_graphs_under_random_finish_orders(self):
-        for trial in range(25):
-            rng = random.Random(trial)
-            num_vertices = rng.randint(1, 40)
-            vertices = list(range(num_vertices))
-            num_shards = rng.randint(1, 6)
-            edges = []
-            if num_vertices >= 2:
-                for _ in range(rng.randint(0, 60)):
-                    a, b = rng.sample(vertices, 2)
-                    edges.append((min(a, b), max(a, b),
-                                  rng.randrange(num_shards)))
-            touch = {}
-            for a, b, shard in edges:
-                touch[a] = touch.get(a, 0) | (1 << shard)
-                touch[b] = touch.get(b, 0) | (1 << shard)
-            tracker = IncrementalComponents(vertices, touch, num_shards)
-            order = list(range(num_shards))
-            rng.shuffle(order)
-            sealed = []
-            for shard in order:
-                for a, b, home in edges:
-                    if home == shard:
-                        tracker.add_edge(a, b)
-                sealed.extend(tracker.finish_shard(shard))
-            assert tracker.all_sealed
-            components = [members for members, _ in sealed]
-            components.extend((vertex,) for vertex in vertices
-                              if vertex not in tracker.touched)
-            components.sort(key=lambda members: members[0])
-            assert components == connected_components(
-                vertices, [(a, b) for a, b, _ in edges]), trial
-            for members, component_edges in sealed:
-                member_set = set(members)
-                expected = tuple(sorted(
-                    {(a, b) for a, b, _ in edges if a in member_set}))
-                assert component_edges == expected, trial
-
-    def test_edge_into_sealed_component_raises(self):
-        tracker = IncrementalComponents([0, 1, 2], {0: 1, 1: 1}, 2)
-        tracker.add_edge(0, 1)
-        assert tracker.finish_shard(0) == [((0, 1), ((0, 1),))]
-        with pytest.raises(RuntimeError):
-            tracker.add_edge(0, 1)
-
-    def test_unknown_vertex_rejected(self):
-        tracker = IncrementalComponents([0, 1], {0: 1, 1: 1}, 1)
-        with pytest.raises(ValueError):
-            tracker.add_edge(0, 5)
-
-    def test_untouched_vertices_are_not_materialized(self):
-        """Lazy admission: vertices without edges never enter the
-        union-find — the caller reconstructs them as singletons."""
-        tracker = IncrementalComponents(range(1000), {7: 1, 8: 1}, 1)
-        tracker.add_edge(7, 8)
-        tracker.finish_shard(0)
-        assert set(tracker.touched) == {7, 8}
-        assert tracker.all_sealed
