@@ -48,7 +48,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from common import in_fork  # noqa: E402
-from repro.core.pc_pivot import pc_pivot  # noqa: E402
+from repro.core.generation import pc_pivot  # noqa: E402
 from repro.core.pc_refine import pc_refine  # noqa: E402
 from repro.crowd.oracle import CrowdOracle  # noqa: E402
 from repro.eval.metrics import pairwise_scores  # noqa: E402

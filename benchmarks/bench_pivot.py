@@ -40,7 +40,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.pc_pivot import PCPivotDiagnostics, pc_pivot  # noqa: E402
+from repro.core.generation import PCPivotDiagnostics, pc_pivot  # noqa: E402
 from repro.crowd.oracle import CrowdOracle  # noqa: E402
 from repro.crowd.stats import CrowdStats  # noqa: E402
 from repro.experiments.runner import prepare_instance  # noqa: E402

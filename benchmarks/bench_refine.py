@@ -56,7 +56,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.pc_pivot import pc_pivot  # noqa: E402
+from repro.core.generation import pc_pivot  # noqa: E402
 from repro.core.pc_refine import PCRefineDiagnostics, pc_refine  # noqa: E402
 from repro.crowd.oracle import CrowdOracle  # noqa: E402
 from repro.crowd.stats import CrowdStats  # noqa: E402

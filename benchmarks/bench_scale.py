@@ -315,7 +315,7 @@ def _measure_refine(dataset, candidates, *, resumed=False):
     import tempfile
 
     from repro.core.acd import run_acd
-    from repro.core.pc_pivot import pc_pivot
+    from repro.core.generation import pc_pivot
     from repro.core.pc_refine import pc_refine
     from repro.crowd.oracle import CrowdOracle
     from repro.runtime.checkpoint import CheckpointStore

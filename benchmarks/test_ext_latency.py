@@ -15,8 +15,8 @@ posting overhead and the last straggler, not by batch size.
 
 import pytest
 
-from repro.core.pivot import crowd_pivot
-from repro.core.pc_pivot import pc_pivot
+from repro.core.generation import crowd_pivot
+from repro.core.generation import pc_pivot
 from repro.crowd.latency import LatencyModel, format_duration
 from repro.crowd.oracle import CrowdOracle
 from repro.crowd.stats import CrowdStats

@@ -10,7 +10,7 @@ clusterings, with PC-Refine needing several times fewer crowd rounds.
 
 import pytest
 
-from repro.core.pc_pivot import pc_pivot
+from repro.core.generation import pc_pivot
 from repro.core.pc_refine import pc_refine
 from repro.core.refine import crowd_refine
 from repro.crowd.oracle import CrowdOracle

@@ -14,6 +14,7 @@ import random
 from typing import Callable, Optional, Set, Tuple
 
 from repro.core.clustering import Clustering
+from repro.core.generation import LiveVertexOrder
 from repro.core.permutation import Permutation
 from repro.pruning.candidate import CandidateSet
 from repro.pruning.graph import CandidateGraph
@@ -41,15 +42,17 @@ def machine_pivot(
     if permutation is None:
         permutation = Permutation.random(ids, seed=seed)
     graph = CandidateGraph(ids, candidates.pairs)
+    order = LiveVertexOrder(permutation, graph.vertices)
     clustering = Clustering()
     while not graph.is_empty():
-        pivot = permutation.first(graph.vertices)
+        pivot = order.first()
         cluster = {pivot}
         for neighbor in graph.neighbors(pivot):
             if candidates.score(pivot, neighbor) > threshold:
                 cluster.add(neighbor)
         clustering.add_cluster(cluster)
         graph.remove_vertices(cluster)
+        order.discard(cluster)
     return clustering
 
 

@@ -339,16 +339,18 @@ def _finalize_cli_manifest(obs, run_config: dict, seeds: dict,
 
 def _cmd_run(args: argparse.Namespace) -> None:
     manifest_path = _check_run_paths(args)
-    run_config = {
+    # Checkpoints and journals are fingerprinted with the keys that change
+    # results only, so a run resumes under any worker or shard count.
+    result_config = {
         "dataset": args.dataset,
         "setting": args.setting,
         "scale": args.scale,
         "seed": args.seed,
         "method": args.method,
         "method_seed": args.method_seed,
-        "parallel": args.parallel,
-        "shards": args.shards,
     }
+    run_config = {**result_config, "parallel": args.parallel,
+                  "shards": args.shards}
     seeds = {"dataset_seed": args.seed, "method_seed": args.method_seed}
 
     obs = None
@@ -366,7 +368,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         )
         try:
             checkpoints = CheckpointStore(args.checkpoint_dir,
-                                          config=run_config)
+                                          config=result_config)
             if args.resume:
                 payload = checkpoints.load("pruning")
                 if payload is not None:
@@ -401,7 +403,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
             )
         try:
             journaled = JournalingAnswerFile(instance.answers, journal_path,
-                                             config=run_config)
+                                             config=result_config)
         except ValueError as error:
             raise SystemExit(str(error))
         if args.resume:

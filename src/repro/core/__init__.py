@@ -14,6 +14,16 @@ from repro.core.acd import ACDResult, run_acd
 from repro.core.clustering import Clustering
 from repro.core.estimator import DEFAULT_NUM_BUCKETS, HistogramEstimator
 from repro.core.evaluation_cache import EvaluationCache, EvaluationStats
+from repro.core.generation import (
+    DEFAULT_EPSILON,
+    LiveVertexOrder,
+    PartialPivotResult,
+    PCPivotDiagnostics,
+    choose_pivots,
+    crowd_pivot,
+    pc_pivot,
+    waste_estimates,
+)
 from repro.core.lowerbound import lp_lower_bound, optimality_gap
 from repro.core.objective import (
     lambda_objective,
@@ -29,13 +39,6 @@ from repro.core.operations import (
     apply_operation,
     independent,
 )
-from repro.core.partial_pivot import PartialPivotResult, waste_estimates
-from repro.core.pc_pivot import (
-    DEFAULT_EPSILON,
-    PCPivotDiagnostics,
-    pc_pivot,
-)
-from repro.core.pivot_engine import LiveVertexOrder, choose_pivots
 from repro.core.pc_refine import (
     DEFAULT_THRESHOLD_DIVISOR,
     PCRefineDiagnostics,
@@ -43,7 +46,6 @@ from repro.core.pc_refine import (
     refinement_budget,
 )
 from repro.core.permutation import Permutation
-from repro.core.pivot import crowd_pivot
 from repro.core.refine import (
     BENEFIT_TOLERANCE,
     build_estimator,

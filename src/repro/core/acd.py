@@ -8,17 +8,11 @@ PC-Refine cluster refinement (phase 3).  Both crowd phases share one
 from the generation phase's answer set ``A`` and all costs accumulate into
 a single :class:`~repro.crowd.stats.CrowdStats`.
 
-PC-Pivot only ever asks pivot-incident pairs, so generation splits exactly
-along the connected components of the candidate graph (Lemmas 2 and 4).
-:func:`run_acd` always generates that way (:mod:`repro.core.pivot_shard`).
-When ``workers <= 1``, :func:`~repro.core.pc_pivot.pc_pivot` runs every
-component in one lockstep round loop, asking each merged round of the
-oracle as it runs.  Otherwise the components run as grouped tasks on one
-supervised worker pool, and the parent replays the same merged rounds
-through the oracle.  Either way the oracle records stats, fault
-counters, journal batches and events once per merged round, so the
-result is byte-identical for every worker count, shard count, fault plan
-and entry shape.  Given records, pruning runs first and finishes before
+Generation runs per connected component of the candidate graph, inline
+when ``workers <= 1`` and on one supervised worker pool otherwise;
+:mod:`repro.core.generation` states the decomposition and its
+determinism contract.  The result is byte-identical for every worker
+count, shard count, fault plan and entry shape.  Given records, pruning runs first and finishes before
 generation starts — the paper's phase order; with several shards and
 workers the join runs on its own supervised pool
 (:func:`~repro.pruning.candidate.build_candidate_set`).  Refinement is
@@ -33,10 +27,12 @@ from typing import Dict, Iterable, Optional, Sequence, Union
 
 from repro.core.clustering import Clustering
 from repro.core.estimator import DEFAULT_NUM_BUCKETS
-from repro.core.pc_pivot import (
+from repro.core.generation import (
     DEFAULT_EPSILON,
     PCPivotDiagnostics,
     pc_pivot,
+    pc_pivot_on_pool,
+    uses_pool,
 )
 from repro.core.pc_refine import (
     DEFAULT_THRESHOLD_DIVISOR,
@@ -44,11 +40,6 @@ from repro.core.pc_refine import (
     pc_refine,
 )
 from repro.core.permutation import Permutation
-from repro.core.pivot_shard import (
-    merge_component_runs,
-    start_components,
-    uses_pool,
-)
 from repro.crowd.oracle import CrowdOracle
 from repro.crowd.stats import CrowdStats
 from repro.obs import ObsContext, maybe_span
@@ -193,7 +184,7 @@ def run_acd(
             generation pool.
 
     The sequential Crowd-Pivot / Crowd-Refine are
-    :func:`repro.core.pivot.crowd_pivot` and
+    :func:`repro.core.generation.crowd_pivot` and
     :func:`repro.core.refine.crowd_refine`.
 
     Returns:
@@ -246,82 +237,73 @@ def run_acd(
     oracle = CrowdOracle(answers, stats=stats, obs=obs)
     pooled = restored is None and uses_pool(workers, obs)
 
-    run = None
+    runtime = RuntimeReport()
     refine_diagnostics: Optional[PCRefineDiagnostics] = None
-    try:
-        if records is not None:
-            num_shards = resolve_auto_shards(
-                records=len(ids), requested=pruning_shards, obs=obs)
-            config["pruning_shards"] = num_shards
-            restored_pruning = (checkpoints.load("pruning")
-                                if resuming else None)
-            if restored_pruning is not None:
-                candidates = restore_candidates(restored_pruning)
-            else:
-                candidates = build_candidate_set(
-                    records, similarity, threshold=threshold,
-                    shards=num_shards, parallel=workers, obs=obs,
-                    supervisor_policy=supervisor_policy,
-                    fault_plan=fault_plan,
-                )
-                if checkpoints is not None:
-                    checkpoints.save("pruning", candidate_state(candidates))
+    if records is not None:
+        num_shards = resolve_auto_shards(
+            records=len(ids), requested=pruning_shards, obs=obs)
+        config["pruning_shards"] = num_shards
+        restored_pruning = (checkpoints.load("pruning")
+                            if resuming else None)
+        if restored_pruning is not None:
+            candidates = restore_candidates(restored_pruning)
+        else:
+            candidates = build_candidate_set(
+                records, similarity, threshold=threshold,
+                shards=num_shards, parallel=workers, obs=obs,
+                supervisor_policy=supervisor_policy,
+                fault_plan=fault_plan,
+            )
+            if checkpoints is not None:
+                checkpoints.save("pruning", candidate_state(candidates))
 
-        with maybe_span(obs, "acd", records=len(ids),
-                        candidate_pairs=len(candidates)):
-            if restored_refinement is not None:
-                (clustering, generation_stats, pivot_diagnostics,
-                 refine_diagnostics) = _restore(
-                    "refinement", restored_refinement, oracle, obs)
+    with maybe_span(obs, "acd", records=len(ids),
+                    candidate_pairs=len(candidates)):
+        if restored_refinement is not None:
+            (clustering, generation_stats, pivot_diagnostics,
+             refine_diagnostics) = _restore(
+                "refinement", restored_refinement, oracle, obs)
+        else:
+            if restored_generation is not None:
+                clustering, _, pivot_diagnostics, _ = _restore(
+                    "generation", restored_generation, oracle, obs)
             else:
-                if restored_generation is not None:
-                    clustering, _, pivot_diagnostics, _ = _restore(
-                        "generation", restored_generation, oracle, obs)
-                else:
-                    with maybe_span(obs, "generation"):
-                        pivot_diagnostics = PCPivotDiagnostics()
-                        if not pooled:
-                            clustering = pc_pivot(
-                                ids, candidates, oracle, epsilon=epsilon,
-                                permutation=permutation,
-                                diagnostics=pivot_diagnostics, obs=obs,
-                            )
-                        else:
-                            run = start_components(
-                                ids, candidates, permutation, epsilon,
-                                answers, workers=workers,
-                                supervisor_policy=supervisor_policy,
-                                fault_plan=fault_plan, obs=obs,
-                            )
-                            clustering = merge_component_runs(
-                                ids, run.components, run.wait(),
-                                permutation, oracle, epsilon,
-                                pivot_diagnostics, obs,
-                            )
-                    if checkpoints is not None:
-                        checkpoints.save("generation", _generation_state(
-                            clustering, oracle, answers, pivot_diagnostics))
-                generation_stats = stats.snapshot()
-
-                if refine:
-                    with maybe_span(obs, "refinement"):
-                        refine_diagnostics = PCRefineDiagnostics()
-                        clustering = pc_refine(
-                            clustering, candidates, oracle,
-                            num_records=len(ids),
-                            threshold_divisor=threshold_divisor,
-                            num_buckets=num_buckets,
-                            diagnostics=refine_diagnostics, ranking=ranking,
-                            max_refinement_pairs=max_refinement_pairs,
-                            obs=obs,
+                with maybe_span(obs, "generation"):
+                    pivot_diagnostics = PCPivotDiagnostics()
+                    if not pooled:
+                        clustering = pc_pivot(
+                            ids, candidates, oracle, epsilon=epsilon,
+                            permutation=permutation,
+                            diagnostics=pivot_diagnostics, obs=obs,
                         )
-                    if checkpoints is not None:
-                        checkpoints.save("refinement", _refinement_state(
-                            clustering, oracle, answers, generation_stats,
-                            pivot_diagnostics, refine_diagnostics))
-    finally:
-        if run is not None:
-            run.close()
+                    else:
+                        clustering, runtime = pc_pivot_on_pool(
+                            ids, candidates, oracle, epsilon, permutation,
+                            pivot_diagnostics, obs, workers=workers,
+                            supervisor_policy=supervisor_policy,
+                            fault_plan=fault_plan,
+                        )
+                if checkpoints is not None:
+                    checkpoints.save("generation", _generation_state(
+                        clustering, oracle, answers, pivot_diagnostics))
+            generation_stats = stats.snapshot()
+
+            if refine:
+                with maybe_span(obs, "refinement"):
+                    refine_diagnostics = PCRefineDiagnostics()
+                    clustering = pc_refine(
+                        clustering, candidates, oracle,
+                        num_records=len(ids),
+                        threshold_divisor=threshold_divisor,
+                        num_buckets=num_buckets,
+                        diagnostics=refine_diagnostics, ranking=ranking,
+                        max_refinement_pairs=max_refinement_pairs,
+                        obs=obs,
+                    )
+                if checkpoints is not None:
+                    checkpoints.save("refinement", _refinement_state(
+                        clustering, oracle, answers, generation_stats,
+                        pivot_diagnostics, refine_diagnostics))
 
     total = stats.snapshot()
     result = ACDResult(
@@ -334,7 +316,7 @@ def run_acd(
         pivot_diagnostics=pivot_diagnostics,
         refine_diagnostics=refine_diagnostics,
         candidates=candidates,
-        runtime=run.report if run is not None else RuntimeReport(),
+        runtime=runtime,
     )
     _finish(result, obs, config, seed)
     return result

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.baselines import crowder_plus
 from repro.core.acd import run_acd
-from repro.core.pivot import crowd_pivot
+from repro.core.generation import crowd_pivot
 from repro.crowd.cache import AnswerWrapper
 from repro.crowd.faults import FaultModel
 from repro.crowd.oracle import CrowdOracle

@@ -209,7 +209,7 @@ def run_method(
     oracle = _fresh_oracle(instance, obs=obs)
     with maybe_span(obs, "method", method=method):
         if method == CROWD_PIVOT_METHOD:
-            from repro.core.pivot import crowd_pivot
+            from repro.core.generation import crowd_pivot
             clustering = crowd_pivot(ids, instance.candidates, oracle,
                                      seed=seed, obs=obs)
         elif method == CROWDER_METHOD:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core.acd import run_acd
-from repro.core.pivot import crowd_pivot
+from repro.core.generation import crowd_pivot
 from repro.crowd.oracle import CrowdOracle
 from repro.crowd.stats import CrowdStats
 from repro.eval.metrics import f1_score

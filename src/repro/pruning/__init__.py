@@ -19,7 +19,7 @@ from repro.pruning.candidate import (
     CandidateSet,
     build_candidate_set,
 )
-from repro.pruning.graph import CandidateGraph, graph_from_candidates
+from repro.pruning.graph import CandidateGraph
 from repro.pruning.parallel import score_pairs_parallel
 from repro.pruning.prefix_join import prefix_length
 from repro.pruning.minhash import (
@@ -37,7 +37,6 @@ __all__ = [
     "all_pairs",
     "build_candidate_set",
     "evaluate_candidates",
-    "graph_from_candidates",
     "lsh_candidate_pairs",
     "minhash_blocking_pairs",
     "prefix_length",

@@ -4,7 +4,7 @@ Cluster generation decomposes exactly along connected components of
 ``G = (V_R, E_S)``: Crowd-Pivot only ever issues pivot-incident edges,
 and removing a cluster in one component never changes the live
 neighborhood of another.  The generation executor of
-:mod:`repro.core.pivot_shard` therefore uses the component — not the
+:mod:`repro.core.generation` therefore uses the component — not the
 record — as its unit of distribution: this module finds the components
 (a ``scipy.sparse.csgraph`` label pass) and, for the executor, which
 component each candidate pair belongs to.

@@ -2,13 +2,13 @@
 
 Every clustering algorithm in the paper operates on the undirected graph
 whose vertices are records and whose edges are candidate pairs (Table 1).
-:class:`CandidateGraph` provides the mutable view the pivot algorithms need
-(vertex removal as clusters form) without copying adjacency sets.
+:class:`CandidateGraph` provides the mutable view the pivot algorithms need:
+vertex removal as clusters form, never re-inserting.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 from repro.datasets.schema import canonical_pair
 
@@ -16,11 +16,14 @@ Pair = Tuple[int, int]
 
 
 class CandidateGraph:
-    """Undirected graph over record ids with O(1) amortized vertex removal.
+    """Undirected graph over record ids with eager vertex removal.
 
-    Removal marks vertices dead and filters them lazily from neighbor
-    queries — the access pattern of Crowd-Pivot/Partial-Pivot, which remove
-    whole clusters per iteration, never re-inserting.
+    Removing a vertex drops its incident edges at once, so a live vertex's
+    adjacency set holds live neighbors only: ``num_edges`` is a counter,
+    and ``neighbors()`` serves a memoized sorted tuple that is dropped
+    only when an incident vertex is removed.  The pivot loops walk every
+    live vertex's neighborhood every round, so queries must be cheap;
+    removals happen once per vertex.
     """
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Pair]):
@@ -32,10 +35,10 @@ class CandidateGraph:
             self._adjacency[a].add(b)
             self._adjacency[b].add(a)
         self._alive: Set[int] = set(self._adjacency)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
+        self._sorted: Dict[int, Tuple[int, ...]] = {}
+        self._num_edges = sum(
+            len(ns) for ns in self._adjacency.values()
+        ) // 2
 
     def __len__(self) -> int:
         return len(self._alive)
@@ -52,89 +55,9 @@ class CandidateGraph:
         return not self._alive
 
     def neighbors(self, vertex: int) -> Tuple[int, ...]:
-        """Live neighbors of a live vertex, sorted for determinism.
-
-        Returned as an immutable tuple so callers can never corrupt the
-        graph's internal state through the result.
-        """
-        if vertex not in self._alive:
-            raise KeyError(f"vertex {vertex} is not in the graph")
-        return tuple(
-            sorted(n for n in self._adjacency[vertex] if n in self._alive)
-        )
-
-    def degree(self, vertex: int) -> int:
-        """Number of live neighbors, in O(deg) without sorting."""
-        if vertex not in self._alive:
-            raise KeyError(f"vertex {vertex} is not in the graph")
-        alive = self._alive
-        return sum(1 for n in self._adjacency[vertex] if n in alive)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        """True iff both endpoints are live and adjacent."""
-        return (
-            a in self._alive and b in self._alive and b in self._adjacency.get(a, ())
-        )
-
-    def edges(self) -> Iterator[Pair]:
-        """All live edges, canonical and sorted."""
-        for a in sorted(self._alive):
-            for b in self._adjacency[a]:
-                if b in self._alive and a < b:
-                    yield (a, b)
-
-    def num_edges(self) -> int:
-        """Number of live edges, counted without materializing them."""
-        alive = self._alive
-        return sum(
-            sum(1 for n in self._adjacency[v] if n in alive)
-            for v in alive
-        ) // 2
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-
-    def remove_vertices(self, vertices: Iterable[int]) -> None:
-        """Remove a set of vertices (and implicitly their incident edges)."""
-        for vertex in vertices:
-            self._alive.discard(vertex)
-
-    def copy(self) -> "CandidateGraph":
-        """An independent copy with the same live vertices and edges."""
-        clone = CandidateGraph.__new__(CandidateGraph)
-        clone._adjacency = {v: set(ns) for v, ns in self._adjacency.items()}
-        clone._alive = set(self._alive)
-        return clone
-
-
-class EagerCandidateGraph(CandidateGraph):
-    """Fast-path candidate graph: eager edge cleanup and cached queries.
-
-    The lazy base class filters dead vertices out of the *full* adjacency
-    set (and re-sorts the survivors) on every ``neighbors()`` call — fine
-    for a handful of queries, quadratic in spirit for the pivot engines,
-    which walk every live vertex's neighborhood every round.  This variant
-    removes edges eagerly when a vertex dies, so a live vertex's adjacency
-    set contains live neighbors only: ``degree`` is O(1), ``num_edges`` is
-    a cached counter, and ``neighbors()`` serves a memoized sorted tuple
-    that is invalidated only when an incident vertex is removed.
-
-    Query results are identical to the base class for the same sequence of
-    operations (property-tested in ``tests/pruning/test_graph.py``); only
-    the cost model changes.
-    """
-
-    def __init__(self, vertices: Iterable[int], edges: Iterable[Pair]):
-        super().__init__(vertices, edges)
-        self._sorted: Dict[int, Tuple[int, ...]] = {}
-        self._num_edges = sum(
-            len(ns) for ns in self._adjacency.values()
-        ) // 2
-
-    def neighbors(self, vertex: int) -> Tuple[int, ...]:
-        """Live neighbors, sorted; the memoized entry is an immutable
-        tuple, so sharing it with callers is safe."""
+        """Live neighbors of a live vertex, sorted for determinism; the
+        memoized entry is an immutable tuple, so sharing it with callers
+        is safe."""
         if vertex not in self._alive:
             raise KeyError(f"vertex {vertex} is not in the graph")
         cached = self._sorted.get(vertex)
@@ -142,12 +65,6 @@ class EagerCandidateGraph(CandidateGraph):
             cached = tuple(sorted(self._adjacency[vertex]))
             self._sorted[vertex] = cached
         return cached
-
-    def degree(self, vertex: int) -> int:
-        """Number of live neighbors, in O(1)."""
-        if vertex not in self._alive:
-            raise KeyError(f"vertex {vertex} is not in the graph")
-        return len(self._adjacency[vertex])
 
     def num_edges(self) -> int:
         """Number of live edges, in O(1)."""
@@ -172,17 +89,3 @@ class EagerCandidateGraph(CandidateGraph):
                 if peer is not None:
                     peer.discard(vertex)
                     self._sorted.pop(neighbor, None)
-
-    def copy(self) -> "EagerCandidateGraph":
-        clone = EagerCandidateGraph.__new__(EagerCandidateGraph)
-        clone._adjacency = {v: set(ns) for v, ns in self._adjacency.items()}
-        clone._alive = set(self._alive)
-        clone._sorted = {}
-        clone._num_edges = self._num_edges
-        return clone
-
-
-def graph_from_candidates(record_ids: Iterable[int],
-                          pairs: Iterable[Pair]) -> CandidateGraph:
-    """Build ``G = (V_R, E_S)`` from the record set and candidate set."""
-    return CandidateGraph(record_ids, pairs)

@@ -67,14 +67,15 @@ from repro.core.operations import (
     OperationEvaluator,
     apply_operation,
 )
-from repro.core.partial_pivot import (
+from repro.core.generation import (
+    DEFAULT_EPSILON,
     PartialPivotResult,
+    PCPivotDiagnostics,
+    _finish_round,
     form_clusters,
     pivot_incident_pairs,
     waste_estimates,
 )
-from repro.core.pc_pivot import DEFAULT_EPSILON, PCPivotDiagnostics
-from repro.core.pivot_shard import _finish_round
 from repro.core.pc_refine import (
     DEFAULT_THRESHOLD_DIVISOR,
     PCRefineDiagnostics,
@@ -152,8 +153,8 @@ def choose_k(graph: CandidateGraph, permutation: Permutation,
     context.
 
     The production scan is
-    :func:`~repro.core.pivot_engine.choose_pivots`, which fuses this loop
-    with :func:`~repro.core.partial_pivot.waste_estimates` and exits early.
+    :func:`~repro.core.generation.choose_pivots`, which fuses this loop
+    with :func:`~repro.core.generation.waste_estimates` and exits early.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
@@ -191,7 +192,7 @@ def partial_pivot(
     The pivots are the first ``k`` live vertices in permutation order
     (``k`` clamped to the live count); their Equation-3 bound is computed
     before any mutation, all their incident edges go out as one crowd
-    batch, and :func:`~repro.core.partial_pivot.form_clusters` replays
+    batch, and :func:`~repro.core.generation.form_clusters` replays
     sequential cluster formation on the answers.  The round runs inside a
     ``pivot.partial`` span so its crowd batch nests under it in a trace.
     """
@@ -228,7 +229,7 @@ def pc_pivot(
     """PC-Pivot as the paper states it: one whole-graph loop, re-deriving
     the live order and the Equation-3/4 scan from scratch every round.
 
-    Same arguments as :func:`repro.core.pc_pivot.pc_pivot` and the same
+    Same arguments as :func:`repro.core.generation.pc_pivot` and the same
     clustering (cluster ids included) for the same permutation.  Its
     rounds couple components through the global permutation prefix, so
     its crowd batches and diagnostics are the whole-graph ones, not the
@@ -248,8 +249,10 @@ def pc_pivot(
         for cluster in result.clusters:
             clustering.add_cluster(cluster)
         round_index += 1
-        _finish_round(obs, diagnostics, round_index, k, result, epsilon,
-                      live_before, remaining=len(graph))
+        _finish_round(obs, diagnostics, round_index, k,
+                      result.predicted_waste, len(result.issued_pairs),
+                      len(result.clusters), epsilon, live_before,
+                      remaining=len(graph))
 
     return clustering
 
@@ -266,7 +269,7 @@ def crowd_pivot(
     """Crowd-Pivot with a minimum-rank scan over the live vertices per
     iteration.
 
-    Same arguments and output as :func:`repro.core.pivot.crowd_pivot`.
+    Same arguments and output as :func:`repro.core.generation.crowd_pivot`.
     """
     ids = list(record_ids)
     if permutation is None:
@@ -752,13 +755,13 @@ def run_acd(
             :func:`repro.core.acd.run_acd` runs) or Crowd-Pivot +
             Crowd-Refine (``False``).  The sequential composition has no
             production entry point: callers run
-            :func:`repro.core.pivot.crowd_pivot` then
+            :func:`repro.core.generation.crowd_pivot` then
             :func:`repro.core.refine.crowd_refine` over one
             :class:`~repro.crowd.oracle.CrowdOracle`, and this is its
             oracle.
         generation: Replace the generation oracle with another function
             of the same signature (e.g. the production
-            :func:`repro.core.pc_pivot.pc_pivot`) — the BENCH A/B stages
+            :func:`repro.core.generation.pc_pivot`) — the BENCH A/B stages
             swap one phase at a time.
         refinement: Likewise for the refinement phase.
 

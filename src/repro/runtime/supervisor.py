@@ -32,7 +32,7 @@ duplex pipe each — and supervises every dispatched task:
 The pool is long-lived: tasks are submitted as they become ready and
 collected in completion order — :func:`repro.core.acd.run_acd` keeps
 one pool up for all of cluster generation's component tasks this way
-(:mod:`repro.core.pivot_shard`).  :func:`supervised_map` is the one-shot
+(:mod:`repro.core.generation`).  :func:`supervised_map` is the one-shot
 wrapper the pruning layer uses.
 
 Every decision is observable: ``runtime.worker_crash`` /

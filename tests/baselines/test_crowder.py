@@ -59,7 +59,7 @@ class TestClustering:
 
     def test_highest_accuracy_on_real_instance(self, tiny_paper):
         """CrowdER+ should beat bare PC-Pivot on the hard dataset."""
-        from repro.core.pc_pivot import pc_pivot
+        from repro.core.generation import pc_pivot
         crowder_oracle = CrowdOracle(tiny_paper.answers)
         crowder = crowder_plus(tiny_paper.record_ids, tiny_paper.candidates,
                                crowder_oracle)

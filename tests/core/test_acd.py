@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.acd import run_acd
 from repro.core.permutation import Permutation
-from repro.core.pivot import crowd_pivot
+from repro.core.generation import crowd_pivot
 from repro.core.refine import crowd_refine
 from repro.crowd.cache import AnswerWrapper
 from repro.crowd.oracle import CrowdOracle

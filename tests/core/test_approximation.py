@@ -15,7 +15,7 @@ import pytest
 from repro.core.clustering import Clustering
 from repro.core.objective import lambda_objective
 from repro.core.permutation import Permutation
-from repro.core.pivot import crowd_pivot
+from repro.core.generation import crowd_pivot
 from tests.conftest import make_candidates, scripted_oracle
 
 

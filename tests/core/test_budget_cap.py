@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.pc_pivot import pc_pivot
+from repro.core.generation import pc_pivot
 from repro.core.pc_refine import pc_refine
 from repro.crowd.oracle import CrowdOracle
 

@@ -13,7 +13,7 @@ order.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pivot_shard import _component_groups
+from repro.core.generation import _component_groups
 from repro.pruning.candidate import CandidateSet
 from repro.pruning.components import connected_components
 

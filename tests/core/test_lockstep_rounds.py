@@ -24,9 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import reference
-from repro.core.pc_pivot import pc_pivot
+from repro.core.generation import pc_pivot
 from repro.core.permutation import Permutation
-from repro.core.pivot_shard import _run_components, merge_component_runs
+from repro.core.generation import _run_components, merge_component_runs
 from repro.crowd.cache import ScriptedAnswers
 from repro.crowd.oracle import CrowdOracle
 from repro.pruning.graph import CandidateGraph

@@ -84,7 +84,7 @@ class TestOptimalityGap:
         """Crowd-Pivot's average Λ' on Example 1 sits within the 5x LP
         guarantee (in fact well within)."""
         from repro.core.permutation import Permutation
-        from repro.core.pivot import crowd_pivot
+        from repro.core.generation import crowd_pivot
         from tests.conftest import make_candidates, scripted_oracle
 
         candidates = make_candidates({pair: 0.8 for pair in TABLE2_SCORES})

@@ -5,7 +5,7 @@ permutation and hands them to ``repro.core.partial_pivot``."""
 
 import pytest
 
-from repro.core.partial_pivot import waste_estimates
+from repro.core.generation import waste_estimates
 from repro.core.permutation import Permutation
 from repro.pruning.graph import CandidateGraph
 from repro.reference import partial_pivot
@@ -117,7 +117,7 @@ class TestWasteBoundHolds:
     def test_actual_waste_never_exceeds_estimate(self, tiny_paper):
         """Lemma 3: the Equation-3 estimate upper-bounds the actual wasted
         pairs (issued by Partial-Pivot but not by sequential Crowd-Pivot)."""
-        from repro.core.pivot import crowd_pivot
+        from repro.core.generation import crowd_pivot
         from repro.crowd.oracle import CrowdOracle
 
         ids_ = tiny_paper.record_ids

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pc_pivot import PCPivotDiagnostics, pc_pivot
+from repro.core.generation import PCPivotDiagnostics, pc_pivot
 from repro.core.permutation import Permutation
-from repro.core.pivot import crowd_pivot
-from repro.core.pivot_engine import choose_pivots
+from repro.core.generation import crowd_pivot
+from repro.core.generation import choose_pivots
 from repro.crowd.oracle import CrowdOracle
 from repro.pruning.graph import CandidateGraph
 from tests.conftest import (

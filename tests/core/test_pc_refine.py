@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.clustering import Clustering
 from repro.core.objective import lambda_objective
-from repro.core.pc_pivot import pc_pivot
+from repro.core.generation import pc_pivot
 from repro.core.pc_refine import (
     PCRefineDiagnostics,
     pc_refine,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core.acd import run_acd
 from repro.core.objective import lambda_objective
 from repro.core.permutation import Permutation
-from repro.core.pivot import crowd_pivot
+from repro.core.generation import crowd_pivot
 from repro.crowd.cache import ScriptedAnswers
 from repro.crowd.oracle import CrowdOracle
 from tests.conftest import make_candidates

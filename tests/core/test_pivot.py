@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.clustering import Clustering
 from repro.core.permutation import Permutation
-from repro.core.pivot import crowd_pivot
+from repro.core.generation import crowd_pivot
 from tests.conftest import (
     FIG2_IDS,
     fig2_candidates,

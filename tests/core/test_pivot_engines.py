@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 from repro import reference
 from repro.cli import main
 from repro.core.acd import run_acd
-from repro.core.partial_pivot import waste_estimates
-from repro.core.pc_pivot import PCPivotDiagnostics, pc_pivot
+from repro.core.generation import waste_estimates
+from repro.core.generation import PCPivotDiagnostics, pc_pivot
 from repro.core.pc_refine import pc_refine
 from repro.core.permutation import Permutation
-from repro.core.pivot import crowd_pivot
-from repro.core.pivot_engine import LiveVertexOrder, choose_pivots
+from repro.core.generation import crowd_pivot
+from repro.core.generation import LiveVertexOrder, choose_pivots
 from repro.core.refine import crowd_refine
 from repro.crowd.cache import AnswerFile, FallbackAnswers, ScriptedAnswers
 from repro.crowd.faults import FaultModel
@@ -304,7 +304,7 @@ def test_partial_pivot_is_reference_only():
     """The whole-graph Partial-Pivot round is a test oracle: production
     keeps only its two halves (``pivot_incident_pairs`` /
     ``form_clusters``), and the oracle still rejects ``k < 1``."""
-    import repro.core.partial_pivot as core_partial_pivot
+    import repro.core.generation as core_partial_pivot
 
     assert not hasattr(core_partial_pivot, "partial_pivot")
     ids, candidates, fresh_oracle = random_pivot_state(3)

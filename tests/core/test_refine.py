@@ -6,7 +6,7 @@ import pytest
 from repro.core.clustering import Clustering
 from repro.core.objective import lambda_objective
 from repro.core.permutation import Permutation
-from repro.core.pc_pivot import pc_pivot
+from repro.core.generation import pc_pivot
 from repro.core.refine import (
     build_estimator,
     crowd_refine,

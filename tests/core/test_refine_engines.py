@@ -19,13 +19,13 @@ from repro.core.acd import run_acd
 from repro.core.clustering import Clustering
 from repro.core.evaluation_cache import EvaluationCache
 from repro.core.operations import OperationEvaluator, independent
-from repro.core.pc_pivot import pc_pivot
+from repro.core.generation import pc_pivot
 from repro.core.pc_refine import (
     PCRefineDiagnostics,
     _pack_independent_operations_fast,
     pc_refine,
 )
-from repro.core.pivot import crowd_pivot
+from repro.core.generation import crowd_pivot
 from repro.core.refine import (
     OperationCache,
     build_estimator,

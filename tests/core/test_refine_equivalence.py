@@ -11,7 +11,7 @@ from repro import reference
 from repro.core.clustering import Clustering
 from repro.core.estimator import HistogramEstimator
 from repro.core.evaluation_cache import EvaluationCache
-from repro.core.pc_pivot import pc_pivot
+from repro.core.generation import pc_pivot
 from repro.core.refine import (
     OperationCache,
     apply_free_operations,

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from repro import reference
 from repro.core.acd import run_acd
-from repro.core.pc_pivot import PCPivotDiagnostics
+from repro.core.generation import PCPivotDiagnostics
 from repro.core.permutation import Permutation
-from repro.core.pivot import crowd_pivot
+from repro.core.generation import crowd_pivot
 from repro.runtime.checkpoint import CheckpointStore
 from tests.conftest import make_candidates, scripted_oracle
 

@@ -9,7 +9,7 @@ itself non-pair-deterministic, fails here.
 
 import pytest
 
-from repro.core.pivot_shard import require_pair_deterministic
+from repro.core.generation import require_pair_deterministic
 from repro.crowd.adaptive import AdaptiveAnswerFile
 from repro.crowd.cache import (
     AnswerFile,

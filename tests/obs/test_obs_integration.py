@@ -15,7 +15,7 @@ Three contracts are pinned here:
 import pytest
 
 from repro.core.acd import run_acd
-from repro.core.pivot import crowd_pivot
+from repro.core.generation import crowd_pivot
 from repro.core.refine import crowd_refine
 from repro.crowd.oracle import CrowdOracle
 from repro.crowd.persistence import JournalingAnswerFile

@@ -132,7 +132,7 @@ class TestFaultByteIdentity:
 
 class TestForkFallback:
     def test_fallback_warns_when_fork_unavailable(self, monkeypatch):
-        import repro.core.pivot_shard as pivot_shard
+        import repro.core.generation as pivot_shard
         import repro.runtime.supervisor as supervisor
 
         monkeypatch.setattr(pivot_shard, "fork_available", lambda: False)

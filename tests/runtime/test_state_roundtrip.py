@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.clustering import Clustering
 from repro.core.evaluation_cache import EvaluationStats
-from repro.core.pc_pivot import PCPivotDiagnostics
+from repro.core.generation import PCPivotDiagnostics
 from repro.core.pc_refine import PCRefineDiagnostics
 from repro.crowd.persistence import JournalingAnswerFile
 from repro.crowd.stats import CrowdStats

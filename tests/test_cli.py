@@ -1,8 +1,11 @@
 """Tests for the repro CLI."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime.checkpoint import CheckpointMismatch
 
 
 class TestParser:
@@ -286,3 +289,35 @@ class TestCheckpointCli:
                            match="different run configuration"):
             main(["run", "restaurant", "--scale", "0.1",
                   "--checkpoint-dir", str(checkpoint_dir), "--resume"])
+
+    @staticmethod
+    def _resumable(tmp_path):
+        return ["run", "restaurant", "--scale", "0.1",
+                "--checkpoint-dir", str(tmp_path / "ck"),
+                "--journal", str(tmp_path / "run.wal")]
+
+    @pytest.mark.parametrize("resume_flags", [
+        ["--parallel", "0"],
+        ["--parallel", "0", "--shards", "4"],
+    ])
+    def test_resume_under_any_worker_and_shard_count(self, capsys, tmp_path,
+                                                     resume_flags):
+        """Workers and shards never change results, so a checkpoint and
+        journal written at ``--parallel 2`` resume under other counts."""
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(self._resumable(tmp_path)
+                    + ["--parallel", "2", "--output", str(first)]) == 0
+        assert main(self._resumable(tmp_path) + resume_flags
+                    + ["--resume", "--output", str(second)]) == 0
+        assert "pruning not re-executed" in capsys.readouterr().out
+        assert (json.loads(first.read_text())["result"]
+                == json.loads(second.read_text())["result"])
+
+    def test_resume_under_another_method_seed_is_rejected(self, capsys,
+                                                          tmp_path):
+        assert main(self._resumable(tmp_path) + ["--parallel", "2"]) == 0
+        with pytest.raises(SystemExit,
+                           match="differs on: method_seed") as raised:
+            main(self._resumable(tmp_path)
+                 + ["--method-seed", "8", "--resume"])
+        assert isinstance(raised.value.__context__, CheckpointMismatch)

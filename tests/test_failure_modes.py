@@ -8,7 +8,7 @@ that no state was corrupted along the way.
 import pytest
 
 from repro.core.clustering import Clustering
-from repro.core.pc_pivot import pc_pivot
+from repro.core.generation import pc_pivot
 from repro.crowd.cache import ScriptedAnswers
 from repro.crowd.oracle import CrowdOracle
 from repro.crowd.persistence import JournalingAnswerFile
