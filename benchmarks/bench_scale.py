@@ -25,7 +25,7 @@ driven by the tier's vectorized candidate set):
   states it (the oracle ``repro.reference.pc_pivot``), single process.
 * ``pivot-inline`` — ``run_acd(refine=False)``: per-component PC-Pivot,
   every component in one lockstep round loop in this process, plus the
-  merged-round replay (:mod:`repro.core.pivot_shard`).
+  merged-round replay (:mod:`repro.core.generation`).
 * ``pivot-sharded`` — the same on a supervised pool of
   ``REPRO_BENCH_PIVOT_PROCESSES`` worker processes
   (``run_acd(workers=...)``).

@@ -12,9 +12,11 @@ Generation runs per connected component of the candidate graph, inline
 when ``workers <= 1`` and on one supervised worker pool otherwise;
 :mod:`repro.core.generation` states the decomposition and its
 determinism contract.  The result is byte-identical for every worker
-count, shard count, fault plan and entry shape.  Given records, pruning runs first and finishes before
-generation starts — the paper's phase order; with several shards and
-workers the join runs on its own supervised pool
+count, shard count, fault plan and entry shape.  The generation pool is
+forked first, before any pruning, so its workers carry only the caller's
+heap.  Given records, pruning then runs and finishes before generation
+starts — the paper's phase order; with several shards and workers the
+join runs on its own supervised pool
 (:func:`~repro.pruning.candidate.build_candidate_set`).  Refinement is
 the global PC-Refine loop, in this process, after the generation pool
 has closed.
@@ -22,6 +24,7 @@ has closed.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Union
 
@@ -30,6 +33,7 @@ from repro.core.estimator import DEFAULT_NUM_BUCKETS
 from repro.core.generation import (
     DEFAULT_EPSILON,
     PCPivotDiagnostics,
+    generation_pool,
     pc_pivot,
     pc_pivot_on_pool,
     uses_pool,
@@ -73,8 +77,9 @@ class ACDResult:
             refinement was skipped).
         candidates: The pruning phase's candidate set (passed in,
             computed, or restored from a checkpoint).
-        runtime: The generation pool's fault-handling telemetry and
-            ``bytes_shipped`` (all zeros when no pool ran).
+        runtime: Fault-handling telemetry and ``bytes_shipped`` of the
+            worker pools this run forked, summed: the pruning join's and
+            the generation pool (all zeros when no pool ran).
     """
 
     clustering: Clustering
@@ -239,71 +244,81 @@ def run_acd(
 
     runtime = RuntimeReport()
     refine_diagnostics: Optional[PCRefineDiagnostics] = None
-    if records is not None:
-        num_shards = resolve_auto_shards(
-            records=len(ids), requested=pruning_shards, obs=obs)
-        config["pruning_shards"] = num_shards
-        restored_pruning = (checkpoints.load("pruning")
-                            if resuming else None)
-        if restored_pruning is not None:
-            candidates = restore_candidates(restored_pruning)
-        else:
-            candidates = build_candidate_set(
-                records, similarity, threshold=threshold,
-                shards=num_shards, parallel=workers, obs=obs,
-                supervisor_policy=supervisor_policy,
-                fault_plan=fault_plan,
-            )
-            if checkpoints is not None:
-                checkpoints.save("pruning", candidate_state(candidates))
-
-    with maybe_span(obs, "acd", records=len(ids),
-                    candidate_pairs=len(candidates)):
-        if restored_refinement is not None:
-            (clustering, generation_stats, pivot_diagnostics,
-             refine_diagnostics) = _restore(
-                "refinement", restored_refinement, oracle, obs)
-        else:
-            if restored_generation is not None:
-                clustering, _, pivot_diagnostics, _ = _restore(
-                    "generation", restored_generation, oracle, obs)
+    with ExitStack() as pool_scope:
+        # Fork before pruning: the workers inherit this heap, not the
+        # one the join leaves behind.  The scope closes them on every
+        # exit path; a finished generation closes them early.
+        pool = (pool_scope.enter_context(generation_pool(
+            oracle.source, permutation, epsilon, workers=workers, obs=obs,
+            supervisor_policy=supervisor_policy, fault_plan=fault_plan,
+        )) if pooled else None)
+        if records is not None:
+            num_shards = resolve_auto_shards(
+                records=len(ids), requested=pruning_shards, obs=obs)
+            config["pruning_shards"] = num_shards
+            restored_pruning = (checkpoints.load("pruning")
+                                if resuming else None)
+            if restored_pruning is not None:
+                candidates = restore_candidates(restored_pruning)
             else:
-                with maybe_span(obs, "generation"):
-                    pivot_diagnostics = PCPivotDiagnostics()
-                    if not pooled:
-                        clustering = pc_pivot(
-                            ids, candidates, oracle, epsilon=epsilon,
-                            permutation=permutation,
-                            diagnostics=pivot_diagnostics, obs=obs,
-                        )
-                    else:
-                        clustering, runtime = pc_pivot_on_pool(
-                            ids, candidates, oracle, epsilon, permutation,
-                            pivot_diagnostics, obs, workers=workers,
-                            supervisor_policy=supervisor_policy,
-                            fault_plan=fault_plan,
-                        )
+                candidates = build_candidate_set(
+                    records, similarity, threshold=threshold,
+                    shards=num_shards, parallel=workers, obs=obs,
+                    supervisor_policy=supervisor_policy,
+                    fault_plan=fault_plan,
+                )
+                runtime.add(candidates.runtime)
                 if checkpoints is not None:
-                    checkpoints.save("generation", _generation_state(
-                        clustering, oracle, answers, pivot_diagnostics))
-            generation_stats = stats.snapshot()
+                    checkpoints.save("pruning", candidate_state(candidates))
 
-            if refine:
-                with maybe_span(obs, "refinement"):
-                    refine_diagnostics = PCRefineDiagnostics()
-                    clustering = pc_refine(
-                        clustering, candidates, oracle,
-                        num_records=len(ids),
-                        threshold_divisor=threshold_divisor,
-                        num_buckets=num_buckets,
-                        diagnostics=refine_diagnostics, ranking=ranking,
-                        max_refinement_pairs=max_refinement_pairs,
-                        obs=obs,
-                    )
-                if checkpoints is not None:
-                    checkpoints.save("refinement", _refinement_state(
-                        clustering, oracle, answers, generation_stats,
-                        pivot_diagnostics, refine_diagnostics))
+        with maybe_span(obs, "acd", records=len(ids),
+                        candidate_pairs=len(candidates)):
+            if restored_refinement is not None:
+                (clustering, generation_stats, pivot_diagnostics,
+                 refine_diagnostics) = _restore(
+                    "refinement", restored_refinement, oracle, obs)
+            else:
+                if restored_generation is not None:
+                    clustering, _, pivot_diagnostics, _ = _restore(
+                        "generation", restored_generation, oracle, obs)
+                else:
+                    with maybe_span(obs, "generation"):
+                        pivot_diagnostics = PCPivotDiagnostics()
+                        if pool is None:
+                            clustering = pc_pivot(
+                                ids, candidates, oracle, epsilon=epsilon,
+                                permutation=permutation,
+                                diagnostics=pivot_diagnostics, obs=obs,
+                            )
+                        else:
+                            clustering = pc_pivot_on_pool(
+                                pool, ids, candidates, oracle, epsilon,
+                                permutation, pivot_diagnostics, obs,
+                            )
+                            pool_scope.close()
+                            runtime.add(pool.report)
+                    if checkpoints is not None:
+                        checkpoints.save("generation", _generation_state(
+                            clustering, oracle, answers, pivot_diagnostics))
+                generation_stats = stats.snapshot()
+
+                if refine:
+                    with maybe_span(obs, "refinement"):
+                        refine_diagnostics = PCRefineDiagnostics()
+                        clustering = pc_refine(
+                            clustering, candidates, oracle,
+                            num_records=len(ids),
+                            threshold_divisor=threshold_divisor,
+                            num_buckets=num_buckets,
+                            diagnostics=refine_diagnostics,
+                            ranking=ranking,
+                            max_refinement_pairs=max_refinement_pairs,
+                            obs=obs,
+                        )
+                    if checkpoints is not None:
+                        checkpoints.save("refinement", _refinement_state(
+                            clustering, oracle, answers, generation_stats,
+                            pivot_diagnostics, refine_diagnostics))
 
     total = stats.snapshot()
     result = ACDResult(

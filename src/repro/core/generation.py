@@ -29,11 +29,12 @@ pairs is one crowd batch.  Round ``r`` is every component's local round
 count.  :func:`pc_pivot` runs all components in this process and asks
 each merged round of the caller's oracle as it runs, so any answer source
 works, stateful ones included.  :func:`pc_pivot_on_pool` runs them as
-grouped tasks on one supervised worker pool, against forked copies of a
-pair-deterministic source, and :func:`merge_component_runs` replays the
-same merged rounds through the caller's oracle, the one place a pool run
-is recorded.  Either way each merged round is one crowd batch, one
-diagnostics entry and one ``pivot.round`` event.
+grouped tasks on one supervised worker pool (:func:`generation_pool`),
+against forked copies of a pair-deterministic source, and
+:func:`merge_component_runs` replays the same merged rounds through the
+caller's oracle, the one place a pool run is recorded.  Either way each
+merged round is one crowd batch, one diagnostics entry and one
+``pivot.round`` event.
 
 **Determinism contract.**  The clustering, cluster ids included, equals
 the whole-graph loop's (:func:`repro.reference.pc_pivot`) for the same
@@ -55,9 +56,11 @@ both produce byte-identical clusterings, diagnostics and event streams.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import (
-    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Set, Tuple,
 )
 
 import numpy as np
@@ -70,7 +73,7 @@ from repro.pruning.candidate import CandidateSet
 from repro.pruning.components import _label_components
 from repro.pruning.graph import CandidateGraph
 from repro.pruning.parallel import fork_available, notify_parallel_fallback
-from repro.runtime.supervisor import RuntimeReport, SupervisedPool
+from repro.runtime.supervisor import SupervisedPool
 
 Pair = Tuple[int, int]
 
@@ -694,31 +697,53 @@ def _execute_task(groups: Sequence[_Group]) -> List[List[_RoundLog]]:
                            state["answers"])
 
 
-def pc_pivot_on_pool(
-    ids: Sequence[int], candidates: CandidateSet, oracle: CrowdOracle,
-    epsilon: float, permutation: Permutation, diagnostics, obs, *,
-    workers: int, supervisor_policy=None, fault_plan=None,
-) -> Tuple[Clustering, RuntimeReport]:
-    """Run PC-Pivot's components as pivot tasks on a new pool of
-    ``workers`` processes, then replay their rounds through ``oracle``
-    (:func:`merge_component_runs`).
+@contextmanager
+def generation_pool(
+    source, permutation: Permutation, epsilon: float, *, workers: int,
+    obs=None, supervisor_policy=None, fault_plan=None,
+) -> Iterator[SupervisedPool]:
+    """Fork the generation pool's ``workers`` processes, and on exit
+    close them and clear the fork snapshot.
 
     The permutation and the forked answer source (never a journaling
     wrapper: :attr:`repro.crowd.persistence.JournalingAnswerFile.fork_source`,
     since the parent's replay journals) are published before the fork, so
-    workers inherit them through copy-on-write memory.  Components are cut,
-    in order, into tasks of about ``len(ids) // 64`` vertices: most are two
-    or three records, and a task's pickle and pipe round trip dwarfs their
-    pivot work.
-
-    Returns:
-        The clustering and the pool's fault-handling telemetry.
+    workers inherit them through copy-on-write memory.  Nothing else a
+    task needs is shared: each ships its components, so the pool can be
+    forked before the candidate set exists.  :func:`~repro.core.acd.run_acd`
+    opens it before pruning, and its workers inherit that lean heap
+    rather than the one the pruning join leaves behind.
     """
-    source = oracle.source
     require_pair_deterministic(source)
-    components, groups = _component_groups(ids, candidates)
     _FORK_STATE.update(permutation=permutation, epsilon=epsilon,
                        answers=getattr(source, "fork_source", source))
+    try:
+        pool = SupervisedPool(_execute_task, workers,
+                              policy=supervisor_policy, obs=obs,
+                              fault_plan=fault_plan, label="pipeline")
+        try:
+            yield pool
+        finally:
+            pool.close()
+    finally:
+        _FORK_STATE.clear()
+
+
+def pc_pivot_on_pool(
+    pool: SupervisedPool, ids: Sequence[int], candidates: CandidateSet,
+    oracle: CrowdOracle, epsilon: float, permutation: Permutation,
+    diagnostics, obs,
+) -> Clustering:
+    """Run PC-Pivot's components as pivot tasks on ``pool`` (a
+    :func:`generation_pool` over the same permutation, ε and source),
+    then replay their rounds through ``oracle``
+    (:func:`merge_component_runs`).
+
+    Components are cut, in order, into tasks of about ``len(ids) // 64``
+    vertices: most are two or three records, and a task's pickle and pipe
+    round trip dwarfs their pivot work.
+    """
+    components, groups = _component_groups(ids, candidates)
     budget = len(ids) // 64
     tasks: List[List[_Group]] = [[]]
     vertices = 0
@@ -730,29 +755,22 @@ def pc_pivot_on_pool(
         vertices += len(group[0])
     if not tasks[-1]:
         tasks.pop()
-    pool = SupervisedPool(_execute_task, workers, policy=supervisor_policy,
-                          obs=obs, fault_plan=fault_plan, label="pipeline")
-    try:
-        submitted = [pool.submit(task) for task in tasks]
-        if obs is not None:
-            obs.event("pipeline.dispatch", components=len(components),
-                      dispatched=len(groups), tasks=len(tasks))
-        results: Dict[int, List[List[_RoundLog]]] = {}
-        while len(results) < len(submitted):
-            task, logs = pool.next_result()
-            results[task] = logs
-    finally:
-        pool.close()
-        _FORK_STATE.clear()
+    submitted = [pool.submit(task) for task in tasks]
+    if obs is not None:
+        obs.event("pipeline.dispatch", components=len(components),
+                  dispatched=len(groups), tasks=len(tasks))
+    results: Dict[int, List[List[_RoundLog]]] = {}
+    while len(results) < len(submitted):
+        task, logs = pool.next_result()
+        results[task] = logs
     # Tasks carry the multi-vertex components in component order.
     multi = [index for index, members in enumerate(components)
              if len(members) > 1]
     component_rounds = dict(zip(multi, (rounds for task in submitted
                                         for rounds in results[task])))
-    return (merge_component_runs(ids, components, component_rounds,
-                                 permutation, oracle, epsilon, diagnostics,
-                                 obs),
-            pool.report)
+    return merge_component_runs(ids, components, component_rounds,
+                                permutation, oracle, epsilon, diagnostics,
+                                obs)
 
 
 def merge_component_runs(

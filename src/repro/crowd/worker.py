@@ -19,9 +19,10 @@ replayed answer file.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
-from repro.crowd.seeding import stable_rng
+from repro.crowd.seeding import pair_seed
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,12 @@ class DifficultyModel:
         Deterministic in ``(seed, pair)``: replaying the same pair always
         yields the same difficulty.
         """
-        rng = stable_rng(self.seed, "difficulty", min(record_a, record_b),
-                         max(record_a, record_b))
+        if self.hard_fraction == 0.0:
+            # rng.random() < 0.0 never holds: skip seeding the RNG.
+            return self.easy_error
+        rng = random.Random(pair_seed((self.seed, "difficulty"),
+                                      min(record_a, record_b),
+                                      max(record_a, record_b)))
         if rng.random() < self.hard_fraction:
             return rng.uniform(self.hard_error_low, self.hard_error_high)
         return self.easy_error
@@ -93,8 +98,9 @@ class WorkerPool:
                 may see).
         """
         error = self.difficulty.error_probability(record_a, record_b)
-        rng = stable_rng(self.difficulty.seed, "votes", self.num_workers,
-                         min(record_a, record_b), max(record_a, record_b))
+        rng = random.Random(pair_seed(
+            (self.difficulty.seed, "votes", self.num_workers),
+            min(record_a, record_b), max(record_a, record_b)))
         duplicate_votes = 0
         for _ in range(self.num_workers):
             wrong = rng.random() < error

@@ -30,13 +30,14 @@ join one record at a time over Python frozensets) pin both paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.datasets.schema import Record, canonical_pair
 from repro.obs import maybe_span
 from repro.pruning.blocking import all_pairs, token_blocking_pairs
-from repro.pruning.shard import sharded_prefix_filtered_candidates
+from repro.pruning.shard import _sharded_join
+from repro.runtime.supervisor import RuntimeReport
 from repro.similarity.composite import SET_METRIC_FUNCTIONS, SimilarityFunction
 
 Pair = Tuple[int, int]
@@ -52,11 +53,16 @@ class CandidateSet:
         pairs: Canonical pairs, sorted for determinism.
         machine_scores: Machine similarity ``f`` for every pair in ``pairs``.
         threshold: The τ used to build this set.
+        runtime: Telemetry of the worker pool that built it (all zeros
+            when pruning ran in this process, and for a set restored or
+            built by hand); not part of equality.
     """
 
     pairs: Tuple[Pair, ...]
     machine_scores: Dict[Pair, float]
     threshold: float
+    runtime: RuntimeReport = field(default_factory=RuntimeReport,
+                                   compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -174,7 +180,7 @@ def build_candidate_set(
                     records=len(records), threshold=threshold,
                     shards=max(shards, 1) if eligible else 0) as span:
         if eligible:
-            surviving, scores = sharded_prefix_filtered_candidates(
+            surviving, scores, runtime = _sharded_join(
                 records,
                 set_of=similarity.set_of,
                 set_function=SET_METRIC_FUNCTIONS[similarity.set_metric],
@@ -188,7 +194,7 @@ def build_candidate_set(
                 fault_plan=fault_plan,
             )
         else:
-            surviving, scores = _run_reference(
+            surviving, scores, runtime = _run_reference(
                 records, similarity, threshold, candidate_pairs,
                 use_token_blocking, parallel, obs,
                 supervisor_policy, fault_plan,
@@ -196,7 +202,8 @@ def build_candidate_set(
         # Seed the memo so later phases' reads of these pairs stay warm.
         similarity.seed_cache(scores)
         candidates = CandidateSet(pairs=tuple(surviving),
-                                  machine_scores=scores, threshold=threshold)
+                                  machine_scores=scores, threshold=threshold,
+                                  runtime=runtime)
         if obs is not None:
             span.set_attr("candidate_pairs", len(candidates))
             obs.metrics.gauge(
@@ -219,7 +226,7 @@ def _run_reference(
     obs=None,
     supervisor_policy=None,
     fault_plan=None,
-) -> Tuple[List[Pair], Dict[Pair, float]]:
+) -> Tuple[List[Pair], Dict[Pair, float], RuntimeReport]:
     by_id = {record.record_id: record for record in records}
     # Caller-supplied pair streams may repeat pairs (in either order); the
     # internal blockers already emit each pair exactly once.
@@ -236,9 +243,9 @@ def _run_reference(
         unique = _canonical_unique(candidate_pairs, needs_dedupe)
     with maybe_span(obs, "scoring"):
         if parallel > 1:
-            from repro.pruning.parallel import score_pairs_parallel
+            from repro.pruning.parallel import _score_pairs
 
-            scores = score_pairs_parallel(
+            scores, runtime = _score_pairs(
                 unique,
                 texts={rid: record.text for rid, record in by_id.items()},
                 metric=similarity.text_similarity,
@@ -249,13 +256,13 @@ def _run_reference(
                 fault_plan=fault_plan,
             )
         else:
-            scores = {}
+            scores, runtime = {}, RuntimeReport()
             for pair in unique:
                 score = similarity(by_id[pair[0]], by_id[pair[1]])
                 if score > threshold:
                     scores[pair] = score
         surviving = sorted(scores)
-    return surviving, scores
+    return surviving, scores, runtime
 
 
 def _canonical_unique(pairs: Iterable[Pair], needs_dedupe: bool) -> List[Pair]:

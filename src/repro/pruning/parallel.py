@@ -35,7 +35,11 @@ import warnings
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runtime.faults import ProcessFaultPlan
-from repro.runtime.supervisor import SupervisorPolicy, supervised_map
+from repro.runtime.supervisor import (
+    RuntimeReport,
+    SupervisorPolicy,
+    supervised_map,
+)
 
 Pair = Tuple[int, int]
 TextSimilarity = Callable[[str, str], float]
@@ -133,11 +137,32 @@ def score_pairs_parallel(
         fault_plan: Deterministic process-fault injection (chaos testing
             only).
     """
+    scores, _ = _score_pairs(
+        pairs, texts, metric, threshold, processes, chunk_size=chunk_size,
+        obs=obs, policy=policy, fault_plan=fault_plan,
+    )
+    return scores
+
+
+def _score_pairs(
+    pairs: Sequence[Pair],
+    texts: Mapping[int, str],
+    metric: TextSimilarity,
+    threshold: float,
+    processes: int,
+    chunk_size: Optional[int] = None,
+    obs=None,
+    policy: Optional[SupervisorPolicy] = None,
+    fault_plan: Optional[ProcessFaultPlan] = None,
+) -> Tuple[Dict[Pair, float], RuntimeReport]:
+    """:func:`score_pairs_parallel` plus the pool's
+    :class:`~repro.runtime.supervisor.RuntimeReport` (all zeros when the
+    serial loop ran)."""
     if processes > 1 and len(pairs) > 0 and not fork_available():
         notify_parallel_fallback(obs, requested=processes,
                                  context="score_pairs_parallel")
     if processes <= 1 or len(pairs) == 0 or not fork_available():
-        return _score_serial(pairs, texts, metric, threshold)
+        return _score_serial(pairs, texts, metric, threshold), RuntimeReport()
 
     size = chunk_size or min(
         DEFAULT_CHUNK_SIZE, max(1, (len(pairs) + processes - 1) // processes)
@@ -146,7 +171,7 @@ def score_pairs_parallel(
     _FORK_STATE["metric"] = metric
     _FORK_STATE["threshold"] = threshold
     try:
-        chunk_results, _ = supervised_map(
+        chunk_results, report = supervised_map(
             _score_chunk, _chunks(pairs, size), processes,
             policy=policy, obs=obs, fault_plan=fault_plan,
             label="pruning.score_pairs",
@@ -156,7 +181,7 @@ def score_pairs_parallel(
     scores: Dict[Pair, float] = {}
     for chunk in chunk_results:
         scores.update(chunk)
-    return scores
+    return scores, report
 
 
 def _score_serial(

@@ -21,12 +21,16 @@ Algorithm
    group (posting list of one token) has at least one earlier entry is an
    *element*: it will pair with each of its predecessors, which is precisely
    the prefix filter's probe/index rule (a pair is generated iff the two
-   prefixes share a token).
+   prefixes share a token).  Elements are then kept in row-major order.
 3. Elements are partitioned into shards with
    :func:`repro.pruning.blocking.shard_of_token` (round-robin over the
    canonical rank).  Each shard generates its pair blocks with numpy
    (predecessor expansion), applies the partner-size filter, deduplicates,
-   and verifies the survivors with the vectorized batch scores.
+   and verifies the survivors with the vectorized batch scores.  Blocks
+   hold about ``pair_block_size`` generated pairs and end on row
+   boundaries.  Every generation of a pair comes from the elements of its
+   later (probing) row, so a pair is verified once per shard, whatever
+   the block size.
 4. The cross-shard merge unions the per-shard ``{pair: score}`` survivor
    maps.  A pair straddling shards (shared prefix tokens assigned to
    different shards) is verified in each, with bit-identical scores, so the
@@ -67,7 +71,11 @@ from repro.pruning.blocking import shard_of_token
 from repro.pruning.components import sorted_unique
 from repro.pruning.parallel import fork_available, notify_parallel_fallback
 from repro.runtime.faults import ProcessFaultPlan
-from repro.runtime.supervisor import SupervisorPolicy, supervised_map
+from repro.runtime.supervisor import (
+    RuntimeReport,
+    SupervisorPolicy,
+    supervised_map,
+)
 from repro.pruning.prefix_join import (
     EPS,
     PREFIX_METRICS,
@@ -83,10 +91,11 @@ from repro.similarity.kernels import (
 Pair = Tuple[int, int]
 SetFunction = Callable[[FrozenSet[str], FrozenSet[str]], float]
 
-#: Upper bound on generated (pre-filter) pairs materialized per numpy block.
-#: Bounds peak memory at roughly ``block * avg_tokens_per_pair * 8`` bytes
-#: during verification, independent of the total candidate volume.
-DEFAULT_PAIR_BLOCK_SIZE = 1 << 19
+#: Generated (pre-filter) pairs materialized per numpy block; a block
+#: exceeds it only when one row generates more.  Bounds peak memory at
+#: roughly ``block * avg_tokens_per_pair * 8`` bytes during verification,
+#: independent of the total candidate volume.
+DEFAULT_PAIR_BLOCK_SIZE = 1 << 16
 
 #: Worker payload captured at fork time (start method "fork" only).
 _SHARD_STATE: Dict[str, object] = {}
@@ -167,21 +176,24 @@ def _build_plan(
         new_group = _np.empty(total, dtype=bool)
         new_group[0] = True
         _np.not_equal(tokens_sorted[1:], tokens_sorted[:-1], out=new_group[1:])
-        group_index = _np.cumsum(new_group) - 1
-        group_start = _np.flatnonzero(new_group)
-        elem_grp_start = group_start[group_index]
-        elem_k = _np.arange(total, dtype=_np.int64) - elem_grp_start
+        group_start = _np.flatnonzero(new_group)[_np.cumsum(new_group) - 1]
     else:
-        elem_grp_start = _np.zeros(0, dtype=_np.int64)
-        elem_k = _np.zeros(0, dtype=_np.int64)
+        group_start = _np.zeros(0, dtype=_np.int64)
+    # Elements go back to incidence order, which is row-major: each row's
+    # elements are adjacent, so verification blocks can end on row
+    # boundaries (see _join_shard).
+    elem_grp_start = _np.empty(total, dtype=_np.int64)
+    elem_grp_start[order] = group_start
+    elem_k = _np.empty(total, dtype=_np.int64)
+    elem_k[order] = _np.arange(total, dtype=_np.int64) - group_start
     active = elem_k > 0
     plan = _JoinPlan(
         encoded=encoded,
         rows_sorted=rows_sorted,
-        elem_row=rows_sorted[active],
+        elem_row=inc_rows[active],
         elem_k=elem_k[active],
         elem_grp_start=elem_grp_start[active],
-        elem_token=tokens_sorted[active],
+        elem_token=inc_tokens[active],
         need=need,
     )
     return plan, empty
@@ -255,16 +267,23 @@ def _join_shard(
     survivors: Dict[Pair, float] = {}
     if len(mine) == 0:
         return survivors
-    pair_counts = _np.cumsum(plan.elem_k[mine])
-    start = 0
-    while start < len(mine):
-        consumed = pair_counts[start - 1] if start else 0
-        stop = int(_np.searchsorted(pair_counts, consumed + pair_block_size,
-                                    side="left")) + 1
-        stop = min(max(stop, start + 1), len(mine))
-        _process_element_batch(plan, mine[start:stop], metric, threshold,
-                               survivors)
-        start = stop
+    # Blocks end on row boundaries: every generation of a pair has the
+    # pair's probing record as its row, so a block holds all of them and
+    # verifies the pair once.  A row generating more than
+    # ``pair_block_size`` pairs is a block of its own.
+    # bounds[i] is the first element of the shard's i-th row, and
+    # before[i] the pairs its first i rows generate.
+    rows = plan.elem_row[mine]
+    bounds = _np.concatenate((
+        [0], _np.flatnonzero(rows[1:] != rows[:-1]) + 1, [len(mine)]))
+    before = _np.concatenate(([0], _np.cumsum(plan.elem_k[mine])))[bounds]
+    first = 0
+    while first < len(bounds) - 1:
+        stop = max(first + 1, int(_np.searchsorted(
+            before, before[first] + pair_block_size, side="right")) - 1)
+        _process_element_batch(plan, mine[bounds[first]:bounds[stop]],
+                               metric, threshold, survivors)
+        first = stop
     return survivors
 
 
@@ -329,6 +348,33 @@ def sharded_prefix_filtered_candidates(
         fault_plan: Deterministic process-fault injection (chaos testing
             only); task index = shard index.
     """
+    surviving, scores, _ = _sharded_join(
+        records, set_of, set_function, metric, threshold,
+        num_shards=num_shards, processes=processes,
+        include_empty_pairs=include_empty_pairs, obs=obs,
+        pair_block_size=pair_block_size,
+        supervisor_policy=supervisor_policy, fault_plan=fault_plan,
+    )
+    return surviving, scores
+
+
+def _sharded_join(
+    records: Sequence[Record],
+    set_of: Callable[[Record], FrozenSet[str]],
+    set_function: SetFunction,
+    metric: str,
+    threshold: float,
+    num_shards: int = 1,
+    processes: int = 0,
+    include_empty_pairs: bool = False,
+    obs=None,
+    pair_block_size: int = DEFAULT_PAIR_BLOCK_SIZE,
+    supervisor_policy: Optional[SupervisorPolicy] = None,
+    fault_plan: Optional[ProcessFaultPlan] = None,
+) -> Tuple[List[Pair], Dict[Pair, float], RuntimeReport]:
+    """:func:`sharded_prefix_filtered_candidates` plus the shard pool's
+    :class:`~repro.runtime.supervisor.RuntimeReport` (all zeros when the
+    shards ran in this process)."""
     if metric not in PREFIX_METRICS:
         raise ValueError(f"unknown prefix-join metric {metric!r}")
     if not 0.0 <= threshold < 1.0:
@@ -343,7 +389,7 @@ def sharded_prefix_filtered_candidates(
 
     with maybe_span(obs, "scoring"):
         merged: Dict[Pair, float] = {}
-        shard_results = _execute_shards(
+        shard_results, report = _execute_shards(
             plan, num_shards, processes, metric, threshold, pair_block_size,
             obs, supervisor_policy, fault_plan,
         )
@@ -361,7 +407,7 @@ def sharded_prefix_filtered_candidates(
 
         surviving = sorted(merged)
         scores = {pair: merged[pair] for pair in surviving}
-    return surviving, scores
+    return surviving, scores, report
 
 
 def _execute_shards(
@@ -374,8 +420,9 @@ def _execute_shards(
     obs,
     supervisor_policy: Optional[SupervisorPolicy] = None,
     fault_plan: Optional[ProcessFaultPlan] = None,
-) -> List[Dict[Pair, float]]:
-    """All shards' survivor maps, in shard order (parallel when asked)."""
+) -> Tuple[List[Dict[Pair, float]], RuntimeReport]:
+    """All shards' survivor maps, in shard order (parallel when asked),
+    and the pool's report."""
     want_parallel = processes > 1 and num_shards > 1 and len(plan.elem_k) > 0
     if want_parallel and not fork_available():
         notify_parallel_fallback(obs, requested=processes,
@@ -386,19 +433,18 @@ def _execute_shards(
             _join_shard(plan, shard, num_shards, metric, threshold,
                         pair_block_size)
             for shard in range(num_shards)
-        ]
+        ], RuntimeReport()
 
     _SHARD_STATE.update(
         plan=plan, num_shards=num_shards, metric=metric, threshold=threshold,
         pair_block_size=pair_block_size,
     )
     try:
-        shard_results, _ = supervised_map(
+        return supervised_map(
             _run_shard_worker, range(num_shards),
             min(processes, num_shards),
             policy=supervisor_policy, obs=obs, fault_plan=fault_plan,
             label="pruning.shard_join",
         )
-        return shard_results
     finally:
         _SHARD_STATE.clear()

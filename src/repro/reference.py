@@ -729,12 +729,12 @@ def candidate_set(
     """
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    surviving, scores = _run_reference(
+    surviving, scores, runtime = _run_reference(
         records, similarity, threshold, candidate_pairs, use_token_blocking,
         parallel, obs,
     )
     return CandidateSet(pairs=tuple(surviving), machine_scores=scores,
-                        threshold=threshold)
+                        threshold=threshold, runtime=runtime)
 
 
 def run_acd(

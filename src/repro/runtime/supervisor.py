@@ -138,6 +138,11 @@ class RuntimeReport:
     #: Pickled payload bytes handed to the pool (each task once).
     bytes_shipped: int = 0
 
+    def add(self, other: "RuntimeReport") -> None:
+        """Add ``other``'s counts to these (one run's several pools)."""
+        for name in self.as_dict():
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
     def as_dict(self) -> Dict[str, int]:
         return {
             "tasks": self.tasks,

@@ -1,7 +1,7 @@
 """Property: the pool's component grouping buckets every edge exactly as
 the per-pair loop it replaced.
 
-:func:`~repro.core.pivot_shard._component_groups` buckets the candidate
+:func:`~repro.core.generation._component_groups` buckets the candidate
 pairs by component with a stable numpy sort over the label pass's
 per-pair component index.  Over random graphs (sparse ids, isolated
 vertices, chains, cliques), its output must equal, tuple for tuple, the

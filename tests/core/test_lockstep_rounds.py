@@ -1,6 +1,6 @@
 """Property: a pool task runs its components' pivot rounds in lockstep.
 
-:func:`~repro.core.pivot_shard._run_components` runs PC-Pivot over every
+:func:`~repro.core.generation._run_components` runs PC-Pivot over every
 component a task carries, one crowd batch per round for all of them.
 Over random groups of 1-6 connected components (at most 12 records
 each), a scripted pair-deterministic crowd, a random permutation and a
@@ -13,7 +13,7 @@ random ε:
   its own oracle;
 - merging the logs reproduces the whole-graph
   :func:`repro.reference.pc_pivot` clustering, cluster ids included, and
-  so does the production (inline) :func:`~repro.core.pc_pivot.pc_pivot`,
+  so does the production (inline) :func:`~repro.core.generation.pc_pivot`,
   which asks its answer source once per paid round and records the same
   crowd stats as the replay of the logs;
 - the group makes exactly one ``confidence_batch`` call per round of its

@@ -1,7 +1,8 @@
 """Tests for Partial-Pivot — Algorithm 2, Equation 3, and the three
 Figure 2 cases of Section 4.2.  The rounds run through
 ``repro.reference.partial_pivot``, which derives its own pivots from the
-permutation and hands them to ``repro.core.partial_pivot``."""
+permutation and hands them to ``repro.core.generation.pivot_incident_pairs``
+and ``repro.core.generation.form_clusters``."""
 
 import pytest
 

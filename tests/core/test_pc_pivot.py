@@ -1,4 +1,5 @@
-"""Tests for repro.core.pc_pivot — Algorithm 3, Equation 4, Lemma 2/4."""
+"""Tests for repro.core.generation.pc_pivot — Algorithm 3, Equation 4,
+Lemma 2/4."""
 
 import pytest
 from hypothesis import given, settings

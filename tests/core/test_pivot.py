@@ -1,4 +1,4 @@
-"""Tests for repro.core.pivot (Crowd-Pivot, Algorithm 1)."""
+"""Tests for repro.core.generation.crowd_pivot (Crowd-Pivot, Algorithm 1)."""
 
 import pytest
 

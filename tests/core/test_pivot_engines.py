@@ -3,7 +3,7 @@
 Crowd-Pivot's incremental production loop must be indistinguishable from
 its re-derivation oracle in :mod:`repro.reference`: identical clusterings,
 crowd batch sequences and event streams.  PC-Pivot's production executor
-runs per connected component (:mod:`repro.core.pivot_shard`); against the
+runs per connected component (:mod:`repro.core.generation`); against the
 whole-graph oracle :func:`repro.reference.pc_pivot` it must give the same
 clustering (cluster ids included), and its merged-round accounting must
 equal the oracle run on each component alone, merged round by round.  On

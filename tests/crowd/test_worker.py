@@ -1,7 +1,10 @@
 """Tests for repro.crowd.worker."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.crowd.seeding import pair_seed, stable_rng, stable_seed
 from repro.crowd.worker import DifficultyModel, WorkerPool
 
 
@@ -92,3 +95,45 @@ class TestWorkerPool:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             WorkerPool(DifficultyModel(), num_workers=0)
+
+
+def _literal_error_probability(model, a, b):
+    """The per-pair difficulty as first written: one seeded RNG per pair."""
+    rng = stable_rng(model.seed, "difficulty", min(a, b), max(a, b))
+    if rng.random() < model.hard_fraction:
+        return rng.uniform(model.hard_error_low, model.hard_error_high)
+    return model.easy_error
+
+
+def _literal_votes(pool, a, b, is_duplicate):
+    error = _literal_error_probability(pool.difficulty, a, b)
+    rng = stable_rng(pool.difficulty.seed, "votes", pool.num_workers,
+                     min(a, b), max(a, b))
+    return sum(is_duplicate != (rng.random() < error)
+               for _ in range(pool.num_workers))
+
+
+class TestPrefixedSeeds:
+    """The cached-prefix seeds and the easy-only shortcut change no
+    answer: both methods equal the literal ``stable_rng`` derivation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32),
+           hard_fraction=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+           num_workers=st.integers(1, 7),
+           a=st.integers(0, 10 ** 7), b=st.integers(0, 10 ** 7),
+           is_duplicate=st.booleans())
+    def test_match_literal_derivation(self, seed, hard_fraction,
+                                      num_workers, a, b, is_duplicate):
+        model = DifficultyModel(easy_error=0.08,
+                                hard_fraction=hard_fraction, seed=seed)
+        pool = WorkerPool(difficulty=model, num_workers=num_workers)
+        assert (model.error_probability(a, b)
+                == _literal_error_probability(model, a, b))
+        assert (pool.votes(a, b, is_duplicate)
+                == _literal_votes(pool, a, b, is_duplicate))
+
+    @given(prefix=st.lists(st.one_of(st.integers(), st.text()), max_size=4),
+           a=st.integers(), b=st.integers())
+    def test_pair_seed_is_stable_seed(self, prefix, a, b):
+        assert pair_seed(tuple(prefix), a, b) == stable_seed(*prefix, a, b)

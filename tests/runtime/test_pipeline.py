@@ -274,6 +274,24 @@ class TestFaultByteIdentity:
         assert outcome["counters"]["runtime_worker_crashes_total"] == 2
         assert _core(outcome) == _barrier_core()
 
+    def test_result_runtime_counts_both_pools(self):
+        """``ACDResult.runtime`` sums the join pool's report and the
+        generation pool's, as the obs counters do."""
+        obs = ObsContext()
+        result = run_acd(
+            answers=AnswerFile(_DATASET.gold, _WORKERS),
+            records=_DATASET.records,
+            similarity=jaccard_similarity_function(),
+            threshold=PRUNING_THRESHOLD, pruning_shards=4, workers=2,
+            seed=SEED, obs=obs, supervisor_policy=POLICY,
+            fault_plan=ProcessFaultPlan(kill_tasks=frozenset({0})))
+        counters = obs.metrics.as_dict()["counters"]
+        assert counters["runtime_worker_crashes_total"] == 2
+        assert result.runtime.worker_crashes == 2
+        assert result.candidates.runtime.worker_crashes == 1
+        # Four shard tasks plus the generation pool's pivot tasks.
+        assert result.runtime.tasks > result.candidates.runtime.tasks == 4
+
 
 class TestSimulatedLatency:
     def test_latency_injected_pool_run_matches_inline_and_plain(self):
@@ -426,3 +444,45 @@ class TestAutoshard:
     def test_bad_string_rejected(self):
         with pytest.raises(ValueError):
             resolve_auto_shards(records=10, requested="fast")
+
+
+class TestPoolLifetime:
+    """The generation pool forks before pruning, so its workers inherit
+    the caller's heap, not the join's, and one scope closes it on every
+    exit path."""
+
+    def _run(self):
+        return run_acd(
+            answers=AnswerFile(_DATASET.gold, _WORKERS),
+            records=_DATASET.records,
+            similarity=jaccard_similarity_function(),
+            threshold=PRUNING_THRESHOLD, pruning_shards=1, workers=2,
+            seed=SEED)
+
+    def test_workers_fork_before_pruning(self, monkeypatch):
+        from repro.core import acd
+
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(len(multiprocessing.active_children()))
+            return build_candidate_set(*args, **kwargs)
+
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(acd, "build_candidate_set", spy)
+        self._run()
+        assert seen == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_pruning_error_closes_the_pool(self, monkeypatch):
+        from repro.core import acd, generation
+
+        def failing(*args, **kwargs):
+            assert len(multiprocessing.active_children()) == 2
+            raise RuntimeError("pruning failed")
+
+        monkeypatch.setattr(acd, "build_candidate_set", failing)
+        with pytest.raises(RuntimeError, match="pruning failed"):
+            self._run()
+        assert multiprocessing.active_children() == []
+        assert generation._FORK_STATE == {}

@@ -1,14 +1,16 @@
 """The prose docs may name only code that exists.
 
 Every backticked ``repro.``-dotted name in the top-level docs and
-``docs/*.md`` must resolve: import the longest importable module prefix,
-then look the rest up attribute by attribute (a dataclass field counts as
-an attribute of its class).  Brace forms such as
-``repro.experiments.{runner,chaos}`` expand to one name per member.  A
-module or function that is renamed or deleted without its docs fails
-here.
+``docs/*.md``, and every such name, backticked or not, in the module
+docstrings of the test suite and the benchmark scripts, must resolve:
+import the longest importable module prefix, then look the rest up
+attribute by attribute (a dataclass field counts as an attribute of its
+class).  Brace forms such as ``repro.experiments.{runner,chaos}`` expand
+to one name per member.  A module or function that is renamed or deleted
+without its docs fails here.
 """
 
+import ast
 import dataclasses
 import importlib
 import re
@@ -18,6 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DOCS = sorted([ROOT / name for name in ("README.md", "DESIGN.md",
                                         "EXPERIMENTS.md", "CONTRIBUTING.md")]
               + list((ROOT / "docs").glob("*.md")))
+SCRIPTS = sorted(list((ROOT / "tests").rglob("*.py"))
+                 + list((ROOT / "benchmarks").glob("*.py")))
 
 SPAN = re.compile(r"`([^`\n]+)`")
 NAME = re.compile(r"(?<![\w./])repro(?:\.\w+)*(?:\.\{[\w\s,]+\}(?:\.\w+)*)?")
@@ -39,6 +43,19 @@ def _references():
                    for span in SPAN.findall(doc.read_text())
                    for match in NAME.findall(span)
                    for name in _expand(match) if name != "repro"})
+
+
+def _docstring_references():
+    """Every ``(script, name)`` pair the module docstrings of
+    :data:`SCRIPTS` mention, sorted."""
+    references = set()
+    for script in SCRIPTS:
+        docstring = ast.get_docstring(ast.parse(script.read_text())) or ""
+        references.update(
+            (str(script.relative_to(ROOT)), name)
+            for match in NAME.findall(docstring)
+            for name in _expand(match) if name != "repro")
+    return sorted(references)
 
 
 def _resolves(name):
@@ -66,6 +83,14 @@ def test_every_doc_reference_resolves():
     missing = [f"{doc}: `{name}`" for doc, name in references
                if not _resolves(name)]
     assert missing == [], f"docs name code that does not exist: {missing}"
+
+
+def test_every_docstring_reference_resolves():
+    references = _docstring_references()
+    assert len(references) > 100, "the scan found too few names to mean much"
+    missing = [f"{script}: {name}" for script, name in references
+               if not _resolves(name)]
+    assert missing == [], f"docstrings name missing code: {missing}"
 
 
 def test_brace_forms_expand():
