@@ -17,10 +17,8 @@ Standalone (no pytest)::
 
     REPRO_BENCH_SCALE=2 python benchmarks/bench_pruning.py
 
-Environment knobs:
+Environment knob:
     REPRO_BENCH_SCALE     dataset scale (default 1.0)
-    REPRO_BENCH_PARALLEL  also measure a parallel reference run with this
-                          many workers (default 0 = skip)
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ from repro.similarity.composite import (  # noqa: E402
 from repro.similarity.jaccard import token_jaccard  # noqa: E402
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-PARALLEL = int(os.environ.get("REPRO_BENCH_PARALLEL", "0"))
 SEED = 1
 DATASETS = ("paper", "restaurant", "product")
 OUTPUT = REPO_ROOT / "BENCH_pruning.json"
@@ -67,7 +64,7 @@ def reference_similarity() -> SimilarityFunction:
     return SimilarityFunction("jaccard", token_jaccard)
 
 
-def _measure(build, records, similarity, **knobs):
+def _measure(build, records, similarity):
     """One traced pruning run in a forked child; returns (candidates,
     stage table, total seconds, meters)."""
 
@@ -75,8 +72,7 @@ def _measure(build, records, similarity, **knobs):
         obs = ObsContext()
         with obs.span("total"):
             candidates = build(records, similarity,
-                               threshold=PRUNING_THRESHOLD, obs=obs,
-                               **knobs)
+                               threshold=PRUNING_THRESHOLD, obs=obs)
         stages = obs.tracer.span_summaries()
         total = stage_seconds(stages)["total"]
         meters = StageTimings()
@@ -126,25 +122,12 @@ def main() -> int:
             f"({speedup:.1f}x, {len(joined)} pairs, identical)"
         )
 
-        if PARALLEL > 1:
-            parallel, par_stages, _, par_meters = _measure(
-                candidate_set, dataset.records, reference_similarity(),
-                parallel=PARALLEL,
-            )
-            if parallel.pairs != reference.pairs:
-                print(f"FAIL: {dataset_name}: parallel run disagrees",
-                      file=sys.stderr)
-                return 1
-            runs[f"{dataset_name}/reference-parallel{PARALLEL}"] = run_entry(
-                par_stages, par_meters, records=records, pairs=len(parallel),
-            )
-
     derived["min_speedup"] = min(
         value for key, value in derived.items() if key.endswith("/speedup")
     )
     payload = bench_payload(
         "pruning",
-        config={"scale": SCALE, "seed": SEED, "parallel": PARALLEL,
+        config={"scale": SCALE, "seed": SEED,
                 "threshold": PRUNING_THRESHOLD, "datasets": list(DATASETS)},
         runs=runs,
         derived=derived,

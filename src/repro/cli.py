@@ -64,14 +64,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1,
                         help="dataset/crowd seed")
     parser.add_argument("--parallel", type=int, default=0,
-                        help="worker processes for pruning (the scoring "
-                             "loop or sharded prefix join) and, in 'run', "
-                             "for ACD's cluster generation (<= 1 is serial; "
-                             "results are identical)")
+                        help="worker processes for the sharded prefix "
+                             "join and, in 'run', for ACD's cluster "
+                             "generation (<= 1 is serial; results are "
+                             "identical)")
     parser.add_argument("--shards", type=_shards_value, default=0,
                         help="blocking-key shards for the prefix join "
                              "(0/1 = unsharded; identical output at any "
-                             "shard count; 'auto' picks by record count)")
+                             "shard count; 'auto' shards only large joins "
+                             "with --parallel > 1)")
 
 
 def _prepare(args: argparse.Namespace, obs=None, candidates=None) -> Instance:

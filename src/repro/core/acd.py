@@ -36,7 +36,6 @@ from repro.core.generation import (
     generation_pool,
     pc_pivot,
     pc_pivot_on_pool,
-    uses_pool,
 )
 from repro.core.pc_refine import (
     DEFAULT_THRESHOLD_DIVISOR,
@@ -59,7 +58,11 @@ from repro.runtime.checkpoint import (
     restore_candidates,
 )
 from repro.runtime.faults import ProcessFaultPlan
-from repro.runtime.supervisor import RuntimeReport, SupervisorPolicy
+from repro.runtime.supervisor import (
+    RuntimeReport,
+    SupervisorPolicy,
+    uses_pool,
+)
 
 
 @dataclass
@@ -240,7 +243,8 @@ def run_acd(
              else CrowdStats(pairs_per_hit=pairs_per_hit,
                              num_workers=answers.num_workers))
     oracle = CrowdOracle(answers, stats=stats, obs=obs)
-    pooled = restored is None and uses_pool(workers, obs)
+    pooled = restored is None and uses_pool(workers, obs=obs,
+                                            context="run_acd")
 
     runtime = RuntimeReport()
     refine_diagnostics: Optional[PCRefineDiagnostics] = None
@@ -254,7 +258,8 @@ def run_acd(
         )) if pooled else None)
         if records is not None:
             num_shards = resolve_auto_shards(
-                records=len(ids), requested=pruning_shards, obs=obs)
+                records=len(ids), requested=pruning_shards,
+                processes=workers, obs=obs)
             config["pruning_shards"] = num_shards
             restored_pruning = (checkpoints.load("pruning")
                                 if resuming else None)

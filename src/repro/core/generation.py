@@ -72,7 +72,6 @@ from repro.obs import maybe_span
 from repro.pruning.candidate import CandidateSet
 from repro.pruning.components import _label_components
 from repro.pruning.graph import CandidateGraph
-from repro.pruning.parallel import fork_available, notify_parallel_fallback
 from repro.runtime.supervisor import SupervisedPool
 
 Pair = Tuple[int, int]
@@ -88,11 +87,6 @@ _RoundLog = Tuple[int, int, Tuple[Pair, ...], int, int,
 
 #: A component as the lockstep loop takes it: (vertices, edges).
 _Group = Tuple[Tuple[int, ...], Tuple[Pair, ...]]
-
-#: Worker state captured at fork time.  Shared structures (permutation,
-#: forked answer source) ship once; per-task payloads carry only their
-#: components.
-_FORK_STATE: Dict[str, object] = {}
 
 
 @dataclass
@@ -651,16 +645,6 @@ def require_pair_deterministic(source) -> None:
         )
 
 
-def uses_pool(workers: int, obs=None) -> bool:
-    """Will ``workers`` fork a pool?  Warns when fork is unavailable."""
-    if workers <= 1:
-        return False
-    if fork_available():
-        return True
-    notify_parallel_fallback(obs, requested=workers, context="run_acd")
-    return False
-
-
 def _run_components(
     groups: Sequence[_Group],
     permutation: Permutation,
@@ -688,45 +672,36 @@ def _run_components(
     return lockstep.logs
 
 
-def _execute_task(groups: Sequence[_Group]) -> List[List[_RoundLog]]:
-    """One pool task over the fork snapshot :data:`_FORK_STATE` and its
-    payload only, so the pool's degraded in-parent path computes
-    byte-identical results."""
-    state = _FORK_STATE
-    return _run_components(groups, state["permutation"], state["epsilon"],
-                           state["answers"])
-
-
 @contextmanager
 def generation_pool(
     source, permutation: Permutation, epsilon: float, *, workers: int,
     obs=None, supervisor_policy=None, fault_plan=None,
 ) -> Iterator[SupervisedPool]:
-    """Fork the generation pool's ``workers`` processes, and on exit
-    close them and clear the fork snapshot.
+    """Fork the generation pool's ``workers`` processes, and close them
+    on exit.
 
-    The permutation and the forked answer source (never a journaling
-    wrapper: :attr:`repro.crowd.persistence.JournalingAnswerFile.fork_source`,
-    since the parent's replay journals) are published before the fork, so
-    workers inherit them through copy-on-write memory.  Nothing else a
-    task needs is shared: each ships its components, so the pool can be
-    forked before the candidate set exists.  :func:`~repro.core.acd.run_acd`
-    opens it before pruning, and its workers inherit that lean heap
-    rather than the one the pruning join leaves behind.
+    Its worker function closes over the permutation, ε and the forked
+    answer source (never a journaling wrapper:
+    :attr:`repro.crowd.persistence.JournalingAnswerFile.fork_source`,
+    since the parent's replay journals), so workers inherit them through
+    copy-on-write memory.  Nothing else a task needs is shared: each
+    ships its components, so the pool can be forked before the candidate
+    set exists.  :func:`~repro.core.acd.run_acd` opens it before pruning,
+    and its workers inherit that lean heap rather than the one the
+    pruning join leaves behind.
     """
     require_pair_deterministic(source)
-    _FORK_STATE.update(permutation=permutation, epsilon=epsilon,
-                       answers=getattr(source, "fork_source", source))
+    answers = getattr(source, "fork_source", source)
+
+    def run_task(groups: Sequence[_Group]) -> List[List[_RoundLog]]:
+        return _run_components(groups, permutation, epsilon, answers)
+
+    pool = SupervisedPool(run_task, workers, policy=supervisor_policy,
+                          obs=obs, fault_plan=fault_plan, label="pipeline")
     try:
-        pool = SupervisedPool(_execute_task, workers,
-                              policy=supervisor_policy, obs=obs,
-                              fault_plan=fault_plan, label="pipeline")
-        try:
-            yield pool
-        finally:
-            pool.close()
+        yield pool
     finally:
-        _FORK_STATE.clear()
+        pool.close()
 
 
 def pc_pivot_on_pool(

@@ -84,8 +84,8 @@ def prepare_instance(
         scale: Dataset size multiplier (1.0 = Table 3 size).
         seed: Dataset generation seed.
         threshold: Pruning threshold τ (paper: 0.3).
-        parallel: Worker processes (pair-scoring loop or sharded prefix
-            join; <= 1 runs serially).
+        parallel: Worker processes of the sharded prefix join (<= 1
+            runs serially).
         shards: Blocking-key shards for the prefix join (0/1 = unsharded;
             output is identical for every value).
         obs: Optional :class:`~repro.obs.ObsContext`; traces the pruning

@@ -20,7 +20,6 @@ from repro.pruning.candidate import (
     build_candidate_set,
 )
 from repro.pruning.graph import CandidateGraph
-from repro.pruning.parallel import score_pairs_parallel
 from repro.pruning.prefix_join import prefix_length
 from repro.pruning.minhash import (
     MinHasher,
@@ -40,7 +39,6 @@ __all__ = [
     "lsh_candidate_pairs",
     "minhash_blocking_pairs",
     "prefix_length",
-    "score_pairs_parallel",
     "sorted_neighborhood_pairs",
     "threshold_tradeoff",
     "token_blocking_pairs",

@@ -18,10 +18,9 @@ alone (:func:`_prefix_join_eligible`):
   ``shards`` > 1 partitions it by blocking key (and, with ``parallel``,
   across worker processes) without changing a byte of the output;
 * otherwise the enumerate-and-score loop: token blocking / all pairs /
-  caller-supplied pairs, each pair scored once.  It is the only path for
-  edit-distance and q-gram-under-blocking metrics and for external
-  ``candidate_pairs``; ``parallel=N`` fans its scoring out to worker
-  processes.
+  caller-supplied pairs, each pair scored once, in this process.  It is
+  the only path for edit-distance and q-gram-under-blocking metrics and
+  for external ``candidate_pairs``.
 
 The test oracles :func:`repro.reference.candidate_set` (the scoring loop
 on every input) and :func:`repro.reference.prefix_filtered_candidates` (the
@@ -135,9 +134,9 @@ def build_candidate_set(
             ``candidate_pairs`` is not given.  Disable for similarity metrics
             that can score > τ with zero shared word tokens (e.g. q-gram or
             edit-distance metrics).
-        parallel: Worker processes; on the scoring loop this fans out the
-            pair scoring, for the sharded prefix join it runs shards in
-            parallel (needs ``shards`` > 1 to matter there).
+        parallel: Worker processes of the prefix join's shards (needs
+            ``shards`` > 1 to matter); the scoring loop always runs in
+            this process.
         shards: Blocking-key shards for the prefix join (0/1 = unsharded).
             Any value yields byte-identical output; > 1 is a scale knob.
         obs: Optional :class:`~repro.obs.ObsContext`; the phase runs inside
@@ -145,8 +144,7 @@ def build_candidate_set(
             stages in child spans, and reports record / survivor gauges.
         supervisor_policy: Optional
             :class:`~repro.runtime.supervisor.SupervisorPolicy` tuning the
-            fault handling of parallel execution (both the chunked
-            pair scorer and the sharded join).
+            fault handling of the sharded join's worker pool.
         fault_plan: Optional
             :class:`~repro.runtime.faults.ProcessFaultPlan` injecting
             deterministic process faults into the worker pool (chaos
@@ -163,7 +161,8 @@ def build_candidate_set(
         from repro.runtime.autoshard import resolve_auto_shards
 
         shards = resolve_auto_shards(records=len(records),
-                                     requested=shards, obs=obs)
+                                     requested=shards, processes=parallel,
+                                     obs=obs)
         if shards > 1 and not eligible:
             # The heuristic never forces sharding onto the scoring loop.
             shards = 0
@@ -194,11 +193,11 @@ def build_candidate_set(
                 fault_plan=fault_plan,
             )
         else:
-            surviving, scores, runtime = _run_reference(
+            surviving, scores = _run_reference(
                 records, similarity, threshold, candidate_pairs,
-                use_token_blocking, parallel, obs,
-                supervisor_policy, fault_plan,
+                use_token_blocking, obs,
             )
+            runtime = RuntimeReport()
         # Seed the memo so later phases' reads of these pairs stay warm.
         similarity.seed_cache(scores)
         candidates = CandidateSet(pairs=tuple(surviving),
@@ -222,11 +221,8 @@ def _run_reference(
     threshold: float,
     candidate_pairs: Optional[Iterable[Pair]],
     use_token_blocking: bool,
-    parallel: int,
     obs=None,
-    supervisor_policy=None,
-    fault_plan=None,
-) -> Tuple[List[Pair], Dict[Pair, float], RuntimeReport]:
+) -> Tuple[List[Pair], Dict[Pair, float]]:
     by_id = {record.record_id: record for record in records}
     # Caller-supplied pair streams may repeat pairs (in either order); the
     # internal blockers already emit each pair exactly once.
@@ -237,32 +233,17 @@ def _run_reference(
         else:
             candidate_pairs = all_pairs(records)
 
-    # Materialize the pair stream so blocking and scoring time apart (and
-    # so chunks can be fanned out to workers).
+    # Materialize the pair stream so blocking and scoring time apart.
     with maybe_span(obs, "blocking"):
         unique = _canonical_unique(candidate_pairs, needs_dedupe)
     with maybe_span(obs, "scoring"):
-        if parallel > 1:
-            from repro.pruning.parallel import _score_pairs
-
-            scores, runtime = _score_pairs(
-                unique,
-                texts={rid: record.text for rid, record in by_id.items()},
-                metric=similarity.text_similarity,
-                threshold=threshold,
-                processes=parallel,
-                obs=obs,
-                policy=supervisor_policy,
-                fault_plan=fault_plan,
-            )
-        else:
-            scores, runtime = {}, RuntimeReport()
-            for pair in unique:
-                score = similarity(by_id[pair[0]], by_id[pair[1]])
-                if score > threshold:
-                    scores[pair] = score
+        scores: Dict[Pair, float] = {}
+        for pair in unique:
+            score = similarity(by_id[pair[0]], by_id[pair[1]])
+            if score > threshold:
+                scores[pair] = score
         surviving = sorted(scores)
-    return surviving, scores, runtime
+    return surviving, scores
 
 
 def _canonical_unique(pairs: Iterable[Pair], needs_dedupe: bool) -> List[Pair]:

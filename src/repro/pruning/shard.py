@@ -38,16 +38,14 @@ Algorithm
    order, making the output deterministic for every shard count.
 
 Shards run either in-process (deterministic loop) or in parallel worker
-processes using the same ``fork``-pool pattern as
-:mod:`repro.pruning.parallel` — state is published in a module global
-captured at fork time, workers are pure, results are merged in shard order.
-The worker pool is the supervised pool of
-:mod:`repro.runtime.supervisor`: a crashed shard worker is detected and
-its shard retried with backoff, and shards whose retries exhaust degrade
-to in-process execution — the join completes with identical output under
-any schedule of worker failures.  On platforms without ``fork`` the join
-falls back to the in-process loop and reports it via
-:func:`repro.pruning.parallel.notify_parallel_fallback`
+processes of the supervised pool of :mod:`repro.runtime.supervisor`, which
+maps a closure over the plan across the shard indices: fork hands the
+plan to the workers, and it is released when the pool closes.  A crashed
+shard worker is detected and its shard retried with backoff, and shards
+whose retries exhaust degrade to in-process execution — the join
+completes with identical output under any schedule of worker failures.
+On platforms without ``fork`` the join falls back to the in-process loop
+and reports it via :func:`repro.runtime.supervisor.uses_pool`
 (``pruning.parallel_fallback`` event + ``ParallelFallbackWarning``).
 
 Equivalence contract: for every shard count and process count, the
@@ -69,12 +67,12 @@ from repro.datasets.schema import Record
 from repro.obs import maybe_span
 from repro.pruning.blocking import shard_of_token
 from repro.pruning.components import sorted_unique
-from repro.pruning.parallel import fork_available, notify_parallel_fallback
 from repro.runtime.faults import ProcessFaultPlan
 from repro.runtime.supervisor import (
     RuntimeReport,
     SupervisorPolicy,
     supervised_map,
+    uses_pool,
 )
 from repro.pruning.prefix_join import (
     EPS,
@@ -96,9 +94,6 @@ SetFunction = Callable[[FrozenSet[str], FrozenSet[str]], float]
 #: roughly ``block * avg_tokens_per_pair * 8`` bytes during verification,
 #: independent of the total candidate volume.
 DEFAULT_PAIR_BLOCK_SIZE = 1 << 16
-
-#: Worker payload captured at fork time (start method "fork" only).
-_SHARD_STATE: Dict[str, object] = {}
 
 
 class _JoinPlan:
@@ -287,18 +282,6 @@ def _join_shard(
     return survivors
 
 
-def _run_shard_worker(shard_index: int) -> Dict[Pair, float]:
-    """Pool entry point: reads the fork-time snapshot in _SHARD_STATE."""
-    return _join_shard(
-        _SHARD_STATE["plan"],  # type: ignore[arg-type]
-        shard_index,
-        _SHARD_STATE["num_shards"],  # type: ignore[arg-type]
-        _SHARD_STATE["metric"],  # type: ignore[arg-type]
-        _SHARD_STATE["threshold"],  # type: ignore[arg-type]
-        _SHARD_STATE["pair_block_size"],  # type: ignore[arg-type]
-    )
-
-
 def sharded_prefix_filtered_candidates(
     records: Sequence[Record],
     set_of: Callable[[Record], FrozenSet[str]],
@@ -423,28 +406,16 @@ def _execute_shards(
 ) -> Tuple[List[Dict[Pair, float]], RuntimeReport]:
     """All shards' survivor maps, in shard order (parallel when asked),
     and the pool's report."""
-    want_parallel = processes > 1 and num_shards > 1 and len(plan.elem_k) > 0
-    if want_parallel and not fork_available():
-        notify_parallel_fallback(obs, requested=processes,
-                                 context="sharded_prefix_filtered_candidates")
-        want_parallel = False
-    if not want_parallel:
-        return [
-            _join_shard(plan, shard, num_shards, metric, threshold,
-                        pair_block_size)
-            for shard in range(num_shards)
-        ], RuntimeReport()
+    def run_shard(shard: int) -> Dict[Pair, float]:
+        return _join_shard(plan, shard, num_shards, metric, threshold,
+                           pair_block_size)
 
-    _SHARD_STATE.update(
-        plan=plan, num_shards=num_shards, metric=metric, threshold=threshold,
-        pair_block_size=pair_block_size,
-    )
-    try:
+    if (num_shards > 1 and len(plan.elem_k) > 0
+            and uses_pool(processes, obs=obs,
+                          context="sharded_prefix_filtered_candidates")):
         return supervised_map(
-            _run_shard_worker, range(num_shards),
-            min(processes, num_shards),
+            run_shard, range(num_shards), processes,
             policy=supervisor_policy, obs=obs, fault_plan=fault_plan,
             label="pruning.shard_join",
         )
-    finally:
-        _SHARD_STATE.clear()
+    return [run_shard(shard) for shard in range(num_shards)], RuntimeReport()

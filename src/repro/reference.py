@@ -716,7 +716,6 @@ def candidate_set(
     threshold: float = DEFAULT_THRESHOLD,
     candidate_pairs: Optional[Iterable[Pair]] = None,
     use_token_blocking: bool = True,
-    parallel: int = 0,
     obs=None,
 ) -> CandidateSet:
     """The pruning phase through the enumerate-and-score loop, whatever
@@ -729,12 +728,12 @@ def candidate_set(
     """
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    surviving, scores, runtime = _run_reference(
+    surviving, scores = _run_reference(
         records, similarity, threshold, candidate_pairs, use_token_blocking,
-        parallel, obs,
+        obs,
     )
     return CandidateSet(pairs=tuple(surviving), machine_scores=scores,
-                        threshold=threshold, runtime=runtime)
+                        threshold=threshold)
 
 
 def run_acd(

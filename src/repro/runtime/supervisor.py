@@ -25,15 +25,25 @@ duplex pipe each — and supervises every dispatched task:
   with exponential backoff, up to ``max_task_retries`` extra attempts —
   the process-level mirror of the crowd layer's HIT repost budget.
 - **Serial degradation.**  When a task exhausts its process-level budget
-  (or the whole pool dies), it runs in-process in the parent.  Tasks are
-  pure and fork-state is still published in the parent, so the degraded
-  result is byte-identical — the run completes, slower, never wrong.
+  (or the whole pool dies), it runs in-process in the parent.  The worker
+  function is pure and the parent calls the very same one, so the
+  degraded result is byte-identical — the run completes, slower, never
+  wrong.
 
-The pool is long-lived: tasks are submitted as they become ready and
-collected in completion order — :func:`repro.core.acd.run_acd` keeps
-one pool up for all of cluster generation's component tasks this way
-(:mod:`repro.core.generation`).  :func:`supervised_map` is the one-shot
-wrapper the pruning layer uses.
+Workers read everything but their payload from the worker function
+itself: fork copies it, closures and unpicklable captures included, so
+a caller hands a pool its shared inputs by closing over them, and they
+are released with the pool.  The pool is long-lived: tasks are submitted
+as they become ready and collected in completion order —
+:func:`repro.core.acd.run_acd` keeps one pool up for all of cluster
+generation's component tasks this way (:mod:`repro.core.generation`).
+:func:`supervised_map` is the one-shot wrapper the pruning join uses.
+
+:func:`uses_pool` is the one place a caller asks whether its requested
+processes will fork.  Without the ``fork`` start method the answer is
+no, and the fallback is never silent: it raises a
+:class:`ParallelFallbackWarning` and emits a ``pruning.parallel_fallback``
+warning event.  Results are identical either way.
 
 Every decision is observable: ``runtime.worker_crash`` /
 ``runtime.task_retry`` / ``runtime.straggler_redispatch`` /
@@ -55,6 +65,7 @@ import multiprocessing
 import os
 import pickle
 import time
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
@@ -69,6 +80,41 @@ CHAOS_KILL_EXIT = 87
 
 #: How long a worker gets to honor a "stop" message before termination.
 _SHUTDOWN_GRACE_S = 0.5
+
+
+class ParallelFallbackWarning(RuntimeWarning):
+    """A requested parallel run fell back to the in-process path."""
+
+
+def fork_available() -> bool:
+    """Whether the ``fork`` start method (required for the pool) exists."""
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def uses_pool(processes: int, *, context: str, obs=None) -> bool:
+    """Will a request for ``processes`` workers fork a pool?
+
+    No for ``processes <= 1``.  Without the ``fork`` start method also
+    no, and the fallback is recorded: a :class:`ParallelFallbackWarning`
+    (always) and a ``pruning.parallel_fallback`` warning event on ``obs``
+    (when attached) with the requested count and ``context`` (the call
+    site).  Results are byte-identical, only the wall-clock expectation
+    is not met.
+    """
+    if processes <= 1:
+        return False
+    if fork_available():
+        return True
+    warnings.warn(
+        f"{context}: {processes} worker processes requested but the "
+        "'fork' start method is unavailable on this platform; running "
+        "serially (results are identical, only slower)",
+        ParallelFallbackWarning, stacklevel=3,
+    )
+    if obs is not None:
+        obs.event("pruning.parallel_fallback", requested=processes,
+                  context=context, reason="fork-unavailable")
+    return False
 
 
 @dataclass(frozen=True)
@@ -244,8 +290,9 @@ class SupervisedPool:
 
     Args:
         worker_fn: A *pure* function of one payload.  It is carried to
-            workers by fork (closures are fine) and may read module
-            globals published before the pool is created.
+            workers by fork, so a closure over the inputs every task
+            shares (unpicklable ones included) is how a caller hands
+            them to the workers.
         processes: Worker processes, forked up front.
         policy: Fault-handling knobs (default :class:`SupervisorPolicy`).
         obs: Optional :class:`~repro.obs.ObsContext` receiving
@@ -283,7 +330,7 @@ class SupervisedPool:
         #: directive-killed workers not yet replaced.
         self._replacements = 0
         self._owed_respawns = 0
-        self._inline = processes <= 1 or not _fork_available()
+        self._inline = processes <= 1 or not fork_available()
         if not self._inline:
             self._context = multiprocessing.get_context("fork")
             self._workers = [self._spawn() for _ in range(processes)]
@@ -590,10 +637,6 @@ def supervised_map(
     finally:
         pool.close()
     return results, pool.report
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _shutdown(workers: List[_Worker]) -> None:

@@ -57,9 +57,8 @@ class SimilarityFunction:
     Args:
         name: Metric name (diagnostics, dispatch).
         text_similarity: The raw ``(text, text) -> score`` metric.  Always
-            kept — it is the picklable payload the parallel scorer ships to
-            worker processes, and the reference implementation the fast
-            paths are tested against.
+            kept — it is the reference implementation the fast paths are
+            tested against.
         record_similarity: Optional ``(Record, Record) -> score`` fast path
             (e.g. view-cached set intersection); wins over
             ``text_similarity`` when present.
@@ -107,11 +106,6 @@ class SimilarityFunction:
         score = min(1.0, max(0.0, score))
         self._cache[key] = score
         return score
-
-    @property
-    def text_similarity(self) -> TextSimilarity:
-        """The underlying text metric (what the parallel scorer ships)."""
-        return self._text_similarity
 
     def set_of(self, record: Record) -> FrozenSet[str]:
         """The frozenset this (set-)metric compares for ``record``."""
@@ -221,8 +215,8 @@ def softtfidf_similarity_function(
 
     Tokenizes each record once through the shared view cache and reuses one
     TF-IDF vector per record across all pairs.  Not a plain set metric, so
-    the pruning engine scores it through the (optionally parallel)
-    pair loop rather than the prefix join.
+    the pruning engine scores it through the pair loop rather than the
+    prefix join.
     """
     from repro.similarity.softtfidf import SoftTfIdf
 

@@ -1,7 +1,7 @@
 """Equivalence of the production pruning path with the reference loop.
 
-The prefix-filtered join and the parallel pair scorer are optimizations,
-not approximations: for every supported configuration they must produce a
+The prefix-filtered join is an optimization, not an approximation: for
+every supported configuration it must produce a
 byte-identical :class:`CandidateSet` (same pairs, same float scores) as the
 seed's enumerate-and-score loop (:func:`repro.reference.candidate_set`).
 These tests pin that down on the three paper datasets, on randomized
@@ -20,7 +20,6 @@ from repro import reference
 from repro.datasets.registry import generate
 from repro.datasets.schema import Record
 from repro.pruning.candidate import _prefix_join_eligible, build_candidate_set
-from repro.pruning.parallel import score_pairs_parallel
 from repro.pruning.prefix_join import prefix_length
 from repro.similarity.composite import (
     SimilarityFunction,
@@ -220,36 +219,6 @@ class TestPrefixLength:
 
     def test_at_least_one_token_probed(self):
         assert prefix_length("jaccard", 0.99, 1) == 1
-
-
-class TestParallelScorer:
-    @pytest.mark.parametrize("dataset_name", DATASETS)
-    def test_parallel_matches_serial_on_datasets(self, dataset_name):
-        records = generate(dataset_name, scale=0.1, seed=7).records
-        serial = reference.candidate_set(records, reference_similarity())
-        parallel = scored(records, reference_similarity(), parallel=2)
-        assert_identical(serial, parallel)
-
-    def test_score_pairs_parallel_matches_direct_loop(self):
-        records = recs("a b c", "a b d", "x y", "a y")
-        texts = {r.record_id: r.text for r in records}
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        expected = {
-            pair: token_jaccard(texts[pair[0]], texts[pair[1]])
-            for pair in pairs
-        }
-        expected = {p: min(1.0, max(0.0, s))
-                    for p, s in expected.items() if s > 0.3}
-        scored = score_pairs_parallel(pairs, texts, token_jaccard,
-                                      threshold=0.3, processes=2)
-        assert scored == expected
-
-    def test_serial_fallback_for_single_process(self):
-        records = recs("a b", "a b")
-        texts = {r.record_id: r.text for r in records}
-        scored = score_pairs_parallel([(0, 1)], texts, token_jaccard,
-                                      threshold=0.3, processes=1)
-        assert scored == {(0, 1): 1.0}
 
 
 class TestDuplicatePairScoring:

@@ -20,13 +20,13 @@ from repro.datasets.registry import generate
 from repro.datasets.schema import Record
 from repro.experiments.runner import prepare_instance
 from repro.obs import ObsContext, Tracer
-from repro.pruning import parallel as parallel_module
 from repro.pruning import shard
 from repro.pruning.candidate import build_candidate_set
-from repro.pruning.parallel import ParallelFallbackWarning
 from repro.pruning.prefix_join import PREFIX_METRICS
 from repro.reference import prefix_filtered_candidates
+from repro.runtime import supervisor
 from repro.runtime.pipeline import run_pipeline
+from repro.runtime.supervisor import ParallelFallbackWarning
 from repro.similarity.composite import (
     SET_METRIC_FUNCTIONS,
     cosine_set_similarity_function,
@@ -137,8 +137,7 @@ class TestForkParallelism:
                          shard_counts=(4,), processes=2)
 
     def test_fallback_warns_and_emits_event(self, monkeypatch):
-        monkeypatch.setattr(parallel_module, "fork_available", lambda: False)
-        monkeypatch.setattr(shard, "fork_available", lambda: False)
+        monkeypatch.setattr(supervisor, "fork_available", lambda: False)
         records_seen = []
         obs = ObsContext(tracer=Tracer(sink=records_seen.append))
 

@@ -1,19 +1,19 @@
-"""Fork-state lifetime: the pre-fork snapshots never outlive their map.
+"""Join-plan lifetime: the sharded join never pins its plan.
 
-``score_pairs_parallel`` and the sharded join publish their worker inputs
-in module globals (``_FORK_STATE`` / ``_SHARD_STATE``) so fork can carry
-closures to the workers.  Those globals must be empty again the moment the
-map returns — on success *and* on failure — or a large run's texts and
-join plan stay pinned in the parent for the rest of the process.
+The shard pool's worker function is a closure over the join plan (the
+encoded records and the prefix incidence); fork hands it to the workers.
+Nothing may keep that plan alive once the join returns or raises, or a
+large run's plan stays pinned in the parent for the rest of the process.
 """
 
+import gc
 import multiprocessing
+import weakref
 
 import pytest
 
-from repro.pruning import parallel as parallel_module
+from repro.datasets.schema import Record
 from repro.pruning import shard
-from repro.pruning.parallel import score_pairs_parallel
 from repro.similarity.composite import (
     SET_METRIC_FUNCTIONS,
     jaccard_similarity_function,
@@ -21,7 +21,7 @@ from repro.similarity.composite import (
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the fork pools require the 'fork' start method",
+    reason="the shard pool requires the 'fork' start method",
 )
 
 TEXTS = {
@@ -31,61 +31,52 @@ TEXTS = {
     3: "adaptive crowd based deduplication",
     4: "crowd based deduplication an adaptive approach",
 }
-PAIRS = [(a, b) for a in TEXTS for b in TEXTS if a < b]
 
 
-def _jaccard(left: str, right: str) -> float:
-    tokens_left, tokens_right = set(left.split()), set(right.split())
-    union = tokens_left | tokens_right
-    return len(tokens_left & tokens_right) / len(union) if union else 0.0
+@pytest.fixture
+def plan_refs(monkeypatch):
+    """Weak references to every plan the join builds."""
+    refs = []
+    build = shard._build_plan
+
+    def recording(*args, **kwargs):
+        plan, empty = build(*args, **kwargs)
+        refs.append(weakref.ref(plan))
+        return plan, empty
+
+    monkeypatch.setattr(shard, "_build_plan", recording)
+    return refs
 
 
-class TestScoreParallelState:
-    def test_state_empty_after_successful_map(self):
-        serial = score_pairs_parallel(PAIRS, TEXTS, _jaccard,
-                                      threshold=0.1, processes=1)
-        scored = score_pairs_parallel(PAIRS, TEXTS, _jaccard,
-                                      threshold=0.1, processes=2,
-                                      chunk_size=2)
-        assert scored == serial
-        assert parallel_module._FORK_STATE == {}
-
-    def test_state_empty_after_failed_map(self, monkeypatch):
-        def explode(*args, **kwargs):
-            raise RuntimeError("simulated pool failure")
-
-        monkeypatch.setattr(parallel_module, "supervised_map", explode)
-        with pytest.raises(RuntimeError):
-            score_pairs_parallel(PAIRS, TEXTS, _jaccard,
-                                 threshold=0.1, processes=2)
-        assert parallel_module._FORK_STATE == {}
+def _join(**kwargs):
+    records = [Record(record_id=i, text=text)
+               for i, text in sorted(TEXTS.items())]
+    similarity = jaccard_similarity_function()
+    return shard.sharded_prefix_filtered_candidates(
+        records, set_of=similarity.set_of,
+        set_function=SET_METRIC_FUNCTIONS["jaccard"],
+        metric="jaccard", threshold=0.1, num_shards=3, **kwargs,
+    )
 
 
 class TestShardJoinState:
-    @staticmethod
-    def _join(**kwargs):
-        from repro.datasets.schema import Record
+    """The join's worker state is its plan: dead once the join ends."""
 
-        records = [Record(record_id=i, text=text)
-                   for i, text in sorted(TEXTS.items())]
-        similarity = jaccard_similarity_function()
-        return shard.sharded_prefix_filtered_candidates(
-            records, set_of=similarity.set_of,
-            set_function=SET_METRIC_FUNCTIONS["jaccard"],
-            metric="jaccard", threshold=0.1, num_shards=3, **kwargs,
-        )
-
-    def test_state_empty_after_successful_join(self):
-        serial = self._join()
-        forked = self._join(processes=2)
+    def test_state_empty_after_successful_join(self, plan_refs):
+        serial = _join()
+        forked = _join(processes=2)
         assert forked == serial
-        assert shard._SHARD_STATE == {}
+        gc.collect()
+        assert len(plan_refs) == 2
+        assert [ref() for ref in plan_refs] == [None, None]
 
-    def test_state_empty_after_failed_join(self, monkeypatch):
+    def test_state_empty_after_failed_join(self, plan_refs, monkeypatch):
         def explode(*args, **kwargs):
             raise RuntimeError("simulated pool failure")
 
         monkeypatch.setattr(shard, "supervised_map", explode)
-        with pytest.raises(RuntimeError):
-            self._join(processes=2)
-        assert shard._SHARD_STATE == {}
+        with pytest.raises(RuntimeError, match="simulated pool failure"):
+            _join(processes=2)
+        gc.collect()
+        assert len(plan_refs) == 1
+        assert plan_refs[0]() is None

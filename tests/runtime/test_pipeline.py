@@ -417,25 +417,38 @@ class TestCheckpointKillResume:
 
 class TestAutoshard:
     def test_auto_resolves_by_tier(self):
-        assert resolve_auto_shards(
-            records=AUTO_MIN_RECORDS, requested="auto") == 8
-        assert resolve_auto_shards(
-            records=AUTO_MIN_RECORDS - 1, requested="auto") == 1
+        """Shards pay only on a pool: "auto" shards a large join when it
+        has more than one process, and never a serial one."""
+        for processes in (2, 4):
+            assert resolve_auto_shards(
+                records=AUTO_MIN_RECORDS, requested="auto",
+                processes=processes) == 8
+            assert resolve_auto_shards(
+                records=AUTO_MIN_RECORDS - 1, requested="auto",
+                processes=processes) == 1
+        for processes in (0, 1):
+            for records in (AUTO_MIN_RECORDS - 1, AUTO_MIN_RECORDS,
+                            10 * AUTO_MIN_RECORDS):
+                assert resolve_auto_shards(
+                    records=records, requested="auto",
+                    processes=processes) == 1
 
     def test_explicit_integers_pass_through(self):
-        assert resolve_auto_shards(records=1, requested=5) == 5
+        assert resolve_auto_shards(records=1, requested=5, processes=0) == 5
 
     def test_auto_resolution_is_observable(self):
         obs = ObsContext()
         with obs.span("setup"):
             resolve_auto_shards(records=AUTO_MIN_RECORDS, requested="auto",
+                                processes=2, obs=obs)
+            resolve_auto_shards(records=10, requested=3, processes=2,
                                 obs=obs)
-            resolve_auto_shards(records=10, requested=3, obs=obs)
         events = [e for e in _collect_events(obs)
                   if e[0] == "runtime.autoshard"]
         # Explicit integers resolve silently; only "auto" is a decision.
         assert len(events) == 1
         assert events[0][1] == {"records": AUTO_MIN_RECORDS,
+                                "processes": 2,
                                 "threshold": AUTO_MIN_RECORDS,
                                 "resolved": 8}
         counters = obs.metrics.as_dict()["counters"]
@@ -443,7 +456,7 @@ class TestAutoshard:
 
     def test_bad_string_rejected(self):
         with pytest.raises(ValueError):
-            resolve_auto_shards(records=10, requested="fast")
+            resolve_auto_shards(records=10, requested="fast", processes=2)
 
 
 class TestPoolLifetime:
@@ -475,7 +488,7 @@ class TestPoolLifetime:
         assert multiprocessing.active_children() == []
 
     def test_pruning_error_closes_the_pool(self, monkeypatch):
-        from repro.core import acd, generation
+        from repro.core import acd
 
         def failing(*args, **kwargs):
             assert len(multiprocessing.active_children()) == 2
@@ -485,4 +498,3 @@ class TestPoolLifetime:
         with pytest.raises(RuntimeError, match="pruning failed"):
             self._run()
         assert multiprocessing.active_children() == []
-        assert generation._FORK_STATE == {}

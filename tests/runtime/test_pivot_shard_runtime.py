@@ -20,10 +20,9 @@ from repro import reference
 from repro.core.acd import run_acd
 from repro.experiments.runner import prepare_instance
 from repro.obs import ObsContext
-from repro.pruning.parallel import ParallelFallbackWarning
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.faults import ProcessFaultPlan
-from repro.runtime.supervisor import SupervisorPolicy
+from repro.runtime.supervisor import ParallelFallbackWarning, SupervisorPolicy
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -132,11 +131,9 @@ class TestFaultByteIdentity:
 
 class TestForkFallback:
     def test_fallback_warns_when_fork_unavailable(self, monkeypatch):
-        import repro.core.generation as pivot_shard
         import repro.runtime.supervisor as supervisor
 
-        monkeypatch.setattr(pivot_shard, "fork_available", lambda: False)
-        monkeypatch.setattr(supervisor, "_fork_available", lambda: False)
+        monkeypatch.setattr(supervisor, "fork_available", lambda: False)
         serial = _generation_outcome(_instance())
         with pytest.warns(ParallelFallbackWarning):
             fallen_back = _generation_outcome(_instance(), processes=4)

@@ -8,6 +8,8 @@ call, even when it aborts.
 """
 
 import multiprocessing
+import pickle
+import threading
 
 import pytest
 
@@ -113,6 +115,28 @@ class TestWorkerKill:
                                     policy=FAST, fault_plan=plan)
         assert results == EXPECTED
         assert _no_new_children(before) == []
+
+
+class TestClosureWorkers:
+    def test_closure_over_unpicklable_object_survives_kills(self):
+        """Fork, not pickle, carries the worker function: a closure over
+        an object pickle rejects reaches the first workers, their
+        replacements and the in-parent path alike."""
+        guard = threading.Lock()
+        offsets = {value: 3 * value + 1 for value in PAYLOADS}
+
+        def shifted(value):
+            with guard:
+                return offsets[value] * value
+
+        with pytest.raises(TypeError):
+            pickle.dumps(guard)
+        plan = ProcessFaultPlan(kill_tasks=frozenset({0, 5, 11}))
+        results, report = supervised_map(shifted, PAYLOADS, processes=3,
+                                         policy=FAST, fault_plan=plan)
+        assert results == [shifted(value) for value in PAYLOADS]
+        assert report.worker_crashes >= 3
+        assert report.worker_respawns == 3
 
 
 class TestDegradation:
