@@ -12,10 +12,11 @@ the shards run in worker processes.
 
 Algorithm
 ---------
-1. Token sets are interned into a :class:`~repro.similarity.kernels.TokenVocabulary`
-   whose dense ranks follow the canonical (document frequency, token) order,
-   and flattened into one CSR :class:`~repro.similarity.kernels.EncodedRecords`
-   store, rows sorted by processing order (set size, id).
+1. Each record's token set is read once and streamed into one CSR
+   :class:`~repro.similarity.kernels.EncodedRecords` store of dense token
+   ranks in the canonical (document frequency, token) order, rows sorted
+   by processing order (set size, id).  No per-record object outlives
+   this step.
 2. The *prefix incidence* list — one ``(token rank, row)`` entry per prefix
    token per record — is built and sorted token-major.  Every entry whose
    group (posting list of one token) has at least one earlier entry is an
@@ -80,11 +81,7 @@ from repro.pruning.prefix_join import (
     partner_size_need,
     prefix_length,
 )
-from repro.similarity.kernels import (
-    EncodedRecords,
-    TokenVocabulary,
-    score_encoded_pairs,
-)
+from repro.similarity.kernels import EncodedRecords, score_encoded_pairs
 
 Pair = Tuple[int, int]
 SetFunction = Callable[[FrozenSet[str], FrozenSet[str]], float]
@@ -120,34 +117,27 @@ def _build_plan(
     metric: str,
     threshold: float,
 ) -> Tuple[_JoinPlan, List[int]]:
-    """Intern, encode, and lay out the prefix incidence for the join.
+    """Encode the records' sets and lay out the prefix incidence.
 
-    Returns the plan over the records with non-empty sets, plus the ids
-    of the records whose set is empty (they share no token, so only
-    ``include_empty_pairs`` ever pairs them).
+    Returns the plan, plus the ids of the records whose set is empty
+    (the store's first rows; they have no prefix, so only
+    ``include_empty_pairs`` ever pairs them).  A repeated record id
+    raises ``ValueError``.
     """
-    sets: Dict[int, FrozenSet[str]] = {
-        record.record_id: set_of(record) for record in records
-    }
-    nonempty = [record_id for record_id, s in sets.items() if s]
-    empty = [record_id for record_id, s in sets.items() if not s]
-    ordered_ids = sorted(nonempty, key=lambda rid: (len(sets[rid]), rid))
-    vocab = TokenVocabulary.build([sets[rid] for rid in ordered_ids])
-    encoded = EncodedRecords.from_sets(sets, ordered_ids, vocab)
-
-    sizes = encoded.counts
-    # Per-size memos keep the float bounds literally identical to the
-    # per-record computations of the frozenset join.
-    prefix_of_size: Dict[int, int] = {}
-    need_of_size: Dict[int, float] = {}
-    for size in set(sizes.tolist()):
-        prefix_of_size[size] = prefix_length(metric, threshold, size)
-        need_of_size[size] = partner_size_need(metric, threshold, size) - EPS
-    size_list = sizes.tolist()
-    pcounts = _np.fromiter((prefix_of_size[size] for size in size_list),
-                           dtype=_np.int64, count=len(size_list))
-    need = _np.fromiter((need_of_size[size] for size in size_list),
-                        dtype=_np.float64, count=len(size_list))
+    encoded = EncodedRecords.encode(
+        [record.record_id for record in records],
+        (set_of(record) for record in records),
+        by_size=True,
+    )
+    empty = encoded.ids[encoded.counts == 0].tolist()
+    # One bound per distinct size, from the same scalar calls as the
+    # frozenset join, so the float bounds are literally identical.
+    sizes, size_of_row = _np.unique(encoded.counts, return_inverse=True)
+    sizes = sizes.tolist()
+    pcounts = _np.array([prefix_length(metric, threshold, size)
+                         for size in sizes], dtype=_np.int64)[size_of_row]
+    need = _np.array([partner_size_need(metric, threshold, size) - EPS
+                      for size in sizes], dtype=_np.float64)[size_of_row]
 
     # Prefix incidence: the first prefix_len ranks of each row (rows are
     # stored canonically sorted, so slicing the head IS the prefix).
@@ -302,8 +292,8 @@ def sharded_prefix_filtered_candidates(
 
     Args:
         records: The record set ``R``.
-        set_of: Maps a record to the frozenset the metric compares (cached
-            word tokens or q-grams — see ``SimilarityFunction.set_of``).
+        set_of: Maps a record to the frozenset the metric compares (word
+            tokens or q-grams — see ``SimilarityFunction.set_of``).
         set_function: The exact scalar set metric; scores the empty-set
             pairs of ``include_empty_pairs`` (the batch kernels reproduce
             it bit for bit on every other pair).
@@ -320,7 +310,7 @@ def sharded_prefix_filtered_candidates(
             matching the all-pairs scoring loop instead of token blocking
             (which never pairs them).
         obs: Optional :class:`~repro.obs.ObsContext`: the ``blocking``
-            span covers interning, encoding, and incidence layout, the
+            span covers tokenizing, encoding, and incidence layout, the
             ``scoring`` span shard execution, verification, and the
             cross-shard merge; also fallback events and the supervised
             pool's ``runtime.*`` fault events.

@@ -634,8 +634,8 @@ def prefix_filtered_candidates(
 
     Args:
         records: The record set ``R``.
-        set_of: Maps a record to the frozenset the metric compares (cached
-            word tokens or q-grams — see ``SimilarityFunction.set_of``).
+        set_of: Maps a record to the frozenset the metric compares (word
+            tokens or q-grams — see ``SimilarityFunction.set_of``).
         set_function: The exact set metric (e.g. ``jaccard``); used verbatim
             for verification so scores match the reference bit-for-bit.
         metric: One of :data:`PREFIX_METRICS` (selects the filter algebra).

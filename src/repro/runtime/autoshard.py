@@ -1,14 +1,15 @@
 """`shards="auto"`: shard the pruning join only where it can pay.
 
-Only the join's verification splits into shards; interning, encoding
+Only the join's verification splits into shards; tokenizing, encoding
 and the incidence layout (the ``blocking`` span, most of the join at
 scale) run once in the parent.  In one process the shards only add
-bookkeeping: ``BENCH_scale.json`` (``parallel: 0``) times the 100k
-tier's pruning span at 3.26 s with 8 shards against 3.11 s with one.
-On a pool, per-task dispatch (fork, pickle, merge) outweighs the split
-verification at the 10k tier; larger tiers need enough cores to win
-(on a 2-CPU host, 100k records took 2.25 s with 8 shards on 2
-processes against 2.00 s with one shard, medians of 5 forked runs).
+bookkeeping, and on a pool per-task dispatch (fork, pickle, merge)
+outweighs the split verification at the 10k tier; larger tiers need
+enough cores to win.  On a 2-CPU host, 100k largescale records
+(``confusion=0.25``) pruned in 0.92 s with one shard, 1.14 s with 8
+shards on 2 processes and 1.10 s with 8 serial shards (medians of 5
+interleaved forked ``build_candidate_set`` runs; ``blocking`` 0.58 to
+0.62 s of each).
 So ``shards="auto"`` resolves to the bench-tier shard count only when
 the join has more than one process and at least ``AUTO_MIN_RECORDS``
 records, and to the one-shard join otherwise.

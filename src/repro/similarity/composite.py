@@ -4,7 +4,7 @@ A :class:`SimilarityFunction` maps a pair of :class:`~repro.datasets.schema.Reco
 objects to a score in [0, 1].  The pruning phase and several baselines are
 parameterized over this interface, so swapping metrics is a one-liner.
 
-Two layers of caching keep the pruning hot path fast:
+Two layers of caching keep pair scoring fast:
 
 * a per-pair memo (as in the seed implementation), and
 * an optional per-record :class:`~repro.similarity.views.RecordViewCache`
@@ -15,6 +15,8 @@ Set-overlap metrics additionally carry *set-metric metadata*
 (:attr:`SimilarityFunction.set_metric` plus :meth:`SimilarityFunction.set_of`)
 that lets the pruning engine route them through the prefix-filtered
 similarity join instead of the emit-everything blocking + score loop.
+The join reads each record's set once, so ``set_of`` bypasses the view
+cache.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.similarity.hybrid import (
 from repro.similarity.jaccard import jaccard, qgram_jaccard, token_jaccard
 from repro.similarity.jaro import jaro_winkler_similarity
 from repro.similarity.levenshtein import levenshtein_similarity
+from repro.similarity.tokenize import qgram_set, token_set
 from repro.similarity.views import RecordViewCache
 
 TextSimilarity = Callable[[str, str], float]
@@ -66,7 +69,9 @@ class SimilarityFunction:
             is a plain set-overlap metric the prefix join can accelerate;
             ``None`` otherwise.
         set_of: For set metrics, maps a record to the exact frozenset the
-            metric compares (cached word tokens or q-grams).
+            metric compares (word tokens or q-grams).  The prefix join
+            and its oracle call it once per record, so the factories
+            compute it from the text without caching.
         set_domain: What the compared sets contain — ``"word"`` for word
             tokens (the token-blocking domain) or e.g. ``"qgram3"``.  The
             pruning engine only substitutes the prefix join for token
@@ -140,9 +145,13 @@ def _view_set_function(
         text_similarity,
         record_similarity=from_views,
         set_metric=set_metric,
-        set_of=cache.token_set,
+        set_of=_word_token_set,
         set_domain="word",
     )
+
+
+def _word_token_set(record: Record) -> FrozenSet[str]:
+    return token_set(record.text)
 
 
 def jaccard_similarity_function(
@@ -194,7 +203,7 @@ def qgram_similarity_function(
         return jaccard(cache.qgram_set(record_a, q), cache.qgram_set(record_b, q))
 
     def set_of(record: Record) -> FrozenSet[str]:
-        return cache.qgram_set(record, q)
+        return qgram_set(record.text, q)
 
     return SimilarityFunction(
         f"qgram{q}",

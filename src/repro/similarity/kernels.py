@@ -3,10 +3,11 @@
 The scalar set metrics (:func:`~repro.similarity.jaccard.jaccard` and
 friends) compare two Python frozensets per call; at 100k-1M records the
 per-pair interpreter overhead is the pruning phase's wall.  This module
-provides the batch counterpart: token sets are *interned* once into dense
-integer ids in a shared :class:`TokenVocabulary`, every record becomes a
-sorted ``int32`` array in one flat CSR store (:class:`EncodedRecords`), and
-whole blocks of candidate pairs are scored with a handful of numpy
+provides the batch counterpart: one streaming encoder
+(:meth:`EncodedRecords.encode`) reads each token set once, interns its
+tokens into dense integer ranks, and makes every record a sorted
+``int32`` array in one flat CSR store (:class:`EncodedRecords`); whole
+blocks of candidate pairs are then scored with a handful of numpy
 operations instead of one Python call each.  The prefix join
 (:mod:`repro.pruning.shard`) verifies every candidate pair this way; the
 scalar functions stay the reference these kernels are tested against.
@@ -22,8 +23,7 @@ conventions also match: empty vs empty scores 1.0, empty vs non-empty 0.0.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Sequence
 
 import numpy as _np
 import scipy.sparse as _sparse
@@ -51,54 +51,11 @@ def resolve_kernel_backend(backend: str) -> str:
     return "vectorized"
 
 
-class TokenVocabulary:
-    """Interning table: token string -> dense integer *rank*.
-
-    Ranks follow the prefix join's canonical total order — ascending
-    document frequency, ties broken lexicographically (see
-    :func:`repro.pruning.prefix_join.canonical_token_order`) — so sorting a
-    record's rank array ascending reproduces exactly the canonically
-    ordered token list, and ``ranks < size`` prefixes coincide
-    token-for-token.
-    """
-
-    def __init__(self, rank_of: Dict[str, int]):
-        self.rank_of = rank_of
-
-    def __len__(self) -> int:
-        return len(self.rank_of)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.rank_of
-
-    @staticmethod
-    def build(sets: Iterable[FrozenSet[str]]) -> "TokenVocabulary":
-        """Intern every token of ``sets`` in canonical (df, token) order."""
-        frequency: Counter = Counter()
-        for token_set in sets:
-            frequency.update(token_set)
-        # Sorting (count, token) tuples directly avoids a per-element key
-        # call; tuple order == the canonical (df, token) order.
-        ordered = sorted((count, token) for token, count in frequency.items())
-        return TokenVocabulary(
-            {token: rank for rank, (_, token) in enumerate(ordered)}
-        )
-
-    def encode(self, token_set: FrozenSet[str]) -> "_np.ndarray":
-        """One set as a sorted (= canonically ordered) ``int32`` rank array."""
-        ranks = _np.fromiter(
-            (self.rank_of[token] for token in token_set),
-            dtype=_np.int32, count=len(token_set),
-        )
-        ranks.sort()
-        return ranks
-
-
 class EncodedRecords:
     """A record population as one flat CSR token-rank store.
 
     Attributes:
-        ids: ``int64[n]`` record ids, in the caller's row order.
+        ids: ``int64[n]`` record ids, in row order (see :meth:`encode`).
         flat: ``int32[total]`` concatenated per-record rank arrays, each
             sorted ascending (canonical order).
         starts: ``int64[n]`` offset of each row's slice in ``flat``.
@@ -130,37 +87,77 @@ class EncodedRecords:
         return len(self.ids)
 
     @staticmethod
-    def from_sets(
-        sets: Mapping[int, FrozenSet[str]],
+    def encode(
         ids: Sequence[int],
-        vocab: Optional[TokenVocabulary] = None,
+        sets: Iterable[FrozenSet[str]],
+        by_size: bool = False,
     ) -> "EncodedRecords":
-        """Encode ``sets`` (restricted to ``ids``, in that row order)."""
-        if vocab is None:
-            vocab = TokenVocabulary.build([sets[record_id] for record_id in ids])
-        counts = _np.fromiter((len(sets[record_id]) for record_id in ids),
-                              dtype=_np.int64, count=len(ids))
-        starts = _np.concatenate(([0], _np.cumsum(counts)[:-1])) if len(ids) \
-            else _np.zeros(0, dtype=_np.int64)
-        total = int(counts.sum())
-        rank_of = vocab.rank_of
-        # Bulk-intern every token, then sort within rows in one pass by
-        # packing (row, rank) into a single sortable key — far cheaper
-        # than a per-record fromiter + sort loop.
-        flat64 = _np.fromiter(
-            (rank_of[token] for record_id in ids for token in sets[record_id]),
-            dtype=_np.int64, count=total,
-        )
-        vocab_size = max(len(vocab), 1)
-        row_of = _np.repeat(_np.arange(len(ids), dtype=_np.int64), counts)
-        keys = row_of * _np.int64(vocab_size) + flat64
+        """Stream one token set per id straight into the rank store.
+
+        Each set is read once, its tokens interned to first-seen ids in
+        one flat array.  Ranks follow the canonical (df, token) order of
+        :func:`repro.pruning.prefix_join.canonical_token_order`; one sort
+        of packed ``row * vocab_size + rank`` keys lays out the rows and
+        sorts each one.
+
+        Args:
+            ids: Record ids, one per set, all distinct.
+            sets: Token sets in ``ids`` order (a generator is read once).
+            by_size: Order rows by ``(set size, id)``, the join's
+                processing order, instead of ``ids`` order.  Empty sets
+                stay as empty rows either way.
+
+        Raises:
+            ValueError: If ``ids`` repeats an id.
+        """
+        ids = _np.asarray(ids, dtype=_np.int64)
+        ordered = _np.sort(ids)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if len(repeated):
+            raise ValueError(f"record id {int(repeated[0])} appears twice")
+        first_seen, counts, tokens = _intern(sets)
+        vocab_size = len(tokens)
+        # Canonical rank of each first-seen id: document frequency first,
+        # ties by the token's position in plain string order.
+        lexical = _np.empty(vocab_size, dtype=_np.int64)
+        lexical[sorted(range(vocab_size), key=tokens.__getitem__)] = \
+            _np.arange(vocab_size, dtype=_np.int64)
+        frequency = _np.bincount(first_seen, minlength=vocab_size)
+        rank = _np.empty(vocab_size, dtype=_np.int64)
+        rank[_np.lexsort((lexical, frequency))] = \
+            _np.arange(vocab_size, dtype=_np.int64)
+
+        if by_size:
+            row_order = _np.lexsort((ids, counts))
+        else:
+            row_order = _np.arange(len(ids), dtype=_np.int64)
+        position = _np.empty(len(ids), dtype=_np.int64)
+        position[row_order] = _np.arange(len(ids), dtype=_np.int64)
+        modulus = _np.int64(max(vocab_size, 1))
+        keys = _np.repeat(position, counts) * modulus + rank[first_seen]
         keys.sort()
-        flat = (keys % _np.int64(vocab_size)).astype(_np.int32)
+        counts = counts[row_order]
+        starts = _np.cumsum(counts) - counts
         return EncodedRecords(
-            ids=_np.asarray(ids, dtype=_np.int64),
-            flat=flat, starts=starts.astype(_np.int64), counts=counts,
-            vocab_size=len(vocab),
+            ids=ids[row_order],
+            flat=(keys % modulus).astype(_np.int32),
+            starts=starts, counts=counts, vocab_size=vocab_size,
         )
+
+
+def _intern(sets: Iterable[FrozenSet[str]]):
+    """Read each set once: ``(first-seen token ids, set sizes, tokens)``,
+    where ``tokens[i]`` is the token interned as id ``i``."""
+    token_id: Dict[str, int] = {}
+    intern = token_id.setdefault
+    first_seen: List[int] = []
+    sizes: List[int] = []
+    for token_set in sets:
+        sizes.append(len(token_set))
+        first_seen.extend([intern(token, len(token_id))
+                           for token in token_set])
+    return (_np.array(first_seen, dtype=_np.int64),
+            _np.array(sizes, dtype=_np.int64), list(token_id))
 
 
 def batch_intersection_sizes(
@@ -284,11 +281,10 @@ def batch_text_scores(
         raise ValueError(f"domain must be 'word' or 'qgram', got {domain!r}")
 
     npairs = len(texts_a)
-    sets: Dict[int, FrozenSet[str]] = {}
-    for index in range(npairs):
-        sets[2 * index] = set_of(texts_a[index])
-        sets[2 * index + 1] = set_of(texts_b[index])
-    encoded = EncodedRecords.from_sets(sets, ids=list(range(2 * npairs)))
+    encoded = EncodedRecords.encode(
+        range(2 * npairs),
+        (set_of(text) for pair in zip(texts_a, texts_b) for text in pair),
+    )
     left = _np.arange(npairs, dtype=_np.int64) * 2
     right = left + 1
     intersections = batch_intersection_sizes(encoded, left, right)

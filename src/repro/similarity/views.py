@@ -1,11 +1,13 @@
 """Cached per-record token views shared by the token-based metrics.
 
-The pruning hot path scores tens of thousands of pairs; without a view
+The pair-scoring paths score tens of thousands of pairs; without a view
 cache every ``similarity(a, b)`` call re-runs ``word_tokens`` on both raw
 texts.  A :class:`RecordViewCache` tokenizes and normalizes each record
-exactly once — Jaccard, TF-IDF cosine, Soft TF-IDF, Dice/overlap and the
-prefix-filtered join all read the same cached token list / frozenset
-instead of re-tokenizing per pair.
+exactly once — Jaccard, TF-IDF cosine, Soft TF-IDF and Dice/overlap pair
+scores all read the same cached token list / frozenset instead of
+re-tokenizing per pair.  The prefix-filtered join reads each record
+once, so it builds no views: it takes its sets from
+``SimilarityFunction.set_of``, which tokenizes the text uncached.
 
 Views are keyed by ``record_id``.  A cache belongs to one record set; mixing
 records from different datasets (same id, different text) is a bug the cache

@@ -227,6 +227,15 @@ class TestShardedJoinValidation:
         )
         assert (0, 1) not in pairs
 
+    def test_repeated_record_id_rejected(self):
+        # One row per id: a repeated id is an error, never a silent
+        # choice of one of its two texts.
+        records = recs("golden cafe", "golden grill", "silver spoon")
+        records.append(Record(record_id=1, text="golden gate"))
+        with pytest.raises(ValueError, match="record id 1 "):
+            shard.sharded_prefix_filtered_candidates(
+                records, threshold=0.3, **join_args("jaccard"))
+
 
 def test_reference_text_metric_never_routes_to_shards():
     # A plain text metric has no set metadata, so it runs the scoring loop

@@ -5,7 +5,7 @@ four set metrics it must be *bit-for-bit* equal to the scalar functions
 (``token_jaccard``, ``qgram_jaccard``, ``token_cosine``, ...), including
 the empty-set conventions and [0, 1] clamping.  These tests pin that down
 with hypothesis on random and adversarial inputs (empty fields, unicode,
-duplicate tokens) and check the interning layer reproduces the scalar
+duplicate tokens) and check the streaming encoder reproduces the scalar
 join's canonical token order exactly.
 """
 
@@ -21,12 +21,11 @@ from repro.similarity.hybrid import token_cosine, token_dice, token_overlap
 from repro.similarity.jaccard import qgram_jaccard, token_jaccard
 from repro.similarity.kernels import (
     EncodedRecords,
-    TokenVocabulary,
     batch_intersection_sizes,
     batch_text_scores,
     resolve_kernel_backend,
 )
-from repro.similarity.tokenize import token_set
+from repro.similarity.tokenize import qgram_set, token_set
 
 # Random text: lowercase words plus unicode (accents, CJK) and repeats.
 words = st.text(alphabet=string.ascii_lowercase + " ", max_size=40)
@@ -98,35 +97,46 @@ def test_qgram_jaccard_bit_identical(pairs):
         assert got == qgram_jaccard(a, b, q=3)
 
 
-@given(st.lists(words, min_size=1, max_size=25))
+def _texts_to_sets(texts, domain):
+    if domain == "word":
+        return [token_set(text) for text in texts]
+    return [qgram_set(text, q=3) for text in texts]
+
+
+@pytest.mark.parametrize("by_size", [False, True])
+@pytest.mark.parametrize("domain", ["word", "qgram"])
+@given(texts=st.lists(unicode_words, max_size=25))
 @settings(max_examples=60)
-def test_vocabulary_matches_canonical_token_order(texts):
-    sets = [token_set(text) for text in texts]
-    vocab = TokenVocabulary.build(sets)
+def test_encoder_ranks_follow_canonical_token_order(texts, domain, by_size):
+    """Ranks are the canonical (df, token) order, and every row decodes
+    to its set sorted in that order; empty sets stay empty rows.  The
+    q-gram domain carries the ``\x01`` pad in its boundary grams."""
+    sets = _texts_to_sets(texts, domain)
+    # Descending ids: the (size, id) order must re-sort ties.
+    ids = [1000 - 7 * index for index in range(len(sets))]
+    encoded = EncodedRecords.encode(ids, iter(sets), by_size=by_size)
     order = canonical_token_order(sets)
     tokens = sorted(order, key=order.__getitem__)
-    assert tokens == sorted(vocab.rank_of, key=vocab.rank_of.__getitem__)
-    # Encoded rank arrays sorted ascending == the scalar join's sorted
-    # token lists, token for token.
-    for token_subset in sets:
-        ranks = vocab.encode(token_subset)
-        decoded = [tokens[rank] for rank in ranks.tolist()]
-        assert decoded == sorted(token_subset, key=order.__getitem__)
-
-
-@given(st.lists(words, min_size=1, max_size=15))
-@settings(max_examples=40)
-def test_encoded_records_roundtrip(texts):
-    sets = {i: token_set(text) for i, text in enumerate(texts)}
-    encoded = EncodedRecords.from_sets(sets, ids=list(sets))
-    assert len(encoded) == len(texts)
-    vocab = TokenVocabulary.build(sets.values())
-    for row, record_id in enumerate(sets):
+    assert encoded.vocab_size == len(tokens)
+    set_of_id = dict(zip(ids, sets))
+    if by_size:
+        expected_ids = sorted(ids, key=lambda rid: (len(set_of_id[rid]), rid))
+    else:
+        expected_ids = ids
+    assert encoded.ids.tolist() == expected_ids
+    assert encoded.flat.dtype == np.int32
+    for row, record_id in enumerate(expected_ids):
         start = int(encoded.starts[row])
         count = int(encoded.counts[row])
-        ranks = encoded.flat[start:start + count].tolist()
-        assert ranks == sorted(vocab.rank_of[t] for t in sets[record_id])
-        assert count == len(sets[record_id])
+        decoded = [tokens[rank]
+                   for rank in encoded.flat[start:start + count].tolist()]
+        assert decoded == sorted(set_of_id[record_id], key=order.__getitem__)
+
+
+def test_encoder_rejects_a_repeated_id():
+    sets = [frozenset({"a"}), frozenset({"b"}), frozenset({"c"})]
+    with pytest.raises(ValueError, match="record id 5 "):
+        EncodedRecords.encode([5, 2, 5], sets)
 
 
 token_sets = st.frozensets(st.sampled_from("abcdefghij"), max_size=8)
@@ -139,7 +149,7 @@ def test_intersection_sizes_match_set_intersection(sets, data):
     (and empty-vs-empty pairs) included."""
     records = dict(enumerate(sets))
     records[len(sets)] = frozenset()  # always at least one empty row
-    encoded = EncodedRecords.from_sets(records, ids=list(records))
+    encoded = EncodedRecords.encode(list(records), records.values())
     rows = st.integers(0, len(records) - 1)
     pairs = data.draw(st.lists(st.tuples(rows, rows), max_size=30))
     left = np.array([a for a, _ in pairs], dtype=np.int64)
@@ -154,7 +164,7 @@ def test_intersection_sizes_exceed_the_incidence_dtype():
     """The 0/1 incidence entries are int8; their row sums must not be."""
     records = {0: frozenset(map(str, range(300))),
                1: frozenset(map(str, range(100, 400)))}
-    encoded = EncodedRecords.from_sets(records, ids=[0, 1])
+    encoded = EncodedRecords.encode([0, 1], records.values())
     sizes = batch_intersection_sizes(encoded, np.array([0, 0]),
                                      np.array([1, 0]))
     assert sizes.tolist() == [200, 300]

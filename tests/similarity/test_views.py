@@ -2,7 +2,13 @@
 
 import pytest
 
+from repro.core.acd import run_acd
+from repro.crowd.cache import AnswerFile
+from repro.crowd.worker import WorkerPool
+from repro.datasets.registry import generate
 from repro.datasets.schema import Record
+from repro.experiments.configs import difficulty_model
+from repro.pruning.candidate import build_candidate_set
 from repro.similarity.composite import (
     cosine_set_similarity_function,
     jaccard_similarity_function,
@@ -75,6 +81,23 @@ class TestSharedViews:
         cosine(a, b)
         qgram_similarity_function(views=views)(a, b)
         assert len(views) == 2  # two records, one view each
+
+    def test_join_path_builds_no_views(self):
+        """The prefix join reads each record's set once from its text;
+        pruning and a whole ACD run from records leave the shared cache
+        empty (pair scores come from the join's memo, not from views)."""
+        dataset = generate("restaurant", scale=0.2, seed=0)
+        shared = RecordViewCache()
+        similarity = jaccard_similarity_function(views=shared)
+        candidates = build_candidate_set(dataset.records, similarity)
+        assert len(candidates) > 0
+        assert len(shared) == 0
+        crowd = WorkerPool(difficulty=difficulty_model("restaurant"))
+        result = run_acd(answers=AnswerFile(dataset.gold, crowd), seed=0,
+                         records=dataset.records,
+                         similarity=jaccard_similarity_function(views=shared))
+        assert result.candidates.pairs == candidates.pairs
+        assert len(shared) == 0
 
     def test_view_backed_jaccard_matches_text_jaccard(self):
         records = [rec(0, "golden cafe"), rec(1, "golden grill"),
